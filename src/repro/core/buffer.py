@@ -41,14 +41,18 @@ abandons the force and triggers a view change, matching footnote 1.
 
 from __future__ import annotations
 
+from array import array
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.events import EventRecord
 from repro.core.messages import BufferAckMsg, BufferMsg
 from repro.core.view import sub_majority
 from repro.core.viewstamp import ViewId, Viewstamp
+from repro.net.messages import estimate_size
 from repro.sim.errors import SimulationError
 from repro.sim.future import Future
+
+_TUPLE_BYTES = estimate_size(())  # what a records tuple costs before its pairs
 
 
 class ForceAbandoned(SimulationError):
@@ -126,6 +130,9 @@ class CommunicationBuffer:
         self.timestamp = 0  # Figure 1's "timestamp: int % the timestamp generator"
         self._records: List[Tuple[int, EventRecord]] = []
         self._base_ts = 0  # ts of the first retained record minus one
+        # _sized[i] is the wire size of _records[:i]: any slice a flush ships
+        # is sized by one subtraction, however often it is re-sent.
+        self._sized = array("q", [0])
         self.acked: Dict[int, int] = {mid: 0 for mid in self.backups}
         self._pending_forces: List[_PendingForce] = []
         self.closed = False
@@ -161,7 +168,9 @@ class CommunicationBuffer:
         if self.closed:
             raise SimulationError("buffer closed (view change in progress)")
         self.timestamp += 1
-        self._records.append((self.timestamp, record))
+        pair = (self.timestamp, record)
+        self._records.append(pair)
+        self._sized.append(self._sized[-1] + estimate_size(pair))
         if self._batch_enabled:
             self.request_flush()
         return Viewstamp(self.viewid, self.timestamp)
@@ -275,17 +284,8 @@ class CommunicationBuffer:
         if not records:
             return 0
         self._sent[mid] = records[-1][0]
-        self.msgs_sent += 1
-        self.records_sent += len(records)
-        self._send(
-            mid,
-            BufferMsg(
-                viewid=self.viewid,
-                records=records,
-                primary_ts=self.timestamp,
-                sent_at=self._clock() if self._clock is not None else None,
-            ),
-        )
+        sent_at = self._clock() if self._clock is not None else None
+        self._ship(mid, start_index, records, sent_at)
         return len(records)
 
     def _unsent_backups(self) -> bool:
@@ -310,12 +310,19 @@ class CommunicationBuffer:
         )
         if not records and acked >= self.timestamp:
             return
+        self._ship(mid, start_index, records)
+
+    def _ship(
+        self, mid: int, start_index: int, records: tuple, sent_at: Optional[float] = None
+    ) -> None:
+        """Send *mid* ``records``, the slice of ``_records`` at *start_index*."""
         self.msgs_sent += 1
         self.records_sent += len(records)
-        self._send(
-            mid,
-            BufferMsg(viewid=self.viewid, records=records, primary_ts=self.timestamp),
+        message = BufferMsg(self.viewid, records, self.timestamp, sent_at)
+        message.records_bytes = _TUPLE_BYTES + (
+            self._sized[start_index + len(records)] - self._sized[start_index]
         )
+        self._send(mid, message)
 
     def on_ack(self, ack: BufferAckMsg) -> None:
         """Process a cumulative ack from a backup.
@@ -396,6 +403,7 @@ class CommunicationBuffer:
             return
         drop = min_ack - self._base_ts
         del self._records[:drop]
+        del self._sized[:drop]  # sizes are only ever subtracted pairwise
         self._base_ts = min_ack
 
     def close(self) -> None:

@@ -529,10 +529,12 @@ class Cohort(Actor):
         self._ack_buffer()
 
     def _apply_buffer_records(self, records) -> None:
-        for ts, record in records:
+        # Pairs are contiguous in ts (the buffer ships a slice), so the
+        # retransmitted prefix -- hundreds of pairs on every unbatched force
+        # -- is skipped by index rather than pair by pair.
+        skip = max(0, self.applied_ts + 1 - records[0][0]) if records else 0
+        for ts, record in records[skip:]:
             if ts != self.applied_ts + 1:
-                if ts <= self.applied_ts:
-                    continue  # retransmission of something we have
                 break  # gap; cumulative ack will trigger a resend
             self.applied_ts = ts
             viewstamp = Viewstamp(self.cur_viewid, ts)

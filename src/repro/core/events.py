@@ -43,8 +43,8 @@ class EventRecord:
     """Base class; ``kind`` mirrors the paper's record-name strings."""
 
     # Records are immutable once buffered yet re-shipped on every flush, so
-    # repro.net.messages interns their wire size on first estimate.
-    _size_cacheable = True
+    # repro.net.messages interns their wire size (see its docstring).
+    _wire_size = None
 
     @property
     def kind(self) -> str:

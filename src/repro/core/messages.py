@@ -167,7 +167,7 @@ class QueryReplyMsg(Message):
 # ---------------------------------------------------------------------------
 
 
-@dataclasses.dataclass(slots=True)
+@dataclasses.dataclass  # no slots: ``records_bytes`` is set per instance
 class BufferMsg(Message):
     """Primary -> backup: event records in timestamp order.
 
@@ -177,12 +177,19 @@ class BufferMsg(Message):
     ``sent_at`` is stamped in batched mode so buffer traffic doubles as an
     I'm-alive beacon (the receiver feeds its failure detector from it and
     the sender suppresses the redundant heartbeat).
+
+    ``records_bytes`` is not wire data (no annotation, so not a field): the
+    sending buffer, which keeps running sizes of what it retains, sets it to
+    the wire size of ``records`` so that a resend of hundreds of pairs is
+    not re-walked.  Left ``None``, ``records`` is sized like any other field.
     """
 
     viewid: ViewId
     records: Tuple[Tuple[int, EventRecord], ...]
     primary_ts: int
     sent_at: Optional[float] = None
+    records_bytes = None  # type: Optional[int]
+    _size_hints = {"records": "records_bytes"}
 
 
 @dataclasses.dataclass(slots=True)

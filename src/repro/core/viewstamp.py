@@ -31,6 +31,7 @@ class ViewId:
 
     cnt: int
     mid: int
+    _wire_size = None  # interned by repro.net.messages (frozen, scalars only)
 
     def next_for(self, mid: int) -> "ViewId":
         """The viewid a manager with *mid* mints after seeing this one."""

@@ -6,76 +6,120 @@ viewstamped replication's psets stay small and are discarded at commit.  We
 estimate wire size structurally so the comparison is apples-to-apples.
 
 This module is on the per-message hot path (every send runs ``byte_size``),
-so it avoids repeated ``dataclasses.fields`` reflection with a per-class
-field-name cache, and ``msg_type`` is a class attribute stamped at subclass
-creation rather than a per-access property.
+so a value is sized by one exact-``type()`` lookup in ``_SIZERS``.  A type
+is classified once, on first sight, by one precedence rule:
 
-Event records are immutable once buffered but are re-sent many times (every
-unbatched flush re-ships the unacked suffix), so their sizes are interned:
-a dataclass whose class sets ``_size_cacheable = True`` gets its computed
-size stashed on the instance and sized as one dict lookup thereafter.
+1. ``None``/``bool`` are 1 byte, ``int``/``float`` 8, ``str``/``bytes``
+   their length, a ``list``/``tuple``/``set``/``frozenset``/``dict`` 4 plus
+   its items; a subclass of one of these sizes as its base.
+2. A dataclass is the sum of its fields, through a sizer compiled for the
+   class; a ``Message`` adds ``_HEADER_BYTES`` once, at the top.  A
+   ``byte_size`` method on a dataclass is never consulted, and a class
+   attribute without an annotation is not a field, hence not wire data.
+3. Anything else is ``value.byte_size()`` if it has one, else 16.
+
+Two declarations let a class skip the walk.  A frozen dataclass with
+``_wire_size = None`` has its size computed once and kept on the instance
+(8 bytes each): that is for event records, immutable once buffered yet
+re-sent by every unbatched flush, and for the scalar-only identifiers that
+one instance carries into many messages (``ViewId``, thousands of sizings
+per instance; ``Aid``, 8-40) -- not for ``CallId``, ``PSetPair`` or
+``Viewstamp``, re-sized at most twice, and never for anything holding a
+container somebody may still mutate (call ``args`` and ``result``, Isis
+``piggyback`` dicts, ``PSet``, ``History``).  And ``_size_hints = {field:
+attribute}`` names a non-wire attribute that, when not ``None``, *is* the
+size of that field (``BufferMsg.records_bytes``).
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Dict, Tuple, Type
+from typing import Any, Callable, Dict, Tuple, Type
 
 _HEADER_BYTES = 32  # source, destination, msg id, type tag
 
-#: Per-class cache of dataclass field names, so byte sizing does not pay
-#: ``dataclasses.fields`` reflection on every message.
-_FIELD_NAMES: Dict[type, Tuple[str, ...]] = {}
+
+def _size_items(value: Any) -> int:
+    total = 4
+    for item in value:
+        total += _SIZERS[type(item)](item)
+    return total
 
 
-def _field_names(cls: type) -> Tuple[str, ...]:
-    names = _FIELD_NAMES.get(cls)
-    if names is None:
-        names = tuple(field.name for field in dataclasses.fields(cls))
-        _FIELD_NAMES[cls] = names
-    return names
+def _size_mapping(value: Any) -> int:
+    total = 4
+    for key, item in value.items():
+        total += _SIZERS[type(key)](key) + _SIZERS[type(item)](item)
+    return total
+
+
+def _size_opaque(value: Any) -> int:
+    sizer = getattr(value, "byte_size", None)
+    return 16 if sizer is None else sizer()
+
+
+#: Rule 1, in precedence order (a ``bool`` is an ``int``; first match wins).
+_BUILTIN_SIZERS: Tuple[Tuple[Tuple[type, ...], Callable[[Any], int]], ...] = (
+    ((type(None), bool), lambda value: 1),
+    ((int, float), lambda value: 8),
+    ((str, bytes), len),
+    ((list, tuple, set, frozenset), _size_items),
+    ((dict,), _size_mapping),
+)
+
+
+def _compile_dataclass_sizer(cls: Any) -> Callable[[Any], int]:
+    """``def size(v): return S[type(v.a)](v.a) + ...`` over the fields of
+    *cls*, wrapped in the instance cache when the class interns its size."""
+    hints = getattr(cls, "_size_hints", {})
+    terms = []
+    for field in dataclasses.fields(cls):
+        term = f"S[type(v.{field.name})](v.{field.name})"
+        if field.name in hints:
+            hint = f"v.{hints[field.name]}"
+            term = f"({term} if {hint} is None else {hint})"
+        terms.append(term)
+    total = " + ".join(terms) or "0"
+    if hasattr(cls, "_wire_size"):
+        if not cls.__dataclass_params__.frozen:
+            raise TypeError(f"{cls.__name__} interns its size but is not frozen")
+        body = (
+            " n = v._wire_size\n"
+            " if n is None:\n"
+            f"  n = {total}\n"
+            "  store(v, '_wire_size', n)\n"
+            " return n"
+        )
+    else:
+        body = f" return {total}"
+    namespace: Dict[str, Any] = {"S": _SIZERS, "store": object.__setattr__}
+    exec(f"def size(v):\n{body}", namespace)
+    return namespace["size"]
+
+
+class _SizerTable(dict):
+    """Exact type -> sizer; a type seen for the first time is classified
+    by the module's precedence rule and remembered."""
+
+    def __missing__(self, cls: type) -> Callable[[Any], int]:
+        for bases, sizer in _BUILTIN_SIZERS:
+            if issubclass(cls, bases):
+                break
+        else:
+            if dataclasses.is_dataclass(cls):
+                sizer = _compile_dataclass_sizer(cls)
+            else:
+                sizer = _size_opaque
+        self[cls] = sizer
+        return sizer
+
+
+_SIZERS = _SizerTable()
 
 
 def estimate_size(value: Any) -> int:
     """Rough wire-size estimate of a payload value, in bytes."""
-    if value is None or isinstance(value, bool):
-        return 1
-    if isinstance(value, (int, float)):
-        return 8
-    if isinstance(value, str):
-        return len(value)
-    if isinstance(value, bytes):
-        return len(value)
-    if isinstance(value, (list, tuple, set, frozenset)):
-        total = 4
-        for item in value:
-            total += estimate_size(item)
-        return total
-    if isinstance(value, dict):
-        total = 4
-        for key, item in value.items():
-            total += estimate_size(key) + estimate_size(item)
-        return total
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        if getattr(value, "_size_cacheable", False):
-            # Frozen but slot-less dataclasses (event records) carry a
-            # __dict__; the interned size lives there, outside the declared
-            # fields, so it never feeds back into the estimate itself.
-            cached = value.__dict__.get("_wire_size")
-            if cached is not None:
-                return cached
-            total = 0
-            for name in _field_names(type(value)):
-                total += estimate_size(getattr(value, name))
-            object.__setattr__(value, "_wire_size", total)
-            return total
-        total = 0
-        for name in _field_names(type(value)):
-            total += estimate_size(getattr(value, name))
-        return total
-    if hasattr(value, "byte_size"):
-        return value.byte_size()
-    return 16  # opaque object
+    return _SIZERS[type(value)](value)
 
 
 @dataclasses.dataclass(slots=True)
@@ -97,10 +141,7 @@ class Message:
         cls.msg_type = cls.__name__
 
     def byte_size(self) -> int:
-        total = _HEADER_BYTES
-        for name in _field_names(type(self)):
-            total += estimate_size(getattr(self, name))
-        return total
+        return _HEADER_BYTES + _SIZERS[type(self)](self)
 
 
 @dataclasses.dataclass(slots=True)

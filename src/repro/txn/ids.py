@@ -23,6 +23,7 @@ class Aid:
     groupid: str
     viewid: ViewId
     seq: int
+    _wire_size = None  # interned by repro.net.messages (frozen, scalars only)
 
     def __str__(self) -> str:
         return f"{self.groupid}#{self.viewid}#{self.seq}"

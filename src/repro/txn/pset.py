@@ -17,6 +17,7 @@ import dataclasses
 from typing import FrozenSet, Iterable, Iterator, Optional
 
 from repro.core.viewstamp import Viewstamp, vs_max
+from repro.net.messages import estimate_size
 
 
 @dataclasses.dataclass(frozen=True, order=True)
@@ -25,9 +26,6 @@ class PSetPair:
 
     groupid: str
     vs: Viewstamp
-
-    def byte_size(self) -> int:
-        return len(self.groupid) + 16
 
 
 class PSet:
@@ -78,4 +76,6 @@ class PSet:
         return f"PSet({sorted(self._pairs)!r})"
 
     def byte_size(self) -> int:
-        return 4 + sum(pair.byte_size() for pair in self._pairs)
+        """Wire size: a PSet is not a dataclass, so this is what the
+        estimator charges for one (rule 3 of repro.net.messages)."""
+        return estimate_size(self._pairs)

@@ -244,3 +244,56 @@ def test_peer_address_lookup():
     assert cohort.peer_address(2) == "g/2"
     with pytest.raises(KeyError):
         cohort.peer_address(99)
+
+
+# -- backup: applying buffer records by index skip ---------------------------
+
+
+def _per_record_loop(cohort, records):
+    """``Cohort._apply_buffer_records`` as it was before the index skip."""
+    for ts, record in records:
+        if ts != cohort.applied_ts + 1:
+            if ts <= cohort.applied_ts:
+                continue  # retransmission of something we have
+            break  # gap; cumulative ack will trigger a resend
+        cohort.applied_ts = ts
+        viewstamp = Viewstamp(cohort.cur_viewid, ts)
+        cohort.history.advance(cohort.cur_viewid, ts)
+        cohort._record_bookkeeping(viewstamp, record, at_backup=True)
+
+
+def test_backup_skips_retransmitted_prefix_exactly_like_the_loop():
+    """A 2 000-pair retransmitted prefix, a pure duplicate, a gapped message
+    and an empty one leave applied_ts, history and the bookkeeping calls
+    exactly as iterating every pair did."""
+    _rt, group = build()
+    skipping, looping = group.cohort(1), group.cohort(2)
+    calls = {skipping: [], looping: []}
+    for cohort in (skipping, looping):
+        cohort._record_bookkeeping = (
+            lambda viewstamp, record, at_backup, log=calls[cohort]:
+            log.append((viewstamp, record, at_backup))
+        )
+    base = skipping.applied_ts
+    assert base == looping.applied_ts
+    aid = aid_for(skipping)
+    pairs = tuple((ts, Aborted(aid=aid)) for ts in range(base + 1, base + 2101))
+
+    def deliver(records):
+        skipping._apply_buffer_records(records)
+        _per_record_loop(looping, records)
+        assert skipping.applied_ts == looping.applied_ts
+        assert skipping.history.entries() == looping.history.entries()
+        assert calls[skipping] == calls[looping]
+        return skipping.applied_ts
+
+    assert deliver(pairs[:2000]) == base + 2000
+    assert deliver(pairs[:2049]) == base + 2049      # 2 000 old pairs, 49 new
+    assert len(calls[skipping]) == 2049
+    assert deliver(pairs[:2049]) == base + 2049      # pure duplicate
+    assert deliver(pairs[500:1500]) == base + 2049   # duplicate from the middle
+    assert deliver(pairs[2060:]) == base + 2049      # gap: nothing applies
+    assert deliver(()) == base + 2049
+    assert deliver(pairs[2048:2050]) == base + 2050  # one old, one new
+    assert deliver(pairs[2050:]) == base + 2100      # exactly the next
+    assert len(calls[skipping]) == 2100

@@ -7,6 +7,7 @@ from repro.config import ProtocolConfig
 from repro.core import messages as m
 from repro.core.view import View
 from repro.core.viewstamp import ViewId, Viewstamp
+from repro.net.messages import estimate_size
 from repro.storage.stable import StableStoragePolicy
 from repro.txn.ids import Aid, CallId
 from repro.txn.pset import PSet, PSetPair
@@ -50,7 +51,8 @@ def test_pset_byte_size_small_and_discardable():
 
 def test_view_byte_size():
     view = View(primary=0, backups=(1, 2, 3, 4))
-    assert view.byte_size() == 40
+    # What the wire charges: primary + backups tuple (4 + 4 ints).
+    assert view.byte_size() == 44 == estimate_size(view)
 
 
 def test_config_defaults_sane():
