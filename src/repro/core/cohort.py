@@ -82,6 +82,8 @@ class Cohort(Actor):
         self.config = config
         self.metrics = runtime.metrics
         self.tracer = runtime.tracer
+        self._labelled_viewid: Optional[ViewId] = None  # _trace_record_added
+        self._viewid_label = ""
         self.spec = spec
 
         # -- stable state (written at creation, survives crashes) --
@@ -396,16 +398,7 @@ class Cohort(Actor):
         self.history.advance(viewstamp.id, viewstamp.ts)
         self._record_bookkeeping(viewstamp, record, at_backup=False)
         if self.tracer is not None:
-            self.tracer.emit(
-                "record_added",
-                node=self.node.node_id,
-                group=self.mygroupid,
-                mid=self.mymid,
-                viewid=str(viewstamp.id),
-                ts=viewstamp.ts,
-                rtype=type(record).__name__,
-                role="primary",
-            )
+            self._trace_record_added(viewstamp.id, viewstamp.ts, record, "primary")
         if self.config.storage_policy is not StableStoragePolicy.MINIMAL:
             # Section 4.2's hardening: "we might supply each cohort with a
             # universal power supply and have them write information to
@@ -541,18 +534,29 @@ class Cohort(Actor):
             self.history.advance(self.cur_viewid, ts)
             self._record_bookkeeping(viewstamp, record, at_backup=True)
             if self.tracer is not None:
-                self.tracer.emit(
-                    "record_added",
-                    node=self.node.node_id,
-                    group=self.mygroupid,
-                    mid=self.mymid,
-                    viewid=str(self.cur_viewid),
-                    ts=ts,
-                    rtype=type(record).__name__,
-                    role="backup",
-                )
+                self._trace_record_added(self.cur_viewid, ts, record, "backup")
             if self.config.storage_policy is StableStoragePolicy.ALL:
                 self.stable.write_immediate("gstate", self._gstate_snapshot())
+
+    def _trace_record_added(self, viewid, ts: int, record, role: str) -> None:
+        """Armed path only, once per record per cohort.  The view's label is
+        rendered once per view: a cohort (and its buffer) holds one
+        ``ViewId`` object for the life of a view, so identity is the test."""
+        if viewid is not self._labelled_viewid:
+            self._labelled_viewid, self._viewid_label = viewid, str(viewid)
+        self.tracer._emit(
+            "record_added",
+            self.node.node_id,
+            (),
+            {
+                "group": self.mygroupid,
+                "mid": self.mymid,
+                "viewid": self._viewid_label,
+                "ts": ts,
+                "rtype": type(record).__name__,
+                "role": role,
+            },
+        )
 
     def _ack_buffer(self) -> None:
         """Acknowledge applied records; coalesced in batched mode.

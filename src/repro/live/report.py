@@ -131,12 +131,11 @@ def build_stall_report(runtime, spec, reason: str) -> StallReport:
                 disk_faults.setdefault(node_id, []).extend(active)
     reason = _name_partitioned_quorum(runtime, spec, reason, net)
     causal_slice: list = []
-    if runtime.tracer is not None:
-        events = runtime.tracer.events()
-        if events:
-            causal_slice = runtime.tracer.causal_slice(
-                events[-1].eid, limit=50
-            )
+    if runtime.tracer is not None and runtime.tracer.events_emitted:
+        # eids are consecutive: the newest event's eid is the count
+        causal_slice = runtime.tracer.causal_slice(
+            runtime.tracer.events_emitted, limit=50
+        )
     return StallReport(
         at=runtime.sim.now,
         spec=spec.describe(),

@@ -34,7 +34,7 @@ size of that field (``BufferMsg.records_bytes``).
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Callable, Dict, Tuple, Type
+from typing import Any, Callable, Dict, Optional, Tuple, Type
 
 _HEADER_BYTES = 32  # source, destination, msg id, type tag
 
@@ -150,7 +150,10 @@ class Envelope:
 
     ``copies`` counts outstanding scheduled deliveries (2 when the link
     duplicated the datagram); the network recycles the envelope through a
-    freelist once every copy has been consumed."""
+    freelist once every copy has been consumed.  ``send_eid`` is the
+    ``msg_send`` trace event of this message (None when tracing is off or
+    the envelope never went through ``Network.send``); a duplicated copy
+    is the same envelope, so both deliveries name the one send."""
 
     msg_id: int
     source: str
@@ -158,3 +161,4 @@ class Envelope:
     payload: Message
     sent_at: float
     copies: int = 1
+    send_eid: Optional[int] = None

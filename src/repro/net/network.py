@@ -92,6 +92,7 @@ class Network:
             envelope.payload = payload
             envelope.sent_at = self.sim.now
             envelope.copies = 1
+            envelope.send_eid = None
             return envelope
         return Envelope(
             msg_id=self._next_msg_id,
@@ -423,8 +424,7 @@ class Network:
             self._release_envelope(envelope)
             actor.handle_message(payload, source)
             return
-        eid = tracer.on_deliver(envelope)
-        tracer.push(eid)
+        tracer.on_deliver(envelope)  # pushes itself as the causal context
         try:
             actor.handle_message(envelope.payload, envelope.source)
         finally:

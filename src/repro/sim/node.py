@@ -108,11 +108,11 @@ class Node:
 
             def guarded() -> None:
                 if self.up and self.incarnation == incarnation:
-                    eid = tracer.emit(
-                        "timer_fire", node=self.node_id, parents=parents,
-                        delay=delay,
+                    tracer.push(
+                        tracer._emit(
+                            "timer_fire", self.node_id, parents, {"delay": delay}
+                        )
                     )
-                    tracer.push(eid)
                     try:
                         callback(*args)
                     finally:

@@ -13,10 +13,11 @@ Subcommands::
         (load in chrome://tracing or https://ui.perfetto.dev).
 
     monitors
-        The invariant-monitor catalog with paper sections.
+        The invariant-monitor catalog: paper sections and subscribed kinds.
 
     check-docs DOC
         Fail unless every event kind and monitor name is mentioned in DOC
+        and each monitor's table row names the kinds it subscribes to
         (the docs-drift gate for docs/TRACING.md).
 """
 
@@ -24,10 +25,9 @@ from __future__ import annotations
 
 import argparse
 import sys
-from collections import deque
 from typing import Dict, List
 
-from repro.trace.events import EVENT_KINDS, TraceEvent
+from repro.trace.events import EVENT_KINDS, TraceEvent, causal_ancestry
 from repro.trace.export import read_jsonl, write_chrome
 from repro.trace.monitors import MONITORS
 
@@ -64,21 +64,9 @@ def _chain(args) -> int:
         print(f"event #{args.eid} not in {args.file} "
               f"(ring may have evicted it)", file=sys.stderr)
         return 1
-    frontier = deque([args.eid])
-    seen = set()
-    chain: List[TraceEvent] = []
-    while frontier and len(chain) < args.limit:
-        eid = frontier.popleft()
-        if eid in seen:
-            continue
-        seen.add(eid)
-        event = events.get(eid)
-        if event is None:
-            continue
-        chain.append(event)
-        frontier.extend(event.parents)
+    chain = causal_ancestry(events.get, args.eid, args.limit)
     print(f"causal chain to #{args.eid} ({len(chain)} events):")
-    for event in sorted(chain, key=lambda e: e.eid):
+    for event in chain:
         marker = "->" if event.eid == args.eid else "  "
         print(f"{marker} {event.render()}")
     return 0
@@ -92,11 +80,16 @@ def _chrome(args) -> int:
     return 0
 
 
+def _kinds(monitor) -> str:
+    return ", ".join(monitor.kinds) if monitor.kinds is not None else "(every kind)"
+
+
 def _monitors(_args) -> int:
     for name in sorted(MONITORS):
         monitor = MONITORS[name]
         print(f"{name}  [{monitor.paper}]")
         print(f"    {monitor.description}")
+        print(f"    kinds: {_kinds(monitor)}")
     return 0
 
 
@@ -109,12 +102,24 @@ def _check_docs(args) -> int:
         return 2
     missing = [kind for kind in sorted(EVENT_KINDS) if kind not in text]
     missing += [name for name in sorted(MONITORS) if name not in text]
+    for name in sorted(MONITORS):
+        row = next(
+            (line for line in text.splitlines() if line.startswith(f"| `{name}`")),
+            "",
+        )
+        missing += [
+            f"{name} subscribes to {kind}"
+            for kind in MONITORS[name].kinds or ()
+            if f"`{kind}`" not in row
+        ]
     if missing:
         print(f"{args.doc} is missing documentation for: "
               f"{', '.join(missing)}", file=sys.stderr)
         return 1
     print(f"{args.doc} documents all {len(EVENT_KINDS)} event kinds and "
           f"{len(MONITORS)} monitors")
+    for name in sorted(MONITORS):
+        print(f"  {name}: {_kinds(MONITORS[name])}")
     return 0
 
 

@@ -23,7 +23,8 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from typing import Any, Dict, Optional, Tuple
+from collections import deque
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 #: Catalog of event kinds the instrumentation can emit.  ``python -m
 #: repro.trace check-docs`` asserts each name is documented in
@@ -99,9 +100,12 @@ def _plain(value: Any) -> Any:
     return str(value)
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(slots=True)
 class TraceEvent:
-    """One structured event in the causal record of a run."""
+    """One structured event in the causal record of a run.
+
+    Built on the armed hot path, so it is a plain slots class (seven
+    stores to construct, not frozen); treat instances as immutable."""
 
     eid: int
     at: float
@@ -149,3 +153,25 @@ class TraceEvent:
             f"#{self.eid} t={self.at:.3f} L{self.lamport} "
             f"{where} {self.kind} {fields}".rstrip()
         )
+
+
+def causal_ancestry(
+    lookup: Callable[[int], Optional[TraceEvent]], eid: int, limit: int
+) -> List[TraceEvent]:
+    """Breadth-first walk of *eid*'s causal ancestry, at most *limit*
+    events, in eid order.  *lookup* answers None for an event that is gone
+    (evicted from the ring, or outside the export)."""
+    frontier = deque([eid])
+    seen = set()
+    collected: List[TraceEvent] = []
+    while frontier and len(collected) < limit:
+        current = frontier.popleft()
+        if current in seen:
+            continue
+        seen.add(current)
+        event = lookup(current)
+        if event is None:
+            continue
+        collected.append(event)
+        frontier.extend(event.parents)
+    return sorted(collected, key=lambda event: event.eid)

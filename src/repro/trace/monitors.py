@@ -34,7 +34,7 @@ All monitors are false-positive-free on legitimate runs:
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Tuple
+from typing import Dict, FrozenSet, Optional, Tuple
 
 from repro.core.view import majority, sub_majority
 
@@ -60,13 +60,19 @@ class InvariantViolation(AssertionError):
 
 
 class InvariantMonitor:
-    """Base class: subscribe to the event stream, assert one invariant."""
+    """Base class: subscribe to event kinds, assert one invariant.
+
+    The tracer calls ``on_event(event, tracer)`` only for events whose kind
+    is in ``kinds``, exactly once each; a subclass that leaves ``kinds``
+    as ``None`` sees every event."""
 
     #: registry key and violation label
     name = "invariant"
     #: paper section(s) the invariant comes from
     paper = ""
     description = ""
+    #: the event kinds (names from ``EVENT_KINDS``) this monitor consumes
+    kinds: Optional[Tuple[str, ...]] = None
 
     def on_event(self, event, tracer) -> None:
         raise NotImplementedError
@@ -84,20 +90,17 @@ class ViewstampMonotonicMonitor(InvariantMonitor):
         "per (group, viewid, cohort), applied record timestamps strictly "
         "increase; the watermark resets when a newview is (re)installed"
     )
+    kinds = ("record_added", "newview_installed")
 
     def __init__(self):
         self._last_ts: Dict[Tuple[str, str, int], int] = {}
 
     def on_event(self, event, tracer) -> None:
-        if event.kind == "newview_installed":
-            data = event.data
-            key = (data["group"], data["viewid"], data["mid"])
-            self._last_ts[key] = 1  # the newview record itself is ts=1
-            return
-        if event.kind != "record_added":
-            return
         data = event.data
         key = (data["group"], data["viewid"], data["mid"])
+        if event.kind == "newview_installed":
+            self._last_ts[key] = 1  # the newview record itself is ts=1
+            return
         ts = data["ts"]
         last = self._last_ts.get(key)
         if last is not None and ts <= last:
@@ -118,13 +121,12 @@ class SinglePrimaryMonitor(InvariantMonitor):
         "at most one cohort ever activates as the primary of a given "
         "(group, viewid); viewids are globally unique by construction"
     )
+    kinds = ("primary_activated",)
 
     def __init__(self):
         self._primary: Dict[Tuple[str, str], int] = {}
 
     def on_event(self, event, tracer) -> None:
-        if event.kind != "primary_activated":
-            return
         data = event.data
         key = (data["group"], data["viewid"])
         mid = data["mid"]
@@ -145,13 +147,12 @@ class QuorumIntersectionMonitor(InvariantMonitor):
         "every formed view is a majority of the configuration and therefore "
         "intersects the previously formed view of the group"
     )
+    kinds = ("view_formed",)
 
     def __init__(self):
         self._previous: Dict[str, Tuple[str, FrozenSet[int]]] = {}
 
     def on_event(self, event, tracer) -> None:
-        if event.kind != "view_formed":
-            return
         data = event.data
         group = data["group"]
         members = frozenset(data["members"])
@@ -183,10 +184,9 @@ class CommitQuorumMonitor(InvariantMonitor):
         "at a commit point the committing record's timestamp is acked by a "
         "sub-majority of backups (with the primary, a majority knows it)"
     )
+    kinds = ("commit_point",)
 
     def on_event(self, event, tracer) -> None:
-        if event.kind != "commit_point":
-            return
         data = event.data
         force_ts = data["force_ts"]
         config_size = data["config_size"]
@@ -210,10 +210,9 @@ class PhantomDeliveryMonitor(InvariantMonitor):
     description = (
         "every delivered message corresponds to a send the network performed"
     )
+    kinds = ("msg_deliver",)
 
     def on_event(self, event, tracer) -> None:
-        if event.kind != "msg_deliver":
-            return
         if not event.data.get("sent", False):
             self.fail(
                 tracer,
@@ -232,6 +231,7 @@ class StaleLeaseMonitor(InvariantMonitor):
         "primary has already committed a write (no committed write is "
         "concurrent with a stale lease serving reads)"
     )
+    kinds = ("record_added", "lease_read")
 
     def __init__(self):
         # group -> (viewid tuple, viewid str) of the newest view in which
@@ -246,18 +246,15 @@ class StaleLeaseMonitor(InvariantMonitor):
 
     def on_event(self, event, tracer) -> None:
         data = event.data
-        if (
-            event.kind == "record_added"
-            and data.get("role") == "primary"
-            and data.get("rtype") == "Committed"
-        ):
-            group = data["group"]
-            parsed = self._parse_viewid(data["viewid"])
-            current = self._commit_view.get(group)
-            if current is None or parsed > current[0]:
-                self._commit_view[group] = (parsed, data["viewid"])
-            return
-        if event.kind != "lease_read":
+        if event.kind == "record_added":
+            if data.get("rtype") == "Committed" and data.get("role") == "primary":
+                group, viewid = data["group"], data["viewid"]
+                current = self._commit_view.get(group)
+                # same label as the newest committing view: nothing to parse
+                if current is None or viewid != current[1]:
+                    parsed = self._parse_viewid(viewid)
+                    if current is None or parsed > current[0]:
+                        self._commit_view[group] = (parsed, viewid)
             return
         group = data["group"]
         newest = self._commit_view.get(group)

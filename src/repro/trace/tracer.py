@@ -18,45 +18,83 @@ Causality is tracked two ways:
 - a *context stack*: while a delivery or timer callback runs, its event id
   sits on the stack and becomes an implicit parent of everything emitted
   inside it (protocol actions, nested sends);
-- explicit parents: a delivery names its send, a timer fire names the
-  event context in which it was armed.
+- explicit parents: a delivery names its send (carried on the envelope as
+  ``Envelope.send_eid``), a timer fire names the event context in which it
+  was armed.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.trace.events import TraceEvent
+from repro.trace.events import EVENT_KINDS, TraceEvent, causal_ancestry
 
-#: Cap on the msg_id -> send-eid map.  In-flight messages are short-lived
-#: (delays are bounded), so entries this old are long settled; pruning the
-#: oldest half by insertion order (= msg_id order) is deterministic.
-_MSG_MAP_LIMIT = 131_072
+#: Ring cells per event: ``at, lamport, node, kind, data, parents`` (the
+#: eid is the slot's position, so it is not stored).
+_CELLS = 6
+_LAMPORT = 1
 
 
 class Tracer:
-    """Collects :class:`TraceEvent` records into a bounded ring."""
+    """Collects :class:`TraceEvent` records into a bounded ring.
+
+    Eids are consecutive, so the ring is one preallocated list in which
+    event *eid* owns the ``_CELLS`` cells from ``eid % ring_size * _CELLS``:
+    recording an event is one slice store that evicts the oldest, and
+    lookup, eviction counts and the Lamport parent check are arithmetic.
+    No object is allocated per event beyond the caller's ``data`` dict, so
+    the collector never has a ring's worth of events to walk; a
+    :class:`TraceEvent` is built when someone asks for one (a subscribed
+    monitor, :meth:`get`, :meth:`events`).
+    """
 
     def __init__(self, sim, config):
         self.sim = sim
         self.config = config
         self.ring_size = max(1, int(config.ring_size))
-        self._ring: deque = deque()
-        self._index: Dict[int, TraceEvent] = {}
+        self._cells: list = [None] * (_CELLS * self.ring_size)
         self._next_eid = 0
         self._clocks: Dict[str, int] = {}
-        self._context: List[int] = []
-        self._msg_sends: Dict[int, int] = {}
+        #: the causal context stack, each entry the ready-made ``(eid,)``
+        #: that events emitted inside it share as their parents tuple
+        self._context: List[Tuple[int]] = []
         self._monitors: list = []
-        self.events_emitted = 0
-        self.events_evicted = 0
+        #: cataloged kind -> bound ``on_event`` of each subscriber, install
+        #: order; any other kind reaches the subscribe-to-all list
+        self._dispatch: Dict[str, List[Callable]] = {}
+        self._catch_all: List[Callable] = []
+
+    @property
+    def events_emitted(self) -> int:
+        return self._next_eid
+
+    @property
+    def events_evicted(self) -> int:
+        return max(0, self._next_eid - self.ring_size)
 
     # -- monitors ---------------------------------------------------------
 
     def install_monitors(self, monitors) -> None:
-        """Attach monitor instances; each sees every event as it is emitted."""
+        """Attach monitor instances.  Each is called for the event kinds
+        its ``kinds`` tuple names (``None``: every kind), in install order."""
+        monitors = list(monitors)
+        for monitor in monitors:
+            unknown = sorted(set(monitor.kinds or ()) - set(EVENT_KINDS))
+            if unknown:
+                raise ValueError(
+                    f"monitor {monitor.name!r} subscribes to unknown event "
+                    f"kind(s) {unknown}; see repro.trace.events.EVENT_KINDS"
+                )
         self._monitors.extend(monitors)
+        self._catch_all = [m.on_event for m in self._monitors if m.kinds is None]
+        self._dispatch = {
+            kind: [
+                m.on_event
+                for m in self._monitors
+                if m.kinds is None or kind in m.kinds
+            ]
+            for kind in EVENT_KINDS
+        }
 
     @property
     def monitors(self) -> tuple:
@@ -80,57 +118,59 @@ class Tracer:
         parents: Tuple[int, ...],
         data: Dict[str, Any],
     ) -> int:
-        self._next_eid += 1
-        eid = self._next_eid
+        """:meth:`emit` without the keyword packing, for the instrumented
+        hot paths (network hooks, ``record_added``, ``timer_fire``).  The
+        tracer keeps *data* and *parents*; the caller must not reuse them."""
+        eid = self._next_eid = self._next_eid + 1
         context = self._context
         if context:
             top = context[-1]
-            if top not in parents:
-                parents = parents + (top,)
-        clock_key = node if node is not None else ""
-        lamport = self._clocks.get(clock_key, 0)
-        index = self._index
+            if not parents:
+                parents = top
+            elif top[0] not in parents:
+                parents = parents + top
+        clock_key = node or ""
+        clocks = self._clocks
+        lamport = clocks.get(clock_key, 0)
+        cells = self._cells
+        size = self.ring_size
+        # Parents are read before the store below: the oldest ring entry
+        # (eid - ring_size) shares this event's slot and still counts.
+        oldest = eid - size
         for parent_id in parents:
-            parent = index.get(parent_id)
-            if parent is not None and parent.lamport > lamport:
-                lamport = parent.lamport
+            if oldest <= parent_id < eid and parent_id > 0:
+                seen = cells[parent_id % size * _CELLS + _LAMPORT]
+                if seen > lamport:
+                    lamport = seen
         lamport += 1
-        self._clocks[clock_key] = lamport
-        event = TraceEvent(
-            eid=eid,
-            at=self.sim.now,
-            lamport=lamport,
-            node=node,
-            kind=kind,
-            data=data,
-            parents=parents,
-        )
-        self._ring.append(event)
-        index[eid] = event
-        if len(self._ring) > self.ring_size:
-            evicted = self._ring.popleft()
-            del index[evicted.eid]
-            self.events_evicted += 1
-        self.events_emitted += 1
-        for monitor in self._monitors:
-            monitor.on_event(event, self)
+        clocks[clock_key] = lamport
+        at = self.sim.now
+        start = eid % size * _CELLS
+        cells[start:start + _CELLS] = (at, lamport, node, kind, data, parents)
+        handlers = self._dispatch.get(kind, self._catch_all)
+        if handlers:
+            event = TraceEvent(eid, at, lamport, node, kind, data, parents)
+            for on_event in handlers:
+                on_event(event, self)
         return eid
 
     # -- causal context ---------------------------------------------------
 
     def push(self, eid: int) -> None:
-        self._context.append(eid)
+        self._context.append((eid,))
 
     def pop(self) -> None:
         self._context.pop()
 
     def current(self) -> Optional[int]:
-        return self._context[-1] if self._context else None
+        return self._context[-1][0] if self._context else None
 
     # -- network hooks (called by Network when tracer is not None) --------
+    # The send's eid rides on the envelope (``Envelope.send_eid``): no
+    # side table to bound, and a slow message cannot outlive its entry.
 
-    def on_send(self, envelope) -> int:
-        eid = self._emit(
+    def on_send(self, envelope) -> None:
+        envelope.send_eid = self._emit(
             "msg_send",
             envelope.source,
             (),
@@ -141,20 +181,13 @@ class Tracer:
                 "type": envelope.payload.msg_type,
             },
         )
-        sends = self._msg_sends
-        sends[envelope.msg_id] = eid
-        if len(sends) > _MSG_MAP_LIMIT:
-            for key in list(sends)[: _MSG_MAP_LIMIT // 2]:
-                del sends[key]
-        return eid
 
     def on_drop(self, envelope, reason: str, node: Optional[str]) -> int:
-        send_eid = self._msg_sends.get(envelope.msg_id)
-        parents = (send_eid,) if send_eid is not None else ()
+        send_eid = envelope.send_eid
         return self._emit(
             "msg_drop",
             node,
-            parents,
+            (send_eid,) if send_eid is not None else (),
             {
                 "msg_id": envelope.msg_id,
                 "src": envelope.source,
@@ -165,12 +198,13 @@ class Tracer:
         )
 
     def on_deliver(self, envelope) -> int:
-        send_eid = self._msg_sends.get(envelope.msg_id)
-        parents = (send_eid,) if send_eid is not None else ()
-        return self._emit(
+        """Emit the delivery and push it as the causal context; the
+        network pops it once the destination's handler returns."""
+        send_eid = envelope.send_eid
+        eid = self._emit(
             "msg_deliver",
             envelope.destination,
-            parents,
+            (send_eid,) if send_eid is not None else (),
             {
                 "msg_id": envelope.msg_id,
                 "src": envelope.source,
@@ -179,6 +213,8 @@ class Tracer:
                 "sent": send_eid is not None,
             },
         )
+        self.push(eid)
+        return eid
 
     # -- Simulator.trace adapter ------------------------------------------
 
@@ -191,29 +227,22 @@ class Tracer:
 
     def events(self) -> List[TraceEvent]:
         """Ring contents, oldest first."""
-        return list(self._ring)
+        newest = self._next_eid
+        oldest = max(1, newest - self.ring_size + 1)
+        return [self.get(eid) for eid in range(oldest, newest + 1)]
 
     def get(self, eid: int) -> Optional[TraceEvent]:
-        return self._index.get(eid)
+        newest = self._next_eid
+        if not max(0, newest - self.ring_size) < eid <= newest:
+            return None  # never issued, or evicted from the ring
+        start = eid % self.ring_size * _CELLS
+        return TraceEvent(eid, *self._cells[start:start + _CELLS])
 
     def causal_slice(self, eid: int, limit: int = 50) -> List[TraceEvent]:
         """The minimal explanation of *eid*: a breadth-first walk of its
         causal ancestry (still in the ring), at most *limit* events,
         returned in eid order."""
-        frontier = deque([eid])
-        seen = set()
-        collected: List[TraceEvent] = []
-        while frontier and len(collected) < limit:
-            current = frontier.popleft()
-            if current in seen:
-                continue
-            seen.add(current)
-            event = self._index.get(current)
-            if event is None:
-                continue  # evicted from the ring
-            collected.append(event)
-            frontier.extend(event.parents)
-        return sorted(collected, key=lambda event: event.eid)
+        return causal_ancestry(self.get, eid, limit)
 
     def export_jsonl(self, path: str) -> None:
         from repro.trace.export import write_jsonl
@@ -240,6 +269,7 @@ class Tracer:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"Tracer(emitted={self.events_emitted}, ring={len(self._ring)}/"
+            f"Tracer(emitted={self.events_emitted}, ring="
+            f"{self.events_emitted - self.events_evicted}/"
             f"{self.ring_size}, monitors={len(self._monitors)})"
         )

@@ -85,7 +85,7 @@ def test_geo_route_trace_event_emitted():
     rt, _kv, driver, key = build("dc-b/z1", trace=TraceConfig())
     result = read(rt, driver, key, prefer="nearest")
     assert result.ok
-    routes = [e for e in rt.tracer._ring if e.kind == "geo_route"]
+    routes = [e for e in rt.tracer.events() if e.kind == "geo_route"]
     assert routes, "no geo_route event emitted"
     data = routes[-1].data
     assert data["site"] == "dc-b/z1"
@@ -99,7 +99,7 @@ def test_flat_network_emits_no_geo_route():
     rt, _kv, driver, key = _flat_build()
     result = read(rt, driver, key)
     assert result.ok
-    routes = [e for e in rt.tracer._ring if e.kind == "geo_route"]
+    routes = [e for e in rt.tracer.events() if e.kind == "geo_route"]
     assert routes == []
 
 

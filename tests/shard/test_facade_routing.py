@@ -86,7 +86,7 @@ def test_routing_emits_shard_route_trace_events():
     (key,) = keys_owned_by(sharded, 0)
     outcome, _ = submit(rt, driver, sharded, "write", key, 1)
     assert outcome == "committed"
-    routes = [e for e in rt.tracer._ring if e.kind == "shard_route"]
+    routes = [e for e in rt.tracer.events() if e.kind == "shard_route"]
     assert routes, "no shard_route event emitted"
     assert routes[-1].data["group"] == sharded.map.shard_for(key)
     assert routes[-1].data["map_version"] == sharded.map.version
