@@ -24,9 +24,10 @@ in the replica-convergence check that integration tests also run.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Tuple
+from typing import TYPE_CHECKING, Dict, List, Tuple
 
-import networkx as nx
+if TYPE_CHECKING:  # imported where used: ``import repro`` stays stdlib-only
+    import networkx as nx
 
 
 class SerializabilityViolation(AssertionError):
@@ -49,6 +50,8 @@ class SerializabilityChecker:
         self.transactions = transactions
 
     def graph(self) -> nx.DiGraph:
+        import networkx as nx
+
         graph = nx.DiGraph()
         for txn in self.transactions:
             graph.add_node(txn.aid)
@@ -82,6 +85,8 @@ class SerializabilityChecker:
 
     def check(self) -> None:
         """Raise :class:`SerializabilityViolation` if the history is not 1SR."""
+        import networkx as nx
+
         graph = self.graph()
         try:
             cycle = nx.find_cycle(graph)

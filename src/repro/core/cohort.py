@@ -76,8 +76,8 @@ class Cohort(Actor):
         initial_viewid: ViewId,
         initial_view: View,
     ):
-        address = dict(configuration)[mid]
-        super().__init__(node, address)
+        self._addresses: Dict[int, str] = dict(configuration)
+        super().__init__(node, self._addresses[mid])
         self.runtime = runtime
         self.config = config
         self.metrics = runtime.metrics
@@ -134,7 +134,7 @@ class Cohort(Actor):
             if scale.witnesses > 0:
                 self._witnesses = witness_mids(len(configuration), scale.witnesses)
             if scale.gossip:
-                self._gossip_rng = runtime.sim.rng.fork(f"gossip/{address}")
+                self._gossip_rng = runtime.sim.rng.fork(f"gossip/{self.address}")
 
         # -- gstate --
         self.store = ObjectStore()
@@ -157,6 +157,7 @@ class Cohort(Actor):
         self.client_role = ClientRole(self)
         self.coordinator_role = CoordinatorServerRole(self)
         self.view_change = ViewChangeController(self)
+        self._wire_handlers()
 
         # -- liveness --
         self.last_heard: Dict[int, float] = {
@@ -228,10 +229,7 @@ class Cohort(Actor):
         return tuple(b for b in backups if b not in self._witnesses)
 
     def peer_address(self, mid: int) -> str:
-        for peer, address in self.configuration:
-            if peer == mid:
-                return address
-        raise KeyError(f"no cohort {mid} in {self.mygroupid}")
+        return self._addresses[mid]
 
     def send(self, destination: str, message) -> None:
         self.runtime.network.send(self.address, destination, message)
@@ -247,120 +245,106 @@ class Cohort(Actor):
     # message dispatch
     # ------------------------------------------------------------------
 
-    def handle_message(self, message, source: str) -> None:
-        # Messages every status handles (section 3.4: queries "can be
-        # answered by any cohort that knows the answer"; probes likewise).
-        if isinstance(message, m.QueryMsg):
-            self._handle_query(message)
-            return
-        if isinstance(message, m.ViewProbeMsg):
-            self._handle_view_probe(message)
-            return
-        if isinstance(message, m.ImAliveMsg):
-            self._handle_im_alive(message)
-            return
-        if isinstance(message, m.InviteMsg):
-            self.view_change.on_invite(message)
-            return
-        if isinstance(message, m.AcceptMsg):
-            self.view_change.on_accept(message)
-            return
-        if isinstance(message, m.InitViewMsg):
-            self.view_change.on_init_view(message)
-            return
-        if isinstance(message, m.WitnessInstallMsg):
-            self.view_change.on_witness_install(message)
-            return
-        if isinstance(message, m.BufferMsg):
-            self._handle_buffer_msg(message)
-            return
-        if isinstance(message, m.BufferAckMsg):
-            if self.config.batch.enabled and self.config.batch.piggyback_liveness:
-                # Acks prove the backup is alive; feed the detector so the
-                # backup may skip its redundant heartbeat (batched mode).
-                if message.mid in self.last_heard:
-                    self.last_heard[message.mid] = self.sim.now
-                    self.detect.heard(message.mid, sent_at=message.sent_at)
-            if (
-                self.reads is not None
-                and message.lease_until is not None
-                and message.viewid == self.cur_viewid
-                and self.is_active_primary
-            ):
-                self._note_lease_grant(message.mid, message.lease_until)
-            if self._witness_install_pending:
-                # A witness confirmed its view install (acked_ts is 0; a
-                # witness applies nothing) -- stop retransmitting to it.
-                self._witness_install_pending.discard(message.mid)
-            if (
-                self.scale is not None
-                and self.scale.ack_tree
-                and not self.is_primary
-                and self.status is Status.ACTIVE
-                and message.viewid == self.cur_viewid
-            ):
-                # Ack-tree interior node: fold the child's subtree into
-                # ours and forward upward after a coalescing delay.
-                self._on_child_ack(message)
-                return
-            if self.is_active_primary and self.buffer is not None:
-                self.buffer.on_ack(message)
-            return
-        if isinstance(message, m.ReadMsg):
-            self._handle_read(message)
-            return
+    def _wire_handlers(self) -> None:
+        """Build the dispatch tables: exact ``type(message)`` -> bound handler.
 
-        # Replies to calls we originated are consumed in any active state.
-        if isinstance(message, m.ReplyMsg):
-            self.caller.on_reply(message)
-            return
-        if isinstance(message, m.CallFailedMsg):
-            self.caller.on_call_failed(message)
-            return
-        if isinstance(message, m.ViewChangedMsg):
-            self.caller.on_view_changed(message)
-            self.client_role.on_view_changed(message)
-            return
-        if isinstance(message, m.ViewProbeReplyMsg):
-            self.caller.on_probe_reply(message)
-            return
-        if isinstance(message, m.QueryReplyMsg):
-            self.server_role.on_query_reply(message)
-            return
-
+        Rebuilt on recovery, which replaces ``caller``.  A message type in
+        neither table is a wiring error (``tests/core/test_dispatch_table``
+        holds every concrete message class to exactly one of them)."""
+        caller, view_change = self.caller, self.view_change
+        server, client = self.server_role, self.client_role
+        coordinator = self.coordinator_role
+        # Handled in every status (section 3.4: queries "can be answered by
+        # any cohort that knows the answer"; probes likewise), and replies
+        # to calls we originated, consumed in any active state.
+        self._any_status = {
+            m.QueryMsg: self._handle_query,
+            m.ViewProbeMsg: self._handle_view_probe,
+            m.ImAliveMsg: self._handle_im_alive,
+            m.InviteMsg: view_change.on_invite,
+            m.AcceptMsg: view_change.on_accept,
+            m.InitViewMsg: view_change.on_init_view,
+            m.WitnessInstallMsg: view_change.on_witness_install,
+            m.BufferMsg: self._handle_buffer_msg,
+            m.BufferAckMsg: self._handle_buffer_ack,
+            m.ReadMsg: self._handle_read,
+            m.ReplyMsg: caller.on_reply,
+            m.CallFailedMsg: caller.on_call_failed,
+            m.ViewChangedMsg: self._handle_view_changed,
+            m.ViewProbeReplyMsg: caller.on_probe_reply,
+            m.QueryReplyMsg: server.on_query_reply,
+        }
         # Everything else requires being the active primary (section 3.3:
         # "cohorts that are not active primaries reject messages sent to
         # them by other module groups").
-        if not self.is_active_primary:
-            self._reject(message, source)
-            return
+        self._primary_only = {
+            m.CallMsg: server.on_call,
+            m.PrepareMsg: server.on_prepare,
+            m.CommitMsg: server.on_commit,
+            m.AbortMsg: server.on_abort,
+            m.SubactionAbortMsg: server.on_subaction_abort,
+            m.PrepareOkMsg: client.on_prepare_ok,
+            m.PrepareRefusedMsg: client.on_prepare_refused,
+            m.CommitAckMsg: client.on_commit_ack,
+            m.TxnRequestMsg: client.on_txn_request,
+            m.BeginTxnMsg: coordinator.on_begin,
+            m.FinishTxnMsg: coordinator.on_finish,
+            m.ClientProbeReplyMsg: coordinator.on_probe_reply,
+        }
 
-        if isinstance(message, m.CallMsg):
-            self.server_role.on_call(message)
-        elif isinstance(message, m.PrepareMsg):
-            self.server_role.on_prepare(message)
-        elif isinstance(message, m.CommitMsg):
-            self.server_role.on_commit(message)
-        elif isinstance(message, m.AbortMsg):
-            self.server_role.on_abort(message)
-        elif isinstance(message, m.SubactionAbortMsg):
-            self.server_role.on_subaction_abort(message)
-        elif isinstance(message, m.PrepareOkMsg):
-            self.client_role.on_prepare_ok(message)
-        elif isinstance(message, m.PrepareRefusedMsg):
-            self.client_role.on_prepare_refused(message)
-        elif isinstance(message, m.CommitAckMsg):
-            self.client_role.on_commit_ack(message)
-        elif isinstance(message, m.TxnRequestMsg):
-            self.client_role.on_txn_request(message)
-        elif isinstance(message, m.BeginTxnMsg):
-            self.coordinator_role.on_begin(message)
-        elif isinstance(message, m.FinishTxnMsg):
-            self.coordinator_role.on_finish(message)
-        elif isinstance(message, m.ClientProbeReplyMsg):
-            self.coordinator_role.on_probe_reply(message)
-        else:  # pragma: no cover - new message types must be wired here
-            raise NotImplementedError(f"unhandled message {message!r}")
+    def handle_message(self, message, source: str) -> None:
+        cls = type(message)
+        handler = self._any_status.get(cls)
+        if handler is None:
+            handler = self._primary_only.get(cls)
+            if handler is None:
+                # A subclass dispatches as its nearest wired base, found once.
+                for base in cls.__mro__[1:]:
+                    for table in (self._any_status, self._primary_only):
+                        if base in table:
+                            table[cls] = table[base]
+                            return self.handle_message(message, source)
+                raise NotImplementedError(f"unhandled message {message!r}")
+            if not self.is_active_primary:
+                self._reject(message, source)
+                return
+        handler(message)
+
+    def _handle_view_changed(self, message: m.ViewChangedMsg) -> None:
+        self.caller.on_view_changed(message)
+        self.client_role.on_view_changed(message)
+
+    def _handle_buffer_ack(self, message: m.BufferAckMsg) -> None:
+        if self.config.batch.enabled and self.config.batch.piggyback_liveness:
+            # Acks prove the backup is alive; feed the detector so the
+            # backup may skip its redundant heartbeat (batched mode).
+            if message.mid in self.last_heard:
+                self.last_heard[message.mid] = self.sim.now
+                self.detect.heard(message.mid, sent_at=message.sent_at)
+        if (
+            self.reads is not None
+            and message.lease_until is not None
+            and message.viewid == self.cur_viewid
+            and self.is_active_primary
+        ):
+            self._note_lease_grant(message.mid, message.lease_until)
+        if self._witness_install_pending:
+            # A witness confirmed its view install (acked_ts is 0; a
+            # witness applies nothing) -- stop retransmitting to it.
+            self._witness_install_pending.discard(message.mid)
+        if (
+            self.scale is not None
+            and self.scale.ack_tree
+            and not self.is_primary
+            and self.status is Status.ACTIVE
+            and message.viewid == self.cur_viewid
+        ):
+            # Ack-tree interior node: fold the child's subtree into
+            # ours and forward upward after a coalescing delay.
+            self._on_child_ack(message)
+            return
+        if self.is_active_primary and self.buffer is not None:
+            self.buffer.on_ack(message)
 
     def _reject(self, message, source: str) -> None:
         """Reject with current view info if we know it (section 3.3)."""
@@ -1395,6 +1379,7 @@ class Cohort(Actor):
         self.committing = {}
         self.cache = ClientCache()
         self.caller = RemoteCaller(self)
+        self._wire_handlers()
         # Call round-trip history died with the process.  Last-heard times
         # within one suspect window still count as liveness evidence, but
         # anything older is aged out: after a long downtime a pre-crash

@@ -25,6 +25,31 @@ import dataclasses
 from typing import Iterable, Optional, Tuple
 
 
+def hashed_once(cls):
+    """Keep a frozen dataclass's hash on the instance (the ``_wire_size``
+    idiom): identifiers key the per-message tables, and the generated
+    ``__hash__`` builds a tuple of the fields, hashing nested ids anew, on
+    every lookup.  The value is the generated one; it is left out of a
+    pickle, because a ``str`` field hashes differently in another process."""
+    generated = cls.__hash__
+
+    def __hash__(self) -> int:
+        value = self._hash
+        if value is None:
+            value = generated(self)
+            object.__setattr__(self, "_hash", value)
+        return value
+
+    def __getstate__(self) -> dict:
+        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
+
+    cls._hash = None
+    cls.__hash__ = __hash__
+    cls.__getstate__ = __getstate__
+    return cls
+
+
+@hashed_once
 @dataclasses.dataclass(frozen=True, order=True)
 class ViewId:
     """``viewid = <cnt: int, mid: int>`` -- totally ordered, globally unique."""
@@ -32,6 +57,15 @@ class ViewId:
     cnt: int
     mid: int
     _wire_size = None  # interned by repro.net.messages (frozen, scalars only)
+
+    def __eq__(self, other: object) -> bool:
+        # One instance per view travels in every message of that view, so
+        # the comparison is most often of a viewid with itself.
+        if other is self:
+            return True
+        if other.__class__ is self.__class__:
+            return (self.cnt, self.mid) == (other.cnt, other.mid)
+        return NotImplemented
 
     def next_for(self, mid: int) -> "ViewId":
         """The viewid a manager with *mid* mints after seeing this one."""
@@ -41,6 +75,7 @@ class ViewId:
         return f"v{self.cnt}.{self.mid}"
 
 
+@hashed_once
 @dataclasses.dataclass(frozen=True, order=True)
 class Viewstamp:
     """``viewstamp = <id: viewid, ts: int>``.

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import dataclasses
 
-from repro.sim.rng import SeededRng
-
 
 @dataclasses.dataclass
 class LinkModel:
@@ -46,17 +44,6 @@ class LinkModel:
             raise ValueError("loss_probability must be in [0, 1)")
         if not 0.0 <= self.duplicate_probability < 1.0:
             raise ValueError("duplicate_probability must be in [0, 1)")
-
-    def draw_delay(self, rng: SeededRng) -> float:
-        if self.jitter == 0:
-            return self.base_delay
-        return self.base_delay + rng.uniform(0.0, self.jitter)
-
-    def drops(self, rng: SeededRng) -> bool:
-        return rng.chance(self.loss_probability)
-
-    def duplicates(self, rng: SeededRng) -> bool:
-        return rng.chance(self.duplicate_probability)
 
 
 #: A well-behaved LAN: small constant-ish delay, no loss.

@@ -150,7 +150,9 @@ class Envelope:
 
     ``copies`` counts outstanding scheduled deliveries (2 when the link
     duplicated the datagram); the network recycles the envelope through a
-    freelist once every copy has been consumed.  ``send_eid`` is the
+    freelist once every copy has been consumed.  ``delivered`` is the
+    network's duplicate suppression: the second copy of a datagram whose
+    first copy reached its destination is dropped.  ``send_eid`` is the
     ``msg_send`` trace event of this message (None when tracing is off or
     the envelope never went through ``Network.send``); a duplicated copy
     is the same envelope, so both deliveries name the one send."""
@@ -161,4 +163,5 @@ class Envelope:
     payload: Message
     sent_at: float
     copies: int = 1
+    delivered: bool = False
     send_eid: Optional[int] = None

@@ -9,8 +9,10 @@ Semantics (paper section 1 and 3.1):
   a crash/recover of the receiver (section 3.1 assumes "the message delivery
   system maintains some connection information that enables it to not
   deliver duplicate messages").  Dedup state therefore lives in the network,
-  not on the node.  Application-level retransmissions are new messages and
-  are *not* suppressed; the protocol handles those with call ids.
+  not on the node: both copies of a duplicated datagram are one
+  :class:`Envelope`, and its ``delivered`` flag is that state.
+  Application-level retransmissions are new messages and are *not*
+  suppressed; the protocol handles those with call ids.
 - A message to a crashed node is lost.  Partition membership is checked both
   at send and at delivery time: a message in flight when a partition forms
   does not cross it (conservative, and the harder case for the protocol).
@@ -40,12 +42,15 @@ class Network:
         self.link = link
         self.metrics = metrics if metrics is not None else Metrics()
         self.rng = sim.rng.fork("network")
+        self._draw = self.rng.random
         self._actors: Dict[str, Actor] = {}
         self._next_msg_id = 0
         self._partition: Optional[list[Set[str]]] = None  # blocks of node ids
         self._failed_links: Set[Tuple[str, str]] = set()
         self._failed_directed: Set[Tuple[str, str]] = set()  # (src, dst) node ids
-        self._delivered_ids: Set[int] = set()
+        # Whether any of the three above is set (``_refresh_faulted``): what
+        # ``send`` and ``_deliver`` test before asking ``can_communicate``.
+        self._faulted = False
         self._link_overrides: Dict[Tuple[str, str], LinkModel] = {}
         # Structural (topology-derived) per-pair models, keyed by directed
         # *node id* pairs.  These describe where nodes live (repro.geo),
@@ -81,27 +86,6 @@ class Network:
         """``{"sent": {addr: n}, "delivered": {addr: n}}`` or None."""
         return self._address_counters
 
-    def _acquire_envelope(self, destination: str, payload: Message, source: str) -> Envelope:
-        self._next_msg_id += 1
-        pool = self._envelope_pool
-        if pool:
-            envelope = pool.pop()
-            envelope.msg_id = self._next_msg_id
-            envelope.source = source
-            envelope.destination = destination
-            envelope.payload = payload
-            envelope.sent_at = self.sim.now
-            envelope.copies = 1
-            envelope.send_eid = None
-            return envelope
-        return Envelope(
-            msg_id=self._next_msg_id,
-            source=source,
-            destination=destination,
-            payload=payload,
-            sent_at=self.sim.now,
-        )
-
     def _release_envelope(self, envelope: Envelope) -> None:
         envelope.copies -= 1
         if envelope.copies > 0:
@@ -110,14 +94,12 @@ class Network:
             envelope.payload = None  # type: ignore[assignment]
             self._envelope_pool.append(envelope)
 
-    def perf_counters(self) -> dict:
-        """Message-plane counters as a plain dict (for :mod:`repro.perf`)."""
-        return {
-            "messages_sent": self.messages_sent_total,
-            "messages_delivered": self.messages_delivered_total,
-            "messages_dropped": self.messages_dropped_total,
-            "messages_duplicated": self.messages_duplicated_total,
-        }
+    def _drop(self, envelope: Envelope, reason: str, at: str) -> None:
+        self.messages_dropped_total += 1
+        self.metrics.on_drop(envelope.payload.msg_type)
+        if self.tracer is not None:
+            self.tracer.on_drop(envelope, reason, at)
+        self._release_envelope(envelope)
 
     # -- registration -------------------------------------------------------
 
@@ -142,6 +124,7 @@ class Network:
         Nodes absent from every block form an implicit final block together.
         """
         self._partition = [set(block) for block in blocks]
+        self._refresh_faulted()
         self.sim.trace("partition", blocks=[sorted(b) for b in self._partition])
 
     def heal(self) -> None:
@@ -152,23 +135,34 @@ class Network:
         self._partition = None
         self._failed_links.clear()
         self._failed_directed.clear()
+        self._refresh_faulted()
         self.sim.trace("heal")
 
     def fail_link(self, node_a: str, node_b: str) -> None:
         """Sever the (bidirectional) link between two nodes."""
         self._failed_links.add(self._link_key(node_a, node_b))
+        self._refresh_faulted()
 
     def repair_link(self, node_a: str, node_b: str) -> None:
         self._failed_links.discard(self._link_key(node_a, node_b))
+        self._refresh_faulted()
 
     def fail_link_oneway(self, src_node: str, dst_node: str) -> None:
         """Sever only src -> dst traffic (asymmetric / gray failure):
         dst's messages still reach src, so the two sides disagree about
         who is unreachable."""
         self._failed_directed.add((src_node, dst_node))
+        self._refresh_faulted()
 
     def repair_link_oneway(self, src_node: str, dst_node: str) -> None:
         self._failed_directed.discard((src_node, dst_node))
+        self._refresh_faulted()
+
+    def _refresh_faulted(self) -> None:
+        """Every change to what ``can_communicate`` consults ends here."""
+        self._faulted = bool(
+            self._partition is not None or self._failed_links or self._failed_directed
+        )
 
     def set_link_model(self, src: str, dst: str, model: LinkModel) -> None:
         """Override link behaviour for one directed address pair.
@@ -282,9 +276,7 @@ class Network:
         disruption -- otherwise a geo topology would pause every liveness
         window forever.
         """
-        if self._partition is not None or self._failed_links or self._failed_directed:
-            return True
-        if self._link_overrides:
+        if self._faulted or self._link_overrides:
             return True
         return default_link is not None and self.link is not default_link
 
@@ -333,84 +325,86 @@ class Network:
 
     def send(self, source: str, destination: str, payload: Message) -> None:
         """Fire-and-forget datagram send.  All loss is silent, as on a LAN."""
-        envelope = self._acquire_envelope(destination, payload, source)
+        sim = self.sim
+        msg_id = self._next_msg_id = self._next_msg_id + 1
+        pool = self._envelope_pool
+        if pool:
+            envelope = pool.pop()
+            envelope.msg_id = msg_id
+            envelope.source = source
+            envelope.destination = destination
+            envelope.payload = payload
+            envelope.sent_at = sim.now
+            envelope.copies = 1
+            envelope.delivered = False
+            envelope.send_eid = None
+        else:
+            envelope = Envelope(msg_id, source, destination, payload, sim.now)
         self.messages_sent_total += 1
         self.metrics.on_send(payload.msg_type, payload.byte_size())
         counters = self._address_counters
         if counters is not None:
             sent = counters["sent"]
             sent[source] = sent.get(source, 0) + 1
-        tracer = self.tracer
-        if tracer is not None:
-            tracer.on_send(envelope)
+        if self.tracer is not None:
+            self.tracer.on_send(envelope)
 
-        src_node = self.node_of(source)
-        if src_node is not None and not src_node.up:
+        sender = self._actors.get(source)
+        if sender is not None and not sender.node.up:
             # A crashed node cannot send; count it for debugging visibility.
-            self.messages_dropped_total += 1
-            self.metrics.on_drop(payload.msg_type)
-            if tracer is not None:
-                tracer.on_drop(envelope, "source_crashed", source)
-            self._release_envelope(envelope)
+            self._drop(envelope, "source_crashed", source)
             return
-        if not self.can_communicate(source, destination):
-            self.messages_dropped_total += 1
-            self.metrics.on_drop(payload.msg_type)
-            if tracer is not None:
-                tracer.on_drop(envelope, "partitioned_at_send", source)
-            self._release_envelope(envelope)
+        # Reachability is a question only while a fault stands; an address
+        # nobody registered is unreachable always.
+        if (
+            sender is None
+            or destination not in self._actors
+            or (self._faulted and not self.can_communicate(source, destination))
+        ):
+            self._drop(envelope, "partitioned_at_send", source)
             return
 
         # Fault override > structural (topology) model > default link.
-        model = self._link_overrides.get((source, destination))
+        model = None
+        if self._link_overrides:
+            model = self._link_overrides.get((source, destination))
         if model is None:
             model = (
                 self._structural_model(source, destination)
                 if self._structural_links
                 else self.link
             )
-        if model.drops(self.rng):
-            self.messages_dropped_total += 1
-            self.metrics.on_drop(payload.msg_type)
-            if tracer is not None:
-                tracer.on_drop(envelope, "link_loss", source)
-            self._release_envelope(envelope)
+        # Loss, delay, duplication: ``rng.chance`` and ``rng.uniform(0, jitter)``
+        # spelled out, drawing in the same order only when the model can
+        # lose, jitter or duplicate at all.
+        draw = self._draw
+        if model.loss_probability > 0.0 and draw() < model.loss_probability:
+            self._drop(envelope, "link_loss", source)
             return
-        self.sim.schedule(model.draw_delay(self.rng), self._deliver, envelope)
-        if model.duplicates(self.rng):
+        delay, jitter = model.base_delay, model.jitter
+        sim.post(delay + jitter * draw() if jitter else delay, self._deliver, envelope)
+        if model.duplicate_probability > 0.0 and draw() < model.duplicate_probability:
             envelope.copies = 2
             self.messages_duplicated_total += 1
             self.metrics.on_duplicate(payload.msg_type)
-            self.sim.schedule(model.draw_delay(self.rng), self._deliver, envelope)
+            sim.post(delay + jitter * draw() if jitter else delay, self._deliver, envelope)
 
     def _deliver(self, envelope: Envelope) -> None:
-        tracer = self.tracer
         actor = self._actors.get(envelope.destination)
         if actor is None or not actor.node.up:
-            self.messages_dropped_total += 1
-            self.metrics.on_drop(envelope.payload.msg_type)
-            if tracer is not None:
-                tracer.on_drop(envelope, "destination_down", envelope.destination)
-            self._release_envelope(envelope)
+            self._drop(envelope, "destination_down", envelope.destination)
             return
-        if not self.can_communicate(envelope.source, envelope.destination):
-            self.messages_dropped_total += 1
-            self.metrics.on_drop(envelope.payload.msg_type)
-            if tracer is not None:
-                tracer.on_drop(envelope, "partitioned_in_flight", envelope.destination)
-            self._release_envelope(envelope)
+        if self._faulted and not self.can_communicate(
+            envelope.source, envelope.destination
+        ):
+            self._drop(envelope, "partitioned_in_flight", envelope.destination)
             return
-        if envelope.msg_id in self._delivered_ids:
+        if envelope.delivered:
             # Network-generated duplicate: suppressed per section 3.1.
             self.messages_deduped_total += 1
             self._release_envelope(envelope)
             return
-        self._delivered_ids.add(envelope.msg_id)
-        if len(self._delivered_ids) > 200_000:
-            # Ids are monotonically increasing; old ones can never reappear
-            # because both copies of a duplicate are scheduled at send time.
-            cutoff = self._next_msg_id - 100_000
-            self._delivered_ids = {i for i in self._delivered_ids if i > cutoff}
+        envelope.delivered = True
         self.messages_delivered_total += 1
         self.metrics.on_deliver(envelope.payload.msg_type)
         counters = self._address_counters
@@ -419,6 +413,7 @@ class Network:
             delivered[envelope.destination] = (
                 delivered.get(envelope.destination, 0) + 1
             )
+        tracer = self.tracer
         if tracer is None:
             payload, source = envelope.payload, envelope.source
             self._release_envelope(envelope)

@@ -91,18 +91,15 @@ class Node:
 
     def set_timer(self, delay: float, callback: Callable, *args: Any) -> Timer:
         """Schedule a callback that is silently dropped if the node crashes."""
-        incarnation = self.incarnation
         tracer = self.sim.tracer
-
         if tracer is None:
-
-            def guarded() -> None:
-                if self.up and self.incarnation == incarnation:
-                    callback(*args)
-
+            timer = self.sim.schedule(
+                delay, self._fire, self.incarnation, callback, args
+            )
         else:
             # Causality through timers: the fire inherits the event context
             # in which the timer was armed (a delivery, another fire, ...).
+            incarnation = self.incarnation
             armed_in = tracer.current()
             parents = (armed_in,) if armed_in is not None else ()
 
@@ -118,7 +115,7 @@ class Node:
                     finally:
                         tracer.pop()
 
-        timer = self.sim.schedule(delay, guarded)
+            timer = self.sim.schedule(delay, guarded)
         self._timers.append(timer)
         if len(self._timers) > self._timer_prune_at:
             self._timers = [t for t in self._timers if t.active]
@@ -126,6 +123,10 @@ class Node:
                 self._PRUNE_THRESHOLD, 2 * len(self._timers)
             )
         return timer
+
+    def _fire(self, incarnation: int, callback: Callable, args: tuple) -> None:
+        if self.up and self.incarnation == incarnation:
+            callback(*args)
 
     def spawn(self, generator: Generator, name: str = "") -> Process:
         """Run a process that is interrupted if the node crashes."""

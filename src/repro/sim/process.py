@@ -81,7 +81,7 @@ class Process(Future):
         self._generator = generator
         self._waiting_on: Any = None
         # Start on the next tick so spawn() returns before the body runs.
-        sim.call_soon(self._advance, None, None)
+        sim.post(0.0, self._advance, None)
 
     # -- control ------------------------------------------------------------
 
@@ -90,8 +90,8 @@ class Process(Future):
         if self.done:
             return
         self._detach_wait()
-        self.sim.call_soon(
-            self._advance, None, exc if exc is not None else CancelledError(self.name)
+        self.sim.post(
+            0.0, self._throw, exc if exc is not None else CancelledError(self.name)
         )
 
     # -- stepping -------------------------------------------------------------
@@ -102,7 +102,10 @@ class Process(Future):
             for timer in waiting:
                 timer.cancel()
 
-    def _advance(self, value: Any, exc: BaseException | None) -> None:
+    def _throw(self, exc: BaseException) -> None:
+        self._advance(None, exc)
+
+    def _advance(self, value: Any, exc: BaseException | None = None) -> None:
         if self.done:
             return
         self._waiting_on = None
@@ -125,7 +128,7 @@ class Process(Future):
 
     def _wait_for(self, yielded: Any) -> None:
         if isinstance(yielded, Sleep):
-            timer = self.sim.schedule(yielded.delay, self._advance, None, None)
+            timer = self.sim.schedule(yielded.delay, self._advance, None)
             self._waiting_on = [timer]
         elif isinstance(yielded, Future):
             yielded.add_done_callback(self._on_future_done)
@@ -146,13 +149,13 @@ class Process(Future):
             return
         error = future.exception()
         if error is not None:
-            self.sim.call_soon(self._advance, None, error)
+            self.sim.post(0.0, self._throw, error)
         else:
-            self.sim.call_soon(self._advance, future.result(), None)
+            self.sim.post(0.0, self._advance, future.result())
 
     def _wait_all(self, futures: list[Future]) -> None:
         if not futures:
-            self.sim.call_soon(self._advance, [], None)
+            self.sim.post(0.0, self._advance, [])
             return
         pending = {"count": len(futures), "fired": False}
 
@@ -162,13 +165,13 @@ class Process(Future):
             error = _future.exception()
             if error is not None:
                 pending["fired"] = True
-                self.sim.call_soon(self._advance, None, error)
+                self.sim.post(0.0, self._throw, error)
                 return
             pending["count"] -= 1
             if pending["count"] == 0:
                 pending["fired"] = True
                 results = [f.result() for f in futures]
-                self.sim.call_soon(self._advance, results, None)
+                self.sim.post(0.0, self._advance, results)
 
         for future in futures:
             future.add_done_callback(on_done)
@@ -185,9 +188,9 @@ class Process(Future):
             fired["done"] = True
             error = _future.exception()
             if error is not None:
-                self.sim.call_soon(self._advance, None, error)
+                self.sim.post(0.0, self._throw, error)
             else:
-                self.sim.call_soon(self._advance, (index, _future.result()), None)
+                self.sim.post(0.0, self._advance, (index, _future.result()))
 
         for index, future in enumerate(futures):
             future.add_done_callback(lambda f, i=index: on_done(i, f))

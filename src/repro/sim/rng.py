@@ -25,6 +25,8 @@ class SeededRng:
         self.name = _name
         digest = hashlib.sha256(f"{seed}/{_name}".encode()).digest()
         self._random = random.Random(int.from_bytes(digest[:8], "big"))
+        #: The stream's own C ``random()``: the per-message draws pay no wrapper.
+        self.random = self._random.random
 
     def fork(self, name: str) -> "SeededRng":
         """Return an independent stream derived from this one and *name*."""
@@ -37,9 +39,6 @@ class SeededRng:
 
     def expovariate(self, rate: float) -> float:
         return self._random.expovariate(rate)
-
-    def random(self) -> float:
-        return self._random.random()
 
     def randint(self, low: int, high: int) -> int:
         return self._random.randint(low, high)

@@ -13,9 +13,10 @@ from __future__ import annotations
 
 import dataclasses
 
-from repro.core.viewstamp import ViewId
+from repro.core.viewstamp import ViewId, hashed_once
 
 
+@hashed_once
 @dataclasses.dataclass(frozen=True, order=True)
 class Aid:
     """A transaction identifier: coordinator group + view of birth + seq."""
@@ -29,6 +30,7 @@ class Aid:
         return f"{self.groupid}#{self.viewid}#{self.seq}"
 
 
+@hashed_once
 @dataclasses.dataclass(frozen=True, order=True)
 class CallId:
     """A remote-call identifier, unique per call attempt.

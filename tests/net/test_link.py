@@ -1,9 +1,10 @@
-"""Tests for link models."""
+"""Tests for link models: their validation, and what the network draws from them."""
 
 import pytest
 
 from repro.net.link import LAN, LOSSY, WAN, LinkModel
-from repro.sim.rng import SeededRng
+
+from tests.net.test_network import Ping, build
 
 
 def test_defaults():
@@ -38,29 +39,36 @@ def test_validation():
         LinkModel(duplicate_probability=-0.1)
 
 
+def _flight_times(model, seed, n):
+    """Send *n* datagrams over *model*; the network's counters and the
+    delivery time of each (a duplicate's second copy is suppressed)."""
+    sim, net, _nodes, actors = build(link=model, seed=seed)
+    for _ in range(n):
+        net.send("a0", "a1", Ping())
+    sim.run()
+    return net, [at for _message, _source, at in actors[1].received]
+
+
 def test_delay_within_bounds():
-    rng = SeededRng(1)
-    model = LinkModel(base_delay=2.0, jitter=0.5)
-    for _ in range(200):
-        delay = model.draw_delay(rng)
-        assert 2.0 <= delay <= 2.5
+    _net, delays = _flight_times(LinkModel(base_delay=2.0, jitter=0.5), 1, 200)
+    assert len(delays) == 200
+    assert all(2.0 <= delay <= 2.5 for delay in delays)
+    assert len(set(delays)) > 100  # each datagram draws its own jitter
 
 
 def test_zero_jitter_constant_delay():
-    rng = SeededRng(2)
-    model = LinkModel(base_delay=3.0, jitter=0.0)
-    assert {model.draw_delay(rng) for _ in range(10)} == {3.0}
+    _net, delays = _flight_times(LinkModel(base_delay=3.0, jitter=0.0), 2, 10)
+    assert delays == [3.0] * 10
 
 
 def test_drop_rate_roughly_matches():
-    rng = SeededRng(3)
-    model = LinkModel(loss_probability=0.25)
-    drops = sum(model.drops(rng) for _ in range(4000))
-    assert abs(drops / 4000 - 0.25) < 0.05
+    net, delays = _flight_times(LinkModel(loss_probability=0.25), 3, 4000)
+    assert net.messages_dropped_total == 4000 - len(delays)
+    assert abs(net.messages_dropped_total / 4000 - 0.25) < 0.05
 
 
 def test_duplicates_rate():
-    rng = SeededRng(4)
-    model = LinkModel(duplicate_probability=0.5)
-    dups = sum(model.duplicates(rng) for _ in range(2000))
-    assert abs(dups / 2000 - 0.5) < 0.06
+    net, delays = _flight_times(LinkModel(duplicate_probability=0.5), 4, 2000)
+    assert len(delays) == 2000
+    assert net.messages_deduped_total == net.messages_duplicated_total
+    assert abs(net.messages_duplicated_total / 2000 - 0.5) < 0.06

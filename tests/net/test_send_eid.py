@@ -14,8 +14,8 @@ from repro.trace import InvariantViolation, Tracer, build_monitors
 from tests.net.test_network import Ping, build
 
 
-def traced(link=LinkModel(base_delay=1.0, jitter=0.0), seed=0, monitors=()):
-    sim, net, nodes, actors = build(link=link, seed=seed)
+def traced(link=LinkModel(base_delay=1.0, jitter=0.0), seed=0, monitors=(), n=2):
+    sim, net, nodes, actors = build(link=link, seed=seed, n=n)
     tracer = Tracer(sim, TraceConfig(monitors=()))
     tracer.install_monitors(build_monitors(monitors))
     sim.tracer = net.tracer = tracer
@@ -33,8 +33,9 @@ def test_recycled_envelope_does_not_inherit_a_send_eid():
     assert len(actors[1].received) == 1
     (pooled,) = net._envelope_pool
     assert pooled.send_eid == by_kind(tracer, "msg_send")[0].eid  # stale
-    recycled = net._acquire_envelope("a1", Ping(), "a0")
-    assert recycled is pooled and recycled.send_eid is None
+    sim.tracer = net.tracer = None
+    net.send("a1", "a0", Ping())  # untraced: nothing stamps the recycled one
+    assert not net._envelope_pool and pooled.send_eid is None
     assert Envelope(1, "a0", "a1", Ping(), 0.0).send_eid is None  # fresh one too
 
 

@@ -1,29 +1,13 @@
-"""The discrete-event simulator: a virtual clock over an event heap.
+"""The pre-PR-14 event kernel, frozen as the scheduling oracle.
 
-Events are ``(time, sequence)``-ordered callbacks.  The sequence number makes
-execution order total and deterministic even when many events share a
-timestamp, which is common in protocol simulations (e.g. a broadcast fanning
-out with identical delays).
-
-Hot-path notes (see docs/PERF.md):
-
-- Heap entries are plain ``(when, seq, callback, arg)`` tuples so ``heapq``
-  compares them in C; ``(when, seq)`` is a strict total order, so nothing
-  past it is ever compared.  :meth:`Simulator.post` pushes the callback
-  and its one argument and allocates nothing else: a delivery or a process
-  resume hands its handle to nobody.  :meth:`Simulator.schedule` is for the
-  callers that keep the handle: its entry is ``(when, seq, None, timer)``
-  and the callback lives on the :class:`Timer`, where ``cancel`` can drop it.
-- Cancellation is lazy.  ``Timer.cancel`` tombstones the entry where it sits;
-  the tombstone is skipped when popped.  When tombstones dominate the heap a
-  periodic compaction rebuilds it, so a workload that schedules-and-cancels
-  in a loop (retransmission timers, probe timeouts) cannot grow the heap
-  without bound.  Compaction is triggered purely by event/cancel counts, so
-  it is deterministic.
-- The kernel keeps cheap integer perf counters (timers created/cancelled,
-  compactions, peak heap size) and accumulates wall-clock time spent inside
-  :meth:`run`; :mod:`repro.perf` reads them to build a
-  :class:`~repro.perf.report.PerfReport`.
+This is ``repro.sim.kernel.Timer`` and ``Simulator`` as they stood before
+heap entries carried their own callback: one ``Timer`` per scheduled event,
+``(when, seq, timer)`` heap tuples, ``now`` as a property.  It exists only so
+``test_kernel_oracle.py`` can assert that the handle-less kernel fires the
+same callbacks in the same order with the same counters; nothing under
+``src/`` may import it.  ``post`` is the one addition: the old kernel had no
+handle-less entry point, so the oracle spells it ``schedule`` and drops the
+handle.
 """
 
 from __future__ import annotations
@@ -39,16 +23,18 @@ from repro.sim.rng import SeededRng
 class Timer:
     """A handle to a scheduled event.  ``cancel()`` prevents it from firing."""
 
-    __slots__ = ("when", "_callback", "_args", "cancelled", "_sim")
+    __slots__ = ("when", "_seq", "_callback", "_args", "cancelled", "_sim")
 
     def __init__(
         self,
         when: float,
+        seq: int,
         callback: Callable,
         args: tuple,
         sim: Optional["Simulator"] = None,
     ):
         self.when = when
+        self._seq = seq
         self._callback = callback
         self._args = args
         self.cancelled = False
@@ -69,6 +55,19 @@ class Timer:
     @property
     def active(self) -> bool:
         return not self.cancelled
+
+    def _fire(self) -> None:
+        if not self.cancelled:
+            callback, args = self._callback, self._args
+            # Consume directly instead of routing through cancel(): a fired
+            # timer is not a cancellation and must not count as one.
+            self.cancelled = True
+            self._callback = None
+            self._args = ()
+            callback(*args)
+
+    def __lt__(self, other: "Timer") -> bool:
+        return (self.when, self._seq) < (other.when, other._seq)
 
 
 class Simulator:
@@ -99,10 +98,9 @@ class Simulator:
         self.rng = SeededRng(seed)
         self.max_events = max_events
         self.compact_threshold = compact_threshold
-        #: Current virtual time (a plain attribute: it is read on every hop).
-        self.now = 0.0
+        self._now = 0.0
         self._seq = 0
-        self._heap: list[tuple[float, int, Optional[Callable], Any]] = []
+        self._heap: list[tuple[float, int, Timer]] = []
         self._events_processed = 0
         self._cancelled_pending = 0
         self._timers_created = 0
@@ -116,6 +114,13 @@ class Simulator:
         # path -- one attribute load and an ``is None`` test.  The kernel
         # loop itself never consults it.
         self.tracer = None
+
+    # -- clock ------------------------------------------------------------
+
+    @property
+    def now(self) -> float:
+        """Current virtual time."""
+        return self._now
 
     @property
     def events_processed(self) -> int:
@@ -162,27 +167,19 @@ class Simulator:
 
     def schedule(self, delay: float, callback: Callable, *args: Any) -> Timer:
         """Run ``callback(*args)`` after *delay* units of virtual time."""
-        timer = Timer(self.now + delay, callback, args, self)
-        self._push(delay, None, timer)
-        return timer
-
-    def post(self, delay: float, callback: Callable, arg: Any) -> None:
-        """Run ``callback(arg)`` after *delay*, with no handle to cancel it by."""
-        if callback is None:
-            raise TypeError("post() needs a callable; schedule() gives a handle")
-        self._push(delay, callback, arg)
-
-    def _push(self, delay: float, callback: Optional[Callable], arg: Any) -> None:
-        # The heap's private encoding: a None callback marks *arg* as the
-        # Timer handle that holds the real callback (and may be cancelled).
         if delay < 0:
             raise SchedulingInPastError(f"negative delay {delay!r}")
         self._seq += 1
-        heap = self._heap
-        heapq.heappush(heap, (self.now + delay, self._seq, callback, arg))
+        when = self._now + delay
+        timer = Timer(when, self._seq, callback, args, self)
+        heapq.heappush(self._heap, (when, self._seq, timer))
         self._timers_created += 1
-        if len(heap) > self._peak_heap:
-            self._peak_heap = len(heap)
+        if len(self._heap) > self._peak_heap:
+            self._peak_heap = len(self._heap)
+        return timer
+
+    def post(self, delay: float, callback: Callable, arg: Any) -> None:
+        self.schedule(delay, callback, arg)
 
     def call_soon(self, callback: Callable, *args: Any) -> Timer:
         """Run ``callback(*args)`` at the current time, after pending events."""
@@ -205,9 +202,7 @@ class Simulator:
         place: cancel() can run mid-callback while run()/step() hold a
         reference to the same list."""
         heap = self._heap
-        heap[:] = [
-            entry for entry in heap if entry[2] is not None or not entry[3].cancelled
-        ]
+        heap[:] = [entry for entry in heap if not entry[2].cancelled]
         heapq.heapify(heap)
         self._cancelled_pending = 0
         self._heap_compactions += 1
@@ -219,25 +214,20 @@ class Simulator:
         heap = self._heap
         pop = heapq.heappop
         while heap:
-            when, _seq, callback, arg = pop(heap)
-            if callback is None and arg.cancelled:
+            when, _seq, timer = pop(heap)
+            if timer.cancelled:
                 self._cancelled_pending -= 1
                 continue
-            self.now = when
+            self._now = when
             self._events_processed += 1
             if self._events_processed > self.max_events:
                 raise SimulationLimitExceeded(
-                    f"exceeded {self.max_events} events at t={when:.3f}"
+                    f"exceeded {self.max_events} events at t={self._now:.3f}"
                 )
-            if callback is not None:
-                callback(arg)
-                return True
-            # A kept handle: consume it (a fired timer is not a cancellation
-            # and must not count as one) and drop what it would pin.
-            callback, args = arg._callback, arg._args
-            arg.cancelled = True
-            arg._callback = None
-            arg._args = ()
+            callback, args = timer._callback, timer._args
+            timer.cancelled = True
+            timer._callback = None
+            timer._args = ()
             callback(*args)
             return True
         return False
@@ -250,26 +240,24 @@ class Simulator:
         back-to-back ``run(until=...)`` calls compose predictably.
         """
         started = time.perf_counter()
-        step = self.step
         try:
             if until is None:
+                step = self.step
                 while step():
                     pass
-                return self.now
+                return self._now
             heap = self._heap
-            # step() skips tombstones itself, but one at the head must not
-            # let the live event behind it, later than *until*, through.
             while heap:
                 head = heap[0]
-                if head[2] is None and head[3].cancelled:
+                if head[2].cancelled:
                     heapq.heappop(heap)
                     self._cancelled_pending -= 1
-                elif head[0] > until:
+                    continue
+                if head[0] > until:
                     break
-                else:
-                    step()
-            self.now = max(self.now, until)
-            return self.now
+                self.step()
+            self._now = max(self._now, until)
+            return self._now
         finally:
             self._wall_seconds += time.perf_counter() - started
 
@@ -282,10 +270,10 @@ class Simulator:
     def trace(self, kind: str, **data: Any) -> None:
         """Emit a trace record to all registered hooks (no-op without hooks)."""
         for hook in self._trace_hooks:
-            hook(self.now, kind, data)
+            hook(self._now, kind, data)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"Simulator(now={self.now:.3f}, pending={len(self._heap)}, "
+            f"Simulator(now={self._now:.3f}, pending={len(self._heap)}, "
             f"processed={self._events_processed})"
         )
