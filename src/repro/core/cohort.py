@@ -1172,16 +1172,14 @@ class Cohort(Actor):
         )
 
     def _start_flush_loop(self) -> None:
-        epoch = self._epoch
+        self.set_timer(self.config.flush_interval, self._flush_tick, self._epoch)
 
-        def tick() -> None:
-            if self._epoch != epoch or not self.is_active_primary:
-                return
-            if self.buffer is not None:
-                self.buffer.flush()
-            self.set_timer(self.config.flush_interval, tick)
-
-        self.set_timer(self.config.flush_interval, tick)
+    def _flush_tick(self, epoch: int) -> None:
+        if self._epoch != epoch or not self.is_active_primary:
+            return
+        if self.buffer is not None:
+            self.buffer.flush()
+        self._start_flush_loop()
 
     def activate_as_primary(self, viewid: ViewId, view: View) -> None:
         """Complete ``start_view`` (Figure 5) once cur_viewid is stable.

@@ -92,15 +92,19 @@ class ServerRole:
 
     def _arm_janitor(self) -> None:
         cohort = self.cohort
-        epoch = cohort._epoch
+        self._janitor_timer = cohort.set_timer(
+            cohort.config.query_interval, self._janitor_tick, cohort._epoch
+        )
 
-        def tick() -> None:
-            if cohort._epoch != epoch or not cohort.is_active_primary:
-                return
-            self._janitor_sweep()
-            self._janitor_timer = cohort.set_timer(cohort.config.query_interval, tick)
-
-        self._janitor_timer = cohort.set_timer(cohort.config.query_interval, tick)
+    def _janitor_tick(self, epoch: int) -> None:
+        # A bound method with the epoch as its argument, never a closure that
+        # re-arms itself by name: that is a cycle only the collector frees
+        # (tests/sim/test_acyclic_steady_state.py).
+        cohort = self.cohort
+        if cohort._epoch != epoch or not cohort.is_active_primary:
+            return
+        self._janitor_sweep()
+        self._arm_janitor()
 
     # ------------------------------------------------------------------
     # calls (Figure 3: "processing a call")

@@ -20,6 +20,7 @@ shift schedules, never change what the protocol computes.
 
 from __future__ import annotations
 
+import gc
 import time
 from typing import Optional, Tuple
 
@@ -204,6 +205,7 @@ def e21_cohort_scale(
         baseline_primary = None
         for mode in E21_MODES:
             cell = _e21_cell(seed, n, mode, txns=txns)
+            gc.collect()  # 20 cells of up to 100 cohorts: free each as it dies
             if mode == "baseline":
                 baseline_primary = cell["primary_load"]
             reduction = (

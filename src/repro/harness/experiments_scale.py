@@ -13,6 +13,8 @@ transactions that touched the crashed shard.
 
 from __future__ import annotations
 
+import gc
+
 from repro import LOSSY, BatchConfig, Nemesis, ProtocolConfig
 from repro.harness.common import ExperimentResult, build_kv_system
 from repro.perf.report import state_digest
@@ -87,6 +89,7 @@ def e17_sharding(
                 )
                 for seed in seeds
             ]
+            gc.collect()  # 24 cells: free each one's dead Runtime as it dies
             n = len(runs)
             mean = lambda key: sum(run[key] for run in runs) / n  # noqa: E731
             throughput = mean("throughput")

@@ -17,6 +17,7 @@ are toothless, so that cell failing-to-fail fails the run.
 from __future__ import annotations
 
 import dataclasses
+import gc
 from typing import Callable, Dict, List, Optional
 
 from repro.faults.nemesis import Nemesis
@@ -272,7 +273,12 @@ def run_matrix(
         raise KeyError(
             f"unknown schedules {unknown}; known: {sorted(SCHEDULES)}"
         )
-    return [
-        run_cell(SCHEDULES[name], seed=seed, duration=duration, trace=trace)
-        for name in names
-    ]
+    results = []
+    for name in names:
+        results.append(
+            run_cell(SCHEDULES[name], seed=seed, duration=duration, trace=trace)
+        )
+        # The cell's Runtime is one big cycle and just died: free it here,
+        # not a relaxed gen-0 threshold later (repro.sim.kernel).
+        gc.collect()
+    return results

@@ -104,6 +104,11 @@ class PerfReport:
     peak_heap_bytes: int
     ledger_digest: str
     extra: dict = dataclasses.field(default_factory=dict)
+    #: Host-side kernel facts, reported and never gated: the cyclic
+    #: collector's ``gc_collections`` (per generation) and ``gc_unreachable``
+    #: over the reported runtime's life.  Non-zero ``gc_unreachable`` on a
+    #: fault-free scenario means a reference cycle crept onto the hot path.
+    kernel: dict = dataclasses.field(default_factory=dict)
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -139,6 +144,7 @@ def build_report(
     peak_heap_bytes: int,
     latency_key: Optional[str] = None,
     extra: Optional[dict] = None,
+    kernel: Optional[dict] = None,
 ) -> PerfReport:
     """Assemble a :class:`PerfReport` from a finished runtime's counters."""
     sim = runtime.sim
@@ -169,6 +175,7 @@ def build_report(
         peak_heap_bytes=peak_heap_bytes,
         ledger_digest=ledger_digest(runtime),
         extra=dict(extra or {}),
+        kernel=dict(kernel or {}),
     )
 
 

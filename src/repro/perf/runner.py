@@ -54,6 +54,9 @@ def print_summary(reports: List[PerfReport]) -> None:
         "call p50", "call p99", "peak heap",
     ]
     print(render_table(headers, [report.summary_row() for report in reports]))
+    for report in reports:
+        facts = " ".join(f"{name}={value}" for name, value in report.kernel.items())
+        print(f"kernel {report.scenario}: {facts}")
 
 
 def main(argv=None) -> int:

@@ -55,6 +55,7 @@ workload down for CI without changing its shape.
 from __future__ import annotations
 
 import dataclasses
+import gc
 import time
 import tracemalloc
 from typing import Callable, List, Optional
@@ -639,11 +640,22 @@ def run_scenario(
     """
     wall_seconds = None
     runtime = None
+    kernel = None
     first_digest = None
     for _ in range(max(1, best_of)):
+        # A pass drops every Runtime it does not return, each one big cycle:
+        # free them between passes, where they die, so the kernel's relaxed
+        # gen-0 threshold cannot stack them.
+        gc.collect()
         started = time.perf_counter()
         candidate = scenario.run(quick)
         elapsed = time.perf_counter() - started
+        # Read before anything collects the pass's own dead Runtimes, so
+        # that gc_unreachable counts only what the run itself leaked.
+        counters = candidate.sim.perf_counters()
+        collector = {
+            name: counters[name] for name in ("gc_collections", "gc_unreachable")
+        }
         digest = _digest(candidate)
         if first_digest is None:
             first_digest = digest
@@ -653,8 +665,9 @@ def run_scenario(
                 f"({first_digest[:12]} != {digest[:12]})"
             )
         if wall_seconds is None or elapsed < wall_seconds:
-            wall_seconds, runtime = elapsed, candidate
+            wall_seconds, runtime, kernel = elapsed, candidate, collector
 
+    gc.collect()
     tracemalloc.start()
     try:
         traced_runtime = scenario.run(quick)
@@ -670,6 +683,7 @@ def run_scenario(
         peak_heap_bytes=peak_heap_bytes,
         latency_key=scenario.latency_key,
         extra={"quick": quick, **getattr(runtime, "perf_extra", {})},
+        kernel=kernel,
     )
     traced_digest = _digest(traced_runtime)
     if traced_digest != report.ledger_digest:

@@ -28,12 +28,49 @@ Hot-path notes (see docs/PERF.md):
 
 from __future__ import annotations
 
+import gc
 import heapq
 import time
 from typing import Any, Callable, Optional
 
 from repro.sim.errors import SchedulingInPastError, SimulationLimitExceeded
 from repro.sim.rng import SeededRng
+
+
+#: Allocations (net of frees) between two passes of CPython's youngest
+#: cyclic-collector generation once a ``Simulator`` exists.  Above every burst
+#: seen between two 1000-event slices (a backup applying a 468-record
+#: ``BufferMsg``, 640 clients resolving in one tick), low enough that the
+#: tier-1 suite's peak RSS stays under 160 MB.  docs/PERF.md, *Collector
+#: cost*, has the sensitivity table behind the number.
+GC_GEN0_THRESHOLD = 50_000
+
+
+def _relax_collector() -> None:
+    """Raise this process's gen-0 collection threshold to the constant above.
+
+    A run's steady state creates no reference cycles
+    (tests/sim/test_acyclic_steady_state.py), so the default threshold of
+    700 has the collector walk the live heap every ~75 events to find
+    nothing.  It is still on and still collects, later.  The policy only
+    ever relaxes: a threshold already higher is kept, gen-1 and gen-2 are
+    not touched, and a collector someone disabled (``gc.disable()``, or a
+    gen-0 threshold of 0) stays disabled.  It is process-wide because
+    callers drive :meth:`Simulator.step` themselves, so there is no run to
+    scope it to.
+    """
+    gen0, gen1, gen2 = gc.get_threshold()
+    if 0 < gen0 < GC_GEN0_THRESHOLD:
+        gc.set_threshold(GC_GEN0_THRESHOLD, gen1, gen2)
+
+
+def _collector_totals() -> tuple[tuple[int, ...], int]:
+    """(collections per generation, unreachable objects found) so far."""
+    stats = gc.get_stats()
+    return (
+        tuple(generation["collections"] for generation in stats),
+        sum(generation["collected"] + generation["uncollectable"] for generation in stats),
+    )
 
 
 class Timer:
@@ -74,6 +111,14 @@ class Timer:
 class Simulator:
     """Deterministic discrete-event scheduler with a virtual clock.
 
+    Constructing one raises the *process's* gen-0 threshold of CPython's
+    cyclic collector (:func:`_relax_collector`; there is no setting).  It
+    cannot reach simulated behaviour -- nothing in ``repro`` has a
+    ``__del__``, a ``weakref`` or an ``id()``-keyed table -- and what it
+    costs is that cyclic garbage made by *other* code (a dropped
+    ``Runtime``, say) lingers for at most ``GC_GEN0_THRESHOLD`` allocations
+    instead of 700; loops that drop whole runtimes call ``gc.collect()``.
+
     Parameters
     ----------
     seed:
@@ -96,6 +141,8 @@ class Simulator:
         max_events: int = 5_000_000,
         compact_threshold: int = 1024,
     ):
+        _relax_collector()
+        self._gc_at_start = _collector_totals()
         self.rng = SeededRng(seed)
         self.max_events = max_events
         self.compact_threshold = compact_threshold
@@ -147,7 +194,16 @@ class Simulator:
         return self._wall_seconds
 
     def perf_counters(self) -> dict:
-        """Kernel counters as a plain dict (consumed by :mod:`repro.perf`)."""
+        """Kernel counters as a plain dict (consumed by :mod:`repro.perf`).
+
+        ``gc_collections`` (per generation) and ``gc_unreachable`` are the
+        *process's* cyclic-collector activity since this simulator was
+        built: host facts like ``wall_seconds``, not simulated ones.  A
+        fault-free run that reports a non-zero ``gc_unreachable`` has grown
+        a reference cycle on its hot path.
+        """
+        collections, unreachable = _collector_totals()
+        collections_at_start, unreachable_at_start = self._gc_at_start
         return {
             "events_processed": self._events_processed,
             "timers_created": self._timers_created,
@@ -156,6 +212,10 @@ class Simulator:
             "peak_heap_size": self._peak_heap,
             "pending": len(self._heap),
             "wall_seconds": self._wall_seconds,
+            "gc_collections": [
+                now - start for now, start in zip(collections, collections_at_start)
+            ],
+            "gc_unreachable": unreachable - unreachable_at_start,
         }
 
     # -- scheduling -------------------------------------------------------

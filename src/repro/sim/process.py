@@ -69,6 +69,20 @@ def any_of(*futures: Future) -> AnyOf:
     return AnyOf(futures)
 
 
+def _forget_resume_frames(error: BaseException) -> None:
+    """Drop ``Process._advance``'s own entry from the head of a traceback.
+
+    An exception that escapes a process body was raised through
+    ``_advance``, so its traceback starts at that frame -- whose callers
+    (``_throw``, ``Simulator.step``) hold the very exception that was thrown
+    in.  That cycle pins every frame up to the script driving the simulator
+    until the cyclic collector runs; the frames of the body, the ones a
+    reader wants, are kept."""
+    traceback = error.__traceback__
+    if traceback is not None:
+        error.__traceback__ = traceback.tb_next
+
+
 class Process(Future):
     """A running generator coroutine.  Created via ``spawn``."""
 
@@ -117,11 +131,13 @@ class Process(Future):
         except StopIteration as stop:
             self.set_result(stop.value)
             return
-        except CancelledError:
+        except CancelledError as cancelled:
+            _forget_resume_frames(cancelled)
             if not self.done:
                 self.cancel()
             return
         except BaseException as error:
+            _forget_resume_frames(error)
             self.set_exception(error)
             return
         self._wait_for(yielded)

@@ -2,11 +2,23 @@
 
 from __future__ import annotations
 
+import resource
+import sys
+
 import pytest
 
 from repro import EmptyModule, ModuleSpec, Runtime, procedure, transaction_program
 from repro.config import ProtocolConfig
 from repro.net.link import LinkModel
+
+
+def pytest_terminal_summary(terminalreporter):
+    """Peak RSS of the run: what the kernel's relaxed collector threshold
+    (``repro.sim.kernel``) lets dead cycles cost, visible per CI shard."""
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    if sys.platform != "darwin":  # Linux reports KiB, macOS bytes
+        peak *= 1024
+    terminalreporter.write_line(f"peak RSS: {peak / 2**20:.0f} MiB")
 
 
 class CounterSpec(ModuleSpec):

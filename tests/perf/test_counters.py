@@ -79,6 +79,23 @@ def test_perf_counters_dict_shape():
     assert counters["timers_created"] == 1
     assert counters["pending"] == 0
     assert counters["wall_seconds"] >= 0.0
+    assert counters["gc_collections"] == [0, 0, 0]
+    assert counters["gc_unreachable"] == 0
+
+
+def test_gc_counters_are_deltas_since_construction():
+    import gc
+
+    gc.collect()
+    sim = Simulator()
+    loop = []
+    loop.append(loop)
+    del loop
+    assert gc.collect() >= 1
+    counters = sim.perf_counters()
+    assert counters["gc_collections"][2] == 1
+    assert counters["gc_unreachable"] >= 1
+    assert Simulator().perf_counters()["gc_unreachable"] == 0
 
 
 @dataclasses.dataclass

@@ -7,6 +7,13 @@ from repro.perf.runner import main
 from repro.perf.scenarios import SCENARIOS, run_scenario
 
 
+#: PerfReport fields that measure the host, not the simulation.
+_HOST_FIELDS = {
+    "wall_seconds", "events_per_sec", "sim_seconds_per_wall_second",
+    "peak_heap_bytes", "kernel",
+}
+
+
 def _micro_scenario():
     return next(s for s in SCENARIOS if s.name == "micro_call_overhead")
 
@@ -33,10 +40,21 @@ def test_cli_writes_valid_bench_json_and_gates(tmp_path):
     assert document["schema_version"] == 1
     assert "micro_call_overhead" in document["scenarios"]
 
-    # Gate against itself: zero regression, must pass.
+    # A second run must reproduce every field that is not host time.  Its
+    # events/s is not compared with the first run's: host speed moves 2x
+    # within seconds here, at any pass length tier-1 can afford, so each
+    # outcome of the gate is forced with a baseline far from reality.
+    first = document["scenarios"]["micro_call_overhead"]
     baseline = tmp_path / "baseline.json"
-    baseline.write_text(out.read_text())
+    deflated = json.loads(out.read_text())
+    for data in deflated["scenarios"].values():
+        data["events_per_sec"] /= 1000.0
+    baseline.write_text(json.dumps(deflated))
     assert main(argv + ["--baseline", str(baseline)]) == 0
+    second = json.loads(out.read_text())["scenarios"]["micro_call_overhead"]
+    assert {k: v for k, v in second.items() if k not in _HOST_FIELDS} == {
+        k: v for k, v in first.items() if k not in _HOST_FIELDS
+    }
 
     # Inflate the baseline far past reality: the gate must fail.
     inflated = json.loads(out.read_text())
