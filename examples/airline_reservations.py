@@ -13,7 +13,7 @@ round-trip booking that must reserve two legs atomically.
 Run:  python examples/airline_reservations.py
 """
 
-from repro import EmptyModule, Runtime
+from repro import EmptyModule, Nemesis, Runtime
 from repro.workloads.airline import (
     AirlineSpec,
     book_trip_program,
@@ -21,7 +21,6 @@ from repro.workloads.airline import (
     round_trip_program,
 )
 from repro.workloads.loadgen import run_closed_loop
-from repro.workloads.schedules import kill_primary_every
 
 
 def main():
@@ -44,7 +43,9 @@ def main():
         jobs.append(("round_trip", ("airline", "UA100", "BA200", 1)))
 
     stats = run_closed_loop(rt, driver, "agents", jobs, concurrency=4)
-    kill_primary_every(rt, airline, interval=250.0, count=2, recover_after=200.0)
+    rt.inject(
+        Nemesis().crash_primary(airline.groupid, every=250.0, count=2, recover_after=200.0)
+    )
 
     while stats.submitted < len(jobs) and rt.sim.now < 60_000:
         rt.run_for(500)

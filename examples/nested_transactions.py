@@ -14,11 +14,10 @@ and almost always commits.
 Run:  python examples/nested_transactions.py
 """
 
-from repro import EmptyModule, Runtime, transaction_program
+from repro import EmptyModule, Nemesis, Runtime, transaction_program
 from repro.sim.process import sleep
 from repro.workloads.kv import KVStoreSpec
 from repro.workloads.loadgen import run_closed_loop
-from repro.workloads.schedules import kill_primary_every
 
 
 @transaction_program
@@ -53,7 +52,9 @@ def run(program_name: str) -> tuple:
         for j in range(50)
     ]
     stats = run_closed_loop(rt, driver, "clients", jobs, concurrency=3)
-    kill_primary_every(rt, kv, interval=300.0, count=6, recover_after=140.0)
+    rt.inject(
+        Nemesis().crash_primary(kv.groupid, every=300.0, count=6, recover_after=140.0)
+    )
     while stats.submitted < len(jobs) and rt.sim.now < 60_000:
         rt.run_for(500)
     rt.quiesce()

@@ -11,7 +11,7 @@ opening, and the order log agrees with both.
 Run:  python examples/order_pipeline.py
 """
 
-from repro import EmptyModule, Runtime
+from repro import EmptyModule, Nemesis, Runtime
 from repro.workloads.loadgen import run_closed_loop
 from repro.workloads.orders import (
     InventorySpec,
@@ -20,7 +20,6 @@ from repro.workloads.orders import (
     check_order_invariants,
     place_order_program,
 )
-from repro.workloads.schedules import kill_primary_every
 
 
 def main():
@@ -42,8 +41,12 @@ def main():
         jobs.append(("place_order", (customer, item, rng.randint(1, 3), 5)))
 
     stats = run_closed_loop(rt, driver, "clients", jobs, concurrency=3)
-    kill_primary_every(rt, inventory, interval=350.0, count=2, recover_after=200.0)
-    kill_primary_every(rt, payments, interval=500.0, count=1, recover_after=200.0)
+    rt.inject(
+        Nemesis().crash_primary(inventory.groupid, every=350.0, count=2, recover_after=200.0)
+    )
+    rt.inject(
+        Nemesis().crash_primary(payments.groupid, every=500.0, count=1, recover_after=200.0)
+    )
 
     while stats.submitted < len(jobs) and rt.sim.now < 60_000:
         rt.run_for(500)

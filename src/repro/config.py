@@ -140,7 +140,7 @@ class ReadConfig:
     """
 
     #: Master switch; False reproduces the read-through-the-call-path
-    #: protocol exactly (the ``reads is None`` hot path, perf-gated by
+    #: protocol exactly (no ``Leases`` extension is built; perf-gated by
     #: the ``lease_overhead`` scenario).
     enabled: bool = False
     #: How far ahead a grant (and therefore a promise) extends.  Must
@@ -236,10 +236,6 @@ class ScaleConfig:
     ack_delay: float = 0.5
     #: Bufferless voting members per group (0 = every member replicates).
     witnesses: int = 0
-
-    def any_enabled(self) -> bool:
-        """True iff some mechanism actually changes the wire protocol."""
-        return self.gossip or self.ack_tree or self.witnesses > 0
 
 
 #: Names of the knobs mirrored between TimingConfig and ProtocolConfig.
@@ -366,8 +362,8 @@ class ProtocolConfig:
     # (or a GeoConfig without a topology) is the flat-network fast path.
     geo: Optional[GeoConfig] = None
     # Like geo, scale is NOT auto-instantiated: ``scale is None`` (or a
-    # ScaleConfig with every mechanism off) is the paper-faithful cohort
-    # fast path, byte-identical to pre-scale schedules.
+    # ScaleConfig with every mechanism off) builds no scale extension --
+    # the paper-faithful cohort, byte-identical to pre-scale schedules.
     scale: Optional[ScaleConfig] = None
 
     def __post_init__(self) -> None:

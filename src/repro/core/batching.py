@@ -1,0 +1,160 @@
+"""What a cohort does differently under ``BatchConfig(enabled=True)``.
+
+The batched transmission mode itself is the buffer's
+(:mod:`repro.core.buffer`); this extension arms it and adds the cohort's
+half (docs/PERF.md): one coalesced cumulative ack per ``flush_interval``
+tick; buffer traffic that doubles as liveness, with the heartbeats it makes
+redundant suppressed (``piggyback_liveness``); and, for a group that
+coordinates a transaction on itself (a sharded group's single-key path),
+prepare / commit / abort and their replies delivered in place and outcome
+queries sent to one coordinator cohort per sweep.
+"""
+
+from __future__ import annotations
+
+import math
+from typing import Callable, Dict
+
+from repro.core import messages as m
+from repro.core.extension import Extension, Table, wrap, wrap_row
+
+
+class Batching(Extension):
+    def __init__(self, cohort, batch) -> None:
+        super().__init__(cohort)
+        self.batch = batch
+        cohort.buffer_options.update(
+            batch_enabled=True,
+            flush_delay=batch.flush_interval,
+            pipeline_depth=batch.pipeline_depth,
+            clock=lambda: cohort.sim.now,
+            trace=cohort.emit if cohort.tracer is not None else None,
+        )
+        if batch.flush_interval > 0:
+            # Applied-but-unacked BufferMsg count, and whether the
+            # coalescing timer is armed.
+            self._acks_pending = 0
+            self._ack_timer_armed = False
+            wrap(cohort, "acknowledge", self._coalesce_ack)
+        if batch.piggyback_liveness:
+            # When buffer traffic to a peer carried sent_at, the periodic
+            # heartbeat to that peer is redundant.
+            self._liveness_sent: Dict[int, float] = {}
+            cohort.buffer_options["send"] = self._buffer_send
+            wrap(cohort, "build_buffer_ack", self._stamp_sent_at)
+            wrap(cohort, "beacon", self._beacon_unserved)
+        self._query_counter = 0  # round-robin query fan-out
+        server, client = cohort.server_role, cohort.client_role
+        wrap(client, "_send_prepare", self._in_place)
+        wrap(client, "_send_commit", self._in_place)
+        wrap(cohort.coordinator_role, "_send_abort", self._in_place)
+        wrap(server, "_answer_coordinator", self._answer_in_place)
+        wrap(server, "_send_query", self._query_one)
+        #: what a message we would mail our own group's primary -- us -- does
+        self._deliver = {
+            m.PrepareMsg: server.on_prepare,
+            m.CommitMsg: server.on_commit,
+            m.AbortMsg: server.on_abort,
+            m.PrepareOkMsg: client.on_prepare_ok,
+            m.CommitAckMsg: client.on_commit_ack,
+        }
+
+    def wire(self, any_status: Table, primary_only: Table) -> None:
+        if self.batch.piggyback_liveness:
+            wrap_row(any_status, m.BufferAckMsg, self._backup_is_alive)
+            wrap_row(any_status, m.BufferMsg, self._primary_is_alive)
+
+    # -- ack coalescing ------------------------------------------------------
+
+    def _coalesce_ack(self, _at_once: Callable) -> None:
+        """Acks are cumulative, so one per tick answers every BufferMsg
+        applied during it."""
+        self._acks_pending += 1
+        if self._ack_timer_armed:
+            return
+        self._ack_timer_armed = True
+        cohort = self.cohort
+        cohort.set_timer(
+            self.batch.flush_interval, self._fire_ack, cohort._epoch, cohort.cur_viewid
+        )
+
+    def _fire_ack(self, epoch: int, viewid) -> None:
+        cohort = self.cohort
+        self._ack_timer_armed = False
+        coalesced, self._acks_pending = self._acks_pending, 0
+        if cohort._epoch == epoch and cohort.is_backup_in(viewid):
+            if cohort.tracer is not None:
+                cohort.emit(
+                    "ack_coalesce", coalesced=coalesced, acked_ts=cohort.applied_ts
+                )
+            cohort.ack_now()
+
+    # -- liveness piggyback ----------------------------------------------------
+
+    def _buffer_send(self, mid: int, message) -> None:
+        """The buffer's transmission hook: notes liveness-carrying sends."""
+        self._liveness_sent[mid] = self.cohort.sim.now
+        self.cohort.send_mid(mid, message)
+
+    def _stamp_sent_at(self, build: Callable):
+        destination, ack = build()
+        ack.sent_at = self._liveness_sent[destination] = self.cohort.sim.now
+        return destination, ack
+
+    def _beacon_unserved(self, beacon: Callable, pairs) -> None:
+        now = self.cohort.sim.now
+        recent = 0.5 * self.cohort.config.im_alive_interval
+        served = self._liveness_sent  # never served = served at -inf
+        beacon([p for p in pairs if now - served.get(p[0], -math.inf) >= recent])
+
+    def _backup_is_alive(self, handler: Callable, message: m.BufferAckMsg) -> None:
+        # Acks prove the backup is alive; feed the detector so the backup
+        # may skip its redundant heartbeat.
+        cohort = self.cohort
+        if message.mid in cohort.last_heard:
+            cohort.last_heard[message.mid] = cohort.sim.now
+            cohort.detect.heard(message.mid, sent_at=message.sent_at)
+        handler(message)
+
+    def _primary_is_alive(self, handler: Callable, msg: m.BufferMsg) -> None:
+        # Buffer traffic from our current primary is proof of life (sent_at
+        # gives the RTT estimator a sample too).
+        cohort = self.cohort
+        if cohort.is_backup_in(msg.viewid) and cohort.cur_view.primary in cohort.last_heard:
+            cohort.last_heard[cohort.cur_view.primary] = cohort.sim.now
+            cohort.detect.heard(cohort.cur_view.primary, sent_at=msg.sent_at)
+        handler(msg)
+
+    # -- self-coordination shortcuts --------------------------------------------
+
+    def _in_place(self, send: Callable, groupid: str, message) -> None:
+        """A prepare / commit / abort for our own group is delivered
+        synchronously instead of mailed to ourselves: idempotent under the
+        retry loops like the wire path (``_perform_commit``'s
+        already_installed check), and mirroring ``ClientRole._abort_txn``'s
+        local abort."""
+        if groupid == self.cohort.mygroupid:
+            self._deliver[type(message)](message)
+        else:
+            send(groupid, message)
+
+    def _answer_in_place(self, send: Callable, destination: str, message) -> None:
+        if destination == self.cohort.address:
+            self._deliver[type(message)](message)
+        else:
+            send(destination, message)
+
+    def _query_one(self, _fan_out: Callable, aid) -> None:
+        """Ask one coordinator cohort per sweep; the round-robin still
+        reaches every member across consecutive sweeps, so a lone survivor
+        is eventually asked (queries are periodic, section 3.4)."""
+        cohort = self.cohort
+        try:
+            members = tuple(cohort.locate(aid.groupid))
+        except KeyError:
+            return
+        if len(members) > 1:
+            self._query_counter += 1
+            members = (members[self._query_counter % len(members)],)
+        for _mid, address in members:
+            cohort.send(address, m.QueryMsg(aid=aid, reply_to=cohort.address))

@@ -353,48 +353,36 @@ class ClientRole:
         )
 
     def _send_prepares(self, state: _RunningTxn, groupids) -> None:
-        cohort = self.cohort
         txn = state.txn
-        cross_group = len(txn.pset.participants()) > 1
+        message = m.PrepareMsg(
+            aid=txn.aid,
+            pset_pairs=tuple(txn.pset.pairs()),
+            coordinator=self.cohort.address,
+            aborted_subactions=tuple(sorted(txn.aborted_subactions)),
+        )
         for groupid in groupids:
-            if cohort.config.batch.enabled and groupid == cohort.mygroupid:
-                # We coordinate a transaction on our own group (a sharded
-                # group's single-key path): deliver the prepare
-                # synchronously instead of routing it through the network
-                # back to ourselves.  Idempotent under the retry loop, like
-                # the wire path.
-                cohort.server_role.on_prepare(
-                    m.PrepareMsg(
-                        aid=txn.aid,
-                        pset_pairs=tuple(txn.pset.pairs()),
-                        coordinator=cohort.address,
-                        aborted_subactions=tuple(sorted(txn.aborted_subactions)),
-                    )
-                )
-                continue
-            entry = cohort.cache.get(groupid)
-            if entry is None:
-                continue  # retry loop will re-probe
-            if cohort.tracer is not None and cross_group:
-                # Per-participant phase-one visibility for sharded /
-                # multi-group transactions: one event per prepare actually
-                # put on the wire (retransmissions emit again).
-                cohort.tracer.emit(
-                    "shard_prepare",
-                    node=cohort.node.node_id,
-                    group=cohort.mygroupid,
-                    aid=str(txn.aid),
-                    participant=groupid,
-                )
-            cohort.send(
-                entry.primary_address,
-                m.PrepareMsg(
-                    aid=txn.aid,
-                    pset_pairs=tuple(txn.pset.pairs()),
-                    coordinator=cohort.address,
-                    aborted_subactions=tuple(sorted(txn.aborted_subactions)),
-                ),
+            self._send_prepare(groupid, message)
+
+    def _send_prepare(self, groupid: str, message: m.PrepareMsg) -> None:
+        cohort = self.cohort
+        entry = cohort.cache.get(groupid)
+        if entry is None:
+            return  # retry loop will re-probe
+        if (
+            cohort.tracer is not None
+            and len({pair.groupid for pair in message.pset_pairs}) > 1
+        ):
+            # Per-participant phase-one visibility for sharded /
+            # multi-group transactions: one event per prepare actually
+            # put on the wire (retransmissions emit again).
+            cohort.tracer.emit(
+                "shard_prepare",
+                node=cohort.node.node_id,
+                group=cohort.mygroupid,
+                aid=str(message.aid),
+                participant=groupid,
             )
+        cohort.send(entry.primary_address, message)
 
     def _prepare_retry(self, state: _RunningTxn) -> None:
         cohort = self.cohort
@@ -516,31 +504,20 @@ class ClientRole:
         )
 
     def _send_commits(self, aid: Aid, groupids, pset_pairs) -> None:
-        cohort = self.cohort
+        message = m.CommitMsg(
+            aid=aid, pset_pairs=tuple(pset_pairs), coordinator=self.cohort.address
+        )
         for groupid in groupids:
-            if cohort.config.batch.enabled and groupid == cohort.mygroupid:
-                # Self-participant commit, delivered synchronously (mirrors
-                # the _abort_txn local-abort path; _perform_commit's
-                # already_installed check keeps retries idempotent).
-                cohort.server_role.on_commit(
-                    m.CommitMsg(
-                        aid=aid,
-                        pset_pairs=tuple(pset_pairs),
-                        coordinator=cohort.address,
-                    )
-                )
-                continue
-            entry = cohort.cache.get(groupid)
-            if entry is None:
-                for _mid, address in cohort.locate(groupid):
-                    cohort.send(address, m.ViewProbeMsg(reply_to=cohort.address))
-                continue
-            cohort.send(
-                entry.primary_address,
-                m.CommitMsg(
-                    aid=aid, pset_pairs=tuple(pset_pairs), coordinator=cohort.address
-                ),
-            )
+            self._send_commit(groupid, message)
+
+    def _send_commit(self, groupid: str, message: m.CommitMsg) -> None:
+        cohort = self.cohort
+        entry = cohort.cache.get(groupid)
+        if entry is None:
+            for _mid, address in cohort.locate(groupid):
+                cohort.send(address, m.ViewProbeMsg(reply_to=cohort.address))
+            return
+        cohort.send(entry.primary_address, message)
 
     def _commit_retry(self, aid: Aid, pset_pairs) -> None:
         cohort = self.cohort

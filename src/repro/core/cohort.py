@@ -17,14 +17,16 @@ Role behaviour is delegated: :class:`~repro.core.server_role.ServerRole`
 (Figure 3), :class:`~repro.core.client_role.ClientRole` (Figure 2), and
 :class:`~repro.core.view_change.ViewChangeController` (Figure 5).  This
 module owns message dispatch, backup event-record application, query
-answering (section 3.4), liveness ("I'm alive") and unilateral view edits
-(section 4.1).
+answering (section 3.4) and liveness ("I'm alive").
+
+Everything beyond the paper is an extension object
+(:mod:`repro.core.extension`); this module never tests for one.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Dict, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from repro.config import ProtocolConfig
 from repro.core import messages as m
@@ -41,16 +43,16 @@ from repro.core.events import (
     NewView,
     ViewEdit,
 )
-from repro.core.view import View, majority
+from repro.core.extension import build_extensions
+from repro.core.view import View
 from repro.core.viewstamp import History, ViewId, Viewstamp
 from repro.detect import AdaptiveTimeouts, FailureDetector, RttEstimator
-from repro.reads.lease import ReadState
-from repro.sim.future import Future
+from repro.sim.future import Future, all_done
 from repro.sim.node import Actor, Node
 from repro.storage.stable import StableStoragePolicy, StableStore
 from repro.txn.ids import Aid
 from repro.txn.locks import LockManager
-from repro.txn.objects import ObjectStore, WRITE
+from repro.txn.objects import ObjectStore
 
 
 class Status(enum.Enum):
@@ -106,36 +108,6 @@ class Cohort(Actor):
         self.buffer: Optional[CommunicationBuffer] = None
         self.applied_ts = 0  # backup: highest contiguously applied ts
 
-        # -- read serving path (repro.reads; None = paper-faithful) --
-        self.reads: Optional[ReadState] = (
-            ReadState(config.reads, len(configuration), lambda: self.sim.now)
-            if config.reads is not None and config.reads.enabled
-            else None
-        )
-
-        # -- large-cohort mechanisms (repro.scale; None = paper-faithful).
-        # A ScaleConfig with every mechanism off is normalized to None so
-        # the hot paths keep a single `scale is None` fast test.
-        scale = config.scale
-        if scale is not None and not scale.any_enabled():
-            scale = None
-        self.scale = scale
-        self._witnesses: frozenset = frozenset()
-        self._gossip_rng = None
-        self._ack_children: Dict[int, int] = {}
-        self._ack_children_viewid: Optional[ViewId] = None
-        self._ack_tree = None
-        self._ack_tree_key = None
-        self._ack_fwd_armed = False
-        self._witness_install_pending: set = set()
-        if scale is not None:
-            from repro.scale import witness_mids
-
-            if scale.witnesses > 0:
-                self._witnesses = witness_mids(len(configuration), scale.witnesses)
-            if scale.gossip:
-                self._gossip_rng = runtime.sim.rng.fork(f"gossip/{self.address}")
-
         # -- gstate --
         self.store = ObjectStore()
         for uid, value in spec.initial_objects().items():
@@ -157,6 +129,9 @@ class Cohort(Actor):
         self.client_role = ClientRole(self)
         self.coordinator_role = CoordinatorServerRole(self)
         self.view_change = ViewChangeController(self)
+        # -- extensions: what the config arms beyond the paper; () by default --
+        self.buffer_options: Dict[str, Any] = {"send": self.send_mid}
+        self.extensions = build_extensions(self)
         self._wire_handlers()
 
         # -- liveness --
@@ -173,13 +148,6 @@ class Cohort(Actor):
         self.timeouts = AdaptiveTimeouts(config, self.rtt)
         self._change_pending_since: Optional[float] = None
         self._epoch = 0  # bumped on every status transition; guards timers
-        # Batched-mode liveness piggybacking: when buffer traffic to a peer
-        # carries sent_at, the periodic heartbeat to that peer is redundant.
-        self._last_liveness_sent: Dict[int, float] = {}
-        # Batched-mode ack coalescing: applied-but-unacked BufferMsg count
-        # and whether the coalescing timer is armed.
-        self._acks_pending = 0
-        self._ack_timer_armed = False
 
         runtime.network.register(self)
         if self.is_primary:
@@ -187,11 +155,8 @@ class Cohort(Actor):
             if self.tracer is not None:
                 # The constructor never goes through activate_as_primary,
                 # so the initial view's activation is emitted here.
-                self.tracer.emit(
+                self.emit(
                     "primary_activated",
-                    node=self.node.node_id,
-                    group=self.mygroupid,
-                    mid=self.mymid,
                     viewid=str(self.cur_viewid),
                     members=sorted(self.cur_view.members),
                 )
@@ -213,20 +178,21 @@ class Cohort(Actor):
     def is_active_primary(self) -> bool:
         return self.status is Status.ACTIVE and self.is_primary
 
+    def is_backup_in(self, viewid: ViewId) -> bool:
+        """Active, in view *viewid*, and not its primary."""
+        return (
+            self.status is Status.ACTIVE
+            and viewid == self.cur_viewid
+            and not self.is_primary
+        )
+
     @property
     def config_size(self) -> int:
         return len(self.configuration)
 
-    @property
-    def is_witness(self) -> bool:
-        """A bufferless voting member (repro.scale witnesses)."""
-        return self.mymid in self._witnesses
-
-    def _storage_backups(self, backups) -> Tuple[int, ...]:
-        """Backups that hold an event buffer (witnesses excluded)."""
-        if not self._witnesses:
-            return tuple(backups)
-        return tuple(b for b in backups if b not in self._witnesses)
+    def storage_members(self, mids) -> Tuple[int, ...]:
+        """Those of *mids* that hold an event buffer: in the paper, all."""
+        return tuple(mids)
 
     def peer_address(self, mid: int) -> str:
         return self._addresses[mid]
@@ -241,6 +207,20 @@ class Cohort(Actor):
         """(mid, address) pairs for a group -- via the location service."""
         return self.runtime.location.lookup(groupid)
 
+    def emit(self, kind: str, **data) -> None:
+        """Trace one event of this cohort; a no-op when tracing is off.
+
+        Field order (group, mid, then *data* as given) is part of the JSONL
+        export.  ``record_added`` keeps its own fast path below."""
+        tracer = self.tracer
+        if tracer is not None:
+            tracer._emit(
+                kind,
+                self.node.node_id,
+                (),
+                {"group": self.mygroupid, "mid": self.mymid, **data},
+            )
+
     # ------------------------------------------------------------------
     # message dispatch
     # ------------------------------------------------------------------
@@ -250,7 +230,8 @@ class Cohort(Actor):
 
         Rebuilt on recovery, which replaces ``caller``.  A message type in
         neither table is a wiring error (``tests/core/test_dispatch_table``
-        holds every concrete message class to exactly one of them)."""
+        holds every concrete message class to exactly one of them).  Each
+        extension then adds or wraps rows, innermost first."""
         caller, view_change = self.caller, self.view_change
         server, client = self.server_role, self.client_role
         coordinator = self.coordinator_role
@@ -264,7 +245,6 @@ class Cohort(Actor):
             m.InviteMsg: view_change.on_invite,
             m.AcceptMsg: view_change.on_accept,
             m.InitViewMsg: view_change.on_init_view,
-            m.WitnessInstallMsg: view_change.on_witness_install,
             m.BufferMsg: self._handle_buffer_msg,
             m.BufferAckMsg: self._handle_buffer_ack,
             m.ReadMsg: self._handle_read,
@@ -291,6 +271,8 @@ class Cohort(Actor):
             m.FinishTxnMsg: coordinator.on_finish,
             m.ClientProbeReplyMsg: coordinator.on_probe_reply,
         }
+        for extension in self.extensions:
+            extension.wire(self._any_status, self._primary_only)
 
     def handle_message(self, message, source: str) -> None:
         cls = type(message)
@@ -315,34 +297,6 @@ class Cohort(Actor):
         self.client_role.on_view_changed(message)
 
     def _handle_buffer_ack(self, message: m.BufferAckMsg) -> None:
-        if self.config.batch.enabled and self.config.batch.piggyback_liveness:
-            # Acks prove the backup is alive; feed the detector so the
-            # backup may skip its redundant heartbeat (batched mode).
-            if message.mid in self.last_heard:
-                self.last_heard[message.mid] = self.sim.now
-                self.detect.heard(message.mid, sent_at=message.sent_at)
-        if (
-            self.reads is not None
-            and message.lease_until is not None
-            and message.viewid == self.cur_viewid
-            and self.is_active_primary
-        ):
-            self._note_lease_grant(message.mid, message.lease_until)
-        if self._witness_install_pending:
-            # A witness confirmed its view install (acked_ts is 0; a
-            # witness applies nothing) -- stop retransmitting to it.
-            self._witness_install_pending.discard(message.mid)
-        if (
-            self.scale is not None
-            and self.scale.ack_tree
-            and not self.is_primary
-            and self.status is Status.ACTIVE
-            and message.viewid == self.cur_viewid
-        ):
-            # Ack-tree interior node: fold the child's subtree into
-            # ours and forward upward after a coalescing delay.
-            self._on_child_ack(message)
-            return
         if self.is_active_primary and self.buffer is not None:
             self.buffer.on_ack(message)
 
@@ -399,23 +353,9 @@ class Cohort(Actor):
         # Conventional-system mode (section 3.7) / catastrophe hardening
         # (section 4.2): the force also blocks on a stable-storage write.
         stable_force = self.stable.write("log", self.history.entries())
-        combined = Future(label=f"force+stable:{viewstamp}")
-        pending = {"count": 2}
-
-        def one_done(future: Future) -> None:
-            if combined.done:
-                return
-            error = future.exception()
-            if error is not None:
-                combined.set_exception(error)
-                return
-            pending["count"] -= 1
-            if pending["count"] == 0:
-                combined.set_result(None)
-
-        replica_force.add_done_callback(one_done)
-        stable_force.add_done_callback(one_done)
-        return combined
+        return all_done(
+            replica_force, stable_force, label=f"force+stable:{viewstamp}"
+        )
 
     def force_all(self) -> Future:
         """Force the entire buffer (Figure 2's coordinator step 2)."""
@@ -455,32 +395,16 @@ class Cohort(Actor):
         """Apply a commit at a backup: install tentative versions from the
         stored completed-call records (section 3.3's compromise: records are
         stored until the commit/abort arrives, then performed)."""
-        calls = self.pending.get(record.aid, {})
         allowed = {
             pair.vs for pair in record.pset_pairs if pair.groupid == self.mygroupid
         }
-        final_values = {}
-        for viewstamp in sorted(calls):
-            if allowed and viewstamp not in allowed:
-                continue  # orphaned subaction (section 3.6); skip its writes
-            for effect in calls[viewstamp].effects:
-                if effect.kind != WRITE or not effect.writes:
-                    continue
-                final_values[effect.uid] = effect.writes[-1][1]
-        # One version bump per object per transaction, matching the
-        # primary's install (LockManager.install).
-        for uid, value in final_values.items():
-            obj = self.store.ensure(uid)
-            obj.base = value
-            obj.version += 1
+        self.store.install_calls(self.pending.get(record.aid, {}), allowed)
 
     # ------------------------------------------------------------------
     # backup: buffer application
     # ------------------------------------------------------------------
 
     def _handle_buffer_msg(self, msg: m.BufferMsg) -> None:
-        if self.is_witness:
-            return  # witnesses hold no event buffer (repro.scale)
         if self.status is Status.UNDERLING:
             self.view_change.on_buffer_while_underling(msg)
             return
@@ -488,26 +412,12 @@ class Cohort(Actor):
             return
         if msg.viewid != self.cur_viewid or self.is_primary:
             return  # stale primary's traffic, or ours echoed back
-        if (
-            self.config.batch.enabled
-            and self.config.batch.piggyback_liveness
-            and self.cur_view.primary in self.last_heard
-        ):
-            # Buffer traffic from the primary is proof of life (batched
-            # mode stamps sent_at, so the RTT estimator gets a sample too).
-            self.last_heard[self.cur_view.primary] = self.sim.now
-            self.detect.heard(self.cur_view.primary, sent_at=msg.sent_at)
         self._apply_buffer_records(msg.records)
-        if self.reads is not None and self.applied_ts >= msg.primary_ts:
-            # Caught up to the primary's high-water mark as of this send:
-            # the applied prefix is fresh (modulo one network delay, which
-            # the staleness bound's documentation accounts for).
-            self.reads.mark_fresh()
-        self._ack_buffer()
+        self.acknowledge()
 
     def _apply_buffer_records(self, records) -> None:
         # Pairs are contiguous in ts (the buffer ships a slice), so the
-        # retransmitted prefix -- hundreds of pairs on every unbatched force
+        # retransmitted prefix -- hundreds of pairs on every immediate force
         # -- is skipped by index rather than pair by pair.
         skip = max(0, self.applied_ts + 1 - records[0][0]) if records else 0
         for ts, record in records[skip:]:
@@ -542,150 +452,19 @@ class Cohort(Actor):
             },
         )
 
-    def _ack_buffer(self) -> None:
-        """Acknowledge applied records; coalesced in batched mode.
+    def ack_now(self) -> None:
+        destination, ack = self.build_buffer_ack()
+        self.send_mid(destination, ack)
 
-        Unbatched, every BufferMsg is acked individually (the paper's
-        implicit scheme).  Batched, acks are cumulative anyway, so one ack
-        per coalescing tick answers every BufferMsg applied during it.
-        """
-        batch = self.config.batch
-        if not batch.enabled or batch.flush_interval <= 0:
-            self._send_ack_now()
-            return
-        self._acks_pending += 1
-        if self._ack_timer_armed:
-            return
-        self._ack_timer_armed = True
-        epoch = self._epoch
-        viewid = self.cur_viewid
+    #: *when* a backup acknowledges applied records: every BufferMsg
+    #: individually, at once (the paper's implicit scheme)
+    acknowledge = ack_now
 
-        def fire() -> None:
-            self._ack_timer_armed = False
-            coalesced, self._acks_pending = self._acks_pending, 0
-            if (
-                self._epoch != epoch
-                or self.status is not Status.ACTIVE
-                or self.cur_viewid != viewid
-                or self.is_primary
-            ):
-                return
-            if self.tracer is not None:
-                self.tracer.emit(
-                    "ack_coalesce",
-                    node=self.node.node_id,
-                    group=self.mygroupid,
-                    mid=self.mymid,
-                    coalesced=coalesced,
-                    acked_ts=self.applied_ts,
-                )
-            self._send_ack_now()
-
-        self.set_timer(batch.flush_interval, fire)
-
-    def _send_ack_now(self) -> None:
-        batch = self.config.batch
-        dest = self.cur_view.primary
-        agg: Tuple[Tuple[int, int], ...] = ()
-        if self.scale is not None and self.scale.ack_tree:
-            dest, agg = self._ack_tree_route()
-        sent_at = None
-        if batch.enabled and batch.piggyback_liveness:
-            sent_at = self.sim.now
-            self._last_liveness_sent[dest] = self.sim.now
-        lease_until = None
-        if (
-            self.reads is not None
-            and self.status is Status.ACTIVE
-            and dest == self.cur_view.primary
-        ):
-            # Every ack renews the read lease; under steady buffer traffic
-            # the explicit heartbeat grants are pure backup.  (Tree-routed
-            # acks skip the grant: the primary would never see it.)
-            lease_until = self.reads.make_promise(dest)
-        self.send_mid(
-            dest,
-            m.BufferAckMsg(
-                viewid=self.cur_viewid,
-                acked_ts=self.applied_ts,
-                mid=self.mymid,
-                sent_at=sent_at,
-                lease_until=lease_until,
-                agg=agg,
-            ),
+    def build_buffer_ack(self) -> Tuple[int, m.BufferAckMsg]:
+        """Where the cumulative ack goes, and the ack."""
+        return self.cur_view.primary, m.BufferAckMsg(
+            viewid=self.cur_viewid, acked_ts=self.applied_ts, mid=self.mymid
         )
-
-    # -- ack trees (repro.scale) ---------------------------------------------
-
-    def _ack_tree_for_view(self):
-        """The fan-in tree for the current view, cached per view."""
-        key = (self.cur_viewid, self.cur_view.backups)
-        if self._ack_tree_key != key:
-            from repro.scale import AckTree
-
-            self._ack_tree = AckTree(
-                self.cur_view.primary,
-                self._storage_backups(self.cur_view.backups),
-                self.scale.ack_fanout,
-            )
-            self._ack_tree_key = key
-        return self._ack_tree
-
-    def _ack_tree_route(self) -> Tuple[int, Tuple[Tuple[int, int], ...]]:
-        """Destination and aggregated (mid, acked_ts) pairs for our ack."""
-        tree = self._ack_tree_for_view()
-        pairs = {self.mymid: self.applied_ts}
-        if self._ack_children_viewid == self.cur_viewid:
-            for mid, ts in self._ack_children.items():
-                if ts > pairs.get(mid, -1):
-                    pairs[mid] = ts
-        parent = tree.parent(self.mymid)
-        if parent != self.cur_view.primary and self._is_suspect(parent):
-            # A dead interior node must not orphan its subtree: bypass it.
-            parent = self.cur_view.primary
-        return parent, tuple(sorted(pairs.items()))
-
-    def _on_child_ack(self, msg: m.BufferAckMsg) -> None:
-        """Ack-tree interior node: fold a child's (aggregated) ack into ours
-        and forward the merged subtree upward after ``ack_delay``."""
-        if self.cur_view is None:
-            return
-        if self._ack_children_viewid != self.cur_viewid:
-            self._ack_children = {}
-            self._ack_children_viewid = self.cur_viewid
-        pairs = msg.agg if msg.agg else ((msg.mid, msg.acked_ts),)
-        for mid, ts in pairs:
-            if mid == self.mymid:
-                continue
-            if ts > self._ack_children.get(mid, -1):
-                self._ack_children[mid] = ts
-        if self._ack_fwd_armed:
-            return
-        self._ack_fwd_armed = True
-        epoch = self._epoch
-        viewid = self.cur_viewid
-
-        def forward() -> None:
-            self._ack_fwd_armed = False
-            if (
-                self._epoch != epoch
-                or self.status is not Status.ACTIVE
-                or self.cur_viewid != viewid
-                or self.is_primary
-            ):
-                return
-            if self.tracer is not None:
-                self.tracer.emit(
-                    "ack_tree",
-                    node=self.node.node_id,
-                    group=self.mygroupid,
-                    mid=self.mymid,
-                    children=len(self._ack_children),
-                    acked_ts=self.applied_ts,
-                )
-            self._send_ack_now()
-
-        self.set_timer(self.scale.ack_delay, forward)
 
     # ------------------------------------------------------------------
     # queries (section 3.4)
@@ -752,128 +531,25 @@ class Cohort(Actor):
             ),
         )
 
-    # ------------------------------------------------------------------
-    # read serving path (repro.reads; beyond the paper)
-    # ------------------------------------------------------------------
-
-    def _emit_read_event(self, kind: str, **data) -> None:
-        if self.tracer is not None:
-            self.tracer.emit(
-                kind,
-                node=self.node.node_id,
-                group=self.mygroupid,
-                mid=self.mymid,
-                **data,
-            )
-
-    def _note_lease_grant(self, mid: int, until: float) -> None:
-        """Primary: a grant arrived piggybacked on ack/heartbeat traffic."""
-        reads = self.reads
-        reads.record_grant(mid, until)
-        if not reads.was_valid and reads.lease_valid(self.cur_view):
-            reads.was_valid = True
-            self._emit_read_event(
-                "lease_grant",
-                viewid=str(self.cur_viewid),
-                until=reads.lease_until(self.cur_view),
-            )
-
-    def _note_lease_lapse(self, reason: str) -> None:
-        """Primary-side lease validity ended (expiry or stepping down)."""
-        reads = self.reads
-        if reads is not None and reads.was_valid:
-            self._emit_read_event(
-                "lease_expire", viewid=str(self.cur_viewid), reason=reason
-            )
-        if reads is not None:
-            reads.reset_grants()
-
     def _handle_read(self, msg: m.ReadMsg) -> None:
-        def reject(reason: str, **extra) -> None:
-            viewid, view = (None, None)
-            if self.status is Status.ACTIVE and self.up_to_date:
-                viewid, view = self.cur_viewid, self.cur_view
-            self.send(
-                msg.reply_to,
-                m.ReadRejectMsg(
-                    request_id=msg.request_id,
-                    reason=reason,
-                    groupid=self.mygroupid,
-                    viewid=viewid,
-                    view=view,
-                    **extra,
-                ),
-            )
+        """Section 3.7 prices a read as a call: a cohort with no serving
+        path of its own says so, and the driver falls back to one."""
+        self.refuse_read(msg, m.READ_PATH_ABSENT)
 
-        reads = self.reads
-        if reads is None:
-            reject("reads_disabled")
-            return
-        if self.status is not Status.ACTIVE or not self.up_to_date:
-            reject("not_active")
-            return
-        if self.is_witness:
-            # Witnesses hold no object state to serve (repro.scale).
-            reject("not_active")
-            return
-        if self.is_primary:
-            if not reads.lease_valid(self.cur_view):
-                if reads.was_valid:
-                    reads.was_valid = False
-                    self._emit_read_event(
-                        "lease_expire", viewid=str(self.cur_viewid), reason="expired"
-                    )
-                reject("no_lease")
-                return
-            # Linearizable local read: the lease guarantees no other
-            # primary can have committed a newer value (docs/READS.md).
-            obj = self.store.get(msg.uid) if msg.uid in self.store else None
-            ts = self.buffer.timestamp if self.buffer is not None else 0
-            self._emit_read_event(
-                "lease_read", viewid=str(self.cur_viewid), uid=msg.uid
-            )
-            self.metrics.incr(f"lease_reads:{self.mygroupid}")
-            self.send(
-                msg.reply_to,
-                m.ReadReplyMsg(
-                    request_id=msg.request_id,
-                    uid=msg.uid,
-                    value=obj.base if obj is not None else None,
-                    viewstamp=Viewstamp(self.cur_viewid, ts),
-                    mode="lease",
-                    staleness=0.0,
-                    groupid=self.mygroupid,
-                ),
-            )
-            return
-        if not reads.cfg.backup_reads:
-            reject("not_active")  # carries view info: driver redirects
-            return
-        staleness = reads.staleness()
-        bound = msg.max_staleness
-        if bound is None:
-            bound = reads.cfg.default_max_staleness
-        if staleness > bound:
-            reject("too_stale", staleness=staleness)
-            return
-        obj = self.store.get(msg.uid) if msg.uid in self.store else None
-        self._emit_read_event(
-            "stale_read",
-            viewid=str(self.cur_viewid),
-            uid=msg.uid,
-            staleness=staleness,
-        )
-        self.metrics.incr(f"backup_reads:{self.mygroupid}")
+    def refuse_read(self, msg: m.ReadMsg, reason: str, **extra) -> None:
+        """Reject with current view info if we know it (as ``_reject``)."""
+        viewid, view = (None, None)
+        if self.status is Status.ACTIVE and self.up_to_date:
+            viewid, view = self.cur_viewid, self.cur_view
         self.send(
             msg.reply_to,
-            m.ReadReplyMsg(
+            m.ReadRejectMsg(
                 request_id=msg.request_id,
-                uid=msg.uid,
-                value=obj.base if obj is not None else None,
-                viewstamp=Viewstamp(self.cur_viewid, self.applied_ts),
-                mode="backup",
-                staleness=staleness,
+                reason=reason,
                 groupid=self.mygroupid,
+                viewid=viewid,
+                view=view,
+                **extra,
             ),
         )
 
@@ -886,146 +562,26 @@ class Cohort(Actor):
         self.set_timer(self.config.im_alive_interval * (0.5 + jitter), self._heartbeat)
 
     def _heartbeat(self) -> None:
-        batch = self.config.batch
-        suppress = batch.enabled and batch.piggyback_liveness
-        evidence: Tuple[Tuple[int, float], ...] = ()
-        if self._gossip_rng is not None:
-            # Gossip mode (repro.scale): beacon a seeded-random fan-out of
-            # peers, carrying recent liveness evidence; the epidemic relay
-            # replaces the all-peers broadcast.
-            pairs = self._gossip_pairs()
-            evidence = self._gossip_evidence()
-            if evidence and self.tracer is not None:
-                self.tracer.emit(
-                    "gossip_relay",
-                    node=self.node.node_id,
-                    group=self.mygroupid,
-                    mid=self.mymid,
-                    targets=sorted(peer for peer, _addr in pairs),
-                    evidence=len(evidence),
-                )
-        else:
-            pairs = self.configuration
-        for peer, address in pairs:
-            if peer == self.mymid:
-                continue
-            if suppress:
-                last = self._last_liveness_sent.get(peer)
-                if (
-                    last is not None
-                    and self.sim.now - last < 0.5 * self.config.im_alive_interval
-                ):
-                    # Buffer traffic to this peer recently carried sent_at;
-                    # the explicit heartbeat would be redundant.
-                    continue
-            lease_until = None
-            primary_ts = None
-            if self.reads is not None and self.status is Status.ACTIVE:
-                if self.is_primary:
-                    # Stamp the buffer's high-water mark so idle backups can
-                    # confirm their applied prefix is current (freshness).
-                    if self.buffer is not None:
-                        primary_ts = self.buffer.timestamp
-                elif peer == self.cur_view.primary:
-                    # Grant/renew the read lease to our primary: the beacon
-                    # doubles as lease traffic (no extra messages).
-                    lease_until = self.reads.make_promise(peer)
-            self.send(
-                address,
-                m.ImAliveMsg(
-                    mid=self.mymid,
-                    viewid=self.cur_viewid,
-                    sent_at=self.sim.now,
-                    lease_until=lease_until,
-                    primary_ts=primary_ts,
-                    evidence=evidence,
-                ),
-            )
-        if self.is_active_primary and self._witness_install_pending:
-            self._resend_witness_installs()
+        self.beacon(self.configuration)
         if self.status is Status.ACTIVE:
             self._liveness_sweep()
         self.set_timer(self.config.im_alive_interval, self._heartbeat)
 
-    def _gossip_pairs(self):
-        """The (peer, address) fan-out this gossip round beacons."""
-        scale = self.scale
-        peers = [pair for pair in self.configuration if pair[0] != self.mymid]
-        k = min(scale.gossip_fanout, len(peers))
-        if k >= len(peers):
-            return peers
-        chosen = self._gossip_rng.sample(peers, k)
-        if (
-            self.reads is not None
-            and self.status is Status.ACTIVE
-            and self.cur_view is not None
-            and not self.is_primary
-        ):
-            primary = self.cur_view.primary
-            if all(peer != primary for peer, _addr in chosen):
-                # Lease grants ride the beacon: the primary must keep
-                # hearing us directly even on rounds the epidemic fan-out
-                # happens to miss it.
-                chosen.append((primary, self.peer_address(primary)))
-        return chosen
+    def beacon(self, pairs) -> None:
+        """One round of "I'm alive": in the paper, to every other cohort."""
+        for peer, address in pairs:
+            if peer != self.mymid:
+                self.send(address, self.build_im_alive(peer))
 
-    def _gossip_evidence(self) -> Tuple[Tuple[int, float], ...]:
-        """Fresh (mid, heard_at) liveness evidence to relay this round."""
-        horizon = (
-            self.scale.evidence_horizon_intervals * self.config.im_alive_interval
+    def build_im_alive(self, peer: int) -> m.ImAliveMsg:
+        return m.ImAliveMsg(
+            mid=self.mymid, viewid=self.cur_viewid, sent_at=self.sim.now
         )
-        cutoff = self.sim.now - horizon
-        evidence = []
-        for peer, _addr in self.configuration:
-            if peer == self.mymid:
-                continue
-            heard = self.detect.last_heard(peer)
-            if heard > 0.0 and heard >= cutoff:
-                evidence.append((peer, heard))
-        return tuple(evidence)
-
-    def _resend_witness_installs(self) -> None:
-        """Retransmit unconfirmed witness view installs (loss recovery)."""
-        pending = [
-            peer
-            for peer in sorted(self._witness_install_pending)
-            if peer in self.cur_view
-        ]
-        self._witness_install_pending = set(pending)
-        for peer in pending:
-            self.send_mid(
-                peer,
-                m.WitnessInstallMsg(viewid=self.cur_viewid, view=self.cur_view),
-            )
 
     def _handle_im_alive(self, msg: m.ImAliveMsg) -> None:
         previously_silent = self._is_suspect(msg.mid)
         self.last_heard[msg.mid] = self.sim.now
         self.detect.heard(msg.mid, sent_at=msg.sent_at)
-        if msg.evidence:
-            # Gossip (repro.scale): relayed liveness evidence.  Relay hops
-            # are excluded from the RTT estimator by design; the interval
-            # EWMA is fed origin-time deltas (see heard_relayed).
-            for peer, heard_at in msg.evidence:
-                if peer == self.mymid or peer == msg.mid:
-                    continue
-                self.detect.heard_relayed(peer, heard_at)
-                if heard_at > self.last_heard.get(peer, 0.0):
-                    self.last_heard[peer] = heard_at
-        if self.reads is not None and msg.viewid == self.cur_viewid:
-            if msg.lease_until is not None and self.is_active_primary:
-                self._note_lease_grant(msg.mid, msg.lease_until)
-            if (
-                msg.primary_ts is not None
-                and self.status is Status.ACTIVE
-                and not self.is_primary
-                and self.cur_view is not None
-                and msg.mid == self.cur_view.primary
-                and self.applied_ts >= msg.primary_ts
-            ):
-                # Our applied prefix matches the primary's buffer high-water
-                # mark as of the beacon: the prefix is fresh now.
-                self.reads.mark_fresh()
         if (
             self.status is Status.ACTIVE
             and previously_silent
@@ -1065,7 +621,7 @@ class Cohort(Actor):
             self._change_pending_since = None
             return
         if self.config.unilateral_edits and self.is_primary:
-            if self._try_unilateral_edit(view_suspects, outside_live):
+            if self.view_change.try_unilateral_edit(view_suspects, outside_live):
                 self._change_pending_since = None
                 return
         self._on_membership_signal()
@@ -1096,28 +652,6 @@ class Cohort(Actor):
         if self.status is Status.ACTIVE:
             self.view_change.become_manager()
 
-    # -- unilateral edits (section 4.1, experiment E12) ----------------------
-
-    def _try_unilateral_edit(self, view_suspects, outside_live) -> bool:
-        new_backups = set(self.cur_view.backups)
-        for peer in view_suspects:
-            if peer != self.cur_view.primary:
-                new_backups.discard(peer)
-        for peer in outside_live:
-            new_backups.add(peer)
-        if len(new_backups) + 1 < majority(self.config_size):
-            # Losing the majority: the primary must stop working on
-            # transactions (section 4.1) -- full view change instead.
-            return False
-        if new_backups == set(self.cur_view.backups):
-            return True  # only the primary is suspect of itself; nothing to do
-        edited = tuple(sorted(new_backups))
-        self.add_record(ViewEdit(backups=edited))
-        self.buffer.set_backups(self._storage_backups(edited))
-        self.metrics.incr("unilateral_view_edits")
-        self.buffer.flush()
-        return True
-
     # ------------------------------------------------------------------
     # status transitions (used by the view-change controller)
     # ------------------------------------------------------------------
@@ -1125,7 +659,8 @@ class Cohort(Actor):
     def leave_active(self) -> None:
         """Stop transaction processing; abandon the buffer and calls."""
         self._epoch += 1
-        self._note_lease_lapse("left_active")
+        for extension in self.extensions:
+            extension.on_leave_active()
         if self.buffer is not None:
             self.buffer.close()
         self.caller.abandon_all()
@@ -1133,42 +668,16 @@ class Cohort(Actor):
         self.client_role.on_leave_active()
         self.coordinator_role.on_leave_active()
 
-    def _buffer_send(self, mid: int, message) -> None:
-        """Buffer transmission hook: notes liveness-carrying sends."""
-        if self.config.batch.enabled and self.config.batch.piggyback_liveness:
-            self._last_liveness_sent[mid] = self.sim.now
-        self.send_mid(mid, message)
-
     def _open_buffer(self) -> None:
-        batch = self.config.batch
-        trace = None
-        if self.tracer is not None and batch.enabled:
-            tracer = self.tracer
-
-            def trace(kind: str, **data) -> None:
-                tracer.emit(
-                    kind,
-                    node=self.node.node_id,
-                    group=self.mygroupid,
-                    mid=self.mymid,
-                    **data,
-                )
-
         self.buffer = CommunicationBuffer(
             viewid=self.cur_viewid,
-            backups=self._storage_backups(self.cur_view.backups),
+            backups=self.storage_members(self.cur_view.backups),
             configuration_size=self.config_size,
-            send=self._buffer_send,
             set_timer=self.set_timer,
             on_force_failure=self.note_change_needed,
             force_timeout=self.config.force_timeout,
-            max_batch=batch.max_batch,
             retain_all=self.config.unilateral_edits,
-            batch_enabled=batch.enabled,
-            flush_delay=batch.flush_interval,
-            pipeline_depth=batch.pipeline_depth,
-            clock=lambda: self.sim.now,
-            trace=trace,
+            **self.buffer_options,  # send= and the transmission mode
         )
 
     def _start_flush_loop(self) -> None:
@@ -1191,55 +700,30 @@ class Cohort(Actor):
         self.status = Status.ACTIVE
         self.up_to_date = True
         self.applied_ts = 0
-        if self.reads is not None:
-            # A new primary starts leaseless: grants must come from the new
-            # view's backups.  Its own state is trivially fresh.
-            self.reads.reset_grants()
-            self.reads.mark_fresh()
         if self.tracer is not None:
             # Emitted before the newview record is added so the
             # single-primary monitor sees the activation even if the
             # history rejects the record (the very bug it exists to catch).
-            self.tracer.emit(
-                "primary_activated",
-                node=self.node.node_id,
-                group=self.mygroupid,
-                mid=self.mymid,
-                viewid=str(viewid),
-                members=sorted(view.members),
+            self.emit(
+                "primary_activated", viewid=str(viewid), members=sorted(view.members)
             )
         self._open_buffer()
         newview = NewView(
             view=view,
             history_entries=self.history.entries(),
             objects=self.store.snapshot(),
-            pending=tuple(
-                (viewstamp, record)
-                for aid in sorted(self.pending)
-                for viewstamp, record in sorted(self.pending[aid].items())
-            ),
+            pending=self._pending_records(),
             outcomes=dict(self.outcomes),
             committing=dict(self.committing),
         )
         self.add_record(newview)
-        self._rematerialize_locks()
+        self.lockmgr.rematerialize(self.pending)
         self.server_role.on_become_primary()
         self.client_role.on_become_primary()
         self._start_flush_loop()
         self.buffer.flush()
-        if self._witnesses:
-            # Witnesses receive no buffer traffic, so the formed view is
-            # announced to them explicitly; retransmitted from the
-            # heartbeat loop until each confirms (repro.scale).
-            self._witness_install_pending = {
-                peer
-                for peer in view.members
-                if peer != self.mymid and peer in self._witnesses
-            }
-            for peer in sorted(self._witness_install_pending):
-                self.send_mid(
-                    peer, m.WitnessInstallMsg(viewid=viewid, view=view)
-                )
+        for extension in self.extensions:
+            extension.on_become_primary()
         self.metrics.incr(f"views_started:{self.mygroupid}")
         self.runtime.ledger.record_view_change(self.mygroupid, viewid, self.mymid)
         self.sim.trace(
@@ -1264,66 +748,19 @@ class Cohort(Actor):
         self.up_to_date = True
         self.status = Status.ACTIVE
         self.buffer = None
-        if self.reads is not None:
-            # The newview record is a snapshot of the primary's state: our
-            # prefix is fresh as of installation.
-            self.reads.reset_grants()
-            self.reads.mark_fresh()
-        if self.tracer is not None:
-            self.tracer.emit(
-                "newview_installed",
-                node=self.node.node_id,
-                group=self.mygroupid,
-                mid=self.mymid,
-                viewid=str(viewid),
-            )
-        self._ack_buffer()
+        for extension in self.extensions:
+            extension.on_install()
+        self.emit("newview_installed", viewid=str(viewid))
+        self.acknowledge()
         self.metrics.incr(f"views_joined:{self.mygroupid}")
 
-    def install_as_witness(self, viewid: ViewId, view: View) -> None:
-        """Witness: adopt a formed view (repro.scale).
-
-        There is no state to install -- a witness holds no event buffer and
-        applies no records -- so adoption is just the view pointer flip the
-        storage path performs as part of ``install_newview``."""
-        self._epoch += 1
-        self.cur_viewid = viewid
-        self.cur_view = view
-        self.up_to_date = True
-        self.status = Status.ACTIVE
-        self.buffer = None
-        self.applied_ts = 0
-        if self.reads is not None:
-            self.reads.reset_grants()
-        if self.tracer is not None:
-            self.tracer.emit(
-                "newview_installed",
-                node=self.node.node_id,
-                group=self.mygroupid,
-                mid=self.mymid,
-                viewid=str(viewid),
-                witness=True,
-            )
-        self.metrics.incr(f"views_joined:{self.mygroupid}")
-
-    def _rematerialize_locks(self) -> None:
-        """New primary: rebuild lock/tentative state from pending records.
-
-        Section 3.7 requires that locks survive a view change exactly when
-        their completed-call records do.  Records reflect locks that were
-        granted under 2PL, so direct materialization cannot conflict.
-        """
-        self.lockmgr.reset()
-        for aid in self.pending:
-            for viewstamp in sorted(self.pending[aid]):
-                for effect in self.pending[aid][viewstamp].effects:
-                    info = self.lockmgr.materialize(effect.uid, aid, effect.kind)
-                    for subaction, value in effect.writes:
-                        from repro.txn.objects import TentativeWrite
-
-                        info.writes.append(
-                            TentativeWrite(subaction=subaction, value=value)
-                        )
+    def _pending_records(self) -> Tuple:
+        """The surviving completed-call records, in a canonical order."""
+        return tuple(
+            (viewstamp, record)
+            for aid in sorted(self.pending)
+            for viewstamp, record in sorted(self.pending[aid].items())
+        )
 
     def _gstate_snapshot(self) -> dict:
         """For the PRIMARY_GSTATE/ALL stable-storage policies (section 4.2)."""
@@ -1332,11 +769,7 @@ class Cohort(Actor):
             "outcomes": dict(self.outcomes),
             "committing": dict(self.committing),
             "history": self.history.entries(),
-            "pending": tuple(
-                (viewstamp, record)
-                for aid in sorted(self.pending)
-                for viewstamp, record in sorted(self.pending[aid].items())
-            ),
+            "pending": self._pending_records(),
         }
 
     # ------------------------------------------------------------------
@@ -1347,16 +780,9 @@ class Cohort(Actor):
         self._epoch += 1
         self.status = Status.UNDERLING  # placeholder; node is down anyway
         self.up_to_date = False
-        if self.reads is not None:
-            self.reads.reset_grants()
         if self.buffer is not None:
             self.buffer.close()
             self.buffer = None
-        # Volatile scale state dies with the process (repro.scale).
-        self._ack_children = {}
-        self._ack_children_viewid = None
-        self._ack_fwd_armed = False
-        self._witness_install_pending = set()
 
     def on_recover(self) -> None:
         """Section 4: initialize up_to_date false, max_viewid from stable
@@ -1389,13 +815,8 @@ class Cohort(Actor):
             if 0.0 < heard_at < cutoff:
                 self.last_heard[peer] = 0.0
         self.rtt.reset()
-        if self.reads is not None:
-            # Promise state was volatile: report a conservative full-duration
-            # residue at the next view change (a promise made just before
-            # the crash could still be outstanding even if recovery was
-            # quick).  Grants held as primary are simply gone.
-            self.reads.reset_grants()
-            self.reads.promise_residue()
+        for extension in self.extensions:
+            extension.reset()
         self.server_role.reset()
         self.client_role.reset()
         self.coordinator_role.reset()

@@ -110,23 +110,23 @@ class CoordinatorServerRole:
     def _abort_external(self, aid: Aid, pset_pairs) -> None:
         cohort = self.cohort
         groups = {pair.groupid for pair in pset_pairs}
+        message = m.AbortMsg(aid=aid)
         for groupid in sorted(groups):
-            if cohort.config.batch.enabled and groupid == cohort.mygroupid:
-                # Own-group participant: abort synchronously instead of
-                # mailing ourselves (mirrors ClientRole._abort_txn).
-                cohort.server_role.on_abort(m.AbortMsg(aid=aid))
-                continue
-            entry = cohort.cache.get(groupid)
-            if entry is not None:
-                cohort.send(entry.primary_address, m.AbortMsg(aid=aid))
-            else:
-                for _mid, address in cohort.locate(groupid):
-                    cohort.send(address, m.AbortMsg(aid=aid))
+            self._send_abort(groupid, message)
         cohort.add_record(Aborted(aid=aid))
         cohort.runtime.ledger.record_abort(aid, "client requested abort")
         state = self.registry.get(aid)
         if state is not None:
             state.status = "done"
+
+    def _send_abort(self, groupid: str, message: m.AbortMsg) -> None:
+        cohort = self.cohort
+        entry = cohort.cache.get(groupid)
+        if entry is not None:
+            cohort.send(entry.primary_address, message)
+        else:
+            for _mid, address in cohort.locate(groupid):
+                cohort.send(address, message)
 
     # ------------------------------------------------------------------
     # "check with the client" before unilateral abort

@@ -41,14 +41,6 @@ class ModuleGroup:
         )
         runtime.location.register(groupid, self.configuration)
 
-        self.witness_mids: frozenset = frozenset()
-        scale = self.config.scale
-        if scale is not None and scale.witnesses > 0:
-            from repro.scale import validate_witnesses, witness_mids
-
-            validate_witnesses(len(nodes), scale.witnesses)
-            self.witness_mids = witness_mids(len(nodes), scale.witnesses)
-
         initial_viewid = ViewId(1, 0)
         initial_view = View(primary=0, backups=tuple(range(1, len(nodes))))
         self.cohorts: Dict[int, Cohort] = {}
@@ -64,6 +56,11 @@ class ModuleGroup:
                 initial_viewid=initial_viewid,
                 initial_view=initial_view,
             )
+        #: members that vote but hold no event buffer (empty in the paper)
+        mids = range(len(nodes))
+        self.witness_mids = frozenset(mids) - frozenset(
+            self.cohorts[0].storage_members(mids)
+        )
 
     # -- structure ------------------------------------------------------------
 

@@ -375,6 +375,11 @@ class ReadReplyMsg(Message):
     groupid: str
 
 
+#: ``ReadRejectMsg.reason`` of a cohort with no read path armed: the driver
+#: does not retry it elsewhere, it falls back to the full call path.
+READ_PATH_ABSENT = "reads_disabled"
+
+
 @dataclasses.dataclass(slots=True)
 class ReadRejectMsg(Message):
     """The cohort cannot serve the read: reads disabled, no valid lease,

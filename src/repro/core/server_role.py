@@ -52,7 +52,6 @@ class ServerRole:
         self._unprepared_queries: Dict[Aid, int] = {}
         self._call_procs: list = []
         self._janitor_timer = None
-        self._query_counter = 0  # batched mode: round-robin query fan-out
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -326,27 +325,17 @@ class ServerRole:
             )
             self._unprepared_queries.pop(aid, None)
         self._trace_prepare(aid, "accepted", read_only=read_only)
-        self._send_or_deliver_locally(
+        self._answer_coordinator(
             msg.coordinator,
             m.PrepareOkMsg(aid=aid, groupid=cohort.mygroupid, read_only=read_only),
         )
         cohort.metrics.incr(f"prepares_accepted:{cohort.mygroupid}")
 
-    def _send_or_deliver_locally(self, destination: str, message) -> None:
-        """Batched mode: a reply addressed to our own cohort skips the
-        network (this group coordinates a transaction on itself -- the
-        sharded single-key path).  Unbatched, everything goes on the wire,
-        reproducing the paper's message pattern exactly."""
-        cohort = self.cohort
-        if cohort.config.batch.enabled and destination == cohort.address:
-            if isinstance(message, m.PrepareOkMsg):
-                cohort.client_role.on_prepare_ok(message)
-            elif isinstance(message, m.CommitAckMsg):
-                cohort.client_role.on_commit_ack(message)
-            else:  # pragma: no cover - only the two replies above shortcut
-                cohort.send(destination, message)
-            return
-        cohort.send(destination, message)
+    def _answer_coordinator(self, destination: str, message) -> None:
+        """A ``PrepareOkMsg`` / ``CommitAckMsg`` goes on the wire, also when
+        this group coordinates the transaction on itself: the paper's
+        message pattern exactly."""
+        self.cohort.send(destination, message)
 
     def _drop_orphan_calls(
         self, aid: Aid, pset_pairs, aborted_subactions: Tuple[int, ...]
@@ -417,7 +406,7 @@ class ServerRole:
             # before our own CommitMsg arrives, while write locks are still
             # held and pending/prepared still name the aid.
             if ack_to is not None:
-                self._send_or_deliver_locally(
+                self._answer_coordinator(
                     ack_to, m.CommitAckMsg(aid=aid, groupid=cohort.mygroupid)
                 )
             return
@@ -445,7 +434,7 @@ class ServerRole:
             if cohort._epoch != epoch or not cohort.is_active_primary:
                 return
             if ack_to is not None:
-                self._send_or_deliver_locally(
+                self._answer_coordinator(
                     ack_to, m.CommitAckMsg(aid=aid, groupid=cohort.mygroupid)
                 )
 
@@ -501,15 +490,6 @@ class ServerRole:
         try:
             members = cohort.locate(aid.groupid)
         except KeyError:
-            return
-        if cohort.config.batch.enabled and len(members) > 1:
-            # Batched mode: ask one coordinator cohort per sweep instead of
-            # fanning out to the whole group; the round-robin still reaches
-            # every member across consecutive sweeps, so a lone survivor is
-            # eventually asked (queries are periodic, section 3.4).
-            self._query_counter += 1
-            _mid, address = tuple(members)[self._query_counter % len(members)]
-            cohort.send(address, m.QueryMsg(aid=aid, reply_to=cohort.address))
             return
         for _mid, address in members:
             cohort.send(address, m.QueryMsg(aid=aid, reply_to=cohort.address))

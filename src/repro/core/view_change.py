@@ -29,8 +29,9 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 from repro.core import messages as m
-from repro.core.events import NewView
-from repro.core.view import View, majority
+from repro.core.cohort import Status
+from repro.core.events import NewView, ViewEdit
+from repro.core.view import View, majority, sub_majority
 from repro.core.viewstamp import ViewId, Viewstamp
 from repro.detect import Backoff
 
@@ -92,8 +93,6 @@ class ViewChangeController:
     # ------------------------------------------------------------------
 
     def become_manager(self) -> None:
-        from repro.core.cohort import Status
-
         cohort = self.cohort
         if not cohort.node.up:
             return
@@ -107,26 +106,18 @@ class ViewChangeController:
         cohort.runtime.ledger.record_view_change_started(
             cohort.mygroupid, cohort.sim.now
         )
-        if cohort.tracer is not None:
-            cohort.tracer.emit(
-                "view_manager",
-                node=cohort.node.node_id,
-                group=cohort.mygroupid,
-                mid=cohort.mymid,
-            )
+        cohort.emit("view_manager")
         self._make_invitations()
 
     def _make_invitations(self) -> None:
         """Figure 5: mint a new viewid, invite everyone, await responses."""
-        from repro.core.cohort import Status
-
         cohort = self.cohort
         if cohort.status is not Status.VIEW_MANAGER:
             return  # a stale retry timer fired after we stopped managing
         cohort.max_viewid = cohort.max_viewid.next_for(cohort.mymid)
         self._manage_rounds += 1
         self._formed = False
-        self._responses = {cohort.mymid: self._own_acceptance()}
+        self._responses = {cohort.mymid: self.build_acceptance()}
         for peer, address in cohort.configuration:
             if peer != cohort.mymid:
                 cohort.send(
@@ -154,8 +145,6 @@ class ViewChangeController:
         self._retransmit_timer = cohort.set_timer(period, self._retransmit_invites)
 
     def _retransmit_invites(self) -> None:
-        from repro.core.cohort import Status
-
         cohort = self.cohort
         self._retransmit_timer = None
         if cohort.status is not Status.VIEW_MANAGER or self._formed:
@@ -175,39 +164,10 @@ class ViewChangeController:
             cohort.metrics.incr(f"invite_retransmits:{cohort.mygroupid}", resent)
         self._arm_invite_retransmit()
 
-    def _own_acceptance(self) -> m.AcceptMsg:
+    def build_acceptance(self) -> m.AcceptMsg:
+        """This cohort's answer to the invitation it holds (``do_accept``):
+        normal with its viewstamp, or crashed with its stable viewid."""
         cohort = self.cohort
-        lease_promises = ()
-        if cohort.reads is not None:
-            # Report outstanding read-lease promises so the formation can
-            # defer the new primary past any lease an old one could still
-            # be serving under (docs/READS.md).
-            lease_promises = cohort.reads.outstanding_promises()
-        if cohort.is_witness:
-            # Witnesses vote -- the acceptance counts toward the majority
-            # and they join the formed view -- but carry no viewstamp
-            # evidence: they hold no event buffer, so the formation
-            # conditions must be met by storage members alone
-            # (repro.scale, docs/SCALE.md).
-            if cohort.tracer is not None:
-                cohort.tracer.emit(
-                    "witness_vote",
-                    node=cohort.node.node_id,
-                    group=cohort.mygroupid,
-                    mid=cohort.mymid,
-                    viewid=str(cohort.max_viewid),
-                )
-            return m.AcceptMsg(
-                viewid=cohort.max_viewid,
-                mid=cohort.mymid,
-                crashed=False,
-                viewstamp=None,
-                was_primary=False,
-                crash_viewid=None,
-                view=cohort.cur_view,
-                lease_promises=lease_promises,
-                witness=True,
-            )
         if cohort.up_to_date:
             return m.AcceptMsg(
                 viewid=cohort.max_viewid,
@@ -218,7 +178,6 @@ class ViewChangeController:
                 and cohort.cur_view.primary == cohort.mymid,
                 crash_viewid=None,
                 view=cohort.cur_view,
-                lease_promises=lease_promises,
             )
         return m.AcceptMsg(
             viewid=cohort.max_viewid,
@@ -227,7 +186,6 @@ class ViewChangeController:
             viewstamp=None,
             was_primary=False,
             crash_viewid=cohort.cur_viewid,
-            lease_promises=lease_promises,
         )
 
     # ------------------------------------------------------------------
@@ -235,8 +193,6 @@ class ViewChangeController:
     # ------------------------------------------------------------------
 
     def on_invite(self, msg: m.InviteMsg) -> None:
-        from repro.core.cohort import Status
-
         cohort = self.cohort
         if msg.viewid < cohort.max_viewid:
             return  # "ignore the msg"
@@ -246,8 +202,6 @@ class ViewChangeController:
         self._do_accept(msg.viewid, msg.manager_mid)
 
     def _do_accept(self, viewid: ViewId, manager_mid: int) -> None:
-        from repro.core.cohort import Status
-
         cohort = self.cohort
         if cohort.status is Status.ACTIVE:
             cohort.leave_active()
@@ -255,16 +209,8 @@ class ViewChangeController:
         self._cancel_timers()
         self._installing = False
         cohort.status = Status.UNDERLING
-        if cohort.tracer is not None:
-            cohort.tracer.emit(
-                "invite_accepted",
-                node=cohort.node.node_id,
-                group=cohort.mygroupid,
-                mid=cohort.mymid,
-                viewid=str(viewid),
-                manager=manager_mid,
-            )
-        cohort.send_mid(manager_mid, self._own_acceptance())
+        cohort.emit("invite_accepted", viewid=str(viewid), manager=manager_mid)
+        cohort.send_mid(manager_mid, self.build_acceptance())
         self._arm_await_timer()
 
     def _arm_await_timer(self) -> None:
@@ -278,8 +224,6 @@ class ViewChangeController:
         self._await_timer = cohort.set_timer(delay, self._await_timeout)
 
     def _await_timeout(self) -> None:
-        from repro.core.cohort import Status
-
         if self.cohort.status is Status.UNDERLING:
             self.become_manager()
 
@@ -288,8 +232,6 @@ class ViewChangeController:
     # ------------------------------------------------------------------
 
     def on_accept(self, msg: m.AcceptMsg) -> None:
-        from repro.core.cohort import Status
-
         cohort = self.cohort
         if cohort.status is not Status.VIEW_MANAGER:
             return
@@ -311,8 +253,6 @@ class ViewChangeController:
             self._attempt_formation()
 
     def _attempt_formation(self) -> None:
-        from repro.core.cohort import Status
-
         cohort = self.cohort
         if cohort.status is not Status.VIEW_MANAGER or self._formed:
             return
@@ -340,11 +280,8 @@ class ViewChangeController:
             return
         self._formed = True
         if cohort.tracer is not None:
-            cohort.tracer.emit(
+            cohort.emit(
                 "view_formed",
-                node=cohort.node.node_id,
-                group=cohort.mygroupid,
-                mid=cohort.mymid,
                 viewid=str(cohort.max_viewid),
                 primary=view.primary,
                 members=sorted(view.members),
@@ -352,24 +289,18 @@ class ViewChangeController:
             )
         if self._retry_backoff is not None and self._retry_backoff.reset():
             cohort.metrics.incr(f"backoff_resets:{cohort.mygroupid}")
-        lease_bound = 0.0
-        if cohort.reads is not None:
-            from repro.reads.lease import formation_lease_bound
-
-            lease_bound = formation_lease_bound(
-                self._responses.values(), view.primary
-            )
+        init = self.build_init_view(view)
         if view.primary == cohort.mymid:
-            self._start_view(view, lease_bound)
+            self._start_view(init)
         else:
-            cohort.send_mid(
-                view.primary,
-                m.InitViewMsg(
-                    viewid=cohort.max_viewid, view=view, lease_bound=lease_bound
-                ),
-            )
+            cohort.send_mid(view.primary, init)
             cohort.status = Status.UNDERLING
             self._arm_await_timer()
+
+    def build_init_view(self, view: View) -> m.InitViewMsg:
+        """ "You start view ``max_viewid`` with *view*" -- also when the
+        chosen primary is this manager itself."""
+        return m.InitViewMsg(viewid=self.cohort.max_viewid, view=view)
 
     def form_view(self, responses: Dict[int, m.AcceptMsg]) -> Optional[View]:
         """Apply the section-4 formation rule; None when it cannot be met."""
@@ -377,61 +308,37 @@ class ViewChangeController:
         accepted = list(responses.values())
         if len(accepted) < majority(cohort.config_size):
             return None
-        # Witness acceptances (repro.scale) count toward the majority and
-        # join the formed view, but carry no viewstamp/crash evidence --
-        # they are excluded from both evidence partitions.
+        # An acceptor that holds no state (AcceptMsg.witness) votes and
+        # joins the view, but carries no evidence.
         normals = [a for a in accepted if not a.crashed and not a.witness]
         crashed = [a for a in accepted if a.crashed and not a.witness]
         if not normals:
             return None
         normal_vs: Viewstamp = max(a.viewstamp for a in normals)
         normal_viewid = normal_vs.id
-        cfg_witnesses = getattr(cohort, "_witnesses", frozenset())
-        if cfg_witnesses:
-            # With witnesses configured, force quorums are all-storage
-            # (``majority(n)`` buffer-holding members counting the
-            # primary), so the paper's condition 1 relaxes to *coverage*:
-            # enough storage members accepted normally that they intersect
-            # every possible force quorum of every view, hence no forced
-            # event can be missing from their joint state.
-            storage = cohort.config_size - len(cfg_witnesses)
-            covered = len(normals) >= storage - majority(cohort.config_size) + 1
+        if len(normals) < self.normals_needed():  # condition 1 fails
             if not crashed:
-                if not covered:
-                    return None
-            else:
-                crash_viewid = max(a.crash_viewid for a in crashed)
-                cond2 = crash_viewid < normal_viewid
-                cond3 = crash_viewid == normal_viewid and any(
-                    a.was_primary and a.viewstamp.id == normal_viewid
-                    for a in normals
-                )
-                cond4 = (
-                    crash_viewid == normal_viewid
-                    and getattr(cohort.config, "extended_formation_rule", False)
-                    and self._backups_cover_forces(normals, normal_viewid)
-                )
-                if not (covered or cond2 or cond3 or cond4):
-                    return None
-        elif crashed:
+                return None
             crash_viewid = max(a.crash_viewid for a in crashed)
-            cond1 = len(normals) >= majority(cohort.config_size)
             cond2 = crash_viewid < normal_viewid
             cond3 = crash_viewid == normal_viewid and any(
                 a.was_primary and a.viewstamp.id == normal_viewid for a in normals
             )
             cond4 = (
                 crash_viewid == normal_viewid
-                and getattr(cohort.config, "extended_formation_rule", False)
+                and cohort.config.extended_formation_rule
                 and self._backups_cover_forces(normals, normal_viewid)
             )
-            if not (cond1 or cond2 or cond3 or cond4):
+            if not (cond2 or cond3 or cond4):
                 return None
         primary = self._choose_primary(normals, normal_vs)
-        backups = tuple(
-            sorted(a.mid for a in accepted if a.mid != primary)
-        )
+        backups = tuple(sorted(a.mid for a in accepted if a.mid != primary))
         return View(primary=primary, backups=backups)
+
+    def normals_needed(self) -> int:
+        """Condition 1: normal acceptors enough to intersect every force
+        quorum of every view -- when every member stores, a majority."""
+        return majority(self.cohort.config_size)
 
     def _backups_cover_forces(self, normals, normal_viewid) -> bool:
         """Extended formation condition (beyond the paper; DESIGN.md D11).
@@ -444,18 +351,14 @@ class ViewChangeController:
         forced event -- it can safely seed the new view even though V's
         primary (which the paper's condition 3 insists on) is gone.
         """
-        from repro.core.view import sub_majority
-
         members = [a for a in normals if a.viewstamp.id == normal_viewid]
         if not members:
             return False
         old_view = next((a.view for a in members if a.view is not None), None)
         if old_view is None or old_view.primary in {a.mid for a in members}:
             return False  # no membership info / condition 3 territory
-        # Witnesses never ack buffer records, so force quorums were drawn
-        # from the storage backups only (repro.scale).
-        cfg_witnesses = getattr(self.cohort, "_witnesses", frozenset())
-        storage_backups = [b for b in old_view.backups if b not in cfg_witnesses]
+        # Force quorums are drawn from the backups that hold a buffer.
+        storage_backups = self.cohort.storage_members(old_view.backups)
         old_backups = [a for a in members if a.mid in storage_backups]
         needed = len(storage_backups) - sub_majority(self.cohort.config_size) + 1
         return len(old_backups) >= max(needed, 1)
@@ -474,36 +377,24 @@ class ViewChangeController:
     # ------------------------------------------------------------------
 
     def on_init_view(self, msg: m.InitViewMsg) -> None:
-        from repro.core.cohort import Status
-
         cohort = self.cohort
         if msg.viewid != cohort.max_viewid:
             return
         if cohort.status is Status.ACTIVE and cohort.cur_viewid == msg.viewid:
             return  # duplicate init for a view we already started
-        self._start_view(msg.view, msg.lease_bound)
+        self._start_view(msg)
 
-    def _start_view(self, view: View, lease_bound: float = 0.0) -> None:
+    def _start_view(self, init: m.InitViewMsg) -> None:
         """Figure 5 ``start_view``: open the history entry, persist the
         viewid, then activate (``activate_as_primary`` builds the newview
-        record and opens the buffer).
-
-        With reads enabled, activation is additionally deferred until
-        ``lease_bound`` has passed: an old primary may serve leased reads
-        until then, and this primary committing a write any earlier would
-        let a read miss it (docs/READS.md)."""
+        record and opens the buffer)."""
         cohort = self.cohort
         self._cancel_timers()
-        viewid = cohort.max_viewid
+        viewid, view = init.viewid, init.view
         cohort.cur_view = view
         cohort.cur_viewid = viewid
         cohort.history.open_view(viewid)
         write = cohort.stable.write("cur_viewid", viewid)
-
-        def activate() -> None:
-            if cohort.max_viewid != viewid or not cohort.node.up:
-                return  # preempted by a higher view while waiting
-            cohort.activate_as_primary(viewid, view)
 
         def on_durable(future) -> None:
             if cohort.max_viewid != viewid or not cohort.node.up:
@@ -514,25 +405,17 @@ class ViewChangeController:
                 # cur_viewid (section 4).  Refuse the view and retry.
                 self._on_viewid_write_failed(viewid, future.exception())
                 return
-            now = cohort.sim.now
-            if lease_bound > now:
-                # Grants are valid strictly before their expiry, so waiting
-                # until exactly the bound suffices.
-                if cohort.tracer is not None:
-                    cohort.tracer.emit(
-                        "lease_wait",
-                        node=cohort.node.node_id,
-                        group=cohort.mygroupid,
-                        mid=cohort.mymid,
-                        viewid=str(viewid),
-                        until=lease_bound,
-                    )
-                cohort.metrics.incr(f"lease_waits:{cohort.mygroupid}")
-                cohort.set_timer(lease_bound - now, activate)
-                return
-            activate()
+            self.activate(init)
 
         write.add_done_callback(on_durable)
+
+    def activate(self, init: m.InitViewMsg) -> None:
+        """The viewid is durable: start the view, unless a higher one
+        preempted it meanwhile."""
+        cohort = self.cohort
+        if cohort.max_viewid != init.viewid or not cohort.node.up:
+            return
+        cohort.activate_as_primary(init.viewid, init.view)
 
     def _on_viewid_write_failed(self, viewid: ViewId, error) -> None:
         """A ``cur_viewid`` stable write resolved to a failure (disk fault).
@@ -542,20 +425,11 @@ class ViewChangeController:
         underling keeps waiting so its await timer can promote it.  Either
         way the failure is counted and traced.
         """
-        from repro.core.cohort import Status
-
         cohort = self.cohort
         cohort.metrics.incr(f"stable_write_failures:{cohort.mygroupid}")
-        if cohort.tracer is not None:
-            cohort.tracer.emit(
-                "stable_write_failed",
-                node=cohort.node.node_id,
-                group=cohort.mygroupid,
-                mid=cohort.mymid,
-                viewid=str(viewid),
-                key="cur_viewid",
-                error=str(error),
-            )
+        cohort.emit(
+            "stable_write_failed", viewid=str(viewid), key="cur_viewid", error=str(error)
+        )
         if cohort.status is Status.VIEW_MANAGER:
             cohort.metrics.incr(f"view_formations_failed:{cohort.mygroupid}")
             self._formed = False
@@ -583,16 +457,20 @@ class ViewChangeController:
         first_ts, first_record = msg.records[0]
         if not isinstance(first_record, NewView):
             return
+        self.install_when_durable(
+            msg.viewid, lambda: cohort.install_newview(msg.viewid, first_record)
+        )
+
+    def install_when_durable(self, viewid: ViewId, install) -> None:
+        """Underling: persist *viewid*, then join the view with *install*."""
+        cohort = self.cohort
         self._installing = True
-        viewid = msg.viewid
         write = cohort.stable.write("cur_viewid", viewid)
 
         def on_durable(future) -> None:
             self._installing = False
             if cohort.max_viewid != viewid or not cohort.node.up:
                 return
-            from repro.core.cohort import Status
-
             if cohort.status is not Status.UNDERLING:
                 return
             if future.exception() is not None:
@@ -602,67 +480,36 @@ class ViewChangeController:
                 self._on_viewid_write_failed(viewid, future.exception())
                 return
             self._cancel_timers()
-            cohort.install_newview(viewid, first_record)
+            install()
 
         write.add_done_callback(on_durable)
 
     # ------------------------------------------------------------------
-    # witness: view announcements outside the buffer (repro.scale)
+    # unilateral edits (section 4.1, experiment E12)
     # ------------------------------------------------------------------
 
-    def on_witness_install(self, msg: m.WitnessInstallMsg) -> None:
-        """A new primary announced its formed view to this witness.
-
-        Witnesses receive no buffer traffic, so the newview record never
-        reaches them; the activating primary sends an explicit
-        ``WitnessInstallMsg`` instead and retransmits it from its heartbeat
-        loop until the witness confirms.  The confirmation reuses
-        ``BufferAckMsg(acked_ts=0)`` -- harmless to the buffer (a witness
-        mid is not in its acked map) and idempotent under loss.
-        """
-        from repro.core.cohort import Status
-
+    def try_unilateral_edit(self, view_suspects, outside_live) -> bool:
+        """Primary: exclude suspects / re-add live cohorts without a full
+        view change; False when that would lose the majority."""
         cohort = self.cohort
-        if not cohort.is_witness:
-            return
-        if cohort.status is Status.ACTIVE and cohort.cur_viewid == msg.viewid:
-            # Duplicate announcement: our ack was lost; just re-confirm.
-            self._ack_witness_install(msg)
-            return
-        if msg.viewid < cohort.max_viewid or self._installing:
-            return
-        if cohort.status is Status.ACTIVE:
-            # The announcement outran an invitation (or we missed the
-            # round entirely); a formed view always supersedes.
-            cohort.leave_active()
-        cohort.max_viewid = msg.viewid
-        cohort.status = Status.UNDERLING
-        self._installing = True
-        viewid = msg.viewid
-        view = msg.view
-
-        def on_durable(future) -> None:
-            self._installing = False
-            if cohort.max_viewid != viewid or not cohort.node.up:
-                return
-            if cohort.status is not Status.UNDERLING:
-                return
-            if future.exception() is not None:
-                self._on_viewid_write_failed(viewid, future.exception())
-                return
-            self._cancel_timers()
-            cohort.install_as_witness(viewid, view)
-            self._ack_witness_install(msg)
-
-        write = cohort.stable.write("cur_viewid", viewid)
-        write.add_done_callback(on_durable)
-
-    def _ack_witness_install(self, msg: m.WitnessInstallMsg) -> None:
-        cohort = self.cohort
-        cohort.send_mid(
-            msg.view.primary,
-            m.BufferAckMsg(viewid=msg.viewid, acked_ts=0, mid=cohort.mymid),
-        )
+        new_backups = set(cohort.cur_view.backups)
+        for peer in view_suspects:
+            if peer != cohort.cur_view.primary:
+                new_backups.discard(peer)
+        for peer in outside_live:
+            new_backups.add(peer)
+        if len(new_backups) + 1 < majority(cohort.config_size):
+            # Losing the majority: the primary must stop working on
+            # transactions (section 4.1) -- full view change instead.
+            return False
+        if new_backups == set(cohort.cur_view.backups):
+            return True  # only the primary is suspect of itself; nothing to do
+        edited = tuple(sorted(new_backups))
+        cohort.add_record(ViewEdit(backups=edited))
+        cohort.buffer.set_backups(cohort.storage_members(edited))
+        cohort.metrics.incr("unilateral_view_edits")
+        cohort.buffer.flush()
+        return True
 
     # ------------------------------------------------------------------
 

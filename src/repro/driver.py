@@ -506,7 +506,7 @@ class Driver(Actor):
                 message.view,
                 self.runtime.location.primary_address(message.groupid, message.view),
             )
-        if message.reason == "reads_disabled" or request.retries_left <= 0:
+        if message.reason == m.READ_PATH_ABSENT or request.retries_left <= 0:
             self._reads.pop(message.request_id, None)
             self._finish_read_via_fallback(request, message.reason)
             return

@@ -419,7 +419,7 @@ def _lease_overhead(quick: bool):
     must schedule *identically* -- asserted on the full ledger digest,
     event count and clock included.  The disabled pass supplies the
     report's events/s figure and digest, so the baseline gate gates the
-    ``reads is None`` hot path; the armed/disabled ratio lands in
+    extension-free hot path; the armed/disabled ratio lands in
     ``extra``."""
     from repro.config import ProtocolConfig, ReadConfig
 

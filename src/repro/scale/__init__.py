@@ -4,27 +4,17 @@ VR'88 assumes every backup talks directly to the primary: I'm-alive
 traffic is all-to-all and buffer-ack fan-in makes the primary an O(n)
 hot spot.  "Can 100 Machines Agree?" (PAPERS.md) shows agreement
 protocols degrade qualitatively around n=100; this package adds the
-three classic remedies, each independently toggleable through
-:class:`repro.config.ScaleConfig` and each *off by the absence of the
-config* -- ``ProtocolConfig.scale is None`` (or a ScaleConfig with every
-mechanism off) replays the paper-faithful schedules byte-for-byte,
-proven by ``python -m repro.scale.gate`` and the ``scale_overhead``
-perf scenario:
-
-- **gossip heartbeats** -- each cohort heartbeats ``gossip_fanout``
-  seeded-random peers per period, attaching fresh liveness *evidence*
-  (``(mid, heard_at)`` pairs); receivers fold relayed evidence into the
-  accrual detector via :meth:`repro.detect.FailureDetector.heard_relayed`,
-  which advances last-heard without polluting the RTT or inter-arrival
-  estimators (a relay hop is not an RTT sample);
-- **ack trees** -- storage backups forward cumulative buffer acks up a
-  deterministic ``ack_fanout``-ary tree (:class:`AckTree`, sorted by
-  module id) instead of straight to the primary, coalescing their
-  subtree's ``(mid, acked_ts)`` pairs for ``ack_delay`` first;
-- **witness replicas** -- the highest ``witnesses`` module ids vote in
-  view formation but hold no event buffer, shrinking replication
-  fan-out; :func:`witness_mids` / :func:`validate_witnesses` bound them
-  by ``n - majority(n)`` so force quorums stay all-storage.
+three classic remedies -- **gossip heartbeats** (:mod:`repro.scale.gossip`),
+**ack trees** (:mod:`repro.scale.ack_tree`) and **witness replicas**
+(:mod:`repro.scale.witness`) -- each independently toggleable through
+:class:`repro.config.ScaleConfig`, each one cohort extension
+(:mod:`repro.core.extension`), and each *off by the absence of the
+config*: ``ProtocolConfig.scale is None`` (or a ScaleConfig with every
+mechanism off) builds none of them, never imports this package, and
+replays the paper-faithful schedules byte-for-byte, proven by ``python -m
+repro.scale.gate`` and the ``scale_overhead`` perf scenario.  This module
+holds what they compute with: the :class:`AckTree` topology and the
+witness sizing rules.
 """
 
 from __future__ import annotations

@@ -1,0 +1,96 @@
+"""Gossip heartbeats (``ScaleConfig(gossip=True)``; docs/SCALE.md).
+
+Instead of every cohort beaconing every peer, each round reaches a
+seeded-random ``gossip_fanout`` sample and carries recent liveness
+*evidence* -- ``(mid, heard_at)`` pairs -- which receivers fold into their
+failure detector; the epidemic relay replaces the all-peers broadcast.
+"""
+
+from __future__ import annotations
+
+from typing import Callable, Tuple
+
+from repro.core import messages as m
+from repro.core.cohort import Status
+from repro.core.extension import Extension, Table, wrap, wrap_row
+
+
+class Gossip(Extension):
+    def __init__(self, cohort, scale, beacon_primary: bool) -> None:
+        super().__init__(cohort)
+        self.scale = scale
+        #: a backup's sample always includes its primary (lease grants ride
+        #: the beacon: the primary must keep hearing it directly even on
+        #: rounds the epidemic fan-out happens to miss it)
+        self.beacon_primary = beacon_primary
+        self._rng = cohort.runtime.sim.rng.fork(f"gossip/{cohort.address}")
+        self._evidence: Tuple[Tuple[int, float], ...] = ()  # this round's
+        wrap(cohort, "beacon", self._beacon_sample)
+        wrap(cohort, "build_im_alive", self._carry_evidence)
+
+    def wire(self, any_status: Table, primary_only: Table) -> None:
+        wrap_row(any_status, m.ImAliveMsg, self._fold_evidence)
+
+    def _beacon_sample(self, beacon: Callable, _all_peers) -> None:
+        cohort = self.cohort
+        pairs = self._sample()
+        self._evidence = self._fresh_evidence()
+        if self._evidence and cohort.tracer is not None:
+            cohort.emit(
+                "gossip_relay",
+                targets=sorted(peer for peer, _addr in pairs),
+                evidence=len(self._evidence),
+            )
+        beacon(pairs)
+
+    def _sample(self):
+        """The (peer, address) fan-out this round beacons."""
+        cohort = self.cohort
+        peers = [pair for pair in cohort.configuration if pair[0] != cohort.mymid]
+        k = min(self.scale.gossip_fanout, len(peers))
+        if k >= len(peers):
+            return peers
+        chosen = self._rng.sample(peers, k)
+        if (
+            self.beacon_primary
+            and cohort.status is Status.ACTIVE
+            and cohort.cur_view is not None
+            and not cohort.is_primary
+        ):
+            primary = cohort.cur_view.primary
+            if all(peer != primary for peer, _addr in chosen):
+                chosen.append((primary, cohort.peer_address(primary)))
+        return chosen
+
+    def _fresh_evidence(self) -> Tuple[Tuple[int, float], ...]:
+        """Fresh (mid, heard_at) liveness evidence to relay this round."""
+        cohort = self.cohort
+        horizon = (
+            self.scale.evidence_horizon_intervals * cohort.config.im_alive_interval
+        )
+        cutoff = cohort.sim.now - horizon
+        evidence = []
+        for peer, _addr in cohort.configuration:
+            if peer == cohort.mymid:
+                continue
+            heard = cohort.detect.last_heard(peer)
+            if heard > 0.0 and heard >= cutoff:
+                evidence.append((peer, heard))
+        return tuple(evidence)
+
+    def _carry_evidence(self, build: Callable, peer: int) -> m.ImAliveMsg:
+        beacon = build(peer)
+        beacon.evidence = self._evidence
+        return beacon
+
+    def _fold_evidence(self, handler: Callable, msg: m.ImAliveMsg) -> None:
+        # Relay hops are excluded from the RTT estimator by design; the
+        # interval EWMA is fed origin-time deltas (see heard_relayed).
+        cohort = self.cohort
+        for peer, heard_at in msg.evidence:
+            if peer == cohort.mymid or peer == msg.mid:
+                continue
+            cohort.detect.heard_relayed(peer, heard_at)
+            if heard_at > cohort.last_heard.get(peer, 0.0):
+                cohort.last_heard[peer] = heard_at
+        handler(msg)

@@ -98,3 +98,27 @@ class Future:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Future({self.label!r}, {self._state})"
+
+
+def all_done(*futures: Future, label: str = "") -> Future:
+    """A future that resolves (to None) once every one of *futures* has,
+    and fails with the first failure among them."""
+    combined = Future(label=label)
+    remaining = [len(futures)]
+
+    def one_done(future: Future) -> None:
+        if combined.done:
+            return
+        error = future.exception()
+        if error is not None:
+            combined.set_exception(error)
+            return
+        remaining[0] -= 1
+        if remaining[0] == 0:
+            combined.set_result(None)
+
+    for future in futures:
+        future.add_done_callback(one_done)
+    if not futures:
+        combined.set_result(None)
+    return combined

@@ -71,7 +71,7 @@ EVENT_KINDS: Dict[str, str] = {
     "shard_route": "a sharded facade routed a request to its owning groups",
     "shard_prepare": "a cross-group prepare went out to one participant",
     "shard_commit": "a cross-group commit point covering many participants",
-    # read serving path (repro.reads, core/cohort.py, core/view_change.py)
+    # read serving path (repro.reads.serving)
     "lease_grant": "a primary's read lease became valid (quorum of grants)",
     "lease_expire": "a primary's read lease lapsed or was surrendered",
     "lease_read": "a leased primary served a linearizable local read",
@@ -79,7 +79,7 @@ EVENT_KINDS: Dict[str, str] = {
     "stale_read": "a backup served a stale-bounded read from its prefix",
     # geo routing (repro.geo, driver.py)
     "geo_route": "a sited driver routed a read to its nearest serving replica",
-    # cohort scaling (repro.scale, core/cohort.py, core/view_change.py)
+    # cohort scaling (repro.scale.gossip / ack_tree / witness)
     "gossip_relay": "a heartbeat carried relayed liveness evidence to gossip peers",
     "ack_tree": "an interior backup forwarded its subtree's aggregated buffer acks",
     "witness_vote": "a witness accepted an invitation without viewstamp evidence",

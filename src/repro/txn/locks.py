@@ -223,23 +223,30 @@ class LockManager:
                 held[uid] = info.kind
         return held
 
-    def materialize(self, uid: str, aid: Any, kind: str) -> LockInfo:
-        """Directly install a lock without queueing (view-change replay).
+    def rematerialize(self, pending) -> None:
+        """New primary: rebuild lock/tentative state from *pending*, the
+        cohort's ``aid -> {viewstamp: completed-call record}`` table.
 
-        Used when a new primary rebuilds lock state from surviving records
-        (section 3.7): those locks were granted under 2PL before the view
-        change, so installing them cannot conflict.  Keeps the reverse
-        index consistent, unlike writing ``obj.lockers`` directly.
+        Section 3.7 requires that locks survive a view change exactly when
+        their completed-call records do.  Records reflect locks that were
+        granted under 2PL before the view change, so installing them
+        directly, without queueing, cannot conflict.
         """
-        obj = self.store.ensure(uid)
-        info = obj.lockers.get(aid)
-        if info is None:
-            info = LockInfo(kind=kind)
-            obj.lockers[aid] = info
-        if kind == WRITE:
-            info.kind = WRITE
-        self._held.setdefault(aid, {})[uid] = None
-        return info
+        self.reset()
+        for aid, calls in pending.items():
+            for viewstamp in sorted(calls):
+                for effect in calls[viewstamp].effects:
+                    obj = self.store.ensure(effect.uid)
+                    info = obj.lockers.get(aid)
+                    if info is None:
+                        info = obj.lockers[aid] = LockInfo(kind=effect.kind)
+                    if effect.kind == WRITE:
+                        info.kind = WRITE
+                    self._held.setdefault(aid, {})[effect.uid] = None
+                    for subaction, value in effect.writes:
+                        info.writes.append(
+                            TentativeWrite(subaction=subaction, value=value)
+                        )
 
     def reset(self) -> None:
         """Drop all lock state (used when installing a newview gstate)."""

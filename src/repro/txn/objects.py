@@ -95,6 +95,25 @@ class ObjectStore:
     def uids(self) -> Iterable[str]:
         return self._objects.keys()
 
+    def install_calls(self, calls, allowed) -> None:
+        """A backup's commit: perform the writes of one transaction's stored
+        completed-call records (*calls*: viewstamp -> record), in viewstamp
+        order.  A non-empty *allowed* names the viewstamps in the pset."""
+        final_values = {}
+        for viewstamp in sorted(calls):
+            if allowed and viewstamp not in allowed:
+                continue  # orphaned subaction (section 3.6); skip its writes
+            for effect in calls[viewstamp].effects:
+                if effect.kind != WRITE or not effect.writes:
+                    continue
+                final_values[effect.uid] = effect.writes[-1][1]
+        # One version bump per object per transaction, matching the
+        # primary's install (LockManager.install).
+        for uid, value in final_values.items():
+            obj = self.ensure(uid)
+            obj.base = value
+            obj.version += 1
+
     # -- gstate snapshot / restore (for newview records) --------------------
 
     def snapshot(self) -> Dict[str, Tuple[Any, int]]:

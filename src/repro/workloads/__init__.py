@@ -1,4 +1,5 @@
-"""Workload generators and failure schedules for experiments and chaos tests."""
+"""Workload generators for experiments and chaos tests (failure schedules
+are :mod:`repro.faults` rules)."""
 
 from repro.workloads.airline import AirlineSpec, book_trip_program
 from repro.workloads.bank import (
@@ -24,30 +25,22 @@ from repro.workloads.orders import (
     check_order_invariants,
     place_order_program,
 )
-from repro.workloads.schedules import (
-    CrashRecoverySchedule,
-    PartitionSchedule,
-    kill_primary_every,
-)
 
 __all__ = [
     "AirlineSpec",
     "BankAccountsSpec",
     "ClosedLoopStats",
-    "CrashRecoverySchedule",
     "InventorySpec",
     "KVStoreSpec",
     "OpenLoopStats",
     "OrderLogSpec",
     "PaymentsSpec",
-    "PartitionSchedule",
     "ZipfianGenerator",
     "audit_program",
     "book_trip_program",
     "check_order_invariants",
     "cross_bank_transfer_program",
     "deposit_program",
-    "kill_primary_every",
     "latency_histogram",
     "place_order_program",
     "read_program",

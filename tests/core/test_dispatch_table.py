@@ -6,10 +6,12 @@ concrete message class is accounted for, here, by name.
 """
 
 import dataclasses
+import functools
 import inspect
 
 import pytest
 
+from repro import BatchConfig, EmptyModule, ProtocolConfig, ReadConfig, Runtime, ScaleConfig
 from repro.core import messages as m
 from repro.core.cohort import Status
 from repro.net.messages import Message
@@ -28,6 +30,16 @@ DRIVER_ONLY = {
 }
 
 
+#: Wired only by the extension that owns them (repro.scale witnesses).
+EXTENSION_OWNED = {m.WitnessInstallMsg}
+
+ALL_ARMED = ProtocolConfig(
+    batch=BatchConfig(enabled=True),
+    reads=ReadConfig(enabled=True),
+    scale=ScaleConfig(gossip=True, ack_tree=True, witnesses=1),
+)
+
+
 def _concrete_messages():
     return {
         cls
@@ -41,8 +53,22 @@ def test_every_message_class_is_in_exactly_one_table_or_driver_only():
     cohort = group.cohort(0)
     any_status, primary_only = set(cohort._any_status), set(cohort._primary_only)
     assert not any_status & primary_only
-    assert not (any_status | primary_only) & DRIVER_ONLY
-    assert any_status | primary_only | DRIVER_ONLY == _concrete_messages()
+    assert not (any_status | primary_only) & (DRIVER_ONLY | EXTENSION_OWNED)
+    assert (
+        any_status | primary_only | DRIVER_ONLY | EXTENSION_OWNED
+        == _concrete_messages()
+    )
+
+
+def test_every_message_class_is_in_exactly_one_table_with_every_extension_armed():
+    rt = Runtime(seed=3, config=ALL_ARMED)
+    group = rt.create_group("g", EmptyModule(), n_cohorts=5)
+    for cohort in group.cohorts.values():
+        assert len(cohort.extensions) == 5
+        any_status, primary_only = set(cohort._any_status), set(cohort._primary_only)
+        assert not any_status & primary_only
+        assert not (any_status | primary_only) & DRIVER_ONLY
+        assert any_status | primary_only | DRIVER_ONLY == _concrete_messages()
 
 
 def test_recovery_rewires_the_replaced_caller():
@@ -53,6 +79,33 @@ def test_recovery_rewires_the_replaced_caller():
     cohort.node.recover()
     assert before.__self__ is not cohort.caller
     assert cohort._any_status[m.ReplyMsg].__self__ is cohort.caller
+
+
+def test_recovery_rewires_the_wrapped_rows_once():
+    """Tables are rebuilt on recovery, so every extension wraps its rows
+    again -- around the *new* base rows, and exactly one layer each."""
+    rt = Runtime(seed=3, config=ALL_ARMED)
+    group = rt.create_group("g", EmptyModule(), n_cohorts=5)
+    cohort = group.cohort(1)
+
+    def layers(handler):
+        """Wrappers between a row and the cohort's own method."""
+        depth = 0
+        while isinstance(handler, functools.partial):
+            handler, depth = handler.args[0], depth + 1
+        assert handler.__self__ is cohort
+        return depth
+
+    wrapped = (m.BufferAckMsg, m.ImAliveMsg, m.BufferMsg)
+    before = {cls: cohort._any_status[cls] for cls in wrapped}
+    depth = {cls: layers(before[cls]) for cls in wrapped}
+    assert depth == {m.BufferAckMsg: 4, m.ImAliveMsg: 2, m.BufferMsg: 2}
+    cohort.node.crash()
+    cohort.node.recover()
+    for cls in wrapped:
+        assert cohort._any_status[cls] is not before[cls]
+        assert layers(cohort._any_status[cls]) == depth[cls]
+    assert cohort._any_status[m.ReadMsg].__self__ is cohort.extensions[2]  # Leases
 
 
 def _rejected(cohort, message, source="elsewhere"):

@@ -23,6 +23,8 @@ class _FakeCohort:
         self.config_size = config_size
         self.config = ProtocolConfig(extended_formation_rule=extended)
 
+    storage_members = staticmethod(tuple)  # as Cohort: every member stores
+
 
 def controller(config_size=3, extended=False):
     from repro.core.view_change import ViewChangeController

@@ -9,17 +9,25 @@ exists and the system quiesces.
 
 import pytest
 
-from repro import EmptyModule, Runtime
+from repro import EmptyModule, Nemesis, Runtime
 from repro.config import ProtocolConfig
 from repro.storage.stable import StableStoragePolicy
 from repro.workloads.bank import BankAccountsSpec, transfer_program
 from repro.workloads.bank import total_balance as spec_total
 from repro.workloads.loadgen import run_closed_loop
-from repro.workloads.schedules import (
-    CrashRecoverySchedule,
-    PartitionSchedule,
-    kill_primary_every,
-)
+
+
+def crash_churn(rt, group, **knobs):
+    rt.inject(Nemesis().crash_churn([n.node_id for n in group.nodes()], **knobs))
+
+
+def partition_storm(rt, group, **knobs):
+    rt.inject(Nemesis().partition_storm([n.node_id for n in group.nodes()], **knobs))
+
+
+def stop_faults(rt):
+    rt.faults.stop()
+    rt.network.heal()
 
 
 def build(seed, config=None):
@@ -63,14 +71,11 @@ def test_crash_churn_preserves_safety(seed):
     rt, bank, _clients, driver, spec = build(seed)
     stats = run_closed_loop(rt, driver, "clients", jobs_for(rt, spec, 50),
                             concurrency=3)
-    schedule = CrashRecoverySchedule(
-        rt, bank.nodes(), mttf=900.0, mttr=250.0, max_down=1
-    )
-    schedule.start()
+    crash_churn(rt, bank, mttf=900.0, mttr=250.0, max_down=1)
     deadline = rt.sim.now + 60_000
     while stats.submitted < 50 and rt.sim.now < deadline:
         rt.run_for(500)
-    schedule.stop()
+    rt.faults.stop()
     assert stats.committed > 0
     assert_safety(rt, bank, spec)
 
@@ -80,17 +85,11 @@ def test_partition_storm_preserves_safety(seed):
     rt, bank, _clients, driver, spec = build(seed)
     stats = run_closed_loop(rt, driver, "clients", jobs_for(rt, spec, 40),
                             concurrency=3)
-    schedule = PartitionSchedule(
-        rt,
-        [node.node_id for node in bank.nodes()],
-        mean_healthy=500.0,
-        mean_partitioned=300.0,
-    )
-    schedule.start()
+    partition_storm(rt, bank, mean_healthy=500.0, mean_partitioned=300.0)
     deadline = rt.sim.now + 60_000
     while stats.submitted < 40 and rt.sim.now < deadline:
         rt.run_for(500)
-    schedule.stop()
+    stop_faults(rt)
     assert_safety(rt, bank, spec)
 
 
@@ -98,19 +97,12 @@ def test_combined_crashes_and_partitions():
     rt, bank, _clients, driver, spec = build(seed=71)
     stats = run_closed_loop(rt, driver, "clients", jobs_for(rt, spec, 40),
                             concurrency=2)
-    crash = CrashRecoverySchedule(rt, bank.nodes(), mttf=1200.0, mttr=300.0,
-                                  max_down=1)
-    partition = PartitionSchedule(
-        rt, [node.node_id for node in bank.nodes()],
-        mean_healthy=800.0, mean_partitioned=250.0,
-    )
-    crash.start()
-    partition.start()
+    crash_churn(rt, bank, mttf=1200.0, mttr=300.0, max_down=1)
+    partition_storm(rt, bank, mean_healthy=800.0, mean_partitioned=250.0)
     deadline = rt.sim.now + 80_000
     while stats.submitted < 40 and rt.sim.now < deadline:
         rt.run_for(500)
-    crash.stop()
-    partition.stop()
+    stop_faults(rt)
     assert_safety(rt, bank, spec)
 
 
@@ -130,7 +122,7 @@ def test_lossy_network_chaos():
     driver = rt.create_driver("driver")
     stats = run_closed_loop(rt, driver, "clients", jobs_for(rt, spec, 40),
                             concurrency=2)
-    kill_primary_every(rt, bank, interval=700.0, count=3, recover_after=350.0)
+    rt.inject(Nemesis().crash_primary("bank", every=700.0, count=3, recover_after=350.0))
     deadline = rt.sim.now + 80_000
     while stats.submitted < 40 and rt.sim.now < deadline:
         rt.run_for(500)
@@ -145,12 +137,11 @@ def test_chaos_with_ups_storage_allows_deep_churn():
     rt, bank, _clients, driver, spec = build(seed=97, config=config)
     stats = run_closed_loop(rt, driver, "clients", jobs_for(rt, spec, 40),
                             concurrency=2)
-    schedule = CrashRecoverySchedule(rt, bank.nodes(), mttf=500.0, mttr=200.0)
-    schedule.start()
+    crash_churn(rt, bank, mttf=500.0, mttr=200.0)
     deadline = rt.sim.now + 80_000
     while stats.submitted < 40 and rt.sim.now < deadline:
         rt.run_for(500)
-    schedule.stop()
+    rt.faults.stop()
     rt.run_for(3000)  # let everyone recover and re-form
     assert_safety(rt, bank, spec)
     assert stats.committed > 0
@@ -163,7 +154,9 @@ def test_chaos_determinism():
         rt, bank, _clients, driver, spec = build(seed=123)
         stats = run_closed_loop(rt, driver, "clients", jobs_for(rt, spec, 20),
                                 concurrency=2)
-        kill_primary_every(rt, bank, interval=300.0, count=2, recover_after=150.0)
+        rt.inject(
+            Nemesis().crash_primary("bank", every=300.0, count=2, recover_after=150.0)
+        )
         deadline = rt.sim.now + 30_000
         while stats.submitted < 20 and rt.sim.now < deadline:
             rt.run_for(500)

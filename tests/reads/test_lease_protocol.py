@@ -109,7 +109,8 @@ def test_partitioned_old_primary_stops_serving_before_new_commit():
 
     # ...by which time the old lease must have lapsed: grants cannot
     # have been renewed across the partition
-    assert not old.reads.lease_valid(old_view)
+    (leases,) = old.extensions
+    assert not leases.state.lease_valid(old_view)
     after = run_read(
         rt, stale_driver, "kv", spec.key(0), retries=1, max_time=2_000.0
     )

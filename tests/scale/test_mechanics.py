@@ -98,29 +98,22 @@ def test_validate_witnesses_rejects_negative():
         validate_witnesses(5, -1)
 
 
-# -- all-off normalization --------------------------------------------------
+# -- all-off is absent -------------------------------------------------------
 
 
-def test_all_off_scale_config_reports_nothing_enabled():
-    assert not ScaleConfig().any_enabled()
-    assert ScaleConfig(gossip=True).any_enabled()
-    assert ScaleConfig(ack_tree=True).any_enabled()
-    assert ScaleConfig(witnesses=1).any_enabled()
-
-
-def test_cohort_normalizes_all_off_scale_to_none():
-    """The `scale is None` fast path must cover an all-off ScaleConfig,
-    or the byte-identical-schedule claim would hinge on every hot-path
-    branch checking each mechanism individually."""
+def test_all_off_scale_config_builds_no_extension():
+    """An all-off ScaleConfig must be as absent as ``scale=None``, or the
+    byte-identical-schedule claim would hinge on every hot path checking
+    each mechanism individually."""
     from repro import EmptyModule, Runtime
 
     rt = Runtime(seed=1, config=ProtocolConfig(scale=ScaleConfig()))
     group = rt.create_group("g", EmptyModule(), n_cohorts=3)
     for cohort in group.cohorts.values():
-        assert cohort.scale is None
+        assert cohort.extensions == ()
     rt_armed = Runtime(
         seed=1, config=ProtocolConfig(scale=ScaleConfig(gossip=True))
     )
     armed = rt_armed.create_group("g", EmptyModule(), n_cohorts=3)
     for cohort in armed.cohorts.values():
-        assert cohort.scale is not None
+        assert [type(e).__name__ for e in cohort.extensions] == ["Gossip"]

@@ -50,7 +50,8 @@ def test_witnesses_never_hold_a_buffer_and_join_views():
     assert kv.witness_mids == frozenset({5, 6})
     for mid in kv.witness_mids:
         witness = kv.cohort(mid)
-        assert witness.is_witness
+        (extension,) = witness.extensions
+        assert extension.is_witness
         assert witness.buffer is None
         assert witness.status is Status.ACTIVE, (
             "witness never installed the formed view"

@@ -1,7 +1,7 @@
 """Tests for the three-service order workload."""
 
 
-from repro import EmptyModule, Runtime
+from repro import EmptyModule, Nemesis, Runtime
 from repro.workloads.loadgen import run_closed_loop
 from repro.workloads.orders import (
     InventorySpec,
@@ -10,7 +10,6 @@ from repro.workloads.orders import (
     check_order_invariants,
     place_order_program,
 )
-from repro.workloads.schedules import kill_primary_every
 
 
 def build(seed=1, n_cohorts=3, stock=20, balance=100):
@@ -90,7 +89,9 @@ def test_books_balance_under_failures():
         for _ in range(25)
     ]
     stats = run_closed_loop(rt, driver, "clients", jobs, concurrency=2)
-    kill_primary_every(rt, inventory, interval=300.0, count=2, recover_after=150.0)
+    rt.inject(
+        Nemesis().crash_primary(inventory.groupid, every=300.0, count=2, recover_after=150.0)
+    )
     deadline = rt.sim.now + 40_000
     while stats.submitted < len(jobs) and rt.sim.now < deadline:
         rt.run_for(500)

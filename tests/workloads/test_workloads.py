@@ -1,16 +1,11 @@
 """Tests for workload specs, the load generator, and failure schedules."""
 
 
-from repro import EmptyModule, Runtime
+from repro import EmptyModule, Nemesis, Runtime
 from repro.workloads.airline import AirlineSpec, check_airline_invariants
 from repro.workloads.bank import BankAccountsSpec
 from repro.workloads.kv import KVStoreSpec
 from repro.workloads.loadgen import run_closed_loop
-from repro.workloads.schedules import (
-    CrashRecoverySchedule,
-    PartitionSchedule,
-    kill_primary_every,
-)
 
 
 # -- specs -----------------------------------------------------------------
@@ -125,44 +120,49 @@ def test_closed_loop_think_time_spreads_load():
 def test_crash_schedule_respects_max_down():
     rt = Runtime(seed=6)
     nodes = [rt.create_node(f"n{i}") for i in range(3)]
-    schedule = CrashRecoverySchedule(rt, nodes, mttf=50.0, mttr=100.0, max_down=1)
-    schedule.start()
+    rt.inject(
+        Nemesis().crash_churn(
+            [node.node_id for node in nodes], mttf=50.0, mttr=100.0, max_down=1
+        )
+    )
     worst = 0
     for _ in range(100):
         rt.run_for(20)
         worst = max(worst, sum(1 for n in nodes if not n.up))
-    schedule.stop()
+    rt.faults.stop()
     assert worst <= 1
 
 
 def test_crash_schedule_records_events():
     rt = Runtime(seed=7)
     nodes = [rt.create_node(f"n{i}") for i in range(2)]
-    schedule = CrashRecoverySchedule(rt, nodes, mttf=100.0, mttr=50.0)
-    schedule.start()
+    rt.inject(
+        Nemesis().crash_churn([node.node_id for node in nodes], mttf=100.0, mttr=50.0)
+    )
     rt.run_for(2000)
-    schedule.stop()
-    kinds = {event.kind for event in schedule.events}
+    rt.faults.stop()
+    kinds = {event.kind for event in rt.faults.timeline}
     assert kinds == {"crash", "recover"}
 
 
 def test_partition_schedule_forms_and_heals():
     rt = Runtime(seed=8)
     node_ids = [rt.create_node(f"n{i}").node_id for i in range(4)]
-    schedule = PartitionSchedule(rt, node_ids, mean_healthy=50.0,
-                                 mean_partitioned=50.0)
-    schedule.start()
+    rt.inject(
+        Nemesis().partition_storm(node_ids, mean_healthy=50.0, mean_partitioned=50.0)
+    )
     rt.run_for(2000)
-    schedule.stop()
-    assert schedule.partitions_formed > 0
-    assert rt.network._partition is None  # stop() heals
+    rt.faults.stop()
+    assert rt.faults.count("partition") > 0
 
 
-def test_kill_primary_every_counts():
+def test_crash_primary_rule_counts():
     from tests.conftest import build_counter_system
 
     rt, counter, _clients, _driver = build_counter_system(seed=9)
-    kill_primary_every(rt, counter, interval=100.0, count=1, recover_after=100.0)
+    rt.inject(
+        Nemesis().crash_primary(counter.groupid, every=100.0, count=1, recover_after=100.0)
+    )
     rt.run_for(120)
     assert any(not node.up for node in counter.nodes())
     rt.run_for(200)
