@@ -46,23 +46,23 @@ All tables below are verbatim output of `pytest benchmarks/ --benchmark-only`
 | E2 | prepares usually need no force wait (3.7) | yes | wait fraction 0 with think time or eager flush; 1.0 with lazy flush |
 | E3 | replication beats stable storage iff comm < disk (3.7) | yes | crossover exactly at the ~2.2 round trip |
 | E4 | 1 round (+1 msg) vs virtual partitions' 3 phases (4.1, 5) | yes | VR O(n) msgs vs VP 4(n-1)+n(n-1); VR 6 vs VP 14 msgs at n=3 |
-| E5 | fewer messages than voting for writes (5) | yes | writes: 6.95 vs 8-12; pure reads: read-one voting wins, as the paper concedes |
+| E5 | fewer messages than voting for writes (5) | yes | writes: 6.00 vs 8-12; pure reads: read-one voting wins, as the paper concedes |
 | E6 | majority availability vs write-all voting (4.2, 5) | yes | hardened VR ≈ majority voting >> write-all; volatile VR shows the 4.2 catastrophe exposure |
-| E7 | viewstamps avoid view-change aborts (1, 5, 6) | yes | 0 prepare refusals vs 28 under the virtual-partitions rule; force-on-call = 0 refusals at ~1.8x call latency |
+| E7 | viewstamps avoid view-change aborts (1, 5, 6) | yes | 2 prepare refusals (calls that missed the sub-majority) vs 28 under the virtual-partitions rule; force-on-call = 0 refusals at ~1.9x call latency |
 | E8 | no split brain; 1SR (1, 4.1) | yes | 5 seeded partition storms: money conserved, zero 1SR violations |
 | E9 | psets stay small; Isis grows unboundedly (5) | yes | VR flat ~133 B/msg; Isis 68 -> 1260 B/msg over 40 txns |
-| E10 | subactions retry instead of aborting (3.6) | yes | abort rate 0.45 -> 0.05; extra work only on actual view changes |
+| E10 | subactions retry instead of aborting (3.6) | yes | abort rate 0.41 -> 0.11; extra work only on actual view changes |
 | E11 | catastrophe stalls, never corrupts (4.2) | yes | volatile: stalls by design; UPS gstate: recovers with state intact |
-| E12 | unilateral edits avoid needless view changes (4.1) | yes | 13 view changes -> 0, absorbed by 9 cheap view-edit records |
-| E13 | pair survives one failure; VR generalizes (5, 6) | yes | at 2 failures: vr3 16/60 (stalls, by majority), vr5 58/60, pair 41/60 (dead after) |
+| E12 | unilateral edits avoid needless view changes (4.1) | yes | 9 view changes -> 0, absorbed by 9 cheap view-edit records |
+| E13 | pair survives one failure; VR generalizes (5, 6) | yes | at 2 failures: vr3 15/60 (stalls, by majority), vr5 58/60, pair 41/60 (dead after) |
 | E14 | component microbenchmarks | n/a | see `pytest benchmarks/bench_e14_micro.py --benchmark-only` |
-| E15 | ablations: ordered managers halve view-change traffic; detector tuning (4.1) | yes | 8 vs 16 manager rounds, 50 vs 100 messages for the same 4 useful view changes |
-| E16 | liveness under lossy networks: adaptive detection vs fixed timeouts (beyond the paper) | n/a (extension) | LOSSY: adaptive wins both axes (avail 0.89 vs 0.88, mean convergence 21.9 vs 25.6); storms: avail 0.82 vs 0.79 |
-| E17 | transactions span many groups; each participant validates its own viewstamps (3.3) | yes | clean speedup 1.0/1.9/3.0/6.0 at 1/2/4/8 shards; a single-shard view change aborts only shard-touching txns (elsewhere 0 at 2-4 shards) |
-| E18 | buffer batching: speedy delivery vs small numbers of messages (3.7) | yes | batching cuts msgs/txn 23.7 -> 11.6-13.1 (clean/viewchange), 33.1 -> 24.1 (lossy); state digest byte-identical to unbatched on every schedule |
-| E19 | read serving path: leases, backup reads, client caches (beyond the paper; 3.7 prices reads as calls) | n/a (extension) | 90%-read zipfian open loop: leased reads 4.6x mean / 7.2x p99 faster than the full call path, cache 9.7x mean; backup staleness <= one heartbeat; state digest byte-identical across all serving configs (`python -m repro.reads.gate`) |
-| E20 | geo-replication: placement, cross-region failover, region faults (beyond the paper; 1 and 4.1 assume partitions and cofailing links) | n/a (extension) | one-shard-per-DC commits 3.7x faster than spread placement (22.8 vs 84.1); every placement's cross-region failover meets the 525 adaptive-timeout bound; a partitioned region's leased reads stop 13.1 after the cut, long before the majority's new primary commits (+313.8); state digest byte-identical to the flat network (`python -m repro.geo.gate`) |
-| E21 | cohort scaling: gossip heartbeats, ack trees, witness replicas (beyond the paper; 2 sizes groups at "three or five") | n/a (extension) | all-on cuts primary msgs/interval 7.7x at n=100 (256.0 -> 33.2, mean load 199.3 -> 7.1) with failover 50 -> 70; every cell n=5..100 commits its full load and re-forms after a primary crash; `scale=None` and all-off byte-identical schedules, armed states byte-identical to baseline (`python -m repro.scale.gate`) |
+| E15 | ablations: ordered managers halve view-change traffic; detector tuning (4.1) | yes | 8 vs 14 manager rounds, 59 vs 94 messages for the same 4 useful view changes |
+| E16 | liveness under lossy networks: adaptive detection vs fixed timeouts (beyond the paper) | n/a (extension) | LOSSY: adaptive converges faster (mean 19.5 vs 24.1, worst 53 vs 97) at equal availability 0.89; storms: avail 0.76 vs 0.80 on these two seeds, inside the +-0.1 per-seed spread (eight-seed means 0.79 vs 0.79) |
+| E17 | transactions span many groups; each participant validates its own viewstamps (3.3) | yes | clean speedup 1.0/1.8/3.0/5.9 at 1/2/4/8 shards; a single-shard view change aborts only shard-touching txns (elsewhere 0 at 2-4 shards) |
+| E18 | buffer batching: speedy delivery vs small numbers of messages (3.7) | yes | batching cuts msgs/txn 19.5 -> 11.4-13.1 (clean/viewchange), 25.0 -> 21.3 (lossy, 64-record batches; 8-record stop-and-wait ties at 25.3); the unbatched rows already send each record once, so the ratio reads 1.70 where it read 2.03; state digest byte-identical to unbatched on every schedule |
+| E19 | read serving path: leases, backup reads, client caches (beyond the paper; 3.7 prices reads as calls) | n/a (extension) | 90%-read zipfian open loop: leased reads 4.5x mean / 7.1x p99 faster than the full call path, cache 9.5x mean; backup staleness <= one heartbeat; state digest byte-identical across all serving configs (`python -m repro.reads.gate`) |
+| E20 | geo-replication: placement, cross-region failover, region faults (beyond the paper; 1 and 4.1 assume partitions and cofailing links) | n/a (extension) | one-shard-per-DC commits 3.8x faster than spread placement (22.8 vs 85.8); every placement's cross-region failover meets the 525 adaptive-timeout bound; a partitioned region's leased reads stop 13.4 after the cut, long before the majority's new primary commits (+149.6); state digest byte-identical to the flat network (`python -m repro.geo.gate`) |
+| E21 | cohort scaling: gossip heartbeats, ack trees, witness replicas (beyond the paper; 2 sizes groups at "three or five") | n/a (extension) | all-on cuts primary msgs/interval 9.6x at n=100 (231.2 -> 24.1, mean load 198.8 -> 6.8) with failover 50 -> 70; every cell n=5..100 commits its full load and re-forms after a primary crash; `scale=None` and all-off byte-identical schedules, armed states byte-identical to baseline (`python -m repro.scale.gate`) |
 
 Notes on calibration: absolute numbers depend on the simulated link and
 timeout parameters (see `repro/config.py`); the claims are about *shape* —

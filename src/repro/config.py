@@ -10,7 +10,10 @@ The paper's engineering advice is encoded in the defaults:
   ``underling_timeout`` are generous multiples of a round trip;
 - section 3.7: "Careful engineering is needed here to provide both speedy
   delivery and small numbers of messages" -- ``flush_interval`` trades
-  prepare-time force stalls (E2) against background message volume.
+  prepare-time force stalls (E2) against background message volume, and is
+  the floor of the buffer's retransmission timeout (``max(flush_interval,
+  rto)``: each record is sent to each backup once, and again only after
+  that long without ack progress; see :mod:`repro.core.buffer`).
 
 The knobs are grouped into three nested sub-configs:
 
@@ -81,15 +84,19 @@ class BatchConfig:
     """Replication hot-path batching and pipelining (see docs/PERF.md).
 
     ``BatchConfig()`` (``enabled=False``) is the paper-faithful baseline:
-    every ``force_to`` flushes immediately and every :class:`BufferMsg` is
+    every ``force_to`` flushes at once -- the records no earlier flush
+    shipped, nothing when there are none -- and every :class:`BufferMsg` is
     acknowledged individually.  With ``enabled=True`` the primary coalesces
     records into one serialized flush per ``flush_interval`` tick, keeps up
     to ``pipeline_depth`` record batches in flight per backup before
     stop-and-wait, backups coalesce their cumulative acks onto the same
     tick, and buffer traffic doubles as liveness (suppressing redundant
-    I'm-alive heartbeats).  Safety is unchanged: delivery stays in-order
-    and gapless, forces still wait for a sub-majority, and commit acks
-    still follow the force (proven by the batching determinism tests).
+    I'm-alive heartbeats).  Both modes send a record to a backup once and
+    share one go-back-N retransmitter (:mod:`repro.core.buffer`); what the
+    switch changes is *when* a flush runs.  Safety is unchanged: delivery
+    stays in-order and gapless, forces still wait for a sub-majority, and
+    commit acks still follow the force (proven by the batching determinism
+    tests).
     """
 
     #: Master switch; False reproduces the unbatched protocol exactly.
@@ -102,7 +109,7 @@ class BatchConfig:
     flush_interval: float = 0.5
     #: Record batches in flight per backup before the primary stops
     #: sending and waits for acks (go-back-N window, in units of
-    #: ``max_batch`` records).
+    #: ``max_batch`` records; unbatched, the window is one ``max_batch``).
     pipeline_depth: int = 4
     #: Buffer traffic carries ``sent_at`` and feeds the failure detector;
     #: heartbeats to recently-served peers are suppressed.
@@ -265,8 +272,8 @@ class ProtocolConfig:
 
     # -- communication buffer (section 2, 3) --
     flush_interval: float = _DEFAULT_TIMING.flush_interval   # background send
-    #                                       of buffered events (doubles as the
-    #                                       retransmit tick in batched mode)
+    #                                       of buffered events: the one
+    #                                       retransmit sweep, both modes
     force_timeout: float = _DEFAULT_TIMING.force_timeout     # give up on a
     #                                       force -> view change
 

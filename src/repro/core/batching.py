@@ -27,14 +27,10 @@ class Batching(Extension):
             batch_enabled=True,
             flush_delay=batch.flush_interval,
             pipeline_depth=batch.pipeline_depth,
-            clock=lambda: cohort.sim.now,
             trace=cohort.emit if cohort.tracer is not None else None,
         )
+        self.reset()
         if batch.flush_interval > 0:
-            # Applied-but-unacked BufferMsg count, and whether the
-            # coalescing timer is armed.
-            self._acks_pending = 0
-            self._ack_timer_armed = False
             wrap(cohort, "acknowledge", self._coalesce_ack)
         if batch.piggyback_liveness:
             # When buffer traffic to a peer carried sent_at, the periodic
@@ -64,6 +60,13 @@ class Batching(Extension):
             wrap_row(any_status, m.BufferAckMsg, self._backup_is_alive)
             wrap_row(any_status, m.BufferMsg, self._primary_is_alive)
 
+    def reset(self) -> None:
+        # Applied-but-unacked BufferMsg count, and whether the coalescing
+        # timer is armed.  The timer dies with a crashed node: a flag that
+        # outlived it would keep this backup from ever acking again.
+        self._acks_pending = 0
+        self._ack_timer_armed = False
+
     # -- ack coalescing ------------------------------------------------------
 
     def _coalesce_ack(self, _at_once: Callable) -> None:
@@ -91,9 +94,10 @@ class Batching(Extension):
 
     # -- liveness piggyback ----------------------------------------------------
 
-    def _buffer_send(self, mid: int, message) -> None:
-        """The buffer's transmission hook: notes liveness-carrying sends."""
-        self._liveness_sent[mid] = self.cohort.sim.now
+    def _buffer_send(self, mid: int, message: m.BufferMsg) -> None:
+        """The buffer's transmission hook: stamps and notes liveness-carrying
+        sends."""
+        message.sent_at = self._liveness_sent[mid] = self.cohort.sim.now
         self.cohort.send_mid(mid, message)
 
     def _stamp_sent_at(self, build: Callable):

@@ -20,20 +20,26 @@ Two operations, exactly as specified:
   about all events in the current view with timestamps less than or equal
   to v.ts."
 
-Reliable in-order delivery over the lossy datagram network is implemented
-with cumulative acks, in one of two transmission modes:
+Reliable in-order delivery over the lossy datagram network is one
+discipline for both transmission modes -- each record crosses each link once:
 
-- **unbatched** (the paper-faithful default): every force flushes
-  immediately ("speedy delivery"), and every flush re-sends the whole
-  suffix above the backup's last cumulative ack;
-- **batched** (``BatchConfig.enabled``): forces only *request* a flush;
-  one coalescing tick per ``BatchConfig.flush_interval`` sends each backup
-  at most ``max_batch`` *new* records (tracked by a per-backup send
-  high-water mark) with up to ``pipeline_depth`` batches in flight before
-  the sender stalls.  Loss recovery is go-back-N: the background flush
-  loop notices a stalled cumulative ack and rewinds the high-water mark to
-  it.  Section 3.7's "careful engineering is needed here to provide both
-  speedy delivery and small numbers of messages" is exactly this trade.
+- a per-backup **send mark** (highest ts shipped): a flush ships a backup
+  only the records above its mark -- at most ``max_batch`` per message and
+  ``pipeline_depth`` batches beyond its cumulative ack -- and sends nothing
+  when nothing is new;
+- **one retransmitter**, the background sweep (:meth:`flush`): a backup
+  whose outstanding records saw no ack progress for ``max(flush_interval,
+  rto(mid))`` -- the round-trip timeout its failure detector learned from
+  heartbeats -- goes back to its ack (go-back-N); a backup holds a message
+  that overtook an earlier one (:class:`HeldRecords`), so reordering alone
+  costs no resend;
+- the mode is *when* a flush runs.  **Unbatched** (the paper-faithful
+  default): a force flushes at once ("speedy delivery"), other records wait
+  for the next force or sweep.  **Batched** (``BatchConfig.enabled``): every
+  add and force *requests* a flush and one coalescing tick per
+  ``BatchConfig.flush_interval`` serves them all.  Section 3.7's "careful
+  engineering is needed here to provide both speedy delivery and small
+  numbers of messages" is exactly this trade.
 
 Delivery failure is surfaced as a force timeout in either mode, which
 abandons the force and triggers a view change, matching footnote 1.
@@ -60,15 +66,6 @@ class ForceAbandoned(SimulationError):
     change (paper footnote 1)."""
 
 
-class _PendingForce:
-    __slots__ = ("ts", "future", "deadline")
-
-    def __init__(self, ts: int, future: Future, deadline) -> None:
-        self.ts = ts
-        self.future = future
-        self.deadline = deadline
-
-
 class CommunicationBuffer:
     """Primary-side event buffer for one view.
 
@@ -85,10 +82,11 @@ class CommunicationBuffer:
         Group size; the force threshold is a *sub-majority of the
         configuration* (section 3), not of the current view.
     batch_enabled / flush_delay / pipeline_depth:
-        Batched transmission mode (see module docstring).  Defaults
-        reproduce the unbatched protocol exactly.
-    clock:
-        ``clock()`` -> current virtual time; only needed for batched mode.
+        Batched transmission mode (see module docstring); off by default.
+    flush_interval / clock / rto:
+        The sweep period, ``clock()`` -> virtual time, ``rto(mid)`` -> that
+        peer's learned round-trip timeout or None.  Without them time stands
+        still: every sweep retransmits and no force deadline comes due.
     trace:
         Optional ``trace(kind, **data)`` hook for batch_flush events.
     """
@@ -107,7 +105,9 @@ class CommunicationBuffer:
         batch_enabled: bool = False,
         flush_delay: float = 0.0,
         pipeline_depth: int = 1,
-        clock: Optional[Callable[[], float]] = None,
+        flush_interval: float = 0.0,
+        clock: Callable[[], float] = lambda: 0.0,
+        rto: Callable[[int], Optional[float]] = lambda mid: None,
         trace: Optional[Callable[..., None]] = None,
     ):
         self.viewid = viewid
@@ -118,30 +118,34 @@ class CommunicationBuffer:
         self._on_force_failure = on_force_failure
         self._force_timeout = force_timeout
         self._max_batch = max_batch
-        self._retain_all = retain_all  # keep the whole view's records so an
-        #                                unilaterally re-added backup can be
-        #                                caught up from where it left off
+        # retain_all keeps the whole view's records, so an unilaterally
+        # re-added backup can be caught up from where it left off.
+        self._retain_all = retain_all
         self._batch_enabled = batch_enabled
         self._flush_delay = flush_delay
-        self._pipeline_depth = max(1, pipeline_depth)
+        self._window = max(1, pipeline_depth) * max_batch
+        self._flush_interval = flush_interval
         self._clock = clock
+        self._rto = rto
         self._trace = trace
 
         self.timestamp = 0  # Figure 1's "timestamp: int % the timestamp generator"
         self._records: List[Tuple[int, EventRecord]] = []
         self._base_ts = 0  # ts of the first retained record minus one
         # _sized[i] is the wire size of _records[:i]: any slice a flush ships
-        # is sized by one subtraction, however often it is re-sent.
+        # is sized by one subtraction.
         self._sized = array("q", [0])
         self.acked: Dict[int, int] = {mid: 0 for mid in self.backups}
-        self._pending_forces: List[_PendingForce] = []
-        self.closed = False
-        # Batched-mode state: per-backup send high-water mark (highest ts
-        # ever shipped), ack progress seen at the last background sweep
-        # (go-back-N stall detection), and the pending coalescing tick.
+        # Per backup: the send mark (highest ts ever shipped) and when its
+        # outstanding records last made progress (first shipped, or acked).
         self._sent: Dict[int, int] = {mid: 0 for mid in self.backups}
-        self._last_swept_ack: Dict[int, int] = {}
+        self._progress_at: Dict[int, float] = {}
+        self._flush_to = 0  # highest ts a flush has been asked to ship
         self._tick_pending = False
+        # (ts, future, due) in due order, under one deadline timer.
+        self._pending_forces: List[Tuple[int, Future, float]] = []
+        self._deadline_armed = False
+        self.closed = False
         # Counters surfaced by perf reports and the batching experiments.
         self.msgs_sent = 0
         self.records_sent = 0
@@ -156,9 +160,7 @@ class CommunicationBuffer:
             self._sent.setdefault(mid, 0)
         for mid in list(self.acked):
             if mid not in self.backups:
-                del self.acked[mid]
-                self._sent.pop(mid, None)
-                self._last_swept_ack.pop(mid, None)
+                del self.acked[mid], self._sent[mid]
         self._check_forces()
 
     # -- the two operations -----------------------------------------------
@@ -192,137 +194,95 @@ class CommunicationBuffer:
             return future
         if viewstamp.ts > self.timestamp:
             raise SimulationError(
-                f"force_to({viewstamp}) beyond generated timestamps "
-                f"({self.timestamp})"
+                f"force_to({viewstamp}) beyond generated timestamps ({self.timestamp})"
             )
         if self._sub_majority_ts() >= viewstamp.ts:
             future.set_result(None)
             return future
-        deadline = self._set_timer(self._force_timeout, self._force_timed_out)
-        self._pending_forces.append(
-            _PendingForce(viewstamp.ts, future, deadline)
-        )
-        if self._batch_enabled:
-            self.request_flush()  # coalesced: one tick serves every force
-        else:
-            self.flush()  # speedy delivery: don't wait for the background timer
+        due = self._clock() + self._force_timeout
+        self._pending_forces.append((viewstamp.ts, future, due))
+        if not self._deadline_armed:
+            self._deadline_armed = True
+            self._set_timer(self._force_timeout, self._force_deadline)
+        self.request_flush()
         return future
 
     # -- transmission ------------------------------------------------------
 
     def flush(self) -> None:
-        """Background sweep: re-send what backups are missing.
+        """Background sweep, the one retransmitter: a backup whose outstanding
+        records made no ack progress for ``max(flush_interval, rto(mid))`` has
+        lost traffic and goes back to its cumulative ack.  Then ship what is
+        above each mark: the rewound suffix, and records no force asked for."""
+        if self.closed:
+            return
+        now = self._clock()
+        for mid in self.backups:
+            if self._sent[mid] > self.acked[mid]:
+                # Batched, an ack may sit out one coalescing tick at the backup.
+                patience = max(self._flush_interval, (self._rto(mid) or 0.0) + self._flush_delay)
+                if now >= self._progress_at[mid] + patience:  # the sum a timer makes
+                    self._sent[mid] = self.acked[mid]
+        self._flush_new()
 
-        Unbatched mode re-sends every backup the full suffix above its
-        cumulative ack.  Batched mode is the go-back-N retransmit path: a
-        backup whose cumulative ack has not advanced since the previous
-        sweep, while records beyond it were already shipped, has lost
-        traffic -- rewind its send mark to the ack and re-send from there.
-        """
+    def request_flush(self) -> None:
+        """Ship what is new: now (speedy delivery), or, batched, on the one
+        coalescing tick that serves every add and force of the interval."""
         if self.closed:
             return
         if not self._batch_enabled:
-            for mid in self.backups:
-                self._flush_one(mid)
-            return
-        rewound = False
-        for mid in self.backups:
-            acked = self.acked.get(mid, 0)
-            sent = self._sent.get(mid, 0)
-            if sent > acked and self._last_swept_ack.get(mid) == acked:
-                self._sent[mid] = acked
-                rewound = True
-            self._last_swept_ack[mid] = acked
-        if rewound or self._unsent_backups():
-            self._flush_tick()
-
-    def request_flush(self) -> None:
-        """Schedule one coalescing flush tick (batched mode only)."""
-        if self.closed or self._tick_pending:
-            return
-        self._tick_pending = True
-        self._set_timer(self._flush_delay, self._flush_tick_timer)
-
-    def _flush_tick_timer(self) -> None:
-        self._tick_pending = False
-        if not self.closed:
-            self._flush_tick()
+            self._flush_new()
+        elif not self._tick_pending:
+            self._tick_pending = True
+            self._set_timer(self._flush_delay, self._flush_tick)
 
     def _flush_tick(self) -> None:
-        """Send each backup its next window of new records, coalesced."""
-        msgs = 0
-        records = 0
-        for mid in self.backups:
-            n = self._flush_one_batched(mid)
-            if n:
-                msgs += 1
-                records += n
-        if msgs:
+        self._tick_pending = False
+        if not self.closed:
+            self._flush_new()
+
+    def _flush_new(self) -> None:
+        """Send each backup its next batch of records above its mark."""
+        self._flush_to = self.timestamp
+        sizes = [n for n in map(self._ship_next, self.backups) if n]
+        if sizes:
             self.flush_ticks += 1
             if self._trace is not None:
-                self._trace(
-                    "batch_flush",
-                    msgs=msgs,
-                    records=records,
-                    ts=self.timestamp,
-                )
+                self._trace("batch_flush", msgs=len(sizes), records=sum(sizes), ts=self.timestamp)
         # Keep the pipeline draining while windows are open and records
-        # remain unsent (a single tick ships at most max_batch per backup).
+        # remain unsent (one flush ships at most max_batch per backup).
         if self._unsent_backups():
             self.request_flush()
 
-    def _flush_one_batched(self, mid: int) -> int:
+    def _next_batch(self, mid: int) -> Tuple[int, int]:
+        """``(sent, end_ts)``: *mid*'s next batch is the requested records in
+        ``(sent, end_ts]``, if any.  The mark is never below the ack, and both
+        count from the trim base for a backup re-added beneath it."""
+        sent = max(self._sent[mid], self._base_ts)
+        window_end = max(self.acked[mid], self._base_ts) + self._window
+        return sent, min(sent + self._max_batch, window_end, self._flush_to)
+
+    def _ship_next(self, mid: int) -> int:
         """Ship *mid* its next batch of unsent records; returns the count."""
-        acked = self.acked.get(mid, 0)
-        sent = max(self._sent.get(mid, 0), acked, self._base_ts)
-        window_limit = acked + self._pipeline_depth * self._max_batch
-        if sent >= self.timestamp or sent >= window_limit:
+        sent, end_ts = self._next_batch(mid)
+        if end_ts <= sent:
             return 0
-        start_index = sent - self._base_ts
-        end_ts = min(sent + self._max_batch, window_limit)
-        records = tuple(self._records[start_index : end_ts - self._base_ts])
-        if not records:
-            return 0
-        self._sent[mid] = records[-1][0]
-        sent_at = self._clock() if self._clock is not None else None
-        self._ship(mid, start_index, records, sent_at)
-        return len(records)
+        if self._sent[mid] == self.acked[mid]:
+            self._progress_at[mid] = self._clock()  # nothing was outstanding
+        self._sent[mid] = end_ts
+        start, end = sent - self._base_ts, end_ts - self._base_ts
+        self.msgs_sent += 1
+        self.records_sent += end - start
+        message = BufferMsg(self.viewid, tuple(self._records[start:end]), self.timestamp)
+        message.records_bytes = _TUPLE_BYTES + self._sized[end] - self._sized[start]
+        self._send(mid, message)
+        return end - start
 
     def _unsent_backups(self) -> bool:
-        """True if any backup has unsent records inside an open window."""
-        for mid in self.backups:
-            acked = self.acked.get(mid, 0)
-            sent = max(self._sent.get(mid, 0), acked, self._base_ts)
-            if sent < self.timestamp and sent < acked + (
-                self._pipeline_depth * self._max_batch
-            ):
-                return True
-        return False
-
-    def _flush_one(self, mid: int) -> None:
-        acked = self.acked.get(mid, 0)
-        start = max(acked, self._base_ts)
-        # _records is contiguous from _base_ts + 1, so index arithmetic
-        # replaces the O(n) scan on this hot path.
-        start_index = start - self._base_ts
-        records = tuple(
-            self._records[start_index : start_index + self._max_batch]
-        )
-        if not records and acked >= self.timestamp:
-            return
-        self._ship(mid, start_index, records)
-
-    def _ship(
-        self, mid: int, start_index: int, records: tuple, sent_at: Optional[float] = None
-    ) -> None:
-        """Send *mid* ``records``, the slice of ``_records`` at *start_index*."""
-        self.msgs_sent += 1
-        self.records_sent += len(records)
-        message = BufferMsg(self.viewid, records, self.timestamp, sent_at)
-        message.records_bytes = _TUPLE_BYTES + (
-            self._sized[start_index + len(records)] - self._sized[start_index]
-        )
-        self._send(mid, message)
+        """True if any backup has requested records inside an open window."""
+        if min(self._sent.values(), default=self._flush_to) >= self._flush_to:
+            return False  # every mark is at the request: the common case, at C speed
+        return any(end > sent for sent, end in map(self._next_batch, self.backups))
 
     def on_ack(self, ack: BufferAckMsg) -> None:
         """Process a cumulative ack from a backup.
@@ -341,12 +301,13 @@ class CommunicationBuffer:
                 continue  # excluded backup (unilateral edit) or stray
             if acked_ts > self.acked[mid]:
                 self.acked[mid] = acked_ts
+                self._progress_at[mid] = self._clock()
                 advanced = True
-                if self._batch_enabled and acked_ts > self._sent.get(mid, 0):
+                if acked_ts > self._sent[mid]:
                     self._sent[mid] = acked_ts
         if advanced:
-            # An advancing ack opens window space: keep the pipe full.
-            if self._batch_enabled and self._unsent_backups():
+            # An advancing ack opens window space: resume a flush it cut short.
+            if self._unsent_backups():
                 self.request_flush()
             self._check_forces()
             self._trim()
@@ -369,25 +330,32 @@ class CommunicationBuffer:
         reached = self._sub_majority_ts()
         still_pending = []
         for force in self._pending_forces:
-            if force.ts <= reached:
-                force.deadline.cancel()
-                force.future.set_result(None)
+            if force[0] <= reached:
+                force[1].set_result(None)
             else:
                 still_pending.append(force)
         self._pending_forces = still_pending
 
-    def _force_timed_out(self) -> None:
-        if self.closed:
+    def _force_deadline(self) -> None:
+        """The buffer's one deadline timer: armed by the first pending force,
+        it re-arms for the oldest survivor's own due time, so a force costs
+        no timer of its own and still fails exactly when it would have."""
+        self._deadline_armed = False
+        if self.closed or not self._pending_forces:
+            return
+        wait = self._pending_forces[0][2] - self._clock()
+        if wait > 0.0:
+            self._deadline_armed = True
+            self._set_timer(wait, self._force_deadline)
             return
         self._fail_forces("force timed out; communication with backups lost")
         self._on_force_failure()
 
     def _fail_forces(self, reason: str) -> None:
         pending, self._pending_forces = self._pending_forces, []
-        for force in pending:
-            force.deadline.cancel()
-            if not force.future.done:
-                force.future.set_exception(ForceAbandoned(reason))
+        for _ts, future, _due in pending:
+            if not future.done:
+                future.set_exception(ForceAbandoned(reason))
 
     def _trim(self) -> None:
         """Drop records every current backup has acknowledged.
@@ -408,8 +376,6 @@ class CommunicationBuffer:
 
     def close(self) -> None:
         """Abandon the buffer at the start of a view change."""
-        if self.closed:
-            return
         self.closed = True
         self._fail_forces("view change started")
 
@@ -424,3 +390,37 @@ class CommunicationBuffer:
             f"CommunicationBuffer({self.viewid}, ts={self.timestamp}, "
             f"acked={self.acked}, pending_forces={len(self._pending_forces)})"
         )
+
+
+class HeldRecords:
+    """Backup side of send-once: ``BufferMsg`` records of one view that
+    overtook an earlier message -- or that view's newview, still being made
+    durable -- kept until the gap closes, as the primary will not soon send
+    them again.  Bounded: what does not fit waits for the sweep's go-back-N."""
+
+    LIMIT = 1024  # messages; more than a primary's window has put in flight here
+
+    def __init__(self) -> None:
+        self.viewid: Optional[ViewId] = None
+        self._by_first_ts: Dict[int, tuple] = {}
+
+    def __len__(self) -> int:
+        return len(self._by_first_ts)
+
+    def hold(self, viewid: ViewId, records: tuple) -> None:
+        if viewid != self.viewid:
+            self.viewid, self._by_first_ts = viewid, {}
+        if len(self._by_first_ts) < self.LIMIT:
+            self._by_first_ts[records[0][0]] = records
+
+    def take(self, viewid: ViewId, applied_ts: int) -> tuple:
+        """Held records of *viewid* that continue (after a go-back-N resend:
+        overlap) the prefix applied up to *applied_ts*; ``()`` while a gap stands."""
+        held = self._by_first_ts
+        if not held or viewid != self.viewid:
+            return ()
+        first_ts = applied_ts + 1 if applied_ts + 1 in held else min(held)
+        return held.pop(first_ts) if first_ts <= applied_ts + 1 else ()
+
+    def clear(self) -> None:
+        self.viewid, self._by_first_ts = None, {}

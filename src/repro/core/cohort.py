@@ -30,7 +30,7 @@ from typing import Any, Dict, Optional, Tuple
 
 from repro.config import ProtocolConfig
 from repro.core import messages as m
-from repro.core.buffer import CommunicationBuffer
+from repro.core.buffer import CommunicationBuffer, HeldRecords
 from repro.core.cache import ClientCache
 from repro.core.calls import RemoteCaller
 from repro.core.events import (
@@ -107,6 +107,7 @@ class Cohort(Actor):
         self.history = History([Viewstamp(initial_viewid, 0)])
         self.buffer: Optional[CommunicationBuffer] = None
         self.applied_ts = 0  # backup: highest contiguously applied ts
+        self.held = HeldRecords()  # backup: records that arrived ahead of a gap
 
         # -- gstate --
         self.store = ObjectStore()
@@ -416,21 +417,25 @@ class Cohort(Actor):
         self.acknowledge()
 
     def _apply_buffer_records(self, records) -> None:
-        # Pairs are contiguous in ts (the buffer ships a slice), so the
-        # retransmitted prefix -- hundreds of pairs on every immediate force
-        # -- is skipped by index rather than pair by pair.
-        skip = max(0, self.applied_ts + 1 - records[0][0]) if records else 0
-        for ts, record in records[skip:]:
-            if ts != self.applied_ts + 1:
-                break  # gap; cumulative ack will trigger a resend
-            self.applied_ts = ts
-            viewstamp = Viewstamp(self.cur_viewid, ts)
-            self.history.advance(self.cur_viewid, ts)
-            self._record_bookkeeping(viewstamp, record, at_backup=True)
-            if self.tracer is not None:
-                self._trace_record_added(self.cur_viewid, ts, record, "backup")
-            if self.config.storage_policy is StableStoragePolicy.ALL:
-                self.stable.write_immediate("gstate", self._gstate_snapshot())
+        # Pairs are contiguous in ts (the buffer ships a slice), so a
+        # retransmitted prefix is skipped by index rather than pair by pair.
+        while records:
+            skip = self.applied_ts + 1 - records[0][0]
+            if skip < 0:
+                # Overtook an earlier message, which is sent only once: hold
+                # these until the gap closes instead of waiting for a resend.
+                self.held.hold(self.cur_viewid, records)
+                return
+            for ts, record in records[skip:]:
+                self.applied_ts = ts
+                viewstamp = Viewstamp(self.cur_viewid, ts)
+                self.history.advance(self.cur_viewid, ts)
+                self._record_bookkeeping(viewstamp, record, at_backup=True)
+                if self.tracer is not None:
+                    self._trace_record_added(self.cur_viewid, ts, record, "backup")
+                if self.config.storage_policy is StableStoragePolicy.ALL:
+                    self.stable.write_immediate("gstate", self._gstate_snapshot())
+            records = self.held.take(self.cur_viewid, self.applied_ts)
 
     def _trace_record_added(self, viewid, ts: int, record, role: str) -> None:
         """Armed path only, once per record per cohort.  The view's label is
@@ -663,6 +668,7 @@ class Cohort(Actor):
             extension.on_leave_active()
         if self.buffer is not None:
             self.buffer.close()
+        self.held.clear()
         self.caller.abandon_all()
         self.server_role.on_leave_active()
         self.client_role.on_leave_active()
@@ -677,6 +683,9 @@ class Cohort(Actor):
             on_force_failure=self.note_change_needed,
             force_timeout=self.config.force_timeout,
             retain_all=self.config.unilateral_edits,
+            flush_interval=self.config.flush_interval,
+            clock=self.detect.clock,
+            rto=self.detect.rto,
             **self.buffer_options,  # send= and the transmission mode
         )
 
@@ -730,8 +739,10 @@ class Cohort(Actor):
             "view_started", group=self.mygroupid, viewid=str(viewid), primary=self.mymid
         )
 
-    def install_newview(self, viewid: ViewId, record: NewView) -> None:
-        """Underling: initialize state from a newview record (Figure 5)."""
+    def install_newview(self, viewid: ViewId, records) -> None:
+        """Underling: initialize state from the newview record heading
+        *records* (Figure 5), then apply their tail and what was held."""
+        record: NewView = records[0][1]
         self._epoch += 1
         self.cur_viewid = viewid
         self.cur_view = record.view
@@ -751,6 +762,7 @@ class Cohort(Actor):
         for extension in self.extensions:
             extension.on_install()
         self.emit("newview_installed", viewid=str(viewid))
+        self._apply_buffer_records(records)  # ts 1 is skipped as applied
         self.acknowledge()
         self.metrics.incr(f"views_joined:{self.mygroupid}")
 
@@ -780,6 +792,7 @@ class Cohort(Actor):
         self._epoch += 1
         self.status = Status.UNDERLING  # placeholder; node is down anyway
         self.up_to_date = False
+        self.held.clear()
         if self.buffer is not None:
             self.buffer.close()
             self.buffer = None

@@ -171,16 +171,18 @@ class QueryReplyMsg(Message):
 class BufferMsg(Message):
     """Primary -> backup: event records in timestamp order.
 
-    ``records`` holds ``(ts, record)`` pairs starting just above the
-    backup's last cumulative ack, so retransmission is implicit.
+    ``records`` holds contiguous ``(ts, record)`` pairs: those above the
+    backup's send mark -- each record is sent once -- or, when the
+    retransmitter went back, those above its last cumulative ack.  A backup
+    holds a message that arrives ahead of a gap until the gap closes.
 
-    ``sent_at`` is stamped in batched mode so buffer traffic doubles as an
-    I'm-alive beacon (the receiver feeds its failure detector from it and
-    the sender suppresses the redundant heartbeat).
+    ``sent_at`` is stamped in batched mode (``piggyback_liveness``) so buffer
+    traffic doubles as an I'm-alive beacon (the receiver feeds its failure
+    detector from it and the sender suppresses the redundant heartbeat).
 
     ``records_bytes`` is not wire data (no annotation, so not a field): the
     sending buffer, which keeps running sizes of what it retains, sets it to
-    the wire size of ``records`` so that a resend of hundreds of pairs is
+    the wire size of ``records`` so that a batch of hundreds of pairs is
     not re-walked.  Left ``None``, ``records`` is sized like any other field.
     """
 

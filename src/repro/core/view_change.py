@@ -450,15 +450,18 @@ class ViewChangeController:
 
     def on_buffer_while_underling(self, msg: m.BufferMsg) -> None:
         cohort = self.cohort
-        if msg.viewid != cohort.max_viewid or self._installing:
+        if msg.viewid != cohort.max_viewid or not msg.records:
             return
-        if not msg.records or msg.records[0][0] != 1:
-            return  # need the start of the view; primary resends from ts 1
         first_ts, first_record = msg.records[0]
+        if self._installing or first_ts != 1:
+            # Of the view being formed, but ahead of its newview or of the
+            # stable write that admits it: sent once, so held, not dropped.
+            cohort.held.hold(msg.viewid, msg.records)
+            return
         if not isinstance(first_record, NewView):
             return
         self.install_when_durable(
-            msg.viewid, lambda: cohort.install_newview(msg.viewid, first_record)
+            msg.viewid, lambda: cohort.install_newview(msg.viewid, msg.records)
         )
 
     def install_when_durable(self, viewid: ViewId, install) -> None:

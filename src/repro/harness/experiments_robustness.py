@@ -131,11 +131,14 @@ def e16_liveness(duration: float = 12_000.0, seeds=(1601, 1602)) -> ExperimentRe
             "out the full invite timeout, paces call retries at "
             "RTT-derived intervals inside the unchanged total patience, "
             "and jitters manager promotion so cohorts do not collide -- "
-            "on the lossy network view changes converge faster and the "
-            "write prober sees higher availability.  Under partition "
-            "storms adaptive mode completes *more* formations (it keeps "
-            "retrying through the partition, so some measured outages "
-            "span the whole blackout) yet still wins on availability.  "
+            "on the lossy network view changes converge faster (mean and "
+            "worst case) at no cost in availability.  Under partition "
+            "storms adaptive mode retries through the partition, so some "
+            "measured outages span the whole blackout; availability there "
+            "is inside the +-0.1 seed-to-seed spread of either arm (the "
+            "prober cycles 16 keys, and one orphaned lock -- ROADMAP -- "
+            "fails one of them for the rest of a run): over eight seeds "
+            "the arms average 0.79 / 0.79 (docs/PERF.md, PR 17).  "
             "Convergence is measured by the ledger "
             "from the first view-change trigger to the completed "
             "formation (overlapping attempts count once)."

@@ -29,6 +29,8 @@ class Harness:
         max_batch=64,
         flush_delay=1.0,
         pipeline_depth=1,
+        flush_interval=5.0,
+        rto=lambda mid: None,
     ):
         self.sim = Simulator()
         self.sent = []  # (mid, message)
@@ -45,7 +47,9 @@ class Harness:
             max_batch=max_batch,
             flush_delay=flush_delay,
             pipeline_depth=pipeline_depth,
+            flush_interval=flush_interval,
             clock=lambda: self.sim.now,
+            rto=rto,
         )
 
     def records_to(self, mid):
@@ -309,23 +313,62 @@ def test_batched_window_stalls_at_pipeline_limit():
 
 
 def test_batched_go_back_n_rewinds_stalled_backup():
-    h = batched(max_batch=8)
+    _go_back_n_rewinds_stalled_backup(batch_enabled=True)
+
+
+def test_unbatched_go_back_n_is_the_same_retransmitter():
+    _go_back_n_rewinds_stalled_backup(batch_enabled=False)
+
+
+def _go_back_n_rewinds_stalled_backup(batch_enabled):
+    """The sweep goes back to the ack of a backup whose outstanding records
+    made no ack progress for a full ``max(flush_interval, rto)`` -- plus,
+    batched, the coalescing tick its ack may sit out -- and not sooner."""
+    rtos = {1: 7.0, 2: None}  # backup 1's learned RTO exceeds the sweep period
+    h = Harness(
+        batch_enabled=batch_enabled, max_batch=8, rto=rtos.get,
+        flush_delay=1.0 if batch_enabled else 0.0,
+    )
     for n in range(1, 4):
         h.buffer.add(record(n))
-    h.sim.run(until=1.0)
-    assert h.records_to(1) == [1, 2, 3]
+    h.buffer.force_to(Viewstamp(VID, 3))
+    h.sim.run(until=1.0)  # shipped at 0.0, or batched on the 1.0 tick
+    shipped_at, patience = (1.0, 8.0) if batch_enabled else (0.0, 7.0)
+    assert h.records_to(1) == h.records_to(2) == [1, 2, 3]
     h.sent.clear()
     # Backup 2 acked everything; backup 1's traffic was lost (no ack).
     h.ack(2, 3)
-    # First background sweep only records per-backup ack progress ...
+    for sweep_at in (5.0, shipped_at + patience - 0.25):
+        h.sim.run(until=sweep_at)
+        h.buffer.flush()  # a sweep period has passed, backup 1's patience has not
+        assert h.sent == []
+    h.sim.run(until=shipped_at + patience)
     h.buffer.flush()
-    h.sim.run(until=2.0)
-    # ... the second sees backup 1's ack unmoved with records outstanding,
-    # rewinds its send mark to the ack, and re-sends the suffix.
-    h.buffer.flush()
-    h.sim.run(until=3.0)
-    assert h.records_to(1) == [1, 2, 3]
+    h.sim.run(until=shipped_at + patience + 1.0)
+    assert h.records_to(1) == [1, 2, 3]  # rewound to its ack and re-sent
     assert h.records_to(2) == []  # fully-acked backup is left alone
+    # The resend restarts backup 1's clock: no third copy before as long again.
+    h.sent.clear()
+    h.sim.run(until=shipped_at + 2 * patience - 0.25)
+    h.buffer.flush()
+    assert h.sent == []
+
+
+def test_ack_progress_restarts_the_retransmission_clock():
+    h = Harness()
+    for n in range(1, 5):
+        h.buffer.add(record(n))
+    h.buffer.force_to(Viewstamp(VID, 4))
+    h.sent.clear()
+    h.sim.run(until=4.0)
+    h.ack(1, 2)  # partial progress at 4.0: the rest is not lost, just slow
+    h.sim.run(until=8.9)
+    h.buffer.flush()
+    assert h.records_to(1) == []
+    assert h.records_to(2) == [1, 2, 3, 4]  # silent for 5.0: go back to ts 0
+    h.sim.run(until=9.0)
+    h.buffer.flush()
+    assert h.records_to(1) == [3, 4]  # 5.0 after its last progress, from its ack
 
 
 def test_batched_cumulative_ack_resolves_every_covered_force():

@@ -1,10 +1,15 @@
-"""Property-based tests for the communication buffer's force semantics."""
+"""Property-based tests for the communication buffer: force semantics,
+running sizes, and the send-once transmission discipline."""
+
+import types
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core.buffer import CommunicationBuffer
+from repro.config import ProtocolConfig
+from repro.core.buffer import CommunicationBuffer, ForceAbandoned, HeldRecords
+from repro.core.cohort import Cohort
 from repro.core.events import Aborted, Committed, CompletedCall, ObjectEffect
-from repro.core.messages import BufferAckMsg
+from repro.core.messages import BufferAckMsg, BufferMsg
 from repro.core.view import sub_majority
 from repro.core.viewstamp import ViewId, Viewstamp
 from repro.sim.kernel import Simulator
@@ -235,3 +240,314 @@ def test_resend_after_trim_and_readd_is_still_sized_exactly():
     assert [ts for ts, _r in to_two.records] == [7, 8, 9, 10]
     for _mid, message in shipped:
         assert message.byte_size() == reference.message_byte_size(message)
+
+
+# -- the transmission discipline: send once, one retransmitter, held reordering --
+
+FLUSH_INTERVAL = 5.0
+
+
+class _Backup:
+    """The real ``Cohort._apply_buffer_records`` (and the real hold) run on a
+    stub that logs every record the bookkeeping sees."""
+
+    def __init__(self):
+        self.applied = []  # ts in application order
+        self.stub = types.SimpleNamespace(
+            applied_ts=0,
+            held=HeldRecords(),
+            cur_viewid=VID,
+            history=types.SimpleNamespace(advance=lambda viewid, ts: None),
+            tracer=None,
+            config=ProtocolConfig(),
+            _record_bookkeeping=lambda viewstamp, record, at_backup: (
+                self.applied.append(viewstamp.ts)
+            ),
+        )
+
+    def deliver(self, message, mid):
+        Cohort._apply_buffer_records(self.stub, message.records)
+        return BufferAckMsg(viewid=VID, acked_ts=self.stub.applied_ts, mid=mid)
+
+
+class _SendOnceModel:
+    """What the discipline allows, tracked from the outside: per backup the
+    send mark, the ack the primary has seen, and when its outstanding records
+    last made progress."""
+
+    def __init__(self, backups, patience, window):
+        self.patience = patience
+        self.window = window
+        self.mark = dict.fromkeys(backups, 0)
+        self.acked = dict.fromkeys(backups, 0)
+        self.progress_at = dict.fromkeys(backups, 0.0)
+        self.resends = 0
+
+    def on_send(self, mid, message, now, base_ts):
+        stamps = [ts for ts, _record in message.records]
+        first, last = stamps[0], stamps[-1]
+        assert stamps == list(range(first, last + 1))
+        start = max(self.acked[mid], base_ts)
+        assert last <= start + self.window  # never past the window
+        if first <= self.mark[mid]:
+            # A record this backup was already sent: only the sweep's
+            # go-back-N does that, from the ack, after a full
+            # max(flush_interval, rto) without ack progress.
+            assert now - self.progress_at[mid] >= self.patience, (mid, stamps, now)
+            assert first == start + 1
+            self.resends += 1
+            self.progress_at[mid] = now
+        else:
+            assert first == max(self.mark[mid], base_ts) + 1  # no record skipped
+            if self.mark[mid] <= self.acked[mid]:
+                self.progress_at[mid] = now  # nothing was outstanding
+        self.mark[mid] = last
+
+    def on_ack(self, mid, acked_ts, now):
+        if acked_ts > self.acked[mid]:
+            self.acked[mid] = acked_ts
+            self.progress_at[mid] = now
+            self.mark[mid] = max(self.mark[mid], acked_ts)
+
+
+wire_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("add"), st.integers(1, 4)),
+        st.tuples(st.just("force"), st.integers(0, 40)),
+        st.tuples(st.just("sweep")),
+        st.tuples(st.just("run"), st.sampled_from([0.25, 0.5, 1.0, 2.5, 5.0, 7.5])),
+        st.tuples(st.just("deliver"), st.integers(0, 200)),
+        st.tuples(st.just("drop"), st.integers(0, 200)),
+        st.tuples(st.just("duplicate"), st.integers(0, 200)),
+    ),
+    max_size=120,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    wire_ops,
+    st.sampled_from([(2, 3), (4, 5)]),                 # (backups, config size)
+    st.booleans(),                                     # batched transmission mode
+    st.integers(1, 4),                                 # max_batch
+    st.integers(1, 3),                                 # pipeline_depth
+    st.sampled_from([None, 2.0, 7.5]),                 # every peer's learned RTO
+)
+def test_send_once_under_loss_duplication_and_reordering(
+    ops, shape, batched, max_batch, pipeline_depth, rto
+):
+    """Any interleaving of add / force / tick / sweep with loss, duplication
+    and reordering of BufferMsgs and acks alike: every backup applies every
+    record exactly once and in order, a force is resolved exactly when the
+    primary has seen a sub-majority cover it, no record goes to a backup
+    twice unless a full ``max(flush_interval, rto)`` passed without ack
+    progress from it -- and once the link heals, the sweep alone converges
+    every backup and resolves every force."""
+    n_backups, config_size = shape
+    backups = {mid: _Backup() for mid in range(1, n_backups + 1)}
+    sim = Simulator()
+    # Every message of both kinds in flight, as (destination mid, or 0 for the
+    # primary; message): the ops pick what arrives, is lost, or arrives twice.
+    in_flight = []
+    window = pipeline_depth * max_batch if batched else max_batch
+    tick = 0.5 if batched else 0.0  # which an ack may sit out at a batched backup
+    patience = max(FLUSH_INTERVAL, (rto or 0.0) + tick)
+    model = _SendOnceModel(backups, patience, window)
+
+    def send(mid, message):
+        assert isinstance(message, BufferMsg) and message.records  # nothing new, nothing sent
+        model.on_send(mid, message, sim.now, buffer._base_ts)
+        in_flight.append((mid, message))
+
+    buffer = CommunicationBuffer(
+        viewid=VID, backups=tuple(backups), configuration_size=config_size,
+        send=send, set_timer=lambda delay, fn, *a: sim.schedule(delay, fn, *a),
+        on_force_failure=lambda: None, force_timeout=1e9,
+        max_batch=max_batch, batch_enabled=batched, flush_delay=tick,
+        pipeline_depth=pipeline_depth if batched else 1,
+        flush_interval=FLUSH_INTERVAL, clock=lambda: sim.now, rto=lambda mid: rto,
+    )
+    forces = []  # (ts, future)
+
+    def arrive(destination, message):
+        if destination:
+            ack = backups[destination].deliver(message, destination)
+            in_flight.append((0, ack))
+        else:
+            model.on_ack(message.mid, message.acked_ts, sim.now)
+            buffer.on_ack(message)  # may resume a flush the window cut short
+
+    def check():
+        needed = sub_majority(config_size)
+        for backup in backups.values():
+            assert backup.applied == list(range(1, len(backup.applied) + 1))
+            assert len(backup.stub.held) <= HeldRecords.LIMIT
+        for ts, future in forces:
+            covered = sum(1 for acked in model.acked.values() if acked >= ts)
+            assert future.done == (covered >= needed)
+            if future.done:
+                assert future.exception() is None
+
+    for op, *params in ops:
+        if op == "add":
+            for _ in range(params[0]):
+                buffer.add(Aborted(aid=Aid("g", VID, buffer.timestamp)))
+        elif op == "force" and buffer.timestamp:
+            ts = 1 + params[0] % buffer.timestamp
+            forces.append((ts, buffer.force_to(Viewstamp(VID, ts))))
+        elif op == "sweep":
+            buffer.flush()
+        elif op == "run":
+            sim.run(until=sim.now + params[0])
+        elif op in ("deliver", "drop", "duplicate") and in_flight:
+            picked = in_flight[params[0] % len(in_flight)]
+            if op != "duplicate":
+                in_flight.remove(picked)
+            if op != "drop":
+                arrive(*picked)
+        check()
+
+    # The link heals: everything in flight arrives, then sweeps every
+    # flush_interval are the only retransmitter there is.
+    for _round in range(4 + buffer.timestamp // max_batch):
+        while in_flight:
+            arrive(*in_flight.pop(0))
+        sim.run(until=sim.now + patience)
+        buffer.flush()
+        sim.run(until=sim.now + 1.0)  # a batched resume tick
+        check()
+    while in_flight:
+        arrive(*in_flight.pop(0))
+    check()
+    for backup in backups.values():
+        assert len(backup.applied) == buffer.timestamp
+        assert len(backup.stub.held) == 0
+    assert all(future.done for _ts, future in forces)
+
+
+def test_the_hold_is_bounded_and_belongs_to_one_view():
+    record = Aborted(aid=Aid("g", VID, 0))
+
+    def message(first_ts, count=2):
+        return tuple((ts, record) for ts in range(first_ts, first_ts + count))
+
+    held = HeldRecords()
+    for first_ts in (10, 12, 14, 40):
+        held.hold(VID, message(first_ts))
+    assert held.take(VID, 5) == ()                   # the gap still stands
+    assert held.take(ViewId(3, 0), 9) == ()          # asked for another view
+    assert held.take(VID, 9) == message(10)          # exactly the next
+    # A go-back-N resend applied through ts 13 meanwhile: the continuation
+    # first, then what it overlapped is handed over to be skipped by index.
+    assert held.take(VID, 13) == message(14)
+    assert held.take(VID, 15) == message(12)
+    assert held.take(VID, 15) == () and len(held) == 1
+    for first_ts in range(100, 100 + 2 * HeldRecords.LIMIT):
+        held.hold(VID, message(first_ts, count=1))
+    assert len(held) == HeldRecords.LIMIT            # bounded: the rest is dropped
+    held.hold(ViewId(3, 0), message(4))              # a new view's first hold
+    assert len(held) == 1 and held.take(VID, 39) == ()  # ... drops the old view's
+    held.clear()
+    assert len(held) == 0 and held.viewid is None
+
+
+# -- one force deadline per buffer ------------------------------------------------
+
+FORCE_TIMEOUT = 10.0
+
+
+class _PerForceTimers:
+    """The parent's scheme, kept as the oracle: every pending force owns a
+    ``set_timer(force_timeout)`` that resolution cancels; whichever fires
+    first fails every pending force and signals the cohort once."""
+
+    def __init__(self, sim):
+        self.sim = sim
+        self.pending = []  # [ts, timer]
+        self.events = []   # (time, "failed", (ts, ...)) | (time, "resolved", ts)
+
+    def force(self, ts):
+        self.pending.append([ts, self.sim.schedule(FORCE_TIMEOUT, self._timed_out)])
+
+    def reached(self, ts):
+        for force in [f for f in self.pending if f[0] <= ts]:
+            force[1].cancel()
+            self.pending.remove(force)
+            self.events.append((self.sim.now, "resolved", force[0]))
+
+    def _timed_out(self):
+        failed = tuple(ts for ts, _timer in self.pending)
+        for _ts, timer in self.pending:
+            timer.cancel()
+        self.pending = []
+        self.events.append((self.sim.now, "failed", failed))
+
+
+deadline_schedules = st.lists(
+    st.tuples(
+        st.sampled_from([0.0, 0.25, 1.0, 2.5, 4.75, 9.75, 10.0, 12.5]),  # then wait
+        st.sampled_from(["force", "force", "ack", "add"]),
+        st.integers(0, 30),
+    ),
+    min_size=1, max_size=40,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(deadline_schedules)
+def test_one_force_deadline_fires_when_per_force_timers_did(schedule):
+    """A scripted schedule of forces and acks (times are quarter units, exact
+    in binary): the buffer's single re-armed deadline fails the same forces
+    at the same instants as one timer per force did, with at most one
+    deadline timer alive and none ever cancelled."""
+    sim, oracle_sim = Simulator(), Simulator()  # the same instants, separate heaps
+    oracle = _PerForceTimers(oracle_sim)
+    events = []
+    armed = []
+
+    def set_timer(delay, fn, *args):
+        timer = sim.schedule(delay, fn, *args)
+        if fn == buffer._force_deadline:
+            armed.append(timer)
+            assert sum(1 for t in armed if t.active) <= 1
+        return timer
+
+    buffer = CommunicationBuffer(
+        viewid=VID, backups=(1, 2), configuration_size=5,  # sub-majority 2
+        send=lambda mid, message: None, set_timer=set_timer,
+        on_force_failure=lambda: events.append((sim.now, "signal")),
+        force_timeout=FORCE_TIMEOUT, clock=lambda: sim.now, flush_interval=FLUSH_INTERVAL,
+    )
+
+    def watch(ts, future):
+        def done(f):
+            kind = "failed" if isinstance(f.exception(), ForceAbandoned) else "resolved"
+            events.append((sim.now, kind, ts))
+        future.add_done_callback(done)
+
+    for wait, op, n in schedule:
+        sim.run(until=sim.now + wait)
+        oracle_sim.run(until=sim.now)
+        if op == "add" or not buffer.timestamp:
+            buffer.add(Aborted(aid=Aid("g", VID, buffer.timestamp)))
+        elif op == "force":
+            ts = 1 + n % buffer.timestamp
+            future = buffer.force_to(Viewstamp(VID, ts))
+            if not future.done:  # it has to wait: both schemes now time it
+                oracle.force(ts)
+                watch(ts, future)
+        elif op == "ack":
+            ts = 1 + n % buffer.timestamp
+            for mid in (1, 2):
+                buffer.on_ack(BufferAckMsg(viewid=VID, acked_ts=ts, mid=mid))
+            oracle.reached(buffer._sub_majority_ts())
+    sim.run()
+    oracle_sim.run()
+    failed_at = [at for at, kind, _stamps in oracle.events if kind == "failed"]
+    theirs = [e for e in oracle.events if e[1] == "resolved"] + [
+        (at, "failed", ts)
+        for at, kind, stamps in oracle.events if kind == "failed" for ts in stamps
+    ]
+    assert sorted(e for e in events if e[1] != "signal") == sorted(theirs)
+    assert [at for at, kind, *_rest in events if kind == "signal"] == failed_at
+    assert sim.timers_cancelled == 0  # the oracle cancelled one per resolved force

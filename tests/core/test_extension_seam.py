@@ -211,15 +211,9 @@ def test_every_pair_of_mechanisms_computes_the_paper_faithful_state(
     )
 
 
-# -- found while moving the code; not fixed here (ROADMAP aim 3) -------------------
+# -- found while moving the code (PR 16), fixed by ``Batching.reset`` ---------------
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="also fails at the parent commit (f28ac51): `AssertionError: "
-    "{1: 0, 2: 7}` -- the coalescing timer dies with the node but its armed "
-    "flag survives recovery, so the backup applies records and never acks again",
-)
 def test_a_batched_backup_acks_again_after_crashing_with_its_ack_timer_armed():
     rt, kv, _clients, driver, spec = build_kv_system(
         seed=16, config=ProtocolConfig(batch=BatchConfig(enabled=True))

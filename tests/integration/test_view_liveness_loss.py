@@ -83,6 +83,32 @@ def test_fixed_mode_also_stays_live(seed):
 
 
 def test_invite_retransmission_fires_under_loss():
-    """Adaptive mode actually resends invites when the first copies drop."""
-    rt, _counter, _driver, _at = _run_lossy_crash(seed=41, loss=0.6)
+    """Adaptive mode actually resends invites when the first copies drop.
+
+    Made to happen, not hoped for from a seed: the manager's first invitation
+    to the one live peer is lost on a one-way link failure, while that peer's
+    heartbeats keep arriving -- so it is not suspect, formation waits for it,
+    and only the mid-round retransmission can reach it before the 40-unit
+    ``invite_timeout``."""
+    rt, counter, _clients, driver = build_counter_system(seed=41)
+    future = driver.call("clients", "bump", 1)
+    rt.run_for(300)
+    assert future.result()[0] == "committed"
+    counter.active_primary().node.crash()
+    survivors = [cohort for cohort in counter.cohorts.values() if cohort.node.up]
+    manager, deadline = None, rt.sim.now + 500.0
+    while manager is None and rt.sim.now < deadline:
+        rt.run_for(0.25)  # under one hop: the first invite is still in flight
+        manager = next((c for c in survivors if c.status is Status.VIEW_MANAGER), None)
+    (peer,) = (cohort for cohort in survivors if cohort is not manager)
+    became_manager_at = rt.sim.now
+    rt.network.fail_link_oneway(manager.node.node_id, peer.node.node_id)
+    rt.run_for(2.0)  # ... and is dropped on arrival
+    assert peer.status is Status.ACTIVE and not manager._is_suspect(peer.mymid)
+    rt.network.repair_link_oneway(manager.node.node_id, peer.node.node_id)
+    while not _active_primaries(counter) and rt.sim.now < deadline:
+        rt.run_for(1.0)
     assert rt.metrics.counters.get("invite_retransmits:counter", 0) > 0
+    # The resent invite formed the view; nobody sat out the invite_timeout.
+    assert rt.sim.now - became_manager_at < manager.config.invite_timeout
+    assert rt.metrics.counters.get("view_formations_failed:counter", 0) == 0
