@@ -9,11 +9,13 @@ The paper's engineering advice is encoded in the defaults:
   before it becomes a manager" -- hence ``invite_timeout`` and
   ``underling_timeout`` are generous multiples of a round trip;
 - section 3.7: "Careful engineering is needed here to provide both speedy
-  delivery and small numbers of messages" -- ``flush_interval`` trades
-  prepare-time force stalls (E2) against background message volume, and is
-  the floor of the buffer's retransmission timeout (``max(flush_interval,
+  delivery and small numbers of messages" -- ``flush_interval`` is the
+  period of the buffer's background sweep (which ships what no force asked
+  for) and the floor of its retransmission timeout (``max(flush_interval,
   rto)``: each record is sent to each backup once, and again only after
-  that long without ack progress; see :mod:`repro.core.buffer`).
+  that long without ack progress).  Prepare-time force stalls no longer
+  depend on it (E2): a completed-call record is delivered to a sub-majority
+  in the background the moment it is added; see :mod:`repro.core.buffer`.
 
 The knobs are grouped into three nested sub-configs:
 

@@ -8,7 +8,9 @@ of event records to all backups in the primary's view; if it fails to
 deliver a message, then a crash or communication failure has occurred that
 will cause a view change."
 
-Two operations, exactly as specified:
+Three operations: two as specified, the third the behaviour section 3.7
+expects ("the needed completed-call event records ... will already be stored
+at a sub-majority"):
 
 - :meth:`CommunicationBuffer.add` -- "atomically assigns the event a
   timestamp (advancing the timestamp and updating the history in the
@@ -19,6 +21,11 @@ Two operations, exactly as specified:
   immediately; otherwise it waits until a sub-majority of backups know
   about all events in the current view with timestamps less than or equal
   to v.ts."
+- :meth:`CommunicationBuffer.push` -- **background delivery**: ship what is
+  above the send mark to a sub-majority's worth of backups now, without
+  waiting, so that the force that later names it "need not wait".  Called
+  from one place, for the one record kind a later force names without
+  forcing it itself: the completed call (``ServerRole._run_call``).
 
 Reliable in-order delivery over the lossy datagram network is one
 discipline for both transmission modes -- each record crosses each link once:
@@ -34,12 +41,24 @@ discipline for both transmission modes -- each record crosses each link once:
   that overtook an earlier one (:class:`HeldRecords`), so reordering alone
   costs no resend;
 - the mode is *when* a flush runs.  **Unbatched** (the paper-faithful
-  default): a force flushes at once ("speedy delivery"), other records wait
-  for the next force or sweep.  **Batched** (``BatchConfig.enabled``): every
-  add and force *requests* a flush and one coalescing tick per
-  ``BatchConfig.flush_interval`` serves them all.  Section 3.7's "careful
+  default): a force flushes at once ("speedy delivery"), a push ships to its
+  few targets at once, other records wait for the next force or sweep.
+  **Batched** (``BatchConfig.enabled``): every add and force *requests* a
+  flush and one coalescing tick per ``BatchConfig.flush_interval`` serves
+  them all -- a push has nothing left to do.  Section 3.7's "careful
   engineering is needed here to provide both speedy delivery and small
   numbers of messages" is exactly this trade.
+
+Who is pushed to, and when.  A force needs a sub-majority, so a push goes to
+``sub_majority(configuration_size)`` backups and no more: the ones with the
+highest cumulative acks, so a backup that stops acknowledging loses the role
+by itself.  The others get the record, coalesced, with the next force or
+sweep; the send marks keep that to one copy per link, so a push acknowledged
+before its prepare costs no extra message.  A target is shipped an offer only
+while it has no earlier *push* unacknowledged, and that ack re-offers what
+accumulated: one push per link per round trip, however many calls complete.
+The gate is per push, not per link: forces keep a busy link busy all the
+time, and what they leave behind is exactly what a later prepare waits for.
 
 Delivery failure is surfaced as a force timeout in either mode, which
 abandons the force and triggers a view change, matching footnote 1.
@@ -48,6 +67,8 @@ abandons the force and triggers a view change, matching footnote 1.
 from __future__ import annotations
 
 from array import array
+from heapq import nlargest
+from itertools import repeat
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.events import EventRecord
@@ -124,6 +145,7 @@ class CommunicationBuffer:
         self._batch_enabled = batch_enabled
         self._flush_delay = flush_delay
         self._window = max(1, pipeline_depth) * max_batch
+        self._needed = sub_majority(configuration_size)  # backups a force or push wants
         self._flush_interval = flush_interval
         self._clock = clock
         self._rto = rto
@@ -142,6 +164,11 @@ class CommunicationBuffer:
         self._progress_at: Dict[int, float] = {}
         self._flush_to = 0  # highest ts a flush has been asked to ship
         self._tick_pending = False
+        # Background delivery: the highest ts offered; per backup the ts its
+        # last push reached (its gate: shut until acked); is an offer waiting?
+        self._offered = 0
+        self._pushed: Dict[int, int] = {mid: 0 for mid in self.backups}
+        self._push_waiting = False
         # (ts, future, due) in due order, under one deadline timer.
         self._pending_forces: List[Tuple[int, Future, float]] = []
         self._deadline_armed = False
@@ -150,6 +177,7 @@ class CommunicationBuffer:
         self.msgs_sent = 0
         self.records_sent = 0
         self.flush_ticks = 0
+        self.pushes = 0
 
     # -- membership (unilateral view edits, section 4.1) --------------------
 
@@ -158,12 +186,13 @@ class CommunicationBuffer:
         for mid in self.backups:
             self.acked.setdefault(mid, 0)
             self._sent.setdefault(mid, 0)
+            self._pushed.setdefault(mid, 0)
         for mid in list(self.acked):
             if mid not in self.backups:
-                del self.acked[mid], self._sent[mid]
+                del self.acked[mid], self._sent[mid], self._pushed[mid]
         self._check_forces()
 
-    # -- the two operations -----------------------------------------------
+    # -- the three operations ---------------------------------------------
 
     def add(self, record: EventRecord) -> Viewstamp:
         """Append an event; returns its viewstamp.  Caller advances history."""
@@ -185,7 +214,7 @@ class CommunicationBuffer:
         returns immediately"), when it is None (nothing to force), or when
         the threshold is already met.
         """
-        future = Future(label=f"force:{viewstamp}")
+        future = Future(label="force")
         if self.closed:
             future.set_exception(ForceAbandoned("buffer closed"))
             return future
@@ -206,6 +235,27 @@ class CommunicationBuffer:
             self._set_timer(self._force_timeout, self._force_deadline)
         self.request_flush()
         return future
+
+    def push(self) -> None:
+        """Background delivery: offer everything added so far to a
+        sub-majority's worth of backups, so that a later force finds it stored
+        (or on its way).  Batched, the add's own tick already ships it."""
+        if not self._batch_enabled and not self.closed:
+            self._offered = self.timestamp
+            self._push_offered()
+
+    def _push_offered(self) -> None:
+        """One push per link per round trip: a backup is shipped the offer
+        only once its previous push is acknowledged; what it still lacks
+        then waits for that ack (:meth:`on_ack` re-offers)."""
+        acked, sent, offered = self.acked, self._sent, self._offered
+        self._push_waiting = False
+        for mid in nlargest(self._needed, self.backups, key=acked.__getitem__):
+            if acked[mid] >= self._pushed[mid] and self._ship_next(mid, offered):
+                self._pushed[mid] = sent[mid]
+                self.pushes += 1
+            if sent[mid] < offered:
+                self._push_waiting = True
 
     # -- transmission ------------------------------------------------------
 
@@ -243,8 +293,8 @@ class CommunicationBuffer:
 
     def _flush_new(self) -> None:
         """Send each backup its next batch of records above its mark."""
-        self._flush_to = self.timestamp
-        sizes = [n for n in map(self._ship_next, self.backups) if n]
+        self._flush_to = upto = self.timestamp
+        sizes = [n for n in map(self._ship_next, self.backups, repeat(upto)) if n]
         if sizes:
             self.flush_ticks += 1
             if self._trace is not None:
@@ -254,17 +304,18 @@ class CommunicationBuffer:
         if self._unsent_backups():
             self.request_flush()
 
-    def _next_batch(self, mid: int) -> Tuple[int, int]:
-        """``(sent, end_ts)``: *mid*'s next batch is the requested records in
-        ``(sent, end_ts]``, if any.  The mark is never below the ack, and both
-        count from the trim base for a backup re-added beneath it."""
+    def _next_batch(self, mid: int, upto: int) -> Tuple[int, int]:
+        """``(sent, end_ts)``: *mid*'s next batch is the records up to *upto*
+        in ``(sent, end_ts]``, if any.  The mark is never below the ack, and
+        both count from the trim base for a backup re-added beneath it."""
         sent = max(self._sent[mid], self._base_ts)
         window_end = max(self.acked[mid], self._base_ts) + self._window
-        return sent, min(sent + self._max_batch, window_end, self._flush_to)
+        return sent, min(sent + self._max_batch, window_end, upto)
 
-    def _ship_next(self, mid: int) -> int:
-        """Ship *mid* its next batch of unsent records; returns the count."""
-        sent, end_ts = self._next_batch(mid)
+    def _ship_next(self, mid: int, upto: int) -> int:
+        """Ship *mid* its next batch of unsent records up to *upto* (what a
+        flush was asked for, or a push was offered); returns the count."""
+        sent, end_ts = self._next_batch(mid, upto)
         if end_ts <= sent:
             return 0
         if self._sent[mid] == self.acked[mid]:
@@ -282,7 +333,8 @@ class CommunicationBuffer:
         """True if any backup has requested records inside an open window."""
         if min(self._sent.values(), default=self._flush_to) >= self._flush_to:
             return False  # every mark is at the request: the common case, at C speed
-        return any(end > sent for sent, end in map(self._next_batch, self.backups))
+        batches = map(self._next_batch, self.backups, repeat(self._flush_to))
+        return any(end > sent for sent, end in batches)
 
     def on_ack(self, ack: BufferAckMsg) -> None:
         """Process a cumulative ack from a backup.
@@ -301,14 +353,17 @@ class CommunicationBuffer:
                 continue  # excluded backup (unilateral edit) or stray
             if acked_ts > self.acked[mid]:
                 self.acked[mid] = acked_ts
-                self._progress_at[mid] = self._clock()
                 advanced = True
-                if acked_ts > self._sent[mid]:
+                if acked_ts < self._sent[mid]:
+                    self._progress_at[mid] = self._clock()  # of what is still out
+                else:
                     self._sent[mid] = acked_ts
         if advanced:
             # An advancing ack opens window space: resume a flush it cut short.
             if self._unsent_backups():
                 self.request_flush()
+            if self._push_waiting:
+                self._push_offered()  # the ack a shut gate was waiting for?
             self._check_forces()
             self._trim()
 
@@ -316,13 +371,11 @@ class CommunicationBuffer:
 
     def _sub_majority_ts(self) -> int:
         """Highest ts known to at least a sub-majority of backups."""
-        needed = sub_majority(self.configuration_size)
+        needed = self._needed
         if needed <= 0:
             return self.timestamp  # single-cohort group: primary alone suffices
-        acks = sorted((self.acked.get(mid, 0) for mid in self.backups), reverse=True)
-        if len(acks) < needed:
-            return 0
-        return acks[needed - 1]
+        acks = sorted(self.acked.values())  # keyed by exactly the backups
+        return acks[-needed] if len(acks) >= needed else 0
 
     def _check_forces(self) -> None:
         if not self._pending_forces:

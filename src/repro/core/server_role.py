@@ -14,7 +14,9 @@ At the active primary of a server group:
 - a **janitor** periodically queries coordinators about transactions whose
   outcome never arrived (section 3.4) and unilaterally aborts *unprepared*
   transactions whose coordinator is unreachable (a participant that has not
-  voted may always abort).
+  voted may always abort).  A transaction *inherited* through a view change
+  is queried at once and never aborted that way: the old primary may have
+  voted for it.
 """
 
 from __future__ import annotations
@@ -50,6 +52,10 @@ class ServerRole:
         self.known_stale_calls: Set[CallId] = set()  # ran before a view change
         self.prepared: Dict[Aid, _PreparedState] = {}
         self._unprepared_queries: Dict[Aid, int] = {}
+        self._inherited: Set[Aid] = set()  # pending when this view began
+        # Calls the most recently prepared transaction made here: a
+        # transaction's earlier calls are not worth a push of their own.
+        self._calls_per_txn = 0
         self._call_procs: list = []
         self._janitor_timer = None
 
@@ -63,6 +69,8 @@ class ServerRole:
         self.known_stale_calls.clear()
         self.prepared.clear()
         self._unprepared_queries.clear()
+        self._inherited.clear()
+        self._calls_per_txn = 0
         self._call_procs = []
         self._janitor_timer = None
 
@@ -81,12 +89,14 @@ class ServerRole:
 
     def on_become_primary(self) -> None:
         """Rebuild duplicate-detection state from surviving records and
-        start the outcome janitor."""
+        start the outcome janitor, which asks about every transaction whose
+        records (and so locks) this view inherited."""
+        pending = self.cohort.pending
         self.known_stale_calls = {
-            record.call_id
-            for calls in self.cohort.pending.values()
-            for record in calls.values()
+            record.call_id for calls in pending.values() for record in calls.values()
         }
+        self._inherited = set(pending)
+        self._unprepared_queries.update(dict.fromkeys(pending, 0))
         self._arm_janitor()
 
     def _arm_janitor(self) -> None:
@@ -188,6 +198,10 @@ class ServerRole:
             aid=msg.aid, call_id=msg.call_id, effects=ctx.effects()
         )
         viewstamp = cohort.add_record(record)
+        if len(cohort.pending[msg.aid]) >= self._calls_per_txn:
+            # Likely the transaction's last call here: deliver it (and the
+            # earlier ones) in the background, ahead of the prepare's force.
+            cohort.buffer.push()
         if cohort.config.force_on_call:
             # Ablation (section 6): forcing completed-call records before
             # the reply removes view-change aborts but slows every call.
@@ -292,17 +306,20 @@ class ServerRole:
             )
             cohort.metrics.incr(f"prepares_refused:{cohort.mygroupid}")
             return
+        self._calls_per_txn = len(cohort.pending.get(aid, ()))
         target = vs_max(msg.pset_pairs, cohort.mygroupid)
         force = cohort.force_to(target)
         if not force.done:
             cohort.metrics.incr(f"prepare_force_waits:{cohort.mygroupid}")
         epoch = cohort._epoch
+        asked_at = cohort.sim.now
 
         def after_force(future) -> None:
             if future.exception() is not None:
                 return  # force abandoned; a view change is under way
             if cohort._epoch != epoch or not cohort.is_active_primary:
                 return
+            cohort.metrics.observe("prepare_force_wait", cohort.sim.now - asked_at)
             self._finish_prepare(msg)
 
         force.add_done_callback(after_force)
@@ -473,16 +490,21 @@ class ServerRole:
             if aid in self.prepared or aid not in cohort.pending:
                 self._unprepared_queries.pop(aid, None)
                 continue
-            tries = self._unprepared_queries[aid] + 1
-            self._unprepared_queries[aid] = tries
-            if tries <= 2:
-                continue  # give the transaction time to finish normally
-            if tries >= 6:
-                # Unreachable coordinator and we never voted: a participant
-                # may abort unilaterally before preparing.
-                self._local_abort(aid)
-                cohort.metrics.incr(f"unilateral_aborts:{cohort.mygroupid}")
-                continue
+            # An inherited transaction is asked about on every tick: a view
+            # change has outlasted any normal completion, and the old primary
+            # may have voted, so only an answer (or the prepare / commit /
+            # abort itself) may resolve it.
+            if aid not in self._inherited:
+                tries = self._unprepared_queries[aid] + 1
+                self._unprepared_queries[aid] = tries
+                if tries <= 2:
+                    continue  # give the transaction time to finish normally
+                if tries >= 6:
+                    # Unreachable coordinator and we never voted: a participant
+                    # may abort unilaterally before preparing.
+                    self._local_abort(aid)
+                    cohort.metrics.incr(f"unilateral_aborts:{cohort.mygroupid}")
+                    continue
             self._send_query(aid)
 
     def _send_query(self, aid: Aid) -> None:

@@ -135,10 +135,11 @@ def e16_liveness(duration: float = 12_000.0, seeds=(1601, 1602)) -> ExperimentRe
             "worst case) at no cost in availability.  Under partition "
             "storms adaptive mode retries through the partition, so some "
             "measured outages span the whole blackout; availability there "
-            "is inside the +-0.1 seed-to-seed spread of either arm (the "
-            "prober cycles 16 keys, and one orphaned lock -- ROADMAP -- "
-            "fails one of them for the rest of a run): over eight seeds "
-            "the arms average 0.79 / 0.79 (docs/PERF.md, PR 17).  "
+            "is the same in both arms: over eight seeds they average "
+            "0.83 / 0.82 (0.92 / 0.92 without storms; 0.79 / 0.79 and "
+            "0.89 / 0.89 while a lock inherited through a view change "
+            "could stay held and fail one of the prober's 16 keys for the "
+            "rest of a run: docs/PERF.md, PR 18).  "
             "Convergence is measured by the ledger "
             "from the first view-change trigger to the completed "
             "formation (overlapping attempts count once)."

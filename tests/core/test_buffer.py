@@ -411,3 +411,115 @@ def test_batched_ack_advances_send_mark_past_lost_sends():
     h.ack(1, 2)
     h.sim.run(until=10.0)
     assert h.records_to(1) == []
+
+
+# -- background delivery: the push ------------------------------------------------
+
+
+def test_push_ships_to_one_backup_and_the_force_opens_only_the_other_link():
+    """A single-call transaction costs no extra message: push + ack on one
+    link, then the prepare's force sends the record over the other only."""
+    h = Harness()
+    stamp = h.buffer.add(record(1))
+    h.buffer.push()
+    assert [mid for mid, _m in h.sent] == [1] and h.buffer.pushes == 1
+    force = h.buffer.force_to(stamp)
+    assert not force.done                       # the push's ack is still out
+    assert [mid for mid, _m in h.sent] == [1, 2]
+    h.ack(1, 1)
+    assert force.done and h.records_to(1) == [1] and h.records_to(2) == [1]
+
+
+def test_an_acknowledged_push_lets_the_force_return_at_once_and_send_nothing():
+    h = Harness()
+    stamp = h.buffer.add(record(1))
+    h.buffer.push()
+    h.ack(1, 1)
+    h.sent.clear()
+    assert h.buffer.force_to(stamp).done and h.sent == []
+    h.buffer.add(record(2))
+    h.buffer.force_to(Viewstamp(VID, 2))        # the other backup catches up, coalesced
+    assert h.records_to(2) == [1, 2] and h.records_to(1) == [2]
+
+
+def test_the_gate_is_one_unacknowledged_push_per_link_and_its_ack_re_offers():
+    h = Harness()
+    for n in (1, 2, 3):
+        h.buffer.add(record(n))
+        h.buffer.push()
+    assert h.records_to(1) == [1] and h.records_to(2) == []  # 2, 3 met a shut gate
+    h.ack(1, 1)
+    assert h.records_to(1) == [1, 2, 3] and h.buffer.pushes == 2
+    h.ack(1, 3)
+    assert h.buffer.pushes == 2 and len(h.sent) == 2         # nothing is left to offer
+
+
+def test_force_traffic_does_not_shut_the_gate():
+    h = Harness()
+    h.buffer.add(record(1))
+    h.buffer.force_to(Viewstamp(VID, 1))        # unacked force traffic on both links
+    h.buffer.add(record(2))
+    h.buffer.push()
+    assert h.records_to(1) == [1, 2] and h.records_to(2) == [1]
+
+
+def test_push_goes_to_a_sub_majoritys_worth_of_the_best_acknowledged_backups():
+    h = Harness(backups=(1, 2, 3, 4), config_size=5)
+    h.buffer.add(record(1))
+    h.buffer.force_to(Viewstamp(VID, 1))
+    h.ack(3, 1)
+    h.ack(4, 1)
+    h.sent.clear()
+    h.buffer.add(record(2))
+    h.buffer.push()
+    assert sorted(mid for mid, _m in h.sent) == [3, 4]   # not 1 and 2, which lag
+
+
+def test_a_backup_that_stops_acking_loses_the_push_by_itself():
+    h = Harness()
+    h.buffer.add(record(1))
+    h.buffer.push()                              # to 1; never acknowledged
+    stamp = h.buffer.add(record(2))
+    h.buffer.force_to(stamp)
+    h.ack(2, 2)                                  # 2 is now the better-acknowledged
+    h.sent.clear()
+    h.buffer.add(record(3))
+    h.buffer.push()
+    assert [mid for mid, _m in h.sent] == [2]
+
+
+def test_a_lost_push_is_the_sweeps_to_resend_and_keeps_its_gate_shut_meanwhile():
+    h = Harness()
+    h.buffer.add(record(1))
+    h.buffer.push()                              # lost
+    h.sim.run(until=4.0)
+    h.buffer.add(record(2))
+    h.buffer.push()
+    assert h.records_to(1) == [1]                # shut: no second push
+    h.sim.run(until=5.0)
+    h.buffer.flush()                             # 5 units without ack progress
+    assert h.records_to(1) == [1, 1, 2] and h.records_to(2) == [1, 2]
+    h.ack(1, 2)
+    h.buffer.add(record(3))
+    h.buffer.push()
+    assert h.records_to(1) == [1, 1, 2, 3]       # acknowledged past the push: open
+
+
+def test_batched_push_is_a_no_op():
+    h = batched()
+    h.buffer.add(record(1))
+    h.buffer.push()
+    assert h.sent == [] and h.buffer.pushes == 0  # the add's tick ships it
+    h.sim.run(until=1.0)
+    assert h.records_to(1) == [1] and h.records_to(2) == [1]
+
+
+def test_push_on_a_single_cohort_group_and_a_closed_buffer_does_nothing():
+    h = Harness(backups=(), config_size=1)
+    h.buffer.add(record(1))
+    h.buffer.push()
+    h = Harness()
+    h.buffer.add(record(1))
+    h.buffer.close()
+    h.buffer.push()
+    assert h.sent == []

@@ -1,5 +1,6 @@
 """Property-based tests for the communication buffer: force semantics,
-running sizes, and the send-once transmission discipline."""
+running sizes, the send-once transmission discipline and background
+delivery (the push)."""
 
 import types
 
@@ -310,9 +311,51 @@ class _SendOnceModel:
             self.mark[mid] = max(self.mark[mid], acked_ts)
 
 
+class _PushModel:
+    """What background delivery allows.  A push shows as a move of the
+    buffer's per-link gate (``_pushed``); one operation runs at most one
+    offer, so the moves of one operation are one offer's pushes."""
+
+    def __init__(self, buffer, config_size, batched):
+        self.buffer = buffer
+        self.needed = sub_majority(config_size)
+        self.batched = batched
+        self.gate = dict(buffer._pushed)
+        self.acked_before = dict(buffer.acked)
+        self.pushes = 0
+
+    def after_op(self, sends):
+        """*sends*: ``(mid, first_ts, last_ts)`` of every message of this op."""
+        buffer = self.buffer
+        moved = [mid for mid in buffer._pushed if buffer._pushed[mid] != self.gate[mid]]
+        if self.batched:
+            assert not moved and buffer.pushes == 0  # the tick is the only path
+        assert len(moved) <= self.needed            # a sub-majority's worth of links
+        for mid in moved:
+            # Self-clocked: the link's previous push was acknowledged, the
+            # primary knew it, before this one left.
+            assert buffer.acked[mid] >= self.gate[mid], (mid, self.gate, buffer.acked)
+            # One message, ending where the gate now stands.
+            assert [s for s in sends if s[0] == mid and s[2] == buffer._pushed[mid]]
+            # To the best-acknowledged backups, as the primary saw them before
+            # the operation or sees them after it (an ack re-offers).
+            ranks = [
+                sorted(acks.values(), reverse=True)[self.needed - 1]
+                for acks in (self.acked_before, buffer.acked)
+            ]
+            assert buffer.acked[mid] >= min(ranks), (mid, ranks, buffer.acked)
+        assert buffer.pushes == self.pushes + len(moved)
+        self.pushes = buffer.pushes
+        self.gate = dict(buffer._pushed)
+        self.acked_before = dict(buffer.acked)
+
+
 wire_ops = st.lists(
     st.one_of(
         st.tuples(st.just("add"), st.integers(1, 4)),
+        st.tuples(st.just("call"), st.integers(1, 3)),  # add, then push: _run_call
+        st.tuples(st.just("call"), st.integers(1, 3)),
+        st.tuples(st.just("push")),
         st.tuples(st.just("force"), st.integers(0, 40)),
         st.tuples(st.just("sweep")),
         st.tuples(st.just("run"), st.sampled_from([0.25, 0.5, 1.0, 2.5, 5.0, 7.5])),
@@ -336,13 +379,16 @@ wire_ops = st.lists(
 def test_send_once_under_loss_duplication_and_reordering(
     ops, shape, batched, max_batch, pipeline_depth, rto
 ):
-    """Any interleaving of add / force / tick / sweep with loss, duplication
-    and reordering of BufferMsgs and acks alike: every backup applies every
-    record exactly once and in order, a force is resolved exactly when the
-    primary has seen a sub-majority cover it, no record goes to a backup
-    twice unless a full ``max(flush_interval, rto)`` passed without ack
-    progress from it -- and once the link heals, the sweep alone converges
-    every backup and resolves every force."""
+    """Any interleaving of add / push / force / tick / sweep with loss,
+    duplication and reordering of BufferMsgs and acks alike: every backup
+    applies every record exactly once and in order, a force is resolved
+    exactly when the primary has seen a sub-majority cover it, no record goes
+    to a backup twice -- pushed or forced -- unless a full
+    ``max(flush_interval, rto)`` passed without ack progress from it, a link
+    carries at most one unacknowledged push, an offer is pushed to at most a
+    sub-majority's worth of links (the best-acknowledged ones; none when
+    batched) -- and once the link heals, the sweep alone converges every
+    backup and resolves every force."""
     n_backups, config_size = shape
     backups = {mid: _Backup() for mid in range(1, n_backups + 1)}
     sim = Simulator()
@@ -354,10 +400,13 @@ def test_send_once_under_loss_duplication_and_reordering(
     patience = max(FLUSH_INTERVAL, (rto or 0.0) + tick)
     model = _SendOnceModel(backups, patience, window)
 
+    sends = []  # (mid, first ts, last ts) of the current op's messages
+
     def send(mid, message):
         assert isinstance(message, BufferMsg) and message.records  # nothing new, nothing sent
         model.on_send(mid, message, sim.now, buffer._base_ts)
         in_flight.append((mid, message))
+        sends.append((mid, message.records[0][0], message.records[-1][0]))
 
     buffer = CommunicationBuffer(
         viewid=VID, backups=tuple(backups), configuration_size=config_size,
@@ -368,6 +417,7 @@ def test_send_once_under_loss_duplication_and_reordering(
         flush_interval=FLUSH_INTERVAL, clock=lambda: sim.now, rto=lambda mid: rto,
     )
     forces = []  # (ts, future)
+    pushes = _PushModel(buffer, config_size, batched)
 
     def arrive(destination, message):
         if destination:
@@ -376,6 +426,8 @@ def test_send_once_under_loss_duplication_and_reordering(
         else:
             model.on_ack(message.mid, message.acked_ts, sim.now)
             buffer.on_ack(message)  # may resume a flush the window cut short
+            pushes.after_op(sends)  # ... and re-offer what a shut gate kept
+            sends.clear()
 
     def check():
         needed = sub_majority(config_size)
@@ -387,11 +439,15 @@ def test_send_once_under_loss_duplication_and_reordering(
             assert future.done == (covered >= needed)
             if future.done:
                 assert future.exception() is None
+        pushes.after_op(sends)
+        sends.clear()
 
     for op, *params in ops:
-        if op == "add":
+        if op in ("add", "call"):
             for _ in range(params[0]):
                 buffer.add(Aborted(aid=Aid("g", VID, buffer.timestamp)))
+        if op in ("call", "push"):
+            buffer.push()
         elif op == "force" and buffer.timestamp:
             ts = 1 + params[0] % buffer.timestamp
             forces.append((ts, buffer.force_to(Viewstamp(VID, ts))))

@@ -8,6 +8,7 @@ surface in the ordinary test run.
 
 from repro.harness import (
     e01_call_overhead,
+    e02_prepare_wait,
     e03_commit_crossover,
     e05_vs_voting,
     e09_vs_isis,
@@ -27,6 +28,22 @@ def test_e01_small_run_flat_latency():
     assert abs(unreplicated[4] - vr7[4]) / unreplicated[4] < 0.1
 
 
+def test_e02_prepare_wait_is_jitter_at_any_flush_interval():
+    """Section 3.7's headline: with think time no prepare waits, and with
+    none the wait is far below half a round trip (1.1) -- whatever the sweep
+    period, which no longer carries completed-call records."""
+    result = e02_prepare_wait(txns=16)
+    intervals = set()
+    for flush_ival, think, prepares, waited, mean_wait, _force, latency in result.rows:
+        intervals.add(flush_ival)
+        assert prepares == 16
+        if think:
+            assert waited == 0.0 and mean_wait == 0.0
+        else:
+            assert mean_wait <= 0.5 and latency <= 11.5
+    assert intervals == {1.0, 5.0, 20.0, 60.0}
+
+
 def test_e03_crossover_direction():
     result = e03_commit_crossover(txns=20)
     cheap_disk = result.rows[0]
@@ -41,6 +58,18 @@ def test_e05_vr_beats_voting_on_writes():
     _mix, _vr_sync, vr_total, rawa, maj = write_row
     assert vr_total < rawa
     assert vr_total < maj
+
+
+def test_e05_background_delivery_costs_at_most_a_quarter_message_per_op():
+    """The committed table's size (ten 8-call transactions): the push rides
+    on the predicted last call only, so VR's total stays within 0.25 of the
+    6.00 msgs/op it cost before background delivery (7.03 without the
+    predictor) and below both voting columns."""
+    result = e05_vs_voting(ops=80)
+    for row in result.rows[:2]:  # 0% and 50% reads
+        assert row[2] <= 6.00 + 0.25
+    _mix, _vr_sync, vr_total, rawa, maj = result.rows[0]
+    assert vr_total < maj < rawa
 
 
 def test_e09_isis_growth_direction():

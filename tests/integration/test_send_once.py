@@ -42,6 +42,9 @@ def test_a_fault_free_run_sends_every_record_to_every_backup_exactly_once(batche
         buffer = primary.buffer
         assert buffer.timestamp > 100
         assert _resent(buffer) == 0, (group.groupid, buffer.records_sent)
+        # ... pushes included: a pushed record is not sent again by the force
+        # (only kv completes calls, and batched mode ships on its tick).
+        assert (buffer.pushes > 0) is (group is kv and not batched)
         for backup in group.active_cohorts():
             if backup is not primary:
                 assert backup.applied_ts == buffer.timestamp

@@ -108,13 +108,7 @@ def test_four_shard_two_phase_commit_transfers():
 
 def test_three_crash_view_change_recover_rounds_under_loss():
     """The paths that throw state away: a crash drops the primary's buffer,
-    janitor and flush loop; a view change retires the survivors' epoch.
-
-    The seed is one on which no attempt straddles a crash holding a lock:
-    the orphaned-lock leak (ROADMAP) otherwise fails that key's retries for
-    ever -- on 12 of seeds 1595-1614 on the wire trajectory before send-once
-    and on 14 after it, the old seed 1601 among them (59 of 60 committed,
-    nothing unreachable)."""
+    janitor and flush loop; a view change retires the survivors' epoch."""
     count = 60
     with no_cyclic_garbage():
         rt, kv, _clients, driver, spec = build_kv_system(

@@ -10,13 +10,21 @@ that every operation runs into the eviction boundary.
 
 Two goldens pin the export of real runs to bytes a tracer change may not
 move.  They were first computed on PR 13's parent, before the tracer was
-touched, and recomputed once, in PR 17, which touched nothing under
-``src/repro/trace/`` but changed the runs themselves: the buffer sends each
-record to each backup once, so the same 60 / 200 transactions put fewer
-``BufferMsg`` / ``BufferAckMsg`` sends, deliveries and timer fires on the
-wire (6 175 -> 5 547 and 19 519 -> 17 267 events).  With the tracer
-unchanged and the oracle above green on it, the new bytes are the old format
-over a shorter event stream.
+touched, and recomputed twice since, by PRs that touched nothing under
+``src/repro/trace/`` but changed the runs themselves.  PR 17: the buffer
+sends each record to each backup once, so the same 60 / 200 transactions put
+fewer ``BufferMsg`` / ``BufferAckMsg`` sends, deliveries and timer fires on
+the wire (6 175 -> 5 547 and 19 519 -> 17 267 events).  PR 18: completed-call
+records are delivered in the background, so a prepare rarely waits a round
+trip for its force, every transaction is ~1.2 units shorter and (two
+clients) more forces find a record already shipped: 384 -> 364 and 1 222 ->
+1 211 ``BufferMsg`` (and as many acks), and the 200-transaction load now
+ends inside the driver's second 500-unit slice instead of its third, which
+takes 600 ``ImAliveMsg`` and 520 timer fires with it (5 547 -> 5 469 and
+17 267 -> 15 473 events; the per-kind counts of every protocol event --
+``record_added`` 720 / 2 400, ``commit_point`` 60 / 200, ... -- are
+unchanged).  With the tracer unchanged and the oracle above green on it, the
+new bytes are the old format over a shorter event stream.
 """
 
 import hashlib
@@ -217,15 +225,15 @@ def _export_sha256(txns, **trace):
 def test_golden_export_of_the_seed_77_run():
     # tests/trace/test_determinism.py::_traced_run(seed=77), default ring
     assert _export_sha256(60) == (
-        "b9651218f14234e5b6e40525c8b8d8cbb43c3dd24d6a3aa50956f566ccd35d3f",
-        5547,
+        "d4633fb029c08c7aca9953bad8ede101212fed40db52b28e866b518a294ce83f",
+        5469,
         0,
     )
 
 
 def test_golden_export_of_a_wrapped_5000_slot_ring():
     assert _export_sha256(200, ring_size=5000) == (
-        "d6a329a50a8b0a18ce68f39d78cfa354ab2b608ef657677b188c2bd2b44c65e6",
-        17267,
-        12267,
+        "2cd89a0be29722168d3dc0396d175a423caec54d57d4e45fe08d7c33225c8099",
+        15473,
+        10473,
     )
