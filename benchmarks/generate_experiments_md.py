@@ -60,9 +60,9 @@ All tables below are verbatim output of `pytest benchmarks/ --benchmark-only`
 | E16 | liveness under lossy networks: adaptive detection vs fixed timeouts (beyond the paper) | n/a (extension) | LOSSY: adaptive converges faster (mean 19.8 vs 22.9, worst 84 vs 89) at equal availability 0.93; storms: avail 0.82 vs 0.82 on these two seeds; eight-seed means 0.92 / 0.92 and 0.83 / 0.82 (0.89 / 0.89 and 0.79 / 0.79 before inherited transactions were queried: the prober's keys no longer stay locked) |
 | E17 | transactions span many groups; each participant validates its own viewstamps (3.3) | yes | clean speedup 1.0/1.9/3.0/5.8 at 1/2/4/8 shards; a single-shard view change aborts only shard-touching txns (elsewhere 0 at 2-4 shards; 1-7 aborts per row, 0-18 before) |
 | E18 | buffer batching: speedy delivery vs small numbers of messages (3.7) | yes | batching cuts msgs/txn 20.3 -> 11.4-13.1 (clean/viewchange), 28.1 -> 21.3 (lossy, 64-record batches; 8-record stop-and-wait 25.3); the unbatched rows send each record once and push completed calls (+0.8 msgs/txn at 16 clients; the lossy cell's +3.1 is this seed's two retries and a longer quiesce, six-seed means 4887 -> 4846 messages), the batched rows are byte-identical to before; state digest byte-identical to unbatched on every schedule |
-| E19 | read serving path: leases, backup reads, client caches (beyond the paper; 3.7 prices reads as calls) | n/a (extension) | 90%-read zipfian open loop: leased reads 4.2x mean / 6.3x p99 faster than the full call path (which itself got 7% faster: 10.05 -> 9.33), cache 8.9x mean; backup staleness <= one heartbeat; state digest byte-identical across all serving configs (`python -m repro.reads.gate`) |
-| E20 | geo-replication: placement, cross-region failover, region faults (beyond the paper; 1 and 4.1 assume partitions and cofailing links) | n/a (extension) | one-shard-per-DC commits 3.2x faster than spread placement (26.5 vs 84.2); every placement's cross-region failover meets the 525 adaptive-timeout bound; a partitioned region's leased reads stop 13.6 after the cut, long before the majority's new primary commits (+316.6 on this seed: a driver retry was in flight at the cut); state digest byte-identical to the flat network (`python -m repro.geo.gate`) |
-| E21 | cohort scaling: gossip heartbeats, ack trees, witness replicas (beyond the paper; 2 sizes groups at "three or five") | n/a (extension) | all-on cuts primary msgs/interval 9.6x at n=100 (231.2 -> 24.1, mean load 198.8 -> 6.8) with failover 50 -> 70; every cell n=5..100 commits its full load and re-forms after a primary crash; `scale=None` and all-off byte-identical schedules, armed states byte-identical to baseline (`python -m repro.scale.gate`) |
+| E19 | read serving path: leases, backup reads, client caches (beyond the paper; 3.7 prices reads as calls) | n/a (extension) | 90%-read zipfian open loop: leased reads 4.2x mean / 6.3x p99 faster than the full call path (which itself got 7% faster: 10.05 -> 9.33), cache 8.9x mean; backup staleness <= one heartbeat; state digest byte-identical across all serving configs (`python -m repro.gate reads`) |
+| E20 | geo-replication: placement, cross-region failover, region faults (beyond the paper; 1 and 4.1 assume partitions and cofailing links) | n/a (extension) | one-shard-per-DC commits 3.2x faster than spread placement (26.5 vs 84.2); every placement's cross-region failover meets the 525 adaptive-timeout bound; a partitioned region's leased reads stop 13.6 after the cut, long before the majority's new primary commits (+316.6 on this seed: a driver retry was in flight at the cut); state digest byte-identical to the flat network (`python -m repro.gate geo`) |
+| E21 | cohort scaling: gossip heartbeats, ack trees, witness replicas (beyond the paper; 2 sizes groups at "three or five") | n/a (extension) | all-on cuts primary msgs/interval 9.6x at n=100 (231.2 -> 24.1, mean load 198.8 -> 6.8) with failover 50 -> 70; every cell n=5..100 commits its full load and re-forms after a primary crash; `scale=None` and all-off byte-identical schedules, armed states byte-identical to baseline (`python -m repro.gate scale`) |
 
 Notes on calibration: absolute numbers depend on the simulated link and
 timeout parameters (see `repro/config.py`); the claims are about *shape* —

@@ -49,7 +49,6 @@ from repro.config import (
     ProtocolConfig,
     ReadConfig,
     ScaleConfig,
-    TimingConfig,
     TraceConfig,
 )
 from repro.core import ModuleGroup, View, ViewId, Viewstamp
@@ -101,7 +100,6 @@ __all__ = [
     "ShardMap",
     "ShardedGroup",
     "StableStoragePolicy",
-    "TimingConfig",
     "Topology",
     "TraceConfig",
     "View",

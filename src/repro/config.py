@@ -17,22 +17,15 @@ The paper's engineering advice is encoded in the defaults:
   depend on it (E2): a completed-call record is delivered to a sub-majority
   in the background the moment it is added; see :mod:`repro.core.buffer`.
 
-The knobs are grouped into three nested sub-configs:
+Every timeout and interval is a flat field of :class:`ProtocolConfig`; the
+opt-in extensions are nested sub-configs:
 
-- :class:`TimingConfig` holds every timeout/interval, so a variant sweep
-  (E16/E17/E18) can configure one object and pass it as
-  ``ProtocolConfig(timing=...)``;
 - :class:`BatchConfig` holds the replication hot-path batching knobs
   (disabled by default -- ``BatchConfig()`` reproduces the paper-faithful
   unbatched baseline);
 - :class:`ReadConfig` holds the read-dominant serving path (primary
   leases, stale-bounded backup reads, client commit-set caches; disabled
   by default -- every read pays the full call path, as in the paper).
-
-For backwards compatibility every :class:`TimingConfig` knob is *also* a
-flat field on :class:`ProtocolConfig` (``ProtocolConfig(call_timeout=60)``
-and ``dataclasses.replace(cfg, flush_interval=2.0)`` keep working); the two
-representations are reconciled in ``__post_init__``.
 """
 
 from __future__ import annotations
@@ -44,41 +37,6 @@ if TYPE_CHECKING:  # pragma: no cover -- type-only; avoids a config<->geo cycle
     from repro.geo.topology import Topology
 
 from repro.storage.stable import StableStoragePolicy
-
-
-@dataclasses.dataclass
-class TimingConfig:
-    """Every timeout and interval of the protocol, in one sweepable object.
-
-    Field meanings are documented on :class:`ProtocolConfig`, which mirrors
-    each of these as a flat attribute.
-    """
-
-    # -- communication buffer (section 2, 3) --
-    flush_interval: float = 5.0
-    force_timeout: float = 60.0
-    # -- failure detection (section 4) --
-    im_alive_interval: float = 10.0
-    suspect_multiplier: float = 3.5
-    # -- adaptive detection & retry pacing (repro.detect) --
-    min_timeout: float = 5.0
-    backoff_multiplier: float = 2.0
-    backoff_cap: float = 8.0
-    backoff_jitter: float = 0.5
-    promotion_jitter: float = 0.5
-    # -- view change (section 4, figure 5) --
-    invite_timeout: float = 40.0
-    underling_timeout: float = 80.0
-    view_retry_delay: float = 25.0
-    # -- transaction processing (section 3) --
-    call_timeout: float = 50.0
-    call_probes: int = 2
-    prepare_timeout: float = 60.0
-    commit_retry_interval: float = 40.0
-    lock_timeout: float = 120.0
-    query_interval: float = 80.0
-    # -- stable storage (section 4.2) --
-    stable_write_latency: float = 5.0
 
 
 @dataclasses.dataclass
@@ -149,8 +107,9 @@ class ReadConfig:
     """
 
     #: Master switch; False reproduces the read-through-the-call-path
-    #: protocol exactly (no ``Leases`` extension is built; perf-gated by
-    #: the ``lease_overhead`` scenario).
+    #: protocol exactly (no ``Leases`` extension is built).  Armed with no
+    #: client reading, the schedule is still byte-identical: the ``leases
+    #: armed-idle`` row of ``python -m repro.gate reads``.
     enabled: bool = False
     #: How far ahead a grant (and therefore a promise) extends.  Must
     #: comfortably exceed ``im_alive_interval`` so heartbeat-carried
@@ -175,8 +134,9 @@ class GeoConfig:
     """Geo-replication: topology, placement, and client routing (docs/GEO.md).
 
     ``ProtocolConfig.geo`` defaults to ``None`` -- the paper-faithful
-    flat network, byte-identical to the pre-geo schedules (perf-gated by
-    the ``geo_overhead`` scenario).  Arming a topology makes the runtime
+    flat network, byte-identical to the pre-geo schedules (and a one-DC
+    all-LAN topology schedules like it: the ``one-DC all-LAN`` row of
+    ``python -m repro.gate geo``).  Arming a topology makes the runtime
     install its per-pair models as *structural* links, place cohorts by
     the ``placement`` policy, and register every cohort's and driver's
     site with the :class:`~repro.location.LocationService`.
@@ -201,10 +161,10 @@ class ScaleConfig:
 
     ``ProtocolConfig.scale`` defaults to ``None`` -- the paper-faithful
     cohort where every backup talks directly to the primary, byte-identical
-    to the pre-scale schedules (perf-gated by the ``scale_overhead``
-    scenario and proven by ``python -m repro.scale.gate``).  Each mechanism
-    below is independently toggleable; ``ScaleConfig()`` with all three off
-    also reproduces the baseline schedule exactly.
+    to the pre-scale schedules.  Each mechanism below is independently
+    toggleable; ``ScaleConfig()`` with all three off also reproduces the
+    baseline schedule exactly (the ``all-off`` row of ``python -m repro.gate
+    scale``).
 
     - ``gossip``: instead of every cohort heartbeating every peer
       (O(n^2) I'm-alive traffic, with the primary an O(n) hub), each
@@ -247,68 +207,44 @@ class ScaleConfig:
     witnesses: int = 0
 
 
-#: Names of the knobs mirrored between TimingConfig and ProtocolConfig.
-_TIMING_FIELDS: Tuple[str, ...] = tuple(
-    field.name for field in dataclasses.fields(TimingConfig)
-)
-
-#: Shared default instance the flat-field defaults are read from.
-_DEFAULT_TIMING = TimingConfig()
-
-
 @dataclasses.dataclass
 class ProtocolConfig:
     """Timeouts and intervals for cohorts, clients, and failure detection.
 
-    Timing knobs live canonically in ``self.timing`` (a
-    :class:`TimingConfig`) and batching knobs in ``self.batch`` (a
-    :class:`BatchConfig`); the flat timing attributes below are kept in
-    sync for compatibility.  When both a nested ``timing=`` and an explicit
-    flat kwarg are given, a flat value that differs from its default wins
-    (this is what keeps ``dataclasses.replace(cfg, call_timeout=...)``
-    working -- ``replace`` re-passes the synced nested config alongside the
-    overridden flat field).  The one ambiguity: explicitly passing a flat
-    value equal to its default *plus* a nested config that disagrees
-    resolves to the nested value; pass ``timing=`` alone in that case.
+    Every knob is a flat field (``ProtocolConfig(call_timeout=60)``,
+    ``dataclasses.replace(cfg, flush_interval=2.0)``); the opt-in
+    extensions live in the nested sub-configs at the end.
     """
 
     # -- communication buffer (section 2, 3) --
-    flush_interval: float = _DEFAULT_TIMING.flush_interval   # background send
-    #                                       of buffered events: the one
-    #                                       retransmit sweep, both modes
-    force_timeout: float = _DEFAULT_TIMING.force_timeout     # give up on a
-    #                                       force -> view change
+    flush_interval: float = 5.0           # background send of buffered
+    #                                       events: the one retransmit sweep,
+    #                                       both modes
+    force_timeout: float = 60.0           # give up on a force -> view change
 
     # -- failure detection (section 4) --
-    im_alive_interval: float = _DEFAULT_TIMING.im_alive_interval  # heartbeat period
-    suspect_multiplier: float = _DEFAULT_TIMING.suspect_multiplier  # missed-
-    #                                       heartbeat threshold, in periods
+    im_alive_interval: float = 10.0       # heartbeat period
+    suspect_multiplier: float = 3.5       # missed-heartbeat threshold, in
+    #                                       periods
 
     # -- adaptive detection & retry pacing (beyond the paper; repro.detect) --
     adaptive_timeouts: bool = True        # derive operational timeouts from
     #                                       live RTT estimates and use accrual
     #                                       suspicion; False restores the
     #                                       paper-faithful fixed constants
-    min_timeout: float = _DEFAULT_TIMING.min_timeout  # floor for any
-    #                                       RTT-derived timeout
-    backoff_multiplier: float = _DEFAULT_TIMING.backoff_multiplier  # exponential
-    #                                       retry growth factor
-    backoff_cap: float = _DEFAULT_TIMING.backoff_cap  # retry delay cap, in
-    #                                       base delays
-    backoff_jitter: float = _DEFAULT_TIMING.backoff_jitter  # retry jitter
-    #                                       spread (delay scaled by 1 +/-
-    #                                       jitter/2, seeded RNG)
-    promotion_jitter: float = _DEFAULT_TIMING.promotion_jitter  # underling->
-    #                                       manager timeout spread,
+    min_timeout: float = 5.0              # floor for any RTT-derived timeout
+    backoff_multiplier: float = 2.0       # exponential retry growth factor
+    backoff_cap: float = 8.0              # retry delay cap, in base delays
+    backoff_jitter: float = 0.5           # retry jitter spread (delay scaled
+    #                                       by 1 +/- jitter/2, seeded RNG)
+    promotion_jitter: float = 0.5         # underling->manager timeout spread,
     #                                       desynchronizing competing managers
 
     # -- view change (section 4, figure 5) --
-    invite_timeout: float = _DEFAULT_TIMING.invite_timeout  # manager waits
-    #                                       this long for accepts
-    underling_timeout: float = _DEFAULT_TIMING.underling_timeout  # underling ->
-    #                                       manager on silence
-    view_retry_delay: float = _DEFAULT_TIMING.view_retry_delay  # manager
-    #                                       retries formation after fail
+    invite_timeout: float = 40.0          # manager waits this long for accepts
+    underling_timeout: float = 80.0       # underling -> manager on silence
+    view_retry_delay: float = 25.0        # manager retries formation after
+    #                                       fail
     ordered_managers: bool = True         # section 4.1: only become manager if
     #                                       higher-priority cohorts look dead
     extended_formation_rule: bool = False # beyond-the-paper condition 4: form
@@ -319,18 +255,13 @@ class ProtocolConfig:
     #                                       rule only trusts the old primary
 
     # -- transaction processing (section 3) --
-    call_timeout: float = _DEFAULT_TIMING.call_timeout  # client gives up on a
-    #                                       remote call
-    call_probes: int = _DEFAULT_TIMING.call_probes  # probes before declaring
-    #                                       no-reply
-    prepare_timeout: float = _DEFAULT_TIMING.prepare_timeout  # coordinator
-    #                                       retry interval
-    commit_retry_interval: float = _DEFAULT_TIMING.commit_retry_interval
-    #                                       # coordinator re-sends commits
-    lock_timeout: float = _DEFAULT_TIMING.lock_timeout  # deadlock breaker
-    #                                       (documented deviation)
-    query_interval: float = _DEFAULT_TIMING.query_interval  # participant
-    #                                       queries coordinator
+    call_timeout: float = 50.0            # client gives up on a remote call
+    call_probes: int = 2                  # probes before declaring no-reply
+    prepare_timeout: float = 60.0         # coordinator retry interval
+    commit_retry_interval: float = 40.0   # coordinator re-sends commits
+    lock_timeout: float = 120.0           # deadlock breaker (documented
+    #                                       deviation)
+    query_interval: float = 80.0          # participant queries coordinator
 
     # -- unilateral view edits (section 4.1, E12) --
     unilateral_edits: bool = False        # primary may exclude/add backups
@@ -352,7 +283,7 @@ class ProtocolConfig:
     #                                       would be processed more slowly"
 
     # -- stable storage (section 4.2) --
-    stable_write_latency: float = _DEFAULT_TIMING.stable_write_latency
+    stable_write_latency: float = 5.0
     storage_policy: StableStoragePolicy = StableStoragePolicy.MINIMAL
     force_to_stable: bool = False         # every force also blocks on a
     #                                       stable-storage write.  With a
@@ -363,8 +294,7 @@ class ProtocolConfig:
     #                                       replicas it is the section 4.2
     #                                       catastrophe hardening.
 
-    # -- nested sub-configs (canonical home of the knobs above) --
-    timing: Optional[TimingConfig] = None
+    # -- nested sub-configs (the opt-in extensions) --
     batch: Optional[BatchConfig] = None
     reads: Optional[ReadConfig] = None
     # Unlike batch/reads, geo is NOT auto-instantiated: ``geo is None``
@@ -380,25 +310,6 @@ class ProtocolConfig:
             self.batch = BatchConfig()
         if self.reads is None:
             self.reads = ReadConfig()
-        if self.timing is None:
-            self.timing = TimingConfig(
-                **{name: getattr(self, name) for name in _TIMING_FIELDS}
-            )
-            return
-        # Reconcile nested and flat: an explicitly overridden flat value
-        # (one that differs from the TimingConfig default) wins, everything
-        # else comes from the nested config; then rebuild the nested config
-        # from the merged values so the two views cannot disagree.
-        merged = {}
-        for name in _TIMING_FIELDS:
-            flat = getattr(self, name)
-            if flat != getattr(_DEFAULT_TIMING, name):
-                merged[name] = flat
-            else:
-                merged[name] = getattr(self.timing, name)
-        for name, value in merged.items():
-            setattr(self, name, value)
-        self.timing = TimingConfig(**merged)
 
     def suspect_timeout(self) -> float:
         """Silence longer than this marks a cohort unreachable."""
@@ -411,8 +322,9 @@ class TraceConfig:
 
     Tracing is wired at Runtime construction: omitting ``trace`` (or
     setting ``enabled=False``) leaves every instrumented hot path with a
-    ``tracer is None`` test and nothing else -- the zero-cost path the
-    ``trace_overhead`` perf scenario regression-gates.
+    ``tracer is None`` test and nothing else; armed, it moves no event
+    (``python -m repro.gate trace``) and what it costs the host is
+    ``vrbench``'s ``trace.armed_over_off``.
     """
 
     enabled: bool = True

@@ -14,7 +14,6 @@ truth the harness reports from).
 from __future__ import annotations
 
 import dataclasses
-import warnings
 from typing import Any, Dict, NamedTuple, Optional, Tuple
 
 from repro.core import messages as m
@@ -177,11 +176,10 @@ class Driver(Actor):
         The one submission surface.  *target* may be:
 
         - a plain groupid string -- the request goes to that group's
-          primary (the old ``submit``);
+          primary;
         - a :class:`~repro.shard.facade.ShardedGroup`, or the name of one
           registered on the runtime -- the façade's shard map routes
-          key-addressed programs to the owning shard (the old
-          ``submit_keyed``).
+          key-addressed programs to the owning shard.
 
         The returned future resolves to a :class:`CallResult` (a
         ``(status, value)`` NamedTuple, so tuple unpacking still works).
@@ -255,50 +253,6 @@ class Driver(Actor):
             )
         self._send(request)
         return request.future
-
-    # -- deprecated shims (external callers only; src/ uses call()) ----------
-
-    def submit(
-        self,
-        groupid: str,
-        program: str,
-        *args: Any,
-        retries: int = 8,
-        timeout: Optional[float] = None,
-    ) -> Future:
-        """Deprecated: use :meth:`call` with a groupid target."""
-        warnings.warn(
-            "Driver.submit() is deprecated; use Driver.call()",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self._call_group(
-            groupid, program, tuple(args), retries=retries, timeout=timeout
-        )
-
-    def submit_keyed(
-        self,
-        sharded,
-        program: str,
-        *args: Any,
-        retries: int = 8,
-        timeout: Optional[float] = None,
-    ) -> Future:
-        """Deprecated: use :meth:`call` with the façade (or its name) as
-        the target."""
-        warnings.warn(
-            "Driver.submit_keyed() is deprecated; use Driver.call()",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        if isinstance(sharded, str):
-            sharded = self.runtime.sharded[sharded]
-        groupid, routed_program, routed_args = sharded.route(
-            program, tuple(args), origin=self
-        )
-        return self._call_group(
-            groupid, routed_program, routed_args, retries=retries, timeout=timeout
-        )
 
     # -- reads (repro.reads serving path) -------------------------------------
 

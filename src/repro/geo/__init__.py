@@ -11,7 +11,7 @@ byte-identical to the flat network.  See docs/GEO.md.
 CLI::
 
     python -m repro.geo check-docs docs/GEO.md   # docs drift gate
-    python -m repro.geo.gate                     # E20 determinism gate
+    python -m repro.gate geo                     # E20 determinism gate
 """
 
 from repro.config import GeoConfig

@@ -1,23 +1,18 @@
-"""``python -m repro.geo``: the geo subsystem docs drift gate.
+"""``python -m repro.geo check-docs DOC``: the docs-drift gate for
+docs/GEO.md.
 
-Subcommands::
-
-    check-docs DOC
-        Fail unless DOC mentions every GeoConfig knob, placement policy,
-        link-model preset, region fault kind, the geo_route trace event,
-        the "nearest" read preference, and the geo CLIs (the docs-drift
-        gate for docs/GEO.md).
-
-The E20 determinism gate lives one module over:
-``python -m repro.geo.gate``.
+Fails unless DOC mentions every GeoConfig knob, placement policy,
+link-model preset, region fault kind, the geo_route trace event, the
+"nearest" read preference, and the geo command lines.  The E20 determinism
+gate is ``python -m repro.gate geo``.
 """
 
 from __future__ import annotations
 
-import argparse
 import dataclasses
 import sys
 
+from repro import checkdocs
 from repro.config import GeoConfig
 from repro.geo.placement import PLACEMENT_POLICIES
 
@@ -34,59 +29,21 @@ GEO_EVENT_KINDS = ("geo_route",)
 GEO_READ_PREFERENCES = ("nearest",)
 
 #: Command lines the doc must point readers at.
-GEO_CLIS = ("python -m repro.geo.gate", "python -m repro.geo check-docs")
+GEO_CLIS = ("python -m repro.gate geo", "python -m repro.geo check-docs")
 
-
-def _check_docs(args) -> int:
-    try:
-        with open(args.doc, "r", encoding="utf-8") as handle:
-            text = handle.read()
-    except OSError as error:
-        print(f"cannot read {args.doc}: {error}", file=sys.stderr)
-        return 2
-    knobs = tuple(field.name for field in dataclasses.fields(GeoConfig))
-    required = {
-        "GeoConfig knob": knobs,
-        "placement policy": PLACEMENT_POLICIES,
-        "link preset": LINK_PRESETS,
-        "region fault": REGION_FAULT_KINDS,
-        "event kind": GEO_EVENT_KINDS,
-        "read preference": GEO_READ_PREFERENCES,
-        "CLI": GEO_CLIS,
-    }
-    missing = [
-        f"{category} {name!r}"
-        for category, names in required.items()
-        for name in names
-        if name not in text
-    ]
-    if missing:
-        print(f"{args.doc} is missing documentation for: "
-              f"{', '.join(missing)}", file=sys.stderr)
-        return 1
-    total = sum(len(names) for names in required.values())
-    print(f"{args.doc} documents all {total} geo terms "
-          f"({len(knobs)} knobs, {len(PLACEMENT_POLICIES)} policies, "
-          f"{len(LINK_PRESETS)} presets, "
-          f"{len(REGION_FAULT_KINDS)} region faults, "
-          f"{len(GEO_EVENT_KINDS)} event kind, "
-          f"{len(GEO_READ_PREFERENCES)} read preference, "
-          f"{len(GEO_CLIS)} CLIs)")
-    return 0
+REQUIRED = {
+    "GeoConfig knob": [field.name for field in dataclasses.fields(GeoConfig)],
+    "placement policy": PLACEMENT_POLICIES,
+    "link preset": LINK_PRESETS,
+    "region fault": REGION_FAULT_KINDS,
+    "event kind": GEO_EVENT_KINDS,
+    "read preference": GEO_READ_PREFERENCES,
+    "CLI": GEO_CLIS,
+}
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.geo", description=__doc__.splitlines()[0]
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    check = sub.add_parser(
-        "check-docs", help="fail unless DOC covers the geo vocabulary"
-    )
-    check.add_argument("doc")
-    check.set_defaults(fn=_check_docs)
-    args = parser.parse_args(argv)
-    return args.fn(args)
+    return checkdocs.main("repro.geo", REQUIRED, argv)
 
 
 if __name__ == "__main__":

@@ -13,9 +13,9 @@ for each :class:`repro.config.ScaleConfig` mechanism alone and all-on:
 - simulator throughput (events/s of virtual work, wall-clock measured),
   i.e. whether the harness itself sustains n=100.
 
-The companion determinism cell ``_scale_state_run`` backs
-``python -m repro.scale.gate``: scale mechanisms may move messages and
-shift schedules, never change what the protocol computes.
+The companion determinism gate is ``python -m repro.gate scale``: scale
+mechanisms may move messages and shift schedules, never change what the
+protocol computes.
 """
 
 from __future__ import annotations
@@ -76,47 +76,6 @@ def _build_scaled_kv(
     clients.register_program("update", update_program)
     driver = rt.create_driver("driver")
     return rt, kv, clients, driver, spec
-
-
-# -- the determinism-gate cell --------------------------------------------
-
-
-def _scale_state_run(
-    seed: int,
-    scale: Optional[ScaleConfig],
-    txns: int = 32,
-    n_cohorts: int = 7,
-) -> Tuple[dict, str, str]:
-    """One cross-config-comparable cell for the scale determinism gate.
-
-    Retry-until-commit distinct-key writes (fixed values): the final
-    replicated state is schedule-independent, so every armed mechanism
-    must agree byte-for-byte on the state digest with the ``scale=None``
-    baseline.  Returns ``(metrics, ledger_digest, state_digest)`` -- the
-    *ledger* digest additionally proves that ``scale=None`` and an
-    all-off ScaleConfig replay byte-identical schedules (zero cost when
-    disabled), a strictly stronger property the armed conditions are not
-    held to.
-    """
-    from repro.perf.report import ledger_digest, state_digest
-
-    rt, _kv, _clients, driver, spec = _build_scaled_kv(
-        seed, n_cohorts, scale, n_keys=txns
-    )
-    rt.run_for(200.0)
-    jobs = [("write", ("kv", spec.key(index), index)) for index in range(txns)]
-    stats = run_retry_loop(rt, driver, "clients", jobs, concurrency=4)
-    deadline = rt.sim.now + 100_000.0
-    while stats.committed < txns and rt.sim.now < deadline:
-        rt.run_for(200.0)
-    rt.quiesce(100.0)
-    rt.check_invariants(require_convergence=False)
-    metrics = {
-        "writes_committed": stats.committed,
-        "messages": rt.network.messages_sent_total,
-        "events": rt.sim.events_processed,
-    }
-    return metrics, ledger_digest(rt), state_digest(rt)
 
 
 # -- the experiment cells --------------------------------------------------

@@ -22,7 +22,7 @@ what geography does to the protocol, in three parts:
   region-sized failure.
 
 All cells are pure functions of the seed (same-seed replay is gated by
-``python -m repro.geo.gate``, which also checks that the *final state*
+``python -m repro.gate geo``, which also checks that the *final state*
 is placement-independent).
 """
 
@@ -286,63 +286,6 @@ def _region_partition_cell(
         ),
         "lease_duration": rt.config.reads.lease_duration,
     }
-
-
-# -- the determinism-gate cell (python -m repro.geo.gate) -----------------
-
-
-def _geo_state_run(
-    seed: int,
-    placement: Optional[str],
-    txns: int = 24,
-    read_duration: float = 300.0,
-    settle: float = 300.0,
-):
-    """One cross-placement-comparable cell for the E20 determinism gate.
-
-    Retry-until-commit distinct-key writes (fixed values) plus, when geo
-    is armed, a concurrent nearest-routed read-only loop: the final
-    replicated state is schedule-independent, so every placement -- and
-    the flat ``placement=None`` baseline -- must agree byte-for-byte on
-    the state digest (geography moves messages, never what the protocol
-    computes).  Returns ``(metrics dict, state digest)``.
-    """
-    from repro.perf.report import state_digest
-    from repro.workloads.loadgen import run_open_loop, run_retry_loop
-
-    config = (
-        geo_protocol_config(placement, reads=True)
-        if placement is not None
-        else ProtocolConfig(reads=ReadConfig(enabled=True))
-    )
-    rt, _kv, _clients, driver, spec = build_kv_system(
-        seed=seed, n_cohorts=5, n_keys=txns, config=config,
-        driver_site="dc-b/z1" if placement is not None else None,
-    )
-    rt.run_for(settle)
-    jobs = [("write", ("kv", spec.key(index), index)) for index in range(txns)]
-    write_stats = run_retry_loop(rt, driver, "clients", jobs, concurrency=4)
-    read_stats = run_open_loop(
-        rt, driver,
-        key=spec.key, n_keys=txns, duration=read_duration, rate=0.3,
-        read_fraction=1.0,
-        prefer="nearest" if placement is not None else "primary",
-        name="e20-gate",
-    )
-    deadline = rt.sim.now + 100_000.0
-    while (
-        write_stats.committed < txns or not read_stats.drained
-    ) and rt.sim.now < deadline:
-        rt.run_for(200.0)
-    rt.quiesce(100.0)
-    rt.check_invariants(require_convergence=False)
-    metrics = {
-        "writes_committed": write_stats.committed,
-        "reads_ok": read_stats.reads_ok,
-        "read_modes": dict(sorted(read_stats.read_modes.items())),
-        "messages": rt.network.messages_sent_total,
-    }
-    return metrics, state_digest(rt)
 
 
 # -- the assembled experiment ---------------------------------------------

@@ -10,17 +10,10 @@ a client-side commit-set cache (docs/READS.md).  E19 measures what each
 buys on the workload the path exists for: an open-loop zipfian get/put
 mix at 90% reads.
 
-The study has two cell shapes:
-
-- :func:`_reads_run` -- the measured cell: one open-loop 90/10 mix,
-  identical arrival/key/op sequences across conditions, reporting read
-  latency, serving-mode breakdown, and observed staleness.
-- :func:`_reads_state_run` -- the comparable cell used by the
-  ``python -m repro.reads.gate`` determinism gate: retry-until-commit
-  distinct-key writes plus a concurrent read-only open loop, so the
-  final replicated state is schedule-independent and every read config
-  must reproduce the reads-disabled baseline's state digest
-  byte-for-byte (reads may never change what the protocol computes).
+The measured cell is :func:`_reads_run`: one open-loop 90/10 mix, identical
+arrival/key/op sequences across conditions, reporting read latency,
+serving-mode breakdown, and observed staleness.  That the same conditions
+never change what the protocol *computes* is ``python -m repro.gate reads``.
 """
 
 from __future__ import annotations
@@ -28,7 +21,7 @@ from __future__ import annotations
 from repro.config import ProtocolConfig, ReadConfig
 from repro.harness.common import ExperimentResult, build_kv_system
 from repro.perf.report import state_digest
-from repro.workloads.loadgen import run_open_loop, run_retry_loop
+from repro.workloads.loadgen import run_open_loop
 
 #: The serving-path conditions E19 sweeps.  ``baseline`` is the
 #: paper-faithful path (``ProtocolConfig.reads`` disabled, every read a
@@ -95,53 +88,6 @@ def _reads_run(
         "max_staleness": stats.max_observed_staleness,
         "writes_committed": stats.writes_committed,
         "writes_aborted": stats.writes_aborted,
-        "messages": rt.network.messages_sent_total,
-    }
-    return metrics, state_digest(rt)
-
-
-def _reads_state_run(
-    seed: int,
-    condition: str,
-    txns: int = 32,
-    duration: float = 500.0,
-    rate: float = 0.4,
-    settle: float = 60.0,
-):
-    """One cross-config-comparable cell: retry-until-commit distinct-key
-    writes with a concurrent read-only open loop.  Every write commits
-    exactly once with a fixed value, so the final replicated state is
-    schedule-independent and comparable across read configs by state
-    digest -- the gate's check that reads never change what the protocol
-    computes.  Returns ``(metrics dict, state digest)``."""
-    rt, _kv, _clients, driver, spec = build_kv_system(
-        seed=seed, n_cohorts=3, n_keys=txns,
-        config=_read_protocol_config(condition),
-    )
-    rt.run_for(settle)
-    jobs = [("write", ("kv", spec.key(index), index)) for index in range(txns)]
-    write_stats = run_retry_loop(rt, driver, "clients", jobs, concurrency=4)
-    read_stats = run_open_loop(
-        rt, driver,
-        key=spec.key, n_keys=txns, duration=duration, rate=rate,
-        read_fraction=1.0,
-        prefer=_read_prefer(condition),
-        use_read_path=condition != "baseline",
-        name="e19-gate",
-    )
-    deadline = rt.sim.now + 100_000.0
-    while (
-        write_stats.committed < txns or not read_stats.drained
-    ) and rt.sim.now < deadline:
-        rt.run_for(200.0)
-    rt.quiesce()
-    rt.check_invariants(require_convergence=False)
-    metrics = {
-        "writes_committed": write_stats.committed,
-        "reads_ok": read_stats.reads_ok,
-        "reads_failed": read_stats.reads_failed,
-        "read_modes": dict(sorted(read_stats.read_modes.items())),
-        "read_mean": round(read_stats.read_mean_latency, 6),
         "messages": rt.network.messages_sent_total,
     }
     return metrics, state_digest(rt)
@@ -230,7 +176,7 @@ def e19_reads(
             "client-side commit-set cache, whose hits cost zero network "
             "round trips.  Writes always use the call path.  The "
             "stale-read safety half of the claim is gated separately by "
-            "python -m repro.reads.gate (byte-identical state digests "
+            "python -m repro.gate reads (byte-identical state digests "
             "across all serving configs) and the stale_lease monitor."
         ),
     )

@@ -17,9 +17,7 @@ import gc
 
 from repro import LOSSY, BatchConfig, Nemesis, ProtocolConfig
 from repro.harness.common import ExperimentResult, build_kv_system
-from repro.perf.report import state_digest
 from repro.shard.workload import run_sharded_workload
-from repro.workloads.loadgen import run_retry_loop
 
 SHARD_COUNTS = (1, 2, 4, 8)
 CONDITIONS = ("clean", "lossy", "viewchange")
@@ -165,6 +163,20 @@ E18_CONFIGS = (
 E18_CONDITIONS = ("clean", "lossy", "viewchange")
 
 
+def batch_config(batch) -> BatchConfig:
+    """The BatchConfig of one E18 point: ``None`` = unbatched, else
+    ``(max_batch, pipeline_depth)``."""
+    if batch is None:
+        return BatchConfig(enabled=False)
+    max_batch, pipeline_depth = batch
+    return BatchConfig(
+        enabled=True,
+        max_batch=max_batch,
+        flush_interval=0.5,
+        pipeline_depth=pipeline_depth,
+    )
+
+
 def _batching_run(
     seed: int,
     condition: str,
@@ -172,46 +184,24 @@ def _batching_run(
     txns: int,
     concurrency: int,
 ):
-    """One cell of the batching study; returns (metrics dict, state digest)."""
-    if batch is None:
-        batch_config = BatchConfig(enabled=False)
-    else:
-        max_batch, pipeline_depth = batch
-        batch_config = BatchConfig(
-            enabled=True,
-            max_batch=max_batch,
-            flush_interval=0.5,
-            pipeline_depth=pipeline_depth,
-        )
-    config = ProtocolConfig(batch=batch_config)
-    link = LOSSY if condition == "lossy" else None
-    rt, _kv, _clients, driver, spec = build_kv_system(
-        seed=seed, n_cohorts=3, n_keys=txns, config=config, link=link
+    """One cell of the batching study -- the identity gate's cell
+    (:func:`repro.gate.state_run`) on a clean or lossy network or with the
+    kv primary crashing at t=150; returns (metrics dict, state digest)."""
+    from repro.gate import state_run  # repro.gate imports this package
+
+    system = build_kv_system(
+        seed=seed,
+        n_cohorts=3,
+        n_keys=txns,
+        config=ProtocolConfig(batch=batch_config(batch)),
+        link=LOSSY if condition == "lossy" else None,
     )
-    if condition == "viewchange":
-        # Crash the kv primary mid-stream; the retry loop re-submits the
-        # writes the view change aborted, so the final state must still be
-        # byte-identical across batch configs.
-        rt.inject(
-            Nemesis().crash_primary("kv", every=150.0, count=1, recover_after=400.0)
-        )
-    jobs = [("write", ("kv", spec.key(index), index)) for index in range(txns)]
-    stats = run_retry_loop(rt, driver, "clients", jobs, concurrency=concurrency)
-    deadline = rt.sim.now + 200_000.0
-    while stats.committed < txns and rt.sim.now < deadline:
-        rt.run_for(200.0)
-    if condition == "viewchange":
-        rt.faults.stop()
-    rt.quiesce()
-    rt.check_invariants(require_convergence=False)
-    metrics = {
-        "committed": stats.committed,
-        "retries": stats.aborted + stats.unknown,
-        "messages": rt.network.messages_sent_total,
-        "view_changes": len(rt.ledger.view_changes_for("kv")),
-        "sim_time": rt.sim.now,
-    }
-    return metrics, state_digest(rt)
+    run = state_run(
+        system,
+        concurrency=concurrency,
+        crash_at=150.0 if condition == "viewchange" else None,
+    )
+    return run.metrics, run.state
 
 
 def e18_batching(

@@ -37,11 +37,10 @@ def run_soak(seed: int = 2026, duration: float = 15_000.0,
     failure to re-converge.
 
     ``on_runtime``, if given, is called with the :class:`~repro.Runtime`
-    immediately after construction -- repro.perf uses it to read kernel
-    counters off the finished run without changing the return type.
-    ``trace`` (a :class:`~repro.config.TraceConfig`) defaults to off so
-    perf-gated soak runs keep their exact historical cost; the CLI below
-    turns monitors on by default.  ``liveness`` arms the relaxed
+    immediately after construction -- the CLI below uses it to export a
+    failed run's artifacts without changing the return type.
+    ``trace`` (a :class:`~repro.config.TraceConfig`) defaults to off; the
+    CLI below turns monitors on by default.  ``liveness`` arms the relaxed
     :func:`repro.live.spec_catalog` against the KV group: the nemesis
     pauses the windows, but every clean interval (and the healed tail)
     must make progress or the run fails with a StallReport.  ``reads``

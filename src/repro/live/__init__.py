@@ -18,9 +18,9 @@ wrong; this package catches it doing *nothing*.  Three pieces:
   unhealable majority partition that is *required* to violate).
 
 Arm specs with :meth:`repro.Runtime.arm_liveness`; a runtime without
-armed specs pays nothing (``runtime.liveness`` stays ``None``, the
-pattern the ``liveness_overhead`` perf scenario gates).  See
-``docs/LIVENESS.md``.
+armed specs pays nothing (``runtime.liveness`` stays ``None``), and armed
+ones disturb nothing the protocol decides (``python -m repro.gate
+liveness``).  See ``docs/LIVENESS.md``.
 """
 
 from repro.live.checker import LivenessChecker

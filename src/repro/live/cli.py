@@ -29,6 +29,7 @@ import dataclasses
 import os
 import sys
 
+from repro.checkdocs import check_docs
 from repro.config import ProtocolConfig
 from repro.live.matrix import SCHEDULES, run_matrix
 from repro.live.report import StallReport
@@ -112,29 +113,16 @@ def _schedules(_args) -> int:
 
 
 def _check_docs(args) -> int:
-    try:
-        with open(args.doc, "r", encoding="utf-8") as handle:
-            text = handle.read()
-    except OSError as error:
-        print(f"cannot read {args.doc}: {error}", file=sys.stderr)
-        return 2
-    required = sorted(
-        {cls.name for cls in SPEC_CLASSES}
-        | set(SCHEDULES)
-        | {field.name for field in dataclasses.fields(StallReport)}
+    return check_docs(
+        args.doc,
+        {
+            "spec": sorted(cls.name for cls in SPEC_CLASSES),
+            "schedule": sorted(SCHEDULES),
+            "StallReport field": [
+                field.name for field in dataclasses.fields(StallReport)
+            ],
+        },
     )
-    missing = [name for name in required if name not in text]
-    if missing:
-        print(
-            f"{args.doc} is missing documentation for: {', '.join(missing)}",
-            file=sys.stderr,
-        )
-        return 1
-    print(
-        f"{args.doc} documents all {len(SPEC_CLASSES)} specs, "
-        f"{len(SCHEDULES)} schedules, and every StallReport field"
-    )
-    return 0
 
 
 _DEFAULT_DURATION = 5_000.0

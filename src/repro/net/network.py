@@ -60,7 +60,7 @@ class Network:
         self._structural_links: Dict[Tuple[str, str], LinkModel] = {}
         self._structural_cache: Dict[Tuple[str, str], Optional[LinkModel]] = {}
         # Plain-int totals on the per-message hot path; the per-type
-        # breakdown lives in Metrics, these feed repro.perf cheaply.
+        # breakdown lives in Metrics, these feed the gates and vrbench cheaply.
         self.messages_sent_total = 0
         self.messages_delivered_total = 0
         self.messages_dropped_total = 0

@@ -1,35 +1,2 @@
-"""Perf baseline subsystem: instrumented scenarios and BENCH.json.
-
-``python -m repro.perf`` runs a fixed suite of seeded scenarios against the
-instrumented kernel and message plane and writes a schema-versioned
-``BENCH.json``; CI gates every PR on events/s against the committed
-baseline in ``benchmarks/results/BENCH_baseline.json``.  See docs/PERF.md.
-"""
-
-from repro.perf.report import (
-    SCHEMA_VERSION,
-    PerfReport,
-    build_report,
-    compare_to_baseline,
-    ledger_digest,
-    load_bench_json,
-    write_bench_json,
-)
-from repro.perf.runner import main, run_suite
-from repro.perf.scenarios import SCENARIOS, Scenario, run_scenario, scenario_names
-
-__all__ = [
-    "SCHEMA_VERSION",
-    "PerfReport",
-    "SCENARIOS",
-    "Scenario",
-    "build_report",
-    "compare_to_baseline",
-    "ledger_digest",
-    "load_bench_json",
-    "main",
-    "run_scenario",
-    "run_suite",
-    "scenario_names",
-    "write_bench_json",
-]
+"""Home of the two run digests (``report.py``).  Host-time measurement is
+``vrbench`` (``BENCHMARK.json``); identity checks are :mod:`repro.gate`."""

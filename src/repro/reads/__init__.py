@@ -19,7 +19,7 @@ production read-heavy traffic wants, gated by
   watermark, Wren-style.
 
 ``python -m repro.reads check-docs docs/READS.md`` is the docs drift
-gate; ``python -m repro.reads.gate`` is the E19 determinism gate.
+gate; ``python -m repro.gate reads`` is the E19 determinism gate.
 See docs/READS.md for the protocol and its safety argument.
 """
 

@@ -1,22 +1,17 @@
-"""``python -m repro.reads``: the read-path docs drift gate.
+"""``python -m repro.reads check-docs DOC``: the docs-drift gate for
+docs/READS.md.
 
-Subcommands::
-
-    check-docs DOC
-        Fail unless DOC mentions every ReadConfig knob, read-path trace
-        event kind, reject reason, serving mode, and the stale_lease
-        monitor (the docs-drift gate for docs/READS.md).
-
-The E19 determinism gate lives one module over:
-``python -m repro.reads.gate``.
+Fails unless DOC mentions every ReadConfig knob, read-path trace event
+kind, reject reason, serving mode, and the stale_lease monitor.  The E19
+determinism gate is ``python -m repro.gate reads``.
 """
 
 from __future__ import annotations
 
-import argparse
 import dataclasses
 import sys
 
+from repro import checkdocs
 from repro.config import ReadConfig
 
 #: Every trace event kind the read path emits (docs/TRACING.md).
@@ -37,53 +32,17 @@ SERVING_MODES = ("lease", "backup", "cache", "txn", "none")
 #: Monitors the read path relies on.
 READ_MONITORS = ("stale_lease",)
 
-
-def _check_docs(args) -> int:
-    try:
-        with open(args.doc, "r", encoding="utf-8") as handle:
-            text = handle.read()
-    except OSError as error:
-        print(f"cannot read {args.doc}: {error}", file=sys.stderr)
-        return 2
-    knobs = tuple(field.name for field in dataclasses.fields(ReadConfig))
-    required = {
-        "ReadConfig knob": knobs,
-        "event kind": READ_EVENT_KINDS,
-        "reject reason": REJECT_REASONS,
-        "serving mode": SERVING_MODES,
-        "monitor": READ_MONITORS,
-    }
-    missing = [
-        f"{category} {name!r}"
-        for category, names in required.items()
-        for name in names
-        if name not in text
-    ]
-    if missing:
-        print(f"{args.doc} is missing documentation for: "
-              f"{', '.join(missing)}", file=sys.stderr)
-        return 1
-    total = sum(len(names) for names in required.values())
-    print(f"{args.doc} documents all {total} read-path terms "
-          f"({len(knobs)} knobs, {len(READ_EVENT_KINDS)} event kinds, "
-          f"{len(REJECT_REASONS)} reject reasons, "
-          f"{len(SERVING_MODES)} serving modes, "
-          f"{len(READ_MONITORS)} monitor)")
-    return 0
+REQUIRED = {
+    "ReadConfig knob": [field.name for field in dataclasses.fields(ReadConfig)],
+    "event kind": READ_EVENT_KINDS,
+    "reject reason": REJECT_REASONS,
+    "serving mode": SERVING_MODES,
+    "monitor": READ_MONITORS,
+}
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.reads", description=__doc__.splitlines()[0]
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    check = sub.add_parser(
-        "check-docs", help="fail unless DOC covers the read-path vocabulary"
-    )
-    check.add_argument("doc")
-    check.set_defaults(fn=_check_docs)
-    args = parser.parse_args(argv)
-    return args.fn(args)
+    return checkdocs.main("repro.reads", REQUIRED, argv)
 
 
 if __name__ == "__main__":

@@ -203,7 +203,7 @@ class Runtime:
         ``{name}-router`` client group for cross-shard transactions, and
         publishes the versioned :class:`~repro.shard.map.ShardMap` through
         the location service.  Submit key-addressed work with
-        :meth:`Driver.submit_keyed`.  See docs/SHARDING.md.
+        :meth:`Driver.call`.  See docs/SHARDING.md.
         """
         from repro.shard.facade import ShardedGroup
 

@@ -11,8 +11,8 @@ three classic remedies -- **gossip heartbeats** (:mod:`repro.scale.gossip`),
 (:mod:`repro.core.extension`), and each *off by the absence of the
 config*: ``ProtocolConfig.scale is None`` (or a ScaleConfig with every
 mechanism off) builds none of them, never imports this package, and
-replays the paper-faithful schedules byte-for-byte, proven by ``python -m
-repro.scale.gate`` and the ``scale_overhead`` perf scenario.  This module
+replays the paper-faithful schedules byte-for-byte, proven by the
+``all-off`` row of ``python -m repro.gate scale``.  This module
 holds what they compute with: the :class:`AckTree` topology and the
 witness sizing rules.
 """

@@ -1,23 +1,18 @@
-"""``python -m repro.scale``: the scale subsystem docs drift gate.
+"""``python -m repro.scale check-docs DOC``: the docs-drift gate for
+docs/SCALE.md.
 
-Subcommands::
-
-    check-docs DOC
-        Fail unless DOC mentions every ScaleConfig knob, the three scale
-        trace events, the witness install message, the relayed-heartbeat
-        detector entry point, and the scale CLIs (the docs-drift gate for
-        docs/SCALE.md).
-
-The determinism gate lives one module over:
-``python -m repro.scale.gate``.
+Fails unless DOC mentions every ScaleConfig knob, the three scale trace
+events, the witness install message, the relayed-heartbeat detector entry
+point, and the scale command lines.  The determinism gate is
+``python -m repro.gate scale``.
 """
 
 from __future__ import annotations
 
-import argparse
 import dataclasses
 import sys
 
+from repro import checkdocs
 from repro.config import ScaleConfig
 
 #: Trace event kinds the scale mechanisms emit.
@@ -27,52 +22,18 @@ SCALE_EVENT_KINDS = ("gossip_relay", "ack_tree", "witness_vote")
 SCALE_WIRE_TERMS = ("WitnessInstallMsg", "heard_relayed")
 
 #: Command lines the doc must point readers at.
-SCALE_CLIS = ("python -m repro.scale.gate", "python -m repro.scale check-docs")
+SCALE_CLIS = ("python -m repro.gate scale", "python -m repro.scale check-docs")
 
-
-def _check_docs(args) -> int:
-    try:
-        with open(args.doc, "r", encoding="utf-8") as handle:
-            text = handle.read()
-    except OSError as error:
-        print(f"cannot read {args.doc}: {error}", file=sys.stderr)
-        return 2
-    knobs = tuple(field.name for field in dataclasses.fields(ScaleConfig))
-    required = {
-        "ScaleConfig knob": knobs,
-        "event kind": SCALE_EVENT_KINDS,
-        "wire term": SCALE_WIRE_TERMS,
-        "CLI": SCALE_CLIS,
-    }
-    missing = [
-        f"{category} {name!r}"
-        for category, names in required.items()
-        for name in names
-        if name not in text
-    ]
-    if missing:
-        print(f"{args.doc} is missing documentation for: "
-              f"{', '.join(missing)}", file=sys.stderr)
-        return 1
-    total = sum(len(names) for names in required.values())
-    print(f"{args.doc} documents all {total} scale terms "
-          f"({len(knobs)} knobs, {len(SCALE_EVENT_KINDS)} event kinds, "
-          f"{len(SCALE_WIRE_TERMS)} wire terms, {len(SCALE_CLIS)} CLIs)")
-    return 0
+REQUIRED = {
+    "ScaleConfig knob": [field.name for field in dataclasses.fields(ScaleConfig)],
+    "event kind": SCALE_EVENT_KINDS,
+    "wire term": SCALE_WIRE_TERMS,
+    "CLI": SCALE_CLIS,
+}
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.scale", description=__doc__.splitlines()[0]
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    check = sub.add_parser(
-        "check-docs", help="fail unless DOC covers the scale vocabulary"
-    )
-    check.add_argument("doc")
-    check.set_defaults(fn=_check_docs)
-    args = parser.parse_args(argv)
-    return args.fn(args)
+    return checkdocs.main("repro.scale", REQUIRED, argv)
 
 
 if __name__ == "__main__":

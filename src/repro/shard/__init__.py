@@ -8,7 +8,7 @@ to the owning group's primary and multi-key transactions through the
 paper's cross-group 2PC (sections 3.3-3.6), with per-participant
 viewstamp validation.  See docs/SHARDING.md and experiment E17.
 
-``python -m repro.shard determinism`` is the CI check that two same-seed
+``python -m repro.gate shard`` is the CI check that two same-seed
 sharded runs produce byte-identical per-shard ledger digests.
 """
 

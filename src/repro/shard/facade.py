@@ -284,8 +284,8 @@ def shard_ledger_digest(runtime, groupid: str) -> str:
     """Deterministic sha256 over one group's slice of the ledger.
 
     Two same-seed runs must agree on every shard's digest -- this is the
-    per-shard refinement of :func:`repro.perf.report.ledger_digest`, and
-    what ``python -m repro.shard determinism`` (CI's e17 check) compares.
+    per-shard refinement of the whole-run ``ledger_digest``, and
+    what ``python -m repro.gate shard`` (CI's e17 check) compares.
     """
     ledger = runtime.ledger
     effects = sorted(

@@ -1,10 +1,9 @@
 """The canonical sharded workload: seq_puts plus cross-shard transfers.
 
-Shared by ``python -m repro.shard determinism`` (CI's digest gate), the
-E17 scale-out experiment, and the ``sharded_routing`` perf scenario, so
-they all measure the same thing: a closed-loop mix of single-key writes
-(serialized per shard by the ``__seq`` lock) and cross-shard transfers
-(the paper's multi-group 2PC).
+Shared by ``python -m repro.gate shard`` (CI's digest gate) and the E17
+scale-out experiment, so they measure the same thing: a closed-loop mix of
+single-key writes (serialized per shard by the ``__seq`` lock) and
+cross-shard transfers (the paper's multi-group 2PC).
 """
 
 from __future__ import annotations

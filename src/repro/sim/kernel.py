@@ -22,8 +22,7 @@ Hot-path notes (see docs/PERF.md):
   it is deterministic.
 - The kernel keeps cheap integer perf counters (timers created/cancelled,
   compactions, peak heap size) and accumulates wall-clock time spent inside
-  :meth:`run`; :mod:`repro.perf` reads them to build a
-  :class:`~repro.perf.report.PerfReport`.
+  :meth:`run`; ``vrbench`` reads them through :meth:`Simulator.perf_counters`.
 """
 
 from __future__ import annotations
@@ -194,7 +193,7 @@ class Simulator:
         return self._wall_seconds
 
     def perf_counters(self) -> dict:
-        """Kernel counters as a plain dict (consumed by :mod:`repro.perf`).
+        """Kernel counters as a plain dict (consumed by ``vrbench``).
 
         ``gc_collections`` (per generation) and ``gc_unreachable`` are the
         *process's* cyclic-collector activity since this simulator was

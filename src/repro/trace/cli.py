@@ -27,6 +27,7 @@ import argparse
 import sys
 from typing import Dict, List
 
+from repro.checkdocs import check_docs
 from repro.trace.events import EVENT_KINDS, TraceEvent, causal_ancestry
 from repro.trace.export import read_jsonl, write_chrome
 from repro.trace.monitors import MONITORS
@@ -94,33 +95,30 @@ def _monitors(_args) -> int:
 
 
 def _check_docs(args) -> int:
-    try:
-        with open(args.doc, "r", encoding="utf-8") as handle:
-            text = handle.read()
-    except OSError as error:
-        print(f"cannot read {args.doc}: {error}", file=sys.stderr)
-        return 2
-    missing = [kind for kind in sorted(EVENT_KINDS) if kind not in text]
-    missing += [name for name in sorted(MONITORS) if name not in text]
-    for name in sorted(MONITORS):
-        row = next(
-            (line for line in text.splitlines() if line.startswith(f"| `{name}`")),
-            "",
-        )
-        missing += [
-            f"{name} subscribes to {kind}"
-            for kind in MONITORS[name].kinds or ()
-            if f"`{kind}`" not in row
-        ]
-    if missing:
-        print(f"{args.doc} is missing documentation for: "
-              f"{', '.join(missing)}", file=sys.stderr)
-        return 1
-    print(f"{args.doc} documents all {len(EVENT_KINDS)} event kinds and "
-          f"{len(MONITORS)} monitors")
-    for name in sorted(MONITORS):
-        print(f"  {name}: {_kinds(MONITORS[name])}")
-    return 0
+    def subscription_rows(text: str) -> list:
+        """Each monitor's table row must name every kind it subscribes to."""
+        gaps = []
+        for name in sorted(MONITORS):
+            row = next(
+                (line for line in text.splitlines() if line.startswith(f"| `{name}`")),
+                "",
+            )
+            gaps += [
+                f"{name} subscribes to {kind}"
+                for kind in MONITORS[name].kinds or ()
+                if f"`{kind}`" not in row
+            ]
+        return gaps
+
+    status = check_docs(
+        args.doc,
+        {"event kind": sorted(EVENT_KINDS), "monitor": sorted(MONITORS)},
+        also=subscription_rows,
+    )
+    if status == 0:
+        for name in sorted(MONITORS):
+            print(f"  {name}: {_kinds(MONITORS[name])}")
+    return status
 
 
 def main(argv=None) -> int:

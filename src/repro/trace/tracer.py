@@ -8,8 +8,8 @@ Design constraints (see docs/TRACING.md):
   None`` test.  Nothing here is consulted by the kernel loop itself.
 - **Pure observation.**  The tracer draws no randomness and schedules no
   events, so enabling it cannot change what a seeded run computes --
-  ledger digests with and without tracing are asserted identical by the
-  ``trace_overhead`` perf scenario and tests/trace.
+  ledger digests with and without tracing are asserted identical by
+  ``python -m repro.gate trace`` and tests/trace.
 - **Deterministic.**  Event ids, Lamport stamps, and ring eviction depend
   only on emission order, which the simulator makes deterministic.
 

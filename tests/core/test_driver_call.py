@@ -1,8 +1,7 @@
 """Driver.call / CallResult: the unified submission surface.
 
-``Driver.call`` replaces ``submit`` (groupid targets) and ``submit_keyed``
-(sharded façade targets) with one routing entry point that resolves to a
-typed :class:`CallResult`; the old names survive as deprecation shims.
+``Driver.call`` is the one routing entry point -- groupid targets and
+sharded façade targets alike -- and resolves to a typed :class:`CallResult`.
 """
 
 import pytest
@@ -69,21 +68,3 @@ def test_call_rejects_nonpositive_timeout():
     rt, _kv, _clients, driver, _spec = build_kv_system(seed=3, n_cohorts=3)
     with pytest.raises(ValueError):
         driver.call("clients", "write", "kv", "k0", 1, timeout=0)
-
-
-def test_submit_shim_warns_and_still_works():
-    rt, _kv, _clients, driver, spec = build_kv_system(seed=3, n_cohorts=3)
-    with pytest.warns(DeprecationWarning, match="Driver.submit"):
-        future = driver.submit("clients", "write", "kv", spec.key(1), 9)
-    assert _resolve(rt, future).committed
-
-
-def test_submit_keyed_shim_warns_and_routes():
-    rt, sharded, driver = build_sharded(seed=22, n_shards=2)
-    (key,) = keys_owned_by(sharded, 1)
-    with pytest.warns(DeprecationWarning, match="submit_keyed"):
-        future = driver.submit_keyed(sharded, "write", key, 3)
-    assert _resolve(rt, future).committed
-    with pytest.warns(DeprecationWarning):
-        by_name = driver.submit_keyed("kv", "read", key)
-    assert _resolve(rt, by_name).unwrap() == 3

@@ -244,7 +244,7 @@ def test_extended_rule_end_to_end_recovery():
         rt, counter, _clients, driver = build_counter_system(
             seed=31, config=PC(extended_formation_rule=extended)
         )
-        future = driver.submit("clients", "bump", 4)
+        future = driver.call("clients", "bump", 4)
         rt.run_for(300)
         assert future.result()[0] == "committed"
         rt.quiesce()

@@ -71,7 +71,7 @@ def test_crash_recover_round_trip_restores_convergence():
     later recovery leaves a group that converges and passes the full
     invariant battery."""
     rt, counter, _clients, driver = build_counter_system(seed=42)
-    first = driver.submit("clients", "bump", 1)
+    first = driver.call("clients", "bump", 1)
     rt.run_for(400)
     assert first.result()[0] == "committed"
 
@@ -82,7 +82,7 @@ def test_crash_recover_round_trip_restores_convergence():
     rt.inject(plan)
     rt.run_for(3000)
 
-    second = driver.submit("clients", "bump", 1)
+    second = driver.call("clients", "bump", 1)
     rt.run_for(3000)
     assert second.result()[0] == "committed"
     rt.quiesce()
@@ -93,7 +93,7 @@ def test_crash_recover_round_trip_restores_convergence():
 
 def test_crash_primary_op_resolves_target_at_fire_time():
     rt, counter, _clients, driver = build_counter_system(seed=7)
-    driver.submit("clients", "bump", 1)
+    driver.call("clients", "bump", 1)
     rt.run_for(400)
     before = counter.active_primary().node.node_id
     plan = FaultPlan()

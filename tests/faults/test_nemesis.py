@@ -6,7 +6,7 @@ from tests.conftest import build_counter_system
 
 def test_crash_primary_rule_fires_count_times_and_recovers():
     rt, counter, _clients, driver = build_counter_system(seed=21)
-    driver.submit("clients", "bump", 1)
+    driver.call("clients", "bump", 1)
     rt.run_for(400)
     rt.inject(Nemesis().crash_primary("counter", every=400.0, count=2,
                                       recover_after=200.0))
@@ -50,7 +50,7 @@ def test_partition_storm_blocks_match_group_membership():
 
 def test_group_partition_isolates_primary_in_minority():
     rt, counter, _clients, driver = build_counter_system(seed=24, n_cohorts=5)
-    driver.submit("clients", "bump", 1)
+    driver.call("clients", "bump", 1)
     rt.run_for(400)
     primary_node = counter.active_primary().node.node_id
     rt.inject(
@@ -75,7 +75,7 @@ def test_same_seed_nemesis_replays_byte_identical_timeline():
     def run_once():
         rt, counter, _clients, driver = build_counter_system(seed=77)
         for _ in range(3):
-            driver.submit("clients", "bump", 1)
+            driver.call("clients", "bump", 1)
         node_ids = [node.node_id for node in counter.nodes()]
         rt.inject(
             Nemesis()

@@ -1,23 +1,23 @@
-"""The E20 gate cell and the geo docs-drift CLI."""
+"""The geo rows of ``repro.gate`` and the geo docs-drift CLI."""
 
 import pathlib
 
+from repro.gate import GATES
 from repro.geo.__main__ import main as geo_main
-from repro.harness.experiments_geo import _geo_state_run
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
 
 
 def test_state_run_is_deterministic_and_placement_invariant():
-    flat = _geo_state_run(77, None, txns=8)
-    again = _geo_state_run(77, None, txns=8)
-    spread = _geo_state_run(77, "spread", txns=8)
-    assert flat == again  # same seed, same run -- metrics and digest
-    metrics, digest = flat
-    assert metrics["writes_committed"] == 8
+    rows = {label: run for label, run, _relations in GATES["geo"].rows}
+    flat = rows["flat"](77, 8)
+    assert flat == rows["flat"](77, 8)  # same seed, same run -- metrics and digests
+    assert flat.complete and flat.metrics["committed"] == 8
     # Geography reshapes transport, never the replicated state.
-    assert spread[1] == digest
-    assert spread[0]["writes_committed"] == 8
+    spread = rows["spread"](77, 8)
+    assert spread.complete
+    assert spread.state == flat.state
+    assert spread.schedule != flat.schedule
 
 
 def test_check_docs_passes_on_shipped_doc(capsys):

@@ -10,7 +10,7 @@ def test_force_on_call_slows_calls_but_commits():
     plain = build_counter_system(seed=191)
     forced = build_counter_system(seed=191, config=ProtocolConfig(force_on_call=True))
     for rt, _c, _cl, driver in (plain, forced):
-        future = driver.submit("clients", "bump", 1)
+        future = driver.call("clients", "bump", 1)
         rt.run_for(500)
         assert future.result()[0] == "committed"
     plain_lat = plain[0].metrics.latencies["call_latency:counter"].mean
@@ -23,7 +23,7 @@ def test_force_on_call_prepares_never_wait():
         seed=192, config=ProtocolConfig(force_on_call=True)
     )
     for _ in range(5):
-        future = driver.submit("clients", "bump", 1)
+        future = driver.call("clients", "bump", 1)
         rt.run_for(400)
         assert future.result()[0] == "committed"
     # Every completed-call record was already forced when prepare arrived.
@@ -48,7 +48,7 @@ def test_viewstamp_checks_off_aborts_cross_view_txn():
             return result
 
         clients.register_program("straddler", straddler)
-        future = driver.submit("clients", "straddler")
+        future = driver.call("clients", "straddler")
         rt.run_for(50)
         # Change the counter group's view *without* losing the records:
         # crash a backup so the primary keeps its state and stays primary.
@@ -71,7 +71,7 @@ def test_unilateral_edit_avoids_view_change():
     rt, counter, _clients, driver = build_counter_system(
         seed=194, config=ProtocolConfig(unilateral_edits=True)
     )
-    future = driver.submit("clients", "bump", 1)
+    future = driver.call("clients", "bump", 1)
     rt.run_for(300)
     assert future.result()[0] == "committed"
     primary = counter.active_primary()
@@ -87,7 +87,7 @@ def test_unilateral_edit_avoids_view_change():
     assert victim_mid not in primary.cur_view
     assert rt.metrics.counters.get("unilateral_view_edits", 0) >= 1
     # Service continues with the remaining backup.
-    future = driver.submit("clients", "bump", 1)
+    future = driver.call("clients", "bump", 1)
     rt.run_for(300)
     assert future.result()[0] == "committed"
     # Heal: the backup is re-added, again without a view change.

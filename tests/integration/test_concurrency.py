@@ -27,7 +27,7 @@ def test_concurrent_increments_serialize():
         return result
 
     clients.register_program("incr", incr)
-    futures = [driver.submit("clients", "incr", spec.key(0)) for _ in range(6)]
+    futures = [driver.call("clients", "incr", spec.key(0)) for _ in range(6)]
     rt.run_for(3000)
     outcomes = [f.result() for f in futures if f.done]
     committed = [o for o in outcomes if o[0] == "committed"]
@@ -65,7 +65,7 @@ def test_upgrade_deadlock_no_lost_updates():
 
     clients.register_program("incr", incr)
     driver = rt.create_driver("driver")
-    futures = [driver.submit("clients", "incr") for _ in range(5)]
+    futures = [driver.call("clients", "incr") for _ in range(5)]
     rt.run_for(5000)
     rt.quiesce()
     committed = [f for f in futures if f.done and f.result()[0] == "committed"]
@@ -83,7 +83,7 @@ def test_concurrent_disjoint_writes_all_commit():
 
     clients.register_program("put", put)
     futures = [
-        driver.submit("clients", "put", spec.key(i), i * 10) for i in range(8)
+        driver.call("clients", "put", spec.key(i), i * 10) for i in range(8)
     ]
     rt.run_for(2000)
     assert all(f.result()[0] == "committed" for f in futures)
@@ -113,9 +113,9 @@ def test_writer_blocks_reader_until_commit():
 
     clients.register_program("slow_writer", slow_writer)
     clients.register_program("reader", reader)
-    wf = driver.submit("clients", "slow_writer")
+    wf = driver.call("clients", "slow_writer")
     rt.run_for(50)
-    rf = driver.submit("clients", "reader")
+    rf = driver.call("clients", "reader")
     rt.run_for(2000)
     assert wf.result()[0] == "committed"
     assert rf.result() == ("committed", 99)  # reader saw the committed value
@@ -153,8 +153,8 @@ def test_deadlock_broken_by_timeout():
 
     clients.register_program("lock_ab", lock_ab)
     clients.register_program("lock_ba", lock_ba)
-    f1 = driver.submit("clients", "lock_ab")
-    f2 = driver.submit("clients", "lock_ba")
+    f1 = driver.call("clients", "lock_ab")
+    f2 = driver.call("clients", "lock_ba")
     rt.run_for(6000)
     outcomes = {f1.result()[0], f2.result()[0]}
     assert "committed" in outcomes  # at least one wins
@@ -172,7 +172,7 @@ def test_read_locks_shared():
         return value
 
     clients.register_program("read_key", read_key)
-    futures = [driver.submit("clients", "read_key") for _ in range(5)]
+    futures = [driver.call("clients", "read_key") for _ in range(5)]
     rt.run_for(600)
     assert all(f.result()[0] == "committed" for f in futures)
 
@@ -213,7 +213,7 @@ def test_serializability_checker_sees_committed_effects():
         return result
 
     clients.register_program("put", put)
-    f = driver.submit("clients", "put", spec.key(0), 1)
+    f = driver.call("clients", "put", spec.key(0), 1)
     rt.run_for(400)
     assert f.result()[0] == "committed"
     rt.quiesce()

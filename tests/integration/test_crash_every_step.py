@@ -14,7 +14,7 @@ from tests.conftest import build_counter_system
 
 def run_with_crash_at(offset, victim_group, seed=777):
     rt, counter, clients, driver = build_counter_system(seed=seed)
-    future = driver.submit("clients", "bump", 10, retries=1)
+    future = driver.call("clients", "bump", 10, retries=1)
     group = counter if victim_group == "server" else clients
     if offset is not None:
         rt.sim.schedule(offset, group.crash_primary)
@@ -85,7 +85,7 @@ def test_no_crash_baseline():
 def test_double_crash_both_primaries_at(offset):
     """Crash both the server and the client primary at the same instant."""
     rt, counter, clients, driver = build_counter_system(seed=778)
-    future = driver.submit("clients", "bump", 10, retries=1)
+    future = driver.call("clients", "bump", 10, retries=1)
 
     def crash_both():
         counter.crash_primary()

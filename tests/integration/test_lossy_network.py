@@ -23,7 +23,7 @@ def test_transactions_complete_under_loss(seed):
     rt, counter, _clients, driver = build_counter_system(seed=seed, link=LOSSY)
     committed = 0
     for _ in range(10):
-        future = driver.submit("clients", "bump", 1)
+        future = driver.call("clients", "bump", 1)
         rt.run_for(800)
         if future.done and future.result()[0] == "committed":
             committed += 1
@@ -40,7 +40,7 @@ def test_exactly_once_under_heavy_duplication():
     dup_heavy = LinkModel(base_delay=1.0, jitter=1.5, duplicate_probability=0.5)
     rt, counter, _clients, driver = build_counter_system(seed=5, link=dup_heavy)
     for _ in range(8):
-        future = driver.submit("clients", "bump", 1)
+        future = driver.call("clients", "bump", 1)
         rt.run_for(500)
         assert future.result()[0] == "committed"
     rt.quiesce()
@@ -51,7 +51,7 @@ def test_exactly_once_under_heavy_duplication():
 def test_money_conserved_under_very_lossy_link():
     rt, bank, _clients, driver = build_bank_system(seed=6, link=VERY_LOSSY)
     for _ in range(12):
-        driver.submit("clients", "transfer", "a", "b", 5)
+        driver.call("clients", "transfer", "a", "b", 5)
         rt.run_for(900)
     rt.quiesce(duration=2000)
     assert total_balance(bank, ("a", "b", "c")) == 300
@@ -62,7 +62,7 @@ def test_buffer_retransmission_converges_backups():
     """Backups behind a lossy link still converge via cumulative acks."""
     rt, counter, _clients, driver = build_counter_system(seed=7, link=LOSSY)
     for _ in range(6):
-        future = driver.submit("clients", "bump", 2)
+        future = driver.call("clients", "bump", 2)
         rt.run_for(500)
         assert future.result()[0] == "committed"
     rt.quiesce(duration=3000)

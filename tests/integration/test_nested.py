@@ -26,7 +26,7 @@ def chain(txn, keys, pause=10.0):
 def test_subactions_commit_normally():
     rt, kv, clients, driver, spec = build()
     clients.register_program("chain", chain)
-    f = driver.submit("clients", "chain", [spec.key(0), spec.key(1)])
+    f = driver.call("clients", "chain", [spec.key(0), spec.key(1)])
     rt.run_for(600)
     assert f.result() == ("committed", 2)
     rt.quiesce()
@@ -39,7 +39,7 @@ def test_subaction_retry_across_view_change():
     and the transaction still commits exactly once."""
     rt, kv, clients, driver, spec = build(seed=52)
     clients.register_program("chain", chain)
-    f = driver.submit("clients", "chain",
+    f = driver.call("clients", "chain",
                       [spec.key(i) for i in range(4)], 40.0)
     rt.run_for(60)
     kv.crash_primary()
@@ -62,7 +62,7 @@ def test_orphan_subaction_effects_discarded():
 
     rt, kv, clients, driver, spec = build(seed=53)
     clients.register_program("chain", chain)
-    f = driver.submit("clients", "chain", [spec.key(9)])
+    f = driver.call("clients", "chain", [spec.key(9)])
     rt.run_for(5)
     # Lose the reply path briefly: the call executes but the client never
     # hears; the subaction aborts and a fresh one retries.
@@ -91,7 +91,7 @@ def test_flat_transaction_aborts_where_nested_retries():
 
     rt, kv, clients, driver, spec = build(seed=54)
     clients.register_program("flat_chain", flat_chain)
-    f = driver.submit("clients", "flat_chain", [spec.key(i) for i in range(4)])
+    f = driver.call("clients", "flat_chain", [spec.key(i) for i in range(4)])
     rt.run_for(60)
     kv.crash_primary()
     rt.run_for(4000)
@@ -105,7 +105,7 @@ def test_retry_budget_exhausted_aborts():
     transaction aborts rather than looping forever."""
     rt, kv, clients, driver, spec = build(seed=55)
     clients.register_program("chain", chain)
-    f = driver.submit("clients", "chain", [spec.key(0), spec.key(1)], 30.0)
+    f = driver.call("clients", "chain", [spec.key(0), spec.key(1)], 30.0)
     rt.run_for(50)
     for mid in range(3):
         kv.crash_cohort(mid)  # the whole group dies

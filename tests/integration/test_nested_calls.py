@@ -69,7 +69,7 @@ def build(seed=201):
 
 def test_nested_call_commits_both_groups():
     rt, front, store, driver = build()
-    future = driver.submit("clients", "via_front", "cached_incr", "k0", 5)
+    future = driver.call("clients", "via_front", "cached_incr", "k0", 5)
     rt.run_for(800)
     assert future.result() == ("committed", 5)
     rt.quiesce()
@@ -81,7 +81,7 @@ def test_nested_call_commits_both_groups():
 def test_nested_pset_reaches_coordinator():
     """The prepare fan-out must include the *nested* participant."""
     rt, front, store, driver = build()
-    future = driver.submit("clients", "via_front", "cached_incr", "k0", 1)
+    future = driver.call("clients", "via_front", "cached_incr", "k0", 1)
     rt.run_for(800)
     assert future.result()[0] == "committed"
     # Both groups saw a prepare (accepted counters are per-group).
@@ -91,7 +91,7 @@ def test_nested_pset_reaches_coordinator():
 
 def test_nested_fanout_multiple_calls():
     rt, front, store, driver = build()
-    future = driver.submit("clients", "via_front", "fanout", ["k0", "k1"])
+    future = driver.call("clients", "via_front", "fanout", ["k0", "k1"])
     rt.run_for(1500)
     assert future.result() == ("committed", 2)
     rt.quiesce()
@@ -101,7 +101,7 @@ def test_nested_fanout_multiple_calls():
 
 def test_abort_after_nested_call_rolls_back_everywhere():
     rt, front, store, driver = build()
-    future = driver.submit("clients", "via_front", "guarded_incr", "k0", 100, 10)
+    future = driver.call("clients", "via_front", "guarded_incr", "k0", 100, 10)
     rt.run_for(1500)
     assert future.result()[0] == "aborted"
     rt.quiesce(duration=2000)
@@ -112,7 +112,7 @@ def test_abort_after_nested_call_rolls_back_everywhere():
 def test_nested_call_survives_store_backup_crash():
     rt, front, store, driver = build(seed=202)
     store.cohort(2).node.crash()  # a backup of the nested participant
-    future = driver.submit("clients", "via_front", "cached_incr", "k1", 3)
+    future = driver.call("clients", "via_front", "cached_incr", "k1", 3)
     rt.run_for(2000)
     assert future.result()[0] == "committed"
     rt.quiesce(duration=800)
@@ -142,7 +142,7 @@ def test_deeply_nested_three_hop():
     clients = rt.create_group("clients", EmptyModule(), n_cohorts=3)
     clients.register_program("via_front", via_front)
     driver = rt.create_driver("driver")
-    future = driver.submit("clients", "via_front", "entry", "k0", 7)
+    future = driver.call("clients", "via_front", "entry", "k0", 7)
     rt.run_for(2000)
     assert future.result() == ("committed", 7)
     rt.quiesce()

@@ -29,7 +29,7 @@ def build_partitioned_kv(seed=55):
 
 def test_majority_side_elects_new_primary():
     rt, kv, _clients, driver, spec = build_partitioned_kv()
-    f = driver.submit("clients", "update", "kv", spec.key(0))
+    f = driver.call("clients", "update", "kv", spec.key(0))
     rt.run_for(300)
     assert f.result()[0] == "committed"
     old = kv.active_primary()
@@ -48,7 +48,7 @@ def test_minority_primary_cannot_commit():
     """The fenced primary accepts calls but its forces never complete, so
     nothing it does after the partition commits (section 4.1)."""
     rt, kv, _clients, driver, spec = build_partitioned_kv()
-    f = driver.submit("clients", "update", "kv", spec.key(0))
+    f = driver.call("clients", "update", "kv", spec.key(0))
     rt.run_for(300)
     assert f.result()[0] == "committed"
     commits_before = rt.ledger.commit_count
@@ -60,7 +60,7 @@ def test_minority_primary_cannot_commit():
     minority |= {n.node_id for n in rt.groups["clients"].nodes()}
     rt.network.partition([minority, set(rt.nodes) - minority])
 
-    f = driver.submit("clients", "update", "kv", spec.key(1), retries=1)
+    f = driver.call("clients", "update", "kv", spec.key(1), retries=1)
     rt.run_for(2500)
     assert rt.ledger.commit_count == commits_before
     # The trapped transaction must not be reported committed.
@@ -70,7 +70,7 @@ def test_minority_primary_cannot_commit():
 
 def test_partition_heals_and_group_reconciles():
     rt, kv, _clients, driver, spec = build_partitioned_kv()
-    f = driver.submit("clients", "write", "kv", spec.key(0), 5)
+    f = driver.call("clients", "write", "kv", spec.key(0), 5)
     rt.run_for(300)
     assert f.result()[0] == "committed"
     old = kv.active_primary()
@@ -101,7 +101,7 @@ def test_paper_abc_partition_scenario():
     # fall behind by severing its links before the transaction runs.
     rt.network.fail_link(a.node.node_id, c.node.node_id)
     rt.network.fail_link(b.node.node_id, c.node.node_id)
-    f = driver.submit("clients", "write", "kv", spec.key(0), 9)
+    f = driver.call("clients", "write", "kv", spec.key(0), 9)
     rt.run_for(120)  # commit forced to B only (C is unreachable)
     assert f.result()[0] == "committed"
     assert b.store.get(spec.key(0)).base == 9
@@ -132,7 +132,7 @@ def test_flapping_partition_saftey():
     rt, kv, _clients, driver, spec = build_partitioned_kv(seed=57)
     outcomes = []
     for round_index in range(4):
-        f = driver.submit("clients", "update", "kv", spec.key(round_index % 4))
+        f = driver.call("clients", "update", "kv", spec.key(round_index % 4))
         rt.run_for(200)
         outcomes.append(f.result()[0] if f.done else "pending")
         nodes = sorted(n.node_id for n in kv.nodes())
@@ -154,6 +154,6 @@ def test_link_failure_between_backups_tolerated():
     rt.network.fail_link(
         kv.cohort(backups[0]).node.node_id, kv.cohort(backups[1]).node.node_id
     )
-    f = driver.submit("clients", "update", "kv", spec.key(0))
+    f = driver.call("clients", "update", "kv", spec.key(0))
     rt.run_for(400)
     assert f.result()[0] == "committed"

@@ -20,7 +20,7 @@ def test_participant_learns_commit_via_query():
     # We don't know which address sends commits until runtime; instead drop
     # CommitMsg system-wide by monkeypatching is heavy -- use link override
     # for the specific pair after cache warmup.
-    future = driver.submit("clients", "bump", 5)
+    future = driver.call("clients", "bump", 5)
     rt.run_for(60)  # calls done, prepare in flight; commit not yet sent
     clients_primary = rt.groups["clients"].active_primary()
     counter_primary = counter.active_primary()
@@ -57,7 +57,7 @@ def test_participant_learns_abort_via_query():
     from repro.net.link import LinkModel
 
     dead = LinkModel(base_delay=1.0, jitter=0.0, loss_probability=0.999999)
-    future = driver.submit("clients", "change_mind")
+    future = driver.call("clients", "change_mind")
     rt.run_for(10)  # call sent; reply pending
     rt.network.set_link_model(clients_primary.address, counter_primary.address, dead)
     rt.run_for(100)
@@ -72,7 +72,7 @@ def build_and_warm(seed):
     from tests.conftest import build_counter_system
 
     rt, counter, clients, driver = build_counter_system(seed=seed)
-    future = driver.submit("clients", "bump", 0)
+    future = driver.call("clients", "bump", 0)
     rt.run_for(300)
     assert future.result()[0] == "committed"
     return rt, counter, clients, driver
@@ -80,7 +80,7 @@ def build_and_warm(seed):
 
 def test_query_outcome_committed(counter_system):
     rt, counter, clients, driver = counter_system
-    future = driver.submit("clients", "bump", 1)
+    future = driver.call("clients", "bump", 1)
     rt.run_for(400)
     assert future.result()[0] == "committed"
     rt.quiesce()
@@ -136,7 +136,7 @@ def test_query_active_for_running_txn():
         return "ok"
 
     clients.register_program("slow", slow)
-    driver.submit("clients", "slow")
+    driver.call("clients", "slow")
     rt.run_for(100)
     primary = rt.groups["clients"].active_primary()
     running = [aid for aid in primary.client_role._txns]
@@ -148,7 +148,7 @@ def test_query_active_for_running_txn():
 def test_any_cohort_answers_queries(counter_system):
     """Backups answer queries from their outcomes table (section 3.4)."""
     rt, counter, clients, driver = counter_system
-    future = driver.submit("clients", "bump", 3)
+    future = driver.call("clients", "bump", 3)
     rt.run_for(400)
     assert future.result()[0] == "committed"
     rt.quiesce()

@@ -8,7 +8,7 @@ from tests.conftest import build_counter_system
 
 
 def run_bump(rt, driver, amount, time=400):
-    future = driver.submit("clients", "bump", amount)
+    future = driver.call("clients", "bump", amount)
     rt.run_for(time)
     assert future.done
     return future.result()
@@ -109,7 +109,7 @@ def test_transaction_survives_full_group_crash_under_nvram():
         return "done"
 
     clients.register_program("slow", slow)
-    future = driver.submit("clients", "slow", retries=0)
+    future = driver.call("clients", "slow", retries=0)
     rt.run_for(100)  # call completed; txn still open
     for mid in range(3):
         counter.crash_cohort(mid)

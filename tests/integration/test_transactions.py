@@ -12,7 +12,7 @@ from tests.conftest import total_balance
 
 
 def submit_and_run(rt, driver, group, program, *args, time=400):
-    future = driver.submit(group, program, *args)
+    future = driver.call(group, program, *args)
     rt.run_for(time)
     assert future.done, "transaction did not resolve in time"
     return future.result()
@@ -157,7 +157,7 @@ def test_program_driven_abort(counter_system):
 
 def test_unknown_program_rejected(counter_system):
     rt, _counter, _clients, driver = counter_system
-    future = driver.submit("clients", "no_such_program", retries=0)
+    future = driver.call("clients", "no_such_program", retries=0)
     rt.run_for(500)
     # The client primary fails the transaction; the driver sees a timeout.
     assert future.done

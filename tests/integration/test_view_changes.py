@@ -6,7 +6,7 @@ from repro.core.cohort import Status
 
 
 def submit_ok(rt, driver, program, *args, time=400):
-    future = driver.submit("clients", program, *args)
+    future = driver.call("clients", program, *args)
     rt.run_for(time)
     assert future.done
     return future.result()
@@ -194,7 +194,7 @@ def test_prepared_transaction_commits_across_coordinator_failover():
     clients = rt.create_group("clients", EmptyModule(), n_cohorts=3)
     clients.register_program("bump", bump_program)
     driver = rt.create_driver("driver")
-    future = driver.submit("clients", "bump", 11)
+    future = driver.call("clients", "bump", 11)
     rt.run_for(400)
     assert future.result()[0] == "committed"
 
@@ -227,7 +227,7 @@ def test_in_flight_transactions_abort_on_client_view_change():
 
     clients.register_program("slow", slow)
     driver = rt.create_driver("driver")
-    future = driver.submit("clients", "slow", retries=0)
+    future = driver.call("clients", "slow", retries=0)
     rt.run_for(100)  # first call done; program sleeping
     clients.crash_primary()
     rt.run_for(3000)

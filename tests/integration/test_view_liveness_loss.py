@@ -28,7 +28,7 @@ def _active_primaries(group):
 
 def _run_lossy_crash(seed, config=None, loss=0.5, lossy_window=600.0):
     rt, counter, _clients, driver = build_counter_system(seed=seed, config=config)
-    future = driver.submit("clients", "bump", 1)
+    future = driver.call("clients", "bump", 1)
     rt.run_for(300)
     assert future.result()[0] == "committed"
 
@@ -66,7 +66,7 @@ def test_view_forms_despite_lost_formation_messages(seed):
     rt, counter, driver, _at = _run_lossy_crash(seed)
     # The reorganized group still serves writes.
     for _ in range(3):
-        future = driver.submit("clients", "bump", 1)
+        future = driver.call("clients", "bump", 1)
         rt.run_for(600)
         if future.done and future.result()[0] == "committed":
             return

@@ -5,7 +5,8 @@
 a batched and an unbatched run of the same idempotent retried workload
 must end in byte-identical replicated state -- on a clean schedule, under
 loss, and through a mid-stream view change.  These are the tier-1
-counterparts of the E18 experiment and CI's ``repro.perf.batchgate``.
+counterparts of the E18 experiment and CI's ``python -m repro.gate batching``
+(one cell, ``repro.gate.state_run``, under all three).
 """
 
 import pytest

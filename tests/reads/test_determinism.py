@@ -1,14 +1,11 @@
 """Determinism of the read serving path: same seed, same condition must
 replay byte-for-byte, and every serving configuration (reads disabled,
 leases, backup reads, client cache) must leave the committed state with
-an identical digest -- the property `python -m repro.reads.gate` checks
+an identical digest -- the property ``python -m repro.gate reads`` checks
 at full size, here at small parameters for the tier-1 suite."""
 
-from repro.harness.experiments_reads import (
-    E19_CONDITIONS,
-    _reads_run,
-    _reads_state_run,
-)
+from repro.gate import GATES
+from repro.harness.experiments_reads import E19_CONDITIONS, _reads_run
 
 
 def test_same_seed_same_condition_replays_identically():
@@ -19,18 +16,20 @@ def test_same_seed_same_condition_replays_identically():
 
 def test_all_serving_configs_commit_identical_state():
     runs = {
-        condition: _reads_state_run(6, condition, txns=8, duration=120.0)
-        for condition in E19_CONDITIONS
+        label: run(6, 8)
+        for label, run, _relations in GATES["reads"].rows
+        if label in E19_CONDITIONS
     }
-    digests = {digest for _metrics, digest in runs.values()}
-    assert len(digests) == 1, (
-        "serving configs diverged: "
-        + ", ".join(
-            f"{condition}={digest[:12]}"
-            for condition, (_metrics, digest) in sorted(runs.items())
-        )
+    assert set(runs) == set(E19_CONDITIONS)
+    digests = {run.state for run in runs.values()}
+    assert len(digests) == 1, "serving configs diverged: " + ", ".join(
+        f"{label}={run.state[:12]}" for label, run in sorted(runs.items())
     )
-    committed = {
-        metrics["writes_committed"] for metrics, _digest in runs.values()
+    assert all(run.complete for run in runs.values())
+    # each path answered the reads it was asked to
+    assert {label: set(run.metrics["read_modes"]) for label, run in runs.items()} == {
+        "baseline": {"txn"},
+        "leases": {"lease"},
+        "backup": {"backup"},
+        "cache": {"cache", "lease"},
     }
-    assert committed == {8}

@@ -1,31 +1,33 @@
-"""The E21 gate cell and the scale docs-drift CLI."""
+"""The scale rows of ``repro.gate`` and the scale docs-drift CLI."""
 
 import pathlib
 
+from repro.checkdocs import check_docs
 from repro.config import ScaleConfig
-from repro.harness.experiments_cohort import _scale_state_run
+from repro.gate import state_run
+from repro.harness.experiments_cohort import _build_scaled_kv
 from repro.scale.__main__ import main as scale_main
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
 
 
-def test_state_run_is_deterministic_and_mechanism_invariant():
-    baseline = _scale_state_run(77, None, txns=8, n_cohorts=5)
-    again = _scale_state_run(77, None, txns=8, n_cohorts=5)
-    assert baseline == again  # same seed, same run -- metrics and digests
-    metrics, ledger, state = baseline
-    assert metrics["writes_committed"] == 8
-    # All-off is byte-identical DOWN TO THE SCHEDULE (ledger digest)...
-    all_off = _scale_state_run(77, ScaleConfig(), txns=8, n_cohorts=5)
-    assert all_off == baseline
-    # ...while armed mechanisms move messages but never change the state.
-    armed = _scale_state_run(
-        77, ScaleConfig(gossip=True, ack_tree=True, witnesses=1),
-        txns=8, n_cohorts=5,
+def _run(scale):
+    return state_run(
+        _build_scaled_kv(77, 5, scale, n_keys=8), settle=200.0, quiesce=100.0
     )
-    assert armed[0]["writes_committed"] == 8
-    assert armed[2] == state
-    assert armed[1] != ledger  # gossip genuinely reshapes the schedule
+
+
+def test_state_run_is_deterministic_and_mechanism_invariant():
+    baseline = _run(None)
+    assert baseline == _run(None)  # same seed, same run -- metrics and digests
+    assert baseline.complete and baseline.metrics["committed"] == 8
+    # All-off is byte-identical DOWN TO THE SCHEDULE (ledger digest)...
+    assert _run(ScaleConfig()) == baseline
+    # ...while armed mechanisms move messages but never change the state.
+    armed = _run(ScaleConfig(gossip=True, ack_tree=True, witnesses=1))
+    assert armed.complete
+    assert armed.state == baseline.state
+    assert armed.schedule != baseline.schedule  # gossip genuinely reshapes it
 
 
 def test_check_docs_passes_on_shipped_doc(capsys):
@@ -43,3 +45,15 @@ def test_check_docs_fails_on_incomplete_doc(tmp_path, capsys):
 
 def test_check_docs_unreadable_doc(tmp_path):
     assert scale_main(["check-docs", str(tmp_path / "missing.md")]) == 2
+
+
+def test_a_longer_name_does_not_document_a_shorter_one(tmp_path, capsys):
+    """``gossip_fanout`` in the doc is not a mention of ``gossip``."""
+    doc = tmp_path / "SCALE.md"
+    doc.write_text("Set `gossip_fanout` to 3.\n")
+    required = {"ScaleConfig knob": ("gossip", "gossip_fanout")}
+    assert check_docs(str(doc), required) == 1
+    err = capsys.readouterr().err
+    assert "ScaleConfig knob 'gossip'" in err and "'gossip_fanout'" not in err
+    doc.write_text("Set `gossip_fanout` to 3 once `gossip` is on.\n")
+    assert check_docs(str(doc), required) == 0

@@ -54,7 +54,7 @@ def build_self_group(seed=5):
 
 
 def submit(rt, driver, program, *args, time=800.0):
-    future = driver.submit("g", program, *args)
+    future = driver.call("g", program, *args)
     rt.run_for(time)
     assert future.done, f"{program}{args!r} still pending"
     return future.result()

@@ -14,7 +14,7 @@ def test_cross_shard_txn_aborts_then_retries_on_one_shard_view_change():
     rt, sharded, driver = build_sharded(seed=42, n_shards=2)
     (src,) = keys_owned_by(sharded, 0)
     (dst,) = keys_owned_by(sharded, 1)
-    future = driver.submit_keyed(
+    future = driver.call(
         sharded, "transfer", src, dst, 5, retries=0, timeout=6000.0
     )
     rt.run_for(3.0)  # the transfer's calls/prepares are now in flight
@@ -47,15 +47,15 @@ def test_single_shard_view_change_aborts_only_touching_txns():
     # and three transactions -- one cross-shard, two single-key -- whose
     # key sets avoid it entirely (and each other, so no lock-wait
     # collateral can blur the attribution).
-    touching = driver.submit_keyed(
+    touching = driver.call(
         sharded, "transfer", touching_key, safe1[0], 1,
         retries=0, timeout=6000.0,
     )
     safe = [
-        ("transfer", driver.submit_keyed(
+        ("transfer", driver.call(
             sharded, "transfer", safe1[1], safe2[1], 1)),
-        ("write", driver.submit_keyed(sharded, "write", safe1[2], 9)),
-        ("write", driver.submit_keyed(sharded, "write", safe2[2], 9)),
+        ("write", driver.call(sharded, "write", safe1[2], 9)),
+        ("write", driver.call(sharded, "write", safe2[2], 9)),
     ]
     rt.run_for(3.0)
     assert sharded.shard(0).crash_primary() is not None

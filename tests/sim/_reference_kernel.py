@@ -152,7 +152,7 @@ class Simulator:
         return self._wall_seconds
 
     def perf_counters(self) -> dict:
-        """Kernel counters as a plain dict (consumed by :mod:`repro.perf`)."""
+        """Kernel counters as a plain dict (consumed by ``vrbench``)."""
         return {
             "events_processed": self._events_processed,
             "timers_created": self._timers_created,

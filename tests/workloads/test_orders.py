@@ -27,7 +27,7 @@ def build(seed=1, n_cohorts=3, stock=20, balance=100):
 
 def test_single_order_commits_across_three_groups():
     rt, inventory, payments, orders, driver, inv_spec, pay_spec = build()
-    future = driver.submit("clients", "place_order", "alice", "widget", 2, 5)
+    future = driver.call("clients", "place_order", "alice", "widget", 2, 5)
     rt.run_for(500)
     outcome, order_id = future.result()
     assert outcome == "committed"
@@ -43,7 +43,7 @@ def test_single_order_commits_across_three_groups():
 
 def test_out_of_stock_aborts_whole_order():
     rt, inventory, payments, orders, driver, inv_spec, pay_spec = build(stock=1)
-    future = driver.submit("clients", "place_order", "alice", "widget", 5, 5)
+    future = driver.call("clients", "place_order", "alice", "widget", 5, 5)
     rt.run_for(500)
     assert future.result()[0] == "aborted"
     rt.quiesce()
@@ -56,7 +56,7 @@ def test_insufficient_funds_rolls_back_reservation():
     """The inventory call succeeded before the payment aborted; its
     tentative reservation must be discarded everywhere."""
     rt, inventory, payments, orders, driver, inv_spec, pay_spec = build(balance=3)
-    future = driver.submit("clients", "place_order", "alice", "widget", 2, 5)
+    future = driver.call("clients", "place_order", "alice", "widget", 2, 5)
     rt.run_for(500)
     assert future.result()[0] == "aborted"
     rt.quiesce()
@@ -68,7 +68,7 @@ def test_insufficient_funds_rolls_back_reservation():
 def test_order_ids_are_dense_and_unique():
     rt, inventory, payments, orders, driver, inv_spec, pay_spec = build()
     futures = [
-        driver.submit("clients", "place_order", "alice", "widget", 1, 2)
+        driver.call("clients", "place_order", "alice", "widget", 1, 2)
         for _ in range(4)
     ]
     rt.run_for(3000)

@@ -46,7 +46,7 @@ def build_airline(seed=2):
 def test_airline_never_oversells():
     rt, airline, _clients, driver, spec = build_airline()
     futures = [
-        driver.submit("clients", "book", "airline", "F1", 2) for _ in range(5)
+        driver.call("clients", "book", "airline", "F1", 2) for _ in range(5)
     ]
     rt.run_for(3000)
     rt.quiesce()
@@ -65,10 +65,10 @@ def test_airline_cancel_restores_seats():
         return result
 
     clients.register_program("cancel", cancel)
-    f = driver.submit("clients", "book", "airline", "F1", 3)
+    f = driver.call("clients", "book", "airline", "F1", 3)
     rt.run_for(300)
     assert f.result()[0] == "committed"
-    f = driver.submit("clients", "cancel", "F1", 2)
+    f = driver.call("clients", "cancel", "F1", 2)
     rt.run_for(300)
     assert f.result()[0] == "committed"
     rt.quiesce()
