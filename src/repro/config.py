@@ -71,9 +71,6 @@ class BatchConfig:
     #: sending and waits for acks (go-back-N window, in units of
     #: ``max_batch`` records; unbatched, the window is one ``max_batch``).
     pipeline_depth: int = 4
-    #: Buffer traffic carries ``sent_at`` and feeds the failure detector;
-    #: heartbeats to recently-served peers are suppressed.
-    piggyback_liveness: bool = True
 
     def window(self) -> int:
         """In-flight record window per backup (records, not messages)."""
@@ -116,17 +113,11 @@ class ReadConfig:
     #: renewals keep a healthy lease alive, and should stay below
     #: ``underling_timeout`` so lease waits do not dominate view changes.
     lease_duration: float = 30.0
-    #: Backups answer stale-bounded reads from their applied prefix.
-    backup_reads: bool = True
     #: Bound used when a read request does not carry its own.
     default_max_staleness: float = 50.0
-    #: Drivers keep a commit-set cache (Wren-style) of read/write results.
+    #: Drivers keep a commit-set cache (Wren-style) of read/write results
+    #: (window and capacity: :mod:`repro.reads.cache`).
     client_cache: bool = False
-    #: Cache watermark window: entries with timestamp older than
-    #: ``now - cache_staleness`` are pruned (``t >= lst`` survives).
-    cache_staleness: float = 25.0
-    #: Commit-set entries kept per driver (oldest evicted beyond this).
-    cache_capacity: int = 1024
 
 
 @dataclasses.dataclass
@@ -139,7 +130,10 @@ class GeoConfig:
     ``python -m repro.gate geo``).  Arming a topology makes the runtime
     install its per-pair models as *structural* links, place cohorts by
     the ``placement`` policy, and register every cohort's and driver's
-    site with the :class:`~repro.location.LocationService`.
+    site with the :class:`~repro.location.LocationService`; a driver with a
+    site routes reads to the nearest lease-holding replica (nearest backup
+    for ``prefer="backup"`` / ``"nearest"``) instead of choosing uniformly,
+    emitting ``geo_route`` trace events.
     """
 
     #: Where nodes can live; ``None`` keeps even an instantiated
@@ -149,10 +143,6 @@ class GeoConfig:
     #: ``"primary_affinity:REGION"``) or a PlacementPolicy instance.
     #: Names are recommended: each Runtime resolves a fresh instance.
     placement: Union[str, object] = "spread"
-    #: Drivers with a site route reads to the nearest lease-holding
-    #: replica (nearest backup for ``prefer="backup"``/``"nearest"``)
-    #: instead of choosing uniformly; emits ``geo_route`` trace events.
-    geo_routing: bool = True
 
 
 @dataclasses.dataclass
@@ -177,7 +167,7 @@ class ScaleConfig:
     - ``ack_tree``: storage backups forward their cumulative buffer acks
       up a deterministic ``ack_fanout``-ary tree (sorted by module id)
       instead of straight to the primary; interior nodes coalesce their
-      subtree's ``(mid, acked_ts)`` pairs for ``ack_delay`` before
+      subtree's ``(mid, acked_ts)`` pairs for ``ACK_DELAY`` before
       forwarding, so the primary's ack fan-in is O(fanout), not O(n).
       Composes with :class:`BatchConfig` ack coalescing.
     - ``witnesses``: the highest ``witnesses`` module ids in each group
@@ -192,17 +182,11 @@ class ScaleConfig:
     gossip: bool = False
     #: Peers each heartbeat round targets when gossip is on.
     gossip_fanout: int = 3
-    #: Evidence freshness window, in ``im_alive_interval`` units: only
-    #: peers heard within this horizon are relayed as evidence.
-    evidence_horizon_intervals: float = 3.0
     #: Aggregate buffer acks up a fan-in tree (off = acks go direct).
     ack_tree: bool = False
     #: Fan-in of the ack tree (children per interior node, and the number
     #: of tree roots reporting directly to the primary).
     ack_fanout: int = 4
-    #: Coalescing delay before an interior node forwards its subtree's
-    #: aggregated acks upward.
-    ack_delay: float = 0.5
     #: Bufferless voting members per group (0 = every member replicates).
     witnesses: int = 0
 
@@ -233,18 +217,14 @@ class ProtocolConfig:
     #                                       suspicion; False restores the
     #                                       paper-faithful fixed constants
     min_timeout: float = 5.0              # floor for any RTT-derived timeout
-    backoff_multiplier: float = 2.0       # exponential retry growth factor
-    backoff_cap: float = 8.0              # retry delay cap, in base delays
-    backoff_jitter: float = 0.5           # retry jitter spread (delay scaled
-    #                                       by 1 +/- jitter/2, seeded RNG)
-    promotion_jitter: float = 0.5         # underling->manager timeout spread,
-    #                                       desynchronizing competing managers
+    #                                       (retry growth, cap and jitter are
+    #                                       constants of repro.detect.backoff)
 
     # -- view change (section 4, figure 5) --
     invite_timeout: float = 40.0          # manager waits this long for accepts
     underling_timeout: float = 80.0       # underling -> manager on silence
-    view_retry_delay: float = 25.0        # manager retries formation after
-    #                                       fail
+    #                                       (retry delay and promotion jitter
+    #                                       are constants of core.view_change)
     ordered_managers: bool = True         # section 4.1: only become manager if
     #                                       higher-priority cohorts look dead
     extended_formation_rule: bool = False # beyond-the-paper condition 4: form

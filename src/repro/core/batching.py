@@ -4,7 +4,7 @@ The batched transmission mode itself is the buffer's
 (:mod:`repro.core.buffer`); this extension arms it and adds the cohort's
 half (docs/PERF.md): one coalesced cumulative ack per ``flush_interval``
 tick; buffer traffic that doubles as liveness, with the heartbeats it makes
-redundant suppressed (``piggyback_liveness``); and, for a group that
+redundant suppressed; and, for a group that
 coordinates a transaction on itself (a sharded group's single-key path),
 prepare / commit / abort and their replies delivered in place and outcome
 queries sent to one coordinator cohort per sweep.
@@ -32,13 +32,12 @@ class Batching(Extension):
         self.reset()
         if batch.flush_interval > 0:
             wrap(cohort, "acknowledge", self._coalesce_ack)
-        if batch.piggyback_liveness:
-            # When buffer traffic to a peer carried sent_at, the periodic
-            # heartbeat to that peer is redundant.
-            self._liveness_sent: Dict[int, float] = {}
-            cohort.buffer_options["send"] = self._buffer_send
-            wrap(cohort, "build_buffer_ack", self._stamp_sent_at)
-            wrap(cohort, "beacon", self._beacon_unserved)
+        # When buffer traffic to a peer carried sent_at, the periodic
+        # heartbeat to that peer is redundant.
+        self._liveness_sent: Dict[int, float] = {}
+        cohort.buffer_options["send"] = self._buffer_send
+        wrap(cohort, "build_buffer_ack", self._stamp_sent_at)
+        wrap(cohort, "beacon", self._beacon_unserved)
         self._query_counter = 0  # round-robin query fan-out
         server, client = cohort.server_role, cohort.client_role
         wrap(client, "_send_prepare", self._in_place)
@@ -56,9 +55,8 @@ class Batching(Extension):
         }
 
     def wire(self, any_status: Table, primary_only: Table) -> None:
-        if self.batch.piggyback_liveness:
-            wrap_row(any_status, m.BufferAckMsg, self._backup_is_alive)
-            wrap_row(any_status, m.BufferMsg, self._primary_is_alive)
+        wrap_row(any_status, m.BufferAckMsg, self._backup_is_alive)
+        wrap_row(any_status, m.BufferMsg, self._primary_is_alive)
 
     def reset(self) -> None:
         # Applied-but-unacked BufferMsg count, and whether the coalescing
@@ -114,18 +112,14 @@ class Batching(Extension):
     def _backup_is_alive(self, handler: Callable, message: m.BufferAckMsg) -> None:
         # Acks prove the backup is alive; feed the detector so the backup
         # may skip its redundant heartbeat.
-        cohort = self.cohort
-        if message.mid in cohort.last_heard:
-            cohort.last_heard[message.mid] = cohort.sim.now
-            cohort.detect.heard(message.mid, sent_at=message.sent_at)
+        self.cohort.detect.heard(message.mid, sent_at=message.sent_at)
         handler(message)
 
     def _primary_is_alive(self, handler: Callable, msg: m.BufferMsg) -> None:
         # Buffer traffic from our current primary is proof of life (sent_at
         # gives the RTT estimator a sample too).
         cohort = self.cohort
-        if cohort.is_backup_in(msg.viewid) and cohort.cur_view.primary in cohort.last_heard:
-            cohort.last_heard[cohort.cur_view.primary] = cohort.sim.now
+        if cohort.is_backup_in(msg.viewid):
             cohort.detect.heard(cohort.cur_view.primary, sent_at=msg.sent_at)
         handler(msg)
 

@@ -128,13 +128,7 @@ class RemoteCaller:
             started_at=self.host.sim.now,
         )
         if config.adaptive_timeouts:
-            state.backoff = Backoff(
-                config.call_timeout,
-                self._rng,
-                multiplier=config.backoff_multiplier,
-                cap_factor=config.backoff_cap,
-                jitter=config.backoff_jitter,
-            )
+            state.backoff = Backoff(config.call_timeout, self._rng)
         self._outstanding[call_id] = state
         if self._tracer is not None:
             self._tracer.emit(

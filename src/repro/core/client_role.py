@@ -639,9 +639,12 @@ class ClientRole:
             if state.txn.phase == "preparing":
                 self._send_prepares(state, [msg.groupid])
             elif state.txn.phase == "committing" and msg.groupid in state.commit_waiting:
-                self._send_commits(
-                    msg.aid, [msg.groupid], tuple(state.txn.pset.pairs())
-                )
+                # The committing record's pset, not ``txn.pset``: a commit
+                # resumed by a new primary has the record and an empty
+                # Transaction, and a commit with an empty pset makes the
+                # participant drop every call of the transaction as orphaned.
+                _plist, pset_pairs = self.cohort.committing[msg.aid]
+                self._send_commits(msg.aid, [msg.groupid], pset_pairs)
 
     def _cancel_timers(self, state: _RunningTxn) -> None:
         for timer in (state.prepare_timer, state.commit_timer):

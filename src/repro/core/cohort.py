@@ -136,9 +136,6 @@ class Cohort(Actor):
         self._wire_handlers()
 
         # -- liveness --
-        self.last_heard: Dict[int, float] = {
-            peer: 0.0 for peer, _addr in configuration if peer != mid
-        }
         self.detect = FailureDetector(
             config,
             peers=[peer for peer, _addr in configuration if peer != mid],
@@ -585,7 +582,6 @@ class Cohort(Actor):
 
     def _handle_im_alive(self, msg: m.ImAliveMsg) -> None:
         previously_silent = self._is_suspect(msg.mid)
-        self.last_heard[msg.mid] = self.sim.now
         self.detect.heard(msg.mid, sent_at=msg.sent_at)
         if (
             self.status is Status.ACTIVE
@@ -824,9 +820,6 @@ class Cohort(Actor):
         # not make this cohort treat a dead peer as live.
         cutoff = self.sim.now - self.config.suspect_timeout()
         self.detect.age_out(cutoff)
-        for peer, heard_at in self.last_heard.items():
-            if 0.0 < heard_at < cutoff:
-                self.last_heard[peer] = 0.0
         self.rtt.reset()
         for extension in self.extensions:
             extension.reset()

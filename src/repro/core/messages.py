@@ -176,9 +176,9 @@ class BufferMsg(Message):
     retransmitter went back, those above its last cumulative ack.  A backup
     holds a message that arrives ahead of a gap until the gap closes.
 
-    ``sent_at`` is stamped in batched mode (``piggyback_liveness``) so buffer
-    traffic doubles as an I'm-alive beacon (the receiver feeds its failure
-    detector from it and the sender suppresses the redundant heartbeat).
+    ``sent_at`` is stamped in batched mode so buffer traffic doubles as an
+    I'm-alive beacon (the receiver feeds its failure detector from it and the
+    sender suppresses the redundant heartbeat).
 
     ``records_bytes`` is not wire data (no annotation, so not a field): the
     sending buffer, which keeps running sizes of what it retains, sets it to

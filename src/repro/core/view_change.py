@@ -35,6 +35,13 @@ from repro.core.view import View, majority, sub_majority
 from repro.core.viewstamp import ViewId, Viewstamp
 from repro.detect import Backoff
 
+#: A manager whose formation failed retries after this long (the base of its
+#: backoff under ``adaptive_timeouts``).
+VIEW_RETRY_DELAY = 25.0
+#: Spread of the underling -> manager timeout (``underling_timeout`` x
+#: [1, 1 + PROMOTION_JITTER)), desynchronizing competing managers.
+PROMOTION_JITTER = 0.5
+
 
 class ViewChangeController:
     """Figure 5's state machine, hosted by a cohort."""
@@ -57,13 +64,9 @@ class ViewChangeController:
     def _backoff(self) -> Backoff:
         if self._retry_backoff is None:
             cohort = self.cohort
-            config = cohort.config
             self._retry_backoff = Backoff(
-                config.view_retry_delay,
+                VIEW_RETRY_DELAY,
                 cohort.runtime.sim.rng.fork(f"vc-backoff/{cohort.address}"),
-                multiplier=config.backoff_multiplier,
-                cap_factor=config.backoff_cap,
-                jitter=config.backoff_jitter,
             )
         return self._retry_backoff
 
@@ -216,11 +219,11 @@ class ViewChangeController:
     def _arm_await_timer(self) -> None:
         cohort = self.cohort
         delay = cohort.config.underling_timeout
-        if cohort.config.adaptive_timeouts and cohort.config.promotion_jitter > 0.0:
+        if cohort.config.adaptive_timeouts:
             # Spread promotions out so underlings of a dead manager do not
             # all become competing managers at the same instant.  Jitter
             # only ever *extends* the paper's "fairly long" timeout.
-            delay *= 1.0 + cohort.config.promotion_jitter * self._jitter_rng().random()
+            delay *= 1.0 + PROMOTION_JITTER * self._jitter_rng().random()
         self._await_timer = cohort.set_timer(delay, self._await_timeout)
 
     def _await_timeout(self) -> None:
@@ -275,7 +278,7 @@ class ViewChangeController:
             if cohort.config.adaptive_timeouts:
                 delay = self._backoff().next()
             else:
-                delay = cohort.config.view_retry_delay
+                delay = VIEW_RETRY_DELAY
             self._retry_timer = cohort.set_timer(delay, self._make_invitations)
             return
         self._formed = True
@@ -436,7 +439,7 @@ class ViewChangeController:
             if cohort.config.adaptive_timeouts:
                 delay = self._backoff().next()
             else:
-                delay = cohort.config.view_retry_delay
+                delay = VIEW_RETRY_DELAY
             self._retry_timer = cohort.set_timer(delay, self._make_invitations)
             return
         # Underling: stay put; re-arm the await timer if _start_view's

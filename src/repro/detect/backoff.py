@@ -13,6 +13,13 @@ from __future__ import annotations
 
 from typing import Optional
 
+#: Growth factor of every retry backoff (view-change retries, call
+#: retransmits, driver resubmits), its ceiling as a multiple of the base
+#: delay, and the jitter band (delay scaled by 1 +/- jitter/2).
+MULTIPLIER = 2.0
+CAP_FACTOR = 8.0
+JITTER = 0.5
+
 
 class Backoff:
     """Delay policy: ``min(base * multiplier**n, base * cap_factor)``,
@@ -30,9 +37,9 @@ class Backoff:
         self,
         base: float,
         rng,
-        multiplier: float = 2.0,
-        cap_factor: float = 8.0,
-        jitter: float = 0.5,
+        multiplier: float = MULTIPLIER,
+        cap_factor: float = CAP_FACTOR,
+        jitter: float = JITTER,
     ):
         if base <= 0:
             raise ValueError("backoff base must be > 0")

@@ -146,7 +146,6 @@ class Driver(Actor):
         self._geo_routing = (
             geo_cfg is not None
             and geo_cfg.topology is not None
-            and geo_cfg.geo_routing
             and self.site is not None
         )
         reads_cfg = self.config.reads
@@ -154,11 +153,7 @@ class Driver(Actor):
         if reads_cfg is not None and reads_cfg.enabled and reads_cfg.client_cache:
             from repro.reads.cache import CommitSetCache
 
-            self.read_cache = CommitSetCache(
-                staleness=reads_cfg.cache_staleness,
-                capacity=reads_cfg.cache_capacity,
-                clock=lambda: self.sim.now,
-            )
+            self.read_cache = CommitSetCache(clock=lambda: self.sim.now)
         runtime.network.register(self)
 
     # -- API ----------------------------------------------------------------
@@ -234,13 +229,7 @@ class Driver(Actor):
             submitted_at=self.sim.now,
         )
         if timeout is None and self.config.adaptive_timeouts:
-            request.backoff = Backoff(
-                per_attempt,
-                self._rng,
-                multiplier=self.config.backoff_multiplier,
-                cap_factor=self.config.backoff_cap,
-                jitter=self.config.backoff_jitter,
-            )
+            request.backoff = Backoff(per_attempt, self._rng)
         self._requests[request.request_id] = request
         if self.tracer is not None:
             self.tracer.emit(

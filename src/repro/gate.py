@@ -1,15 +1,19 @@
 """``python -m repro.gate [NAME ...]``: the identity gate.
 
 Every extension's licence to exist is that it *refines* the paper's
-protocol: same computed state, different transmission.  This module checks
-that one relation for every configuration that claims it, with one cell,
-one table and one loop.
+protocol: same computed state, different transmission -- also while nodes
+crash, messages are lost and the network partitions (section 1's failure
+model: such faults may abort transactions, but "those that committed will
+still be committed", section 4.1).  This module checks that one relation for
+every configuration that claims it, with one cell, one table and one loop.
 
 - The cell, :func:`state_run`: every key of a kv store is written once, with
   a fixed value, by a closed loop that retries until the write commits
-  (optionally under a read-only open loop and one primary crash).  The
+  (optionally under a read-only open loop and a nemesis schedule).  The
   final replicated state is therefore independent of the schedule, and two
-  configurations can be compared by digest.
+  configurations can be compared by digest.  Under a schedule the cell also
+  holds the run to the liveness catalogue, heals, and requires fresh
+  commits, a primary, converged replicas and no object left locked.
 - The table, :data:`GATES`: each gate is a seed, a size and rows of
   ``(label, run, relations)``.  ``relations`` says what must hold between
   the row and the gate's first row -- ``"schedule"`` (equal
@@ -17,11 +21,14 @@ one table and one loop.
   claim), ``"outcome"`` (the same transactions committed and aborted at the
   same times, the same state: what a pure observer may not disturb),
   ``"state"`` (equal ``state_digest``: what the protocol computed) and
-  ``"fewer messages"``; several are joined with ``", "``.
+  ``"fewer messages"``; several are joined with ``", "``.  ``"violates"``
+  stands alone: the row's unhealable schedule must make the strict liveness
+  catalogue raise a violation that names the cut.
 - The loop, :func:`run_gate`: every row runs **twice** on the gate's seed.
   The two runs must be equal (same seed, same run), must commit every write,
   and the first must stand in the row's relations to the first row.  Every
-  failure is reported, not only the first.
+  failure is reported, not only the first; a failed row under a schedule
+  leaves its report, trace and causal slice under ``artifacts/``.
 
 With no NAME every gate runs; a NAME selects that gate and its ``NAME-*``
 variants.  Exit status: 0 all hold, 1 some relation failed, 2 unknown NAME.
@@ -32,14 +39,16 @@ from __future__ import annotations
 import argparse
 import gc
 import hashlib
+import itertools
 import os
 import sys
 import tempfile
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
-from repro import LOSSY, Nemesis
+from repro import LOSSY
 from repro.config import (
     BatchConfig,
+    GeoConfig,
     ProtocolConfig,
     ReadConfig,
     ScaleConfig,
@@ -48,13 +57,18 @@ from repro.config import (
 from repro.geo.topology import Datacenter, Topology, Zone
 from repro.harness.common import build_kv_system
 from repro.harness.experiments_cohort import _build_scaled_kv
-from repro.harness.experiments_geo import E20_PLACEMENTS, geo_protocol_config
+from repro.harness.experiments_geo import (
+    E20_PLACEMENTS,
+    e20_topology,
+    geo_protocol_config,
+)
 from repro.harness.experiments_scale import E18_CONFIGS, batch_config
-from repro.live import spec_catalog
+from repro.live import SCHEDULES, LivenessViolation, Schedule, spec_catalog
 from repro.net.link import LAN, LinkModel
 from repro.perf.report import ledger_digest, state_digest
 from repro.shard.workload import run_sharded_workload
-from repro.workloads.loadgen import run_open_loop, run_retry_loop
+from repro.trace.export import write_jsonl
+from repro.workloads.loadgen import ClosedLoopStats, run_closed_loop, run_open_loop
 
 
 class Run(NamedTuple):
@@ -88,12 +102,63 @@ def measure(rt, metrics: dict, complete: bool) -> Run:
     )
 
 
+#: How long a row's writes -- and, once healed, its rewrites -- may take, in
+#: simulated time.  No attempt is capped: this is the bound.
+DEADLINE = 200_000.0
+#: Keys a row under a schedule writes again after ``heal_all``: commits must
+#: land on the healed system, not only before it.
+REWRITES = 8
+#: Idle time after the rewrites, long enough for the healed group to take
+#: every recovered cohort back into its view and bring it up to date.
+HEALED_QUIESCE = 1200.0
+#: What a StallReport says when no block of a partition holds a majority.
+CUT = "no partition block holds a majority"
+
+
+def _run_until(rt, done: Callable[[], bool], pending: Callable[[], str]) -> None:
+    deadline = rt.sim.now + DEADLINE
+    while not done():
+        if rt.sim.now >= deadline:
+            raise AssertionError(f"deadline: {pending()} after {DEADLINE:g} time units")
+        rt.run_for(200.0)
+
+
+def _unfinished(stats: ClosedLoopStats, jobs: list) -> str:
+    finished = {args[1] for _program, args, _outcome in stats.results}
+    missing = [args[1] for _program, args in jobs if args[1] not in finished]
+    return f"{len(missing)} of {len(jobs)} writes uncommitted ({', '.join(missing[:8])})"
+
+
+def _with_artifacts(rt, schedule: Schedule, failure: AssertionError) -> AssertionError:
+    """*failure* with the paths of what diagnosing it offline needs, written
+    under ``artifacts/``: the rendered failure, the trace ring as JSONL and
+    -- for an ``InvariantViolation`` or a ``LivenessViolation`` -- the causal
+    slice that explains it."""
+    text = str(failure)
+    os.makedirs("artifacts", exist_ok=True)
+    base = os.path.join(
+        "artifacts",
+        f"{schedule.name}-seed{rt.sim.rng.seed}-"
+        f"{hashlib.sha256(text.encode()).hexdigest()[:8]}",
+    )
+    written = [f"{base}.txt"]
+    with open(written[0], "w", encoding="utf-8") as handle:
+        handle.write(f"{text}\n")
+    if rt.tracer is not None:
+        written.append(f"{base}-trace.jsonl")
+        rt.tracer.export_jsonl(written[-1])
+    if getattr(failure, "causal_slice", None):
+        written.append(f"{base}-slice.jsonl")
+        write_jsonl(failure.causal_slice, written[-1])
+    return AssertionError(f"{text}\nartifacts: {', '.join(written)}")
+
+
 def state_run(
     system,
     *,
     concurrency: int = 4,
     settle: float = 0.0,
-    crash_at: Optional[float] = None,
+    schedule: Optional[Schedule] = None,
     reads: Optional[dict] = None,
     quiesce: Optional[float] = None,
 ) -> Run:
@@ -101,54 +166,111 @@ def state_run(
     every key, retrying each write until it commits.
 
     *system* is what :func:`repro.harness.common.build_kv_system` returns.
-    *settle* runs the idle system first (views form, leases arm);
-    *crash_at* crashes the kv primary once, that long after the load starts,
-    and recovers it 400 later; *reads* runs a read-only open loop beside the
-    writes (keywords of :func:`repro.workloads.loadgen.run_open_loop`:
-    ``duration``, ``rate``, ``prefer``, ``use_read_path``); *quiesce* is the
-    drain time after the last commit (default: the runtime's own).
+    *settle* runs the idle system first (views form, leases arm); *reads*
+    runs a read-only open loop beside the writes (keywords of
+    :func:`repro.workloads.loadgen.run_open_loop`: ``duration``, ``rate``,
+    ``prefer``, ``use_read_path``); *quiesce* is the drain time after the
+    last commit (default: the runtime's own).
+
+    *schedule* (an entry of :data:`repro.live.SCHEDULES`, or
+    :func:`repro.live.one_crash`) is installed when the load starts, with the
+    spec catalogue armed: relaxed, so every clean interval owes progress --
+    or strict for an unhealable schedule, whose violation naming the cut is
+    then the run's result (``metrics["violation"]``).  When the writes are
+    done the cell stops the nemesis, measures what the load cost, and then
+    ``heal_all()``s, writes its first :data:`REWRITES` keys again, idles
+    :data:`HEALED_QUIESCE` and requires a primary in every group and
+    converged replicas.  Every row must leave a serializable history and no
+    object locked; any failed check, monitor or spec raises its
+    ``AssertionError``, under a schedule after writing ``artifacts/``.
     """
-    rt, _kv, _clients, driver, spec = system
+    rt, kv, _clients, driver, spec = system
     txns = spec.n_keys
-    if settle:
-        rt.run_for(settle)
-    if crash_at is not None:
-        rt.inject(
-            Nemesis().crash_primary("kv", every=crash_at, count=1, recover_after=400.0)
-        )
     jobs = [("write", ("kv", spec.key(index), index)) for index in range(txns)]
-    writes = run_retry_loop(rt, driver, "clients", jobs, concurrency=concurrency)
+    writes = ClosedLoopStats()
     reading = None
-    if reads is not None:
-        reading = run_open_loop(
-            rt, driver, key=spec.key, n_keys=txns, read_fraction=1.0,
-            name="gate-reads", **reads,
+    metrics: dict = {}
+
+    def measure_load() -> None:
+        metrics.update(
+            committed=writes.committed,
+            retries=writes.aborted + writes.unknown,
+            messages=rt.network.messages_sent_total,
+            view_changes=len(rt.ledger.view_changes_for("kv")),
         )
-        # Past the whole window before polling ``drained`` (run_open_loop's
-        # contract: it is also true at any idle instant inside the window),
-        # so that every configuration answers the same arrivals.
-        rt.run_for(reads["duration"])
-    deadline = rt.sim.now + 200_000.0
-    while (
-        writes.committed < txns or (reading is not None and not reading.drained)
-    ) and rt.sim.now < deadline:
-        rt.run_for(200.0)
-    if crash_at is not None:
-        rt.faults.stop()
-    rt.quiesce(quiesce)
-    rt.check_invariants(require_convergence=False)
-    metrics = {
-        "committed": writes.committed,
-        "retries": writes.aborted + writes.unknown,
-        "messages": rt.network.messages_sent_total,
-        "view_changes": len(rt.ledger.view_changes_for("kv")),
-    }
-    if reading is not None:
-        metrics["reads_ok"] = reading.reads_ok
-        metrics["reads_failed"] = reading.reads_failed
-        metrics["read_modes"] = dict(sorted(reading.read_modes.items()))
-    if rt.tracer is not None:
-        metrics["trace_events"] = rt.tracer.events_emitted
+        if schedule is not None:
+            metrics["faults"] = len(rt.faults.timeline)
+        if reading is not None:
+            metrics["reads_ok"] = reading.reads_ok
+            metrics["reads_failed"] = reading.reads_failed
+            metrics["read_modes"] = dict(sorted(reading.read_modes.items()))
+        if rt.tracer is not None:
+            metrics["trace_events"] = rt.tracer.events_emitted
+
+    try:
+        if settle:
+            rt.run_for(settle)
+        if schedule is not None:
+            strict = schedule.expect_violation
+            specs = spec_catalog(
+                "kv", rt.config, within_scale=schedule.within_scale,
+                commits=None if strict else 1, strict=strict,
+            )
+            rt.arm_liveness(specs)
+            schedule.install(rt, [node.node_id for node in kv.nodes()])
+        run_closed_loop(
+            rt, driver, "clients", jobs,
+            concurrency=concurrency, max_attempts=None, stats=writes,
+        )
+        if reads is not None:
+            reading = run_open_loop(
+                rt, driver, key=spec.key, n_keys=txns, read_fraction=1.0,
+                name="gate-reads", **reads,
+            )
+            # Past the whole window before polling ``drained`` (run_open_loop's
+            # contract: it is also true at any idle instant inside the window),
+            # so that every configuration answers the same arrivals.
+            rt.run_for(reads["duration"])
+        _run_until(
+            rt,
+            lambda: writes.committed == txns and (reading is None or reading.drained),
+            lambda: _unfinished(writes, jobs),
+        )
+        if schedule is not None:
+            rt.faults.stop()
+        rt.quiesce(quiesce)
+        measure_load()
+        if schedule is not None:
+            rt.faults.heal_all()
+            rewrites = jobs[:REWRITES]
+            again = run_closed_loop(
+                rt, driver, "clients", rewrites,
+                concurrency=concurrency, max_attempts=None,
+            )
+            _run_until(
+                rt,
+                lambda: again.committed == len(rewrites),
+                lambda: f"healed, but {_unfinished(again, rewrites)}",
+            )
+            rt.quiesce(HEALED_QUIESCE)
+            headless = [
+                group.groupid
+                for group in rt.groups.values()
+                if group.active_primary() is None
+            ]
+            if headless:
+                raise AssertionError(f"healed, but no view re-formed in {headless}")
+        rt.check_invariants(require_convergence=schedule is not None)
+        residue = rt.lock_residue()
+        if residue:
+            raise AssertionError(f"objects still locked after quiesce: {residue}")
+    except AssertionError as failure:
+        if schedule is None:
+            raise
+        if not (schedule.expect_violation and isinstance(failure, LivenessViolation)):
+            raise _with_artifacts(rt, schedule, failure) from failure
+        measure_load()
+        metrics["violation"] = failure.report.reason
     return measure(rt, metrics, complete=writes.committed == txns)
 
 
@@ -285,6 +407,57 @@ def _liveness_armed(seed: int, txns: int) -> Run:
     return run._replace(metrics={**run.metrics, "liveness_polls": checker.polls})
 
 
+#: How a row under a schedule arms each extension (the chaos soak's choices).
+ARMED = {
+    "batching": ("batch", BatchConfig(enabled=True)),
+    "reads": ("reads", ReadConfig(enabled=True)),
+    "scale": ("scale", ScaleConfig(gossip=True, ack_tree=True, witnesses=2)),
+    "geo": ("geo", GeoConfig(topology=e20_topology(), placement="spread")),
+}
+
+
+def _chaos(*extensions: str, schedule: Optional[str] = None):
+    """The row of the cell under a nemesis with every monitor armed: on the
+    plain three-cohort system, or with *extensions* armed together -- 9
+    cohorts under ``scale``, 5 across three datacenters with a sited driver
+    under ``geo``, a read loop beside the writes under ``reads``.  The soak's
+    nemesis unless *schedule* names another: ``region`` on a topology,
+    ``storm`` without."""
+    geo, scale = "geo" in extensions, "scale" in extensions
+    chosen = SCHEDULES[schedule or ("region" if geo else "storm")]
+    config = ProtocolConfig(**dict(ARMED[name] for name in extensions))
+    # Two clients, not four: the same writes take twice as long, and it is
+    # the schedule's time, not the writes' count, that lets faults fire.
+    workload: dict = {"concurrency": 2, "settle": 60.0}
+    if "reads" in extensions:
+        workload["reads"] = {
+            "duration": 2000.0, "rate": 0.3, "prefer": "nearest" if geo else "primary",
+        }
+
+    def run(seed: int, txns: int) -> Run:
+        system = build_kv_system(
+            seed=seed,
+            n_keys=txns,
+            n_cohorts=5 if geo else 9 if scale else 3,
+            config=config,
+            trace=TraceConfig(monitors="all"),
+            driver_site="dc-a/z1" if geo else None,
+        )
+        return state_run(system, schedule=chosen, **workload)
+
+    relation = "violates" if chosen.expect_violation else "state"
+    return "+".join(extensions) or chosen.name, run, relation
+
+
+#: The first row of every chaos gate: fault-free and paper-faithful.
+PAPER = ("paper", _kv(), None)
+#: Every schedule that needs no topology but the soak's own, on the plain
+#: system.
+_MATRIX = tuple(
+    _chaos(schedule=name) for name in SCHEDULES if name not in ("storm", "region")
+)
+
+
 # -- the table -------------------------------------------------------------------
 
 
@@ -370,6 +543,28 @@ GATES: Dict[str, Gate] = {
         64,
         (("disarmed", _kv(), None), ("armed", _liveness_armed, "outcome")),
     ),
+    # -- under the nemesis: every row "state" to the fault-free paper-faithful
+    # run, all monitors and the spec catalogue armed, healed, converged, no
+    # lock left (the unhealable majority_partition instead "violates") --
+    # the liveness matrix: every flat schedule on the plain system, two seeds
+    "liveness-seed0": Gate(0, 1500, (PAPER,) + _MATRIX),
+    "liveness-seed7": Gate(7, 1500, (PAPER,) + _MATRIX),
+    # the chaos soak on the plain system, two seeds
+    "trace-seed2026": Gate(2026, 1500, (PAPER, _chaos())),
+    "trace-seed1988": Gate(1988, 1500, (PAPER, _chaos())),
+    # each extension under the soak, then every pair and all four
+    "batching-storm": Gate(2026, 1000, (PAPER, _chaos("batching"))),
+    "reads-storm": Gate(2026, 1000, (PAPER, _chaos("reads"))),
+    "scale-storm": Gate(2026, 1000, (PAPER, _chaos("scale"))),
+    # a write over the WAN takes ~100 time units: fewer of them last longer
+    "geo-region": Gate(2026, 300, (PAPER, _chaos("geo"))),
+    "chaos": Gate(
+        2026,
+        300,
+        (PAPER,)
+        + tuple(_chaos(*pair) for pair in itertools.combinations(ARMED, 2))
+        + (_chaos(*ARMED),),
+    ),
 }
 
 
@@ -392,8 +587,13 @@ def run_gate(name: str, gate: Gate) -> List[str]:
     first = None
     for label, run, relations in gate.rows:
         row = f"{name} / {label}"
-        one, two = run(gate.seed, gate.txns), run(gate.seed, gate.txns)
-        gc.collect()  # each dead Runtime is one big cycle; free it where it dies
+        try:
+            one, two = run(gate.seed, gate.txns), run(gate.seed, gate.txns)
+        except AssertionError as failure:  # a monitor, a spec or a check of the cell
+            failures.append(f"{row}: {failure}")
+            continue
+        finally:
+            gc.collect()  # each dead Runtime is one big cycle; free it where it dies
         print(
             f"{name:>14} {label:<26}"
             + " ".join(f"{key}={_short(value)}" for key, value in one.metrics.items())
@@ -403,12 +603,20 @@ def run_gate(name: str, gate: Gate) -> List[str]:
             failures.append(
                 f"{row}: two runs on seed {gate.seed} differ:\n  {one}\n  {two}"
             )
+        if relations == "violates":
+            if CUT not in one.metrics.get("violation", ""):
+                failures.append(
+                    f"{row}: the strict liveness catalogue raised no violation "
+                    f"naming the cut: {one.metrics}"
+                )
+            continue
         if not one.complete:
             failures.append(
                 f"{row}: did not finish its {gate.txns} transactions: {one.metrics}"
             )
-        if first is None:
+        if relations is None:  # the first row: what the others are held to
             first = one
+        if relations is None or first is None:
             continue
         for relation in relations.split(", "):
             if relation == "fewer messages":

@@ -28,7 +28,7 @@ from repro import EmptyModule, Runtime
 from repro.config import BatchConfig, ProtocolConfig, ScaleConfig
 from repro.harness.common import ExperimentResult
 from repro.workloads.kv import KVStoreSpec, read_program, update_program, write_program
-from repro.workloads.loadgen import run_retry_loop
+from repro.workloads.loadgen import run_closed_loop
 
 SCALE_SEED = 21
 
@@ -107,7 +107,9 @@ def _e21_cell(seed: int, n: int, mode: str, txns: int = 24) -> dict:
     ev0 = rt.sim.events_processed
     wall0 = time.perf_counter()
     jobs = [("write", ("kv", spec.key(index), index)) for index in range(txns)]
-    stats = run_retry_loop(rt, driver, "clients", jobs, concurrency=4)
+    stats = run_closed_loop(
+        rt, driver, "clients", jobs, concurrency=4, max_attempts=None
+    )
     window_end = t0 + 60.0 * interval
     deadline = rt.sim.now + 100_000.0
     while stats.committed < txns and rt.sim.now < deadline:

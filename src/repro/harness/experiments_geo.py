@@ -31,10 +31,11 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from repro.config import GeoConfig, ProtocolConfig, ReadConfig
+from repro.core.view_change import VIEW_RETRY_DELAY
 from repro.geo.topology import Topology, symmetric_topology
 from repro.harness.common import ExperimentResult, build_kv_system
 from repro.sim.process import sleep, spawn
-from repro.workloads.loadgen import run_keyed_loop
+from repro.workloads.loadgen import run_closed_loop
 
 GEO_SEED = 2020
 
@@ -76,7 +77,7 @@ def failover_bound(config: ProtocolConfig, topology: Topology) -> float:
         config.suspect_timeout()
         + config.underling_timeout
         + config.invite_timeout
-        + 2.0 * config.view_retry_delay
+        + 2.0 * VIEW_RETRY_DELAY
         + 10.0 * wan_rtt
     )
 
@@ -161,11 +162,11 @@ def _commit_latency_cell(
     driver = rt.create_driver("driver", site="dc-a/z1")
     rt.run_for(500.0)
     jobs = make_jobs(seed, txns, cross_ratio=0.25)
-    stats = run_keyed_loop(rt, driver, sharded, jobs, concurrency=concurrency)
+    stats = run_closed_loop(rt, driver, sharded, jobs, concurrency=concurrency)
     rt.run_for(30000.0)
 
     per_program: Dict[str, List[float]] = {"seq_put": [], "transfer": []}
-    for latency, (program, _shards, outcome) in zip(
+    for latency, (program, _args, outcome) in zip(
         stats.latencies, stats.results
     ):
         if outcome == "committed":

@@ -55,13 +55,18 @@ def _sharded_run(
     runtime.quiesce(duration=600)
     runtime.check_invariants(require_convergence=False)
     shard0 = sharded.shard_groupid(0)
+    aborted = [
+        sharded.touched_shards(program, args)
+        for program, args, outcome in stats.results
+        if outcome == "aborted"
+    ]
     return {
         "committed": stats.committed,
         "aborted": stats.aborted,
         "abort_rate": stats.abort_rate if stats.submitted else 0.0,
         "throughput": stats.throughput,
-        "aborts_shard0": stats.aborted_touching(shard0),
-        "aborts_elsewhere": stats.aborted_elsewhere(shard0),
+        "aborts_shard0": sum(shard0 in shards for shards in aborted),
+        "aborts_elsewhere": sum(shard0 not in shards for shards in aborted),
         "view_changes_shard0": len(runtime.ledger.view_changes_for(shard0)),
     }
 
@@ -188,6 +193,7 @@ def _batching_run(
     (:func:`repro.gate.state_run`) on a clean or lossy network or with the
     kv primary crashing at t=150; returns (metrics dict, state digest)."""
     from repro.gate import state_run  # repro.gate imports this package
+    from repro.live import one_crash
 
     system = build_kv_system(
         seed=seed,
@@ -199,7 +205,7 @@ def _batching_run(
     run = state_run(
         system,
         concurrency=concurrency,
-        crash_at=150.0 if condition == "viewchange" else None,
+        schedule=one_crash(150.0) if condition == "viewchange" else None,
     )
     return run.metrics, run.state
 

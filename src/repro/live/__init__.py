@@ -1,4 +1,4 @@
-"""Liveness specs, stall diagnosis, and the nemesis coverage matrix.
+"""Liveness specs, stall diagnosis, and the table of nemesis schedules.
 
 Safety monitors (:mod:`repro.trace`) catch the protocol doing something
 wrong; this package catches it doing *nothing*.  Three pieces:
@@ -12,10 +12,11 @@ wrong; this package catches it doing *nothing*.  Three pieces:
   :class:`LivenessViolation` carries a :class:`StallReport`: per-node
   protocol state, pending timers, in-flight traffic, active disruptions
   (named partitioned quorums included), and a bounded causal slice;
-- :mod:`repro.live.matrix` -- ``python -m repro.live`` crosses the spec
-  catalog against nemesis schedules (crash churn, lossy, partition+heal,
-  asymmetric cuts, disk faults, a slow node, and one deliberately
-  unhealable majority partition that is *required* to violate).
+- :mod:`repro.live.schedules` -- the nemesis schedules ``python -m repro.gate``
+  crosses the spec catalog and every extension against (crash churn, lossy,
+  partition+heal, asymmetric cuts, disk faults, a slow node, the soak's
+  storm and region chaos, and one deliberately unhealable majority
+  partition that is *required* to violate).
 
 Arm specs with :meth:`repro.Runtime.arm_liveness`; a runtime without
 armed specs pays nothing (``runtime.liveness`` stays ``None``), and armed
@@ -24,8 +25,8 @@ liveness``).  See ``docs/LIVENESS.md``.
 """
 
 from repro.live.checker import LivenessChecker
-from repro.live.matrix import SCHEDULES, CellResult, Schedule, run_cell, run_matrix
 from repro.live.report import LivenessViolation, StallReport, build_stall_report
+from repro.live.schedules import SCHEDULES, Schedule, one_crash
 from repro.live.specs import (
     EventuallyCommits,
     EventuallySinglePrimary,
@@ -36,7 +37,6 @@ from repro.live.specs import (
 )
 
 __all__ = [
-    "CellResult",
     "EventuallyCommits",
     "EventuallySinglePrimary",
     "LivenessChecker",
@@ -48,7 +48,6 @@ __all__ = [
     "StallReport",
     "ViewChangeConverges",
     "build_stall_report",
-    "run_cell",
-    "run_matrix",
+    "one_crash",
     "spec_catalog",
 ]

@@ -76,7 +76,7 @@ class LivenessViolation(AssertionError):
     """A liveness spec's eventual-progress window expired without progress.
 
     Carries the full :class:`StallReport` as ``.report`` and exposes
-    ``.causal_slice`` so the soak harness exports it exactly like a
+    ``.causal_slice`` so the gate exports it exactly like a
     safety :class:`~repro.trace.monitors.InvariantViolation`.
     """
 

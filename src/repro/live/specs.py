@@ -26,6 +26,9 @@ from __future__ import annotations
 
 from typing import List, Optional
 
+from repro.core.view_change import VIEW_RETRY_DELAY
+from repro.detect.backoff import CAP_FACTOR, JITTER
+
 
 class LivenessSpec:
     """Base class: window accounting over a boolean progress predicate.
@@ -247,7 +250,7 @@ def spec_catalog(
     window = within_scale * 4.0 * (
         config.underling_timeout
         + config.invite_timeout
-        + config.view_retry_delay
+        + VIEW_RETRY_DELAY
     )
     # A client attempt can legitimately sleep through one fully backed-off
     # retry delay (per-attempt timeout x backoff cap x max jitter) before
@@ -258,8 +261,8 @@ def spec_catalog(
         within_scale
         * 2.0
         * (2.0 * config.call_timeout)
-        * config.backoff_cap
-        * (1.0 + config.backoff_jitter),
+        * CAP_FACTOR
+        * (1.0 + JITTER),
     )
     relax = not strict
     specs: List[LivenessSpec] = [

@@ -7,7 +7,7 @@ within the staleness window is answered locally without any network
 round trip at all.
 
 Pruning follows the Wren client cache: entries older than a stable
-timestamp watermark ``lst = now - cache_staleness`` are discarded
+timestamp watermark ``lst = now - CACHE_STALENESS`` are discarded
 wholesale, so the cache can never serve a value staler than the window.
 A capacity bound evicts oldest-first on top of that.
 """
@@ -16,11 +16,19 @@ from __future__ import annotations
 
 from typing import Any, List, Optional, Tuple
 
+#: Watermark window: entries with a timestamp older than ``now -
+#: CACHE_STALENESS`` are pruned (``t >= lst`` survives).
+CACHE_STALENESS = 25.0
+#: Commit-set entries kept per driver (oldest evicted beyond this).
+CACHE_CAPACITY = 1024
+
 
 class CommitSetCache:
     """Bounded commit set of (key, value, timestamp) entries."""
 
-    def __init__(self, staleness: float, capacity: int, clock):
+    def __init__(
+        self, clock, staleness: float = CACHE_STALENESS, capacity: int = CACHE_CAPACITY
+    ):
         self.staleness = staleness
         self.capacity = capacity
         self.clock = clock

@@ -176,9 +176,6 @@ class Leases(Extension):
             cohort.emit("lease_read", viewid=str(cohort.cur_viewid), uid=msg.uid)
             cohort.metrics.incr(f"lease_reads:{cohort.mygroupid}")
         else:
-            if not state.cfg.backup_reads:
-                cohort.refuse_read(msg, "not_active")  # view info: driver redirects
-                return
             staleness = state.staleness()
             bound = msg.max_staleness
             if bound is None:

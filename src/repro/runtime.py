@@ -232,8 +232,7 @@ class Runtime:
         """Create a workload driver, optionally homed at a topology *site*.
 
         A sited driver pays structural (geo) delay to every placed node
-        and routes reads to the nearest serving replica when
-        ``GeoConfig.geo_routing`` is on.
+        and routes reads to the nearest serving replica.
         """
         if node is None:
             node = self.create_node(f"{name}-node", site=site)
@@ -321,6 +320,21 @@ class Runtime:
                 raise AssertionError(
                     f"replicas of {group.groupid} diverged: {problems}"
                 )
+
+    def lock_residue(self) -> List[tuple]:
+        """``(groupid, uid, holders)`` for every object still locked at an
+        active primary.  Call after quiescing with every transaction
+        resolved: what is listed then is a lock nobody will release."""
+        residue = []
+        for group in self.groups.values():
+            primary = group.active_primary()
+            if primary is None:
+                continue
+            for uid in primary.store.uids():
+                lockers = primary.store.get(uid).lockers
+                if lockers:
+                    residue.append((group.groupid, uid, sorted(map(str, lockers))))
+        return residue
 
     def quiesce(self, duration: Optional[float] = None) -> None:
         """Run long enough for buffers to drain and acks to land."""

@@ -4,7 +4,7 @@ Storage backups forward their cumulative buffer acks up the deterministic
 fan-in :class:`~repro.scale.AckTree` instead of straight to the primary:
 this extension decides *where* a backup's ack goes (and stamps the
 subtree's aggregated ``agg`` pairs on it), and makes an interior node fold
-its children's acks into its own after ``ack_delay``.
+its children's acks into its own after ``ACK_DELAY``.
 """
 
 from __future__ import annotations
@@ -14,6 +14,10 @@ from typing import Callable, Dict, Optional
 from repro.core import messages as m
 from repro.core.extension import Extension, Table, wrap, wrap_row
 from repro.scale import AckTree
+
+#: Coalescing delay before an interior node forwards its subtree's
+#: aggregated acks upward.
+ACK_DELAY = 0.5
 
 
 class AckTreeAcks(Extension):
@@ -67,7 +71,7 @@ class AckTreeAcks(Extension):
             handler(msg)
             return
         # Interior node: fold the child's (aggregated) subtree into ours and
-        # forward the merged subtree upward after ``ack_delay``.
+        # forward the merged subtree upward after ``ACK_DELAY``.
         if self._children_viewid != cohort.cur_viewid:
             self._children = {}
             self._children_viewid = cohort.cur_viewid
@@ -77,7 +81,7 @@ class AckTreeAcks(Extension):
         if not self._forward_armed:
             self._forward_armed = True
             cohort.set_timer(
-                self.scale.ack_delay, self._forward, cohort._epoch, cohort.cur_viewid
+                ACK_DELAY, self._forward, cohort._epoch, cohort.cur_viewid
             )
 
     def _forward(self, epoch: int, viewid) -> None:

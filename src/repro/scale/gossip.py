@@ -14,6 +14,10 @@ from repro.core import messages as m
 from repro.core.cohort import Status
 from repro.core.extension import Extension, Table, wrap, wrap_row
 
+#: Evidence freshness window, in ``im_alive_interval`` units: only peers
+#: heard within this horizon are relayed as evidence.
+EVIDENCE_HORIZON_INTERVALS = 3.0
+
 
 class Gossip(Extension):
     def __init__(self, cohort, scale, beacon_primary: bool) -> None:
@@ -65,9 +69,7 @@ class Gossip(Extension):
     def _fresh_evidence(self) -> Tuple[Tuple[int, float], ...]:
         """Fresh (mid, heard_at) liveness evidence to relay this round."""
         cohort = self.cohort
-        horizon = (
-            self.scale.evidence_horizon_intervals * cohort.config.im_alive_interval
-        )
+        horizon = EVIDENCE_HORIZON_INTERVALS * cohort.config.im_alive_interval
         cutoff = cohort.sim.now - horizon
         evidence = []
         for peer, _addr in cohort.configuration:
@@ -91,6 +93,4 @@ class Gossip(Extension):
             if peer == cohort.mymid or peer == msg.mid:
                 continue
             cohort.detect.heard_relayed(peer, heard_at)
-            if heard_at > cohort.last_heard.get(peer, 0.0):
-                cohort.last_heard[peer] = heard_at
         handler(msg)

@@ -13,7 +13,7 @@ from typing import List, Tuple
 
 from repro.config import ProtocolConfig
 from repro.runtime import Runtime
-from repro.workloads.loadgen import KeyedLoopStats, run_keyed_loop
+from repro.workloads.loadgen import ClosedLoopStats, run_closed_loop
 
 
 def make_jobs(
@@ -57,7 +57,7 @@ def run_sharded_workload(
     nemesis=None,
     trace=None,
     name: str = "kv",
-) -> Tuple[Runtime, object, KeyedLoopStats]:
+) -> Tuple[Runtime, object, ClosedLoopStats]:
     """One full sharded run; returns (runtime, façade, stats).
 
     ``link`` overrides the network model (e.g. LOSSY), ``nemesis`` is
@@ -80,7 +80,7 @@ def run_sharded_workload(
         runtime.inject(nemesis)
     runtime.run_for(settle)
     jobs = make_jobs(seed, txns, cross_ratio=cross_ratio)
-    stats = run_keyed_loop(
+    stats = run_closed_loop(
         runtime, driver, sharded, jobs, concurrency=concurrency
     )
     runtime.run_for(duration)

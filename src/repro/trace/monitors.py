@@ -2,9 +2,10 @@
 
 Each monitor encodes one invariant from the paper's correctness argument
 and checks it *while the run executes*, not post hoc.  A violation raises
-:class:`InvariantViolation` -- an ``AssertionError`` subclass, so existing
-harness/soak failure handling catches it -- carrying the minimal causal
-slice (<= 50 events) that explains the offending event.
+:class:`InvariantViolation` -- an ``AssertionError`` subclass, so the
+gate's failure handling (:func:`repro.gate.state_run`) catches it --
+carrying the minimal causal slice (<= 50 events) that explains the
+offending event.
 
 All monitors are false-positive-free on legitimate runs:
 

@@ -1,22 +1,23 @@
 """Closed- and open-loop load generation over workload drivers.
 
-Closed-loop generators (:func:`run_closed_loop` and friends) model a
-fixed population of clients that wait for each transaction before
-issuing the next.  The open-loop generator (:func:`run_open_loop`)
-models arrival-rate-driven traffic YCSB-style: Poisson inter-arrivals at
-a configured rate, zipfian key skew, a configurable read fraction, and
-per-mode latency accounting -- the workload shape the read serving path
-(``repro.reads``) exists for.
+The closed-loop generator (:func:`run_closed_loop`) models a fixed
+population of clients that wait for each transaction before issuing the
+next, optionally retrying it until it commits.  The open-loop generator
+(:func:`run_open_loop`) models arrival-rate-driven traffic YCSB-style:
+Poisson inter-arrivals at a configured rate, zipfian key skew, a
+configurable read fraction, and per-mode latency accounting -- the workload
+shape the read serving path (``repro.reads``) exists for.
 """
 
 from __future__ import annotations
 
 import bisect
 import dataclasses
+import itertools
 import math
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
-from repro.sim.process import spawn
+from repro.sim.process import sleep, spawn
 
 
 class ZipfianGenerator:
@@ -242,8 +243,6 @@ def run_open_loop(
         return cb
 
     def dispatcher():
-        from repro.sim.process import sleep
-
         deadline = sim.now + duration
         sequence = 0
         while True:
@@ -281,18 +280,35 @@ def run_open_loop(
 
 @dataclasses.dataclass
 class ClosedLoopStats:
-    """Outcome accounting for one closed-loop run."""
+    """Outcome accounting for one closed-loop run.
+
+    ``committed`` counts jobs (each at most once); ``aborted`` and
+    ``unknown`` count attempts, so under ``max_attempts > 1`` they are the
+    attempts that were retried.  ``results`` holds one ``(program, args,
+    outcome of the last attempt)`` per finished job, in finishing order
+    like ``latencies``.
+    """
 
     committed: int = 0
     aborted: int = 0
     unknown: int = 0
     latencies: List[float] = dataclasses.field(default_factory=list)
+    results: List[Tuple[str, tuple, str]] = dataclasses.field(default_factory=list)
     started_at: float = 0.0
     finished_at: float = 0.0
 
     @property
     def submitted(self) -> int:
         return self.committed + self.aborted + self.unknown
+
+    @property
+    def gave_up(self) -> List[Tuple[str, tuple]]:
+        """The jobs that ran out of attempts without committing."""
+        return [
+            (program, args)
+            for program, args, outcome in self.results
+            if outcome != "committed"
+        ]
 
     @property
     def mean_latency(self) -> float:
@@ -302,10 +318,7 @@ class ClosedLoopStats:
 
     @property
     def p99_latency(self) -> float:
-        if not self.latencies:
-            return math.nan
-        ordered = sorted(self.latencies)
-        return ordered[max(0, math.ceil(len(ordered) * 0.99) - 1)]
+        return _percentile(self.latencies, 0.99)
 
     @property
     def duration(self) -> float:
@@ -324,140 +337,29 @@ class ClosedLoopStats:
         return self.aborted / self.submitted
 
 
-@dataclasses.dataclass
-class KeyedLoopStats(ClosedLoopStats):
-    """Closed-loop stats plus per-job outcomes with shard attribution.
-
-    ``results`` holds one (program, touched shard groupids, outcome)
-    triple per finished job, so experiments can ask questions like "did
-    any transaction *not* touching the crashed shard abort?".
-    """
-
-    results: List[Tuple[str, Tuple[str, ...], str]] = dataclasses.field(
-        default_factory=list
-    )
-
-    def aborted_touching(self, groupid: str) -> int:
-        return sum(
-            1
-            for _program, shards, outcome in self.results
-            if outcome == "aborted" and groupid in shards
-        )
-
-    def aborted_elsewhere(self, groupid: str) -> int:
-        return sum(
-            1
-            for _program, shards, outcome in self.results
-            if outcome == "aborted" and groupid not in shards
-        )
-
-
-def run_keyed_loop(
-    runtime,
-    driver,
-    sharded,
-    jobs: Iterable[Tuple[str, tuple]],
-    concurrency: int = 1,
-    think_time: float = 0.0,
-    stats: Optional[KeyedLoopStats] = None,
-) -> KeyedLoopStats:
-    """Closed-loop load through a sharded façade's key-addressed routing.
-
-    Like :func:`run_closed_loop`, but each (program, args) job is routed
-    by the façade's shard map via :meth:`Driver.call`, and every
-    outcome is recorded with the shards the job touched.
-    """
-    if stats is None:
-        stats = KeyedLoopStats()
-    stats.started_at = runtime.sim.now
-    job_iter = iter(list(jobs))
-    sim = runtime.sim
-
-    def worker():
-        from repro.sim.process import sleep
-
-        for program, args in job_iter:
-            shards = sharded.touched_shards(program, tuple(args))
-            submitted_at = sim.now
-            outcome, _result = yield driver.call(sharded, program, *args)
-            stats.latencies.append(sim.now - submitted_at)
-            stats.results.append((program, shards, outcome))
-            if outcome == "committed":
-                stats.committed += 1
-            elif outcome == "aborted":
-                stats.aborted += 1
-            else:
-                stats.unknown += 1
-            stats.finished_at = sim.now
-            if think_time > 0:
-                yield sleep(think_time)
-
-    for index in range(concurrency):
-        spawn(sim, worker(), name=f"keyed-loadgen-{index}")
-    return stats
-
-
 def run_closed_loop(
     runtime,
     driver,
-    groupid: str,
+    target,
     jobs: Iterable[Tuple[str, tuple]],
     concurrency: int = 1,
     think_time: float = 0.0,
+    max_attempts: Optional[int] = 1,
     stats: Optional[ClosedLoopStats] = None,
 ) -> ClosedLoopStats:
     """Issue *jobs* ((program, args) pairs) through *driver*, closed-loop.
 
     Spawns *concurrency* worker processes that each take the next job when
-    their previous transaction resolves.  Returns the stats object, which
-    fills in as the simulation runs (call ``runtime.run_for(...)`` after).
-    """
-    if stats is None:
-        stats = ClosedLoopStats()
-    stats.started_at = runtime.sim.now
-    job_iter = iter(list(jobs))
-    sim = runtime.sim
+    their previous one resolves.  *target* is whatever :meth:`Driver.call`
+    takes: a groupid, or a sharded façade whose shard map routes each job.
+    A job is attempted up to *max_attempts* times, ``None`` meaning until it
+    commits: with idempotent distinct-key writes the *final replicated
+    state* is then independent of the schedule (loss, view changes,
+    batching), which is what :mod:`repro.gate` compares by digest.  A job
+    that runs out of attempts is in ``stats.gave_up``.
 
-    def worker():
-        from repro.sim.process import sleep
-
-        for program, args in job_iter:
-            submitted_at = sim.now
-            outcome, _result = yield driver.call(groupid, program, *args)
-            stats.latencies.append(sim.now - submitted_at)
-            if outcome == "committed":
-                stats.committed += 1
-            elif outcome == "aborted":
-                stats.aborted += 1
-            else:
-                stats.unknown += 1
-            stats.finished_at = sim.now
-            if think_time > 0:
-                yield sleep(think_time)
-
-    for index in range(concurrency):
-        spawn(sim, worker(), name=f"loadgen-{index}")
-    return stats
-
-
-def run_retry_loop(
-    runtime,
-    driver,
-    groupid: str,
-    jobs: Iterable[Tuple[str, tuple]],
-    concurrency: int = 1,
-    max_attempts: int = 25,
-    stats: Optional[ClosedLoopStats] = None,
-) -> ClosedLoopStats:
-    """Closed loop that retries every job until it commits.
-
-    Used by the cross-config determinism checks: with an
-    every-write-eventually-commits workload of idempotent distinct-key
-    writes, the *final replicated state* is independent of the schedule
-    (loss, view changes, batching), so two configs can be compared by
-    state digest even when they abort different interim attempts.
-    ``stats.committed`` counts jobs (each exactly once); aborted/unknown
-    count the extra attempts that were retried.
+    Returns the stats object, which fills in as the simulation runs (call
+    ``runtime.run_for(...)`` after).
     """
     if stats is None:
         stats = ClosedLoopStats()
@@ -468,8 +370,8 @@ def run_retry_loop(
     def worker():
         for program, args in job_iter:
             submitted_at = sim.now
-            for _attempt in range(max_attempts):
-                outcome, _result = yield driver.call(groupid, program, *args)
+            for attempt in itertools.count(1):
+                outcome, _result = yield driver.call(target, program, *args)
                 if outcome == "committed":
                     stats.committed += 1
                     break
@@ -477,9 +379,14 @@ def run_retry_loop(
                     stats.aborted += 1
                 else:
                     stats.unknown += 1
+                if attempt == max_attempts:
+                    break
             stats.latencies.append(sim.now - submitted_at)
+            stats.results.append((program, args, outcome))
             stats.finished_at = sim.now
+            if think_time > 0:
+                yield sleep(think_time)
 
     for index in range(concurrency):
-        spawn(sim, worker(), name=f"retry-loadgen-{index}")
+        spawn(sim, worker(), name=f"loadgen-{index}")
     return stats

@@ -25,6 +25,7 @@ from repro import (
 from repro.core import messages as m
 from repro.gate import state_run
 from repro.harness.common import build_kv_system
+from repro.live import one_crash
 
 #: mechanism -> (the sub-config and knobs that arm it, its extension, the
 #: rows it adds or wraps)
@@ -172,7 +173,7 @@ def _state_after_writes_reads_and_a_failover(config, txns=12):
         trace=TraceConfig(monitors="all"),
     )
     run = state_run(
-        system, concurrency=2, settle=60.0, crash_at=40.0,
+        system, concurrency=2, settle=60.0, schedule=one_crash(40.0),
         reads={"duration": 400.0, "rate": 0.3},
     )
     assert run.complete

@@ -16,8 +16,8 @@ def test_long_downtime_ages_out_last_heard_and_detector_state():
     driver.call("clients", "bump", 1)
     rt.run_for(400)
     victim = counter.cohort(1)
-    peers = [mid for mid in victim.last_heard if mid != victim.mymid]
-    assert any(victim.last_heard[mid] > 0.0 for mid in peers)
+    peers = [mid for mid, _addr in victim.configuration if mid != victim.mymid]
+    assert any(victim.detect.last_heard(mid) > 0.0 for mid in peers)
 
     counter.crash_cohort(1)
     # Down for many suspect windows: every pre-crash beat goes stale.
@@ -25,7 +25,6 @@ def test_long_downtime_ages_out_last_heard_and_detector_state():
     counter.recover_cohort(1)
 
     for mid in peers:
-        assert victim.last_heard[mid] == 0.0
         assert victim.detect.last_heard(mid) == 0.0
 
 
@@ -34,8 +33,8 @@ def test_short_downtime_keeps_recent_evidence():
     driver.call("clients", "bump", 1)
     rt.run_for(400)
     victim = counter.cohort(1)
-    peers = [mid for mid in victim.last_heard if mid != victim.mymid]
-    before = dict(victim.last_heard)
+    peers = [mid for mid, _addr in victim.configuration if mid != victim.mymid]
+    before = {mid: victim.detect.last_heard(mid) for mid in peers}
     assert any(before[mid] > 0.0 for mid in peers)
 
     counter.crash_cohort(1)
@@ -45,7 +44,7 @@ def test_short_downtime_keeps_recent_evidence():
 
     kept = [mid for mid in peers if before[mid] > 0.0]
     for mid in kept:
-        assert victim.last_heard[mid] == before[mid]
+        assert victim.detect.last_heard(mid) == before[mid]
 
 
 def test_recovered_cohort_suspects_a_dead_peer_promptly():

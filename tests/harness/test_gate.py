@@ -1,6 +1,6 @@
 """``repro.gate``: every gate of the table holds at small size, and each way
 a gate can fail exits 1 (2 for a name that selects nothing) saying which row
-and which digests."""
+and which digests or which check of the cell."""
 
 import itertools
 
@@ -10,18 +10,24 @@ from repro import gate
 from repro.config import BatchConfig, ProtocolConfig
 from repro.gate import GATES, Gate, main, run_gate, state_run
 from repro.harness.common import build_kv_system
+from repro.live import Schedule
 from repro.perf.report import state_digest
 
 #: Transactions per row here (CI runs the table's own sizes).  The deep
 #: window needs enough clients in flight for a flush to coalesce anything.
 SMALL = dict.fromkeys(GATES, 8) | {"batching-deep": 64}
+#: Of the composition gate, the fault-free row and all four together: eight
+#: writes end before any fault fires, so a row only shows it can be built and
+#: healed (tests/live, test_soak.py: sizes where faults fire; CI: the pairs).
+ROWS = {"chaos": GATES["chaos"].rows[:1] + GATES["chaos"].rows[-1:]}
 
 
 @pytest.mark.parametrize("name", sorted(GATES))
 def test_every_gate_in_the_table_holds_at_small_size(name, capsys):
-    assert run_gate(name, GATES[name]._replace(txns=SMALL[name])) == []
+    rows = ROWS.get(name, GATES[name].rows)
+    assert run_gate(name, GATES[name]._replace(txns=SMALL[name], rows=rows)) == []
     printed = capsys.readouterr().out.splitlines()
-    assert len(printed) == len(GATES[name].rows)
+    assert len(printed) == len(rows)
 
 
 def test_the_table_carries_every_identity_claim():
@@ -41,6 +47,7 @@ def test_the_table_carries_every_identity_claim():
     ):
         assert held[row] == "schedule"
     assert held[("liveness", "armed")] == "outcome"
+    assert held[("liveness-seed7", "majority_partition")] == "violates"
     assert held[("batching-deep", "b=2048 d=4")] == "state, fewer messages"
     assert held[("batching-deep", "b=2048 d=4 force_on_call")] == "state"
 
@@ -106,6 +113,55 @@ def test_a_row_that_does_not_commit_everything_fails(monkeypatch, capsys):
     assert "did not finish its 6 transactions" in _fails(monkeypatch, capsys, rows)
 
 
+# -- failure paths of the cell's own checks -------------------------------------------
+
+
+def _cut_for_good(rt, node_ids):
+    rt.faults.partition(*[{node_id} for node_id in node_ids])
+
+
+def _scheduled(install, **kw):
+    schedule = Schedule("test", install, **kw)
+    return lambda seed, txns: state_run(build_kv_system(seed=seed, n_keys=txns), schedule=schedule)
+
+
+def test_a_row_that_leaves_a_lock_held_fails_naming_the_object(monkeypatch, capsys):
+    def run(seed, txns):
+        system = build_kv_system(seed=seed, n_keys=txns)
+        system[1].active_primary().lockmgr.acquire("stray", "ghost", "write")
+        return state_run(system)
+
+    err = _fails(monkeypatch, capsys, (("leaky", run, None),))
+    assert "broken / leaky: objects still locked after quiesce: [('kv', 'stray', ['ghost'])]" in err
+
+
+def test_a_row_whose_schedule_is_never_healed_fails_and_leaves_artifacts(
+    monkeypatch, capsys, tmp_path
+):
+    monkeypatch.chdir(tmp_path)
+    # outside the fault controller, so neither stop() nor heal_all() undoes it
+    late = _scheduled(lambda rt, ids: rt.sim.schedule(400.0, _cut_for_good, rt, ids))
+    err = _fails(monkeypatch, capsys, (("paper", _plain, None), ("cut", late, "state")))
+    assert "broken / cut: healed, but no view re-formed in ['kv']" in err
+    written = err.split("artifacts: ")[1].split()[0].rstrip(",")
+    assert written.startswith("artifacts/test-seed5-") and (tmp_path / written).exists()
+
+
+def test_a_row_that_cannot_finish_before_its_deadline_names_the_keys(
+    monkeypatch, capsys, tmp_path
+):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(gate, "DEADLINE", 1000.0)
+    err = _fails(monkeypatch, capsys, (("stuck", _scheduled(_cut_for_good), None),))
+    assert "broken / stuck: deadline: 6 of 6 writes uncommitted (key0, key1" in err
+
+
+def test_a_violates_row_that_stays_quiet_fails(monkeypatch, capsys):
+    quiet = _scheduled(lambda rt, ids: None, expect_violation=True)
+    err = _fails(monkeypatch, capsys, (("quiet", quiet, "violates"),))
+    assert "broken / quiet: the strict liveness catalogue raised no violation" in err
+
+
 def test_every_failure_is_reported_not_only_the_first(monkeypatch, capsys):
     rows = (
         ("paper", _plain, None),
@@ -125,7 +181,7 @@ def test_a_name_selects_its_variants(monkeypatch):
     ran = []
     monkeypatch.setattr(gate, "run_gate", lambda name, table: ran.append(name) or [])
     assert main(["batching", "shard"]) == 0
-    assert ran == ["batching", "batching-lossy", "batching-deep", "shard"]
+    assert ran == ["batching", "batching-lossy", "batching-deep", "shard", "batching-storm"]
     del ran[:]
     assert main([]) == 0
     assert ran == list(GATES)

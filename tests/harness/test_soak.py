@@ -1,11 +1,11 @@
-"""A short run of the CI chaos soak: it must pass and be deterministic."""
+"""The chaos soak as a gate: reads armed under the storm, twice, faults firing."""
 
-from repro.harness.soak import run_soak
+from repro.gate import PAPER, Gate, _chaos, run_gate
 
 
-def test_short_soak_passes_and_is_deterministic():
-    first = run_soak(seed=11, duration=4000.0, verbose=False)
-    second = run_soak(seed=11, duration=4000.0, verbose=False)
-    assert first == second
-    assert first["probes"] > 0
-    assert first["view_changes"] > 0
+def test_short_soak_passes_and_is_deterministic(capsys):
+    assert run_gate("soak", Gate(11, 600, (PAPER, _chaos("reads")))) == []
+    storm = capsys.readouterr().out.splitlines()[1]
+    metrics = dict(item.split("=", 1) for item in storm.split()[2:] if "=" in item)
+    assert int(metrics["committed"]) == 600 and int(metrics["reads_ok"]) > 0
+    assert int(metrics["view_changes"]) > 0 and int(metrics["faults"]) >= 10

@@ -14,8 +14,12 @@ import pytest
 
 from repro import LOSSY
 from repro.config import BatchConfig, ProtocolConfig
+from repro.core import messages as m
+from repro.core.events import Committing
+from repro.core.viewstamp import Viewstamp
 from repro.harness.common import build_kv_system
-from repro.workloads.loadgen import run_retry_loop
+from repro.txn.pset import PSetPair
+from repro.workloads.loadgen import run_closed_loop
 
 from tests.integration.test_send_once import STEADY
 
@@ -144,7 +148,7 @@ def test_a_same_key_retry_loop_commits_across_primary_crashes(seed, batched):
         config=ProtocolConfig(batch=BatchConfig(enabled=batched)),
     )
     jobs = [("write", ("kv", spec.key(i), i)) for i in range(count)]
-    stats = run_retry_loop(rt, driver, "clients", jobs, concurrency=2)
+    stats = run_closed_loop(rt, driver, "clients", jobs, concurrency=2, max_attempts=None)
     for _round in range(3):
         rt.run_for(150.0)
         primary = kv.active_primary()
@@ -162,3 +166,27 @@ def test_a_same_key_retry_loop_commits_across_primary_crashes(seed, batched):
     held = {aid for uid in store.uids() for aid in store.get(uid).lockers}
     assert not held & set(rt.ledger.aborted) and not held
     rt.check_invariants(require_convergence=False)
+
+
+def test_a_resumed_commit_chasing_a_new_participant_primary_keeps_its_pset():
+    """Found by ``python -m repro.gate chaos``: resumed by a new coordinator
+    primary, a commit has the committing record but an empty ``Transaction``;
+    re-sent from ``txn.pset`` it called every call orphaned: a lost write."""
+    rt, kv, clients, _driver, _spec = build_kv_system(seed=5)
+    rt.run_for(30.0)
+    coordinator, participant = clients.active_primary(), kv.active_primary()
+    commits, deliver = [], coordinator.send
+    coordinator.send = lambda address, message: (  # phase two stays open
+        commits.append(message) if isinstance(message, m.CommitMsg)
+        else deliver(address, message)
+    )
+    aid = coordinator.client_role.mint_aid()
+    pset = (PSetPair("kv", Viewstamp(participant.cur_viewid, 7)),)
+    coordinator.add_record(Committing(aid=aid, plist=("kv",), pset_pairs=pset))
+    coordinator.client_role._resume_commit(aid, ("kv",), pset)
+    rt.run_for(100.0)  # a view probe, then the commit and its retries
+    sent = len(commits)
+    view = participant.cur_viewid, participant.cur_view
+    coordinator.client_role.on_view_changed(m.ViewChangedMsg(None, *view, aid, "kv"))
+    assert sent and len(commits) == sent + 1
+    assert {commit.pset_pairs for commit in commits} == {pset}

@@ -1,8 +1,7 @@
-"""The nemesis x spec matrix: cells, the unhealable cell, and the CLI."""
+"""The gate's cell under schedules at a size where faults fire; the unhealable row; the CLI."""
 
-import pytest
-
-from repro.live import SCHEDULES, run_cell, run_matrix
+from repro.gate import PAPER, Gate, _chaos, _kv, run_gate
+from repro.live import SCHEDULES
 from repro.live.cli import main as live_main
 
 
@@ -11,44 +10,30 @@ def test_schedule_catalog_has_exactly_one_unhealable_cell():
     assert [s.name for s in unhealable] == ["majority_partition"]
 
 
+def _cell(schedule, txns=600):
+    """The plain system's row under *schedule*; any check of the cell raises."""
+    held = _chaos(schedule=schedule)[1](0, txns)
+    assert held.complete and held.state == _kv()(0, txns).state
+    return held.metrics
+
+
 def test_healable_cell_passes_and_commits_after_heal():
-    result = run_cell(SCHEDULES["lossy"], seed=0, duration=1500.0)
-    assert result.ok, result.detail
-    assert result.violations == 0
-    assert result.committed > 0
-    assert result.polls > 0
-    assert result.report is None
-    assert "lossy" in result.render()
+    metrics = _cell("lossy")
+    assert metrics["faults"] > 0 and "violation" not in metrics
 
 
 def test_disk_fault_cell_passes():
-    result = run_cell(SCHEDULES["disk_fault"], seed=0, duration=1500.0)
-    assert result.ok, result.detail
-    assert result.faults_injected > 0
+    metrics = _cell("disk_fault")
+    assert metrics["faults"] > 0 and metrics["view_changes"] > 0
 
 
-def test_unhealable_cell_requires_a_quorum_naming_violation():
-    result = run_cell(SCHEDULES["majority_partition"], seed=0, duration=1200.0)
-    assert result.ok, result.detail
-    assert result.violations > 0
-    assert result.report is not None
-    assert "no partition block holds a majority" in result.report.reason
-    assert result.committed == 0
-
-
-def test_run_matrix_rejects_unknown_schedules():
-    with pytest.raises(KeyError):
-        run_matrix(schedules=["lossy", "nope"])
-
-
-def test_cli_runs_a_selected_cell(capsys):
-    exit_code = live_main(
-        ["matrix", "--schedule", "lossy", "--duration", "1500", "--seed", "0"]
-    )
-    out = capsys.readouterr().out
-    assert exit_code == 0
-    assert "lossy" in out
-    assert "1/1 cells ok" in out
+def test_unhealable_cell_requires_a_quorum_naming_violation(capsys):
+    row = _chaos(schedule="majority_partition")
+    assert row[2] == "violates"
+    assert run_gate("matrix", Gate(0, 600, (PAPER, row))) == []
+    printed = capsys.readouterr().out.splitlines()[1]
+    assert "committed=0 " in printed and "violation=group 'kv' has 0 active" in printed
+    assert "no partition block holds a majority" in printed
 
 
 def test_cli_lists_specs_and_schedules(capsys):

@@ -13,7 +13,7 @@ import pytest
 
 from repro.harness.experiments_scale import _batching_run
 from repro.perf.report import state_digest
-from repro.workloads.loadgen import run_retry_loop
+from repro.workloads.loadgen import run_closed_loop
 
 TXNS = 60
 CONCURRENCY = 8
@@ -63,13 +63,13 @@ def test_same_seed_same_state_digest_batched():
 
 
 def test_retry_loop_commits_each_job_once():
-    # The determinism argument leans on run_retry_loop counting each job
+    # The determinism argument leans on a retrying loop counting each job
     # exactly once in `committed`; pin that accounting down directly.
     from repro.harness.common import build_kv_system
 
     rt, _kv, _clients, driver, spec = build_kv_system(seed=7, n_cohorts=3, n_keys=10)
     jobs = [("write", ("kv", spec.key(index), index)) for index in range(10)]
-    stats = run_retry_loop(rt, driver, "clients", jobs, concurrency=4)
+    stats = run_closed_loop(rt, driver, "clients", jobs, concurrency=4, max_attempts=None)
     rt.run_for(5_000)
     assert stats.committed == 10
     assert stats.aborted == 0
@@ -86,7 +86,7 @@ def test_state_digest_ignores_schedule_but_not_values():
             ("write", ("kv", spec.key(index), index + value_offset))
             for index in range(6)
         ]
-        stats = run_retry_loop(rt, driver, "clients", jobs, concurrency=3)
+        stats = run_closed_loop(rt, driver, "clients", jobs, concurrency=3, max_attempts=None)
         rt.run_for(5_000)
         assert stats.committed == 6
         return state_digest(rt)

@@ -6,7 +6,7 @@ generous bound."""
 
 from repro.config import ProtocolConfig, ReadConfig
 from repro.harness.common import build_kv_system
-from repro.workloads.loadgen import run_retry_loop
+from repro.workloads.loadgen import run_closed_loop
 
 from tests.reads.test_lease_protocol import commit_write, run_read
 
@@ -79,8 +79,8 @@ def test_lagging_backup_rejects_bounded_reads_but_serves_its_prefix():
     # change and the reformed view catches it up.
     rt.faults.fail_link(primary.node.node_id, lagger.node.node_id)
     cut_at = rt.sim.now
-    stats = run_retry_loop(
-        rt, driver, "clients", [("write", ("kv", spec.key(0), 2))]
+    stats = run_closed_loop(
+        rt, driver, "clients", [("write", ("kv", spec.key(0), 2))], max_attempts=None
     )
     while stats.committed < 1 and rt.sim.now < cut_at + 30.0:
         rt.run_for(5.0)

@@ -6,7 +6,7 @@ throughout."""
 
 from repro.config import ProtocolConfig, ReadConfig, TraceConfig
 from repro.harness.common import build_kv_system
-from repro.workloads.loadgen import run_retry_loop
+from repro.workloads.loadgen import run_closed_loop
 
 
 def reads_config(**kwargs):
@@ -26,8 +26,8 @@ def run_read(rt, driver, groupid, uid, max_time=3_000.0, **kwargs):
 
 
 def commit_write(rt, driver, key, value):
-    stats = run_retry_loop(
-        rt, driver, "clients", [("write", ("kv", key, value))]
+    stats = run_closed_loop(
+        rt, driver, "clients", [("write", ("kv", key, value))], max_attempts=None
     )
     deadline = rt.sim.now + 30_000.0
     while stats.committed < 1 and rt.sim.now < deadline:

@@ -26,13 +26,13 @@ def _scaled_kv(seed, n_cohorts, scale, n_keys=8):
 
 
 def _commit_writes(rt, driver, spec, count, base=0):
-    from repro.workloads.loadgen import run_retry_loop
+    from repro.workloads.loadgen import run_closed_loop
 
     jobs = [
         ("write", ("kv", spec.key((base + i) % spec.n_keys), base + i))
         for i in range(count)
     ]
-    stats = run_retry_loop(rt, driver, "clients", jobs, concurrency=2)
+    stats = run_closed_loop(rt, driver, "clients", jobs, concurrency=2, max_attempts=None)
     deadline = rt.sim.now + 50_000.0
     while stats.committed < count and rt.sim.now < deadline:
         rt.run_for(100.0)

@@ -25,7 +25,7 @@ from repro.net.link import LinkModel
 from repro.shard.workload import run_sharded_workload
 from repro.sim import Simulator, sleep
 from repro.sim.process import spawn
-from repro.workloads.loadgen import run_closed_loop, run_open_loop, run_retry_loop
+from repro.workloads.loadgen import run_closed_loop, run_open_loop
 
 
 @contextlib.contextmanager
@@ -103,7 +103,7 @@ def test_four_shard_two_phase_commit_transfers():
         )
         rt.quiesce()
         assert stats.committed == 80
-        assert any(program == "transfer" for program, _s, _o in stats.results)
+        assert any(program == "transfer" for program, _a, _o in stats.results)
 
 
 def test_three_crash_view_change_recover_rounds_under_loss():
@@ -116,7 +116,7 @@ def test_three_crash_view_change_recover_rounds_under_loss():
             config=ProtocolConfig(batch=BatchConfig(enabled=True)),
         )
         jobs = [("write", ("kv", spec.key(i), i)) for i in range(count)]
-        stats = run_retry_loop(rt, driver, "clients", jobs, concurrency=2)
+        stats = run_closed_loop(rt, driver, "clients", jobs, concurrency=2, max_attempts=None)
         for _round in range(3):
             rt.run_for(150.0)
             primary = kv.active_primary()

@@ -114,6 +114,18 @@ def test_closed_loop_think_time_spreads_load():
     assert stats.duration > 400  # at least the think time between jobs
 
 
+def test_a_job_that_runs_out_of_attempts_is_recorded_not_dropped():
+    from repro.harness.common import build_kv_system
+
+    rt, kv, _clients, driver, spec = build_kv_system(seed=6)
+    rt.faults.partition(*[{node.node_id} for node in kv.nodes()])  # nothing commits
+    jobs = [("write", ("kv", spec.key(0), 1)), ("write", ("kv", spec.key(1), 2))]
+    stats = run_closed_loop(rt, driver, "clients", jobs, max_attempts=2)
+    rt.run_for(20_000)
+    # two attempts each, then recorded: the retry loop used to drop them silently
+    assert (stats.committed, stats.submitted, stats.gave_up) == (0, 4, jobs)
+
+
 # -- schedules -------------------------------------------------------------------
 
 
