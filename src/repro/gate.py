@@ -55,14 +55,16 @@ from repro.config import (
     TraceConfig,
 )
 from repro.geo.topology import Datacenter, Topology, Zone
-from repro.harness.common import build_kv_system
-from repro.harness.experiments_cohort import _build_scaled_kv
-from repro.harness.experiments_geo import (
+from repro.harness.common import (
+    E18_CONFIGS,
+    E19_CONDITIONS,
     E20_PLACEMENTS,
+    LEASES,
+    batch_config,
+    build_kv_system,
     e20_topology,
     geo_protocol_config,
 )
-from repro.harness.experiments_scale import E18_CONFIGS, batch_config
 from repro.live import SCHEDULES, LivenessViolation, Schedule, spec_catalog
 from repro.net.link import LAN, LinkModel
 from repro.perf.report import ledger_digest, state_digest
@@ -320,9 +322,6 @@ def _deep_window(enabled: bool, force_on_call: bool = False) -> RowRun:
     )
 
 
-LEASES = ProtocolConfig(reads=ReadConfig(enabled=True))
-
-
 def _reads(config, **reads) -> RowRun:
     return _kv(
         {"settle": 60.0, "reads": {"duration": 500.0, "rate": 0.4, **reads}},
@@ -360,13 +359,11 @@ ONE_DC = Topology(
 def _scaled(scale: Optional[ScaleConfig]) -> RowRun:
     """Seven kv cohorts under *scale*; the 3-cohort client group is plumbing
     and stays unscaled."""
-
-    def run(seed: int, txns: int) -> Run:
-        return state_run(
-            _build_scaled_kv(seed, 7, scale, n_keys=txns), settle=200.0, quiesce=100.0
-        )
-
-    return run
+    return _kv(
+        {"settle": 200.0, "quiesce": 100.0},
+        n_cohorts=7,
+        kv_config=ProtocolConfig(scale=scale),
+    )
 
 
 def _sharded(seed: int, txns: int) -> Run:
@@ -487,13 +484,11 @@ GATES: Dict[str, Gate] = {
         (
             ("baseline", _reads(None, use_read_path=False), None),
             ("leases armed-idle", _reads(LEASES, use_read_path=False), "schedule"),
-            ("leases", _reads(LEASES), "state"),
-            ("backup", _reads(LEASES, prefer="backup"), "state"),
-            (
-                "cache",
-                _reads(ProtocolConfig(reads=ReadConfig(enabled=True, client_cache=True))),
-                "state",
-            ),
+        )
+        + tuple(
+            (condition, _reads(config, prefer=prefer), "state")
+            for condition, (config, prefer) in E19_CONDITIONS.items()
+            if config is not None
         ),
     ),
     "geo": Gate(

@@ -1,82 +1,8 @@
-"""Experiment harness: regenerates every claim-table in EXPERIMENTS.md.
+"""Experiment harness: ``python -m repro.harness`` makes and checks every
+claim-table of EXPERIMENTS.md.
 
-Each ``eNN_*`` function runs a self-contained simulation study and returns
-an :class:`~repro.harness.common.ExperimentResult` whose rows are what the
-corresponding ``benchmarks/bench_eNN_*.py`` target prints.
+Each ``eNN_*`` function of an ``experiments_*`` module runs a self-contained
+simulation study and returns an
+:class:`~repro.harness.common.ExperimentResult`; ``__main__`` holds the table
+of them.  Importing this package imports none of them.
 """
-
-from repro.harness.common import ExperimentResult, format_result
-from repro.harness.experiments_core import (
-    e01_call_overhead,
-    e02_prepare_wait,
-    e03_commit_crossover,
-    e04_view_change_cost,
-)
-from repro.harness.experiments_compare import (
-    e05_vs_voting,
-    e06_availability,
-    e07_viewchange_loss,
-    e08_safety_partitions,
-    e09_vs_isis,
-)
-from repro.harness.experiments_extensions import (
-    e10_nested,
-    e11_catastrophe,
-    e12_unilateral,
-    e13_end_to_end,
-)
-from repro.harness.experiments_ablations import e15_ablations
-from repro.harness.experiments_robustness import e16_liveness
-from repro.harness.experiments_scale import e17_sharding, e18_batching
-from repro.harness.experiments_geo import e20_geo
-from repro.harness.experiments_reads import e19_reads
-from repro.harness.experiments_cohort import e21_cohort_scale
-
-ALL_EXPERIMENTS = {
-    "E1": e01_call_overhead,
-    "E2": e02_prepare_wait,
-    "E3": e03_commit_crossover,
-    "E4": e04_view_change_cost,
-    "E5": e05_vs_voting,
-    "E6": e06_availability,
-    "E7": e07_viewchange_loss,
-    "E8": e08_safety_partitions,
-    "E9": e09_vs_isis,
-    "E10": e10_nested,
-    "E11": e11_catastrophe,
-    "E12": e12_unilateral,
-    "E13": e13_end_to_end,
-    "E15": e15_ablations,
-    "E16": e16_liveness,
-    "E17": e17_sharding,
-    "E18": e18_batching,
-    "E19": e19_reads,
-    "E20": e20_geo,
-    "E21": e21_cohort_scale,
-}
-
-__all__ = [
-    "ALL_EXPERIMENTS",
-    "ExperimentResult",
-    "format_result",
-    "e01_call_overhead",
-    "e02_prepare_wait",
-    "e03_commit_crossover",
-    "e04_view_change_cost",
-    "e05_vs_voting",
-    "e06_availability",
-    "e07_viewchange_loss",
-    "e08_safety_partitions",
-    "e09_vs_isis",
-    "e10_nested",
-    "e11_catastrophe",
-    "e12_unilateral",
-    "e13_end_to_end",
-    "e15_ablations",
-    "e16_liveness",
-    "e17_sharding",
-    "e18_batching",
-    "e19_reads",
-    "e20_geo",
-    "e21_cohort_scale",
-]

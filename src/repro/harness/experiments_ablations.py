@@ -14,74 +14,57 @@ measure:
 
 from __future__ import annotations
 
-
 from repro import Nemesis
 from repro.config import ProtocolConfig
 from repro.harness.common import (
     VIEWCHANGE_MSGS,
     ExperimentResult,
     build_kv_system,
-    drain,
     kv_jobs,
+    run_under_nemesis,
 )
 from repro.net.link import LinkModel
-from repro.workloads.loadgen import run_closed_loop
 
 
-def _ablation_run(config: ProtocolConfig, seed: int, txns: int = 80,
-                  kills: int = 4, link: LinkModel | None = None):
-    if link is None:
-        link = LinkModel(base_delay=1.0, jitter=1.5)  # jittery enough to
-        #                                               tempt false suspicion
+def _ablation_run(label: str, config: ProtocolConfig, seed: int, txns: int = 80,
+                  kills: int = 4):
     rt, kv, clients, driver, spec = build_kv_system(
-        seed=seed, n_cohorts=5, config=config, link=link
+        seed=seed, n_cohorts=5, config=config,
+        link=LinkModel(base_delay=1.0, jitter=1.5),  # tempts false suspicion
     )
-    jobs = kv_jobs(rt, spec, txns, read_fraction=0.3)
-    stats = run_closed_loop(rt, driver, "clients", jobs, concurrency=2,
-                            think_time=10.0)
-    rt.inject(
-        Nemesis().crash_primary("kv", every=500.0, count=kills, recover_after=240.0)
+    stats = run_under_nemesis(
+        rt, driver, kv_jobs(rt, spec, txns, read_fraction=0.3),
+        Nemesis().crash_primary("kv", every=500.0, count=kills, recover_after=240.0),
+        concurrency=2, think_time=10.0,
     )
-    drain(rt, stats, txns)
-    rt.quiesce()
-    rt.check_invariants(require_convergence=False)
-    vc_msgs = sum(rt.metrics.messages_sent.get(t, 0) for t in VIEWCHANGE_MSGS)
-    changes = len(rt.ledger.view_changes_for("kv"))
-    started = rt.metrics.counters.get("view_changes_started:kv", 0)
-    failed = rt.metrics.counters.get("view_formations_failed:kv", 0)
-    return stats, changes, started, failed, vc_msgs
+    return (
+        label,
+        stats.committed,
+        len(rt.ledger.view_changes_for("kv")),
+        rt.metrics.counters.get("view_changes_started:kv", 0),
+        rt.metrics.counters.get("view_formations_failed:kv", 0),
+        rt.metrics.total_sent(VIEWCHANGE_MSGS),
+    )
 
 
 def e15_ablations() -> ExperimentResult:
-    rows = []
-    # -- ordered vs free-for-all managers --
-    for ordered in (True, False):
-        config = ProtocolConfig(ordered_managers=ordered)
-        stats, changes, started, failed, vc_msgs = _ablation_run(config, seed=1515)
-        rows.append(
-            (
-                f"managers {'ordered' if ordered else 'free-for-all'}",
-                stats.committed,
-                changes,
-                started,
-                failed,
-                vc_msgs,
-            )
+    rows = [
+        # -- ordered vs free-for-all managers --
+        _ablation_run(
+            f"managers {'ordered' if ordered else 'free-for-all'}",
+            ProtocolConfig(ordered_managers=ordered),
+            seed=1515,
         )
-    # -- failure-detector aggressiveness --
-    for multiplier in (1.5, 3.5, 8.0):
-        config = ProtocolConfig(suspect_multiplier=multiplier)
-        stats, changes, started, failed, vc_msgs = _ablation_run(config, seed=1516)
-        rows.append(
-            (
-                f"suspect x{multiplier}",
-                stats.committed,
-                changes,
-                started,
-                failed,
-                vc_msgs,
-            )
+        for ordered in (True, False)
+    ] + [
+        # -- failure-detector aggressiveness --
+        _ablation_run(
+            f"suspect x{multiplier}",
+            ProtocolConfig(suspect_multiplier=multiplier),
+            seed=1516,
         )
+        for multiplier in (1.5, 3.5, 8.0)
+    ]
     return ExperimentResult(
         exp_id="E15",
         title="ablations: manager ordering and failure-detector tuning",

@@ -4,15 +4,27 @@
 from __future__ import annotations
 
 from repro import EmptyModule, Nemesis, Runtime
+from repro.app.module import transaction_program
+from repro.baselines.isis_like import IsisClient, IsisSystem
+from repro.baselines.voting import VotingClient, VotingSystem
 from repro.config import ProtocolConfig
 from repro.harness.common import (
-    CALL_MSGS,
     BUFFER_MSGS,
+    CALL_MSGS,
+    TWOPC_MSGS,
     ExperimentResult,
     build_kv_system,
+    committed_share,
     drain,
+    paused_chain,
+    run_under_nemesis,
+    run_until,
+    safety_violations,
+    spawn_prober,
 )
 from repro.sim.process import sleep, spawn
+from repro.storage.stable import StableStoragePolicy
+from repro.workloads.bank import BankAccountsSpec, total_balance, transfer_program
 from repro.workloads.loadgen import run_closed_loop
 
 
@@ -32,8 +44,6 @@ _VOTE_MSGS = (
 
 
 def _voting_run(n: int, r: int, w: int, ops: int, read_fraction: float, seed: int):
-    from repro.baselines.voting import VotingClient, VotingSystem
-
     rt = Runtime(seed=seed)
     system = VotingSystem(rt, "vote", n, {f"key{i}": 0 for i in range(16)})
     client = VotingClient(
@@ -52,34 +62,29 @@ def _voting_run(n: int, r: int, w: int, ops: int, read_fraction: float, seed: in
             results["done"] += 1
 
     spawn(rt.sim, run_ops(), name="voting-ops")
-    deadline = 200_000
-    while results["done"] < ops and rt.sim.now < deadline:
-        rt.run_for(500)
-    messages = sum(rt.metrics.messages_sent.get(t, 0) for t in _VOTE_MSGS)
-    return messages / max(results["done"], 1), results["done"]
+    run_until(rt, lambda: results["done"] >= ops)
+    return rt.metrics.total_sent(_VOTE_MSGS) / max(results["done"], 1)
+
+
+@transaction_program
+def _mixed_chain(txn, group, items):
+    result = None
+    for kind, key, value in items:
+        if kind == "read":
+            result = yield txn.call(group, "get", key)
+        else:
+            result = yield txn.call(group, "put", key, value)
+    return result
 
 
 def e05_vs_voting(ops: int = 80, ops_per_txn: int = 8) -> ExperimentResult:
-    from repro.app.module import transaction_program
-    from repro.harness.common import TWOPC_MSGS
-
-    @transaction_program
-    def mixed_chain(txn, group, items):
-        result = None
-        for kind, key, value in items:
-            if kind == "read":
-                result = yield txn.call(group, "get", key)
-            else:
-                result = yield txn.call(group, "put", key, value)
-        return result
-
     rows = []
     for read_fraction in (0.0, 0.5, 0.9, 1.0):
         # Viewstamped replication: transactions of ops_per_txn calls, as in
         # the paper's computation model; count call traffic plus replication
         # and commit traffic, all amortized per operation.
         rt, _kv, clients, driver, spec = build_kv_system(seed=505, n_cohorts=3)
-        clients.register_program("mixed", mixed_chain)
+        clients.register_program("mixed", _mixed_chain)
         rng = rt.sim.rng.fork("mix")
         n_txns = max(1, ops // ops_per_txn)
         jobs = []
@@ -96,22 +101,15 @@ def e05_vs_voting(ops: int = 80, ops_per_txn: int = 8) -> ExperimentResult:
         drain(rt, stats, n_txns)
         rt.quiesce()
         calls = rt.metrics.counters.get("calls_completed:kv", 0)
-        vr_total = sum(
-            rt.metrics.messages_sent.get(t, 0)
-            for t in CALL_MSGS + BUFFER_MSGS + TWOPC_MSGS
-        )
-        vr_sync = sum(rt.metrics.messages_sent.get(t, 0) for t in CALL_MSGS)
-        vr_msgs = vr_total / max(calls, 1)
-
-        rawa, done_rawa = _voting_run(
-            3, 1, 3, ops, read_fraction, seed=506
-        )  # read-one/write-all
-        maj, done_maj = _voting_run(3, 2, 2, ops, read_fraction, seed=507)  # majorities
+        vr_total = rt.metrics.total_sent(CALL_MSGS + BUFFER_MSGS + TWOPC_MSGS)
+        vr_sync = rt.metrics.total_sent(CALL_MSGS)
+        rawa = _voting_run(3, 1, 3, ops, read_fraction, seed=506)  # read-one/write-all
+        maj = _voting_run(3, 2, 2, ops, read_fraction, seed=507)  # majorities
         rows.append(
             (
                 f"{int(read_fraction * 100)}%",
                 round(vr_sync / max(calls, 1), 2),
-                round(vr_msgs, 2),
+                round(vr_total / max(calls, 1), 2),
                 round(rawa, 2),
                 round(maj, 2),
             )
@@ -145,38 +143,23 @@ def e05_vs_voting(ops: int = 80, ops_per_txn: int = 8) -> ExperimentResult:
 
 def _vr_availability(n: int, mttf: float, mttr: float, duration: float, seed: int,
                      config: ProtocolConfig | None = None):
-    if config is None:
-        config = ProtocolConfig()
     rt, kv, _clients, driver, spec = build_kv_system(seed=seed, n_cohorts=n, config=config)
     rt.inject(
         Nemesis().crash_churn(
             [node.node_id for node in kv.nodes()], mttf=mttf, mttr=mttr
         )
     )
-    outcomes = {"ok": 0, "total": 0}
-
-    def prober():
-        index = 0
-        while rt.sim.now < duration:
-            index += 1
-            future = driver.call("clients", "write", "kv", spec.key(index), index,
-                                 retries=2)
-            outcome, _ = yield future
-            outcomes["total"] += 1
-            if outcome == "committed":
-                outcomes["ok"] += 1
-            yield sleep(40.0)
-
-    spawn(rt.sim, prober(), name="prober")
+    replies = spawn_prober(
+        rt, driver, lambda index: ("write", "kv", spec.key(index), index),
+        retries=2, pause=40.0, until=duration,
+    )
     rt.run(until=duration + 500)
     rt.faults.stop()
-    return outcomes["ok"] / max(outcomes["total"], 1)
+    return committed_share(replies)
 
 
 def _voting_availability(n: int, r: int, w: int, mttf: float, mttr: float,
                          duration: float, seed: int):
-    from repro.baselines.voting import VotingClient, VotingSystem
-
     rt = Runtime(seed=seed)
     system = VotingSystem(rt, "vote", n, {"probe": 0})
     client = VotingClient(
@@ -211,25 +194,18 @@ def _voting_availability(n: int, r: int, w: int, mttf: float, mttr: float,
 
 
 def e06_availability(duration: float = 20_000.0) -> ExperimentResult:
-    from repro.storage.stable import StableStoragePolicy
-
     ups = ProtocolConfig(storage_policy=StableStoragePolicy.ALL)
     rows = []
     for mttf, mttr in ((2000.0, 400.0), (1000.0, 400.0), (500.0, 300.0)):
-        vr3_volatile = _vr_availability(3, mttf, mttr, duration, seed=606)
-        vr3_ups = _vr_availability(3, mttf, mttr, duration, seed=606, config=ups)
-        vr5_ups = _vr_availability(5, mttf, mttr, duration, seed=606, config=ups)
-        rawa = _voting_availability(3, 1, 3, mttf, mttr, duration, seed=607)
-        maj = _voting_availability(3, 2, 2, mttf, mttr, duration, seed=607)
+        shares = (
+            _vr_availability(3, mttf, mttr, duration, seed=606),  # volatile
+            _vr_availability(3, mttf, mttr, duration, seed=606, config=ups),
+            _vr_availability(5, mttf, mttr, duration, seed=606, config=ups),
+            _voting_availability(3, 2, 2, mttf, mttr, duration, seed=607),  # majority
+            _voting_availability(3, 1, 3, mttf, mttr, duration, seed=607),  # write-all
+        )
         rows.append(
-            (
-                f"{int(mttf)}/{int(mttr)}",
-                round(vr3_volatile, 3),
-                round(vr3_ups, 3),
-                round(vr5_ups, 3),
-                round(maj, 3),
-                round(rawa, 3),
-            )
+            (f"{int(mttf)}/{int(mttr)}",) + tuple(round(share, 3) for share in shares)
         )
     return ExperimentResult(
         exp_id="E6",
@@ -265,21 +241,9 @@ def e06_availability(duration: float = 20_000.0) -> ExperimentResult:
 
 def _viewchange_loss_run(config: ProtocolConfig, label: str, seed: int,
                          txns: int = 120, kills: int = 8):
-    from repro.app.module import transaction_program
-    from repro.sim.process import sleep as _sleep
-
-    @transaction_program
-    def slow_chain(txn, group, keys, pause):
-        # Several calls with think time: these transactions routinely
-        # straddle a view change, which is the case under test.
-        for key in keys:
-            yield txn.call(group, "incr", key, 1)
-            yield _sleep(pause)
-        return len(keys)
-
     rt, kv, clients, driver, spec = build_kv_system(seed=seed, n_cohorts=3,
                                                     n_keys=48, config=config)
-    clients.register_program("slow_chain", slow_chain)
+    clients.register_program("slow_chain", paused_chain)
     # Disjoint key triples so concurrent transactions never contend on
     # locks: the only aborts left are view-change-induced, which is the
     # quantity under test.
@@ -290,13 +254,11 @@ def _viewchange_loss_run(config: ProtocolConfig, label: str, seed: int,
         )
         for j in range(txns)
     ]
-    stats = run_closed_loop(rt, driver, "clients", jobs, concurrency=4)
-    rt.inject(
-        Nemesis().crash_primary("kv", every=450.0, count=kills, recover_after=220.0)
+    stats = run_under_nemesis(
+        rt, driver, jobs,
+        Nemesis().crash_primary("kv", every=450.0, count=kills, recover_after=220.0),
+        concurrency=4,
     )
-    drain(rt, stats, txns)
-    rt.quiesce()
-    rt.check_invariants(require_convergence=False)
     calls = rt.metrics.latencies["call_latency:kv"]
     reasons = rt.ledger.abort_reasons()
     refused = sum(n for reason, n in reasons.items() if "refused" in reason)
@@ -355,8 +317,6 @@ def e07_viewchange_loss() -> ExperimentResult:
 
 
 def e08_safety_partitions(seeds=(1, 2, 3, 4, 5)) -> ExperimentResult:
-    from repro.workloads.bank import BankAccountsSpec, total_balance, transfer_program
-
     rows = []
     for seed in seeds:
         rt = Runtime(seed=seed)
@@ -389,13 +349,7 @@ def e08_safety_partitions(seeds=(1, 2, 3, 4, 5)) -> ExperimentResult:
         rt.faults.stop()
         rt.faults.heal()
         rt.quiesce(duration=600)
-        violations = 0
-        try:
-            rt.check_invariants(require_convergence=False)
-        except AssertionError:
-            violations += 1
-        total = total_balance(bank, spec)
-        conserved = total == 600
+        conserved = total_balance(bank, spec) == 600
         rows.append(
             (
                 seed,
@@ -404,7 +358,7 @@ def e08_safety_partitions(seeds=(1, 2, 3, 4, 5)) -> ExperimentResult:
                 rt.faults.count("partition"),
                 len(rt.ledger.view_changes_for("bank")),
                 "yes" if conserved else "NO",
-                violations,
+                safety_violations(rt),
             )
         )
     return ExperimentResult(
@@ -440,9 +394,6 @@ def e09_vs_isis(txn_counts=(1, 5, 10, 20, 40), ops_per_txn: int = 4) -> Experime
     is flat across the sequence; the Isis client's piggybacked effect set
     only ever grows.
     """
-    from repro.app.module import transaction_program
-    from repro.baselines.isis_like import IsisClient, IsisSystem
-
     _VR_TYPES = ("CallMsg", "ReplyMsg", "PrepareMsg", "CommitMsg", "CommitAckMsg",
                  "PrepareOkMsg")
     _ISIS_TYPES = ("IsisCallReq", "IsisCallReply", "IsisWriteLockReq",
@@ -464,15 +415,13 @@ def e09_vs_isis(txn_counts=(1, 5, 10, 20, 40), ops_per_txn: int = 4) -> Experime
         jobs = [("chain", ("kv", ops_per_txn, t)) for t in range(n_txns)]
         stats = run_closed_loop(rt, driver, "clients", jobs[:-1], concurrency=1)
         drain(rt, stats, n_txns - 1)
-        before_bytes = sum(rt.metrics.bytes_sent.get(t, 0) for t in _VR_TYPES)
-        before_count = sum(rt.metrics.messages_sent.get(t, 0) for t in _VR_TYPES)
+        before_bytes = rt.metrics.total_bytes(_VR_TYPES)
+        before_count = rt.metrics.total_sent(_VR_TYPES)
         last = run_closed_loop(rt, driver, "clients", [jobs[-1]], concurrency=1)
         drain(rt, last, 1)
         rt.quiesce()
-        vr_bytes = sum(rt.metrics.bytes_sent.get(t, 0) for t in _VR_TYPES) - before_bytes
-        vr_count = (
-            sum(rt.metrics.messages_sent.get(t, 0) for t in _VR_TYPES) - before_count
-        )
+        vr_bytes = rt.metrics.total_bytes(_VR_TYPES) - before_bytes
+        vr_count = rt.metrics.total_sent(_VR_TYPES) - before_count
 
         # Isis-like: the same total operation sequence; measure the last
         # ops_per_txn operations' bytes/message and the carried payload.
@@ -486,26 +435,15 @@ def e09_vs_isis(txn_counts=(1, 5, 10, 20, 40), ops_per_txn: int = 4) -> Experime
         def run_ops():
             for index in range(total_ops):
                 if index == total_ops - ops_per_txn:
-                    marks["bytes"] = sum(
-                        rt2.metrics.bytes_sent.get(t, 0) for t in _ISIS_TYPES
-                    )
-                    marks["count"] = sum(
-                        rt2.metrics.messages_sent.get(t, 0) for t in _ISIS_TYPES
-                    )
+                    marks["bytes"] = rt2.metrics.total_bytes(_ISIS_TYPES)
+                    marks["count"] = rt2.metrics.total_sent(_ISIS_TYPES)
                 yield client.add(spec.key(index % 16), 1)
                 done["count"] += 1
 
         spawn(rt2.sim, run_ops(), name="isis-ops")
-        while done["count"] < total_ops and rt2.sim.now < 200_000:
-            rt2.run_for(200)
-        isis_bytes = (
-            sum(rt2.metrics.bytes_sent.get(t, 0) for t in _ISIS_TYPES)
-            - marks.get("bytes", 0)
-        )
-        isis_count = (
-            sum(rt2.metrics.messages_sent.get(t, 0) for t in _ISIS_TYPES)
-            - marks.get("count", 0)
-        )
+        run_until(rt2, lambda: done["count"] >= total_ops, step=200)
+        isis_bytes = rt2.metrics.total_bytes(_ISIS_TYPES) - marks.get("bytes", 0)
+        isis_count = rt2.metrics.total_sent(_ISIS_TYPES) - marks.get("count", 0)
         rows.append(
             (
                 n_txns,

@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
-
+from repro import Runtime
 from repro.app.module import transaction_program
+from repro.baselines.virtual_partitions import VirtualPartitionsGroup
 from repro.config import ProtocolConfig
 from repro.harness.common import (
     BUFFER_MSGS,
@@ -13,6 +14,7 @@ from repro.harness.common import (
     build_kv_system,
     drain,
     run_kv_batch,
+    run_until,
 )
 from repro.sim.process import sleep
 from repro.workloads.loadgen import run_closed_loop
@@ -39,8 +41,8 @@ def e01_call_overhead(txns: int = 80) -> ExperimentResult:
         )
         stats = run_kv_batch(rt, driver, spec, txns, read_fraction=0.5)
         calls = rt.metrics.counters.get("calls_completed:kv", 0)
-        call_msgs = sum(rt.metrics.messages_sent.get(t, 0) for t in CALL_MSGS)
-        buffer_msgs = sum(rt.metrics.messages_sent.get(t, 0) for t in BUFFER_MSGS)
+        call_msgs = rt.metrics.total_sent(CALL_MSGS)
+        buffer_msgs = rt.metrics.total_sent(BUFFER_MSGS)
         latency = rt.metrics.latencies["call_latency:kv"]
         rows.append(
             (
@@ -146,39 +148,33 @@ def e02_prepare_wait(txns: int = 50) -> ExperimentResult:
 # ---------------------------------------------------------------------------
 
 
+def _commit_cost(n: int, txns: int, **config):
+    """(mean commit-force latency, mean transaction latency) of a write load."""
+    rt, _kv, _clients, driver, spec = build_kv_system(
+        seed=303, n_cohorts=n, config=ProtocolConfig(**config)
+    )
+    stats = run_kv_batch(rt, driver, spec, txns, read_fraction=0.0)
+    return rt.metrics.latencies["commit_force_latency"].mean, stats.mean_latency
+
+
 def e03_commit_crossover(txns: int = 60) -> ExperimentResult:
     """Commit latency: forcing to backups vs forcing to stable storage."""
     rows = []
     for stable_latency in (0.5, 1.0, 2.0, 5.0, 10.0, 20.0):
         # Conventional system: every force blocks on a stable write.
-        rt_u, _kv, _c, driver_u, spec_u = build_kv_system(
-            seed=303,
-            n_cohorts=1,
-            config=ProtocolConfig(
-                force_to_stable=True, stable_write_latency=stable_latency
-            ),
+        force_u, txn_u = _commit_cost(
+            1, txns, force_to_stable=True, stable_write_latency=stable_latency
         )
-        stats_u = run_kv_batch(rt_u, driver_u, spec_u, txns, read_fraction=0.0)
-        force_u = rt_u.metrics.latencies["commit_force_latency"].mean
-
         # Viewstamped replication: forces go to the backups over the network.
-        rt_v, _kv2, _c2, driver_v, spec_v = build_kv_system(
-            seed=303,
-            n_cohorts=3,
-            config=ProtocolConfig(stable_write_latency=stable_latency),
-        )
-        stats_v = run_kv_batch(rt_v, driver_v, spec_v, txns, read_fraction=0.0)
-        force_v = rt_v.metrics.latencies["commit_force_latency"].mean
-
-        winner = "vr" if force_v < force_u else "stable"
+        force_v, txn_v = _commit_cost(3, txns, stable_write_latency=stable_latency)
         rows.append(
             (
                 stable_latency,
                 round(force_u, 2),
                 round(force_v, 2),
-                round(stats_u.mean_latency, 1),
-                round(stats_v.mean_latency, 1),
-                winner,
+                round(txn_u, 1),
+                round(txn_v, 1),
+                "vr" if force_v < force_u else "stable",
             )
         )
     return ExperimentResult(
@@ -211,33 +207,29 @@ def _vr_view_change_cost(n: int, kill_primary: bool, seed: int):
     rt, kv, _clients, driver, spec = build_kv_system(seed=seed, n_cohorts=n)
     stats = run_kv_batch(rt, driver, spec, 10, read_fraction=0.0)
     rt.quiesce()
-    before_msgs = sum(rt.metrics.messages_sent.get(t, 0) for t in VIEWCHANGE_MSGS)
-    before_buf = sum(rt.metrics.messages_sent.get(t, 0) for t in BUFFER_MSGS)
+    # Buffer traffic during a view change is dominated by the newview
+    # record distribution; report protocol messages plus that state push.
+    before = rt.metrics.total_sent(VIEWCHANGE_MSGS + BUFFER_MSGS)
     before_changes = len(rt.ledger.view_changes_for("kv"))
     victim = kv.active_primary() if kill_primary else kv.cohort(n - 1)
     crashed_at = rt.sim.now
     rt.faults.crash(victim.node.node_id)
-    deadline = rt.sim.now + 5000
-    while len(rt.ledger.view_changes_for("kv")) == before_changes and rt.sim.now < deadline:
-        rt.run_for(50)
+    run_until(
+        rt, lambda: len(rt.ledger.view_changes_for("kv")) > before_changes,
+        step=50, max_time=5000,
+    )
     rt.run_for(60)  # let the newview record reach the backups
-    after_msgs = sum(rt.metrics.messages_sent.get(t, 0) for t in VIEWCHANGE_MSGS)
-    after_buf = sum(rt.metrics.messages_sent.get(t, 0) for t in BUFFER_MSGS)
+    after = rt.metrics.total_sent(VIEWCHANGE_MSGS + BUFFER_MSGS)
     events = rt.ledger.view_changes_for("kv")
     assert len(events) > before_changes, "view change did not complete"
     started = [
         at for g, at in rt.ledger.view_change_started if g == "kv" and at >= crashed_at
     ]
     elapsed = events[-1].completed_at - min(started)
-    # Buffer traffic during a view change is dominated by the newview
-    # record distribution; report protocol messages plus that state push.
-    return (after_msgs - before_msgs) + (after_buf - before_buf), elapsed
+    return after - before, elapsed
 
 
 def e04_view_change_cost() -> ExperimentResult:
-    from repro import Runtime
-    from repro.baselines.virtual_partitions import VirtualPartitionsGroup
-
     rows = []
     for n in (3, 5, 7):
         msgs_backup, time_backup = _vr_view_change_cost(n, kill_primary=False, seed=404)

@@ -6,13 +6,18 @@ from __future__ import annotations
 from repro import FaultPlan, Nemesis, Runtime
 from repro.app.module import transaction_program
 from repro.config import ProtocolConfig
+from repro.baselines.pair import PairClient, PairSystem
 from repro.harness.common import (
     ExperimentResult,
     build_kv_system,
     drain,
     kv_jobs,
+    paused_chain,
     run_kv_batch,
+    run_under_nemesis,
+    safety_violations,
 )
+from repro.net.link import LinkModel
 from repro.sim.process import sleep, spawn
 from repro.storage.stable import StableStoragePolicy
 from repro.workloads.loadgen import run_closed_loop
@@ -21,14 +26,6 @@ from repro.workloads.loadgen import run_closed_loop
 # ---------------------------------------------------------------------------
 # E10: nested transactions avoid top-level aborts (section 3.6)
 # ---------------------------------------------------------------------------
-
-
-@transaction_program
-def _flat_chain(txn, group, keys, pause):
-    for key in keys:
-        yield txn.call(group, "incr", key, 1)
-        yield sleep(pause)
-    return len(keys)
 
 
 @transaction_program(subactions=True)
@@ -41,7 +38,7 @@ def _nested_chain(txn, group, keys, pause):
 
 def _nested_run(program_name: str, seed: int, txns: int = 80, kills: int = 10):
     rt, kv, clients, driver, spec = build_kv_system(seed=seed, n_cohorts=3, n_keys=64)
-    clients.register_program("flat", _flat_chain)
+    clients.register_program("flat", paused_chain)
     clients.register_program("nested", _nested_chain)
     # Disjoint key quadruples: no lock contention, so every abort is
     # failure-induced.  Pauses keep transactions in flight across kills.
@@ -52,37 +49,24 @@ def _nested_run(program_name: str, seed: int, txns: int = 80, kills: int = 10):
         )
         for j in range(txns)
     ]
-    stats = run_closed_loop(rt, driver, "clients", jobs, concurrency=4)
-    rt.inject(
-        Nemesis().crash_primary("kv", every=300.0, count=kills, recover_after=140.0)
+    stats = run_under_nemesis(
+        rt, driver, jobs,
+        Nemesis().crash_primary("kv", every=300.0, count=kills, recover_after=140.0),
+        concurrency=4,
     )
-    drain(rt, stats, txns)
-    rt.quiesce()
-    rt.check_invariants(require_convergence=False)
-    retries = rt.metrics.counters.get("subaction_retries:clients", 0)
-    return stats, retries, len(rt.ledger.view_changes_for("kv"))
+    return (
+        stats.committed,
+        stats.aborted,
+        round(stats.abort_rate, 3),
+        rt.metrics.counters.get("subaction_retries:clients", 0),
+        len(rt.ledger.view_changes_for("kv")),
+    )
 
 
 def e10_nested() -> ExperimentResult:
-    flat_stats, _flat_retries, flat_changes = _nested_run("flat", seed=1010)
-    nested_stats, nested_retries, nested_changes = _nested_run("nested", seed=1010)
     rows = [
-        (
-            "flat (one-level)",
-            flat_stats.committed,
-            flat_stats.aborted,
-            round(flat_stats.abort_rate, 3),
-            0,
-            flat_changes,
-        ),
-        (
-            "nested (subactions)",
-            nested_stats.committed,
-            nested_stats.aborted,
-            round(nested_stats.abort_rate, 3),
-            nested_retries,
-            nested_changes,
-        ),
+        ("flat (one-level)",) + _nested_run("flat", seed=1010),
+        ("nested (subactions)",) + _nested_run("nested", seed=1010),
     ]
     return ExperimentResult(
         exp_id="E10",
@@ -129,34 +113,22 @@ def _catastrophe_run(policy: StableStoragePolicy, seed: int):
         catastrophe.at(100.0).recover(victim.node.node_id)
     rt.inject(catastrophe)
     rt.run_for(4100)
-    recovered = kv.active_primary() is not None
-    violations = 0
-    try:
-        rt.check_invariants(require_convergence=False)
-    except AssertionError:
-        violations = 1
-    state_intact = None
-    if recovered:
-        state_intact = kv.read_object(spec.key(1)) == value_before
-    return committed_before, recovered, state_intact, violations
+    if kv.active_primary() is None:
+        outcome, intact = "stalled (by design)", "-"
+    else:
+        outcome = "recovered"
+        intact = "yes" if kv.read_object(spec.key(1)) == value_before else "NO"
+    return committed_before, outcome, intact, safety_violations(rt)
 
 
 def e11_catastrophe() -> ExperimentResult:
-    rows = []
-    for policy, label in (
-        (StableStoragePolicy.MINIMAL, "volatile (paper default)"),
-        (StableStoragePolicy.ALL, "UPS/NVRAM gstate (section 4.2 hardening)"),
-    ):
-        committed, recovered, intact, violations = _catastrophe_run(policy, seed=1111)
-        rows.append(
-            (
-                label,
-                committed,
-                "recovered" if recovered else "stalled (by design)",
-                {None: "-", True: "yes", False: "NO"}[intact],
-                violations,
-            )
+    rows = [
+        (label,) + _catastrophe_run(policy, seed=1111)
+        for policy, label in (
+            (StableStoragePolicy.MINIMAL, "volatile (paper default)"),
+            (StableStoragePolicy.ALL, "UPS/NVRAM gstate (section 4.2 hardening)"),
         )
+    ]
     return ExperimentResult(
         exp_id="E11",
         title="catastrophe: simultaneous crash of a majority",
@@ -186,54 +158,34 @@ def e11_catastrophe() -> ExperimentResult:
 
 
 def _unilateral_run(enabled: bool, seed: int, txns: int = 200):
-    from repro.net.link import LinkModel
-
     config = ProtocolConfig(unilateral_edits=enabled)
     rt, kv, clients, driver, spec = build_kv_system(seed=seed, n_cohorts=3,
                                                     config=config)
-    jobs = kv_jobs(rt, spec, txns, read_fraction=0.2)
-    stats = run_closed_loop(rt, driver, "clients", jobs, concurrency=2,
-                            think_time=10.0)
     # Repeated asymmetric outages: one backup's uplink goes silent for a
     # stretch (its heartbeats and acks are lost; it still hears the
     # primary, so it never secedes), then heals.  The primary must
     # either edit its view (unilateral) or run a full view change.
     dead_uplink = LinkModel(base_delay=1.0, jitter=0.2, loss_probability=0.9999)
-    rt.inject(
+    stats = run_under_nemesis(
+        rt, driver, kv_jobs(rt, spec, txns, read_fraction=0.2),
         Nemesis().mute_backup_uplinks(
             "kv", every=400.0, duration=120.0, rounds=5, link=dead_uplink
-        )
+        ),
+        concurrency=2, think_time=10.0,
     )
-    drain(rt, stats, txns)
-    rt.quiesce()
-    rt.check_invariants(require_convergence=False)
     return (
-        stats,
+        stats.committed,
+        stats.aborted,
         len(rt.ledger.view_changes_for("kv")),
         rt.metrics.counters.get("unilateral_view_edits", 0),
+        round(stats.mean_latency, 1),
     )
 
 
 def e12_unilateral() -> ExperimentResult:
-    off_stats, off_changes, off_edits = _unilateral_run(False, seed=1212)
-    on_stats, on_changes, on_edits = _unilateral_run(True, seed=1212)
     rows = [
-        (
-            "full view changes",
-            off_stats.committed,
-            off_stats.aborted,
-            off_changes,
-            off_edits,
-            round(off_stats.mean_latency, 1),
-        ),
-        (
-            "unilateral edits",
-            on_stats.committed,
-            on_stats.aborted,
-            on_changes,
-            on_edits,
-            round(on_stats.mean_latency, 1),
-        ),
+        ("full view changes",) + _unilateral_run(False, seed=1212),
+        ("unilateral edits",) + _unilateral_run(True, seed=1212),
     ]
     return ExperimentResult(
         exp_id="E12",
@@ -262,12 +214,10 @@ def e12_unilateral() -> ExperimentResult:
 
 
 def _pair_run(ops: int, seed: int, failures: int):
-    from repro.baselines.pair import PairClient, PairSystem
-
     rt = Runtime(seed=seed)
     system = PairSystem(rt, "pair", {"key": 0})
     client = PairClient(rt.create_node("pc-node"), rt, "pc", system, op_timeout=30.0)
-    results = {"ok": 0, "failed": 0}
+    results = {"ok": 0}
 
     def run_ops():
         for index in range(ops):
@@ -275,7 +225,7 @@ def _pair_run(ops: int, seed: int, failures: int):
                 yield client.add("key", 1)
                 results["ok"] += 1
             except RuntimeError:
-                results["failed"] += 1
+                pass
             if index == ops // 3 and failures >= 1:
                 rt.faults.crash(system.primary.node.node_id)
                 yield sleep(60.0)
@@ -285,7 +235,7 @@ def _pair_run(ops: int, seed: int, failures: int):
 
     spawn(rt.sim, run_ops(), name="pair-ops")
     rt.run_for(60_000)
-    return results["ok"], results["failed"]
+    return results["ok"]
 
 
 def _vr_survival_run(n: int, ops: int, seed: int, failures: int):
@@ -301,21 +251,18 @@ def _vr_survival_run(n: int, ops: int, seed: int, failures: int):
     if nemesis.rules:
         rt.inject(nemesis)
     drain(rt, stats, ops, max_time=15_000)
-    return stats.committed, stats.aborted + stats.unknown
+    return stats.committed
 
 
 def e13_end_to_end(ops: int = 60) -> ExperimentResult:
     rows = []
     for failures in (0, 1, 2):
-        vr3_ok, vr3_fail = _vr_survival_run(3, ops, seed=1313, failures=failures)
-        vr5_ok, vr5_fail = _vr_survival_run(5, ops, seed=1313, failures=failures)
-        pair_ok, pair_fail = _pair_run(ops, seed=1314, failures=failures)
         rows.append(
             (
                 failures,
-                f"{vr3_ok}/{ops}",
-                f"{vr5_ok}/{ops}",
-                f"{pair_ok}/{ops}",
+                f"{_vr_survival_run(3, ops, seed=1313, failures=failures)}/{ops}",
+                f"{_vr_survival_run(5, ops, seed=1313, failures=failures)}/{ops}",
+                f"{_pair_run(ops, seed=1314, failures=failures)}/{ops}",
             )
         )
     return ExperimentResult(

@@ -28,41 +28,24 @@ is placement-independent).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
-from repro.config import GeoConfig, ProtocolConfig, ReadConfig
+from repro import Runtime
+from repro.config import ProtocolConfig
 from repro.core.view_change import VIEW_RETRY_DELAY
-from repro.geo.topology import Topology, symmetric_topology
-from repro.harness.common import ExperimentResult, build_kv_system
+from repro.geo.topology import Topology
+from repro.harness.common import (
+    E20_PLACEMENTS,
+    ExperimentResult,
+    build_kv_system,
+    geo_protocol_config,
+    spawn_prober,
+)
+from repro.shard.workload import make_jobs, saturation_config
 from repro.sim.process import sleep, spawn
 from repro.workloads.loadgen import run_closed_loop
 
 GEO_SEED = 2020
-
-#: The placement conditions parts (a) and (b) sweep.
-E20_PLACEMENTS = ("spread", "single_dc", "primary_affinity:dc-a")
-
-
-def e20_topology() -> Topology:
-    """The standard E20 shape: 3 DCs x 2 zones x 2 slots."""
-    return symmetric_topology(n_dcs=3, zones_per_dc=2, slots_per_zone=2)
-
-
-def geo_protocol_config(
-    placement: str,
-    reads: bool = False,
-    topology: Optional[Topology] = None,
-) -> ProtocolConfig:
-    kwargs = {}
-    if reads:
-        kwargs["reads"] = ReadConfig(enabled=True)
-    return ProtocolConfig(
-        geo=GeoConfig(
-            topology=topology if topology is not None else e20_topology(),
-            placement=placement,
-        ),
-        **kwargs,
-    )
 
 
 def failover_bound(config: ProtocolConfig, topology: Topology) -> float:
@@ -85,7 +68,7 @@ def failover_bound(config: ProtocolConfig, topology: Topology) -> float:
 # -- part (a): cross-region primary failover ------------------------------
 
 
-def _failover_cell(seed: int, placement: str) -> Dict[str, float]:
+def _failover_row(seed: int, placement: str) -> tuple:
     """Crash the kv primary; time detection -> new active primary."""
     config = geo_protocol_config(placement)
     topology = config.geo.topology
@@ -94,21 +77,10 @@ def _failover_cell(seed: int, placement: str) -> Dict[str, float]:
     )
     rt.run_for(400.0)
 
-    committed_at: List[float] = []
-
-    def prober():
-        index = 0
-        while True:
-            index += 1
-            outcome, _ = yield driver.call(
-                "clients", "update", "kv", spec.key(index % spec.n_keys),
-                retries=8,
-            )
-            if outcome == "committed":
-                committed_at.append(rt.sim.now)
-            yield sleep(10.0)
-
-    spawn(rt.sim, prober(), name="e20a-prober")
+    replies = spawn_prober(
+        rt, driver, lambda index: ("update", "kv", spec.key(index)),
+        retries=8, pause=10.0,
+    )
     rt.run_for(200.0)
 
     crashed_at = rt.sim.now
@@ -123,7 +95,9 @@ def _failover_cell(seed: int, placement: str) -> Dict[str, float]:
         if event.completed_at > crashed_at
     ]
     failover = (completions[0] - crashed_at) if completions else float("nan")
-    resumed = [at for at in committed_at if at > crashed_at]
+    resumed = [
+        at for at, outcome in replies if outcome == "committed" and at > crashed_at
+    ]
     commit_gap = (resumed[0] - crashed_at) if resumed else float("nan")
     new_primary = kv.active_primary()
     new_site = (
@@ -131,31 +105,30 @@ def _failover_cell(seed: int, placement: str) -> Dict[str, float]:
         if new_primary is not None
         else "?"
     )
-    return {
-        "failover": failover,
-        "commit_gap": commit_gap,
-        "old_region": topology.dc_of(old_site),
-        "new_region": topology.dc_of(new_site),
-        "bound": failover_bound(rt.config, topology),
-    }
+    bound = failover_bound(rt.config, topology)
+    return (
+        f"(a) failover [{placement}]",
+        f"{topology.dc_of(old_site)}->{topology.dc_of(new_site)}",
+        f"{failover:.1f}",
+        f"{commit_gap:.1f}",
+        f"bound {bound:.0f} {'met' if failover <= bound else 'MISSED'}",
+    )
 
 
 # -- part (b): commit latency vs placement (sharded 2PC) ------------------
 
 
-def _commit_latency_cell(
+def _commit_latency_row(
     seed: int, placement: str, txns: int = 48, concurrency: int = 4
-) -> Dict[str, float]:
+) -> tuple:
     """The canonical sharded workload under one placement policy.
 
     ``single_dc`` (no pin) is the locality-aware condition: the round-
     robin placement puts one shard per DC, so single-shard seq_puts
     commit on a LAN quorum and only cross-shard transfers pay the WAN.
     """
-    from repro.shard.workload import make_jobs, saturation_config
-
     shard_config = saturation_config(n_shards=3, concurrency=concurrency)
-    rt = build_geo_runtime(seed, placement)
+    rt = Runtime(seed=seed, config=geo_protocol_config(placement))
     sharded = rt.sharded_group(
         "bank", n_shards=3, n_cohorts=3, config=shard_config
     )
@@ -175,27 +148,19 @@ def _commit_latency_cell(
     def mean(values: List[float]) -> float:
         return sum(values) / len(values) if values else float("nan")
 
-    return {
-        "seq_put": mean(per_program["seq_put"]),
-        "transfer": mean(per_program["transfer"]),
-        "committed": float(stats.committed),
-        "aborted": float(stats.aborted),
-    }
-
-
-def build_geo_runtime(seed: int, placement: str):
-    """A bare geo-armed Runtime (no groups yet)."""
-    from repro import Runtime
-
-    return Runtime(seed=seed, config=geo_protocol_config(placement))
+    return (
+        f"(b) 2PC latency [{placement}]",
+        f"{stats.committed} committed",
+        f"{mean(per_program['seq_put']):.1f}",
+        f"{mean(per_program['transfer']):.1f}",
+        f"{stats.aborted} aborted",
+    )
 
 
 # -- part (c): region partition, majority commits vs minority leases ------
 
 
-def _region_partition_cell(
-    seed: int, partition_for: float = 800.0
-) -> Dict[str, float]:
+def _region_partition_row(seed: int, partition_for: float = 800.0) -> tuple:
     """Cut the primary's region off a 5-cohort spread group with leases.
 
     Two sited drivers probe throughout: one co-located with the primary's
@@ -220,137 +185,99 @@ def _region_partition_cell(
     )
 
     lease_reads: List[Tuple[float, str]] = []  # (at, mode) of ok reads
-    read_failures: List[float] = []
-    write_commits: List[float] = []
-    stop = {"probing": False}
+    cut_at = rt.sim.now + 300.0
+    healed_at = cut_at + partition_for
+    stop_at = healed_at + 1200.0
 
     def reader():
         index = 0
-        while not stop["probing"]:
+        while rt.sim.now < stop_at:
             index += 1
             result = yield driver_a.read(
-                "kv", spec.key(index % spec.n_keys), prefer="primary",
-                max_staleness=30.0, retries=4,
+                "kv", spec.key(index), prefer="primary", max_staleness=30.0, retries=4
             )
             if result.ok:
                 lease_reads.append((rt.sim.now, result.mode))
-            else:
-                read_failures.append(rt.sim.now)
             yield sleep(5.0)
 
-    def writer():
-        index = 0
-        while not stop["probing"]:
-            index += 1
-            outcome, _ = yield driver_b.call(
-                "clients", "update", "kv", spec.key(index % spec.n_keys),
-                retries=10,
-            )
-            if outcome == "committed":
-                write_commits.append(rt.sim.now)
-            yield sleep(8.0)
-
     spawn(rt.sim, reader(), name="e20c-reader")
-    spawn(rt.sim, writer(), name="e20c-writer")
-    rt.run_for(300.0)
-
-    cut_at = rt.sim.now
+    writes = spawn_prober(
+        rt, driver_b, lambda index: ("update", "kv", spec.key(index)),
+        retries=10, pause=8.0, until=stop_at,
+    )
+    rt.run(until=cut_at)
     rt.faults.partition_region(primary_region)
-    rt.run_for(partition_for)
+    rt.run(until=healed_at)
     rt.faults.heal_all()
-    rt.run_for(1200.0)
-    stop["probing"] = True
-    rt.run_for(300.0)
+    rt.run(until=stop_at + 300.0)
     rt.quiesce(200.0)
     rt.check_invariants(require_convergence=True)
 
-    healed_at = cut_at + partition_for
     leased_after_cut = [
         at
         for at, mode in lease_reads
         if cut_at < at < healed_at and mode == "lease"
     ]
-    majority_commits = [at for at in write_commits if at > cut_at]
-    return {
-        "cut_at": cut_at,
-        "last_minority_lease_read": (
-            max(leased_after_cut) if leased_after_cut else cut_at
-        ),
-        "first_majority_commit": (
-            min(majority_commits) if majority_commits else float("nan")
-        ),
-        "majority_commits_during": float(
-            sum(1 for at in majority_commits if at < cut_at + partition_for)
-        ),
-        "minority_read_failures": float(
-            sum(1 for at in read_failures if cut_at < at < cut_at + partition_for)
-        ),
-        "lease_duration": rt.config.reads.lease_duration,
-    }
+    majority_commits = [
+        at for at, outcome in writes if outcome == "committed" and at > cut_at
+    ]
+    lease_stop = max(leased_after_cut) if leased_after_cut else cut_at
+    first_commit = min(majority_commits) if majority_commits else float("nan")
+    return (
+        "(c) region partition",
+        f"{sum(at < healed_at for at in majority_commits)} majority commits",
+        f"{lease_stop - cut_at:.1f}",
+        f"{first_commit - cut_at:.1f}",
+        "leases stopped before new primary committed"
+        if lease_stop < first_commit
+        else "LEASE OVERLAP",
+    )
 
 
 # -- the assembled experiment ---------------------------------------------
 
 
+def e20_shape(rows) -> list:
+    """(a) every placement's cross-region failover lands inside the
+    adaptive-timeout bound; (b) the locality claim: one-shard-per-DC sharding
+    beats spread placement on single-shard commit latency; (c) the fenced
+    minority's leased reads expired before the surviving majority's new
+    primary committed."""
+    by_condition = {row[0]: row for row in rows}
+    failures = [
+        f"failover bound missed: {row}"
+        for condition, row in by_condition.items()
+        if condition.startswith("(a) failover") and not row[4].endswith("met")
+    ]
+    spread = float(by_condition["(b) 2PC latency [spread]"][2])
+    local = float(by_condition["(b) 2PC latency [single_dc]"][2])
+    if not local < spread:
+        failures.append(f"locality did not win: single_dc {local} vs spread {spread}")
+    region = by_condition["(c) region partition"]
+    if "leases stopped" not in region[4]:
+        failures.append(f"a lease outlived the majority's first commit: {region}")
+    return failures
+
+
 def e20_geo(seed: int = GEO_SEED) -> ExperimentResult:
-    rows = []
-    failover_ok = True
-    for placement in E20_PLACEMENTS:
-        cell = _failover_cell(seed, placement)
-        within = cell["failover"] <= cell["bound"]
-        failover_ok = failover_ok and within
-        rows.append(
-            (
-                f"(a) failover [{placement}]",
-                f"{cell['old_region']}->{cell['new_region']}",
-                f"{cell['failover']:.1f}",
-                f"{cell['commit_gap']:.1f}",
-                f"bound {cell['bound']:.0f} "
-                f"{'met' if within else 'MISSED'}",
-            )
-        )
-
-    commit_cells = {
-        placement: _commit_latency_cell(seed, placement)
-        for placement in ("spread", "single_dc", "single_dc:dc-a")
-    }
-    for placement, cell in commit_cells.items():
-        rows.append(
-            (
-                f"(b) 2PC latency [{placement}]",
-                f"{cell['committed']:.0f} committed",
-                f"{cell['seq_put']:.1f}",
-                f"{cell['transfer']:.1f}",
-                f"{cell['aborted']:.0f} aborted",
-            )
-        )
-
-    region = _region_partition_cell(seed)
-    lease_stop = region["last_minority_lease_read"]
-    first_commit = region["first_majority_commit"]
-    rows.append(
-        (
-            "(c) region partition",
-            f"{region['majority_commits_during']:.0f} majority commits",
-            f"{lease_stop - region['cut_at']:.1f}",
-            f"{first_commit - region['cut_at']:.1f}",
-            "leases stopped before new primary committed"
-            if lease_stop < first_commit
-            else "LEASE OVERLAP",
-        )
+    rows = (
+        [_failover_row(seed, placement) for placement in E20_PLACEMENTS]
+        + [
+            _commit_latency_row(seed, placement)
+            for placement in ("spread", "single_dc", "single_dc:dc-a")
+        ]
+        + [_region_partition_row(seed)]
     )
-
-    locality_wins = (
-        commit_cells["single_dc"]["seq_put"] < commit_cells["spread"]["seq_put"]
-    )
+    failures = e20_shape(rows)
+    spread, local = rows[3][2], rows[4][2]  # (b)'s seq_put latencies
+    locality = "confirmed" if float(local) < float(spread) else "NOT confirmed"
     notes = (
         "(a) latency columns: view-change completion / first post-crash "
         "commit, both from the crash instant; every placement must meet "
         "the adaptive-timeout bound.  (b) columns: mean committed seq_put "
         "/ transfer latency -- one-shard-per-DC (single_dc) keeps "
-        f"single-shard commits on LAN quorums ({'confirmed' if locality_wins else 'NOT confirmed'}: "
-        f"{commit_cells['single_dc']['seq_put']:.1f} vs spread's "
-        f"{commit_cells['spread']['seq_put']:.1f}).  (c) columns: last "
+        f"single-shard commits on LAN quorums ({locality}: "
+        f"{local} vs spread's {spread}).  (c) columns: last "
         "minority lease-served read / first majority commit, offsets from "
         "the cut; the lease bound expires the fenced region's reads "
         "before the new primary can have committed."
@@ -368,4 +295,5 @@ def e20_geo(seed: int = GEO_SEED) -> ExperimentResult:
         headers=("condition", "outcome", "t1", "t2", "verdict"),
         rows=rows,
         notes=notes,
+        failures=failures,
     )

@@ -10,7 +10,7 @@ a client-side commit-set cache (docs/READS.md).  E19 measures what each
 buys on the workload the path exists for: an open-loop zipfian get/put
 mix at 90% reads.
 
-The measured cell is :func:`_reads_run`: one open-loop 90/10 mix, identical
+The measured cell is :func:`reads_run`: one open-loop 90/10 mix, identical
 arrival/key/op sequences across conditions, reporting read latency,
 serving-mode breakdown, and observed staleness.  That the same conditions
 never change what the protocol *computes* is ``python -m repro.gate reads``.
@@ -18,32 +18,18 @@ never change what the protocol *computes* is ``python -m repro.gate reads``.
 
 from __future__ import annotations
 
-from repro.config import ProtocolConfig, ReadConfig
-from repro.harness.common import ExperimentResult, build_kv_system
+from repro.config import ReadConfig
+from repro.harness.common import (
+    E19_CONDITIONS,
+    ExperimentResult,
+    build_kv_system,
+    run_until,
+)
 from repro.perf.report import state_digest
 from repro.workloads.loadgen import run_open_loop
 
-#: The serving-path conditions E19 sweeps.  ``baseline`` is the
-#: paper-faithful path (``ProtocolConfig.reads`` disabled, every read a
-#: transaction); the others enable ``ReadConfig`` and steer reads at the
-#: leased primary, at backups, or through the client commit-set cache.
-E19_CONDITIONS = ("baseline", "leases", "backup", "cache")
 
-
-def _read_protocol_config(condition: str):
-    """The ProtocolConfig for one condition (None = all defaults)."""
-    if condition == "baseline":
-        return None
-    return ProtocolConfig(
-        reads=ReadConfig(enabled=True, client_cache=(condition == "cache"))
-    )
-
-
-def _read_prefer(condition: str) -> str:
-    return "backup" if condition == "backup" else "primary"
-
-
-def _reads_run(
+def reads_run(
     seed: int,
     condition: str,
     n_keys: int = 16,
@@ -58,25 +44,23 @@ def _reads_run(
     initial view form (and the lease arm) before the open loop starts, so
     latency differences measure the serving path, not view formation.
     """
+    config, prefer = E19_CONDITIONS[condition]
     rt, _kv, _clients, driver, spec = build_kv_system(
-        seed=seed, n_cohorts=3, n_keys=n_keys,
-        config=_read_protocol_config(condition),
+        seed=seed, n_cohorts=3, n_keys=n_keys, config=config
     )
     rt.run_for(settle)
     stats = run_open_loop(
         rt, driver,
         key=spec.key, n_keys=n_keys, duration=duration, rate=rate,
         read_fraction=read_fraction,
-        prefer=_read_prefer(condition),
-        use_read_path=condition != "baseline",
+        prefer=prefer,
+        use_read_path=config is not None,
         # condition-independent rng fork names: every condition replays
         # the same arrival/key/op sequence
         name="e19",
     )
     rt.run_for(duration)
-    deadline = rt.sim.now + 20_000.0
-    while not stats.drained and rt.sim.now < deadline:
-        rt.run_for(100.0)
+    run_until(rt, lambda: stats.drained, step=100.0, max_time=20_000.0)
     rt.quiesce()
     rt.check_invariants(require_convergence=False)
     metrics = {
@@ -97,22 +81,26 @@ def _format_modes(modes: dict) -> str:
     return " ".join(f"{mode}:{count}" for mode, count in sorted(modes.items()))
 
 
-def e19_reads(
-    seed: int = 1901,
-    n_keys: int = 16,
-    duration: float = 600.0,
-    rate: float = 0.5,
-    read_fraction: float = 0.9,
-) -> ExperimentResult:
+def e19_shape(rows) -> list:
+    """The performance half of E19's claim -- leased reads beat the full
+    transactional path on the read-dominant workload -- and the staleness
+    half: backup reads stay under the configured bound."""
+    by_condition = {row[0]: row for row in rows}
+    leases, backup = by_condition["leases"], by_condition["backup"]
+    failures = []
+    if not leases[5] > 1.5:  # mean-latency speedup vs baseline
+        failures.append(f"leased reads did not beat the call path: {leases}")
+    if not backup[8] <= ReadConfig().default_max_staleness:
+        failures.append(f"backup served a read past the staleness bound: {backup}")
+    return failures
+
+
+def e19_reads(seed: int = 1901) -> ExperimentResult:
     rows = []
     base_mean = None
     base_p99 = None
     for condition in E19_CONDITIONS:
-        metrics, _digest = _reads_run(
-            seed, condition,
-            n_keys=n_keys, duration=duration, rate=rate,
-            read_fraction=read_fraction,
-        )
+        metrics, _digest = reads_run(seed, condition)
         if condition == "baseline":
             base_mean = metrics["read_mean"]
             base_p99 = metrics["read_p99"]
@@ -179,4 +167,5 @@ def e19_reads(
             "python -m repro.gate reads (byte-identical state digests "
             "across all serving configs) and the stale_lease monitor."
         ),
+        failures=e19_shape(rows),
     )

@@ -12,19 +12,16 @@ from __future__ import annotations
 
 from repro import LOSSY, Nemesis
 from repro.config import ProtocolConfig
-from repro.harness.common import ExperimentResult, build_kv_system
-from repro.sim.process import sleep, spawn
+from repro.harness.common import (
+    ExperimentResult,
+    build_kv_system,
+    committed_share,
+    mean_of,
+    spawn_prober,
+)
 
 
-def _liveness_run(
-    config: ProtocolConfig,
-    seed: int,
-    duration: float,
-    storm: bool,
-    kills: int = 10,
-    kill_every: float = 700.0,
-    recover_after: float = 300.0,
-):
+def _liveness_run(config: ProtocolConfig, seed: int, duration: float, storm: bool):
     """One arm of the comparison: crash-driven view changes on a LOSSY
     network (plus an optional partition storm), with a write prober
     sampling availability throughout.  Returns the metrics dict for one
@@ -32,9 +29,7 @@ def _liveness_run(
     rt, kv, _clients, driver, spec = build_kv_system(
         seed=seed, n_cohorts=3, config=config, link=LOSSY
     )
-    nemesis = Nemesis().crash_primary(
-        "kv", every=kill_every, count=kills, recover_after=recover_after
-    )
+    nemesis = Nemesis().crash_primary("kv", every=700.0, count=10, recover_after=300.0)
     if storm:
         nemesis.partition_storm(
             [node.node_id for node in kv.nodes()],
@@ -42,23 +37,10 @@ def _liveness_run(
             mean_partitioned=250.0,
         )
     rt.inject(nemesis)
-    outcomes = {"ok": 0, "total": 0}
-
-    def prober():
-        index = 0
-        while rt.sim.now < duration:
-            index += 1
-            future = driver.call(
-                "clients", "write", "kv", spec.key(index % spec.n_keys), index,
-                retries=2,
-            )
-            outcome, _ = yield future
-            outcomes["total"] += 1
-            if outcome == "committed":
-                outcomes["ok"] += 1
-            yield sleep(40.0)
-
-    spawn(rt.sim, prober(), name="prober")
+    replies = spawn_prober(
+        rt, driver, lambda index: ("write", "kv", spec.key(index), index),
+        retries=2, pause=40.0, until=duration,
+    )
     rt.run(until=duration)
     rt.faults.stop()
     rt.faults.heal()
@@ -69,7 +51,7 @@ def _liveness_run(
     durations = rt.ledger.view_change_durations("kv")
     counters = rt.metrics.counters
     return {
-        "availability": outcomes["ok"] / max(outcomes["total"], 1),
+        "availability": committed_share(replies),
         "view_changes": len(rt.ledger.view_changes_for("kv")),
         "mean_convergence": (
             sum(durations) / len(durations) if durations else 0.0
@@ -77,7 +59,6 @@ def _liveness_run(
         "max_convergence": max(durations) if durations else 0.0,
         "suspicions": counters.get("detector_suspicions:kv", 0),
         "invite_retransmits": counters.get("invite_retransmits:kv", 0),
-        "backoff_resets": counters.get("backoff_resets:kv", 0),
         "call_retransmits": counters.get("call_retransmits", 0),
     }
 
@@ -94,19 +75,17 @@ def e16_liveness(duration: float = 12_000.0, seeds=(1601, 1602)) -> ExperimentRe
                 _liveness_run(config, seed=seed, duration=duration, storm=storm)
                 for seed in seeds
             ]
-            n = len(runs)
-            mean = lambda key: sum(run[key] for run in runs) / n  # noqa: E731
             rows.append(
                 (
                     label,
                     mode,
-                    round(mean("availability"), 3),
-                    round(mean("mean_convergence"), 1),
-                    round(mean("max_convergence"), 1),
-                    round(mean("view_changes"), 1),
-                    int(mean("suspicions")),
-                    int(mean("invite_retransmits")),
-                    int(mean("call_retransmits")),
+                    round(mean_of(runs, "availability"), 3),
+                    round(mean_of(runs, "mean_convergence"), 1),
+                    round(mean_of(runs, "max_convergence"), 1),
+                    round(mean_of(runs, "view_changes"), 1),
+                    int(mean_of(runs, "suspicions")),
+                    int(mean_of(runs, "invite_retransmits")),
+                    int(mean_of(runs, "call_retransmits")),
                 )
             )
     return ExperimentResult(

@@ -15,23 +15,25 @@ from __future__ import annotations
 
 import gc
 
-from repro import LOSSY, BatchConfig, Nemesis, ProtocolConfig
-from repro.harness.common import ExperimentResult, build_kv_system
+from repro import LOSSY, Nemesis, ProtocolConfig
+from repro.gate import state_run
+from repro.harness.common import (
+    E18_CONFIGS,
+    ExperimentResult,
+    batch_config,
+    build_kv_system,
+    mean_of,
+)
+from repro.live import one_crash
 from repro.shard.workload import run_sharded_workload
 
 SHARD_COUNTS = (1, 2, 4, 8)
 CONDITIONS = ("clean", "lossy", "viewchange")
 
 
-def _sharded_run(
-    seed: int,
-    n_shards: int,
-    condition: str,
-    txns_per_shard: int,
-    concurrency_per_shard: int,
-    duration: float,
-):
-    """One cell of the scale-out study; returns the metrics dict."""
+def _sharded_run(seed: int, n_shards: int, condition: str):
+    """One cell of the scale-out study (weak scaling: 40 transactions and 4
+    closed-loop clients per shard); returns the metrics dict."""
     link = LOSSY if condition == "lossy" else None
     nemesis = None
     if condition == "viewchange":
@@ -44,11 +46,11 @@ def _sharded_run(
     runtime, sharded, stats = run_sharded_workload(
         seed=seed,
         n_shards=n_shards,
-        txns=txns_per_shard * n_shards,
-        concurrency=concurrency_per_shard * n_shards,
+        txns=40 * n_shards,
+        concurrency=4 * n_shards,
         link=link,
         nemesis=nemesis,
-        duration=duration,
+        duration=30_000.0,
     )
     if nemesis is not None:
         runtime.faults.stop()
@@ -67,50 +69,32 @@ def _sharded_run(
         "throughput": stats.throughput,
         "aborts_shard0": sum(shard0 in shards for shards in aborted),
         "aborts_elsewhere": sum(shard0 not in shards for shards in aborted),
-        "view_changes_shard0": len(runtime.ledger.view_changes_for(shard0)),
     }
 
 
-def e17_sharding(
-    seeds=(1701, 1702),
-    txns_per_shard: int = 40,
-    concurrency_per_shard: int = 4,
-    duration: float = 30_000.0,
-) -> ExperimentResult:
+def e17_sharding(seeds=(1701, 1702)) -> ExperimentResult:
     rows = []
     for condition in CONDITIONS:
         base_throughput = None
         for n_shards in SHARD_COUNTS:
-            runs = [
-                _sharded_run(
-                    seed,
-                    n_shards,
-                    condition,
-                    txns_per_shard,
-                    concurrency_per_shard,
-                    duration,
-                )
-                for seed in seeds
-            ]
+            runs = [_sharded_run(seed, n_shards, condition) for seed in seeds]
             gc.collect()  # 24 cells: free each one's dead Runtime as it dies
-            n = len(runs)
-            mean = lambda key: sum(run[key] for run in runs) / n  # noqa: E731
-            throughput = mean("throughput")
+            throughput = mean_of(runs, "throughput")
             if base_throughput is None:
                 base_throughput = throughput
             rows.append(
                 (
                     condition,
                     n_shards,
-                    int(mean("committed")),
-                    int(mean("aborted")),
-                    round(mean("abort_rate"), 3),
+                    int(mean_of(runs, "committed")),
+                    int(mean_of(runs, "aborted")),
+                    round(mean_of(runs, "abort_rate"), 3),
                     round(throughput, 4),
                     round(throughput / base_throughput, 2)
                     if base_throughput
                     else float("nan"),
-                    int(mean("aborts_shard0")),
-                    int(mean("aborts_elsewhere")),
+                    int(mean_of(runs, "aborts_shard0")),
+                    int(mean_of(runs, "aborts_elsewhere")),
                 )
             )
     return ExperimentResult(
@@ -158,31 +142,10 @@ def e17_sharding(
 
 # -- E18: batched & pipelined replication -----------------------------------
 
-#: (label, (max_batch, pipeline_depth)); None = the unbatched baseline.
-E18_CONFIGS = (
-    ("unbatched", None),
-    ("b=8 d=1", (8, 1)),
-    ("b=64 d=2", (64, 2)),
-    ("b=256 d=4", (256, 4)),
-)
 E18_CONDITIONS = ("clean", "lossy", "viewchange")
 
 
-def batch_config(batch) -> BatchConfig:
-    """The BatchConfig of one E18 point: ``None`` = unbatched, else
-    ``(max_batch, pipeline_depth)``."""
-    if batch is None:
-        return BatchConfig(enabled=False)
-    max_batch, pipeline_depth = batch
-    return BatchConfig(
-        enabled=True,
-        max_batch=max_batch,
-        flush_interval=0.5,
-        pipeline_depth=pipeline_depth,
-    )
-
-
-def _batching_run(
+def batching_run(
     seed: int,
     condition: str,
     batch,
@@ -192,9 +155,6 @@ def _batching_run(
     """One cell of the batching study -- the identity gate's cell
     (:func:`repro.gate.state_run`) on a clean or lossy network or with the
     kv primary crashing at t=150; returns (metrics dict, state digest)."""
-    from repro.gate import state_run  # repro.gate imports this package
-    from repro.live import one_crash
-
     system = build_kv_system(
         seed=seed,
         n_cohorts=3,
@@ -210,6 +170,16 @@ def _batching_run(
     return run.metrics, run.state
 
 
+def e18_shape(rows) -> list:
+    """The safety half of E18's claim is binary: every config on every
+    schedule must reproduce the unbatched run's final state."""
+    return [
+        f"a batched run diverged from the unbatched state digest: {row}"
+        for row in rows
+        if row[-1] != "yes"
+    ]
+
+
 def e18_batching(
     seed: int = 1801,
     txns: int = 160,
@@ -220,7 +190,7 @@ def e18_batching(
         base_messages = None
         base_digest = None
         for label, batch in E18_CONFIGS:
-            metrics, digest = _batching_run(seed, condition, batch, txns, concurrency)
+            metrics, digest = batching_run(seed, condition, batch, txns, concurrency)
             if batch is None:
                 base_messages = metrics["messages"]
                 base_digest = digest
@@ -280,4 +250,6 @@ def e18_batching(
             "one window and a larger max_batch makes that window (and "
             "each redundant resend) bigger."
         ),
+        failures=e18_shape(rows),
     )
+

@@ -1,20 +1,28 @@
-"""Smoke tests for the experiment harness (tiny parameterizations).
+"""Smoke tests for the experiment harness (tiny parameterizations) and its CLI.
 
-The full-size studies run under ``pytest benchmarks/ --benchmark-only``;
-these verify each experiment's *direction* quickly so harness regressions
-surface in the ordinary test run.
+The full-size studies are CI's ``python -m repro.harness --check``; these
+verify each experiment's *direction* quickly so harness regressions surface
+in the ordinary test run.
 """
 
+import pathlib
 
-from repro.harness import (
+import pytest
+
+from repro.harness.__main__ import ALL_EXPERIMENTS, DOC, block_pattern, main
+from repro.harness.common import ExperimentResult, build_kv_system, run_kv_batch
+from repro.harness.experiments_cohort import e21_shape
+from repro.harness.experiments_compare import e05_vs_voting, e09_vs_isis
+from repro.harness.experiments_core import (
     e01_call_overhead,
     e02_prepare_wait,
     e03_commit_crossover,
-    e05_vs_voting,
-    e09_vs_isis,
-    format_result,
 )
-from repro.harness.common import ExperimentResult, build_kv_system, run_kv_batch
+from repro.harness.experiments_geo import e20_shape
+from repro.harness.experiments_reads import e19_shape
+from repro.harness.experiments_scale import e18_shape
+
+COMMITTED = (pathlib.Path(__file__).resolve().parents[2] / DOC).read_text()
 
 
 def test_e01_small_run_flat_latency():
@@ -81,19 +89,6 @@ def test_e09_isis_growth_direction():
     assert last[3] > first[3]
 
 
-def test_format_result_renders():
-    result = ExperimentResult(
-        exp_id="EX",
-        title="example",
-        claim="a claim",
-        headers=["a", "b"],
-        rows=[[1, 2]],
-        notes="a note",
-    )
-    text = format_result(result)
-    assert "EX" in text and "a claim" in text and "a note" in text
-
-
 def test_build_kv_system_helper():
     rt, kv, clients, driver, spec = build_kv_system(seed=1, n_cohorts=3)
     stats = run_kv_batch(rt, driver, spec, 5, read_fraction=0.5)
@@ -102,15 +97,74 @@ def test_build_kv_system_helper():
     rt.check_invariants()
 
 
-def test_harness_cli_list(capsys):
-    from repro.harness.__main__ import main
-
-    assert main(["--list"]) == 0
-    out = capsys.readouterr().out
-    assert "E1" in out and "e13_end_to_end" in out
-
-
 def test_harness_cli_unknown_experiment(capsys):
-    from repro.harness.__main__ import main
-
     assert main(["E99"]) == 2
+    for unknown in (["--chek"], ["--write", "--check"]):
+        with pytest.raises(SystemExit) as exited:
+            main(unknown)
+        assert exited.value.code == 2
+
+
+def test_every_experiment_has_exactly_one_block_and_every_block_an_experiment():
+    blocks = [exp_id for _table, exp_id in block_pattern().findall(COMMITTED)]
+    assert blocks == list(ALL_EXPERIMENTS)
+    assert COMMITTED.count("```") == 2 * len(blocks)  # and no other fence
+
+
+def test_check_holds_the_committed_tables_and_names_an_edited_one(
+    tmp_path, monkeypatch, capsys
+):
+    (tmp_path / DOC).write_text(COMMITTED)
+    monkeypatch.chdir(tmp_path)
+    assert main(["--check", "E1", "E4"]) == 0
+    table = block_pattern("E4").search(COMMITTED).group(1)
+    (tmp_path / DOC).write_text(COMMITTED.replace(table, table.replace("5.70", "5.71")))
+    capsys.readouterr()
+    assert main(["--check", "E1", "E4"]) == 1
+    captured = capsys.readouterr()
+    assert "E1: EXPERIMENTS.md is current" in captured.out
+    assert "harness: FAIL -- E4: EXPERIMENTS.md is stale" in captured.err
+    assert "\n-3  7" in captured.err and "\n+3  7" in captured.err  # the diff
+    # --write puts the table back, touches nothing else, and is idempotent
+    assert main(["--write", "E4"]) == 0
+    assert (tmp_path / DOC).read_text() == COMMITTED
+    assert main(["--write", "E4"]) == 0
+    assert (tmp_path / DOC).read_text() == COMMITTED
+
+
+def test_each_shape_check_rejects_a_hand_broken_result():
+    e18 = ("clean", "b=8 d=1", 160, 0, 2000, 12.5, 1.6, 0)
+    assert e18_shape([e18 + ("yes",)]) == []
+    assert "diverged" in e18_shape([e18 + ("NO",)])[0]
+
+    def e19(speedup=4.2, staleness=10.0):
+        row = (500, 0, 2.2, 4.0, speedup, 6.3, "", staleness, 60)
+        return [("leases",) + row, ("backup",) + row]
+
+    assert e19_shape(e19()) == []
+    assert "did not beat the call path" in e19_shape(e19(speedup=1.0))[0]
+    assert "staleness bound" in e19_shape(e19(staleness=50.1))[0]
+
+    def e20(bound="bound 525 met", local="26.5", lease="leases stopped before ..."):
+        return [
+            ("(a) failover [spread]", "dc-a->dc-b", "90.0", "120.0", bound),
+            ("(b) 2PC latency [spread]", "48 committed", "84.2", "200.0", "0 aborted"),
+            ("(b) 2PC latency [single_dc]", "48 committed", local, "200.0", "0 aborted"),
+            ("(c) region partition", "40 majority commits", "13.6", "316.6", lease),
+        ]
+
+    assert e20_shape(e20()) == []
+    assert "failover bound missed" in e20_shape(e20(bound="bound 525 MISSED"))[0]
+    assert "locality did not win" in e20_shape(e20(local="84.2"))[0]
+    assert "lease outlived" in e20_shape(e20(lease="LEASE OVERLAP"))[0]
+
+    def e21(cut="9.6x", failover="70", committed=24):
+        return [
+            (100, "baseline", "231.2", "198.8", "1.0x", "50", 24),
+            (100, "all", "24.1", "6.8", cut, failover, committed),
+        ]
+
+    assert e21_shape(e21(), 24) == []
+    assert "cut only 3.0x" in e21_shape(e21(cut="3.0x"), 24)[0]
+    assert "lost writes" in e21_shape(e21(committed=23), 24)[0]
+    assert "never re-formed" in e21_shape(e21(failover="inf"), 24)[0]

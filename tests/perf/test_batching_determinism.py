@@ -11,7 +11,7 @@ counterparts of the E18 experiment and CI's ``python -m repro.gate batching``
 
 import pytest
 
-from repro.harness.experiments_scale import _batching_run
+from repro.harness.experiments_scale import batching_run
 from repro.perf.report import state_digest
 from repro.workloads.loadgen import run_closed_loop
 
@@ -20,7 +20,7 @@ CONCURRENCY = 8
 
 
 def _cell(condition, batch, seed=181):
-    metrics, digest = _batching_run(seed, condition, batch, TXNS, CONCURRENCY)
+    metrics, digest = batching_run(seed, condition, batch, TXNS, CONCURRENCY)
     assert metrics["committed"] == TXNS, (
         f"{condition}/{batch}: only {metrics['committed']}/{TXNS} committed"
     )

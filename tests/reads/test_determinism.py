@@ -5,12 +5,12 @@ an identical digest -- the property ``python -m repro.gate reads`` checks
 at full size, here at small parameters for the tier-1 suite."""
 
 from repro.gate import GATES
-from repro.harness.experiments_reads import E19_CONDITIONS, _reads_run
+from repro.harness.experiments_reads import E19_CONDITIONS, reads_run
 
 
 def test_same_seed_same_condition_replays_identically():
-    first = _reads_run(5, "leases", n_keys=8, duration=150.0, rate=0.4)
-    second = _reads_run(5, "leases", n_keys=8, duration=150.0, rate=0.4)
+    first = reads_run(5, "leases", n_keys=8, duration=150.0, rate=0.4)
+    second = reads_run(5, "leases", n_keys=8, duration=150.0, rate=0.4)
     assert first == second
 
 

@@ -3,18 +3,19 @@
 import pathlib
 
 from repro.checkdocs import check_docs
-from repro.config import ScaleConfig
+from repro.config import ProtocolConfig, ScaleConfig
 from repro.gate import state_run
-from repro.harness.experiments_cohort import _build_scaled_kv
+from repro.harness.common import build_kv_system
 from repro.scale.__main__ import main as scale_main
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
 
 
 def _run(scale):
-    return state_run(
-        _build_scaled_kv(77, 5, scale, n_keys=8), settle=200.0, quiesce=100.0
+    system = build_kv_system(
+        seed=77, n_cohorts=5, n_keys=8, kv_config=ProtocolConfig(scale=scale)
     )
+    return state_run(system, settle=200.0, quiesce=100.0)
 
 
 def test_state_run_is_deterministic_and_mechanism_invariant():
