@@ -3,20 +3,18 @@
 The batched transmission mode itself is the buffer's
 (:mod:`repro.core.buffer`); this extension arms it and adds the cohort's
 half (docs/PERF.md): one coalesced cumulative ack per ``flush_interval``
-tick; buffer traffic that doubles as liveness, with the heartbeats it makes
-redundant suppressed; and, for a group that
-coordinates a transaction on itself (a sharded group's single-key path),
-prepare / commit / abort and their replies delivered in place and outcome
-queries sent to one coordinator cohort per sweep.
+tick; and, for a group that coordinates a transaction on itself (a sharded
+group's single-key path), prepare / commit / abort and their replies
+delivered in place and outcome queries sent to one coordinator cohort per
+sweep.
 """
 
 from __future__ import annotations
 
-import math
-from typing import Callable, Dict
+from typing import Callable
 
 from repro.core import messages as m
-from repro.core.extension import Extension, Table, wrap, wrap_row
+from repro.core.extension import Extension, wrap
 
 
 class Batching(Extension):
@@ -32,12 +30,6 @@ class Batching(Extension):
         self.reset()
         if batch.flush_interval > 0:
             wrap(cohort, "acknowledge", self._coalesce_ack)
-        # When buffer traffic to a peer carried sent_at, the periodic
-        # heartbeat to that peer is redundant.
-        self._liveness_sent: Dict[int, float] = {}
-        cohort.buffer_options["send"] = self._buffer_send
-        wrap(cohort, "build_buffer_ack", self._stamp_sent_at)
-        wrap(cohort, "beacon", self._beacon_unserved)
         self._query_counter = 0  # round-robin query fan-out
         server, client = cohort.server_role, cohort.client_role
         wrap(client, "_send_prepare", self._in_place)
@@ -53,10 +45,6 @@ class Batching(Extension):
             m.PrepareOkMsg: client.on_prepare_ok,
             m.CommitAckMsg: client.on_commit_ack,
         }
-
-    def wire(self, any_status: Table, primary_only: Table) -> None:
-        wrap_row(any_status, m.BufferAckMsg, self._backup_is_alive)
-        wrap_row(any_status, m.BufferMsg, self._primary_is_alive)
 
     def reset(self) -> None:
         # Applied-but-unacked BufferMsg count, and whether the coalescing
@@ -89,39 +77,6 @@ class Batching(Extension):
                     "ack_coalesce", coalesced=coalesced, acked_ts=cohort.applied_ts
                 )
             cohort.ack_now()
-
-    # -- liveness piggyback ----------------------------------------------------
-
-    def _buffer_send(self, mid: int, message: m.BufferMsg) -> None:
-        """The buffer's transmission hook: stamps and notes liveness-carrying
-        sends."""
-        message.sent_at = self._liveness_sent[mid] = self.cohort.sim.now
-        self.cohort.send_mid(mid, message)
-
-    def _stamp_sent_at(self, build: Callable):
-        destination, ack = build()
-        ack.sent_at = self._liveness_sent[destination] = self.cohort.sim.now
-        return destination, ack
-
-    def _beacon_unserved(self, beacon: Callable, pairs) -> None:
-        now = self.cohort.sim.now
-        recent = 0.5 * self.cohort.config.im_alive_interval
-        served = self._liveness_sent  # never served = served at -inf
-        beacon([p for p in pairs if now - served.get(p[0], -math.inf) >= recent])
-
-    def _backup_is_alive(self, handler: Callable, message: m.BufferAckMsg) -> None:
-        # Acks prove the backup is alive; feed the detector so the backup
-        # may skip its redundant heartbeat.
-        self.cohort.detect.heard(message.mid, sent_at=message.sent_at)
-        handler(message)
-
-    def _primary_is_alive(self, handler: Callable, msg: m.BufferMsg) -> None:
-        # Buffer traffic from our current primary is proof of life (sent_at
-        # gives the RTT estimator a sample too).
-        cohort = self.cohort
-        if cohort.is_backup_in(msg.viewid):
-            cohort.detect.heard(cohort.cur_view.primary, sent_at=msg.sent_at)
-        handler(msg)
 
     # -- self-coordination shortcuts --------------------------------------------
 

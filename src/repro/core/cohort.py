@@ -26,6 +26,7 @@ Everything beyond the paper is an extension object
 from __future__ import annotations
 
 import enum
+import math
 from typing import Any, Dict, Optional, Tuple
 
 from repro.config import ProtocolConfig
@@ -53,6 +54,9 @@ from repro.storage.stable import StableStoragePolicy, StableStore
 from repro.txn.ids import Aid
 from repro.txn.locks import LockManager
 from repro.txn.objects import ObjectStore
+
+
+_NEVER = -math.inf  # when a peer nothing was sent to was last served
 
 
 class Status(enum.Enum):
@@ -131,7 +135,7 @@ class Cohort(Actor):
         self.coordinator_role = CoordinatorServerRole(self)
         self.view_change = ViewChangeController(self)
         # -- extensions: what the config arms beyond the paper; () by default --
-        self.buffer_options: Dict[str, Any] = {"send": self.send_mid}
+        self.buffer_options: Dict[str, Any] = {"send": self.send_traffic}
         self.extensions = build_extensions(self)
         self._wire_handlers()
 
@@ -144,6 +148,12 @@ class Cohort(Actor):
         )
         self.rtt = RttEstimator()
         self.timeouts = AdaptiveTimeouts(config, self.rtt)
+        # Per peer: when a buffer message or ack last went to it (a beacon
+        # to a peer served within half an interval is redundant) and when
+        # one last carried sent_at (the estimators keep the beacon's cadence).
+        self._half_interval = 0.5 * config.im_alive_interval
+        self._served: Dict[int, float] = {}
+        self._stamped: Dict[int, float] = {}
         self._change_pending_since: Optional[float] = None
         self._epoch = 0  # bumped on every status transition; guards timers
 
@@ -200,6 +210,14 @@ class Cohort(Actor):
 
     def send_mid(self, mid: int, message) -> None:
         self.send(self.peer_address(mid), message)
+
+    def send_traffic(self, mid: int, message) -> None:
+        """Send a buffer message or ack: the evidence of life an "I'm alive"
+        is (section 4), so the next beacon round may skip *mid*."""
+        now = self._served[mid] = self.sim.now
+        if now - self._stamped.get(mid, _NEVER) >= self._half_interval:
+            message.sent_at = self._stamped[mid] = now
+        self.send(self._addresses[mid], message)
 
     def locate(self, groupid: str):
         """(mid, address) pairs for a group -- via the location service."""
@@ -295,6 +313,13 @@ class Cohort(Actor):
         self.client_role.on_view_changed(message)
 
     def _handle_buffer_ack(self, message: m.BufferAckMsg) -> None:
+        # An ack is the evidence of life a beacon is; only a stamped one (or
+        # one that ends a suspicion) is a sample for the estimators.
+        peer = self.detect.peers.get(message.mid)
+        if peer is None or peer.suspected or message.sent_at is not None:
+            self.detect.heard(message.mid, message.sent_at)
+        else:
+            peer.last_heard = self.sim.now
         if self.is_active_primary and self.buffer is not None:
             self.buffer.on_ack(message)
 
@@ -410,6 +435,11 @@ class Cohort(Actor):
             return
         if msg.viewid != self.cur_viewid or self.is_primary:
             return  # stale primary's traffic, or ours echoed back
+        peer = self.detect.peers[self.cur_view.primary]  # alive, as on an ack
+        if peer.suspected or msg.sent_at is not None:
+            self.detect.heard(self.cur_view.primary, msg.sent_at)
+        else:
+            peer.last_heard = self.sim.now
         self._apply_buffer_records(msg.records)
         self.acknowledge()
 
@@ -456,7 +486,7 @@ class Cohort(Actor):
 
     def ack_now(self) -> None:
         destination, ack = self.build_buffer_ack()
-        self.send_mid(destination, ack)
+        self.send_traffic(destination, ack)
 
     #: *when* a backup acknowledges applied records: every BufferMsg
     #: individually, at once (the paper's implicit scheme)
@@ -570,10 +600,20 @@ class Cohort(Actor):
         self.set_timer(self.config.im_alive_interval, self._heartbeat)
 
     def beacon(self, pairs) -> None:
-        """One round of "I'm alive": in the paper, to every other cohort."""
+        """One round of "I'm alive": to every other cohort that buffer
+        traffic did not reach within the last half interval."""
+        served = self._served
+        silent_since = self.sim.now - self._half_interval
+        suppressed = 0
         for peer, address in pairs:
-            if peer != self.mymid:
+            if peer == self.mymid:
+                continue
+            if served.get(peer, _NEVER) > silent_since:
+                suppressed += 1
+            else:
                 self.send(address, self.build_im_alive(peer))
+        if suppressed:
+            self.metrics.incr(f"heartbeats_suppressed:{self.mygroupid}", suppressed)
 
     def build_im_alive(self, peer: int) -> m.ImAliveMsg:
         return m.ImAliveMsg(
@@ -820,6 +860,8 @@ class Cohort(Actor):
         # not make this cohort treat a dead peer as live.
         cutoff = self.sim.now - self.config.suspect_timeout()
         self.detect.age_out(cutoff)
+        self._served.clear()
+        self._stamped.clear()
         self.rtt.reset()
         for extension in self.extensions:
             extension.reset()

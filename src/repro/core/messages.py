@@ -176,9 +176,11 @@ class BufferMsg(Message):
     retransmitter went back, those above its last cumulative ack.  A backup
     holds a message that arrives ahead of a gap until the gap closes.
 
-    ``sent_at`` is stamped in batched mode so buffer traffic doubles as an
-    I'm-alive beacon (the receiver feeds its failure detector from it and the
-    sender suppresses the redundant heartbeat).
+    Buffer traffic doubles as the I'm-alive beacon (the receiver's failure
+    detector hears it and the sender skips the redundant heartbeat);
+    ``sent_at`` is stamped on one message per link per half
+    ``im_alive_interval`` (``Cohort.send_traffic``), which gives the
+    receiver's estimators the samples a beacon would have.
 
     ``records_bytes`` is not wire data (no annotation, so not a field): the
     sending buffer, which keeps running sizes of what it retains, sets it to
@@ -199,7 +201,7 @@ class BufferAckMsg(Message):
     """Backup -> primary: cumulative ack of applied timestamps.
 
     ``sent_at`` serves the same piggybacked-liveness role as on
-    :class:`BufferMsg` (batched mode only).  ``lease_until`` is a read
+    :class:`BufferMsg`.  ``lease_until`` is a read
     lease grant riding the ack (reads enabled only): the sender promises
     not to help form a view whose primary may commit writes before this
     time without reporting the promise (see docs/READS.md)."""

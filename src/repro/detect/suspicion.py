@@ -24,7 +24,11 @@ from typing import Callable, Dict, Iterable, Optional
 from repro.detect.rtt import RttEstimator
 
 
-class _PeerState:
+class PeerState:
+    """What one cohort knows about one peer.  The host may store
+    ``last_heard`` itself for evidence that carries no timing sample, while
+    the peer is not ``suspected`` (anything else goes through ``heard``)."""
+
     __slots__ = ("last_heard", "mean_interval", "interval_dev", "rtt", "suspected")
 
     def __init__(self) -> None:
@@ -58,11 +62,11 @@ class FailureDetector:
         self.config = config
         self.clock = clock
         self.on_transition = on_transition
-        self._peers: Dict[int, _PeerState] = {mid: _PeerState() for mid in peers}
+        self.peers: Dict[int, PeerState] = {mid: PeerState() for mid in peers}
 
     def reset(self) -> None:
         """Forget all history (host crashed; volatile state is gone)."""
-        self._peers = {mid: _PeerState() for mid in self._peers}
+        self.peers = {mid: PeerState() for mid in self.peers}
 
     def age_out(self, cutoff: float) -> list:
         """Forget peers whose evidence predates *cutoff*; returns their mids.
@@ -74,20 +78,23 @@ class FailureDetector:
         beats genuinely are recent).
         """
         aged = []
-        for mid, state in self._peers.items():
+        for mid, state in self.peers.items():
             if 0.0 < state.last_heard < cutoff:
-                self._peers[mid] = _PeerState()
+                self.peers[mid] = PeerState()
                 aged.append(mid)
         return aged
 
     # -- feeding ------------------------------------------------------------
 
-    def heard(self, mid: int, sent_at: Optional[float] = None) -> None:
-        """A liveness-bearing message from *mid* arrived just now."""
-        state = self._peers.get(mid)
+    def heard(
+        self, mid: int, sent_at: Optional[float] = None, at: Optional[float] = None
+    ) -> None:
+        """A liveness-bearing message from *mid* arrived just now (or vouches
+        that *mid* was alive at *at*: :meth:`heard_relayed`)."""
+        state = self.peers.get(mid)
         if state is None:
             return
-        now = self.clock()
+        now = self.clock() if at is None else at
         if state.last_heard > 0.0:
             interval = now - state.last_heard
             if interval > 0.0:
@@ -126,60 +133,39 @@ class FailureDetector:
         which fresh evidence about the peer reaches us is exactly the
         expected-silence unit the accrual threshold should use.
         """
-        state = self._peers.get(mid)
-        if state is None:
-            return
-        if evidence_at <= state.last_heard:
-            return
-        if state.last_heard > 0.0:
-            interval = evidence_at - state.last_heard
-            if state.mean_interval is None:
-                state.mean_interval = interval
-                state.interval_dev = interval / 2.0
-            else:
-                gain = self.GAIN
-                state.interval_dev = (1.0 - gain) * state.interval_dev + (
-                    gain * abs(interval - state.mean_interval)
-                )
-                state.mean_interval = (
-                    1.0 - gain
-                ) * state.mean_interval + gain * interval
-        state.last_heard = evidence_at
-        if state.suspected:
-            state.suspected = False
-            if self.on_transition is not None:
-                self.on_transition(mid, False)
+        if evidence_at > self.last_heard(mid):
+            self.heard(mid, at=evidence_at)
 
     def observe_rtt(self, mid: int, sample: float) -> None:
-        state = self._peers.get(mid)
+        state = self.peers.get(mid)
         if state is not None:
             state.rtt.observe(sample)
 
     # -- querying -----------------------------------------------------------
 
     def last_heard(self, mid: int) -> float:
-        state = self._peers.get(mid)
+        state = self.peers.get(mid)
         return state.last_heard if state is not None else 0.0
 
     def expected_interval(self, mid: int) -> float:
         """Learned heartbeat inter-arrival estimate (mean + 2 deviations),
         never below the configured period (loss can only stretch it)."""
         configured = self.config.im_alive_interval
-        state = self._peers.get(mid)
+        state = self.peers.get(mid)
         if state is None or state.mean_interval is None:
             return configured
         return max(configured, state.mean_interval + 2.0 * state.interval_dev)
 
     def suspicion(self, mid: int) -> float:
         """Accrual level: current silence in expected inter-arrival units."""
-        state = self._peers.get(mid)
+        state = self.peers.get(mid)
         if state is None:
             return 0.0
         elapsed = self.clock() - state.last_heard
         return elapsed / self.expected_interval(mid)
 
     def is_suspect(self, mid: int) -> bool:
-        state = self._peers.get(mid)
+        state = self.peers.get(mid)
         if state is None:
             return False
         if self.config.adaptive_timeouts:
@@ -194,17 +180,17 @@ class FailureDetector:
         return suspect
 
     def rto(self, mid: int) -> Optional[float]:
-        state = self._peers.get(mid)
+        state = self.peers.get(mid)
         return state.rtt.rto if state is not None else None
 
     def group_rto(self) -> Optional[float]:
         """The slowest live peer RTO (None before any heartbeat sample)."""
         rtos = [
             state.rtt.rto
-            for state in self._peers.values()
+            for state in self.peers.values()
             if state.rtt.rto is not None
         ]
         return max(rtos) if rtos else None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"FailureDetector(peers={sorted(self._peers)})"
+        return f"FailureDetector(peers={sorted(self.peers)})"

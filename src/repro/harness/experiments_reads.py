@@ -160,7 +160,9 @@ def e19_reads(seed: int = 1901) -> ExperimentResult:
             "quorum-leased primary (staleness 0); backup prefers a "
             "randomly chosen backup under the default max_staleness "
             "bound, so 'max staleness' reports the worst prefix lag "
-            "actually served (~one heartbeat interval); cache adds the "
+            "actually served (up to 1.5 heartbeat intervals: the primary "
+            "skips the beacon to a backup it sent a buffer message within "
+            "the last half interval); cache adds the "
             "client-side commit-set cache, whose hits cost zero network "
             "round trips.  Writes always use the call path.  The "
             "stale-read safety half of the claim is gated separately by "

@@ -110,12 +110,13 @@ def e16_liveness(duration: float = 12_000.0, seeds=(1601, 1602)) -> ExperimentRe
             "out the full invite timeout, paces call retries at "
             "RTT-derived intervals inside the unchanged total patience, "
             "and jitters manager promotion so cohorts do not collide -- "
-            "on the lossy network view changes converge faster (mean and "
-            "worst case) at no cost in availability.  Under partition "
+            "on the lossy network view changes converge faster (mean; the "
+            "worst case too over eight seeds, 61 vs 79, though not on "
+            "these two) at no cost in availability.  Under partition "
             "storms adaptive mode retries through the partition, so some "
             "measured outages span the whole blackout; availability there "
             "is the same in both arms: over eight seeds they average "
-            "0.83 / 0.82 (0.92 / 0.92 without storms; 0.79 / 0.79 and "
+            "0.82 / 0.83 (0.93 / 0.93 without storms; 0.79 / 0.79 and "
             "0.89 / 0.89 while a lock inherited through a view change "
             "could stay held and fail one of the prober's 16 keys for the "
             "rest of a run: docs/PERF.md, PR 18).  "

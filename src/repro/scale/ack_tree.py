@@ -66,9 +66,11 @@ class AckTreeAcks(Extension):
         return parent, ack
 
     def _fold_child(self, handler: Callable, msg: m.BufferAckMsg) -> None:
+        # The paper's row hears the child (liveness) wherever it runs, and
+        # feeds the buffer at a primary.
+        handler(msg)
         cohort = self.cohort
         if not cohort.is_backup_in(msg.viewid):
-            handler(msg)
             return
         # Interior node: fold the child's (aggregated) subtree into ours and
         # forward the merged subtree upward after ``ACK_DELAY``.

@@ -99,7 +99,7 @@ def test_recovery_rewires_the_wrapped_rows_once():
     wrapped = (m.BufferAckMsg, m.ImAliveMsg, m.BufferMsg)
     before = {cls: cohort._any_status[cls] for cls in wrapped}
     depth = {cls: layers(before[cls]) for cls in wrapped}
-    assert depth == {m.BufferAckMsg: 4, m.ImAliveMsg: 2, m.BufferMsg: 2}
+    assert depth == {m.BufferAckMsg: 3, m.ImAliveMsg: 2, m.BufferMsg: 1}
     cohort.node.crash()
     cohort.node.recover()
     for cls in wrapped:

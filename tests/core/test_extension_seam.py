@@ -30,7 +30,7 @@ from repro.live import one_crash
 #: mechanism -> (the sub-config and knobs that arm it, its extension, the
 #: rows it adds or wraps)
 MECHANISMS = {
-    "batching": ("batch", {"enabled": True}, "Batching", {m.BufferAckMsg, m.BufferMsg}),
+    "batching": ("batch", {"enabled": True}, "Batching", set()),
     "leases": (
         "reads",
         {"enabled": True},
@@ -105,7 +105,7 @@ def test_default_config_builds_the_paper_cohort_and_nothing_else():
         assert _extension_rows(cohort) == set()
         assert _shadowed_methods(cohort) == set()
         assert m.WitnessInstallMsg not in cohort._any_status
-        assert cohort.buffer_options == {"send": cohort.send_mid, "max_batch": 64}
+        assert cohort.buffer_options == {"send": cohort.send_traffic, "max_batch": 64}
 
 
 def test_a_default_config_run_never_imports_the_extension_subsystems():

@@ -225,15 +225,15 @@ def _export_sha256(txns, **trace):
 def test_golden_export_of_the_seed_77_run():
     # tests/trace/test_determinism.py::_traced_run(seed=77), default ring
     assert _export_sha256(60) == (
-        "d4633fb029c08c7aca9953bad8ede101212fed40db52b28e866b518a294ce83f",
-        5469,
+        "8ff8cbcf6ddf6d4058f39273bed72c2acabdb7cb53ce9761a06d4a235cd0f09e",
+        5073,
         0,
     )
 
 
 def test_golden_export_of_a_wrapped_5000_slot_ring():
     assert _export_sha256(200, ring_size=5000) == (
-        "2cd89a0be29722168d3dc0396d175a423caec54d57d4e45fe08d7c33225c8099",
-        15473,
-        10473,
+        "dadcc354f584a0298b888cbdf4fa65a925f7274ea6cdbdf3f14df6fd12e3b305",
+        13995,
+        8995,
     )
