@@ -14,9 +14,11 @@ generator functions registered on the group::
   into subactions (section 3.6), in which case only the call's subaction
   aborts and the call is retried as a new subaction.
 - At commit, the primary runs 2PC: prepare (with the pset) to every
-  participant, then a committing record forced to the backups, then commit
-  messages, then a done record once all acknowledge.  "User code can
-  continue running as soon as the committing record has been forced."
+  participant, then -- unless all were read-only, when the last accept is
+  the commit point (DESIGN.md D15) -- a committing record forced to the
+  backups, then commit messages, then a done record once all acknowledge.
+  "User code can continue running as soon as the committing record has
+  been forced."
 - A view change at the client group auto-aborts its active transactions;
   a new primary resumes phase two for surviving committing records.
 """
@@ -88,6 +90,7 @@ class ClientRole:
         self._txns: Dict[Aid, _RunningTxn] = {}
         self._created: Set[Aid] = set()
         self._seq = 0
+        self._call_seq = 0
         self._request_replies: Dict[Tuple[str, int], m.TxnOutcomeMsg] = {}
         self._requests_in_progress: Set[Tuple[str, int]] = set()
 
@@ -264,7 +267,7 @@ class ClientRole:
     ) -> Future:
         cohort = self.cohort
         done = Future(label=f"txncall:{txn.aid}:{proc}")
-        self._call_seq = getattr(self, "_call_seq", 0) + 1
+        self._call_seq += 1
         call_id = txn.next_attempt_id(self._call_seq)
         attempt = cohort.caller.call(
             txn.aid, groupid, proc, args, call_id,
@@ -429,14 +432,20 @@ class ClientRole:
         self._abort_txn(state, reason=f"prepare refused by {msg.groupid}: {msg.reason}")
 
     def _all_prepared(self, state: _RunningTxn) -> None:
-        """Figure 2 step 2: committing record, force, then commit messages."""
+        """Figure 2 step 2: committing record, force, then commit messages;
+        with nobody in the plist this instant is the commit point instead."""
         cohort = self.cohort
         txn = state.txn
-        txn.phase = "committing"
         self._cancel_timers(state)
         plist = tuple(
             sorted(g for g, read_only in state.prepare_ok.items() if not read_only)
         )
+        if not plist:
+            txn.phase = "done"
+            del self._txns[txn.aid]
+            self._commit_point(state, plist, None)
+            return
+        txn.phase = "committing"
         pset_pairs = tuple(txn.pset.pairs())
         committing_vs = cohort.add_record(
             Committing(aid=txn.aid, plist=plist, pset_pairs=pset_pairs)
@@ -451,21 +460,19 @@ class ClientRole:
             if cohort._epoch != epoch or not cohort.is_active_primary:
                 return
             cohort.metrics.observe("commit_force_latency", cohort.sim.now - forced_at)
-            self._commit_point(state, plist, pset_pairs, committing_vs.ts)
+            self._commit_point(state, plist, committing_vs.ts)
+            self._phase_two(state, plist, pset_pairs)
 
         force.add_done_callback(after_force)
 
-    def _commit_point(
-        self, state: _RunningTxn, plist, pset_pairs, forced_ts: int
-    ) -> None:
-        """The committing record is known to a majority: the transaction is
-        durably committed.  User code continues now."""
+    def _commit_point(self, state: _RunningTxn, plist, forced_ts) -> None:
+        """Committed: the committing record is known to a majority, or
+        (``forced_ts`` None) nobody is in it.  User code continues now."""
         cohort = self.cohort
         txn = state.txn
         if cohort.tracer is not None:
-            # Evaluated synchronously with the force resolution, so the
-            # buffer's ack table still reflects the quorum that satisfied
-            # it -- the commit-quorum monitor audits exactly this snapshot.
+            # Synchronous with the force resolution: the buffer's ack table
+            # is still the quorum that satisfied it, which commit_quorum audits.
             cohort.tracer.emit(
                 "commit_point",
                 node=cohort.node.node_id,
@@ -473,6 +480,7 @@ class ClientRole:
                 aid=str(txn.aid),
                 viewid=str(cohort.cur_viewid),
                 force_ts=forced_ts,
+                plist=sorted(plist),
                 acked={str(k): v for k, v in cohort.buffer.acked.items()},
                 config_size=cohort.config_size,
             )
@@ -490,16 +498,16 @@ class ClientRole:
         cohort.metrics.incr(f"txns_committed:{cohort.mygroupid}")
         if not state.future.done:
             state.future.set_result(("committed", state.result))
-        state.commit_waiting = set(plist)
-        if not plist:
-            self._finish_commit(txn.aid)
-            self._txns.pop(txn.aid, None)
-            return
-        self._send_commits(txn.aid, plist, pset_pairs)
-        state.commit_timer = cohort.set_timer(
-            cohort.timeouts.commit_retry_interval(),
+
+    def _phase_two(self, state: _RunningTxn, waiting, pset_pairs) -> None:
+        """Commit messages to whoever has yet to acknowledge; retry timer."""
+        aid = state.txn.aid
+        state.commit_waiting = set(waiting)
+        self._send_commits(aid, sorted(state.commit_waiting), pset_pairs)
+        state.commit_timer = self.cohort.set_timer(
+            self.cohort.timeouts.commit_retry_interval(),
             self._commit_retry,
-            txn.aid,
+            aid,
             pset_pairs,
         )
 
@@ -527,13 +535,7 @@ class ClientRole:
         for groupid in sorted(state.commit_waiting):
             for _mid, address in cohort.locate(groupid):
                 cohort.send(address, m.ViewProbeMsg(reply_to=cohort.address))
-        self._send_commits(aid, sorted(state.commit_waiting), pset_pairs)
-        state.commit_timer = cohort.set_timer(
-            cohort.timeouts.commit_retry_interval(),
-            self._commit_retry,
-            aid,
-            pset_pairs,
-        )
+        self._phase_two(state, state.commit_waiting, pset_pairs)
 
     def on_commit_ack(self, msg: m.CommitAckMsg) -> None:
         state = self._txns.get(msg.aid)
@@ -541,13 +543,10 @@ class ClientRole:
             return
         state.commit_waiting.discard(msg.groupid)
         if not state.commit_waiting:
+            # All participants acknowledged: add the done record (Figure 2).
             self._cancel_timers(state)
-            self._finish_commit(msg.aid)
+            self.cohort.add_record(Done(aid=msg.aid))
             self._txns.pop(msg.aid, None)
-
-    def _finish_commit(self, aid: Aid) -> None:
-        """All participants acknowledged: add the done record (Figure 2)."""
-        self.cohort.add_record(Done(aid=aid))
 
     # -- resumed phase two (new primary) --------------------------------------
 
@@ -574,7 +573,8 @@ class ClientRole:
             if cohort._epoch != epoch or not cohort.is_active_primary:
                 return
             cohort.metrics.incr(f"commits_resumed:{cohort.mygroupid}")
-            self._commit_point(state, tuple(plist), tuple(pset_pairs), forced_ts)
+            self._commit_point(state, plist, forced_ts)
+            self._phase_two(state, plist, pset_pairs)
 
         force.add_done_callback(after_force)
 

@@ -7,7 +7,8 @@ At the active primary of a server group:
   the reply with the call's pset pairs;
 - **prepare** checks ``compatible(pset, mygroupid, history)``, forces
   ``vs_max(pset, mygroupid)``, releases read locks, and accepts (flagging
-  read-only participants) or refuses and aborts;
+  read-only participants, which commit themselves then and there and
+  repeat the flag to a duplicate prepare) or refuses and aborts;
 - **commit** installs tentative versions, adds and forces a committed
   record, then acknowledges;
 - **abort** discards locks and versions and adds an aborted record;
@@ -267,10 +268,14 @@ class ServerRole:
             )
             return
         if outcome == "committed":
-            # Duplicate prepare after commit: the earlier accept was lost.
+            # Duplicate prepare after commit: the earlier accept was lost, and
+            # it said read-only.  While its coordinator still prepares (any
+            # other ignores this answer) a participant holds "committed" only
+            # by the read-only commit of _finish_prepare; saying otherwise
+            # would put the transaction back on the two-phase path.
             cohort.send(
                 msg.coordinator,
-                m.PrepareOkMsg(aid=aid, groupid=cohort.mygroupid, read_only=False),
+                m.PrepareOkMsg(aid=aid, groupid=cohort.mygroupid, read_only=True),
             )
             return
         self._drop_orphan_calls(aid, msg.pset_pairs, msg.aborted_subactions)

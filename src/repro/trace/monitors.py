@@ -183,13 +183,25 @@ class CommitQuorumMonitor(InvariantMonitor):
     paper = "§3.3, §3.7"
     description = (
         "at a commit point the committing record's timestamp is acked by a "
-        "sub-majority of backups (with the primary, a majority knows it)"
+        "sub-majority of backups (with the primary, a majority knows it); "
+        "only a commit with an empty plist may go unforced"
     )
     kinds = ("commit_point",)
 
     def on_event(self, event, tracer) -> None:
         data = event.data
         force_ts = data["force_ts"]
+        if force_ts is None:
+            # No committing record: sound only when phase two has nobody to
+            # tell, because every participant committed itself at prepare.
+            if data["plist"]:
+                self.fail(
+                    tracer,
+                    event,
+                    f"commit of {data['aid']} without a forced committing "
+                    f"record, with {data['plist']} still to be told",
+                )
+            return
         config_size = data["config_size"]
         satisfied = sum(
             1 for acked_ts in data["acked"].values() if acked_ts >= force_ts

@@ -107,7 +107,7 @@ def test_commit_quorum_trips_without_backup_acks():
     tracer = make_tracer("commit_quorum")
     with pytest.raises(InvariantViolation) as caught:
         tracer.emit("commit_point", node="n0", group="kv", aid="a1",
-                    viewid="v1.0", force_ts=7,
+                    viewid="v1.0", force_ts=7, plist=["kv"],
                     acked={"1": 3, "2": 0}, config_size=3)
     assert caught.value.monitor == "commit_quorum"
 
@@ -115,8 +115,29 @@ def test_commit_quorum_trips_without_backup_acks():
 def test_commit_quorum_satisfied_by_sub_majority():
     tracer = make_tracer("commit_quorum")
     tracer.emit("commit_point", node="n0", group="kv", aid="a1",
-                viewid="v1.0", force_ts=7,
+                viewid="v1.0", force_ts=7, plist=["kv"],
                 acked={"1": 7, "2": 0}, config_size=3)
+
+
+def test_commit_quorum_accepts_an_unforced_commit_with_nobody_to_tell():
+    # every participant was read-only: no committing record, no force
+    # (DESIGN.md D15), whatever the backups have acknowledged
+    tracer = make_tracer("commit_quorum")
+    tracer.emit("commit_point", node="n0", group="clients", aid="a1",
+                viewid="v1.0", force_ts=None, plist=[],
+                acked={"1": 0, "2": 0}, config_size=3)
+
+
+def test_commit_quorum_trips_on_an_unforced_commit_with_a_writer():
+    # the mutant: skipping the force while a participant still waits for
+    # phase two is the decision a view change could lose
+    tracer = make_tracer("commit_quorum")
+    with pytest.raises(InvariantViolation) as caught:
+        tracer.emit("commit_point", node="n0", group="clients", aid="a1",
+                    viewid="v1.0", force_ts=None, plist=["kv"],
+                    acked={"1": 9, "2": 9}, config_size=3)
+    assert caught.value.monitor == "commit_quorum"
+    assert "without a forced committing record" in caught.value.message
 
 
 # -- phantom_delivery ------------------------------------------------------
