@@ -11,11 +11,13 @@ The paper's engineering advice is encoded in the defaults:
 - section 3.7: "Careful engineering is needed here to provide both speedy
   delivery and small numbers of messages" -- ``flush_interval`` is the
   period of the buffer's background sweep (which ships what no force asked
-  for) and the floor of its retransmission timeout (``max(flush_interval,
-  rto)``: each record is sent to each backup once, and again only after
-  that long without ack progress).  Prepare-time force stalls no longer
-  depend on it (E2): a completed-call record is delivered to a sub-majority
-  in the background the moment it is added; see :mod:`repro.core.buffer`.
+  for, and the backups no force ships: a force is speedy for the
+  sub-majority it waits for) and the floor of its retransmission timeout
+  (``max(flush_interval, rto)``: each record is sent to each backup once,
+  and again only after that long without ack progress).  Prepare-time force
+  stalls no longer depend on it (E2): a completed-call record is delivered to
+  a sub-majority in the background the moment it is added; see
+  :mod:`repro.core.buffer`.
 
 Every timeout and interval is a flat field of :class:`ProtocolConfig`; the
 opt-in extensions are nested sub-configs:
@@ -44,9 +46,10 @@ class BatchConfig:
     """Replication hot-path batching and pipelining (see docs/PERF.md).
 
     ``BatchConfig()`` (``enabled=False``) is the paper-faithful baseline:
-    every ``force_to`` flushes at once -- the records no earlier flush
-    shipped, nothing when there are none -- and every :class:`BufferMsg` is
-    acknowledged individually.  With ``enabled=True`` the primary coalesces
+    every ``force_to`` flushes at once -- to the sub-majority it waits for,
+    the records no earlier flush shipped, nothing when there are none; the
+    sweep serves the rest -- and every :class:`BufferMsg` is acknowledged
+    individually.  With ``enabled=True`` the primary coalesces
     records into one serialized flush per ``flush_interval`` tick, keeps up
     to ``pipeline_depth`` record batches in flight per backup before
     stop-and-wait, backups coalesce their cumulative acks onto the same

@@ -37,28 +37,30 @@ discipline for both transmission modes -- each record crosses each link once:
 - **one retransmitter**, the background sweep (:meth:`flush`): a backup
   whose outstanding records saw no ack progress for ``max(flush_interval,
   rto(mid))`` -- the round-trip timeout its failure detector learned from
-  heartbeats -- goes back to its ack (go-back-N); a backup holds a message
-  that overtook an earlier one (:class:`HeldRecords`), so reordering alone
-  costs no resend;
+  heartbeats; plus ``join_delay``, its viewid write, before its first ack of
+  the view -- goes back to its ack (go-back-N); a backup holds a message that
+  overtook an earlier one (:class:`HeldRecords`), so reordering costs no resend;
 - the mode is *when* a flush runs.  **Unbatched** (the paper-faithful
-  default): a force flushes at once ("speedy delivery"), a push ships to its
-  few targets at once, other records wait for the next force or sweep.
+  default): a force or a push ships at once ("speedy delivery") to the few
+  backups named below, and the sweep ships everybody what they still lack.
   **Batched** (``BatchConfig.enabled``): every add and force *requests* a
   flush and one coalescing tick per ``BatchConfig.flush_interval`` serves
-  them all -- a push has nothing left to do.  Section 3.7's "careful
-  engineering is needed here to provide both speedy delivery and small
-  numbers of messages" is exactly this trade.
+  them all, and every backup -- a push has nothing left to do.  Section 3.7's
+  "careful engineering is needed here to provide both speedy delivery and
+  small numbers of messages" is exactly this trade.
 
-Who is pushed to, and when.  A force needs a sub-majority, so a push goes to
-``sub_majority(configuration_size)`` backups and no more: the ones with the
-highest cumulative acks, so a backup that stops acknowledging loses the role
-by itself.  The others get the record, coalesced, with the next force or
-sweep; the send marks keep that to one copy per link, so a push acknowledged
-before its prepare costs no extra message.  A target is shipped an offer only
-while it has no earlier *push* unacknowledged, and that ack re-offers what
-accumulated: one push per link per round trip, however many calls complete.
-The gate is per push, not per link: forces keep a busy link busy all the
-time, and what they leave behind is exactly what a later prepare waits for.
+Who is served speedily (DESIGN.md D16).  A force waits for a sub-majority, so
+a force or push ships ``sub_majority(configuration_size)`` backups and no more
+(:meth:`_speedy`): those with the highest cumulative acks, so a backup that
+stops acknowledging loses the role by itself.  The others get the same records
+once, coalesced, from the next sweep -- durability is the ack rule, not the
+send rule.  One target on a link that loses traffic would stall a force for a
+whole sweep, so for ``force_timeout`` after a sweep had to rewind any backup a
+force ships everybody.  A push goes to a target only while it has no earlier
+*push* unacknowledged, and that ack re-offers what accumulated: one push per
+link per round trip, however many calls complete.  The gate is per push, not
+per link: forces keep a busy link busy, and what they leave behind is exactly
+what a later prepare waits for.
 
 Delivery failure is surfaced as a force timeout in either mode, which
 abandons the force and triggers a view change, matching footnote 1.
@@ -69,7 +71,7 @@ from __future__ import annotations
 from array import array
 from heapq import nlargest
 from itertools import repeat
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.events import EventRecord
 from repro.core.messages import BufferAckMsg, BufferMsg
@@ -104,10 +106,11 @@ class CommunicationBuffer:
         configuration* (section 3), not of the current view.
     batch_enabled / flush_delay / pipeline_depth:
         Batched transmission mode (see module docstring); off by default.
-    flush_interval / clock / rto:
+    flush_interval / clock / rto / join_delay:
         The sweep period, ``clock()`` -> virtual time, ``rto(mid)`` -> that
-        peer's learned round-trip timeout or None.  Without them time stands
-        still: every sweep retransmits and no force deadline comes due.
+        peer's learned round-trip timeout or None, a backup's stable viewid
+        write.  Without them time stands still: every sweep retransmits and
+        no force deadline comes due.
     trace:
         Optional ``trace(kind, **data)`` hook for batch_flush events.
     """
@@ -129,6 +132,7 @@ class CommunicationBuffer:
         flush_interval: float = 0.0,
         clock: Callable[[], float] = lambda: 0.0,
         rto: Callable[[int], Optional[float]] = lambda mid: None,
+        join_delay: float = 0.0,
         trace: Optional[Callable[..., None]] = None,
     ):
         self.viewid = viewid
@@ -149,6 +153,7 @@ class CommunicationBuffer:
         self._flush_interval = flush_interval
         self._clock = clock
         self._rto = rto
+        self._join_delay = join_delay
         self._trace = trace
 
         self.timestamp = 0  # Figure 1's "timestamp: int % the timestamp generator"
@@ -162,7 +167,9 @@ class CommunicationBuffer:
         # outstanding records last made progress (first shipped, or acked).
         self._sent: Dict[int, int] = {mid: 0 for mid in self.backups}
         self._progress_at: Dict[int, float] = {}
-        self._flush_to = 0  # highest ts a flush has been asked to ship
+        # A backup whose flush the window cut short -> the ts it was asked for.
+        self._cut: Dict[int, int] = {}
+        self._lossy_until = 0.0  # a sweep rewound a backup: forces ship everybody
         self._tick_pending = False
         # Background delivery: the highest ts offered; per backup the ts its
         # last push reached (its gate: shut until acked); is an offer waiting?
@@ -190,6 +197,8 @@ class CommunicationBuffer:
         for mid in list(self.acked):
             if mid not in self.backups:
                 del self.acked[mid], self._sent[mid], self._pushed[mid]
+                self._progress_at.pop(mid, None)
+                self._cut.pop(mid, None)
         self._check_forces()
 
     # -- the three operations ---------------------------------------------
@@ -250,12 +259,16 @@ class CommunicationBuffer:
         then waits for that ack (:meth:`on_ack` re-offers)."""
         acked, sent, offered = self.acked, self._sent, self._offered
         self._push_waiting = False
-        for mid in nlargest(self._needed, self.backups, key=acked.__getitem__):
+        for mid in self._speedy():
             if acked[mid] >= self._pushed[mid] and self._ship_next(mid, offered):
                 self._pushed[mid] = sent[mid]
                 self.pushes += 1
             if sent[mid] < offered:
                 self._push_waiting = True
+
+    def _speedy(self) -> List[int]:
+        """The backups owed speedy delivery (module docstring)."""
+        return nlargest(self._needed, self.backups, key=self.acked.__getitem__)
 
     # -- transmission ------------------------------------------------------
 
@@ -271,17 +284,22 @@ class CommunicationBuffer:
             if self._sent[mid] > self.acked[mid]:
                 # Batched, an ack may sit out one coalescing tick at the backup.
                 patience = max(self._flush_interval, (self._rto(mid) or 0.0) + self._flush_delay)
+                if not self.acked[mid]:
+                    patience += self._join_delay  # it cannot ack before it has joined
                 if now >= self._progress_at[mid] + patience:  # the sum a timer makes
                     self._sent[mid] = self.acked[mid]
-        self._flush_new()
+                    self._lossy_until = now + self._force_timeout
+        self._flush_new(self.backups)
 
-    def request_flush(self) -> None:
-        """Ship what is new: now (speedy delivery), or, batched, on the one
-        coalescing tick that serves every add and force of the interval."""
+    def request_flush(self, resume: Sequence[int] = ()) -> None:
+        """Ship what is new: now, to the speedy targets (or the backups whose
+        cut-short flush *resume*s), or, batched, on the one coalescing tick
+        that serves every add, every force and every backup of the interval."""
         if self.closed:
             return
         if not self._batch_enabled:
-            self._flush_new()
+            lossy = self._clock() < self._lossy_until
+            self._flush_new(resume or (self.backups if lossy else self._speedy()))
         elif not self._tick_pending:
             self._tick_pending = True
             self._set_timer(self._flush_delay, self._flush_tick)
@@ -289,20 +307,22 @@ class CommunicationBuffer:
     def _flush_tick(self) -> None:
         self._tick_pending = False
         if not self.closed:
-            self._flush_new()
+            self._flush_new(self.backups)
 
-    def _flush_new(self) -> None:
-        """Send each backup its next batch of records above its mark."""
-        self._flush_to = upto = self.timestamp
-        sizes = [n for n in map(self._ship_next, self.backups, repeat(upto)) if n]
+    def _flush_new(self, targets: Sequence[int]) -> None:
+        """Send each of *targets* its next batch of records above its mark."""
+        upto, cut = self.timestamp, self._cut
+        sizes = [n for n in map(self._ship_next, targets, repeat(upto)) if n]
+        for mid in targets:
+            if self._sent[mid] < upto:
+                cut[mid] = upto
+            else:
+                cut.pop(mid, None)
         if sizes:
             self.flush_ticks += 1
             if self._trace is not None:
                 self._trace("batch_flush", msgs=len(sizes), records=sum(sizes), ts=self.timestamp)
-        # Keep the pipeline draining while windows are open and records
-        # remain unsent (one flush ships at most max_batch per backup).
-        if self._unsent_backups():
-            self.request_flush()
+        self._resume()  # one flush ships at most max_batch per backup
 
     def _next_batch(self, mid: int, upto: int) -> Tuple[int, int]:
         """``(sent, end_ts)``: *mid*'s next batch is the records up to *upto*
@@ -329,12 +349,14 @@ class CommunicationBuffer:
         self._send(mid, message)
         return end - start
 
-    def _unsent_backups(self) -> bool:
-        """True if any backup has requested records inside an open window."""
-        if min(self._sent.values(), default=self._flush_to) >= self._flush_to:
-            return False  # every mark is at the request: the common case, at C speed
-        batches = map(self._next_batch, self.backups, repeat(self._flush_to))
-        return any(end > sent for sent, end in batches)
+    def _resume(self) -> None:
+        """Keep the pipeline draining: request the next batch for the backups
+        a flush left with requested records unsent inside an open window."""
+        if self._cut:  # else no flush was cut short: the common case
+            batches = map(self._next_batch, self._cut, self._cut.values())
+            unsent = [mid for mid, (sent, end) in zip(self._cut, batches) if end > sent]
+            if unsent:
+                self.request_flush(unsent)
 
     def on_ack(self, ack: BufferAckMsg) -> None:
         """Process a cumulative ack from a backup.
@@ -359,9 +381,7 @@ class CommunicationBuffer:
                 else:
                     self._sent[mid] = acked_ts
         if advanced:
-            # An advancing ack opens window space: resume a flush it cut short.
-            if self._unsent_backups():
-                self.request_flush()
+            self._resume()  # an advancing ack opens window space
             if self._push_waiting:
                 self._push_offered()  # the ack a shut gate was waiting for?
             self._check_forces()

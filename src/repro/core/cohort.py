@@ -722,6 +722,7 @@ class Cohort(Actor):
             flush_interval=self.config.flush_interval,
             clock=self.detect.clock,
             rto=self.detect.rto,
+            join_delay=self.config.stable_write_latency,
             **self.buffer_options,  # send= and the transmission mode
         )
 

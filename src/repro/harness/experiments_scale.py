@@ -244,11 +244,12 @@ def e18_batching(
             "condition.  The viewchange condition crashes the kv primary "
             "at t=150 and recovers it 400 later; retried counts the "
             "extra attempts the crash (or loss) aborted.  On a clean LAN "
-            "the win is ack coalescing plus per-tick flush coalescing; "
-            "under loss the reduction shrinks and smaller batches fare "
-            "slightly better, because go-back-N rewinds re-send at most "
-            "one window and a larger max_batch makes that window (and "
-            "each redundant resend) bigger."
+            "the win is ack coalescing plus per-tick flush coalescing, "
+            "over an unbatched path whose forces already ship only the "
+            "sub-majority they wait for; under loss the reduction shrinks "
+            "to seed noise, because go-back-N rewinds re-send at most one "
+            "window: a larger max_batch makes that window (and each "
+            "redundant resend) bigger, a small one stops and waits."
         ),
         failures=e18_shape(rows),
     )

@@ -5,6 +5,7 @@ import pytest
 from repro.core.buffer import CommunicationBuffer, ForceAbandoned
 from repro.core.events import Aborted
 from repro.core.messages import BufferAckMsg, BufferMsg
+from repro.core.view import sub_majority
 from repro.core.viewstamp import ViewId, Viewstamp
 from repro.sim.kernel import Simulator
 from repro.txn.ids import Aid
@@ -125,8 +126,49 @@ def test_force_triggers_immediate_flush():
     vs = h.buffer.add(record())
     assert h.sent == []
     h.buffer.force_to(vs)
-    assert len(h.sent) == 2  # one BufferMsg per backup
+    assert len(h.sent) == 1  # one BufferMsg, to the backup the force waits for
     assert all(isinstance(message, BufferMsg) for _mid, message in h.sent)
+    h.buffer.flush()  # the sweep: the other backup's copy, and no second one
+    assert h.records_to(1) == h.records_to(2) == [1]
+
+
+@pytest.mark.parametrize("config_size", [3, 5, 7])
+def test_a_force_ships_a_sub_majority_and_the_sweep_ships_the_rest(config_size):
+    """Speedy delivery is owed to the backups a force waits for -- the ones a
+    push would choose, the best acknowledged -- and to nobody else."""
+    backups = tuple(range(1, config_size))
+    needed = sub_majority(config_size)
+    h = Harness(backups=backups, config_size=config_size)
+    h.buffer.add(record(1))
+    h.buffer.flush()
+    for mid in backups[-needed:]:  # the last ones answer, the others lag
+        h.ack(mid, 1)
+    swept = len(h.sent)
+    h.buffer.add(record(2))
+    force = h.buffer.force_to(Viewstamp(VID, 2))
+    assert [mid for mid, _m in h.sent[swept:]] == list(backups[-needed:])
+    h.buffer.add(record(3))
+    h.buffer.push()  # one selection: the push goes where the force went
+    assert [mid for mid, _m in h.sent[swept + needed:]] == list(backups[-needed:])
+    for mid in backups[-needed:]:
+        h.ack(mid, 3)
+    assert force.done
+    h.buffer.flush()
+    for mid in backups:  # everybody has every record, in one copy
+        assert h.records_to(mid) == [1, 2, 3]
+
+
+def test_a_force_ships_every_backup_when_it_waits_for_every_backup():
+    """Two storage backups left of a configuration of five (the others are
+    witnesses, or outside the view): the sub-majority is all of them."""
+    h = Harness(backups=(1, 2), config_size=5)
+    h.buffer.add(record(1))
+    force = h.buffer.force_to(Viewstamp(VID, 1))
+    assert sorted(mid for mid, _m in h.sent) == [1, 2]
+    h.ack(1, 1)
+    assert not force.done
+    h.ack(2, 1)
+    assert force.done
 
 
 def test_flush_sends_only_unacked_suffix():
@@ -233,6 +275,28 @@ def test_set_backups_extends_and_shrinks():
     assert set(h.buffer.acked) == {1}
 
 
+def test_removing_the_speedy_target_leaves_nothing_of_it_and_strands_no_force():
+    """``try_unilateral_edit`` drops the backup a pending force was shipped
+    to -- with a flush the window cut short, the worst case -- and sweeps:
+    the force resolves on the remaining backup's ack."""
+    h = Harness(max_batch=2)
+    for n in range(1, 4):
+        h.buffer.add(record(n))
+    force = h.buffer.force_to(Viewstamp(VID, 3))
+    assert h.records_to(1) == [1, 2] and h.records_to(2) == []  # 1 is the target
+    buffer = h.buffer
+    buffer.set_backups((2,))
+    for per_backup in (buffer.acked, buffer._sent, buffer._pushed, buffer._progress_at, buffer._cut):
+        assert 1 not in per_backup
+    buffer.flush()  # what the edit does next
+    h.ack(1, 2)  # a late ack of the excluded backup: a stray
+    h.ack(2, 2)  # opens the window: no KeyError, the rest follows
+    assert h.records_to(2) == [1, 2, 3] and not force.done
+    h.ack(2, 3)
+    assert force.done and force.exception() is None and h.force_failures == 0
+    assert h.sim.now == 0.0  # nobody waited for a timeout
+
+
 def test_excluding_slow_backup_can_complete_force():
     """Unilateral exclusion: removing a dead backup lets a force that only
     needs a sub-majority complete with the live ones."""
@@ -332,6 +396,8 @@ def _go_back_n_rewinds_stalled_backup(batch_enabled):
     for n in range(1, 4):
         h.buffer.add(record(n))
     h.buffer.force_to(Viewstamp(VID, 3))
+    if not batch_enabled:
+        h.buffer.flush()  # the force shipped backup 1 only: the sweep, the rest
     h.sim.run(until=1.0)  # shipped at 0.0, or batched on the 1.0 tick
     shipped_at, patience = (1.0, 8.0) if batch_enabled else (0.0, 7.0)
     assert h.records_to(1) == h.records_to(2) == [1, 2, 3]
@@ -352,6 +418,20 @@ def _go_back_n_rewinds_stalled_backup(batch_enabled):
     h.sim.run(until=shipped_at + 2 * patience - 0.25)
     h.buffer.flush()
     assert h.sent == []
+    if not batch_enabled:
+        # A rewind is lost traffic: for force_timeout (50.0) after it a force
+        # ships every backup, as two targets almost never both fail ...
+        h.buffer.add(record(4))
+        h.buffer.force_to(Viewstamp(VID, 4))
+        assert sorted(mid for mid, _m in h.sent) == [1, 2]
+        h.ack(1, 4)
+        h.ack(2, 4)
+        h.sent.clear()
+        h.sim.run(until=shipped_at + patience + 50.0)
+        h.buffer.flush()  # ... and without another one, a sub-majority again
+        h.buffer.add(record(5))
+        h.buffer.force_to(Viewstamp(VID, 5))
+        assert [mid for mid, _m in h.sent] == [1]
 
 
 def test_ack_progress_restarts_the_retransmission_clock():
@@ -359,6 +439,7 @@ def test_ack_progress_restarts_the_retransmission_clock():
     for n in range(1, 5):
         h.buffer.add(record(n))
     h.buffer.force_to(Viewstamp(VID, 4))
+    h.buffer.flush()  # both backups have ts 1-4 outstanding since 0.0
     h.sent.clear()
     h.sim.run(until=4.0)
     h.ack(1, 2)  # partial progress at 4.0: the rest is not lost, just slow
@@ -418,16 +499,29 @@ def test_batched_ack_advances_send_mark_past_lost_sends():
 
 def test_push_ships_to_one_backup_and_the_force_opens_only_the_other_link():
     """A single-call transaction costs no extra message: push + ack on one
-    link, then the prepare's force sends the record over the other only."""
+    link, and the prepare's force sends that link nothing.  The other link is
+    the sweep's -- or, after lost traffic, the only one the force opens."""
     h = Harness()
     stamp = h.buffer.add(record(1))
     h.buffer.push()
     assert [mid for mid, _m in h.sent] == [1] and h.buffer.pushes == 1
     force = h.buffer.force_to(stamp)
     assert not force.done                       # the push's ack is still out
-    assert [mid for mid, _m in h.sent] == [1, 2]
+    assert [mid for mid, _m in h.sent] == [1]   # ... and is all the force needs
     h.ack(1, 1)
-    assert force.done and h.records_to(1) == [1] and h.records_to(2) == [1]
+    assert force.done and h.records_to(1) == [1] and h.records_to(2) == []
+    h.buffer.flush()
+    assert h.records_to(2) == [1]
+    # Backup 2 never answers: at 5.0 the sweep rewinds it, and forces go to
+    # everybody -- over the link the push left closed, and no other.
+    h.sim.run(until=5.0)
+    h.buffer.flush()
+    h.sent.clear()
+    stamp = h.buffer.add(record(2))
+    h.buffer.push()
+    assert [mid for mid, _m in h.sent] == [1]
+    h.buffer.force_to(stamp)
+    assert [mid for mid, _m in h.sent] == [1, 2]
 
 
 def test_an_acknowledged_push_lets_the_force_return_at_once_and_send_nothing():
@@ -438,8 +532,10 @@ def test_an_acknowledged_push_lets_the_force_return_at_once_and_send_nothing():
     h.sent.clear()
     assert h.buffer.force_to(stamp).done and h.sent == []
     h.buffer.add(record(2))
-    h.buffer.force_to(Viewstamp(VID, 2))        # the other backup catches up, coalesced
-    assert h.records_to(2) == [1, 2] and h.records_to(1) == [2]
+    h.buffer.force_to(Viewstamp(VID, 2))
+    assert h.records_to(2) == [] and h.records_to(1) == [2]
+    h.buffer.flush()                            # the other backup catches up, coalesced
+    assert [len(m.records) for mid, m in h.sent if mid == 2] == [2]
 
 
 def test_the_gate_is_one_unacknowledged_push_per_link_and_its_ack_re_offers():
@@ -457,10 +553,10 @@ def test_the_gate_is_one_unacknowledged_push_per_link_and_its_ack_re_offers():
 def test_force_traffic_does_not_shut_the_gate():
     h = Harness()
     h.buffer.add(record(1))
-    h.buffer.force_to(Viewstamp(VID, 1))        # unacked force traffic on both links
+    h.buffer.force_to(Viewstamp(VID, 1))        # unacked force traffic on the push's link
     h.buffer.add(record(2))
     h.buffer.push()
-    assert h.records_to(1) == [1, 2] and h.records_to(2) == [1]
+    assert h.records_to(1) == [1, 2] and h.records_to(2) == []
 
 
 def test_push_goes_to_a_sub_majoritys_worth_of_the_best_acknowledged_backups():

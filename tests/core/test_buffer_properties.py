@@ -481,6 +481,83 @@ def test_send_once_under_loss_duplication_and_reordering(
     assert all(future.done for _ts, future in forces)
 
 
+thrift_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("add"), st.integers(1, 3)),
+        st.tuples(st.just("call"), st.integers(1, 3)),  # add, then push
+        st.tuples(st.just("force"), st.integers(0, 40)),
+        st.tuples(st.just("run"), st.sampled_from([0.25, 0.5, 1.0, 2.5, 7.5])),
+    ),
+    max_size=60,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    thrift_ops,
+    st.sampled_from([(2, 3), (4, 5), (6, 7), (2, 5)]),  # (backups, config size)
+    st.sampled_from([3, 200]),                         # max_batch: a tight window, an ample one
+)
+def test_speedy_delivery_to_a_sub_majority_still_sends_everybody_everything_once(
+    ops, shape, max_batch
+):
+    """Unbatched, on links that lose nothing (one-way delay 1.0, a sweep every
+    5.0): whatever the interleaving of adds, pushes, forces and acks, a force
+    or push ships at most a sub-majority's worth of backups, no record goes to
+    a backup twice, every sweep brings every send mark to the timestamp
+    (window permitting), and at rest ``records_sent`` is exactly
+    ``timestamp * len(backups)`` with every force resolved."""
+    n_backups, config_size = shape
+    needed = sub_majority(config_size)
+    sim = Simulator()
+    received = {mid: [] for mid in range(1, n_backups + 1)}
+    sends = []  # destination of every message of the current op
+
+    def send(mid, message):
+        sends.append(mid)
+        sim.schedule(1.0, deliver, mid, message)
+
+    def deliver(mid, message):
+        received[mid].extend(ts for ts, _record in message.records)
+        ack = BufferAckMsg(viewid=VID, acked_ts=received[mid][-1], mid=mid)
+        sim.schedule(1.0, buffer.on_ack, ack)
+
+    buffer = CommunicationBuffer(
+        viewid=VID, backups=tuple(received), configuration_size=config_size,
+        send=send, set_timer=lambda delay, fn, *a: sim.schedule(delay, fn, *a),
+        on_force_failure=lambda: None, force_timeout=1e9, max_batch=max_batch,
+        flush_interval=FLUSH_INTERVAL, clock=lambda: sim.now,
+    )
+
+    def sweep():
+        buffer.flush()
+        if max_batch == 200:  # marks never go back: nobody is ever a sweep behind
+            assert min(buffer._sent.values()) == buffer.timestamp
+        sim.schedule(FLUSH_INTERVAL, sweep)
+
+    sim.schedule(FLUSH_INTERVAL, sweep)
+    forces = []
+    for op, *params in ops:
+        sends.clear()
+        if op in ("add", "call"):
+            for _ in range(params[0]):
+                buffer.add(Aborted(aid=Aid("g", VID, buffer.timestamp)))
+            if op == "call":
+                buffer.push()
+        elif op == "force" and buffer.timestamp:
+            forces.append(buffer.force_to(Viewstamp(VID, 1 + params[0] % buffer.timestamp)))
+        if op == "run":
+            sim.run(until=sim.now + params[0])
+        else:
+            assert len(sends) == len(set(sends)) <= needed
+    sim.run(until=sim.now + 4 * FLUSH_INTERVAL * (1 + buffer.timestamp // max_batch))
+    for stamps in received.values():  # everything, once, in order
+        assert stamps == list(range(1, buffer.timestamp + 1))
+    assert buffer.records_sent == buffer.timestamp * n_backups
+    assert buffer._lossy_until == 0.0 and not buffer._cut  # no rewind, nothing cut short
+    assert all(force.done and force.exception() is None for force in forces)
+
+
 def test_the_hold_is_bounded_and_belongs_to_one_view():
     record = Aborted(aid=Aid("g", VID, 0))
 

@@ -248,12 +248,15 @@ def test_a_participant_primary_crashes_before_its_read_only_committed_ships(
 
 
 def test_a_write_only_run_is_byte_identical_to_the_two_phase_only_code():
-    """Recorded on PR 22's tree, before the one-phase path existed: no
-    transaction here is read-only, so nothing may move."""
+    """No transaction here is read-only, so the one-phase path may move
+    nothing: the digest of PR 22's tree, from before that path existed, held
+    through PR 23.  Re-recorded once on PR 24, whose forces ship a
+    sub-majority (every commit time moves; the store's ``state_digest`` does
+    not: ``python -m repro.gate``)."""
     rt, _kv, _clients, driver, spec = build_kv_system(seed=18)
     stats = run_kv_batch(rt, driver, spec, 120, read_fraction=0.0, concurrency=8)
     rt.quiesce()
     assert stats.committed == 120
     assert ledger_digest(rt) == (
-        "e78b768ef4068190b8fa95ee179386e744bfcf57d292a1da2f9047f069111275"
+        "45306742bd45dcaa4307861e9736173b3acd04f89093689ee0e1a5c68687e212"
     )

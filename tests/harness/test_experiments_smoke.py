@@ -124,7 +124,7 @@ def test_check_holds_the_committed_tables_and_names_an_edited_one(
     captured = capsys.readouterr()
     assert "E1: EXPERIMENTS.md is current" in captured.out
     assert "harness: FAIL -- E4: EXPERIMENTS.md is stale" in captured.err
-    assert "\n-3  6" in captured.err and "\n+3  6" in captured.err  # the diff
+    assert "\n-3  5" in captured.err and "\n+3  5" in captured.err  # the diff
     # --write puts the table back, touches nothing else, and is idempotent
     assert main(["--write", "E4"]) == 0
     assert (tmp_path / DOC).read_text() == COMMITTED

@@ -109,8 +109,10 @@ def test_a_cut_link_moves_the_push_to_the_other_backup_and_abandons_no_force():
     stamp = _completed_call(primary, 1)                   # this push is lost
     rt.run_for(2.0)
     assert other.applied_ts < stamp.ts
-    force = primary.force_to(stamp)                       # the prepare: opens the other link
+    force = primary.force_to(stamp)                       # the prepare: same link, nothing new
     rt.run_for(2.0)
+    assert not force.done
+    rt.run_for(primary.config.flush_interval)             # the sweep opens the other link
     assert force.done and force.exception() is None
     # The other backup's ack is now the highest: it has the push from here on.
     stamp = _completed_call(primary, 2)

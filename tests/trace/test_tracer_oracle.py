@@ -240,15 +240,15 @@ def _export_sha256(txns, **trace):
 def test_golden_export_of_the_seed_77_run():
     # tests/trace/test_determinism.py::_traced_run(seed=77), default ring
     assert _export_sha256(60) == (
-        "6bc720f827e7030f8f6918c04dbb61dc1d36a4ee44e83505bb4ebcc770a30b49",
-        4720,
+        "a89ce38b2e2ccfb3a9a3d604bc1ea8d7ebf87066b4537e6c13ececde4dbf79e3",
+        4552,
         0,
     )
 
 
 def test_golden_export_of_a_wrapped_5000_slot_ring():
     assert _export_sha256(200, ring_size=5000) == (
-        "509e8524e58584a9e9e3bb55289672fc10cc2a200756b6bbeb53f7d4138f1f37",
-        12894,
-        7894,
+        "83e6069c5b68270ec8f635922fb27dc36e8a1064a1f213ec14f98f8aae3e8247",
+        12286,
+        7286,
     )
