@@ -83,7 +83,7 @@ class Batching(Extension):
     def _in_place(self, send: Callable, groupid: str, message) -> None:
         """A prepare / commit / abort for our own group is delivered
         synchronously instead of mailed to ourselves: idempotent under the
-        retry loops like the wire path (``_perform_commit``'s
+        retry loops like the wire path (``on_commit``'s
         already_installed check), and mirroring ``ClientRole._abort_txn``'s
         local abort."""
         if groupid == self.cohort.mygroupid:

@@ -14,13 +14,15 @@ generator functions registered on the group::
   into subactions (section 3.6), in which case only the call's subaction
   aborts and the call is retried as a new subaction.
 - At commit, the primary runs 2PC: prepare (with the pset) to every
-  participant, then -- unless all were read-only, when the last accept is
-  the commit point (DESIGN.md D15) -- a committing record forced to the
-  backups, then commit messages, then a done record once all acknowledge.
-  "User code can continue running as soon as the committing record has
-  been forced."
-- A view change at the client group auto-aborts its active transactions;
-  a new primary resumes phase two for surviving committing records.
+  participant, then -- unless every accept said "committed here", when the
+  last accept is the commit point (DESIGN.md D15, D17) -- a committing
+  record forced to the backups, then commit messages, then a done record
+  once all acknowledge.  "User code can continue running as soon as the
+  committing record has been forced."
+- A view change at the client group auto-aborts its active transactions
+  (but one whose sole participant was asked to prepare, and alone may
+  abort it, is ``unknown``); a new primary resumes phase two for
+  surviving committing records.
 """
 
 from __future__ import annotations
@@ -108,10 +110,11 @@ class ClientRole:
         """View change: the group's transactions abort automatically."""
         txns, self._txns = self._txns, {}
         for state in txns.values():
+            undecided_here = self._sole_prepare(state.txn)
             state.txn.phase = "done"
             self._cancel_timers(state)
             if not state.future.done:
-                if self.cohort.committing.get(state.txn.aid) is not None:
+                if undecided_here or self.cohort.committing.get(state.txn.aid) is not None:
                     state.future.set_result(("unknown", None))
                 else:
                     self.cohort.runtime.ledger.record_abort(
@@ -322,9 +325,16 @@ class ClientRole:
     # two-phase commit: coordinator (Figure 2)
     # ------------------------------------------------------------------
 
+    @staticmethod
+    def _sole_prepare(txn: Transaction) -> bool:
+        """Prepared at the only group its pset names, which alone may abort it."""
+        return txn.phase == "preparing" and len(txn.pset.participants()) == 1
+
     def _start_prepare(self, state: _RunningTxn) -> None:
         cohort = self.cohort
         txn = state.txn
+        if not cohort.is_active_primary or txn.aid not in self._txns:
+            return  # deposed: the view change resolved this transaction
         txn.phase = "preparing"
         participants = txn.pset.participants()
         if cohort.tracer is not None:
@@ -400,6 +410,13 @@ class ClientRole:
             )
         else:
             out_of_patience = state.prepare_round >= _MAX_PREPARE_ROUNDS
+        if out_of_patience and self._sole_prepare(txn):
+            # It may have committed at the prepare: ask, decide nothing here.
+            txn.phase = "done"
+            self._txns.pop(txn.aid, None)
+            self._send_aborts(txn)
+            state.future.set_result(("unknown", None))
+            return
         if out_of_patience:
             # "If a more recent view cannot be discovered... abort."
             self._abort_txn(state, reason="participants unreachable at prepare")
@@ -421,7 +438,7 @@ class ClientRole:
         state = self._txns.get(msg.aid)
         if state is None or state.txn.phase != "preparing":
             return
-        state.prepare_ok[msg.groupid] = msg.read_only
+        state.prepare_ok[msg.groupid] = msg.committed
         if set(state.prepare_ok) >= state.txn.pset.participants():
             self._all_prepared(state)
 
@@ -438,7 +455,7 @@ class ClientRole:
         txn = state.txn
         self._cancel_timers(state)
         plist = tuple(
-            sorted(g for g, read_only in state.prepare_ok.items() if not read_only)
+            sorted(g for g, committed in state.prepare_ok.items() if not committed)
         )
         if not plist:
             txn.phase = "done"
@@ -470,20 +487,9 @@ class ClientRole:
         (``forced_ts`` None) nobody is in it.  User code continues now."""
         cohort = self.cohort
         txn = state.txn
-        if cohort.tracer is not None:
-            # Synchronous with the force resolution: the buffer's ack table
-            # is still the quorum that satisfied it, which commit_quorum audits.
-            cohort.tracer.emit(
-                "commit_point",
-                node=cohort.node.node_id,
-                group=cohort.mygroupid,
-                aid=str(txn.aid),
-                viewid=str(cohort.cur_viewid),
-                force_ts=forced_ts,
-                plist=sorted(plist),
-                acked={str(k): v for k, v in cohort.buffer.acked.items()},
-                config_size=cohort.config_size,
-            )
+        if plist or len(txn.pset.participants()) > 1:
+            # A sole participant traced its own decision.
+            cohort.server_role.trace_commit_point(txn.aid, forced_ts, plist)
         if cohort.tracer is not None and len(txn.pset.participants()) > 1:
             cohort.tracer.emit(
                 "shard_commit",
@@ -592,20 +598,7 @@ class ClientRole:
         self._cancel_timers(state)
         self._txns.pop(txn.aid, None)
         if cohort.is_active_primary:
-            participants = txn.pset.participants()
-            if cohort.mygroupid in participants:
-                # We coordinate a transaction on our own group (a sharded
-                # group's single-key path).  Abort locally and synchronously:
-                # a self-addressed AbortMsg would arrive after the Aborted
-                # record below sets the outcome, be ignored, and leak the
-                # write locks this group holds for the transaction.
-                cohort.server_role.on_abort(m.AbortMsg(aid=txn.aid))
-            for groupid in sorted(participants):
-                if groupid == cohort.mygroupid:
-                    continue
-                entry = cohort.cache.get(groupid)
-                if entry is not None:
-                    cohort.send(entry.primary_address, m.AbortMsg(aid=txn.aid))
+            self._send_aborts(txn)
             if cohort.outcomes.get(txn.aid) != "aborted":
                 cohort.add_record(Aborted(aid=txn.aid))
         cohort.runtime.ledger.record_abort(txn.aid, reason)
@@ -620,6 +613,23 @@ class ClientRole:
             )
         if not state.future.done:
             state.future.set_result(("aborted", None))
+
+    def _send_aborts(self, txn: Transaction) -> None:
+        cohort = self.cohort
+        participants = txn.pset.participants()
+        if cohort.mygroupid in participants:
+            # We coordinate a transaction on our own group (a sharded
+            # group's single-key path).  Abort locally and synchronously:
+            # a self-addressed AbortMsg would arrive after _abort_txn's
+            # Aborted record sets the outcome, be ignored, and leak the
+            # write locks this group holds for the transaction.
+            cohort.server_role.on_abort(m.AbortMsg(aid=txn.aid))
+        for groupid in sorted(participants):
+            if groupid == cohort.mygroupid:
+                continue
+            entry = cohort.cache.get(groupid)
+            if entry is not None:
+                cohort.send(entry.primary_address, m.AbortMsg(aid=txn.aid))
 
     def on_view_changed(self, msg: m.ViewChangedMsg) -> None:
         """A participant rejected a prepare/commit; chase the new primary."""

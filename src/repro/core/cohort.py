@@ -397,6 +397,7 @@ class Cohort(Actor):
             self.outcomes[record.aid] = "committed"
             if at_backup:
                 self._backup_install(record)
+                self.server_role.on_backup_commit(record)
             self.pending.pop(record.aid, None)
         elif isinstance(record, Aborted):
             self.outcomes[record.aid] = "aborted"
@@ -523,7 +524,9 @@ class Cohort(Actor):
         because that record may not yet be known to a majority.  The
         "aborted" inference for a transaction born in an older view of our
         own group is sound because a committing record forced in that view
-        is guaranteed to survive into our current state.
+        is guaranteed to survive into our current state -- and, for one a
+        sole participant decides (D17), because only it asks, while
+        undecided, and its abort on this answer makes the answer true.
         """
         known = self.outcomes.get(aid)
         if known is not None:

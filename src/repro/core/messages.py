@@ -90,11 +90,13 @@ class PrepareMsg(Message):
 
 @dataclasses.dataclass(slots=True)
 class PrepareOkMsg(Message):
-    """Participant acceptance; flags a read-only participant (Figure 3)."""
+    """Participant acceptance.  ``committed``: committed here, nothing for
+    phase two -- a read-only participant (Figure 3), or the only one the
+    pset names (DESIGN.md D17)."""
 
     aid: Aid
     groupid: str
-    read_only: bool
+    committed: bool
 
 
 @dataclasses.dataclass(slots=True)

@@ -6,11 +6,11 @@ At the active primary of a server group:
   calls); completion adds a completed-call record to the buffer and returns
   the reply with the call's pset pairs;
 - **prepare** checks ``compatible(pset, mygroupid, history)``, forces
-  ``vs_max(pset, mygroupid)``, releases read locks, and accepts (flagging
-  read-only participants, which commit themselves then and there and
-  repeat the flag to a duplicate prepare) or refuses and aborts;
+  ``vs_max(pset, mygroupid)``, releases read locks, and accepts or refuses
+  and aborts.  Read-only participants, and one the pset names alone, commit
+  then and there and accept ``committed`` (D15, D17);
 - **commit** installs tentative versions, adds and forces a committed
-  record, then acknowledges;
+  record, then acknowledges (a re-sent commit, too, only after the force);
 - **abort** discards locks and versions and adds an aborted record;
 - a **janitor** periodically queries coordinators about transactions whose
   outcome never arrived (section 3.4) and unilaterally aborts *unprepared*
@@ -24,13 +24,14 @@ from __future__ import annotations
 
 import dataclasses
 import inspect
-from typing import Dict, Optional, Set, Tuple
+from typing import Callable, Dict, Optional, Set, Tuple
 
 from repro.app.context import CallContext, TransactionAborted
 from repro.core import messages as m
 from repro.core.calls import CallAborted
 from repro.core.events import Aborted, Committed, CompletedCall
-from repro.core.viewstamp import compatible, vs_max
+from repro.core.viewstamp import Viewstamp, compatible, vs_max
+from repro.sim.future import Future
 from repro.sim.errors import CancelledError
 from repro.txn.ids import Aid, CallId
 from repro.txn.pset import PSetPair
@@ -54,6 +55,9 @@ class ServerRole:
         self.prepared: Dict[Aid, _PreparedState] = {}
         self._unprepared_queries: Dict[Aid, int] = {}
         self._inherited: Set[Aid] = set()  # pending when this view began
+        self._commit_forces: Dict[Aid, Future] = {}  # until each resolves
+        # Backup: applied sole-participant commits the primary may not report.
+        self._sole_commits: Set[Aid] = set()
         # Calls the most recently prepared transaction made here: a
         # transaction's earlier calls are not worth a push of their own.
         self._calls_per_txn = 0
@@ -71,6 +75,8 @@ class ServerRole:
         self.prepared.clear()
         self._unprepared_queries.clear()
         self._inherited.clear()
+        self._commit_forces.clear()
+        self._sole_commits.clear()
         self._calls_per_txn = 0
         self._call_procs = []
         self._janitor_timer = None
@@ -84,6 +90,7 @@ class ServerRole:
         self.executed.clear()
         self.prepared.clear()
         self._unprepared_queries.clear()
+        self._commit_forces.clear()
         if self._janitor_timer is not None:
             self._janitor_timer.cancel()
             self._janitor_timer = None
@@ -91,14 +98,51 @@ class ServerRole:
     def on_become_primary(self) -> None:
         """Rebuild duplicate-detection state from surviving records and
         start the outcome janitor, which asks about every transaction whose
-        records (and so locks) this view inherited."""
-        pending = self.cohort.pending
+        records (and so locks) this view inherited, and reports inherited
+        sole-participant commits as ``ClientRole._resume_commit`` does."""
+        cohort = self.cohort
+        pending = cohort.pending
         self.known_stale_calls = {
             record.call_id for calls in pending.values() for record in calls.values()
         }
         self._inherited = set(pending)
         self._unprepared_queries.update(dict.fromkeys(pending, 0))
+        inherited = sorted(
+            aid for aid in self._sole_commits if cohort.outcomes.get(aid) == "committed"
+        )
+        if inherited:
+            self._when_durable(None, self._report_inherited, inherited)
         self._arm_janitor()
+
+    def _report_inherited(self, aids) -> None:
+        for aid in aids:
+            self.cohort.runtime.ledger.record_commit(aid)
+        self._sole_commits.difference_update(aids)
+
+    def on_backup_commit(self, record: Committed) -> None:
+        if self._names_only_us(record.pset_pairs):
+            self._sole_commits.add(record.aid)
+
+    def _names_only_us(self, pset_pairs) -> bool:
+        mygroupid = self.cohort.mygroupid
+        return all(pair.groupid == mygroupid for pair in pset_pairs)
+
+    def _when_durable(self, aid: Optional[Aid], then: Callable, *args) -> None:
+        """``then(*args)`` once *aid*'s committed record is majority-known in
+        this view: after its pending force, else (inherited, or already
+        forced; *aid* None: every inherited one) the view's first; never after
+        an abandoned one."""
+        cohort = self.cohort
+        force = self._commit_forces.get(aid) if aid is not None else None
+        if force is None:
+            force = cohort.force_to(Viewstamp(cohort.cur_viewid, 1))
+        epoch = cohort._epoch
+
+        def after_force(future) -> None:
+            if future.exception() is None and cohort._epoch == epoch and cohort.is_active_primary:
+                then(*args)
+
+        force.add_done_callback(after_force)
 
     def _arm_janitor(self) -> None:
         cohort = self.cohort
@@ -257,26 +301,8 @@ class ServerRole:
     def on_prepare(self, msg: m.PrepareMsg) -> None:
         cohort = self.cohort
         aid = msg.aid
-        outcome = cohort.outcomes.get(aid)
-        if outcome == "aborted":
-            self._trace_prepare(aid, "refused", reason="already aborted")
-            cohort.send(
-                msg.coordinator,
-                m.PrepareRefusedMsg(
-                    aid=aid, groupid=cohort.mygroupid, reason="already aborted"
-                ),
-            )
-            return
-        if outcome == "committed":
-            # Duplicate prepare after commit: the earlier accept was lost, and
-            # it said read-only.  While its coordinator still prepares (any
-            # other ignores this answer) a participant holds "committed" only
-            # by the read-only commit of _finish_prepare; saying otherwise
-            # would put the transaction back on the two-phase path.
-            cohort.send(
-                msg.coordinator,
-                m.PrepareOkMsg(aid=aid, groupid=cohort.mygroupid, read_only=True),
-            )
+        if aid in cohort.outcomes:
+            self._answer_decided(msg)
             return
         self._drop_orphan_calls(aid, msg.pset_pairs, msg.aborted_subactions)
         if not cohort.config.viewstamp_checks and any(
@@ -325,33 +351,90 @@ class ServerRole:
             if cohort._epoch != epoch or not cohort.is_active_primary:
                 return
             cohort.metrics.observe("prepare_force_wait", cohort.sim.now - asked_at)
-            self._finish_prepare(msg)
+            if aid in cohort.outcomes:
+                self._answer_decided(msg)  # an abort, or a duplicate's commit, came first
+            else:
+                self._finish_prepare(msg)
 
         force.add_done_callback(after_force)
 
+    def _answer_decided(self, msg: m.PrepareMsg) -> None:
+        """A duplicate prepare for a decided aid.  While its coordinator still
+        prepares, "committed" can only be a commit at prepare: repeat the
+        flag (else phase two would follow), once the record is majority-known."""
+        cohort = self.cohort
+        aid = msg.aid
+        if cohort.outcomes[aid] == "aborted":
+            self._trace_prepare(aid, "refused", reason="already aborted")
+            cohort.send(
+                msg.coordinator,
+                m.PrepareRefusedMsg(
+                    aid=aid, groupid=cohort.mygroupid, reason="already aborted"
+                ),
+            )
+            return
+        accept = m.PrepareOkMsg(aid=aid, groupid=cohort.mygroupid, committed=True)
+        self._when_durable(aid, cohort.send, msg.coordinator, accept)
+
     def _finish_prepare(self, msg: m.PrepareMsg) -> None:
+        """Accept.  A participant the pset leaves nobody else to tell commits
+        at prepare: read-only with no new force (D15); with writes as a commit
+        message would have it, answering once that record is forced (D17)."""
         cohort = self.cohort
         aid = msg.aid
         cohort.lockmgr.release_reads(aid)
-        write_locks = cohort.lockmgr.locks_held_by(aid)
-        read_only = not write_locks
-        if read_only:
+        committed = not cohort.lockmgr.locks_held_by(aid)
+        sole = self._names_only_us(msg.pset_pairs)
+        self._unprepared_queries.pop(aid, None)
+        cohort.metrics.incr(f"prepares_accepted:{cohort.mygroupid}")
+        if committed:
             # "If the transaction is read-only, add a committed record."
             self._ledger_effects(aid)
             record = Committed(aid=aid, pset_pairs=tuple(msg.pset_pairs))
             cohort.add_record(record)
-            self._unprepared_queries.pop(aid, None)
+        elif sole:
+            self._trace_prepare(aid, "accepted", committed=True)
+            ts = self._perform_commit(aid, msg.pset_pairs).ts
+            self._when_durable(aid, self._decide, aid, msg.coordinator, ts, cohort.sim.now)
+            return
         else:
             self.prepared[aid] = _PreparedState(
                 coordinator=msg.coordinator, pset_pairs=tuple(msg.pset_pairs)
             )
-            self._unprepared_queries.pop(aid, None)
-        self._trace_prepare(aid, "accepted", read_only=read_only)
+        self._trace_prepare(aid, "accepted", committed=committed)
+        if committed and sole:
+            self.trace_commit_point(aid, None)
         self._answer_coordinator(
             msg.coordinator,
-            m.PrepareOkMsg(aid=aid, groupid=cohort.mygroupid, read_only=read_only),
+            m.PrepareOkMsg(aid=aid, groupid=cohort.mygroupid, committed=committed),
         )
-        cohort.metrics.incr(f"prepares_accepted:{cohort.mygroupid}")
+
+    def _decide(self, aid: Aid, coordinator: str, force_ts: int, forced_at: float) -> None:
+        """A sole participant's record is majority-known: the commit point."""
+        cohort = self.cohort
+        cohort.runtime.ledger.record_commit(aid)
+        cohort.metrics.observe("commit_force_latency", cohort.sim.now - forced_at)
+        self.trace_commit_point(aid, force_ts)
+        self._answer_coordinator(
+            coordinator, m.PrepareOkMsg(aid=aid, groupid=cohort.mygroupid, committed=True)
+        )
+
+    def trace_commit_point(self, aid: Aid, force_ts: Optional[int], plist=()) -> None:
+        """``commit_point``, once per transaction, where it is decided; in the
+        force's resolution, so ``acked`` is the quorum ``commit_quorum`` audits."""
+        cohort = self.cohort
+        if cohort.tracer is not None:
+            cohort.tracer.emit(
+                "commit_point",
+                node=cohort.node.node_id,
+                group=cohort.mygroupid,
+                aid=str(aid),
+                viewid=str(cohort.cur_viewid),
+                force_ts=force_ts,
+                plist=sorted(plist),
+                acked={str(k): v for k, v in cohort.buffer.acked.items()},
+                config_size=cohort.config_size,
+            )
 
     def _answer_coordinator(self, destination: str, message) -> None:
         """A ``PrepareOkMsg`` / ``CommitAckMsg`` goes on the wire, also when
@@ -412,26 +495,25 @@ class ServerRole:
     # ------------------------------------------------------------------
 
     def on_commit(self, msg: m.CommitMsg) -> None:
-        self._perform_commit(msg.aid, msg.pset_pairs, ack_to=msg.coordinator)
-
-    def _perform_commit(self, aid: Aid, pset_pairs, ack_to: Optional[str]) -> None:
         cohort = self.cohort
+        aid = msg.aid
         already_installed = (
             cohort.outcomes.get(aid) == "committed"
             and aid not in self.prepared
             and aid not in cohort.pending
         )
-        if already_installed:
-            # A known outcome alone is not enough to skip the install: when
-            # this group coordinates a transaction on itself (a sharded
-            # group's single-key path), the client role records "committed"
-            # before our own CommitMsg arrives, while write locks are still
-            # held and pending/prepared still name the aid.
-            if ack_to is not None:
-                self._answer_coordinator(
-                    ack_to, m.CommitAckMsg(aid=aid, groupid=cohort.mygroupid)
-                )
-            return
+        # A known outcome alone is not enough to skip the install: when this
+        # group coordinates a transaction on itself, the client role records
+        # "committed" before our own CommitMsg arrives, while write locks are
+        # still held and pending/prepared still name the aid.
+        if not already_installed:
+            self._perform_commit(aid, msg.pset_pairs)
+        ack = m.CommitAckMsg(aid=aid, groupid=cohort.mygroupid)  # a re-sent one too
+        self._when_durable(aid, self._answer_coordinator, msg.coordinator, ack)
+
+    def _perform_commit(self, aid: Aid, pset_pairs) -> Viewstamp:
+        """Install, add the committed record and force it; its viewstamp."""
+        cohort = self.cohort
         self._drop_orphan_calls(aid, pset_pairs, ())
         self._ledger_effects(aid, will_install=True)
         cohort.lockmgr.install(aid)
@@ -447,20 +529,15 @@ class ServerRole:
                 aid=str(aid),
                 ts=viewstamp.ts,
             )
-        force = cohort.force_to(viewstamp)
+        force = self._commit_forces[aid] = cohort.force_to(viewstamp)
         epoch = cohort._epoch
 
-        def after_force(future) -> None:
-            if future.exception() is not None:
-                return
-            if cohort._epoch != epoch or not cohort.is_active_primary:
-                return
-            if ack_to is not None:
-                self._answer_coordinator(
-                    ack_to, m.CommitAckMsg(aid=aid, groupid=cohort.mygroupid)
-                )
+        def forgotten(_future) -> None:
+            if cohort._epoch == epoch:
+                self._commit_forces.pop(aid, None)
 
-        force.add_done_callback(after_force)
+        force.add_done_callback(forgotten)
+        return viewstamp
 
     def on_abort(self, msg: m.AbortMsg) -> None:
         cohort = self.cohort
@@ -529,7 +606,7 @@ class ServerRole:
         if aid not in self.prepared and aid not in self._unprepared_queries:
             return
         if msg.outcome == "committed":
-            self._perform_commit(aid, msg.pset_pairs, ack_to=None)
+            self._perform_commit(aid, msg.pset_pairs)
         elif msg.outcome == "aborted":
             self._local_abort(aid)
             cohort.metrics.incr(f"aborts_via_query:{cohort.mygroupid}")

@@ -129,11 +129,12 @@ def e17_sharding(seeds=(1701, 1702)) -> ExperimentResult:
             "whose key set touched shard 0 -- the shard whose primary the "
             "viewchange condition crashes at t=180 -- and 'aborts "
             "elsewhere' those that touched no shard-0 key.  A crashed "
-            "shard invalidates only psets naming it, so 'elsewhere' "
-            "stays 0 at 2 and 4 shards; the handful at 8 shards are "
-            "lock-wait collateral (transactions queued behind a "
-            "cross-shard transfer that held its locks while waiting out "
-            "the crashed shard), not viewstamp invalidations.  The lossy "
+            "shard invalidates only psets naming it, so no abort "
+            "elsewhere is a viewstamp invalidation: the handful there are "
+            "lock-wait collateral (a lock wait on a contended key "
+            "cancelled, or a transaction queued behind a cross-shard "
+            "transfer that held its locks while waiting out the crashed "
+            "shard).  The lossy "
             "condition reruns the same seeds on the LOSSY link model "
             "(retransmissions recover; some cross-shard 2PCs abort)."
         ),

@@ -4,7 +4,8 @@ The paper's transaction machinery (sections 3.3-3.6) is already
 multi-group: psets name every participant group, prepares carry the pset
 so each participant validates *its own* viewstamp history with
 ``compatible``, and the commit point is the coordinator's forced
-committing record.  Sharding therefore needs no new protocol -- only an
+committing record (a pset naming one shard: that shard's own forced
+committed record).  Sharding therefore needs no new protocol -- only an
 assignment of keys to groups and a router that turns key-addressed
 requests into ordinary (single- or multi-group) transactions:
 

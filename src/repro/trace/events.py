@@ -61,8 +61,9 @@ EVENT_KINDS: Dict[str, str] = {
     "txn_outcome": "a driver learned (or gave up on) an outcome",
     "txn_begin": "the client primary started a transaction program",
     "txn_prepare": "2PC phase one began (prepares sent)",
-    "commit_point": "the committing record became majority-known, or the last "
-    "accept left nobody to put in one",
+    "commit_point": "the record that decides a commit became majority-known "
+    "(the coordinator's committing record, or a sole participant's committed "
+    "record), or the last accept left nobody to put in one",
     "txn_abort": "the coordinator aborted a transaction",
     # participant side of 2PC (core/server_role.py)
     "prepare_decision": "a participant accepted or refused a prepare",

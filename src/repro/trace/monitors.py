@@ -182,8 +182,9 @@ class CommitQuorumMonitor(InvariantMonitor):
     name = "commit_quorum"
     paper = "§3.3, §3.7"
     description = (
-        "at a commit point the committing record's timestamp is acked by a "
-        "sub-majority of backups (with the primary, a majority knows it); "
+        "at a commit point the deciding record's timestamp (the coordinator's "
+        "committing record, or a sole participant's committed record) is acked "
+        "by a sub-majority of backups (with the primary, a majority knows it); "
         "only a commit with an empty plist may go unforced"
     )
     kinds = ("commit_point",)

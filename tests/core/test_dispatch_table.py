@@ -170,7 +170,7 @@ def test_other_primary_only_messages_are_dropped_silently_by_a_backup():
     aid = aid_for(backup)
     for message in (
         m.AbortMsg(aid),
-        m.PrepareOkMsg(aid, "g", read_only=False),
+        m.PrepareOkMsg(aid, "g", committed=False),
         m.CommitAckMsg(aid, "g"),
     ):
         assert _rejected(backup, message) == []

@@ -164,9 +164,9 @@ def test_a_lost_read_only_accept_does_not_fall_back_to_two_phases():
     sends = _tap(rt, lose_the_first_accept)
     status, _value = _resolve(rt, driver.call("clients", "read", "kv", spec.key(2)))
     rt.quiesce()
-    assert status == "committed" and lost[0].read_only
+    assert status == "committed" and lost[0].committed
     accepts = [p for _s, _d, p in sends if isinstance(p, m.PrepareOkMsg)]
-    assert [p.read_only for p in accepts] == [True]           # the duplicate's answer
+    assert [p.committed for p in accepts] == [True]           # the duplicate's answer
     assert sum(isinstance(p, m.PrepareMsg) for _s, _d, p in sends) == 2
     assert not any(isinstance(p, m.CommitMsg) for _s, _d, p in sends)
     assert _records_shipped(sends, clients) == []
@@ -219,7 +219,7 @@ def test_a_participant_primary_crashes_before_its_read_only_committed_ships(
 
     def crash_after_accepting(source, payload):
         if isinstance(payload, m.PrepareOkMsg) and source == old.address:
-            assert payload.read_only
+            assert payload.committed
             return old.node.crash
 
     sends = _tap(rt, crash_after_accepting)
@@ -252,11 +252,16 @@ def test_a_write_only_run_is_byte_identical_to_the_two_phase_only_code():
     nothing: the digest of PR 22's tree, from before that path existed, held
     through PR 23.  Re-recorded once on PR 24, whose forces ship a
     sub-majority (every commit time moves; the store's ``state_digest`` does
-    not: ``python -m repro.gate``)."""
+    not: ``python -m repro.gate``).  Re-recorded again when a write whose
+    pset names ``kv`` alone began to commit at its prepare (DESIGN.md D17):
+    ``CommitMsg`` / ``CommitAckMsg`` 120 -> 0 each, ``BufferMsg`` /
+    ``BufferAckMsg`` 402 -> 265 each, janitor ``QueryMsg`` 33 -> 0
+    (``QueryReplyMsg`` 8 -> 0), ``ImAliveMsg`` 507 -> 586, 2 408 -> 1 932
+    messages and 3 571 -> 3 090 events; commit times are the participant's."""
     rt, _kv, _clients, driver, spec = build_kv_system(seed=18)
     stats = run_kv_batch(rt, driver, spec, 120, read_fraction=0.0, concurrency=8)
     rt.quiesce()
     assert stats.committed == 120
     assert ledger_digest(rt) == (
-        "45306742bd45dcaa4307861e9736173b3acd04f89093689ee0e1a5c68687e212"
+        "0e5198416268237142f12a23b5ab230cbafd3d34c9883902a5571bbe59fd994e"
     )

@@ -172,7 +172,11 @@ def test_batched_mode_is_byte_identical_to_the_parent():
     run is reads, so the digest follows the read path: computed on PR 17,
     and again on PR 23, whose read-only transactions commit at the last
     accept (``tests/core/test_read_only_commit.py`` pins a write-only run
-    that did not move)."""
+    that did not move).  Recomputed again when a write whose pset names
+    ``kv`` alone began to commit at its prepare (DESIGN.md D17):
+    ``CommitMsg`` / ``CommitAckMsg`` 63 -> 0 each, ``BufferMsg`` 418 -> 230
+    and ``BufferAckMsg`` 395 -> 214, ``QueryMsg`` 2 -> 0, ``ImAliveMsg`` 511
+    -> 585, 2 268 -> 1 845 messages and 4 059 -> 3 351 events."""
     config = ProtocolConfig(batch=BatchConfig(enabled=True))
     rt, _kv, _clients, driver, spec = build_kv_system(seed=18, config=config)
     stats = run_kv_batch(rt, driver, spec, 120, read_fraction=0.5, concurrency=8)
@@ -181,4 +185,4 @@ def test_batched_mode_is_byte_identical_to_the_parent():
     assert ledger_digest(rt) == BATCHED_DIGEST
 
 
-BATCHED_DIGEST = "c53634fa6afaf800cf9991f3d02b6833ac73c96fe1740ab521e4ba8214e2f57f"
+BATCHED_DIGEST = "09f105f33cffd911be6ebfa84d3ad867e6fbcb2deba6f730e8aa2dfeb02784d1"

@@ -101,8 +101,10 @@ def test_flat_transaction_aborts_where_nested_retries():
 
 
 def test_retry_budget_exhausted_aborts():
-    """If the group stays dead, subaction retries run out and the
-    transaction aborts rather than looping forever."""
+    """If the group stays dead, the coordinator's patience runs out and the
+    transaction resolves rather than looping forever.  Its prepare went to
+    kv alone, which may have committed at it (DESIGN.md D17), so only kv may
+    abort it: the client is told ``unknown``, and nothing committed."""
     rt, kv, clients, driver, spec = build(seed=55)
     clients.register_program("chain", chain)
     f = driver.call("clients", "chain", [spec.key(0), spec.key(1)], 30.0)
@@ -111,7 +113,9 @@ def test_retry_budget_exhausted_aborts():
         kv.crash_cohort(mid)  # the whole group dies
     rt.run_for(10_000)
     assert f.done
-    assert f.result()[0] == "aborted"
+    assert f.result()[0] == "unknown"
+    assert rt.ledger.commit_count == 0 and rt.ledger.abort_count == 0
+    assert rt.metrics.messages_sent["AbortMsg"] == 1
 
 
 def test_subaction_numbers_are_distinct():

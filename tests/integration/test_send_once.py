@@ -40,18 +40,20 @@ def test_a_fault_free_run_sends_every_record_to_every_backup_exactly_once(batche
     stats = run_kv_batch(rt, driver, spec, 160, read_fraction=0.5, concurrency=8)
     rt.quiesce()
     assert stats.committed == 160
-    for group in (kv, clients):
-        primary = group.active_primary()
-        buffer = primary.buffer
-        assert buffer.timestamp > 100
-        assert _resent(buffer) == 0, (group.groupid, buffer.records_sent)
-        # ... pushes included: a pushed record is not sent again by the force
-        # (only kv completes calls, and batched mode ships on its tick).
-        assert (buffer.pushes > 0) is (group is kv and not batched)
-        for backup in group.active_cohorts():
-            if backup is not primary:
-                assert backup.applied_ts == buffer.timestamp
-                assert len(backup.held) == 0
+    primary = kv.active_primary()
+    buffer = primary.buffer
+    assert buffer.timestamp > 100
+    assert _resent(buffer) == 0, buffer.records_sent
+    # ... pushes included: a pushed record is not sent again by the force
+    # (batched mode ships on its tick).
+    assert (buffer.pushes > 0) is not batched
+    for backup in kv.active_cohorts():
+        if backup is not primary:
+            assert backup.applied_ts == buffer.timestamp
+            assert len(backup.held) == 0
+    # Every transaction names kv alone, which decides it (DESIGN.md D17):
+    # the coordinator's group adds no record.
+    assert clients.active_primary().buffer.timestamp == 0
     assert rt.ledger.view_changes == []
 
 

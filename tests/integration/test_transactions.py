@@ -51,11 +51,19 @@ def test_read_only_skips_phase_two(counter_system):
     assert rt.metrics.messages_sent.get("PrepareMsg", 0) >= 1
 
 
-def test_write_transaction_runs_phase_two(counter_system):
-    rt, _counter, _clients, driver = counter_system
-    submit_and_run(rt, driver, "clients", "bump", 1)
-    assert rt.metrics.messages_sent.get("CommitMsg", 0) >= 1
-    assert rt.metrics.messages_sent.get("CommitAckMsg", 0) >= 1
+def test_write_transaction_runs_phase_two():
+    """A write whose pset names two groups takes Figure 2's phase two (one
+    naming only its participant commits at the prepare: DESIGN.md D17)."""
+    rt = Runtime(seed=21)
+    rt.create_group("east", BankAccountsSpec(2, 100, prefix="e"), n_cohorts=3)
+    rt.create_group("west", BankAccountsSpec(2, 100, prefix="w"), n_cohorts=3)
+    clients = rt.create_group("clients", EmptyModule(), n_cohorts=3)
+    clients.register_program("xfer", cross_bank_transfer_program)
+    driver = rt.create_driver("driver")
+    outcome, _ = submit_and_run(rt, driver, "clients", "xfer", "east", "e0", "west", "w1", 5)
+    assert outcome == "committed"
+    assert rt.metrics.messages_sent.get("CommitMsg", 0) >= 2
+    assert rt.metrics.messages_sent.get("CommitAckMsg", 0) >= 2
 
 
 def test_application_abort_propagates(bank_system):

@@ -3,7 +3,7 @@
 Routing a single-key call to the owning shard's primary means the same
 cohort plays both the client role (coordinator) and the server role
 (participant) for one transaction.  These tests pin the engine behaviours
-that path depends on: the self-addressed commit still installs and
+that path depends on: the commit at its own prepare still installs and
 releases write locks, a self-coordinated abort releases its locks
 synchronously, and a procedure raising an unexpected exception fails the
 call instead of wedging the group behind a dead lock holder.
@@ -62,7 +62,7 @@ def submit(rt, driver, program, *args, time=800.0):
 
 def test_self_coordinated_writes_install_and_release_locks():
     rt, group, driver = build_self_group()
-    # Each write takes the same write lock; if the self-addressed commit
+    # Each write takes the same write lock; if the commit at the prepare
     # skipped the install, the second write would wait forever.
     for value in (1, 2, 3):
         outcome, _ = submit(rt, driver, "write", "g", "k0", value)

@@ -140,6 +140,23 @@ def test_commit_quorum_trips_on_an_unforced_commit_with_a_writer():
     assert "without a forced committing record" in caught.value.message
 
 
+def test_commit_quorum_trips_on_a_sole_participant_answering_before_its_force(monkeypatch):
+    # the mutant: a participant the pset names alone decides (DESIGN.md D17),
+    # and tells its coordinator before its committed record is majority-known
+    from repro.core.server_role import ServerRole
+
+    monkeypatch.setattr(
+        ServerRole, "_when_durable", lambda self, aid, then, *args: then(*args)
+    )
+    rt, _kv, _clients, driver, spec = build_kv_system(
+        seed=9, n_cohorts=3, trace=TraceConfig(monitors=("commit_quorum",))
+    )
+    with pytest.raises(InvariantViolation) as caught:
+        run_kv_batch(rt, driver, spec, 4, read_fraction=0.0, concurrency=1)
+    assert caught.value.monitor == "commit_quorum"
+    assert caught.value.event.data["group"] == "kv"
+
+
 # -- phantom_delivery ------------------------------------------------------
 
 

@@ -40,6 +40,20 @@ both.  ``commit_point`` stays 60 / 200 and is the one event whose *format*
 moved: it now carries ``plist``, with ``force_ts`` null where no record was
 forced.  Every other kind's count is unchanged (5 073 -> 4 720 and
 13 995 -> 12 894 events).
+
+Then a write whose pset names one group began to commit at its prepare
+(DESIGN.md D17).  Every transaction of these runs names ``kv`` alone, so the
+coordinator's group adds no record: ``record_added`` 582 -> 360 and 1 890 ->
+1 200 (``Committing`` and ``Done`` 111 / 345 each gone), ``CommitMsg`` and
+``CommitAckMsg`` 37 / 115 each -> 0, ``BufferMsg`` and ``BufferAckMsg`` sends
+260 -> 166 and 831 -> 538 each, janitor ``QueryMsg`` 3 / 18 -> 0
+(``QueryReplyMsg`` 0 / 2 -> 0).  The
+coordinator group's links are silent now and beacon: ``ImAliveMsg`` 466 ->
+546 and 656 -> 926.  ``CallMsg`` / ``ReplyMsg`` 201 -> 200 in the long run,
+``timer_fire`` 559 -> 554 and 1 093 -> 1 077.  ``commit_point`` stays 60 /
+200 but is emitted where the decision is made, at the ``kv`` primary, and
+``prepare_decision`` carries ``committed`` where it carried ``read_only``
+(4 552 -> 3 955 and 12 286 -> 10 444 events, 7 286 -> 5 444 evicted).
 """
 
 import hashlib
@@ -240,15 +254,15 @@ def _export_sha256(txns, **trace):
 def test_golden_export_of_the_seed_77_run():
     # tests/trace/test_determinism.py::_traced_run(seed=77), default ring
     assert _export_sha256(60) == (
-        "a89ce38b2e2ccfb3a9a3d604bc1ea8d7ebf87066b4537e6c13ececde4dbf79e3",
-        4552,
+        "03da21e2768ac65c5104ef9cc551107c10c36bd8409feebc18669c51fef30788",
+        3955,
         0,
     )
 
 
 def test_golden_export_of_a_wrapped_5000_slot_ring():
     assert _export_sha256(200, ring_size=5000) == (
-        "83e6069c5b68270ec8f635922fb27dc36e8a1064a1f213ec14f98f8aae3e8247",
-        12286,
-        7286,
+        "043d87ab56b88f2a4654ed6766fe39bf712e0011fe8bc9389a9e61f1f4a7143a",
+        10444,
+        5444,
     )
