@@ -176,9 +176,11 @@ class ScaleConfig:
     - ``witnesses``: the highest ``witnesses`` module ids in each group
       vote in view formation (their acceptances count toward the
       majority) but hold no event buffer -- the primary never replicates
-      records to them, shrinking fan-out from n-1 to n-1-witnesses.
-      Bounded by ``witnesses <= n - majority(n)`` so every force quorum
-      still consists entirely of storage replicas.
+      records to them, shrinking fan-out from n-1 to n-1-witnesses.  The
+      group's :class:`repro.core.quorum.Quorums` is built from it and is
+      what every quorum count reads; its constructor rejects a count below
+      0 or above ``n - Quorums.formation`` (a force quorum must fit among
+      the storage replicas) when the group is created.
     """
 
     #: Epidemic heartbeat dissemination (off = all-peers heartbeats).

@@ -9,6 +9,7 @@ Layout mirrors the paper:
 - :mod:`repro.core.client_role` -- Figure 2 (client primaries, 2PC)
 - :mod:`repro.core.server_role` -- Figure 3 (server primaries)
 - :mod:`repro.core.view_change` -- Figure 5 (the view change algorithm)
+- :mod:`repro.core.quorum` -- who counts toward which quorum (sections 3, 4)
 - :mod:`repro.core.group` -- module-group wiring
 - :mod:`repro.core.coordinator_server` -- section 3.5
 """
@@ -18,7 +19,8 @@ from repro.core.cache import ClientCache
 from repro.core.calls import CallAborted, RemoteCaller
 from repro.core.cohort import Cohort, Status
 from repro.core.group import ModuleGroup
-from repro.core.view import View, majority, sub_majority
+from repro.core.quorum import Quorums, majority, sub_majority
+from repro.core.view import View
 from repro.core.viewstamp import History, ViewId, Viewstamp, compatible, vs_max
 
 __all__ = [
@@ -29,6 +31,7 @@ __all__ = [
     "ForceAbandoned",
     "History",
     "ModuleGroup",
+    "Quorums",
     "RemoteCaller",
     "Status",
     "View",

@@ -50,7 +50,7 @@ discipline for both transmission modes -- each record crosses each link once:
   small numbers of messages" is exactly this trade.
 
 Who is served speedily (DESIGN.md D16).  A force waits for a sub-majority, so
-a force or push ships ``sub_majority(configuration_size)`` backups and no more
+a force or push ships ``Quorums.force`` backups -- a sub-majority -- and no more
 (:meth:`_speedy`): those with the highest cumulative acks, so a backup that
 stops acknowledging loses the role by itself.  The others get the same records
 once, coalesced, from the next sweep -- durability is the ack rule, not the
@@ -75,7 +75,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.events import EventRecord
 from repro.core.messages import BufferAckMsg, BufferMsg
-from repro.core.view import sub_majority
+from repro.core.quorum import Quorums
 from repro.core.viewstamp import ViewId, Viewstamp
 from repro.net.messages import estimate_size
 from repro.sim.errors import SimulationError
@@ -103,7 +103,8 @@ class CommunicationBuffer:
         Invoked once when a force times out; the cohort starts a view change.
     configuration_size:
         Group size; the force threshold is a *sub-majority of the
-        configuration* (section 3), not of the current view.
+        configuration* (section 3, ``Quorums.force``), not of the current
+        view.
     batch_enabled / flush_delay / pipeline_depth:
         Batched transmission mode (see module docstring); off by default.
     flush_interval / clock / rto / join_delay:
@@ -137,7 +138,6 @@ class CommunicationBuffer:
     ):
         self.viewid = viewid
         self.backups = tuple(backups)
-        self.configuration_size = configuration_size
         self._send = send
         self._set_timer = set_timer
         self._on_force_failure = on_force_failure
@@ -149,7 +149,7 @@ class CommunicationBuffer:
         self._batch_enabled = batch_enabled
         self._flush_delay = flush_delay
         self._window = max(1, pipeline_depth) * max_batch
-        self._needed = sub_majority(configuration_size)  # backups a force or push wants
+        self._needed = Quorums(configuration_size).force  # backups a force or push wants
         self._flush_interval = flush_interval
         self._clock = clock
         self._rto = rto

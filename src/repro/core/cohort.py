@@ -45,6 +45,7 @@ from repro.core.events import (
     ViewEdit,
 )
 from repro.core.extension import build_extensions
+from repro.core.quorum import Quorums
 from repro.core.view import View
 from repro.core.viewstamp import History, ViewId, Viewstamp
 from repro.detect import AdaptiveTimeouts, FailureDetector, RttEstimator
@@ -77,6 +78,7 @@ class Cohort(Actor):
         groupid: str,
         mid: int,
         configuration: Tuple[Tuple[int, str], ...],  # (mid, address) pairs
+        quorums: Quorums,
         spec,
         config: ProtocolConfig,
         initial_viewid: ViewId,
@@ -96,6 +98,7 @@ class Cohort(Actor):
         self.mygroupid = groupid
         self.mymid = mid
         self.configuration = tuple(configuration)
+        self.quorums = quorums  # the group's, shared by every cohort
         self.stable = StableStore(node, write_latency=config.stable_write_latency)
         self.stable.write_immediate("mymid", mid)
         self.stable.write_immediate("mygroupid", groupid)
@@ -197,10 +200,6 @@ class Cohort(Actor):
     @property
     def config_size(self) -> int:
         return len(self.configuration)
-
-    def storage_members(self, mids) -> Tuple[int, ...]:
-        """Those of *mids* that hold an event buffer: in the paper, all."""
-        return tuple(mids)
 
     def peer_address(self, mid: int) -> str:
         return self._addresses[mid]
@@ -716,7 +715,7 @@ class Cohort(Actor):
     def _open_buffer(self) -> None:
         self.buffer = CommunicationBuffer(
             viewid=self.cur_viewid,
-            backups=self.storage_members(self.cur_view.backups),
+            backups=self.quorums.storage(self.cur_view.backups),
             configuration_size=self.config_size,
             set_timer=self.set_timer,
             on_force_failure=self.note_change_needed,

@@ -75,8 +75,10 @@ def build_extensions(cohort) -> Tuple[Extension, ...]:
     """The extensions *cohort*'s config arms, innermost first.
 
     The only place in ``repro.core`` that reads the ``batch``, ``reads``
-    and ``scale`` sub-configs; each subsystem is imported only when armed,
-    so a paper-faithful run never loads ``repro.scale`` or
+    and ``scale`` sub-configs (but for ``scale.witnesses``, which
+    :class:`~repro.core.group.ModuleGroup` turns into the group's
+    :class:`~repro.core.quorum.Quorums`); each subsystem is imported only
+    when armed, so a paper-faithful run never loads ``repro.scale`` or
     ``repro.reads.lease``.
     """
     config = cohort.config
@@ -88,10 +90,10 @@ def build_extensions(cohort) -> Tuple[Extension, ...]:
         from repro.scale.ack_tree import AckTreeAcks
 
         extensions.append(AckTreeAcks(cohort, scale))
-    if scale is not None and scale.witnesses > 0:
+    if cohort.quorums.witnesses:
         from repro.scale.witness import Witnesses
 
-        extensions.append(Witnesses(cohort, scale))
+        extensions.append(Witnesses(cohort))
     if reads.enabled:
         from repro.reads.serving import Leases
 

@@ -13,7 +13,8 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.config import ProtocolConfig
 from repro.core.cohort import Cohort, Status
-from repro.core.view import View, majority
+from repro.core.quorum import Quorums
+from repro.core.view import View
 from repro.core.viewstamp import ViewId
 from repro.sim.node import Node
 
@@ -36,6 +37,10 @@ class ModuleGroup:
         self.groupid = groupid
         self.spec = spec
         self.config = config if config is not None else runtime.config
+        # The one reader of ScaleConfig.witnesses: every count of members
+        # toward a quorum reads this value.
+        scale = self.config.scale
+        self.quorums = Quorums(len(nodes), scale.witnesses if scale is not None else 0)
         self.configuration: Tuple[Tuple[int, str], ...] = tuple(
             (mid, f"{groupid}/{mid}") for mid in range(len(nodes))
         )
@@ -51,16 +56,12 @@ class ModuleGroup:
                 groupid=groupid,
                 mid=mid,
                 configuration=self.configuration,
+                quorums=self.quorums,
                 spec=spec,
                 config=self.config,
                 initial_viewid=initial_viewid,
                 initial_view=initial_view,
             )
-        #: members that vote but hold no event buffer (empty in the paper)
-        mids = range(len(nodes))
-        self.witness_mids = frozenset(mids) - frozenset(
-            self.cohorts[0].storage_members(mids)
-        )
 
     # -- structure ------------------------------------------------------------
 
@@ -122,7 +123,7 @@ class ModuleGroup:
         for cohort in self.active_cohorts():
             if cohort.mymid == primary.mymid:
                 continue
-            if cohort.mymid in self.witness_mids:
+            if cohort.mymid in self.quorums.witnesses:
                 continue  # witnesses hold no state to converge (repro.scale)
             if cohort.cur_viewid != primary.cur_viewid:
                 return False
@@ -142,7 +143,7 @@ class ModuleGroup:
         for cohort in self.active_cohorts():
             if cohort.mymid == primary.mymid:
                 continue
-            if cohort.mymid in self.witness_mids:
+            if cohort.mymid in self.quorums.witnesses:
                 continue  # witnesses hold no state to compare (repro.scale)
             if cohort.cur_viewid != primary.cur_viewid:
                 problems.append(
@@ -173,9 +174,6 @@ class ModuleGroup:
             return None
         primary.node.crash()
         return primary.mymid
-
-    def majority_size(self) -> int:
-        return majority(self.size)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ModuleGroup({self.groupid!r}, n={self.size})"

@@ -1,6 +1,6 @@
 """Views: a primary plus backups (paper Figure 1: ``view = <primary: int,
 backups: {int}>``), always a subset of the configuration containing a
-majority of group members."""
+majority of group members (:class:`repro.core.quorum.Quorums`)."""
 
 from __future__ import annotations
 
@@ -8,18 +8,6 @@ import dataclasses
 from typing import FrozenSet, Tuple
 
 from repro.net.messages import estimate_size
-
-
-def majority(n: int) -> int:
-    """Smallest integer strictly greater than half of *n*."""
-    return n // 2 + 1
-
-
-def sub_majority(n: int) -> int:
-    """One less than a majority (section 3): if a sub-majority of *backups*
-    know an event, then together with the primary a majority of the
-    configuration knows it."""
-    return majority(n) - 1
 
 
 @dataclasses.dataclass(frozen=True)
@@ -41,9 +29,6 @@ class View:
 
     def __contains__(self, mid: int) -> bool:
         return mid == self.primary or mid in self.backups
-
-    def is_majority_of(self, configuration_size: int) -> bool:
-        return len(self.members) >= majority(configuration_size)
 
     def __str__(self) -> str:
         return f"<primary={self.primary}, backups={sorted(self.backups)}>"

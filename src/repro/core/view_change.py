@@ -11,9 +11,10 @@ Roles:
   buffer (it is a backup of the formed view), a higher invitation, or a
   timeout that promotes it to manager.
 
-View formation rule (section 4): a majority of cohorts accepted, and
+View formation rule (section 4; the sizes are the group's
+:class:`~repro.core.quorum.Quorums`): a majority of cohorts accepted, and
 
-1. a majority accepted *normally*, or
+1. a majority accepted *normally* (``Quorums.normals``), or
 2. ``crash_viewid < normal_viewid``, or
 3. ``crash_viewid == normal_viewid`` and the primary of that view accepted
    normally (a primary always knows at least as much as any backup).
@@ -31,7 +32,7 @@ from typing import Dict, Optional
 from repro.core import messages as m
 from repro.core.cohort import Status
 from repro.core.events import NewView, ViewEdit
-from repro.core.view import View, majority, sub_majority
+from repro.core.view import View
 from repro.core.viewstamp import ViewId, Viewstamp
 from repro.detect import Backoff
 
@@ -308,8 +309,9 @@ class ViewChangeController:
     def form_view(self, responses: Dict[int, m.AcceptMsg]) -> Optional[View]:
         """Apply the section-4 formation rule; None when it cannot be met."""
         cohort = self.cohort
+        quorums = cohort.quorums
         accepted = list(responses.values())
-        if len(accepted) < majority(cohort.config_size):
+        if len(accepted) < quorums.formation:
             return None
         # An acceptor that holds no state (AcceptMsg.witness) votes and
         # joins the view, but carries no evidence.
@@ -319,7 +321,7 @@ class ViewChangeController:
             return None
         normal_vs: Viewstamp = max(a.viewstamp for a in normals)
         normal_viewid = normal_vs.id
-        if len(normals) < self.normals_needed():  # condition 1 fails
+        if len(normals) < quorums.normals:  # condition 1 fails
             if not crashed:
                 return None
             crash_viewid = max(a.crash_viewid for a in crashed)
@@ -338,33 +340,26 @@ class ViewChangeController:
         backups = tuple(sorted(a.mid for a in accepted if a.mid != primary))
         return View(primary=primary, backups=backups)
 
-    def normals_needed(self) -> int:
-        """Condition 1: normal acceptors enough to intersect every force
-        quorum of every view -- when every member stores, a majority."""
-        return majority(self.cohort.config_size)
-
     def _backups_cover_forces(self, normals, normal_viewid) -> bool:
         """Extended formation condition (beyond the paper; DESIGN.md D11).
 
         Every force in view V required acknowledgments from a sub-majority
-        ``s`` of V's ``b`` backups, and buffer delivery is a cumulative
-        prefix of the primary's log.  Therefore if at least ``b - s + 1``
-        backups of V accepted normally, the set intersects every possible
-        force quorum, and its max-viewstamp member's prefix contains every
-        forced event -- it can safely seed the new view even though V's
-        primary (which the paper's condition 3 insists on) is gone.
+        ``s`` of V's ``b`` storage backups, and buffer delivery is a
+        cumulative prefix of the primary's log.  Therefore if at least
+        ``b - s + 1`` backups of V accepted normally, the set intersects
+        every possible force quorum (``Quorums.covers_forces``), and its
+        max-viewstamp member's prefix contains every forced event -- it can
+        safely seed the new view even though V's primary (which the paper's
+        condition 3 insists on) is gone.
         """
         members = [a for a in normals if a.viewstamp.id == normal_viewid]
         if not members:
             return False
         old_view = next((a.view for a in members if a.view is not None), None)
-        if old_view is None or old_view.primary in {a.mid for a in members}:
+        mids = {a.mid for a in members}
+        if old_view is None or old_view.primary in mids:
             return False  # no membership info / condition 3 territory
-        # Force quorums are drawn from the backups that hold a buffer.
-        storage_backups = self.cohort.storage_members(old_view.backups)
-        old_backups = [a for a in members if a.mid in storage_backups]
-        needed = len(storage_backups) - sub_majority(self.cohort.config_size) + 1
-        return len(old_backups) >= max(needed, 1)
+        return self.cohort.quorums.covers_forces(old_view.backups, mids)
 
     @staticmethod
     def _choose_primary(normals, normal_vs: Viewstamp) -> int:
@@ -504,7 +499,7 @@ class ViewChangeController:
                 new_backups.discard(peer)
         for peer in outside_live:
             new_backups.add(peer)
-        if len(new_backups) + 1 < majority(cohort.config_size):
+        if len(new_backups) + 1 < cohort.quorums.formation:
             # Losing the majority: the primary must stop working on
             # transactions (section 4.1) -- full view change instead.
             return False
@@ -512,7 +507,7 @@ class ViewChangeController:
             return True  # only the primary is suspect of itself; nothing to do
         edited = tuple(sorted(new_backups))
         cohort.add_record(ViewEdit(backups=edited))
-        cohort.buffer.set_backups(cohort.storage_members(edited))
+        cohort.buffer.set_backups(cohort.quorums.storage(edited))
         cohort.metrics.incr("unilateral_view_edits")
         cohort.buffer.flush()
         return True

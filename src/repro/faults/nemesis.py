@@ -116,40 +116,18 @@ class CrashChurnRule(FaultRule):
         )
 
     def _crash_would_strand(self, controller, node_id: str) -> bool:
-        """Would crashing *node_id* leave ``protect_group`` without a
-        majority of up, up-to-date cohorts?
-
-        With witness replicas (repro.scale) a bare majority is not enough:
-        witnesses hold no event buffer, so a surviving quorum made mostly
-        (or entirely) of witnesses cannot cover the force quorums of past
-        views and the group can never safely re-form.  The guard therefore
-        additionally requires enough up, up-to-date *storage* cohorts to
-        intersect every all-storage force quorum (the form_view coverage
-        condition).  With no witnesses configured both checks coincide
-        with the original majority test.
-        """
+        """Would crashing *node_id* leave ``protect_group`` unable to
+        re-form (``Quorums.strands``)?  Too few up, up-to-date cohorts, or
+        -- with witness replicas, which hold no event buffer -- too few
+        *storage* cohorts among them to cover every past force quorum."""
         group = controller.runtime.groups[self.protect_group]
-        witness_mids = getattr(group, "witness_mids", frozenset())
-        survivors = 0
-        storage_survivors = 0
-        for cohort in group.cohorts.values():
-            if (
-                cohort.node.node_id == node_id
-                or not cohort.node.up
-                or not cohort.up_to_date
-            ):
-                continue
-            survivors += 1
-            if cohort.mymid not in witness_mids:
-                storage_survivors += 1
-        if survivors < group.majority_size():
-            return True
-        if witness_mids:
-            storage_total = group.size - len(witness_mids)
-            needed = max(1, storage_total - group.majority_size() + 1)
-            if storage_survivors < needed:
-                return True
-        return False
+        return group.quorums.strands(
+            cohort.mymid
+            for cohort in group.cohorts.values()
+            if cohort.node.node_id != node_id
+            and cohort.node.up
+            and cohort.up_to_date
+        )
 
     def _churn(self, controller, node_id: str, rng):
         node = controller.node(node_id)

@@ -32,7 +32,7 @@ def e21_modes(n: int) -> Dict[str, Optional[ScaleConfig]]:
     presentation order.
 
     Witness counts scale with the group (a third of it) rather than the
-    ``n - majority(n)`` maximum: the maximum shrinks every force quorum
+    ``n - Quorums.formation`` maximum: the maximum shrinks every force quorum
     to *all* storage members, which measures fragility, not the
     mechanism.
     """

@@ -156,7 +156,7 @@ def _name_partitioned_quorum(runtime, spec, reason: str, net: dict) -> str:
         return reason
     group = runtime.groups[groupid]
     member_ids = {node.node_id for node in group.nodes()}
-    need = group.majority_size()
+    need = group.quorums.formation
     for block in blocks:
         if len(member_ids & set(block)) >= need:
             return reason  # a quorum-capable block exists; not the cause

@@ -7,9 +7,10 @@ backup's applied prefix:
 - *primary side*: ``grants`` maps each backup mid to the expiry of the
   newest grant received from it.  The lease is **valid** while the
   primary itself plus the backups with unexpired grants form a majority
-  of the configuration -- the same majority rule view formation uses, so
-  any view that forms while the lease is valid must include a grantor
-  (or the primary itself), whose acceptance reports the promise.
+  of the configuration (``Quorums.lease`` grantors) -- so any view that
+  forms while the lease is valid (``Quorums.formation`` acceptors) must
+  include a grantor (or the primary itself), whose acceptance reports the
+  promise.
 - *backup side*: ``promises`` maps each grantee mid to the latest expiry
   this cohort has promised it.  Expired promises are pruned lazily;
   unexpired ones are attached to every view-change acceptance so the
@@ -29,7 +30,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Tuple
 
-from repro.core.view import majority
+from repro.core.quorum import Quorums
 
 #: Grantee recorded by a crashed acceptor: its real promises (and their
 #: grantees) died with its volatile state, so it conservatively reports a
@@ -41,9 +42,9 @@ CRASH_GRANTEE = -1
 class ReadState:
     """Both sides of the lease protocol plus prefix freshness, per cohort."""
 
-    def __init__(self, reads_config, config_size: int, clock):
+    def __init__(self, reads_config, quorums: Quorums, clock):
         self.cfg = reads_config
-        self.config_size = config_size
+        self.quorums = quorums
         self.clock = clock
         #: primary side: backup mid -> newest grant expiry received
         self.grants: Dict[int, float] = {}
@@ -96,19 +97,15 @@ class ReadState:
         grant proves nothing about the views that can form without us.
         """
         now = self.clock()
-        holders = 1 + sum(
-            1
-            for mid in view.backups
-            if self.grants.get(mid, 0.0) > now
-        )
-        return holders >= majority(self.config_size)
+        grantors = sum(1 for mid in view.backups if self.grants.get(mid, 0.0) > now)
+        return grantors >= self.quorums.lease
 
     def lease_until(self, view) -> float:
         """The instant validity lapses if no further grant arrives (0.0
         when not currently valid): the k-th largest unexpired grant
         expiry, where self plus k grantors are a bare majority."""
         now = self.clock()
-        needed = majority(self.config_size) - 1  # grantors beyond self
+        needed = self.quorums.lease
         expiries = sorted(
             (
                 self.grants.get(mid, 0.0)

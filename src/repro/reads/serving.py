@@ -24,12 +24,10 @@ from repro.reads.lease import ReadState, formation_lease_bound
 class Leases(Extension):
     def __init__(self, cohort, reads_config) -> None:
         super().__init__(cohort)
-        self.state = ReadState(
-            reads_config, cohort.config_size, lambda: cohort.sim.now
-        )
+        self.state = ReadState(reads_config, cohort.quorums, lambda: cohort.sim.now)
         # A bufferless member (repro.scale) votes and grants like any
         # backup, but holds no object state to serve.
-        self._holds_state = bool(cohort.storage_members((cohort.mymid,)))
+        self._holds_state = cohort.mymid not in cohort.quorums.witnesses
         wrap(cohort, "build_buffer_ack", self._grant_on_ack)
         wrap(cohort, "build_im_alive", self._grant_on_beacon)
         controller = cohort.view_change

@@ -13,65 +13,15 @@ config*: ``ProtocolConfig.scale is None`` (or a ScaleConfig with every
 mechanism off) builds none of them, never imports this package, and
 replays the paper-faithful schedules byte-for-byte, proven by the
 ``all-off`` row of ``python -m repro.gate scale``.  This module
-holds what they compute with: the :class:`AckTree` topology and the
-witness sizing rules.
+holds the :class:`AckTree` topology; how many witnesses a group may have,
+and which, is its :class:`~repro.core.quorum.Quorums`.
 """
 
 from __future__ import annotations
 
-from typing import FrozenSet, Iterable, Tuple
+from typing import Iterable, Tuple
 
-from repro.core.view import majority
-
-__all__ = [
-    "AckTree",
-    "max_witnesses",
-    "storage_size",
-    "validate_witnesses",
-    "witness_mids",
-]
-
-
-def max_witnesses(config_size: int) -> int:
-    """Most witnesses a *config_size*-member group can afford.
-
-    A force waits on ``sub_majority`` storage-backup acks, i.e. the event
-    reaches ``majority(n)`` members counting the primary.  For that quorum
-    to exist among storage members alone -- witnesses hold no buffer --
-    at least ``majority(n)`` members must be storage, leaving at most
-    ``n - majority(n)`` witnesses.
-    """
-    return max(0, config_size - majority(config_size))
-
-
-def witness_mids(config_size: int, witnesses: int) -> FrozenSet[int]:
-    """The witness module ids: the highest *witnesses* mids of the group.
-
-    Deterministic by construction (mids are dense 0..n-1), and never
-    includes mid 0, the seed view's primary.
-    """
-    if witnesses <= 0:
-        return frozenset()
-    return frozenset(range(config_size - witnesses, config_size))
-
-
-def storage_size(config_size: int, witnesses: int) -> int:
-    """Members that hold an event buffer (primary included)."""
-    return config_size - max(0, witnesses)
-
-
-def validate_witnesses(config_size: int, witnesses: int) -> None:
-    """Raise ValueError unless *witnesses* leaves an all-storage force quorum."""
-    if witnesses < 0:
-        raise ValueError(f"witnesses must be >= 0, got {witnesses}")
-    limit = max_witnesses(config_size)
-    if witnesses > limit:
-        raise ValueError(
-            f"witnesses={witnesses} exceeds the bound for a "
-            f"{config_size}-member group: at most {limit} members may be "
-            f"bufferless (a force quorum needs majority({config_size})="
-            f"{majority(config_size)} storage members)"
-        )
+__all__ = ["AckTree"]
 
 
 class AckTree:

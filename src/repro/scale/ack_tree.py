@@ -45,7 +45,7 @@ class AckTreeAcks(Extension):
         if self._tree_key != key:
             self._tree = AckTree(
                 cohort.cur_view.primary,
-                cohort.storage_members(cohort.cur_view.backups),
+                cohort.quorums.storage(cohort.cur_view.backups),
                 self.scale.ack_fanout,
             )
             self._tree_key = key

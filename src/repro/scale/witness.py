@@ -2,44 +2,37 @@
 
 The highest ``k`` module ids of a group vote in view formation -- their
 acceptances count toward the majority and they join the formed view -- but
-hold no event buffer: the primary never replicates records to them, and
-the formation rule's evidence conditions must be met by storage members
-alone.  Every cohort of such a group carries this extension (all of them
-need to know who the witnesses are); ``is_witness`` says which side of it
-a cohort is on.
+hold no event buffer.  Who they are, and what that does to every quorum (the
+buffer addresses only storage backups, condition 1 counts only storage
+acceptances), is the group's :class:`~repro.core.quorum.Quorums`; this
+extension is what a witness *does*: the view install a witness gets instead
+of the newview record, its retransmission, and the evidence-free vote.
+Every cohort of such a group carries it; ``is_witness`` says which side of
+it a cohort is on.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Set, Tuple
+from typing import Callable, Set
 
 from repro.core import messages as m
 from repro.core.cohort import Cohort, Status
 from repro.core.extension import Extension, Table, wrap, wrap_row
-from repro.core.view import majority
-from repro.scale import validate_witnesses, witness_mids
 
 
 class Witnesses(Extension):
-    def __init__(self, cohort, scale) -> None:
+    def __init__(self, cohort) -> None:
         super().__init__(cohort)
-        validate_witnesses(cohort.config_size, scale.witnesses)
-        self.mids = witness_mids(cohort.config_size, scale.witnesses)
-        self.is_witness = cohort.mymid in self.mids
+        self.is_witness = cohort.mymid in cohort.quorums.witnesses
         #: primary: witnesses that have not yet confirmed the view install
         self._install_pending: Set[int] = set()
-        wrap(cohort, "storage_members", self.storage_members)
         wrap(cohort, "beacon", self._beacon_then_resend)
-        wrap(cohort.view_change, "normals_needed", self._coverage)
         if self.is_witness:
             wrap(cohort.view_change, "build_acceptance", self._vote_without_evidence)
 
     def wire(self, any_status: Table, primary_only: Table) -> None:
         any_status[m.WitnessInstallMsg] = self.on_witness_install
         wrap_row(any_status, m.BufferAckMsg, self._confirm_install)
-
-    def storage_members(self, _everyone: Callable, mids) -> Tuple[int, ...]:
-        return tuple(mid for mid in mids if mid not in self.mids)
 
     # -- primary: announcing a formed view to its witnesses ---------------------
 
@@ -48,11 +41,7 @@ class Witnesses(Extension):
         # announced to them explicitly; retransmitted from the heartbeat
         # loop until each confirms.
         cohort = self.cohort
-        self._install_pending = {
-            peer
-            for peer in cohort.cur_view.members
-            if peer != cohort.mymid and peer in self.mids
-        }
+        self._install_pending = set(cohort.cur_view.members) & cohort.quorums.witnesses
         self._send_installs(sorted(self._install_pending))
 
     def reset(self) -> None:
@@ -155,12 +144,3 @@ class Witnesses(Extension):
         acceptance.crash_viewid = None
         acceptance.view = cohort.cur_view
         return acceptance
-
-    def _coverage(self, _majority: Callable) -> int:
-        """Force quorums are all-storage (``majority(n)`` buffer-holding
-        members counting the primary), so the paper's condition 1 relaxes
-        to *coverage*: enough storage members accepted normally that they
-        intersect every possible force quorum of every view, hence no
-        forced event can be missing from their joint state."""
-        n = self.cohort.config_size
-        return (n - len(self.mids)) - majority(n) + 1

@@ -35,9 +35,13 @@ All monitors are false-positive-free on legitimate runs:
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Dict, FrozenSet, Optional, Tuple
 
-from repro.core.view import majority, sub_majority
+from repro.core.quorum import Quorums
+
+#: Quorums of a config_size in event data (witnesses move neither size read)
+_quorums = lru_cache(maxsize=None)(Quorums)
 
 
 class InvariantViolation(AssertionError):
@@ -158,13 +162,14 @@ class QuorumIntersectionMonitor(InvariantMonitor):
         group = data["group"]
         members = frozenset(data["members"])
         config_size = data["config_size"]
-        if len(members) < majority(config_size):
+        formation = _quorums(config_size).formation
+        if len(members) < formation:
             self.fail(
                 tracer,
                 event,
                 f"view {data['viewid']} of {group} formed with "
                 f"{len(members)} members; majority of {config_size} is "
-                f"{majority(config_size)}",
+                f"{formation}",
             )
         previous = self._previous.get(group)
         if previous is not None and not (members & previous[1]):
@@ -207,7 +212,7 @@ class CommitQuorumMonitor(InvariantMonitor):
         satisfied = sum(
             1 for acked_ts in data["acked"].values() if acked_ts >= force_ts
         )
-        needed = sub_majority(config_size)
+        needed = _quorums(config_size).force
         if satisfied < needed:
             self.fail(
                 tracer,

@@ -5,7 +5,7 @@ import pytest
 from repro.core.buffer import CommunicationBuffer, ForceAbandoned
 from repro.core.events import Aborted
 from repro.core.messages import BufferAckMsg, BufferMsg
-from repro.core.view import sub_majority
+from repro.core.quorum import sub_majority
 from repro.core.viewstamp import ViewId, Viewstamp
 from repro.sim.kernel import Simulator
 from repro.txn.ids import Aid

@@ -11,7 +11,7 @@ from repro.core.buffer import CommunicationBuffer, ForceAbandoned, HeldRecords
 from repro.core.cohort import Cohort
 from repro.core.events import Aborted, Committed, CompletedCall, ObjectEffect
 from repro.core.messages import BufferAckMsg, BufferMsg
-from repro.core.view import sub_majority
+from repro.core.quorum import sub_majority
 from repro.core.viewstamp import ViewId, Viewstamp
 from repro.sim.kernel import Simulator
 from repro.txn.ids import Aid, CallId

@@ -147,10 +147,8 @@ def test_every_method_the_seam_offers_is_taken_over_by_some_extension():
         "Cohort.beacon",
         "Cohort.build_buffer_ack",
         "Cohort.build_im_alive",
-        "Cohort.storage_members",
         "ViewChangeController.build_acceptance",
         "ViewChangeController.build_init_view",
-        "ViewChangeController.normals_needed",
         "ViewChangeController.activate",
         "ClientRole._send_prepare",
         "ClientRole._send_commit",

@@ -17,7 +17,7 @@ def test_configuration_addresses():
     _rt, group = build()
     assert group.configuration == ((0, "g/0"), (1, "g/1"), (2, "g/2"))
     assert group.size == 3
-    assert group.majority_size() == 2
+    assert group.quorums.formation == 2
 
 
 def test_active_primary_initial():
@@ -72,7 +72,7 @@ def test_single_cohort_group_works():
     rt = Runtime(seed=1)
     group = rt.create_group("solo", CounterSpec(), n_cohorts=1)
     assert group.active_primary().mymid == 0
-    assert group.majority_size() == 1
+    assert group.quorums.formation == 1
 
 
 def test_duplicate_groupid_rejected():

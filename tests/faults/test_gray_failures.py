@@ -247,7 +247,7 @@ def test_crash_churn_protect_group_never_strands_the_group():
             1 for cohort in group.cohorts.values()
             if cohort.node.up and cohort.up_to_date
         )
-        assert up_to_date >= group.majority_size(), (
+        assert up_to_date >= group.quorums.formation, (
             f"churn stranded the group at t={rt.sim.now}"
         )
     rt.faults.stop()

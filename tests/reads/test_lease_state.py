@@ -5,6 +5,7 @@ and the view-formation bound covers every reported promise to anyone but
 the chosen primary."""
 
 from repro.config import ReadConfig
+from repro.core.quorum import Quorums
 from repro.reads.lease import CRASH_GRANTEE, ReadState, formation_lease_bound
 
 
@@ -26,7 +27,7 @@ def make_state(config_size=3, lease_duration=30.0, now=0.0):
     clock = _Clock(now)
     state = ReadState(
         ReadConfig(enabled=True, lease_duration=lease_duration),
-        config_size,
+        Quorums(config_size),
         clock,
     )
     return state, clock

@@ -1,20 +1,15 @@
 """Unit tests for the repro.scale building blocks.
 
-AckTree topology, witness sizing/bounds, and the all-off => None
-normalization that underwrites the zero-cost-when-disabled claim.
+AckTree topology, witness sizing/bounds (the group's Quorums), and the
+all-off => None normalization that underwrites the zero-cost-when-disabled
+claim.
 """
 
 import pytest
 
 from repro.config import ProtocolConfig, ScaleConfig
-from repro.core.view import majority
-from repro.scale import (
-    AckTree,
-    max_witnesses,
-    storage_size,
-    validate_witnesses,
-    witness_mids,
-)
+from repro.core.quorum import Quorums
+from repro.scale import AckTree
 
 
 # -- AckTree ----------------------------------------------------------------
@@ -79,23 +74,24 @@ def test_ack_tree_fanout_floor_is_one():
 
 @pytest.mark.parametrize("n", [3, 4, 5, 7, 9, 25, 100])
 def test_max_witnesses_leaves_a_storage_force_quorum(n):
-    w = max_witnesses(n)
-    assert storage_size(n, w) >= majority(n)
-    validate_witnesses(n, w)  # the bound itself is valid
+    w = n - Quorums(n).formation  # the most witnesses an n-group may have
+    quorums = Quorums(n, w)  # the bound itself is valid
+    assert len(quorums.storage(range(n))) >= quorums.formation
+    assert quorums.force + 1 <= len(quorums.storage(range(n)))
     with pytest.raises(ValueError):
-        validate_witnesses(n, w + 1)
+        Quorums(n, w + 1)
 
 
 def test_witness_mids_are_the_highest_and_never_the_seed_primary():
-    mids = witness_mids(9, 2)
-    assert mids == frozenset({7, 8})
-    assert 0 not in witness_mids(5, max_witnesses(5))
-    assert witness_mids(9, 0) == frozenset()
+    assert Quorums(9, 2).witnesses == frozenset({7, 8})
+    assert 0 not in Quorums(5, 5 - Quorums(5).formation).witnesses
+    assert Quorums(9).witnesses == Quorums(9, 0).witnesses == frozenset()
 
 
-def test_validate_witnesses_rejects_negative():
-    with pytest.raises(ValueError):
-        validate_witnesses(5, -1)
+def test_quorums_reject_a_negative_witness_count():
+    for w in (-1, -5):
+        with pytest.raises(ValueError):
+            Quorums(5, w)
 
 
 # -- all-off is absent -------------------------------------------------------

@@ -47,8 +47,8 @@ def test_witnesses_never_hold_a_buffer_and_join_views():
     rt, kv, driver, spec = _scaled_kv(31, 7, ScaleConfig(witnesses=2))
     rt.run_for(200.0)
     _commit_writes(rt, driver, spec, 6)
-    assert kv.witness_mids == frozenset({5, 6})
-    for mid in kv.witness_mids:
+    assert kv.quorums.witnesses == frozenset({5, 6})
+    for mid in kv.quorums.witnesses:
         witness = kv.cohort(mid)
         (extension,) = witness.extensions
         assert extension.is_witness
@@ -73,14 +73,14 @@ def test_witness_group_reforms_after_primary_crash_and_state_matches():
         rt.run_for(50.0)
     primary = kv.active_primary()
     assert primary is not None, "witness group never re-formed"
-    assert primary.mymid not in kv.witness_mids, "a witness became primary"
+    assert primary.mymid not in kv.quorums.witnesses, "a witness became primary"
     _commit_writes(rt, driver, spec, 8, base=8)
     kv.recover_cohort(crashed)
     rt.quiesce(500.0)
     rt.check_invariants(require_convergence=False)
     # Witnesses joined the new view too.
     viewid = kv.active_primary().cur_viewid
-    for mid in kv.witness_mids:
+    for mid in kv.quorums.witnesses:
         assert kv.cohort(mid).cur_viewid == viewid
 
 
@@ -90,7 +90,7 @@ def test_witness_crash_does_not_block_views_or_forces():
     storage members)."""
     rt, kv, driver, spec = _scaled_kv(33, 7, ScaleConfig(witnesses=2))
     rt.run_for(200.0)
-    for mid in sorted(kv.witness_mids):
+    for mid in sorted(kv.quorums.witnesses):
         kv.crash_cohort(mid)
     _commit_writes(rt, driver, spec, 6)
     crashed = kv.crash_primary()
@@ -99,7 +99,7 @@ def test_witness_crash_does_not_block_views_or_forces():
         rt.run_for(50.0)
     assert kv.active_primary() is not None
     kv.recover_cohort(crashed)
-    for mid in sorted(kv.witness_mids):
+    for mid in sorted(kv.quorums.witnesses):
         kv.recover_cohort(mid)
     rt.quiesce(500.0)
     rt.check_invariants(require_convergence=False)
@@ -112,7 +112,7 @@ def test_witness_rejects_reads_and_holds_no_state():
     # Group-level convergence checks skip witnesses entirely.
     report = kv.divergence_report()
     assert not any(
-        mid in kv.witness_mids for mid in getattr(report, "mids", [])
+        mid in kv.quorums.witnesses for mid in getattr(report, "mids", [])
     )
     rt.check_invariants(require_convergence=True)
 
@@ -123,6 +123,17 @@ def test_witness_overflow_rejected_at_group_construction():
     ))
     with pytest.raises(ValueError):
         rt.create_group("g", EmptyModule(), n_cohorts=5)  # max is 2
+
+
+@pytest.mark.parametrize("witnesses", [-1, -5])
+def test_negative_witness_count_rejected_at_group_construction(witnesses):
+    """A negative count used to build a paper-faithful group silently: only
+    a positive one armed the extension that validated it."""
+    rt = Runtime(seed=9, config=ProtocolConfig(
+        scale=ScaleConfig(witnesses=witnesses)
+    ))
+    with pytest.raises(ValueError):
+        rt.create_group("g", EmptyModule(), n_cohorts=5)
 
 
 # -- ack tree under load ----------------------------------------------------
@@ -209,7 +220,7 @@ def test_crash_would_strand_counts_storage_survivors():
     rt, kv, driver, spec = _scaled_kv(38, 7, ScaleConfig(witnesses=2))
     rt.run_for(400.0)
     rule = CrashChurnRule((), 1.0, 1.0, None, "probe", "kv")
-    storage = sorted(m for m in kv.cohorts if m not in kv.witness_mids)
+    storage = sorted(m for m in kv.cohorts if m not in kv.quorums.witnesses)
     nodes = {mid: kv.cohort(mid).node.node_id for mid in kv.cohorts}
     controller = rt.faults
     # Healthy group: crashing one storage member strands nothing.
@@ -225,5 +236,5 @@ def test_crash_would_strand_counts_storage_survivors():
     # coverage.
     assert rule._crash_would_strand(controller, nodes[storage[3]])
     assert rule._crash_would_strand(
-        controller, nodes[sorted(kv.witness_mids)[0]]
+        controller, nodes[sorted(kv.quorums.witnesses)[0]]
     )
