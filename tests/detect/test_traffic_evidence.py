@@ -160,6 +160,44 @@ def test_a_backup_that_stops_acking_and_beaconing_is_still_suspected(failure):
     assert at is not None and failed_at < at <= deadline, at
 
 
+def _detector_events(rt, observer, since):
+    return [
+        (event.kind, event.target)
+        for event in rt.ledger.detector_events
+        if event.observer == observer and event.at >= since
+    ]
+
+
+def test_a_recovered_cohort_that_hears_a_live_peer_records_no_suspicion_of_it():
+    """Hearing a peer after a long silence is not a suspicion of it: the
+    beacon row asks whether the peer *was* silent without recording it."""
+    rt, kv, _clients, _driver, _spec = build_kv_system(seed=26)
+    rt.run_for(20 * INTERVAL)
+    kv.crash_cohort(2)
+    rt.run_for(20 * rt.config.suspect_timeout())  # aged out at recovery
+    recovered_at = rt.sim.now
+    kv.recover_cohort(2)
+    rt.run_for(20 * INTERVAL)
+    recovered = kv.cohort(2)
+    assert recovered.cur_viewid == kv.active_primary().cur_viewid
+    assert all(recovered.detect.last_heard(peer) > recovered_at for peer in (0, 1))
+    assert _detector_events(rt, 2, recovered_at) == []
+
+
+def test_an_excluded_cohorts_beacon_still_triggers_the_re_add_sweep():
+    rt, kv, _clients, _driver, _spec = build_kv_system(seed=27)
+    rt.run_for(20 * INTERVAL)
+    kv.crash_cohort(2)
+    rt.run_for(20 * INTERVAL)
+    primary = kv.active_primary()
+    assert primary.mymid == 0 and 2 not in primary.cur_view
+    assert primary._is_suspect(2)  # suspected since the crash
+    beacon = m.ImAliveMsg(mid=2, viewid=primary.cur_viewid, sent_at=rt.sim.now)
+    primary.handle_message(beacon, kv.cohort(2).address)
+    assert primary.status.value == "view_manager"  # at once, not next round
+    assert _detector_events(rt, 0, rt.sim.now) == [("trust", 2)]
+
+
 def test_traffic_arrivals_do_not_widen_the_accrual_baseline():
     rt, kv, _clients, driver, spec = build_kv_system(seed=25)
     _steady_writes(rt, driver, spec)
