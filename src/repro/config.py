@@ -159,10 +159,10 @@ class ScaleConfig:
     baseline schedule exactly (the ``all-off`` row of ``python -m repro.gate
     scale``).
 
-    - ``gossip``: instead of every cohort heartbeating every peer
-      (O(n^2) I'm-alive traffic, with the primary an O(n) hub), each
-      cohort heartbeats ``gossip_fanout`` seeded-random peers per period
-      and piggybacks recent liveness *evidence* -- ``(mid, heard_at)``
+    - ``gossip``: instead of the primary heartbeating every member and
+      each backup its primary (2(n-1) links, with the primary an O(n) hub;
+      DESIGN.md D19), each cohort heartbeats ``gossip_fanout``
+      seeded-random peers per period and piggybacks recent liveness *evidence* -- ``(mid, heard_at)``
       pairs -- which receivers fold into the accrual detector via
       :meth:`repro.detect.FailureDetector.heard_relayed` (advancing
       last-heard without polluting the RTT/interval estimators, since a
@@ -183,7 +183,7 @@ class ScaleConfig:
       the storage replicas) when the group is created.
     """
 
-    #: Epidemic heartbeat dissemination (off = all-peers heartbeats).
+    #: Epidemic heartbeat dissemination (off = the primary's star).
     gossip: bool = False
     #: Peers each heartbeat round targets when gossip is on.
     gossip_fanout: int = 3

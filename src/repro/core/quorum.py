@@ -92,8 +92,10 @@ class Quorums:
 
     def strands(self, survivors: Iterable[int]) -> bool:
         """Could *survivors*, the members left up and up to date, fail to
-        form a view?  Too few to form one, or too few storage members among
-        them to meet every force quorum (the guard ``protect_group`` crash
-        churn keeps; without witnesses the two tests coincide)."""
-        survivors = tuple(survivors)
-        return len(survivors) < self.formation or len(self.storage(survivors)) < self.normals
+        form a view that can force?  ``form_view`` refuses a view without a
+        storage primary and ``force`` storage backups, so too few storage
+        members among them strands the group (the guard ``protect_group``
+        crash churn keeps).  Those are ``formation`` members, so the test
+        also covers too few survivors to form a view, and too few storage
+        acceptors for condition 1 (``normals`` is at most ``formation``)."""
+        return len(self.storage(survivors)) < self.force + 1

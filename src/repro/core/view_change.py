@@ -338,6 +338,8 @@ class ViewChangeController:
                 return None
         primary = self._choose_primary(normals, normal_vs)
         backups = tuple(sorted(a.mid for a in accepted if a.mid != primary))
+        if len(quorums.storage(backups)) < quorums.force:
+            return None  # a view that cannot force is no view (D18)
         return View(primary=primary, backups=backups)
 
     def _backups_cover_forces(self, normals, normal_viewid) -> bool:

@@ -67,8 +67,8 @@ def build_kv_system(
         link=link or LAN,
         config=config,
         trace=trace,
-        # all-to-all heartbeats cost O(n^2) events per interval: the
-        # runaway guard grows with the group
+        # heartbeats cost O(n) events per interval: the runaway guard
+        # grows with the group
         max_events=5_000_000 * n_cohorts,
     )
     spec = KVStoreSpec(n_keys=n_keys)

@@ -169,8 +169,8 @@ def e21_cohort_scale(
         exp_id="E21",
         title="cohort scaling: gossip heartbeats, ack trees, witness replicas",
         claim=(
-            "VR'88 sizes groups at three-to-five cohorts; its all-to-all "
-            "heartbeats and primary ack fan-in make the primary an O(n) "
+            "VR'88 sizes groups at three-to-five cohorts; the primary's "
+            "heartbeats to every member and its ack fan-in make it an O(n) "
             "hot spot.  Gossip dissemination, sub-quorum ack trees, and "
             "witness replicas (repro.scale) keep n=100 serving, cutting "
             "primary per-interval message load >= 5x all-on, at a bounded "

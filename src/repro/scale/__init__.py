@@ -1,9 +1,9 @@
 """repro.scale: mechanisms that keep large cohorts tractable (docs/SCALE.md).
 
-VR'88 assumes every backup talks directly to the primary: I'm-alive
-traffic is all-to-all and buffer-ack fan-in makes the primary an O(n)
-hot spot.  "Can 100 Machines Agree?" (PAPERS.md) shows agreement
-protocols degrade qualitatively around n=100; this package adds the
+VR'88 assumes every backup talks directly to the primary: the primary
+heartbeats every member and hears every backup's heartbeats and buffer
+acks, an O(n) hot spot.  "Can 100 Machines Agree?" (PAPERS.md) shows
+agreement protocols degrade qualitatively around n=100; this package adds the
 three classic remedies -- **gossip heartbeats** (:mod:`repro.scale.gossip`),
 **ack trees** (:mod:`repro.scale.ack_tree`) and **witness replicas**
 (:mod:`repro.scale.witness`) -- each independently toggleable through

@@ -1,9 +1,10 @@
 """Gossip heartbeats (``ScaleConfig(gossip=True)``; docs/SCALE.md).
 
-Instead of every cohort beaconing every peer, each round reaches a
-seeded-random ``gossip_fanout`` sample and carries recent liveness
-*evidence* -- ``(mid, heard_at)`` pairs -- which receivers fold into their
-failure detector; the epidemic relay replaces the all-peers broadcast.
+Instead of the primary beaconing every member and each backup its primary
+(DESIGN.md D19), each round reaches a seeded-random ``gossip_fanout``
+sample and carries recent first-hand liveness *evidence* -- ``(mid,
+heard_at)`` pairs -- which receivers fold into their failure detector; the
+epidemic relay replaces the primary's broadcast.
 """
 
 from __future__ import annotations

@@ -214,6 +214,41 @@ def test_lossy_beats_stretch_expected_interval():
     assert detector.expected_interval(1) >= 2 * config.im_alive_interval
 
 
+def test_an_outage_is_not_a_cadence():
+    """A silence past the suspicion threshold is not an inter-arrival
+    sample: one long gap must not make the peer's next death look alive."""
+    config = ProtocolConfig()
+    detector, clock = _detector(config=config)
+    for beat in range(1, 11):
+        clock.now = beat * config.im_alive_interval
+        detector.heard(1)
+    learned = detector.expected_interval(1)
+    clock.now += 10 * config.suspect_timeout()
+    detector.heard(1)
+    assert detector.expected_interval(1) == learned
+
+
+def test_a_vouch_restarts_the_silence_and_is_no_sample():
+    transitions = []
+    config = ProtocolConfig()
+    detector, clock = _detector(config=config, transitions=transitions)
+    clock.now = 100.0
+    assert detector.is_suspect(1)
+    detector.vouch(1, clock.now)  # the primary's word ends the suspicion
+    assert transitions == [(1, True), (1, False)]
+    assert detector.last_heard(1) == 0.0 and detector.rto(1) is None
+    clock.now += config.suspect_timeout()
+    assert not detector.silent(1)
+    clock.now += 0.001
+    assert detector.silent(1) and transitions == [(1, True), (1, False)]
+    # A beacon after the vouch samples the gap since the vouch, not since
+    # the last beacon.
+    detector.vouch(1, clock.now)
+    clock.now += config.im_alive_interval
+    detector.heard(1)
+    assert detector.peers[1].mean_interval == config.im_alive_interval
+
+
 def test_transitions_fire_once_per_crossing():
     transitions = []
     detector, clock = _detector(transitions=transitions)

@@ -1,12 +1,15 @@
-"""Bounded silence: suppressing redundant beacons never silences a link.
+"""Bounded silence: suppressing redundant beacons never silences a watched link.
 
 A cohort skips the ``ImAliveMsg`` to a peer it sent a buffer message or ack
 within the last half ``im_alive_interval`` (``Cohort.send_traffic`` /
-``Cohort.beacon``).  Whatever the traffic pattern, each directed link between
-two up, connected cohorts of one configuration must still carry something
-that proves life at least every 1.5 intervals: the receiver's suspicion
-threshold (``suspect_multiplier`` intervals) was sized against a beacon per
-interval and keeps its margin only if that holds.
+``Cohort.beacon``).  Whatever the traffic pattern, each directed link that a
+receiver judges -- primary to backup, backup to primary, and any link to a
+cohort outside the view -- must still carry something that proves life at
+least every 1.5 intervals: the receiver's suspicion threshold
+(``suspect_multiplier`` intervals) was sized against a beacon per interval and
+keeps its margin only if that holds.  A backup that trusts its primary judges
+no fellow backup and beacons none (DESIGN.md D19), so a backup-to-backup link
+carries no ``ImAliveMsg`` while both trust the primary.
 """
 
 from collections import defaultdict
@@ -22,18 +25,14 @@ INTERVAL = ProtocolConfig().im_alive_interval
 LIVENESS_BEARING = (m.ImAliveMsg, m.BufferMsg, m.BufferAckMsg)
 
 
-def _record_liveness_sends(rt, group):
-    """``(source mid, destination mid) -> [send times]`` from now on."""
+def _record_liveness_sends(rt, group, kinds=LIVENESS_BEARING):
+    """``(source mid, destination mid) -> [send times]`` of *kinds* from now on."""
     mids = {address: mid for mid, address in group.cohort(0).configuration}
     sends = defaultdict(list)
     deliver = rt.network.send
 
     def send(source, destination, payload):
-        if (
-            isinstance(payload, LIVENESS_BEARING)
-            and source in mids
-            and destination in mids
-        ):
+        if isinstance(payload, kinds) and source in mids and destination in mids:
             sends[mids[source], mids[destination]].append(rt.sim.now)
         deliver(source, destination, payload)
 
@@ -58,16 +57,21 @@ def _longest_silence(times, start, end):
 def test_no_link_is_silent_for_longer_than_one_and_a_half_intervals(seed, gaps):
     rt, kv, _clients, driver, spec = build_kv_system(seed=seed)
     sends = _record_liveness_sends(rt, kv)
+    beacons = _record_liveness_sends(rt, kv, m.ImAliveMsg)
     for index, gap in enumerate(gaps):
         rt.run_for(gap)
         driver.call("clients", "write", "kv", spec.key(index % spec.n_keys), index)
     rt.run_for(3 * INTERVAL)
-    links = [(a, b) for a in kv.cohorts for b in kv.cohorts if a != b]
-    for link in links:
-        # The first round is 0.5-1.5 intervals after start (_start_heartbeat).
-        silence = _longest_silence(sends[link], 0.0, rt.sim.now)
-        assert silence <= 1.5 * INTERVAL + 1e-9, (link, silence, sends[link])
-    assert rt.ledger.view_changes == []
+    # Nobody ever stopped trusting the primary.
+    assert rt.ledger.view_changes == [] and rt.ledger.detector_events == []
+    view = kv.active_primary().cur_view
+    for link in [(a, b) for a in kv.cohorts for b in kv.cohorts if a != b]:
+        if view.primary in link or not all(mid in view for mid in link):
+            # The first round is 0.5-1.5 intervals after start (_start_heartbeat).
+            silence = _longest_silence(sends[link], 0.0, rt.sim.now)
+            assert silence <= 1.5 * INTERVAL + 1e-9, (link, silence, sends[link])
+        else:
+            assert beacons[link] == [], (link, beacons[link])
 
 
 def test_the_first_beacon_round_after_recovery_reaches_every_peer():

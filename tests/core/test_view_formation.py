@@ -4,6 +4,8 @@ These exercise ``ViewChangeController.form_view`` directly with synthetic
 acceptance sets, including the paper's three-cohort A/B/C example.
 """
 
+from itertools import combinations
+
 import pytest
 
 from repro.core.messages import AcceptMsg
@@ -20,15 +22,15 @@ from repro.config import ProtocolConfig
 
 
 class _FakeCohort:
-    def __init__(self, config_size=3, extended=False):
-        self.quorums = Quorums(config_size)  # as ModuleGroup: every member stores
+    def __init__(self, config_size=3, extended=False, witnesses=0):
+        self.quorums = Quorums(config_size, witnesses)  # as ModuleGroup builds it
         self.config = ProtocolConfig(extended_formation_rule=extended)
 
 
-def controller(config_size=3, extended=False):
+def controller(config_size=3, extended=False, witnesses=0):
     from repro.core.view_change import ViewChangeController
 
-    return ViewChangeController(_FakeCohort(config_size, extended))
+    return ViewChangeController(_FakeCohort(config_size, extended, witnesses))
 
 
 def normal(mid, viewid, ts, was_primary=False, view=None):
@@ -54,8 +56,21 @@ def crashed(mid, viewid):
     )
 
 
-def form(responses, config_size=3, extended=False):
-    return controller(config_size, extended).form_view(
+def witness_vote(mid):
+    """A witness's evidence-free acceptance (``Witnesses._vote_without_evidence``)."""
+    return AcceptMsg(
+        viewid=V3,
+        mid=mid,
+        crashed=False,
+        viewstamp=None,
+        was_primary=False,
+        crash_viewid=None,
+        witness=True,
+    )
+
+
+def form(responses, config_size=3, extended=False, witnesses=0):
+    return controller(config_size, extended, witnesses).form_view(
         {r.mid: r for r in responses}
     )
 
@@ -159,6 +174,43 @@ def test_all_acceptors_become_members():
     assert view.primary == 3
     assert set(view.backups) == {0, 1, 2}
     assert len(view.members) >= Quorums(5).formation
+
+
+def test_a_view_that_cannot_force_does_not_form():
+    """n = 5 with witnesses {3, 4}: one normal acceptor and both witnesses
+    are a majority and meet condition 1, but the view they would make has no
+    storage backup, so every force in it would stall to ``force_timeout``."""
+    quorums = Quorums(5, witnesses=2)
+    assert quorums.witnesses == {3, 4} and quorums.force == 2
+    assert form([normal(0, V1, 5), witness_vote(3), witness_vote(4)], 5, witnesses=2) is None
+    # One storage backup short of the force quorum is no better...
+    assert (
+        form([normal(0, V1, 5), normal(1, V1, 5), witness_vote(3)], 5, witnesses=2)
+        is None
+    )
+    # ...and the force quorum itself forms.
+    view = form(
+        [normal(0, V1, 5), normal(1, V1, 5), normal(2, V1, 4), witness_vote(3)],
+        5,
+        witnesses=2,
+    )
+    assert view == View(primary=0, backups=(1, 2, 3))
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_the_crash_guard_strands_exactly_the_survivors_that_form_no_view(n):
+    """``Quorums.strands`` (protected crash churn's guard) against
+    ``form_view`` with every survivor set accepting: they agree."""
+    for w in range(n - majority(n) + 1):
+        quorums = Quorums(n, w)
+        for size in range(n + 1):
+            for survivors in combinations(range(n), size):
+                votes = [
+                    witness_vote(mid) if mid in quorums.witnesses else normal(mid, V1, 5)
+                    for mid in survivors
+                ]
+                formed = form(votes, n, witnesses=w)
+                assert quorums.strands(survivors) == (formed is None), (n, w, survivors)
 
 
 def test_view_rejects_primary_in_backups():

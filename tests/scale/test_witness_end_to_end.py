@@ -208,33 +208,32 @@ def test_crash_churn_protects_storage_quorum_not_just_majority():
 
 def test_crash_would_strand_counts_storage_survivors():
     """The planner's guard on a witness-bearing 7-group (5 storage + 2
-    witnesses): crashes are allowed down to exactly the form_view
-    coverage floor (storage - majority + 1 = 2 storage survivors), and
-    the bare-majority test counts witnesses too.  The storage-floor
-    branch is implied by the majority test whenever the witness bound
-    ``w <= n - majority(n)`` holds -- it is deliberate hardening against
-    that bound ever loosening -- so what is observable here is that the
-    guard agrees with form_view at every boundary."""
+    witnesses): crashes are allowed down to exactly the storage members a
+    view that can force needs -- a primary and ``force`` = 3 storage backups,
+    4 of the 5 -- and witnesses count toward no survivor set that matters.
+    The guard agrees with form_view, which refuses a view that cannot force,
+    at every boundary."""
     from repro.faults.nemesis import CrashChurnRule
 
     rt, kv, driver, spec = _scaled_kv(38, 7, ScaleConfig(witnesses=2))
     rt.run_for(400.0)
     rule = CrashChurnRule((), 1.0, 1.0, None, "probe", "kv")
     storage = sorted(m for m in kv.cohorts if m not in kv.quorums.witnesses)
+    witnesses = sorted(kv.quorums.witnesses)
     nodes = {mid: kv.cohort(mid).node.node_id for mid in kv.cohorts}
     controller = rt.faults
     # Healthy group: crashing one storage member strands nothing.
     assert not rule._crash_would_strand(controller, nodes[storage[0]])
     kv.crash_cohort(storage[0])
-    kv.crash_cohort(storage[1])
-    # Two down: a third crash leaves 4 of 7 up (a majority) and exactly
-    # the 2-storage coverage floor -- allowed, matching form_view.
-    assert not rule._crash_would_strand(controller, nodes[storage[2]])
-    kv.crash_cohort(storage[2])
-    # Three down: any fourth crash -- storage OR witness -- breaks the
-    # majority; witnesses are survivors for quorum but never for storage
-    # coverage.
-    assert rule._crash_would_strand(controller, nodes[storage[3]])
-    assert rule._crash_would_strand(
-        controller, nodes[sorted(kv.quorums.witnesses)[0]]
-    )
+    # One down: the 4 storage members left are the floor -- a second storage
+    # crash strands the group, a witness crash does not.
+    assert rule._crash_would_strand(controller, nodes[storage[1]])
+    assert not rule._crash_would_strand(controller, nodes[witnesses[0]])
+    kv.crash_cohort(witnesses[0])
+    # Two down, 5 of 7 up: the last witness may go too (4 storage members
+    # are a majority on their own)...
+    assert not rule._crash_would_strand(controller, nodes[witnesses[1]])
+    kv.crash_cohort(witnesses[1])
+    # ...and with three down any storage crash strands the group.
+    for mid in storage[1:]:
+        assert rule._crash_would_strand(controller, nodes[mid])
