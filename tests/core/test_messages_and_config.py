@@ -2,8 +2,9 @@
 
 import dataclasses
 
+import pytest
 
-from repro.config import ProtocolConfig
+from repro.config import BatchConfig, ProtocolConfig
 from repro.core import messages as m
 from repro.core.view import View
 from repro.core.viewstamp import ViewId, Viewstamp
@@ -65,6 +66,22 @@ def test_config_defaults_sane():
     assert config.force_on_call is False
     assert config.unilateral_edits is False
     assert config.extended_formation_rule is False
+
+
+@pytest.mark.parametrize(
+    "knobs",
+    [{"max_batch": 0}, {"max_batch": -3}, {"pipeline_depth": 0}, {"flush_interval": -0.5}],
+    ids=["max_batch=0", "max_batch=-3", "pipeline_depth=0", "flush_interval<0"],
+)
+@pytest.mark.parametrize("enabled", [False, True], ids=["off", "on"])
+def test_batch_config_rejects_a_window_that_would_stall_every_force(enabled, knobs):
+    """A zero-record window ships no record, batched or not: every force
+    times out into a view change (``build_kv_system(seed=1)``, 20 mixed
+    operations: 51 view changes, and every write ended ``unknown``).  Such a
+    config is refused where it is made."""
+    with pytest.raises(ValueError):
+        ProtocolConfig(batch=BatchConfig(enabled=enabled, **knobs))
+    assert BatchConfig(enabled=enabled, max_batch=1, pipeline_depth=1, flush_interval=0.0)
 
 
 def test_config_replace_for_ablations():
