@@ -1,12 +1,10 @@
 """What a cohort does differently under ``BatchConfig(enabled=True)``.
 
-The batched transmission mode itself is the buffer's
-(:mod:`repro.core.buffer`); this extension arms it and adds the cohort's
-half (docs/PERF.md): one coalesced cumulative ack per ``flush_interval``
-tick; and, for a group that coordinates a transaction on itself (a sharded
-group's single-key path), prepare / commit / abort and their replies
-delivered in place and outcome queries sent to one coordinator cohort per
-sweep.
+Batching is a delay, not a mode (DESIGN.md D20): this extension gives the
+buffer its coalescing delay (``flush_delay``) and window
+(:mod:`repro.core.buffer`), and adds the cohort's half (docs/PERF.md): one
+coalesced cumulative ack per ``flush_interval`` tick, and outcome queries sent
+to one coordinator cohort per sweep.
 """
 
 from __future__ import annotations
@@ -22,7 +20,6 @@ class Batching(Extension):
         super().__init__(cohort)
         self.batch = batch
         cohort.buffer_options.update(
-            batch_enabled=True,
             flush_delay=batch.flush_interval,
             pipeline_depth=batch.pipeline_depth,
             trace=cohort.emit if cohort.tracer is not None else None,
@@ -31,20 +28,7 @@ class Batching(Extension):
         if batch.flush_interval > 0:
             wrap(cohort, "acknowledge", self._coalesce_ack)
         self._query_counter = 0  # round-robin query fan-out
-        server, client = cohort.server_role, cohort.client_role
-        wrap(client, "_send_prepare", self._in_place)
-        wrap(client, "_send_commit", self._in_place)
-        wrap(cohort.coordinator_role, "_send_abort", self._in_place)
-        wrap(server, "_answer_coordinator", self._answer_in_place)
-        wrap(server, "_send_query", self._query_one)
-        #: what a message we would mail our own group's primary -- us -- does
-        self._deliver = {
-            m.PrepareMsg: server.on_prepare,
-            m.CommitMsg: server.on_commit,
-            m.AbortMsg: server.on_abort,
-            m.PrepareOkMsg: client.on_prepare_ok,
-            m.CommitAckMsg: client.on_commit_ack,
-        }
+        wrap(cohort.server_role, "_send_query", self._query_one)
 
     def reset(self) -> None:
         # Applied-but-unacked BufferMsg count, and whether the coalescing
@@ -77,25 +61,6 @@ class Batching(Extension):
                     "ack_coalesce", coalesced=coalesced, acked_ts=cohort.applied_ts
                 )
             cohort.ack_now()
-
-    # -- self-coordination shortcuts --------------------------------------------
-
-    def _in_place(self, send: Callable, groupid: str, message) -> None:
-        """A prepare / commit / abort for our own group is delivered
-        synchronously instead of mailed to ourselves: idempotent under the
-        retry loops like the wire path (``on_commit``'s
-        already_installed check), and mirroring ``ClientRole._abort_txn``'s
-        local abort."""
-        if groupid == self.cohort.mygroupid:
-            self._deliver[type(message)](message)
-        else:
-            send(groupid, message)
-
-    def _answer_in_place(self, send: Callable, destination: str, message) -> None:
-        if destination == self.cohort.address:
-            self._deliver[type(message)](message)
-        else:
-            send(destination, message)
 
     def _query_one(self, _fan_out: Callable, aid) -> None:
         """Ask one coordinator cohort per sweep; the round-robin still

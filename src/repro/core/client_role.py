@@ -378,8 +378,8 @@ class ClientRole:
 
     def _send_prepare(self, groupid: str, message: m.PrepareMsg) -> None:
         cohort = self.cohort
-        entry = cohort.cache.get(groupid)
-        if entry is None:
+        address = self.primary_of(groupid)
+        if address is None:
             return  # retry loop will re-probe
         if (
             cohort.tracer is not None
@@ -387,7 +387,7 @@ class ClientRole:
         ):
             # Per-participant phase-one visibility for sharded /
             # multi-group transactions: one event per prepare actually
-            # put on the wire (retransmissions emit again).
+            # sent (retransmissions emit again).
             cohort.tracer.emit(
                 "shard_prepare",
                 node=cohort.node.node_id,
@@ -395,7 +395,7 @@ class ClientRole:
                 aid=str(message.aid),
                 participant=groupid,
             )
-        cohort.send(entry.primary_address, message)
+        self.deliver(address, message)
 
     def _prepare_retry(self, state: _RunningTxn) -> None:
         cohort = self.cohort
@@ -526,12 +526,12 @@ class ClientRole:
 
     def _send_commit(self, groupid: str, message: m.CommitMsg) -> None:
         cohort = self.cohort
-        entry = cohort.cache.get(groupid)
-        if entry is None:
-            for _mid, address in cohort.locate(groupid):
-                cohort.send(address, m.ViewProbeMsg(reply_to=cohort.address))
+        address = self.primary_of(groupid)
+        if address is None:
+            for _mid, member in cohort.locate(groupid):
+                cohort.send(member, m.ViewProbeMsg(reply_to=cohort.address))
             return
-        cohort.send(entry.primary_address, message)
+        self.deliver(address, message)
 
     def _commit_retry(self, aid: Aid, pset_pairs) -> None:
         cohort = self.cohort
@@ -615,21 +615,34 @@ class ClientRole:
             state.future.set_result(("aborted", None))
 
     def _send_aborts(self, txn: Transaction) -> None:
+        for groupid in sorted(txn.pset.participants()):
+            address = self.primary_of(groupid)
+            if address is not None:
+                self.deliver(address, m.AbortMsg(aid=txn.aid))
+
+    # -- a group's messages to itself (DESIGN.md D20) ---------------------------
+
+    def primary_of(self, groupid: str) -> Optional[str]:
+        """Where a message for *groupid*'s primary goes: ours is us, another
+        group's is cached (None: not known)."""
         cohort = self.cohort
-        participants = txn.pset.participants()
-        if cohort.mygroupid in participants:
-            # We coordinate a transaction on our own group (a sharded
-            # group's single-key path).  Abort locally and synchronously:
-            # a self-addressed AbortMsg would arrive after _abort_txn's
-            # Aborted record sets the outcome, be ignored, and leak the
-            # write locks this group holds for the transaction.
-            cohort.server_role.on_abort(m.AbortMsg(aid=txn.aid))
-        for groupid in sorted(participants):
-            if groupid == cohort.mygroupid:
-                continue
-            entry = cohort.cache.get(groupid)
-            if entry is not None:
-                cohort.send(entry.primary_address, m.AbortMsg(aid=txn.aid))
+        if groupid == cohort.mygroupid:
+            return cohort.address
+        entry = cohort.cache.get(groupid)
+        return None if entry is None else entry.primary_address
+
+    def deliver(self, destination: str, message) -> None:
+        """Send a prepare, commit or abort, or the prepare-ok or commit-ack
+        that answers one; addressed to this cohort -- a group coordinating a
+        transaction on itself, as a shard's single-key write does -- it is
+        handed to its handler in place.  Mailed to ourselves it would arrive
+        after what the sender does next: an abort after the ``Aborted``
+        record that makes it a no-op, leaking this group's write locks."""
+        cohort = self.cohort
+        if destination == cohort.address:
+            cohort._primary_only[type(message)](message)
+        else:
+            cohort.send(destination, message)
 
     def on_view_changed(self, msg: m.ViewChangedMsg) -> None:
         """A participant rejected a prepare/commit; chase the new primary."""

@@ -750,7 +750,7 @@ class Cohort(Actor):
             clock=self.detect.clock,
             rto=self.detect.rto,
             join_delay=self.config.stable_write_latency,
-            **self.buffer_options,  # send= and the transmission mode
+            **self.buffer_options,  # send=, max_batch= and what batching arms
         )
 
     def _start_flush_loop(self) -> None:

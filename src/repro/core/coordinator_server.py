@@ -120,13 +120,13 @@ class CoordinatorServerRole:
             state.status = "done"
 
     def _send_abort(self, groupid: str, message: m.AbortMsg) -> None:
-        cohort = self.cohort
-        entry = cohort.cache.get(groupid)
-        if entry is not None:
-            cohort.send(entry.primary_address, message)
+        cohort, client = self.cohort, self.cohort.client_role
+        address = client.primary_of(groupid)
+        if address is not None:
+            client.deliver(address, message)
         else:
-            for _mid, address in cohort.locate(groupid):
-                cohort.send(address, message)
+            for _mid, member in cohort.locate(groupid):
+                cohort.send(member, message)
 
     # ------------------------------------------------------------------
     # "check with the client" before unilateral abort

@@ -437,10 +437,10 @@ class ServerRole:
             )
 
     def _answer_coordinator(self, destination: str, message) -> None:
-        """A ``PrepareOkMsg`` / ``CommitAckMsg`` goes on the wire, also when
-        this group coordinates the transaction on itself: the paper's
-        message pattern exactly."""
-        self.cohort.send(destination, message)
+        """A ``PrepareOkMsg`` / ``CommitAckMsg`` to the coordinator; handed
+        over in place when this group coordinates the transaction on itself
+        (``ClientRole.deliver``, DESIGN.md D20)."""
+        self.cohort.client_role.deliver(destination, message)
 
     def _drop_orphan_calls(
         self, aid: Aid, pset_pairs, aborted_subactions: Tuple[int, ...]
@@ -504,7 +504,7 @@ class ServerRole:
         )
         # A known outcome alone is not enough to skip the install: when this
         # group coordinates a transaction on itself, the client role records
-        # "committed" before our own CommitMsg arrives, while write locks are
+        # "committed" before it hands us our own CommitMsg, while write locks are
         # still held and pending/prepared still name the aid.
         if not already_installed:
             self._perform_commit(aid, msg.pset_pairs)

@@ -26,9 +26,8 @@ class Harness:
         backups=(1, 2),
         config_size=3,
         force_timeout=50.0,
-        batch_enabled=False,
         max_batch=64,
-        flush_delay=1.0,
+        flush_delay=0.0,
         pipeline_depth=1,
         flush_interval=5.0,
         rto=lambda mid: None,
@@ -44,7 +43,6 @@ class Harness:
             set_timer=lambda delay, fn, *a: self.sim.schedule(delay, fn, *a),
             on_force_failure=self._on_failure,
             force_timeout=force_timeout,
-            batch_enabled=batch_enabled,
             max_batch=max_batch,
             flush_delay=flush_delay,
             pipeline_depth=pipeline_depth,
@@ -325,47 +323,73 @@ def test_unforced_count():
     assert h.buffer.unforced_count == 1
 
 
-# -- batched transmission mode (BatchConfig) --------------------------------
+# -- a coalescing delay (BatchConfig): one tick serves the interval's requests --
 
 
 def batched(**kwargs):
-    kwargs.setdefault("batch_enabled", True)
+    kwargs.setdefault("flush_delay", 1.0)
     return Harness(**kwargs)
+
+
+@pytest.mark.parametrize("flush_delay", [0.0, 1.0])
+def test_an_add_alone_ships_nothing_before_the_sweep(flush_delay):
+    h = Harness(flush_delay=flush_delay)
+    for n in range(1, 4):
+        h.buffer.add(record(n))
+    h.sim.run(until=4.0)
+    assert h.sent == []  # nobody asked: the records wait for the sweep
+    h.buffer.flush()
+    assert h.records_to(1) == h.records_to(2) == [1, 2, 3]
 
 
 def test_batched_add_defers_send_until_flush_tick():
     h = batched(flush_delay=1.0)
     for n in range(1, 4):
         h.buffer.add(record(n))
+    h.buffer.force_to(Viewstamp(VID, 2))
+    h.buffer.force_to(Viewstamp(VID, 3))
     assert h.sent == []  # nothing ships synchronously
     h.sim.run(until=1.0)
-    # One coalesced BufferMsg per backup carrying all three records.
-    assert sorted(mid for mid, _m in h.sent) == [1, 2]
-    assert h.records_to(1) == [1, 2, 3]
+    # One coalesced BufferMsg for both forces, to the backup they wait for;
+    # the other backup is the sweep's.
+    assert [mid for mid, _m in h.sent] == [1]
+    assert h.records_to(1) == [1, 2, 3] and h.records_to(2) == []
+    h.buffer.flush()
     assert h.records_to(2) == [1, 2, 3]
 
 
 def test_batched_tick_ships_only_new_records():
     h = batched()
     h.buffer.add(record(1))
-    h.buffer.add(record(2))
+    h.buffer.force_to(h.buffer.add(record(2)))
     h.sim.run(until=1.0)
     h.sent.clear()
     # No ack yet, but the send high-water mark remembers what shipped:
     # the next tick carries only the new suffix, not a full resend.
-    h.buffer.add(record(3))
+    h.buffer.force_to(h.buffer.add(record(3)))
     h.sim.run(until=2.0)
     assert h.records_to(1) == [3]
-    assert h.records_to(2) == [3]
+    assert h.records_to(2) == []
+
+
+def test_a_backup_removed_before_its_tick_is_not_served():
+    h = batched(backups=(1, 2, 3, 4), config_size=5)  # a force ships two
+    h.buffer.force_to(h.buffer.add(record(1)))      # requests 1 and 2
+    h.buffer.set_backups((2, 3, 4))                 # 1 leaves before the tick
+    h.sim.run(until=1.0)
+    assert [mid for mid, _m in h.sent] == [2]
 
 
 def test_batched_window_stalls_at_pipeline_limit():
     h = batched(max_batch=2, pipeline_depth=2)
     for n in range(1, 11):
         h.buffer.add(record(n))
-    h.sim.run(until=20.0)
+    h.buffer.force_to(Viewstamp(VID, 10))
+    h.sim.run(until=2.0)
+    h.buffer.flush()  # the other backup's share, before any rewind is due
+    h.sim.run(until=5.0)
     # Unacked, each backup gets at most pipeline_depth * max_batch = 4
-    # records, then the sender stalls.
+    # records -- a batch per tick -- then the sender stalls.
     assert h.records_to(1) == [1, 2, 3, 4]
     assert h.records_to(2) == [1, 2, 3, 4]
     # A cumulative ack opens the window and the pipe refills.
@@ -377,29 +401,25 @@ def test_batched_window_stalls_at_pipeline_limit():
 
 
 def test_batched_go_back_n_rewinds_stalled_backup():
-    _go_back_n_rewinds_stalled_backup(batch_enabled=True)
+    _go_back_n_rewinds_stalled_backup(flush_delay=1.0)
 
 
 def test_unbatched_go_back_n_is_the_same_retransmitter():
-    _go_back_n_rewinds_stalled_backup(batch_enabled=False)
+    _go_back_n_rewinds_stalled_backup(flush_delay=0.0)
 
 
-def _go_back_n_rewinds_stalled_backup(batch_enabled):
+def _go_back_n_rewinds_stalled_backup(flush_delay):
     """The sweep goes back to the ack of a backup whose outstanding records
-    made no ack progress for a full ``max(flush_interval, rto)`` -- plus,
-    batched, the coalescing tick its ack may sit out -- and not sooner."""
+    made no ack progress for a full ``max(flush_interval, rto)`` -- plus the
+    coalescing tick its ack may sit out -- and not sooner."""
     rtos = {1: 7.0, 2: None}  # backup 1's learned RTO exceeds the sweep period
-    h = Harness(
-        batch_enabled=batch_enabled, max_batch=8, rto=rtos.get,
-        flush_delay=1.0 if batch_enabled else 0.0,
-    )
+    h = Harness(max_batch=8, rto=rtos.get, flush_delay=flush_delay)
     for n in range(1, 4):
         h.buffer.add(record(n))
     h.buffer.force_to(Viewstamp(VID, 3))
-    if not batch_enabled:
-        h.buffer.flush()  # the force shipped backup 1 only: the sweep, the rest
-    h.sim.run(until=1.0)  # shipped at 0.0, or batched on the 1.0 tick
-    shipped_at, patience = (1.0, 8.0) if batch_enabled else (0.0, 7.0)
+    h.sim.run(until=1.0)  # shipped to backup 1 at 0.0, or on the 1.0 tick
+    h.buffer.flush()  # the force shipped backup 1 only: the sweep, the rest
+    shipped_at, patience = 0.0 + flush_delay, 7.0 + flush_delay
     assert h.records_to(1) == h.records_to(2) == [1, 2, 3]
     h.sent.clear()
     # Backup 2 acked everything; backup 1's traffic was lost (no ack).
@@ -418,20 +438,21 @@ def _go_back_n_rewinds_stalled_backup(batch_enabled):
     h.sim.run(until=shipped_at + 2 * patience - 0.25)
     h.buffer.flush()
     assert h.sent == []
-    if not batch_enabled:
-        # A rewind is lost traffic: for force_timeout (50.0) after it a force
-        # ships every backup, as two targets almost never both fail ...
-        h.buffer.add(record(4))
-        h.buffer.force_to(Viewstamp(VID, 4))
-        assert sorted(mid for mid, _m in h.sent) == [1, 2]
-        h.ack(1, 4)
-        h.ack(2, 4)
-        h.sent.clear()
-        h.sim.run(until=shipped_at + patience + 50.0)
-        h.buffer.flush()  # ... and without another one, a sub-majority again
-        h.buffer.add(record(5))
-        h.buffer.force_to(Viewstamp(VID, 5))
-        assert [mid for mid, _m in h.sent] == [1]
+    # A rewind is lost traffic: for force_timeout (50.0) after it a force
+    # ships every backup, as two targets almost never both fail ...
+    h.buffer.add(record(4))
+    h.buffer.force_to(Viewstamp(VID, 4))
+    h.sim.run(until=h.sim.now + flush_delay)
+    assert sorted(mid for mid, _m in h.sent) == [1, 2]
+    h.ack(1, 4)
+    h.ack(2, 4)
+    h.sent.clear()
+    h.sim.run(until=shipped_at + patience + 50.0)
+    h.buffer.flush()  # ... and without another one, a sub-majority again
+    h.buffer.add(record(5))
+    h.buffer.force_to(Viewstamp(VID, 5))
+    h.sim.run(until=h.sim.now + flush_delay)
+    assert [mid for mid, _m in h.sent] == [1]
 
 
 def test_ack_progress_restarts_the_retransmission_clock():
@@ -468,6 +489,7 @@ def test_batched_ack_regression_does_not_rewind_send_mark():
     h = batched()
     for n in range(1, 4):
         h.buffer.add(record(n))
+    h.buffer.force_to(Viewstamp(VID, 3))
     h.sim.run(until=1.0)
     h.ack(1, 3)
     h.sent.clear()
@@ -483,7 +505,7 @@ def test_batched_ack_regression_does_not_rewind_send_mark():
 def test_batched_ack_advances_send_mark_past_lost_sends():
     h = batched(max_batch=1, pipeline_depth=1)
     h.buffer.add(record(1))
-    h.buffer.add(record(2))
+    h.buffer.force_to(h.buffer.add(record(2)))
     h.sim.run(until=5.0)  # window of 1: only ts=1 ships unacked
     assert h.records_to(1) == [1]
     # The backup learned ts=2 some other way (e.g. a rewound resend raced
@@ -601,13 +623,20 @@ def test_a_lost_push_is_the_sweeps_to_resend_and_keeps_its_gate_shut_meanwhile()
     assert h.records_to(1) == [1, 1, 2, 3]       # acknowledged past the push: open
 
 
-def test_batched_push_is_a_no_op():
+def test_a_batched_push_rides_the_tick_and_is_not_gated():
+    """The tick already coalesces: every push of an interval is one message
+    to the speedy backup, and an unacknowledged one shuts no gate."""
     h = batched()
-    h.buffer.add(record(1))
-    h.buffer.push()
-    assert h.sent == [] and h.buffer.pushes == 0  # the add's tick ships it
+    for n in (1, 2):
+        h.buffer.add(record(n))
+        h.buffer.push()
+    assert h.sent == [] and h.buffer.pushes == 2
     h.sim.run(until=1.0)
-    assert h.records_to(1) == [1] and h.records_to(2) == [1]
+    assert [mid for mid, _m in h.sent] == [1] and h.records_to(1) == [1, 2]
+    h.buffer.add(record(3))
+    h.buffer.push()                              # [1, 2] is still unacknowledged
+    h.sim.run(until=2.0)
+    assert h.records_to(1) == [1, 2, 3] and h.records_to(2) == []
 
 
 def test_push_on_a_single_cohort_group_and_a_closed_buffer_does_nothing():

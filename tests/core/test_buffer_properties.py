@@ -153,17 +153,17 @@ def _assert_sizes_aligned(buffer):
 @settings(max_examples=150, deadline=None)
 @given(
     operations,
-    st.booleans(),             # batched transmission mode
+    st.sampled_from([0.0, 0.5]),  # flush_delay: at once, or one coalescing tick
     st.booleans(),             # retain_all
     st.integers(1, 5),         # max_batch
     st.integers(1, 3),         # pipeline_depth
     st.booleans(),             # close at the end
 )
 def test_every_shipped_message_sizes_like_a_walk(
-    ops, batched, retain_all, max_batch, pipeline_depth, close
+    ops, flush_delay, retain_all, max_batch, pipeline_depth, close
 ):
     """Any interleaving of add / ack / aggregated ack / exclude and re-add /
-    flush (the go-back-N rewind in batched mode) / force / timer ticks: each
+    flush (the go-back-N rewind) / force / timer ticks: each
     BufferMsg handed to ``send`` carries a hint, sizes exactly as the
     reference sizes it by walking, and the running sizes stay aligned with
     the retained records through every trim."""
@@ -179,8 +179,7 @@ def test_every_shipped_message_sizes_like_a_walk(
         force_timeout=10_000.0,
         max_batch=max_batch,
         retain_all=retain_all,
-        batch_enabled=batched,
-        flush_delay=0.5,
+        flush_delay=flush_delay,
         pipeline_depth=pipeline_depth,
         clock=lambda: sim.now,
     )
@@ -312,14 +311,15 @@ class _SendOnceModel:
 
 
 class _PushModel:
-    """What background delivery allows.  A push shows as a move of the
-    buffer's per-link gate (``_pushed``); one operation runs at most one
-    offer, so the moves of one operation are one offer's pushes."""
+    """What background delivery allows.  A push served at once shows as a
+    move of the buffer's per-link gate (``_pushed``); one operation runs at
+    most one offer, so the moves of one operation are one offer's pushes.  A
+    push a coalescing tick serves moves no gate: the tick is its only path."""
 
-    def __init__(self, buffer, config_size, batched):
+    def __init__(self, buffer, config_size, ticked):
         self.buffer = buffer
         self.needed = sub_majority(config_size)
-        self.batched = batched
+        self.ticked = ticked
         self.gate = dict(buffer._pushed)
         self.acked_before = dict(buffer.acked)
         self.pushes = 0
@@ -328,8 +328,9 @@ class _PushModel:
         """*sends*: ``(mid, first_ts, last_ts)`` of every message of this op."""
         buffer = self.buffer
         moved = [mid for mid in buffer._pushed if buffer._pushed[mid] != self.gate[mid]]
-        if self.batched:
-            assert not moved and buffer.pushes == 0  # the tick is the only path
+        if self.ticked:
+            assert not moved and buffer.pushes >= self.pushes
+            self.pushes = buffer.pushes
         assert len(moved) <= self.needed            # a sub-majority's worth of links
         for mid in moved:
             # Self-clocked: the link's previous push was acknowledged, the
@@ -371,13 +372,13 @@ wire_ops = st.lists(
 @given(
     wire_ops,
     st.sampled_from([(2, 3), (4, 5)]),                 # (backups, config size)
-    st.booleans(),                                     # batched transmission mode
+    st.sampled_from([0.0, 0.5]),                       # flush_delay
     st.integers(1, 4),                                 # max_batch
     st.integers(1, 3),                                 # pipeline_depth
     st.sampled_from([None, 2.0, 7.5]),                 # every peer's learned RTO
 )
 def test_send_once_under_loss_duplication_and_reordering(
-    ops, shape, batched, max_batch, pipeline_depth, rto
+    ops, shape, flush_delay, max_batch, pipeline_depth, rto
 ):
     """Any interleaving of add / push / force / tick / sweep with loss,
     duplication and reordering of BufferMsgs and acks alike: every backup
@@ -386,18 +387,18 @@ def test_send_once_under_loss_duplication_and_reordering(
     to a backup twice -- pushed or forced -- unless a full
     ``max(flush_interval, rto)`` passed without ack progress from it, a link
     carries at most one unacknowledged push, an offer is pushed to at most a
-    sub-majority's worth of links (the best-acknowledged ones; none when
-    batched) -- and once the link heals, the sweep alone converges every
-    backup and resolves every force."""
+    sub-majority's worth of links (the best-acknowledged ones; a tick serves
+    it when ``flush_delay`` > 0) -- and once the link heals, the sweep alone
+    converges every backup and resolves every force."""
     n_backups, config_size = shape
     backups = {mid: _Backup() for mid in range(1, n_backups + 1)}
     sim = Simulator()
     # Every message of both kinds in flight, as (destination mid, or 0 for the
     # primary; message): the ops pick what arrives, is lost, or arrives twice.
     in_flight = []
-    window = pipeline_depth * max_batch if batched else max_batch
-    tick = 0.5 if batched else 0.0  # which an ack may sit out at a batched backup
-    patience = max(FLUSH_INTERVAL, (rto or 0.0) + tick)
+    window = pipeline_depth * max_batch
+    # An ack may sit out one coalescing tick at a backup that coalesces them.
+    patience = max(FLUSH_INTERVAL, (rto or 0.0) + flush_delay)
     model = _SendOnceModel(backups, patience, window)
 
     sends = []  # (mid, first ts, last ts) of the current op's messages
@@ -412,12 +413,11 @@ def test_send_once_under_loss_duplication_and_reordering(
         viewid=VID, backups=tuple(backups), configuration_size=config_size,
         send=send, set_timer=lambda delay, fn, *a: sim.schedule(delay, fn, *a),
         on_force_failure=lambda: None, force_timeout=1e9,
-        max_batch=max_batch, batch_enabled=batched, flush_delay=tick,
-        pipeline_depth=pipeline_depth if batched else 1,
+        max_batch=max_batch, flush_delay=flush_delay, pipeline_depth=pipeline_depth,
         flush_interval=FLUSH_INTERVAL, clock=lambda: sim.now, rto=lambda mid: rto,
     )
     forces = []  # (ts, future)
-    pushes = _PushModel(buffer, config_size, batched)
+    pushes = _PushModel(buffer, config_size, ticked=flush_delay > 0)
 
     def arrive(destination, message):
         if destination:
@@ -470,7 +470,7 @@ def test_send_once_under_loss_duplication_and_reordering(
             arrive(*in_flight.pop(0))
         sim.run(until=sim.now + patience)
         buffer.flush()
-        sim.run(until=sim.now + 1.0)  # a batched resume tick
+        sim.run(until=sim.now + 1.0)  # a resume tick
         check()
     while in_flight:
         arrive(*in_flight.pop(0))

@@ -150,10 +150,6 @@ def test_every_method_the_seam_offers_is_taken_over_by_some_extension():
         "ViewChangeController.build_acceptance",
         "ViewChangeController.build_init_view",
         "ViewChangeController.activate",
-        "ClientRole._send_prepare",
-        "ClientRole._send_commit",
-        "CoordinatorServerRole._send_abort",
-        "ServerRole._answer_coordinator",
         "ServerRole._send_query",
     }
 
