@@ -20,7 +20,7 @@ from typing import Any, Dict, Optional, Tuple
 
 from repro.core import messages as m
 from repro.core.cache import ClientCache
-from repro.core.calls import CallAborted, RemoteCaller
+from repro.core.calls import CallAborted, RemoteCaller, probe_view
 from repro.detect import AdaptiveTimeouts, RttEstimator
 from repro.sim.future import Future
 from repro.sim.node import Actor, Node
@@ -190,8 +190,7 @@ class ClientAgent(Actor):
         return entry.primary_address if entry is not None else None
 
     def _probe_coordinator(self) -> None:
-        for _mid, address in self.locate(self.coordinator_group):
-            self.send(address, m.ViewProbeMsg(reply_to=self.address))
+        probe_view(self, self.coordinator_group)
 
     # -- message handling -----------------------------------------------------------
 

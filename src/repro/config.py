@@ -237,7 +237,7 @@ class ProtocolConfig:
     invite_timeout: float = 40.0          # manager waits this long for accepts
     underling_timeout: float = 80.0       # underling -> manager on silence
     #                                       (retry delay and promotion jitter
-    #                                       are constants of core.view_change)
+    #                                       are constants of repro.detect.backoff)
     ordered_managers: bool = True         # section 4.1: only become manager if
     #                                       higher-priority cohorts look dead
     extended_formation_rule: bool = False # beyond-the-paper condition 4: form

@@ -31,7 +31,7 @@ from repro.core.messages import (
     ViewProbeReplyMsg,
 )
 from repro.core.viewstamp import ViewId
-from repro.detect import Backoff
+from repro.detect import Retry
 from repro.location.service import primary_address_in
 from repro.sim.errors import SimulationError
 from repro.sim.future import Future
@@ -50,6 +50,20 @@ class CallAborted(SimulationError):
 _MAX_VIEW_SWITCHES = 5
 
 
+def probe_view(host, groupid: str) -> bool:
+    """Ask every member of *groupid* for its current view, in configuration
+    order (Figure 2's cache refresh); False if the group is unknown.  The
+    host provides ``address``, ``send`` and ``locate`` as for
+    :class:`RemoteCaller`."""
+    try:
+        members = host.locate(groupid)
+    except KeyError:
+        return False
+    for _mid, address in members:
+        host.send(address, ViewProbeMsg(reply_to=host.address))
+    return bool(members)
+
+
 @dataclasses.dataclass
 class _OutstandingCall:
     call_id: CallId
@@ -58,28 +72,26 @@ class _OutstandingCall:
     proc: str
     args: Tuple
     future: Future
-    attempts_left: int
+    retry: Retry  # the retransmit schedule (repro.detect)
     view_switches_left: int
     timer: Any = None
     target: Optional[str] = None
     viewid: Optional[ViewId] = None
     probing: bool = False
-    probe_attempts_left: int = 3
+    probes_left: int = 3
     piggyback: Any = None
     aborted_subactions: Tuple = ()
     started_at: float = 0.0
-    # Adaptive mode: retransmit on an RTT-derived backoff schedule, but give
-    # up only at the deadline -- the fixed configuration's total patience
-    # (call_timeout * call_probes) is preserved exactly.
-    deadline: Optional[float] = None
-    backoff: Any = None
 
 
 class RemoteCaller:
     """Issues calls on behalf of one host actor (a cohort or client agent).
 
-    The host provides: ``address``, ``cache`` (ClientCache), ``config``
-    (ProtocolConfig), ``set_timer(delay, fn)``, ``send(dst, msg)``, and
+    The host provides: ``address``, ``sim``, ``node``, ``cache``
+    (ClientCache), ``config`` (ProtocolConfig), ``metrics`` (Metrics),
+    ``rtt`` (RttEstimator, fed each call's round trip), ``timeouts``
+    (AdaptiveTimeouts over that ``rtt``), ``tracer`` (None when off),
+    ``set_timer(delay, fn, *args)``, ``send(dst, msg)``, and
     ``locate(groupid) -> [(mid, address), ...]``.
     """
 
@@ -88,16 +100,7 @@ class RemoteCaller:
         self._outstanding: Dict[CallId, _OutstandingCall] = {}
         # Named fork: adding consumers elsewhere never perturbs this stream.
         self._rng = host.sim.rng.fork(f"call-backoff/{host.address}")
-        self._tracer = getattr(host, "tracer", None)
-
-    def _live_call_timeout(self) -> float:
-        """The per-attempt wait: RTT-derived when the host carries an
-        :class:`~repro.detect.AdaptiveTimeouts`, the fixed constant
-        otherwise (and always the fixed constant in paper-faithful mode)."""
-        timeouts = getattr(self.host, "timeouts", None)
-        if timeouts is not None:
-            return timeouts.call_timeout()
-        return self.host.config.call_timeout
+        self._tracer = host.tracer
 
     # -- API ----------------------------------------------------------------
 
@@ -113,7 +116,6 @@ class RemoteCaller:
     ) -> Future:
         """Start a remote call; the future resolves to (result, pset_pairs)."""
         future = Future(label=f"call:{call_id}")
-        config = self.host.config
         state = _OutstandingCall(
             call_id=call_id,
             aid=aid,
@@ -121,14 +123,12 @@ class RemoteCaller:
             proc=proc,
             args=args,
             future=future,
-            attempts_left=config.call_probes,
+            retry=self.host.timeouts.call_retry(self._rng),
             view_switches_left=_MAX_VIEW_SWITCHES,
             piggyback=piggyback,
             aborted_subactions=tuple(aborted_subactions),
             started_at=self.host.sim.now,
         )
-        if config.adaptive_timeouts:
-            state.backoff = Backoff(config.call_timeout, self._rng)
         self._outstanding[call_id] = state
         if self._tracer is not None:
             self._tracer.emit(
@@ -178,41 +178,20 @@ class RemoteCaller:
                 aborted_subactions=state.aborted_subactions,
             ),
         )
-        state.attempts_left -= 1
-        config = self.host.config
-        if state.backoff is None:
-            delay = config.call_timeout
-        else:
-            now = self.host.sim.now
-            if state.deadline is None:
-                state.deadline = now + config.call_timeout * max(
-                    1, config.call_probes
-                )
-            delay = max(
-                min(
-                    state.backoff.next(self._live_call_timeout()),
-                    state.deadline - now,
-                ),
-                0.0,
-            )
-        state.timer = self.host.set_timer(delay, self._on_timeout, state.call_id)
+        state.timer = self.host.set_timer(
+            state.retry.wait(self.host.sim.now), self._on_timeout, state.call_id
+        )
 
     def _probe(self, state: _OutstandingCall) -> None:
         """Discover the group's current primary by asking its cohorts."""
-        if state.probe_attempts_left <= 0:
+        if state.probes_left <= 0:
             self._fail(state, "cannot discover a view for " + state.groupid)
             return
         state.probing = True
-        state.probe_attempts_left -= 1
-        try:
-            members = self.host.locate(state.groupid)
-        except KeyError:
-            members = ()
-        if not members:
+        state.probes_left -= 1
+        if not probe_view(self.host, state.groupid):
             self._fail(state, f"unknown group {state.groupid}")
             return
-        for _mid, address in members:
-            self.host.send(address, ViewProbeMsg(reply_to=self.host.address))
         state.timer = self.host.set_timer(
             self.host.config.call_timeout, self._on_probe_timeout, state.call_id
         )
@@ -226,13 +205,10 @@ class RemoteCaller:
         if state.timer is not None:
             state.timer.cancel()
         latency = self.host.sim.now - state.started_at
-        metrics = getattr(self.host, "metrics", None)
-        if metrics is not None:
-            metrics.observe("call_latency", latency)
-            metrics.observe(f"call_latency:{state.groupid}", latency)
-        rtt = getattr(self.host, "rtt", None)
-        if rtt is not None:
-            rtt.observe(latency)
+        metrics = self.host.metrics
+        metrics.observe("call_latency", latency)
+        metrics.observe(f"call_latency:{state.groupid}", latency)
+        self.host.rtt.observe(latency)
         if self._tracer is not None:
             self._tracer.emit(
                 "call_reply",
@@ -272,15 +248,10 @@ class RemoteCaller:
         if state.timer is not None:
             state.timer.cancel()
         if state.view_switches_left <= 0:
-            self._fail_pop(state, "too many view changes at " + state.groupid)
+            self._fail(state, "too many view changes at " + state.groupid)
             return
         state.view_switches_left -= 1
-        state.attempts_left = self.host.config.call_probes
-        if state.backoff is not None:
-            # Fresh target: restart the retransmission schedule and grant
-            # the full patience window again (as attempts_left does above).
-            state.backoff.reset()
-            state.deadline = None
+        state.retry.restart()  # a fresh target gets the full patience again
         if moved or self.host.cache.get(state.groupid) is not None:
             self._dispatch(state)
         else:
@@ -304,32 +275,18 @@ class RemoteCaller:
         state = self._outstanding.get(call_id)
         if state is None:
             return
-        if state.backoff is not None:
-            retry = (
-                state.deadline is not None
-                and self.host.sim.now < state.deadline - 1e-9
-            )
-        else:
-            retry = state.attempts_left > 0
-        if retry:
+        if not state.retry.expired(self.host.sim.now):
             # Probe: re-send the same call id to the same primary; the
             # server's duplicate table makes this safe.
-            metrics = getattr(self.host, "metrics", None)
-            if metrics is not None:
-                metrics.incr("call_retransmits")
+            self.host.metrics.incr("call_retransmits")
             self._transmit(state)
         else:
             # "The transaction must abort...  we also attempt to update the
             # cache, so that the next use of the server will not cause an
             # abort."  (Figure 2, step 3.)
             self.host.cache.invalidate(state.groupid)
-            try:
-                members = self.host.locate(state.groupid)
-            except KeyError:
-                members = ()
-            for _mid, address in members:
-                self.host.send(address, ViewProbeMsg(reply_to=self.host.address))
-            self._fail_pop(state, f"no reply from {state.groupid}")
+            probe_view(self.host, state.groupid)
+            self._fail(state, f"no reply from {state.groupid}")
 
     def _on_probe_timeout(self, call_id: CallId) -> None:
         state = self._outstanding.get(call_id)
@@ -361,6 +318,3 @@ class RemoteCaller:
         if not state.future.done:
             state.future.set_exception(CallAborted(reason))
         self._outstanding.pop(state.call_id, None)
-
-    def _fail_pop(self, state: _OutstandingCall, reason: str) -> None:
-        self._fail(state, reason)

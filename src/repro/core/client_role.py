@@ -31,8 +31,9 @@ import dataclasses
 from typing import Any, Dict, Optional, Set, Tuple
 
 from repro.core import messages as m
-from repro.core.calls import CallAborted
+from repro.core.calls import CallAborted, probe_view
 from repro.core.events import Aborted, Committing, Done
+from repro.detect import Retry
 from repro.sim.errors import CancelledError
 from repro.sim.future import Future
 from repro.txn.ids import Aid, CallId
@@ -75,8 +76,7 @@ class Transaction:
 class _RunningTxn:
     txn: Transaction
     future: Future  # resolves to (outcome, result)
-    prepare_round: int = 0
-    prepare_deadline: Optional[float] = None
+    prepare_patience: Optional[Retry] = None  # the prepare rounds (repro.detect)
     prepare_timer: Any = None
     prepare_ok: Dict[str, bool] = dataclasses.field(default_factory=dict)
     commit_waiting: Set[str] = dataclasses.field(default_factory=set)
@@ -165,8 +165,7 @@ class ClientRole:
         # prepares can be addressed.
         for groupid in sorted(txn.pset.participants()):
             if cohort.cache.get(groupid) is None:
-                for _mid, address in cohort.locate(groupid):
-                    cohort.send(address, m.ViewProbeMsg(reply_to=cohort.address))
+                probe_view(cohort, groupid)
         self._start_prepare(state)
         return future
 
@@ -355,14 +354,9 @@ class ClientRole:
             return
         state.prepare_ok = {}
         self._send_prepares(state, sorted(participants))
-        # Adaptive mode probes missing participants at an RTT-derived pace,
-        # but the abort decision keeps the fixed configuration's total
-        # patience (_MAX_PREPARE_ROUNDS * prepare_timeout).
-        state.prepare_deadline = (
-            cohort.sim.now + _MAX_PREPARE_ROUNDS * cohort.config.prepare_timeout
-        )
+        state.prepare_patience = cohort.timeouts.prepare_retry(_MAX_PREPARE_ROUNDS)
         state.prepare_timer = cohort.set_timer(
-            cohort.timeouts.prepare_timeout(), self._prepare_retry, state
+            state.prepare_patience.wait(cohort.sim.now), self._prepare_retry, state
         )
 
     def _send_prepares(self, state: _RunningTxn, groupids) -> None:
@@ -402,14 +396,7 @@ class ClientRole:
         txn = state.txn
         if txn.phase != "preparing" or txn.aid not in self._txns:
             return
-        state.prepare_round += 1
-        if cohort.config.adaptive_timeouts:
-            out_of_patience = (
-                state.prepare_deadline is not None
-                and cohort.sim.now >= state.prepare_deadline - 1e-9
-            )
-        else:
-            out_of_patience = state.prepare_round >= _MAX_PREPARE_ROUNDS
+        out_of_patience = state.prepare_patience.expired(cohort.sim.now)
         if out_of_patience and self._sole_prepare(txn):
             # It may have committed at the prepare: ask, decide nothing here.
             txn.phase = "done"
@@ -427,11 +414,10 @@ class ClientRole:
         for groupid in missing:
             # Probe for fresher view information (the cache only moves
             # forward, so re-sending to the current entry stays correct).
-            for _mid, address in cohort.locate(groupid):
-                cohort.send(address, m.ViewProbeMsg(reply_to=cohort.address))
+            probe_view(cohort, groupid)
         self._send_prepares(state, missing)
         state.prepare_timer = cohort.set_timer(
-            cohort.timeouts.prepare_timeout(), self._prepare_retry, state
+            state.prepare_patience.wait(cohort.sim.now), self._prepare_retry, state
         )
 
     def on_prepare_ok(self, msg: m.PrepareOkMsg) -> None:
@@ -528,8 +514,7 @@ class ClientRole:
         cohort = self.cohort
         address = self.primary_of(groupid)
         if address is None:
-            for _mid, member in cohort.locate(groupid):
-                cohort.send(member, m.ViewProbeMsg(reply_to=cohort.address))
+            probe_view(cohort, groupid)
             return
         self.deliver(address, message)
 
@@ -539,8 +524,7 @@ class ClientRole:
         if state is None or not cohort.is_active_primary:
             return
         for groupid in sorted(state.commit_waiting):
-            for _mid, address in cohort.locate(groupid):
-                cohort.send(address, m.ViewProbeMsg(reply_to=cohort.address))
+            probe_view(cohort, groupid)
         self._phase_two(state, state.commit_waiting, pset_pairs)
 
     def on_commit_ack(self, msg: m.CommitAckMsg) -> None:

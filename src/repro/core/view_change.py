@@ -27,6 +27,7 @@ crashed ones, which the newview record will re-initialize -- join the view.
 
 from __future__ import annotations
 
+import functools
 from typing import Dict, Optional
 
 from repro.core import messages as m
@@ -34,14 +35,7 @@ from repro.core.cohort import Status
 from repro.core.events import NewView, ViewEdit
 from repro.core.view import View
 from repro.core.viewstamp import ViewId, Viewstamp
-from repro.detect import Backoff
-
-#: A manager whose formation failed retries after this long (the base of its
-#: backoff under ``adaptive_timeouts``).
-VIEW_RETRY_DELAY = 25.0
-#: Spread of the underling -> manager timeout (``underling_timeout`` x
-#: [1, 1 + PROMOTION_JITTER)), desynchronizing competing managers.
-PROMOTION_JITTER = 0.5
+from repro.detect import ViewChangeWaits
 
 
 class ViewChangeController:
@@ -55,29 +49,14 @@ class ViewChangeController:
         self._retry_timer = None
         self._retransmit_timer = None
         self._installing = False
-        self._manage_rounds = 0
         self._formed = False
-        # Created lazily: form_view() is also exercised standalone with
-        # fake cohorts that have no simulator attached.
-        self._retry_backoff: Optional[Backoff] = None
-        self._await_rng = None
 
-    def _backoff(self) -> Backoff:
-        if self._retry_backoff is None:
-            cohort = self.cohort
-            self._retry_backoff = Backoff(
-                VIEW_RETRY_DELAY,
-                cohort.runtime.sim.rng.fork(f"vc-backoff/{cohort.address}"),
-            )
-        return self._retry_backoff
-
-    def _jitter_rng(self):
-        if self._await_rng is None:
-            cohort = self.cohort
-            self._await_rng = cohort.runtime.sim.rng.fork(
-                f"vc-await/{cohort.address}"
-            )
-        return self._await_rng
+    @functools.cached_property
+    def _waits(self) -> ViewChangeWaits:
+        """Made on first use: form_view() is also exercised standalone with
+        fake cohorts that have no simulator attached."""
+        cohort = self.cohort
+        return ViewChangeWaits(cohort.config, cohort.runtime.sim.rng, cohort.address)
 
     def reset(self) -> None:
         """Drop controller state after a crash (timers died with the node)."""
@@ -87,10 +66,8 @@ class ViewChangeController:
         self._retry_timer = None
         self._retransmit_timer = None
         self._installing = False
-        self._manage_rounds = 0
         self._formed = False
-        if self._retry_backoff is not None:
-            self._retry_backoff.reset()
+        self._waits.retry.restart()
 
     # ------------------------------------------------------------------
     # becoming a manager
@@ -119,7 +96,6 @@ class ViewChangeController:
         if cohort.status is not Status.VIEW_MANAGER:
             return  # a stale retry timer fired after we stopped managing
         cohort.max_viewid = cohort.max_viewid.next_for(cohort.mymid)
-        self._manage_rounds += 1
         self._formed = False
         self._responses = {cohort.mymid: self.build_acceptance()}
         for peer, address in cohort.configuration:
@@ -131,22 +107,12 @@ class ViewChangeController:
         self._invite_timer = cohort.set_timer(
             cohort.config.invite_timeout, self._attempt_formation
         )
-        if cohort.config.adaptive_timeouts:
-            self._arm_invite_retransmit()
+        self._arm_invite_retransmit()
 
     def _arm_invite_retransmit(self) -> None:
-        """Mid-round invite re-sends: a dropped invite or accept must not
-        stall the round for the whole ``invite_timeout``.  The period comes
-        from the detector's learned RTO (a couple of round trips), bounded
-        so a round sees at least one retransmission."""
-        cohort = self.cohort
-        rto = cohort.detect.group_rto()
-        if rto is not None:
-            period = max(cohort.config.min_timeout, 2.0 * rto)
-        else:
-            period = cohort.config.invite_timeout / 4.0
-        period = min(period, cohort.config.invite_timeout / 2.0)
-        self._retransmit_timer = cohort.set_timer(period, self._retransmit_invites)
+        period = self._waits.invite_period(self.cohort.detect)
+        if period is not None:
+            self._retransmit_timer = self.cohort.set_timer(period, self._retransmit_invites)
 
     def _retransmit_invites(self) -> None:
         cohort = self.cohort
@@ -218,14 +184,9 @@ class ViewChangeController:
         self._arm_await_timer()
 
     def _arm_await_timer(self) -> None:
-        cohort = self.cohort
-        delay = cohort.config.underling_timeout
-        if cohort.config.adaptive_timeouts:
-            # Spread promotions out so underlings of a dead manager do not
-            # all become competing managers at the same instant.  Jitter
-            # only ever *extends* the paper's "fairly long" timeout.
-            delay *= 1.0 + PROMOTION_JITTER * self._jitter_rng().random()
-        self._await_timer = cohort.set_timer(delay, self._await_timeout)
+        self._await_timer = self.cohort.set_timer(
+            self._waits.promotion(), self._await_timeout
+        )
 
     def _await_timeout(self) -> None:
         if self.cohort.status is Status.UNDERLING:
@@ -275,12 +236,7 @@ class ViewChangeController:
             self._retry_timer = None
         view = self.form_view(self._responses)
         if view is None:
-            cohort.metrics.incr(f"view_formations_failed:{cohort.mygroupid}")
-            if cohort.config.adaptive_timeouts:
-                delay = self._backoff().next()
-            else:
-                delay = VIEW_RETRY_DELAY
-            self._retry_timer = cohort.set_timer(delay, self._make_invitations)
+            self._retry_formation()
             return
         self._formed = True
         if cohort.tracer is not None:
@@ -291,7 +247,7 @@ class ViewChangeController:
                 members=sorted(view.members),
                 config_size=cohort.config_size,
             )
-        if self._retry_backoff is not None and self._retry_backoff.reset():
+        if self._waits.retry.restart():
             cohort.metrics.incr(f"backoff_resets:{cohort.mygroupid}")
         init = self.build_init_view(view)
         if view.primary == cohort.mymid:
@@ -300,6 +256,14 @@ class ViewChangeController:
             cohort.send_mid(view.primary, init)
             cohort.status = Status.UNDERLING
             self._arm_await_timer()
+
+    def _retry_formation(self) -> None:
+        """The formation failed: mint a fresh viewid after the retry wait."""
+        cohort = self.cohort
+        cohort.metrics.incr(f"view_formations_failed:{cohort.mygroupid}")
+        self._retry_timer = cohort.set_timer(
+            self._waits.retry.wait(cohort.sim.now), self._make_invitations
+        )
 
     def build_init_view(self, view: View) -> m.InitViewMsg:
         """ "You start view ``max_viewid`` with *view*" -- also when the
@@ -431,13 +395,8 @@ class ViewChangeController:
             "stable_write_failed", viewid=str(viewid), key="cur_viewid", error=str(error)
         )
         if cohort.status is Status.VIEW_MANAGER:
-            cohort.metrics.incr(f"view_formations_failed:{cohort.mygroupid}")
             self._formed = False
-            if cohort.config.adaptive_timeouts:
-                delay = self._backoff().next()
-            else:
-                delay = VIEW_RETRY_DELAY
-            self._retry_timer = cohort.set_timer(delay, self._make_invitations)
+            self._retry_formation()
             return
         # Underling: stay put; re-arm the await timer if _start_view's
         # timer sweep cancelled it, so silence still promotes us.

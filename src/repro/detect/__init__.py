@@ -19,17 +19,18 @@ estimates:
 - :class:`FailureDetector` -- accrual-style per-peer suspicion from the
   observed heartbeat arrival process, replacing the fixed
   ``suspect_timeout``;
-- :class:`Backoff` -- capped exponential backoff with deterministic
-  seeded jitter, drawn from by every retry path so that competing
-  retriers desynchronize instead of livelocking.
+- :class:`Retry` / :class:`ViewChangeWaits` -- the schedule every retry
+  path holds, drawing from a seeded-jitter :class:`Backoff` in adaptive
+  mode so that competing retriers desynchronize instead of livelocking.
 
 Everything is driven by the simulator's seeded RNG and the simulated
 clock, so runs stay byte-for-byte reproducible for a given seed.  Setting
 ``ProtocolConfig.adaptive_timeouts = False`` restores the paper-faithful
-fixed-constant behaviour (used by the E16 baseline and the ablations).
+fixed-constant behaviour (used by the E16 baseline and the ablations); this
+package is the only reader of that switch (DESIGN.md D21).
 """
 
-from repro.detect.backoff import Backoff
+from repro.detect.backoff import Backoff, Retry, ViewChangeWaits
 from repro.detect.rtt import AdaptiveTimeouts, RttEstimator
 from repro.detect.suspicion import FailureDetector
 
@@ -37,5 +38,7 @@ __all__ = [
     "AdaptiveTimeouts",
     "Backoff",
     "FailureDetector",
+    "Retry",
     "RttEstimator",
+    "ViewChangeWaits",
 ]

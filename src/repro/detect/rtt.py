@@ -17,6 +17,8 @@ from __future__ import annotations
 
 from typing import Optional
 
+from repro.detect.backoff import Backoff, Retry
+
 
 class RttEstimator:
     """Jacobson/Karels smoothed RTT + variance -> retransmission timeout.
@@ -81,12 +83,50 @@ class AdaptiveTimeouts:
     :class:`~repro.config.ProtocolConfig`.  The clamp means adaptive mode
     can only detect failures *faster* than the fixed configuration, never
     wait longer; and with ``adaptive_timeouts`` off (or before the first
-    RTT sample) every method returns exactly the fixed constant.
+    RTT sample) every method returns exactly the fixed constant.  It also
+    hands each retrier its :class:`~repro.detect.backoff.Retry`.
     """
 
     def __init__(self, config, rtt: RttEstimator):
         self.config = config
         self.rtt = rtt
+
+    # -- the retry schedules (DESIGN.md D21): the one place the mode is read --
+
+    def call_retry(self, rng) -> Retry:
+        """A call's retransmits (Figure 2's probes): ``call_probes`` waits of
+        ``call_timeout``; adaptive, backed-off RTT waits on *rng* within the
+        same total patience, the last one clamped to it."""
+        config = self.config
+        if not config.adaptive_timeouts:
+            return Retry(self.call_timeout, config.call_probes)
+        return Retry(
+            self.call_timeout,
+            patience=config.call_timeout * max(1, config.call_probes),
+            backoff=Backoff(config.call_timeout, rng),
+            clamp=True,
+        )
+
+    def prepare_retry(self, rounds: int) -> Retry:
+        """A coordinator's prepare rounds: *rounds* waits of
+        ``prepare_timeout``; adaptive, RTT waits within the same total
+        patience (the last one is not clamped)."""
+        config = self.config
+        if not config.adaptive_timeouts:
+            return Retry(self.prepare_timeout, rounds)
+        return Retry(self.prepare_timeout, patience=config.prepare_timeout * max(1, rounds))
+
+    def request_retry(self, retries: int, rng, wait: Optional[float] = None) -> Retry:
+        """A driver's re-sends: ``retries + 1`` waits, counted in both modes,
+        of *wait* verbatim or else of thrice an end-to-end transaction time
+        (at most twice ``call_timeout``), backed off on *rng* when adaptive."""
+        if wait is not None:
+            return Retry(lambda: wait, retries + 1)
+        derived = self._derive(self.config.call_timeout * 2, 3.0)
+        backoff = Backoff(derived, rng) if self.config.adaptive_timeouts else None
+        return Retry(lambda: derived, retries + 1, backoff=backoff)
+
+    # -- the derived waits ------------------------------------------------------
 
     def _derive(self, fixed: float, multiplier: float, slack: float = 0.0) -> float:
         if not self.config.adaptive_timeouts:
@@ -112,10 +152,4 @@ class AdaptiveTimeouts:
         committed record before acknowledging."""
         return self._derive(
             self.config.commit_retry_interval, 3.0, slack=self.config.flush_interval
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"AdaptiveTimeouts(call={self.call_timeout():.2f}, "
-            f"prepare={self.prepare_timeout():.2f})"
         )

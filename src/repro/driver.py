@@ -18,7 +18,8 @@ from typing import Any, Dict, NamedTuple, Optional, Tuple
 
 from repro.core import messages as m
 from repro.core.cache import ClientCache
-from repro.detect import Backoff, RttEstimator
+from repro.core.calls import probe_view
+from repro.detect import AdaptiveTimeouts, Retry, RttEstimator
 from repro.sim.future import Future
 from repro.sim.node import Actor, Node
 
@@ -116,11 +117,10 @@ class _PendingRequest:
     program: str
     args: Tuple
     future: Future
-    retries_left: int
+    retry: Retry  # the re-send schedule (repro.detect)
     timeout: float
     timer: Any = None
     submitted_at: float = 0.0
-    backoff: Any = None  # adaptive mode: jittered growth across re-sends
 
 
 class Driver(Actor):
@@ -133,6 +133,7 @@ class Driver(Actor):
         self.tracer = runtime.tracer
         self.cache = ClientCache()
         self.rtt = RttEstimator()  # fed by observed end-to-end txn latencies
+        self.timeouts = AdaptiveTimeouts(self.config, self.rtt)
         self._rng = runtime.sim.rng.fork(f"driver-backoff/{name}")
         self._requests: Dict[int, _PendingRequest] = {}
         self._next_request = 0
@@ -208,28 +209,17 @@ class Driver(Actor):
         if timeout is not None and timeout <= 0:
             raise ValueError(f"call() timeout must be > 0, got {timeout!r}")
         self._next_request += 1
-        if timeout is not None:
-            per_attempt = timeout  # explicit user choice stays verbatim
-        else:
-            per_attempt = self.config.call_timeout * 2
-            if self.config.adaptive_timeouts and self.rtt.rto is not None:
-                # A stalled attempt is re-submitted once the wait clearly
-                # exceeds an observed end-to-end transaction time.
-                per_attempt = min(
-                    per_attempt, max(self.config.min_timeout, 3.0 * self.rtt.rto)
-                )
+        retry = self.timeouts.request_retry(retries, self._rng, timeout)
         request = _PendingRequest(
             request_id=self._next_request,
             groupid=groupid,
             program=program,
             args=tuple(args),
             future=Future(label=f"submit:{program}:{self._next_request}"),
-            retries_left=retries,
-            timeout=per_attempt,
+            retry=retry,
+            timeout=retry.base(),
             submitted_at=self.sim.now,
         )
-        if timeout is None and self.config.adaptive_timeouts:
-            request.backoff = Backoff(per_attempt, self._rng)
         self._requests[request.request_id] = request
         if self.tracer is not None:
             self.tracer.emit(
@@ -240,7 +230,7 @@ class Driver(Actor):
                 group=groupid,
                 program=program,
             )
-        self._send(request)
+        self._submit(request)
         return request.future
 
     # -- reads (repro.reads serving path) -------------------------------------
@@ -312,7 +302,7 @@ class Driver(Actor):
     def _send_read(self, request: _PendingRead) -> None:
         entry = self.cache.get(request.groupid)
         if entry is None:
-            self._probe(request.groupid)
+            probe_view(self, request.groupid)
         else:
             address = entry.primary_address
             if request.prefer == "backup" and entry.view.backups:
@@ -346,8 +336,7 @@ class Driver(Actor):
                         address,
                         "primary" if address == entry.primary_address else "backup",
                     )
-            self.runtime.network.send(
-                self.address,
+            self.send(
                 address,
                 m.ReadMsg(
                     request_id=request.request_id,
@@ -467,15 +456,20 @@ class Driver(Actor):
             self.cache.invalidate(request.groupid)
         self._send_read(request)
 
-    # -- transmission ----------------------------------------------------------
+    # -- transmission (the host contract of repro.core.calls.probe_view) --------
 
-    def _send(self, request: _PendingRequest) -> None:
+    def send(self, destination: str, message) -> None:
+        self.runtime.network.send(self.address, destination, message)
+
+    def locate(self, groupid: str):
+        return self.runtime.location.lookup(groupid)
+
+    def _submit(self, request: _PendingRequest) -> None:
         entry = self.cache.get(request.groupid)
         if entry is None:
-            self._probe(request.groupid)
+            probe_view(self, request.groupid)
         else:
-            self.runtime.network.send(
-                self.address,
+            self.send(
                 entry.primary_address,
                 m.TxnRequestMsg(
                     request_id=request.request_id,
@@ -484,30 +478,28 @@ class Driver(Actor):
                     reply_to=self.address,
                 ),
             )
-        delay = request.timeout
-        if request.backoff is not None:
-            delay = request.backoff.next(request.timeout)
         request.timer = self.node.set_timer(
-            delay, self._on_timeout, request.request_id
+            request.retry.wait(self.sim.now), self._on_timeout, request.request_id
         )
 
-    def _probe(self, groupid: str) -> None:
-        for _mid, address in self.runtime.location.lookup(groupid):
-            self.runtime.network.send(
-                self.address, address, m.ViewProbeMsg(reply_to=self.address)
-            )
+    def _resubmit(self, groupid: str) -> None:
+        """The cache learned a newer view of *groupid*: re-send to it now."""
+        for request in list(self._requests.values()):
+            if request.groupid == groupid:
+                if request.timer is not None:
+                    request.timer.cancel()
+                self._submit(request)
 
     def _on_timeout(self, request_id: int) -> None:
         request = self._requests.get(request_id)
         if request is None:
             return
-        if request.retries_left <= 0:
+        if request.retry.expired(self.sim.now):
             self._requests.pop(request_id, None)
             self._resolve_unknown(request, "retries exhausted")
             return
-        request.retries_left -= 1
         self.cache.invalidate(request.groupid)
-        self._send(request)
+        self._submit(request)
 
     def _resolve_unknown(self, request: _PendingRequest, reason: str) -> None:
         """Give up on a request: the attempt may or may not have committed
@@ -567,19 +559,9 @@ class Driver(Actor):
                 if self.cache.update(
                     message.groupid, message.viewid, message.view, primary_address
                 ):
-                    for request in list(self._requests.values()):
-                        if (
-                            request.groupid == message.groupid
-                            and self.cache.get(request.groupid) is not None
-                        ):
-                            if request.timer is not None:
-                                request.timer.cancel()
-                            self._send(request)
+                    self._resubmit(message.groupid)
                     for read in list(self._reads.values()):
-                        if (
-                            read.groupid == message.groupid
-                            and self.cache.get(read.groupid) is not None
-                        ):
+                        if read.groupid == message.groupid:
                             if read.timer is not None:
                                 read.timer.cancel()
                             self._send_read(read)
@@ -591,17 +573,12 @@ class Driver(Actor):
                     primary_address = self.runtime.location.primary_address(
                         message.groupid, message.view
                     )
-                    moved = self.cache.update(
+                    if self.cache.update(
                         message.groupid, message.viewid, message.view, primary_address
-                    )
-                    if moved:
-                        for request in list(self._requests.values()):
-                            if request.groupid == message.groupid:
-                                if request.timer is not None:
-                                    request.timer.cancel()
-                                self._send(request)
+                    ):
+                        self._resubmit(message.groupid)
                 else:
-                    self._probe(message.groupid)
+                    probe_view(self, message.groupid)
 
     def on_crash(self) -> None:
         # Losing volatile state must not strand callers: resolve every

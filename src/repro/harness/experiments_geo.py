@@ -32,7 +32,7 @@ from typing import Dict, List, Tuple
 
 from repro import Runtime
 from repro.config import ProtocolConfig
-from repro.core.view_change import VIEW_RETRY_DELAY
+from repro.detect.backoff import VIEW_RETRY_DELAY
 from repro.geo.topology import Topology
 from repro.harness.common import (
     E20_PLACEMENTS,

@@ -26,8 +26,7 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from repro.core.view_change import VIEW_RETRY_DELAY
-from repro.detect.backoff import CAP_FACTOR, JITTER
+from repro.detect.backoff import CAP_FACTOR, JITTER, VIEW_RETRY_DELAY
 
 
 class LivenessSpec:

@@ -52,11 +52,13 @@ class StableStoragePolicy(enum.Enum):
     """How much cohort state is kept on stable storage (section 4.2).
 
     MINIMAL is the paper's design.  PRIMARY_GSTATE is the paper's suggested
-    hardening ("we might use stable storage only at the primary"): the
-    primary also persists its group state and history on every force, which
-    closes the catastrophe window at the cost of disk latency on the
-    critical path.  ALL persists at every cohort (the conventional-system
-    endpoint of the spectrum).
+    hardening ("we might use stable storage only at the primary"): at every
+    ``add_record`` the primary also writes a snapshot of its group state and
+    history with ``write_immediate`` -- the UPS-backed background write of
+    section 4.2, off the critical path, so no force waits for it (DESIGN.md
+    D8).  ALL has every backup write the same snapshot as it applies each
+    record (the conventional-system endpoint of the spectrum).  A recovering
+    cohort restores from its snapshot under either.
     """
 
     MINIMAL = "minimal"

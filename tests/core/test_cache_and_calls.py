@@ -1,6 +1,7 @@
 """Tests for the client cache and remote-call machinery."""
 
 
+from repro.analysis.metrics import Metrics
 from repro.core.cache import ClientCache
 from repro.core.calls import CallAborted, RemoteCaller
 from repro.core.messages import (
@@ -14,6 +15,7 @@ from repro.core.messages import (
 from repro.core.view import View
 from repro.core.viewstamp import ViewId
 from repro.config import ProtocolConfig
+from repro.detect import AdaptiveTimeouts, RttEstimator
 from repro.sim.kernel import Simulator
 from repro.txn.ids import Aid, CallId
 
@@ -69,6 +71,10 @@ class FakeHost:
         self.address = "client"
         self.cache = ClientCache()
         self.config = ProtocolConfig(call_timeout=10.0, call_probes=2)
+        self.metrics = Metrics()
+        self.rtt = RttEstimator()
+        self.timeouts = AdaptiveTimeouts(self.config, self.rtt)
+        self.tracer = None
         self.sent = []
         self.members = {"g": ((0, "g/0"), (1, "g/1"), (2, "g/2"))}
 
