@@ -317,7 +317,8 @@ class TraceConfig:
     setting ``enabled=False``) leaves every instrumented hot path with a
     ``tracer is None`` test and nothing else; armed, it moves no event
     (``python -m repro.gate trace``) and what it costs the host is
-    ``vrbench``'s ``trace.armed_over_off``.
+    ``vrbench``'s ``trace.armed_over_off``.  Refused: a ``ring_size`` that
+    is not an int of at least 1.
     """
 
     enabled: bool = True
@@ -329,3 +330,10 @@ class TraceConfig:
     #: Written by ``Tracer.maybe_export()``: ``*.json`` gets Chrome
     #: ``trace_event`` format, anything else JSONL.
     export_path: Optional[str] = None
+
+    def __post_init__(self) -> None:
+        # The tracer preallocates ``ring_size`` slots and takes the number
+        # as given: a ring of no slot cannot hold the event being recorded.
+        size = self.ring_size
+        if isinstance(size, bool) or not isinstance(size, int) or size < 1:
+            raise ValueError(f"TraceConfig.ring_size must be an int >= 1, not {size!r}")

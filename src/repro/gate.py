@@ -563,6 +563,9 @@ GATES: Dict[str, Gate] = {
         + tuple(_chaos(*pair) for pair in itertools.combinations(ARMED, 2))
         + (_chaos(*ARMED),),
     ),
+    # the cell where a committed multi-group write was once lost
+    # (docs/FAULTS.md, *What a nemesis can still find*): a regression row
+    "lost-write-seed2030": Gate(2030, 1000, (PAPER, _chaos("scale", "geo"))),
 }
 
 

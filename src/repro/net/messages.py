@@ -153,9 +153,10 @@ class Envelope:
     freelist once every copy has been consumed.  ``delivered`` is the
     network's duplicate suppression: the second copy of a datagram whose
     first copy reached its destination is dropped.  ``send_eid`` is the
-    ``msg_send`` trace event of this message (None when tracing is off or
-    the envelope never went through ``Network.send``); a duplicated copy
-    is the same envelope, so both deliveries name the one send."""
+    trace event that caused this message, marked by the tracer at send
+    (``0``: sent outside any handler; None when tracing is off or the
+    envelope never went through ``Network.send``); a duplicated copy is
+    the same envelope, so both deliveries carry the one cause."""
 
     msg_id: int
     source: str

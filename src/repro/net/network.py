@@ -419,7 +419,7 @@ class Network:
             self._release_envelope(envelope)
             actor.handle_message(payload, source)
             return
-        tracer.on_deliver(envelope)  # pushes itself as the causal context
+        tracer.on_deliver(envelope)  # pushes the message's cause as the context
         try:
             actor.handle_message(envelope.payload, envelope.source)
         finally:

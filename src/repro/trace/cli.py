@@ -82,7 +82,9 @@ def _chrome(args) -> int:
 
 
 def _kinds(monitor) -> str:
-    return ", ".join(monitor.kinds) if monitor.kinds is not None else "(every kind)"
+    if monitor.kinds is None:
+        return "(every kind)"
+    return ", ".join(monitor.kinds) or "(none)"
 
 
 def _monitors(_args) -> int:

@@ -1,7 +1,7 @@
 """Trace events: Lamport-stamped, causally-linked structured records.
 
-One :class:`TraceEvent` is emitted per interesting happening (a message
-send, a timer firing, a record entering the buffer, a commit point...).
+One :class:`TraceEvent` is emitted per interesting happening (a timer
+firing, a record entering the buffer, a commit point, a lost message...).
 Events carry:
 
 - ``eid``: a process-wide sequence number, assigned in emission order --
@@ -11,8 +11,9 @@ Events carry:
   causal parent, so a topological sort of the causal graph is recoverable
   from the export alone;
 - ``parents``: eids of the events that *happened-before* this one (the
-  send for a delivery, the enclosing delivery for a protocol action, the
-  timer arming context for a fire).
+  sender's event that caused the message a handler runs for -- a
+  cross-node edge, one hop -- the enclosing timer fire, the timer arming
+  context for a fire, a lost message's cause for its drop).
 
 Serialization is strictly deterministic: sorted keys, compact separators,
 and a ``str()`` fallback for protocol objects (viewstamps, aids) whose
@@ -30,9 +31,8 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 #: repro.trace check-docs`` asserts each name is documented in
 #: docs/TRACING.md, so adding a kind here without documenting it fails CI.
 EVENT_KINDS: Dict[str, str] = {
-    # network plane (net/network.py)
-    "msg_send": "a message was handed to the network",
-    "msg_deliver": "a message reached its destination actor",
+    # network plane (net/network.py); a send or a delivery is no event: the
+    # message carries its cause (repro.trace.tracer, DESIGN.md D22)
     "msg_drop": "the network dropped a message (crash/partition/loss)",
     # kernel / node (sim/node.py, repro.faults)
     "timer_fire": "a node-scoped timer callback ran",

@@ -4,7 +4,9 @@ JSONL is the archival format (one event per line, sorted keys, compact
 separators): byte-identical across same-seed runs, so tests can compare
 exports directly.  The Chrome format targets ``chrome://tracing`` and
 Perfetto: every event becomes an instant on its node's timeline (one
-"thread" per node) and each send/deliver pair becomes a flow arrow.
+"thread" per node) and each cross-node parent edge -- a message's hop, from
+the sender's event that caused it to what the receiver did -- becomes a
+flow arrow.
 """
 
 from __future__ import annotations
@@ -38,13 +40,17 @@ def read_jsonl(path: str) -> List[TraceEvent]:
 
 
 def chrome_trace(events: Iterable[TraceEvent]) -> dict:
-    """Chrome ``trace_event`` document: instants + send->deliver flows.
+    """Chrome ``trace_event`` document: instants + one flow arrow per hop.
 
     Virtual time units map to microseconds (the viewer's native unit), so
     one simulated time unit reads as 1us on the timeline.
     """
     trace_events: List[dict] = []
     tids: dict = {}
+    #: eid -> (tid, ts) of each event placed so far; parents precede their
+    #: children, so an edge's source is here when its child is reached
+    placed: dict = {}
+    hops = 0
 
     def tid_for(node) -> int:
         key = node if node is not None else "(global)"
@@ -82,19 +88,22 @@ def chrome_trace(events: Iterable[TraceEvent]) -> dict:
                 "args": args,
             }
         )
-        if event.kind == "msg_send":
+        for parent in event.parents:
+            source = placed.get(parent)
+            if source is None or source[0] == tid:
+                continue  # outside the export, or on the same node
+            hops += 1
             trace_events.append(
                 {
                     "ph": "s",
                     "pid": 1,
-                    "tid": tid,
-                    "ts": ts,
-                    "id": event.data["msg_id"],
-                    "name": "msg",
-                    "cat": "msg",
+                    "tid": source[0],
+                    "ts": source[1],
+                    "id": hops,
+                    "name": "hop",
+                    "cat": "hop",
                 }
             )
-        elif event.kind == "msg_deliver" and event.data.get("sent"):
             trace_events.append(
                 {
                     "ph": "f",
@@ -102,11 +111,12 @@ def chrome_trace(events: Iterable[TraceEvent]) -> dict:
                     "pid": 1,
                     "tid": tid,
                     "ts": ts,
-                    "id": event.data["msg_id"],
-                    "name": "msg",
-                    "cat": "msg",
+                    "id": hops,
+                    "name": "hop",
+                    "cat": "hop",
                 }
             )
+        placed[event.eid] = (tid, ts)
     return {"traceEvents": trace_events, "displayTimeUnit": "ms"}
 
 

@@ -27,6 +27,8 @@ All monitors are false-positive-free on legitimate runs:
   commit without the committing record being majority-known".
 - ``phantom_delivery``: every delivery must correspond to a send the
   network actually performed (section 3.1's delivery-system assumption).
+  A message is no event, so it subscribes to no kind: the tracer hands it
+  each delivery whose envelope no send marked, before the handler runs.
 - ``stale_lease``: once a primary of a newer view has committed a write,
   no leased read may be served under an older view -- the lease protocol's
   activation deferral (docs/READS.md) exists precisely to make any such
@@ -36,9 +38,10 @@ All monitors are false-positive-free on legitimate runs:
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Dict, FrozenSet, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, Optional, Tuple
 
 from repro.core.quorum import Quorums
+from repro.trace.events import TraceEvent
 
 #: Quorums of a config_size in event data (witnesses move neither size read)
 _quorums = lru_cache(maxsize=None)(Quorums)
@@ -69,7 +72,9 @@ class InvariantMonitor:
 
     The tracer calls ``on_event(event, tracer)`` only for events whose kind
     is in ``kinds``, exactly once each; a subclass that leaves ``kinds``
-    as ``None`` sees every event."""
+    as ``None`` sees every event.  A subclass that defines ``on_unsent``
+    is also called, as ``on_unsent(envelope, tracer)``, at every delivery
+    whose envelope no send marked, before the handler runs."""
 
     #: registry key and violation label
     name = "invariant"
@@ -78,6 +83,8 @@ class InvariantMonitor:
     description = ""
     #: the event kinds (names from ``EVENT_KINDS``) this monitor consumes
     kinds: Optional[Tuple[str, ...]] = None
+    #: see the class docstring; None: never called
+    on_unsent: Optional[Callable] = None
 
     def on_event(self, event, tracer) -> None:
         raise NotImplementedError
@@ -227,19 +234,29 @@ class PhantomDeliveryMonitor(InvariantMonitor):
     name = "phantom_delivery"
     paper = "§3.1"
     description = (
-        "every delivered message corresponds to a send the network performed"
+        "every delivered message corresponds to a send the network "
+        "performed; checked at the delivery, off the envelope's cause mark"
     )
-    kinds = ("msg_deliver",)
+    kinds = ()
 
-    def on_event(self, event, tracer) -> None:
-        if not event.data.get("sent", False):
-            self.fail(
-                tracer,
-                event,
-                f"message {event.data['msg_id']} "
-                f"({event.data['type']}) delivered to "
-                f"{event.data['dst']} but was never sent",
-            )
+    def on_unsent(self, envelope, tracer) -> None:
+        # The refused delivery is in no ring, so its slice is empty: nothing
+        # caused a message that nobody sent.
+        data = {
+            "msg_id": envelope.msg_id,
+            "src": envelope.source,
+            "dst": envelope.destination,
+            "type": envelope.payload.msg_type,
+        }
+        delivery = TraceEvent(
+            0, tracer.sim.now, 0, envelope.destination, "delivery", data, ()
+        )
+        self.fail(
+            tracer,
+            delivery,
+            f"message {envelope.msg_id} ({data['type']}) delivered to "
+            f"{envelope.destination} but was never sent",
+        )
 
 
 class StaleLeaseMonitor(InvariantMonitor):

@@ -15,12 +15,17 @@ Design constraints (see docs/TRACING.md):
 
 Causality is tracked two ways:
 
-- a *context stack*: while a delivery or timer callback runs, its event id
+- a *context stack*: while a delivery or timer callback runs, its cause
   sits on the stack and becomes an implicit parent of everything emitted
-  inside it (protocol actions, nested sends);
-- explicit parents: a delivery names its send (carried on the envelope as
-  ``Envelope.send_eid``), a timer fire names the event context in which it
-  was armed.
+  inside it;
+- explicit parents: a timer fire names the event context in which it was
+  armed, a drop names its message's cause.
+
+A message is a cause, not an event (DESIGN.md D22).  A send records
+nothing: it marks the envelope with the newest event of the sender's frame
+(``Envelope.send_eid``), and the delivery pushes that mark as the
+receiver's context, so the receiver's events have a cross-node parent whose
+``at`` difference is the hop's latency.
 """
 
 from __future__ import annotations
@@ -51,18 +56,24 @@ class Tracer:
     def __init__(self, sim, config):
         self.sim = sim
         self.config = config
-        self.ring_size = max(1, int(config.ring_size))
+        self.ring_size = config.ring_size
         self._cells: list = [None] * (_CELLS * self.ring_size)
         self._next_eid = 0
         self._clocks: Dict[str, int] = {}
         #: the causal context stack, each entry the ready-made ``(eid,)``
-        #: that events emitted inside it share as their parents tuple
-        self._context: List[Tuple[int]] = []
+        #: that events emitted inside it share as their parents tuple (``()``
+        #: for a delivery of a message sent outside any frame)
+        self._context: List[Tuple[int, ...]] = []
+        #: ``_next_eid`` when each context entry was pushed: a higher eid
+        #: was emitted inside that frame
+        self._frame_starts: List[int] = []
         self._monitors: list = []
         #: cataloged kind -> bound ``on_event`` of each subscriber, install
         #: order; any other kind reaches the subscribe-to-all list
         self._dispatch: Dict[str, List[Callable]] = {}
         self._catch_all: List[Callable] = []
+        #: each monitor's ``on_unsent``, run on a delivery no send marked
+        self._unsent: List[Callable] = []
 
     @property
     def events_emitted(self) -> int:
@@ -76,7 +87,8 @@ class Tracer:
 
     def install_monitors(self, monitors) -> None:
         """Attach monitor instances.  Each is called for the event kinds
-        its ``kinds`` tuple names (``None``: every kind), in install order."""
+        its ``kinds`` tuple names (``None``: every kind), in install order,
+        and its ``on_unsent`` (if any) for every unmarked delivery."""
         monitors = list(monitors)
         for monitor in monitors:
             unknown = sorted(set(monitor.kinds or ()) - set(EVENT_KINDS))
@@ -95,6 +107,11 @@ class Tracer:
             ]
             for kind in EVENT_KINDS
         }
+        self._unsent = [
+            m.on_unsent
+            for m in self._monitors
+            if getattr(m, "on_unsent", None) is not None
+        ]
 
     @property
     def monitors(self) -> tuple:
@@ -119,15 +136,15 @@ class Tracer:
         data: Dict[str, Any],
     ) -> int:
         """:meth:`emit` without the keyword packing, for the instrumented
-        hot paths (network hooks, ``record_added``, ``timer_fire``).  The
-        tracer keeps *data* and *parents*; the caller must not reuse them."""
+        hot paths (``record_added``, ``timer_fire``, drops).  The tracer
+        keeps *data* and *parents*; the caller must not reuse them."""
         eid = self._next_eid = self._next_eid + 1
         context = self._context
         if context:
             top = context[-1]
             if not parents:
                 parents = top
-            elif top[0] not in parents:
+            elif top and top[0] not in parents:
                 parents = parents + top
         clock_key = node or ""
         clocks = self._clocks
@@ -158,36 +175,39 @@ class Tracer:
 
     def push(self, eid: int) -> None:
         self._context.append((eid,))
+        self._frame_starts.append(self._next_eid)
 
     def pop(self) -> None:
         self._context.pop()
+        self._frame_starts.pop()
 
     def current(self) -> Optional[int]:
-        return self._context[-1][0] if self._context else None
+        context = self._context
+        return context[-1][0] if context and context[-1] else None
 
     # -- network hooks (called by Network when tracer is not None) --------
-    # The send's eid rides on the envelope (``Envelope.send_eid``): no
-    # side table to bound, and a slow message cannot outlive its entry.
+    # The cause rides on the envelope (``Envelope.send_eid``): no side
+    # table to bound, and a slow message cannot outlive its entry.
 
     def on_send(self, envelope) -> None:
-        envelope.send_eid = self._emit(
-            "msg_send",
-            envelope.source,
-            (),
-            {
-                "msg_id": envelope.msg_id,
-                "src": envelope.source,
-                "dst": envelope.destination,
-                "type": envelope.payload.msg_type,
-            },
-        )
+        """Mark *envelope* with its cause and record nothing: the newest
+        event emitted in the sender's frame, else that frame's cause, else
+        ``0`` (sent outside any frame).  ``None`` stays "never sent"."""
+        context = self._context
+        if not context:
+            envelope.send_eid = 0
+        elif self._next_eid > self._frame_starts[-1]:
+            envelope.send_eid = self._next_eid
+        else:
+            top = context[-1]
+            envelope.send_eid = top[0] if top else 0
 
     def on_drop(self, envelope, reason: str, node: Optional[str]) -> int:
-        send_eid = envelope.send_eid
+        cause = envelope.send_eid
         return self._emit(
             "msg_drop",
             node,
-            (send_eid,) if send_eid is not None else (),
+            (cause,) if cause else (),
             {
                 "msg_id": envelope.msg_id,
                 "src": envelope.source,
@@ -197,24 +217,17 @@ class Tracer:
             },
         )
 
-    def on_deliver(self, envelope) -> int:
-        """Emit the delivery and push it as the causal context; the
-        network pops it once the destination's handler returns."""
-        send_eid = envelope.send_eid
-        eid = self._emit(
-            "msg_deliver",
-            envelope.destination,
-            (send_eid,) if send_eid is not None else (),
-            {
-                "msg_id": envelope.msg_id,
-                "src": envelope.source,
-                "dst": envelope.destination,
-                "type": envelope.payload.msg_type,
-                "sent": send_eid is not None,
-            },
-        )
-        self.push(eid)
-        return eid
+    def on_deliver(self, envelope) -> None:
+        """Push the envelope's cause as the receiver's context; the network
+        pops it once the destination's handler returns.  An envelope no
+        send marked goes to every ``on_unsent`` first (``phantom_delivery``
+        raises there, before anything is pushed)."""
+        cause = envelope.send_eid
+        if cause is None:
+            for on_unsent in self._unsent:
+                on_unsent(envelope, self)
+        self._context.append((cause,) if cause else ())
+        self._frame_starts.append(self._next_eid)
 
     # -- Simulator.trace adapter ------------------------------------------
 

@@ -4,7 +4,7 @@ import dataclasses
 
 import pytest
 
-from repro.config import BatchConfig, ProtocolConfig
+from repro.config import BatchConfig, ProtocolConfig, TraceConfig
 from repro.core import messages as m
 from repro.core.view import View
 from repro.core.viewstamp import ViewId, Viewstamp
@@ -82,6 +82,16 @@ def test_batch_config_rejects_a_window_that_would_stall_every_force(enabled, kno
     with pytest.raises(ValueError):
         ProtocolConfig(batch=BatchConfig(enabled=enabled, **knobs))
     assert BatchConfig(enabled=enabled, max_batch=1, pipeline_depth=1, flush_interval=0.0)
+
+
+@pytest.mark.parametrize("ring_size", [0, -5, 2.5, True, "64"])
+def test_trace_config_rejects_a_ring_that_is_not_a_positive_int(ring_size):
+    """The tracer took ``max(1, int(ring_size))`` without a word, so a ring of
+    0 or -5 silently held one event and 2.5 held two.  Such a config is
+    refused where it is made, naming the field."""
+    with pytest.raises(ValueError, match="ring_size"):
+        TraceConfig(ring_size=ring_size)
+    assert TraceConfig(ring_size=1).ring_size == 1
 
 
 def test_config_replace_for_ablations():

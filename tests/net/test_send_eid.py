@@ -1,8 +1,13 @@
-"""The send's trace event rides on the envelope (``Envelope.send_eid``).
+"""A message carries its cause on the envelope (``Envelope.send_eid``).
 
-There is no ``msg_id -> send`` side table to bound or to forget a slow
-message: a delivery or a drop reads its causal parent off the envelope it
-is handed.  These tests pin what that must guarantee."""
+A send records no trace event.  The tracer marks the envelope with the
+newest event of the sender's handler frame (else the frame's own cause,
+else ``0``), and the delivery makes that mark the receiver's causal
+context, so what the receiver emits has a cross-node parent whose ``at``
+difference is the hop's latency (DESIGN.md D22).  ``None`` means never
+sent, which ``phantom_delivery`` refuses before the handler runs.  There is
+no ``msg_id -> send`` side table to bound or to forget a slow message.
+These tests pin what that must guarantee."""
 
 import pytest
 
@@ -26,17 +31,81 @@ def by_kind(tracer, kind):
     return [event for event in tracer.events() if event.kind == kind]
 
 
+def send_caused(tracer, net):
+    """Send one ``Ping`` from a0 to a1 in a frame whose cause is a fresh
+    ``record_added`` at n0; return that event's eid."""
+    cause = tracer.emit("record_added", node="n0")
+    tracer.push(cause)
+    try:
+        net.send("a0", "a1", Ping())
+    finally:
+        tracer.pop()
+    return cause
+
+
+def hear(tracer, actor):
+    """Make *actor*'s handler emit one event per message; return their eids."""
+    heard = []
+    actor.handle_message = lambda _message, _source: heard.append(
+        tracer.emit("record_added", node=actor.node.node_id)
+    )
+    return heard
+
+
+def test_a_send_records_nothing_and_marks_its_cause():
+    sim, net, _nodes, _actors, tracer = traced()
+    envelope = Envelope(1, "a0", "a1", Ping(), 0.0)
+    tracer.on_send(envelope)
+    assert envelope.send_eid == 0  # outside any frame: no cause
+    fire = tracer.emit("timer_fire", node="n0")
+    tracer.push(fire)
+    tracer.on_send(envelope)
+    assert envelope.send_eid == fire  # nothing emitted in the frame yet
+    added = tracer.emit("record_added", node="n0")
+    tracer.on_send(envelope)
+    assert envelope.send_eid == added  # the frame's newest event
+    tracer.push(fire)
+    tracer.on_send(envelope)
+    assert envelope.send_eid == fire  # a nested frame counts its own events
+    tracer.pop()
+    tracer.pop()
+    net.send("a0", "a1", Ping())
+    sim.run()
+    assert tracer.events_emitted == 2  # neither the send nor the delivery
+
+
+def test_a_delivery_records_nothing_and_parents_what_the_receiver_emits():
+    sim, net, _nodes, actors, tracer = traced()
+    heard = hear(tracer, actors[1])
+    cause = send_caused(tracer, net)
+    net.send("a0", "a1", Ping())  # outside any frame: no cause
+    sim.run()
+    sent = tracer.get(cause)
+    first, second = (tracer.get(eid) for eid in heard)
+    assert (first.parents, second.parents) == ((cause,), ())
+    assert (sent.node, first.node) == ("n0", "n1")
+    assert first.at - sent.at == 1.0  # the hop's latency
+    assert first.lamport == sent.lamport + 1
+    assert tracer.events_emitted == 3 and tracer.current() is None
+
+
 def test_recycled_envelope_does_not_inherit_a_send_eid():
     sim, net, _nodes, actors, tracer = traced()
-    net.send("a0", "a1", Ping())
+    cause = send_caused(tracer, net)
     sim.run()
     assert len(actors[1].received) == 1
     (pooled,) = net._envelope_pool
-    assert pooled.send_eid == by_kind(tracer, "msg_send")[0].eid  # stale
-    sim.tracer = net.tracer = None
-    net.send("a1", "a0", Ping())  # untraced: nothing stamps the recycled one
+    assert pooled.send_eid == cause  # stale
+    net.tracer = None
+    net.send("a1", "a0", Ping())  # untraced: nothing marks the recycled one
     assert not net._envelope_pool and pooled.send_eid is None
     assert Envelope(1, "a0", "a1", Ping(), 0.0).send_eid is None  # fresh one too
+    # delivered with the tracer back, it is a phantom: no stale mark vouches
+    net.tracer = tracer
+    tracer.install_monitors(build_monitors(("phantom_delivery",)))
+    with pytest.raises(InvariantViolation, match="never sent"):
+        sim.run()
+    assert actors[0].received == []
 
 
 def test_untraced_network_leaves_send_eid_unset():
@@ -49,61 +118,56 @@ def test_untraced_network_leaves_send_eid_unset():
 
 def test_each_message_parents_its_own_send():
     sim, net, _nodes, actors, tracer = traced(link=LinkModel(1.0, jitter=3.0), seed=4)
+    heard = hear(tracer, actors[1])
+    causes = []
     for _ in range(30):
-        net.send("a0", "a1", Ping())  # 30 sends through a 1-deep freelist
+        causes.append(send_caused(tracer, net))  # 30 sends through a 1-deep freelist
         sim.run()
-    sends = {e.data["msg_id"]: e.eid for e in by_kind(tracer, "msg_send")}
-    delivers = by_kind(tracer, "msg_deliver")
-    assert len(delivers) == len(sends) == 30
-    for deliver in delivers:
-        assert deliver.parents == (sends[deliver.data["msg_id"]],)
-        assert deliver.data["sent"] is True
+    assert [tracer.get(eid).parents for eid in heard] == [(cause,) for cause in causes]
 
 
 def test_both_copies_of_a_duplicated_datagram_parent_the_same_send():
     link = LinkModel(base_delay=1.0, jitter=0.5, duplicate_probability=0.999)
-    sim, net, nodes, _actors, tracer = traced(link=link, seed=3)
-    net.send("a0", "a1", Ping())
+    sim, net, nodes, actors, tracer = traced(link=link, seed=3)
+    cause = send_caused(tracer, net)
     assert net.messages_duplicated_total == 1
     nodes[1].crash()  # both copies arrive at a dead destination
     sim.run()
-    (send,) = by_kind(tracer, "msg_send")
     drops = by_kind(tracer, "msg_drop")
     assert [drop.data["reason"] for drop in drops] == ["destination_down"] * 2
-    assert [drop.parents for drop in drops] == [(send.eid,)] * 2
-    # and when the destination is up: one delivery names the send, the
-    # other copy is suppressed without an event
+    assert [drop.parents for drop in drops] == [(cause,)] * 2
+    # and when the destination is up: the one delivery carries the cause to
+    # the receiver, the other copy is suppressed without an event
     nodes[1].recover()
-    net.send("a0", "a1", Ping())
+    heard = hear(tracer, actors[1])
+    second = send_caused(tracer, net)
     sim.run()
-    second_send = by_kind(tracer, "msg_send")[1]
-    (deliver,) = by_kind(tracer, "msg_deliver")
-    assert deliver.parents == (second_send.eid,)
+    assert [tracer.get(eid).parents for eid in heard] == [(second,)]
     assert net.messages_deduped_total == 1
 
 
-def _drop_source_crashed(net, nodes):
+def _drop_source_crashed(net, nodes, send):
     nodes[0].crash()
-    net.send("a0", "a1", Ping())
+    send()
 
 
-def _drop_partitioned_at_send(net, nodes):
+def _drop_partitioned_at_send(net, nodes, send):
     net.partition([{"n0"}, {"n1"}])
-    net.send("a0", "a1", Ping())
+    send()
 
 
-def _drop_link_loss(net, nodes):
+def _drop_link_loss(net, nodes, send):
     net.set_link_model("a0", "a1", LinkModel(loss_probability=0.999))
-    net.send("a0", "a1", Ping())
+    send()
 
 
-def _drop_destination_down(net, nodes):
-    net.send("a0", "a1", Ping())
+def _drop_destination_down(net, nodes, send):
+    send()
     nodes[1].crash()
 
 
-def _drop_partitioned_in_flight(net, nodes):
-    net.send("a0", "a1", Ping())
+def _drop_partitioned_in_flight(net, nodes, send):
+    send()
     net.partition([{"n0"}, {"n1"}])
 
 
@@ -119,14 +183,14 @@ def _drop_partitioned_in_flight(net, nodes):
 )
 def test_every_drop_path_names_its_send(reason, scenario):
     sim, net, nodes, actors, tracer = traced(seed=1)
-    scenario(net, nodes)
+    causes = []
+    scenario(net, nodes, lambda: causes.append(send_caused(tracer, net)))
     sim.run()
     assert actors[1].received == []
-    (send,) = by_kind(tracer, "msg_send")
     (drop,) = by_kind(tracer, "msg_drop")
     assert drop.data["reason"] == reason
-    assert drop.data["msg_id"] == send.data["msg_id"]
-    assert drop.parents == (send.eid,)
+    # the message's cause, in the sender's frame or at the delivery
+    assert drop.parents == tuple(causes)
 
 
 def test_envelope_that_never_went_through_send_trips_phantom_delivery():
@@ -136,8 +200,9 @@ def test_envelope_that_never_went_through_send_trips_phantom_delivery():
     )
     with pytest.raises(InvariantViolation) as caught:
         net._deliver(forged)
-    assert caught.value.monitor == "phantom_delivery"
-    assert caught.value.event.data["sent"] is False
-    assert caught.value.event.parents == ()
+    violation = caught.value
+    assert violation.monitor == "phantom_delivery"
+    assert violation.event.data == {"msg_id": 999, "src": "a0", "dst": "a1", "type": "Ping"}
+    assert violation.causal_slice == []  # nothing caused a message nobody sent
     assert actors[1].received == []  # caught before the actor saw it
-    assert tracer.current() is None
+    assert tracer.current() is None and tracer.events_emitted == 0

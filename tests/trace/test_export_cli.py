@@ -24,7 +24,7 @@ def test_chrome_export_structure(tmp_path):
         doc = json.load(handle)
     entries = doc["traceEvents"]
     phases = {entry["ph"] for entry in entries}
-    # thread-name metadata, instants, and send->deliver flow arrows
+    # thread-name metadata, instants, and a flow arrow per hop
     assert {"M", "i", "s", "f"} <= phases
     names = {entry["args"]["name"] for entry in entries if entry["ph"] == "M"}
     assert any(name.startswith("kv") for name in names)
@@ -57,14 +57,17 @@ def test_cli_timeline_and_chain(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "==" in out and "events" in out
 
-    some_deliver = next(
-        event for event in rt.tracer.events()
-        if event.kind == "msg_deliver" and event.parents
+    events = {event.eid: event for event in rt.tracer.events()}
+    hop, sender = next(
+        (event, events[parent])
+        for event in events.values()
+        for parent in event.parents
+        if parent in events and events[parent].node != event.node
     )
-    assert cli_main(["chain", jsonl, str(some_deliver.eid)]) == 0
+    assert cli_main(["chain", jsonl, str(hop.eid)]) == 0
     out = capsys.readouterr().out
-    assert f"-> #{some_deliver.eid}" in out
-    assert "msg_send" in out  # the chain reaches the send
+    assert f"-> #{hop.eid}" in out
+    assert f"#{sender.eid} t=" in out  # the chain crosses the hop
 
     assert cli_main(["chain", jsonl, "999999999"]) == 1
     assert "not in" in capsys.readouterr().err
@@ -77,7 +80,7 @@ def test_cli_timeline_kind_filter_and_missing_node(tmp_path, capsys):
     assert cli_main(["timeline", jsonl, "--kind", "txn_submit"]) == 0
     out = capsys.readouterr().out
     assert "txn_submit" in out
-    assert "msg_send" not in out
+    assert "record_added" not in out
     assert cli_main(["timeline", jsonl, "--node", "nope"]) == 1
 
 
@@ -103,7 +106,7 @@ def test_cli_check_docs(tmp_path, capsys):
     assert cli_main(["check-docs", "docs/TRACING.md"]) == 0
     capsys.readouterr()
     incomplete = tmp_path / "thin.md"
-    incomplete.write_text("only msg_send is here\n")
+    incomplete.write_text("only msg_drop is here\n")
     assert cli_main(["check-docs", str(incomplete)]) == 1
     assert "missing documentation" in capsys.readouterr().err
     assert cli_main(["check-docs", str(tmp_path / "absent.md")]) == 2

@@ -3,9 +3,12 @@ quiet on legitimate sequences, and the flagship acceptance test -- a
 deliberately broken cohort activating a second primary in one viewid --
 is caught online with a causal slice of at most 50 events."""
 
+import types
+
 import pytest
 
 from repro import View
+from repro.net.messages import Envelope
 from repro.config import TraceConfig
 from repro.harness.common import build_kv_system, run_kv_batch
 from repro.sim.kernel import Simulator
@@ -162,12 +165,17 @@ def test_commit_quorum_trips_on_a_sole_participant_answering_before_its_force(mo
 
 def test_phantom_delivery_trips_on_unsent_message():
     tracer = make_tracer("phantom_delivery")
-    tracer.emit("msg_deliver", node="n1", msg_id=1, src="a", dst="b",
-                type="CallMsg", sent=True)
+    payload = types.SimpleNamespace(msg_type="CallMsg")
+    sent = Envelope(1, "a", "b", payload, 0.0)
+    tracer.on_send(sent)
+    tracer.on_deliver(sent)  # marked (no cause, but sent): quiet
+    tracer.pop()
     with pytest.raises(InvariantViolation) as caught:
-        tracer.emit("msg_deliver", node="n1", msg_id=99, src="a", dst="b",
-                    type="CallMsg", sent=False)
+        tracer.on_deliver(Envelope(99, "a", "b", payload, 0.0))
     assert caught.value.monitor == "phantom_delivery"
+    assert "message 99 (CallMsg) delivered to b but was never sent" in str(
+        caught.value
+    )
 
 
 # -- the acceptance-criterion integration test -----------------------------

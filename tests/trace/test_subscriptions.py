@@ -8,7 +8,6 @@ import pytest
 
 from repro.config import TraceConfig
 from repro.harness.common import build_kv_system, run_kv_batch
-from repro.net.messages import Envelope
 from repro.sim.kernel import Simulator
 from repro.trace import (
     EVENT_KINDS,
@@ -44,7 +43,7 @@ def test_on_event_only_for_subscribed_kinds_exactly_once():
     tracer = make_tracer(narrow, wide, nothing)
     emitted = [
         tracer.emit(kind, node="n0")
-        for kind in ("msg_send", "record_added", "fault", "view_formed",
+        for kind in ("msg_drop", "record_added", "fault", "view_formed",
                      "record_added", "not_in_the_catalog")
     ]
     assert narrow.calls == [
@@ -83,8 +82,10 @@ def test_unknown_kind_is_rejected_at_install_and_installs_nothing():
 
 def test_builtin_monitors_declare_cataloged_kinds():
     for name, monitor in MONITORS.items():
-        assert monitor.kinds, name
+        assert monitor.kinds is not None, name
         assert set(monitor.kinds) <= set(EVENT_KINDS), name
+        # one that hears no kind checks each unmarked delivery instead
+        assert monitor.kinds or monitor.on_unsent is not None, name
 
 
 def _spied_all():
@@ -101,18 +102,6 @@ def _spied_all():
     return monitors, heard
 
 
-def test_msg_send_dispatches_to_nobody_under_all_monitors():
-    monitors, heard = _spied_all()
-    tracer = make_tracer(*monitors)
-    envelope = Envelope(1, "a/0", "b/1", type("P", (), {"msg_type": "CallMsg"})(), 0.0)
-    tracer.on_send(envelope)
-    assert tracer.events_emitted == 1 and not heard
-    tracer.on_deliver(envelope)
-    assert {name: dict(kinds) for name, kinds in heard.items()} == {
-        "phantom_delivery": {"msg_deliver": 1}
-    }
-
-
 def test_real_run_invokes_each_monitor_once_per_subscribed_event():
     monitors, heard = _spied_all()
     rt, _kv, _clients, driver, spec = build_kv_system(
@@ -125,7 +114,7 @@ def test_real_run_invokes_each_monitor_once_per_subscribed_event():
     emitted = collections.Counter(
         event.kind for event in rt.tracer.events() if event.eid > installed_after
     )
-    assert rt.tracer.events_evicted == 0 and emitted["msg_send"] > 0
+    assert rt.tracer.events_evicted == 0 and emitted["record_added"] > 0
     for monitor in monitors:
         expected = {k: emitted[k] for k in monitor.kinds if emitted[k]}
         assert dict(heard[monitor.name]) == expected, monitor.name
@@ -142,6 +131,6 @@ def test_cli_prints_each_monitors_kinds(tmp_path, capsys):
     with open("docs/TRACING.md", encoding="utf-8") as handle:
         text = handle.read()
     thin = tmp_path / "thin.md"
-    thin.write_text(text.replace("| `msg_deliver` |", "| |"), encoding="utf-8")
+    thin.write_text(text.replace("| `primary_activated` |", "| |"), encoding="utf-8")
     assert cli_main(["check-docs", str(thin)]) == 1
-    assert "phantom_delivery subscribes to msg_deliver" in capsys.readouterr().err
+    assert "single_primary subscribes to primary_activated" in capsys.readouterr().err

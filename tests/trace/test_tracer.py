@@ -37,7 +37,7 @@ def test_explicit_parent_advances_lamport_past_it():
 
 def test_context_stack_becomes_implicit_parent():
     tracer = make_tracer()
-    outer = tracer.emit("msg_deliver", node="n1", msg_id=1, sent=True)
+    outer = tracer.emit("timer_fire", node="n1", delay=1.0)
     tracer.push(outer)
     try:
         inner = tracer.emit("record_added", node="n1")

@@ -1,67 +1,18 @@
 """The slot-ring tracer against the frozen deque-and-dict tracer.
 
 ``tests/trace/_reference_tracer.py`` is the tracer as it stood before the
-ring became a preallocated cell list and the send's eid moved onto the
-envelope.  Any sequence of emits, context pushes/pops and network hooks
-must leave both with the same events (as exported JSON lines), the same
-answer to ``get`` for every eid ever issued, the same causal slices, the
-same counters and the same Lamport stamps -- at ring sizes small enough
-that every operation runs into the eviction boundary.
+ring became a preallocated cell list.  Any sequence of clock ticks, emits
+and context pushes and pops must leave both with the same events (as
+exported JSON lines), the same answer to ``get`` for every eid ever issued,
+the same causal slices, the same counters and the same Lamport stamps -- at
+ring sizes small enough that every operation runs into the eviction
+boundary.  The network hooks are not compared: a send and a delivery record
+no event (DESIGN.md D22), and ``tests/net/test_send_eid.py`` pins them.
 
-Two goldens pin the export of real runs to bytes a tracer change may not
-move.  They were first computed on PR 13's parent, before the tracer was
-touched, and recomputed twice since, by PRs that touched nothing under
-``src/repro/trace/`` but changed the runs themselves.  PR 17: the buffer
-sends each record to each backup once, so the same 60 / 200 transactions put
-fewer ``BufferMsg`` / ``BufferAckMsg`` sends, deliveries and timer fires on
-the wire (6 175 -> 5 547 and 19 519 -> 17 267 events).  PR 18: completed-call
-records are delivered in the background, so a prepare rarely waits a round
-trip for its force, every transaction is ~1.2 units shorter and (two
-clients) more forces find a record already shipped: 384 -> 364 and 1 222 ->
-1 211 ``BufferMsg`` (and as many acks), and the 200-transaction load now
-ends inside the driver's second 500-unit slice instead of its third, which
-takes 600 ``ImAliveMsg`` and 520 timer fires with it (5 547 -> 5 469 and
-17 267 -> 15 473 events; the per-kind counts of every protocol event --
-``record_added`` 720 / 2 400, ``commit_point`` 60 / 200, ... -- are
-unchanged).  With the tracer unchanged and the oracle above green on it, the
-new bytes are the old format over a shorter event stream.  (PR 22 recomputed
-them too: fewer ``ImAliveMsg``, 5 469 -> 5 073 and 15 473 -> 13 995.)
-
-PR 23: a transaction whose participants were all read-only commits at the
-last accept, so the 23 / 85 reads of the two runs add no ``Committing`` and
-no ``Done`` -- ``record_added`` of each 180 -> 111 and 600 -> 345 over the
-three cohorts -- and the coordinator's group ships as many fewer buffer
-messages: ``BufferMsg`` and ``BufferAckMsg`` sends and deliveries 368 -> 302
-and 1 172 -> 973 each.  The shorter reads shift what the clocks coincide with:
-``ImAliveMsg`` sends 438 -> 465 / 569 -> 676, janitor ``QueryMsg`` 6 -> 3 /
-24 -> 15 (``QueryReplyMsg`` 0 -> 1 / 2 -> 3), two call probes in the long
-run (``CallMsg`` / ``ReplyMsg`` 200 -> 202), ``timer_fire`` one fewer in
-both.  ``commit_point`` stays 60 / 200 and is the one event whose *format*
-moved: it now carries ``plist``, with ``force_ts`` null where no record was
-forced.  Every other kind's count is unchanged (5 073 -> 4 720 and
-13 995 -> 12 894 events).
-
-Then a write whose pset names one group began to commit at its prepare
-(DESIGN.md D17).  Every transaction of these runs names ``kv`` alone, so the
-coordinator's group adds no record: ``record_added`` 582 -> 360 and 1 890 ->
-1 200 (``Committing`` and ``Done`` 111 / 345 each gone), ``CommitMsg`` and
-``CommitAckMsg`` 37 / 115 each -> 0, ``BufferMsg`` and ``BufferAckMsg`` sends
-260 -> 166 and 831 -> 538 each, janitor ``QueryMsg`` 3 / 18 -> 0
-(``QueryReplyMsg`` 0 / 2 -> 0).  The
-coordinator group's links are silent now and beacon: ``ImAliveMsg`` 466 ->
-546 and 656 -> 926.  ``CallMsg`` / ``ReplyMsg`` 201 -> 200 in the long run,
-``timer_fire`` 559 -> 554 and 1 093 -> 1 077.  ``commit_point`` stays 60 /
-200 but is emitted where the decision is made, at the ``kv`` primary, and
-``prepare_decision`` carries ``committed`` where it carried ``read_only``
-(4 552 -> 3 955 and 12 286 -> 10 444 events, 7 286 -> 5 444 evicted).
-
-Then a backup that trusts its primary stopped beaconing its fellow backups
-(DESIGN.md D19): ``ImAliveMsg`` sends 546 -> 336 and 926 -> 514.  The network
-draws fewer delays, so the same transactions meet the sweeps differently:
-``BufferMsg`` and ``BufferAckMsg`` sends 166 -> 162 and 538 -> 529 each.
-Every protocol event kind's count over the whole of the short run is
-unchanged (3 955 -> 3 519 and 10 444 -> 9 584 events, 5 444 -> 4 584
-evicted).
+Two goldens pin the JSONL export of two real runs to the byte.  A golden
+may move only with a change to what those runs do or to what the tracer
+records of them -- never with a change meant to leave both alone -- and the
+change that moves one names the event kinds whose counts moved.
 """
 
 import hashlib
@@ -72,16 +23,11 @@ from hypothesis import given, settings, strategies as st
 
 from repro.config import TraceConfig
 from repro.harness.common import build_kv_system, run_kv_batch
-from repro.net.messages import Envelope
 from repro.trace import InvariantMonitor, Tracer
 
 from tests.trace import _reference_tracer as reference
 
 RING_SIZES = (1, 2, 3, 7, 64)
-
-
-class _Payload:
-    msg_type = "BufferMsg"
 
 
 class _Spy(InvariantMonitor):
@@ -109,17 +55,6 @@ class _Pair:
         self.old.install_monitors([self.spies[0]])
         self.new.install_monitors([self.spies[1]])
         self.depth = 0
-        # msg index -> one envelope per tracer: the new tracer writes the
-        # send's eid onto its envelope, the reference keeps a side table
-        self.envelopes = {}
-
-    def _envelopes(self, index):
-        if index not in self.envelopes:
-            self.envelopes[index] = tuple(
-                Envelope(index, f"a/{index % 3}", f"b/{index % 2}", _Payload(), 0.0)
-                for _ in range(2)
-            )
-        return self.envelopes[index]
 
     def apply(self, op):
         name, args = op[0], op[1:]
@@ -138,23 +73,6 @@ class _Pair:
                 self.old.pop()
                 self.new.pop()
                 self.depth -= 1
-        elif name == "send":
-            old_env, new_env = self._envelopes(args[0])
-            self.old.on_send(old_env)
-            self.new.on_send(new_env)
-        elif name == "drop":
-            old_env, new_env = self._envelopes(args[0])
-            issued = self.old.on_drop(old_env, args[1], args[2])
-            assert self.new.on_drop(new_env, args[1], args[2]) == issued
-        elif name == "deliver":
-            # a delivery is the causal context of what its handler emits;
-            # the new tracer pushes it itself, the reference left that to
-            # the network
-            old_env, new_env = self._envelopes(args[0])
-            issued = self.old.on_deliver(old_env)
-            self.old.push(issued)
-            assert self.new.on_deliver(new_env) == issued
-            self.depth += 1
         assert self.old.current() == self.new.current()
 
     def assert_equal(self):
@@ -182,14 +100,12 @@ def _lines(events):
 # -- operation sequences -----------------------------------------------------
 
 nodes = st.sampled_from([None, "", "n0", "n1", "n2"])
-kinds = st.sampled_from(["fault", "record_added", "msg_deliver", "timer_fire"])
+kinds = st.sampled_from(["fault", "record_added", "msg_drop", "timer_fire"])
 # parents name earlier events, the event itself, events not yet issued and
 # ids that never exist: none of them may be mistaken for a ring entry
 eids = st.integers(-2, 40)
 values = st.one_of(st.integers(-5, 5), st.text(max_size=3), st.booleans(), st.none())
-data = st.dictionaries(st.sampled_from(["a", "b", "sent", "ts"]), values, max_size=3)
-msgs = st.integers(0, 5)
-reasons = st.sampled_from(["link_loss", "destination_down"])
+data = st.dictionaries(st.sampled_from(["a", "b", "reason", "ts"]), values, max_size=3)
 
 ops = st.one_of(
     st.tuples(st.just("tick"), st.floats(0.0, 2.0)),
@@ -198,9 +114,6 @@ ops = st.one_of(
     ),
     st.tuples(st.just("push"), eids),
     st.tuples(st.just("pop")),
-    st.tuples(st.just("send"), msgs),
-    st.tuples(st.just("drop"), msgs, reasons, nodes),
-    st.tuples(st.just("deliver"), msgs),
 )
 
 
@@ -218,13 +131,13 @@ def test_any_sequence_records_what_the_reference_records(ring_size, sequence):
 def test_long_run_wraps_the_ring_many_times(ring_size):
     pair = _Pair(ring_size)
     for index in range(5 * ring_size + 11):
-        pair.apply(("send", index))
-        pair.apply(("deliver", index))
+        pair.apply(("emit", "timer_fire", f"n{index % 3}", (index,), {"delay": 1.0}))
+        pair.apply(("push", pair.new.events_emitted))
         pair.apply(("emit", "record_added", f"n{index % 3}", (), {"ts": index}))
-        pair.apply(("send", index + 1000))
+        pair.apply(("emit", "msg_drop", f"a/{index % 2}", (index - 1,), {"ts": index}))
         pair.apply(("pop",))
         if index % 4 == 0:
-            pair.apply(("drop", index + 1000, "link_loss", "n0"))
+            pair.apply(("tick", 0.5))
     pair.assert_equal()
 
 
@@ -262,15 +175,17 @@ def _export_sha256(txns, **trace):
 def test_golden_export_of_the_seed_77_run():
     # tests/trace/test_determinism.py::_traced_run(seed=77), default ring
     assert _export_sha256(60) == (
-        "e9c893d7d4e3d26ac9b56f58e16467d55661644a3cb2da050a231ff3f4e46d3f",
-        3519,
+        "22a59a71f14ce17f91afc884739691b27bf4ecb4b02b342dc8b001fde5c989d2",
+        1433,
         0,
     )
 
 
 def test_golden_export_of_a_wrapped_5000_slot_ring():
-    assert _export_sha256(200, ring_size=5000) == (
-        "164ffdde0fe825bd32f695a06ffc0306c33a58d741423257c88a303c8aa9af26",
-        9584,
-        4584,
+    # 1000 slots since a message stopped being two events: 3994 events, so
+    # the ring still wraps
+    assert _export_sha256(200, ring_size=1000) == (
+        "8b7f6b2ec0a85b8e7befdb8b4fd9a7133568d712c34050157fcda69a563c05bc",
+        3994,
+        2994,
     )
