@@ -130,8 +130,8 @@ class CallContext:
         value = lockmgr.read_value(uid, self.aid)
         touched = self._touched.get(uid)
         if touched is None:
-            obj = self._cohort.store.get(uid)
-            self._touched[uid] = _Touched(kind=READ, read_version=obj.version)
+            version = self._cohort.store.version(uid)
+            self._touched[uid] = _Touched(kind=READ, read_version=version)
         return value
 
     def _do_read_for_update(self, uid: str) -> Any:
@@ -139,8 +139,7 @@ class CallContext:
         value = lockmgr.read_value(uid, self.aid)
         touched = self._touched.get(uid)
         if touched is None:
-            obj = self._cohort.store.get(uid)
-            touched = _Touched(kind=WRITE, read_version=obj.version)
+            touched = _Touched(kind=WRITE, read_version=self._cohort.store.version(uid))
             self._touched[uid] = touched
         touched.kind = WRITE
         return value

@@ -49,6 +49,7 @@ from repro.core.quorum import Quorums
 from repro.core.view import View
 from repro.core.viewstamp import History, ViewId, Viewstamp
 from repro.detect import AdaptiveTimeouts, FailureDetector, RttEstimator
+from repro.net.messages import SizedDict
 from repro.sim.future import Future, all_done
 from repro.sim.node import Actor, Node
 from repro.storage.stable import StableStoragePolicy, StableStore
@@ -117,12 +118,11 @@ class Cohort(Actor):
         self.held = HeldRecords()  # backup: records that arrived ahead of a gap
 
         # -- gstate --
-        self.store = ObjectStore()
-        for uid, value in spec.initial_objects().items():
-            self.store.create(uid, value)
+        self._initial_image = {uid: (value, 0) for uid, value in spec.initial_objects().items()}
+        self.store = ObjectStore(self._initial_image)
         self.lockmgr = LockManager(self.store)
         self.pending: Dict[Aid, Dict[Viewstamp, CompletedCall]] = {}
-        self.outcomes: Dict[Aid, str] = {}
+        self.outcomes: SizedDict = SizedDict()  # aid -> outcome
         self.committing: Dict[Aid, Tuple[Tuple[str, ...], Tuple]] = {}
 
         # -- roles (imported lazily to avoid cycles) --
@@ -788,7 +788,7 @@ class Cohort(Actor):
             pending=self._pending_records(),
             outcomes=dict(self.outcomes),
             committing=dict(self.committing),
-        )
+        ).with_sizes(self.store.wire_size(), self.outcomes.wire_size())
         self.add_record(newview)
         self.lockmgr.rematerialize(self.pending)
         self.server_role.on_become_primary()
@@ -813,12 +813,12 @@ class Cohort(Actor):
         self.history = History(record.history_entries)
         self.history.advance(viewid, 1)  # the newview record itself is ts=1
         self.applied_ts = 1
-        self.store.restore(record.objects)
+        self.store.restore(record.objects, record.objects_bytes)
         self.lockmgr.reset()
         self.pending = {}
         for viewstamp, call_record in record.pending:
             self.pending.setdefault(call_record.aid, {})[viewstamp] = call_record
-        self.outcomes = dict(record.outcomes)
+        self.outcomes = SizedDict(record.outcomes, record.outcomes_bytes)
         self.committing = dict(record.committing)
         self.up_to_date = True
         self.status = Status.ACTIVE
@@ -871,12 +871,10 @@ class Cohort(Actor):
         self.max_viewid = self.cur_viewid
         self.history = History([Viewstamp(self.cur_viewid, 0)])
         self.applied_ts = 0
-        self.store = ObjectStore()
-        for uid, value in self.spec.initial_objects().items():
-            self.store.create(uid, value)
+        self.store = ObjectStore(self._initial_image)
         self.lockmgr = LockManager(self.store)
         self.pending = {}
-        self.outcomes = {}
+        self.outcomes = SizedDict()
         self.committing = {}
         self.cache = ClientCache()
         self.caller = RemoteCaller(self)
@@ -901,7 +899,7 @@ class Cohort(Actor):
             stable_gstate = self.stable.read("gstate")
         if stable_gstate is not None:
             self.store.restore(stable_gstate["objects"])
-            self.outcomes = dict(stable_gstate["outcomes"])
+            self.outcomes = SizedDict(stable_gstate["outcomes"])
             self.committing = dict(stable_gstate["committing"])
             self.history = History(stable_gstate["history"])
             for viewstamp, call_record in stable_gstate.get("pending", ()):

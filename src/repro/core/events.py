@@ -134,3 +134,14 @@ class NewView(EventRecord):
     pending: Tuple[Tuple[Viewstamp, EventRecord], ...]
     outcomes: Dict[Aid, str]
     committing: Dict[Aid, Tuple[Tuple[str, ...], Tuple]]
+    # Not wire data: the sizes of ``objects`` and ``outcomes``, when the
+    # primary's store and outcome table knew them (repro.net.messages).
+    objects_bytes = None  # type: Optional[int]
+    outcomes_bytes = None  # type: Optional[int]
+    _size_hints = {"objects": "objects_bytes", "outcomes": "outcomes_bytes"}
+
+    def with_sizes(self, objects_bytes: int, outcomes_bytes: int) -> "NewView":
+        """Declare the two sizes; before the record is first sized."""
+        object.__setattr__(self, "objects_bytes", objects_bytes)
+        object.__setattr__(self, "outcomes_bytes", outcomes_bytes)
+        return self

@@ -108,7 +108,7 @@ class ModuleGroup:
         primary = self.active_primary()
         if primary is None:
             raise RuntimeError(f"group {self.groupid} has no active primary")
-        return primary.store.get(uid).base
+        return primary.store.base(uid)
 
     def converged(self) -> bool:
         """True when every caught-up active cohort agrees on all objects.

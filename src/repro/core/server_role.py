@@ -635,8 +635,8 @@ class ServerRole:
                 if effect.read_version is not None and effect.uid not in reads:
                     reads[effect.uid] = effect.read_version
                 if effect.writes:
-                    obj = cohort.store.ensure(effect.uid)
-                    writes[effect.uid] = obj.version + 1 if will_install else obj.version
+                    version = cohort.store.ensure(effect.uid)[1]
+                    writes[effect.uid] = version + 1 if will_install else version
         cohort.runtime.ledger.record_effects(
             aid, cohort.mygroupid, reads=reads, writes=writes
         )

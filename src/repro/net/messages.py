@@ -28,7 +28,8 @@ per instance; ``Aid``, 8-40) -- not for ``CallId``, ``PSetPair`` or
 container somebody may still mutate (call ``args`` and ``result``, Isis
 ``piggyback`` dicts, ``PSet``, ``History``).  And ``_size_hints = {field:
 attribute}`` names a non-wire attribute that, when not ``None``, *is* the
-size of that field (``BufferMsg.records_bytes``).
+size of that field (``BufferMsg.records_bytes``; ``NewView.objects_bytes``
+and ``outcomes_bytes``, which a :class:`SizedDict` keeps between views).
 """
 
 from __future__ import annotations
@@ -120,6 +121,47 @@ _SIZERS = _SizerTable()
 def estimate_size(value: Any) -> int:
     """Rough wire-size estimate of a payload value, in bytes."""
     return _SIZERS[type(value)](value)
+
+
+_ABSENT = object()
+
+
+class SizedDict(dict):
+    """A dict that re-sizes only what changed since it was last sized.
+
+    :meth:`wire_size` is ``estimate_size(self)``.  It is kept as of the last
+    call, together with the value each key assigned since had then, so the
+    next call walks only those keys.  Until the first call (or a *size*
+    given by a caller that knows it) nothing is tracked.  Item assignment
+    is the only write the bookkeeping sees: nothing may delete an entry
+    or write through ``update``, ``setdefault`` and the like.
+    """
+
+    __slots__ = ("_bytes", "_was")
+
+    def __init__(self, items: Any = (), size: Optional[int] = None) -> None:
+        dict.__init__(self, items)
+        self._bytes = size
+        self._was: Dict[Any, Any] = {}
+
+    def __setitem__(self, key: Any, value: Any) -> None:
+        if self._bytes is not None and key not in self._was:
+            self._was[key] = dict.get(self, key, _ABSENT)
+        dict.__setitem__(self, key, value)
+
+    def wire_size(self) -> int:
+        size = self._bytes
+        if size is None:
+            size = _size_mapping(self)
+        else:
+            for key, old in self._was.items():
+                new = dict.__getitem__(self, key)
+                if old is _ABSENT:
+                    size += _SIZERS[type(key)](key) + _SIZERS[type(new)](new)
+                else:
+                    size += _SIZERS[type(new)](new) - _SIZERS[type(old)](old)
+        self._bytes, self._was = size, {}
+        return size
 
 
 @dataclasses.dataclass(slots=True)

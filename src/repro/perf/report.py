@@ -58,9 +58,6 @@ def state_digest(runtime) -> str:
         if primary is None:
             parts.append(f"{groupid}: no active primary")
             continue
-        store = primary.store
-        items = sorted(
-            (uid, repr(store.get(uid).base)) for uid in store.uids()
-        )
+        items = sorted((uid, repr(base)) for uid, (base, _) in primary.store.items())
         parts.append(f"{groupid}: {items!r}")
     return hashlib.sha256("\n".join(parts).encode()).hexdigest()

@@ -189,13 +189,12 @@ class Leases(Extension):
                 staleness=staleness,
             )
             cohort.metrics.incr(f"backup_reads:{cohort.mygroupid}")
-        obj = cohort.store.get(msg.uid) if msg.uid in cohort.store else None
         cohort.send(
             msg.reply_to,
             m.ReadReplyMsg(
                 request_id=msg.request_id,
                 uid=msg.uid,
-                value=obj.base if obj is not None else None,
+                value=cohort.store.base(msg.uid) if msg.uid in cohort.store else None,
                 viewstamp=Viewstamp(cohort.cur_viewid, ts),
                 mode=mode,
                 staleness=staleness,

@@ -330,10 +330,8 @@ class Runtime:
             primary = group.active_primary()
             if primary is None:
                 continue
-            for uid in primary.store.uids():
-                lockers = primary.store.get(uid).lockers
-                if lockers:
-                    residue.append((group.groupid, uid, sorted(map(str, lockers))))
+            for uid, lockers in sorted(primary.store.lockers.items()):
+                residue.append((group.groupid, uid, sorted(map(str, lockers))))
         return residue
 
     def quiesce(self, duration: Optional[float] = None) -> None:

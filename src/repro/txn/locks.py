@@ -25,7 +25,7 @@ import dataclasses
 from typing import Any, Dict, List
 
 from repro.sim.future import Future
-from repro.txn.objects import READ, WRITE, LockInfo, ObjectStore, TentativeWrite
+from repro.txn.objects import READ, UNLOCKED, WRITE, LockInfo, ObjectStore, TentativeWrite
 
 
 @dataclasses.dataclass
@@ -41,13 +41,12 @@ class LockManager:
 
     def __init__(self, store: ObjectStore):
         self.store = store
+        self._lockers = store.lockers  # the lock table: only locked uids
         self._wait_queues: Dict[str, List[_Waiter]] = {}
         # Reverse index: aid -> uids it holds locks on, in acquisition
-        # order (dict used as an ordered set).  Keeps the per-transaction
-        # lifecycle methods (release_reads/install/discard) O(locks held)
-        # instead of O(store size), which dominates profiles on large
-        # keyspaces.  Invariant: uid in _held[aid]  <=>  aid in
-        # store.get(uid).lockers.
+        # order (dict used as an ordered set), so that release_reads /
+        # install / discard are O(locks held).
+        # Invariant: uid in _held[aid]  <=>  aid in _lockers[uid].
         self._held: Dict[Any, Dict[str, None]] = {}
 
     # -- acquisition -----------------------------------------------------------
@@ -62,13 +61,16 @@ class LockManager:
         if kind not in (READ, WRITE):
             raise ValueError(f"unknown lock kind {kind!r}")
         future = Future(label=f"lock:{uid}:{aid}:{kind}")
-        obj = self.store.ensure(uid)
+        holders = self._lockers.get(uid)
+        if holders is None:  # a locked uid is in the store already
+            self.store.ensure(uid)
+            holders = UNLOCKED
         queue = self._wait_queues.get(uid, [])
         # FIFO fairness: a new request must not overtake waiting conflicting
         # requests, or writers starve.  A request only bypasses the queue if
         # the queue is empty or the request is a re-entrant/upgrade claim.
-        if self._grantable(obj, aid, kind) and (not queue or aid in obj.lockers):
-            self._grant(uid, obj, aid, kind)
+        if self._grantable(holders, aid, kind) and (not queue or aid in holders):
+            self._grant(uid, aid, kind)
             future.set_result(None)
             return future
         self._wait_queues.setdefault(uid, []).append(
@@ -76,8 +78,7 @@ class LockManager:
         )
         return future
 
-    def _grantable(self, obj, aid: Any, kind: str) -> bool:
-        holders = obj.lockers
+    def _grantable(self, holders: Dict[Any, LockInfo], aid: Any, kind: str) -> bool:
         if aid in holders:
             current = holders[aid]
             if kind == READ or current.kind == WRITE:
@@ -90,29 +91,37 @@ class LockManager:
             return all(info.kind == READ for info in holders.values())
         return False
 
-    def _grant(self, uid: str, obj, aid: Any, kind: str) -> None:
-        info = obj.lockers.get(aid)
+    def _grant(self, uid: str, aid: Any, kind: str) -> LockInfo:
+        holders = self._lockers.get(uid)
+        if holders is None:
+            holders = self._lockers[uid] = {}
+        info = holders.get(aid)
         if info is None:
-            obj.lockers[aid] = LockInfo(kind=kind)
-        elif kind == WRITE and info.kind == READ:
+            info = holders[aid] = LockInfo(kind=kind)
+        elif kind == WRITE:
             info.kind = WRITE
         self._held.setdefault(aid, {})[uid] = None
+        return info
+
+    def _release(self, uid: str, aid: Any) -> LockInfo:
+        """Drop *aid*'s lock on *uid*; the table forgets an unlocked uid."""
+        holders = self._lockers[uid]
+        info = holders.pop(aid)
+        if not holders:
+            del self._lockers[uid]
+        return info
 
     def _pump(self, uid: str) -> None:
         """Grant the longest compatible prefix of the wait queue."""
         queue = self._wait_queues.get(uid)
         if not queue:
             return
-        obj = self.store.ensure(uid)
-        granted_any = True
-        while granted_any and queue:
-            granted_any = False
-            head = queue[0]
-            if self._grantable(obj, head.aid, head.kind):
-                queue.pop(0)
-                self._grant(uid, obj, head.aid, head.kind)
-                head.future.set_result(None)
-                granted_any = True
+        while queue and self._grantable(
+            self._lockers.get(uid, UNLOCKED), queue[0].aid, queue[0].kind
+        ):
+            head = queue.pop(0)
+            self._grant(uid, head.aid, head.kind)
+            head.future.set_result(None)
         if not queue:
             del self._wait_queues[uid]
 
@@ -120,18 +129,19 @@ class LockManager:
 
     def record_write(self, uid: str, aid: Any, value: Any, subaction: int = 0) -> None:
         """Record a tentative version.  Caller must hold the write lock."""
-        obj = self.store.get(uid)
-        info = obj.lockers.get(aid)
+        info = self._lockers.get(uid, UNLOCKED).get(aid)
         if info is None or info.kind != WRITE:
             raise ValueError(f"{aid} does not hold a write lock on {uid!r}")
         info.writes.append(TentativeWrite(subaction=subaction, value=value))
 
     def read_value(self, uid: str, aid: Any) -> Any:
         """Read through tentative versions.  Caller must hold a lock."""
-        obj = self.store.get(uid)
-        if aid not in obj.lockers:
+        info = self._lockers.get(uid, UNLOCKED).get(aid)
+        if info is None:
             raise ValueError(f"{aid} does not hold a lock on {uid!r}")
-        return obj.value_for(aid)
+        if info.writes:
+            return info.writes[-1].value  # a transaction sees its own writes
+        return self.store.base(uid)
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -141,10 +151,8 @@ class LockManager:
         if not held:
             return
         for uid in list(held):
-            obj = self.store.get(uid)
-            info = obj.lockers.get(aid)
-            if info is not None and info.kind == READ:
-                del obj.lockers[aid]
+            if self._lockers[uid][aid].kind == READ:
+                self._release(uid, aid)
                 del held[uid]
                 self._pump(uid)
         if not held:
@@ -157,13 +165,9 @@ class LockManager:
         """
         changed = []
         for uid in self._held.pop(aid, ()):
-            obj = self.store.get(uid)
-            info = obj.lockers.pop(aid, None)
-            if info is None:
-                continue
+            info = self._release(uid, aid)
             if info.writes:
-                obj.base = info.tentative_value()
-                obj.version += 1
+                self.store.install(uid, info.writes[-1].value)
                 changed.append(uid)
             self._pump(uid)
         return changed
@@ -177,9 +181,8 @@ class LockManager:
         """
         self.cancel_waits(aid)
         for uid in self._held.pop(aid, ()):
-            obj = self.store.get(uid)
-            if obj.lockers.pop(aid, None) is not None:
-                self._pump(uid)
+            self._release(uid, aid)
+            self._pump(uid)
 
     def discard_subaction(self, aid: Any, subaction: int) -> None:
         """Abort one subaction: drop its tentative writes only (section 3.6).
@@ -188,9 +191,7 @@ class LockManager:
         transaction share its lock family), so the retried call can proceed.
         """
         for uid in self._held.get(aid, ()):
-            info = self.store.get(uid).lockers.get(aid)
-            if info is not None:
-                info.drop_subaction(subaction)
+            self._lockers[uid][aid].drop_subaction(subaction)
 
     def cancel_waits(self, aid: Any) -> None:
         """Withdraw pending lock requests (waiter timed out or txn aborted)."""
@@ -212,16 +213,10 @@ class LockManager:
                 self._pump(uid)
 
     def holders_of(self, uid: str) -> Dict[Any, str]:
-        obj = self.store.ensure(uid)
-        return {aid: info.kind for aid, info in obj.lockers.items()}
+        return {aid: info.kind for aid, info in self._lockers.get(uid, UNLOCKED).items()}
 
     def locks_held_by(self, aid: Any) -> Dict[str, str]:
-        held = {}
-        for uid in self._held.get(aid, ()):
-            info = self.store.get(uid).lockers.get(aid)
-            if info is not None:
-                held[uid] = info.kind
-        return held
+        return {uid: self._lockers[uid][aid].kind for uid in self._held.get(aid, ())}
 
     def rematerialize(self, pending) -> None:
         """New primary: rebuild lock/tentative state from *pending*, the
@@ -236,21 +231,13 @@ class LockManager:
         for aid, calls in pending.items():
             for viewstamp in sorted(calls):
                 for effect in calls[viewstamp].effects:
-                    obj = self.store.ensure(effect.uid)
-                    info = obj.lockers.get(aid)
-                    if info is None:
-                        info = obj.lockers[aid] = LockInfo(kind=effect.kind)
-                    if effect.kind == WRITE:
-                        info.kind = WRITE
-                    self._held.setdefault(aid, {})[effect.uid] = None
-                    for subaction, value in effect.writes:
-                        info.writes.append(
-                            TentativeWrite(subaction=subaction, value=value)
-                        )
+                    self.store.ensure(effect.uid)
+                    info = self._grant(effect.uid, aid, effect.kind)
+                    info.writes.extend(TentativeWrite(sub, value) for sub, value in effect.writes)
 
     def reset(self) -> None:
         """Drop all lock state (used when installing a newview gstate)."""
-        self.store.clear_locks()
+        self._lockers.clear()
         self._held.clear()
         for queue in self._wait_queues.values():
             for waiter in queue:

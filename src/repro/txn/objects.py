@@ -17,10 +17,13 @@ discarded while the rest of the transaction's writes survive.
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Dict, Iterable, Tuple
+from typing import Any, Dict, Iterable, NamedTuple, Optional, Tuple
+
+from repro.net.messages import SizedDict
 
 READ = "read"
 WRITE = "write"
+Image = Dict[str, Tuple[Any, int]]  # uid -> (base, version)
 
 
 @dataclasses.dataclass
@@ -38,11 +41,6 @@ class LockInfo:
     kind: str  # READ or WRITE
     writes: list[TentativeWrite] = dataclasses.field(default_factory=list)
 
-    def tentative_value(self) -> Any:
-        if not self.writes:
-            raise ValueError("no tentative writes")
-        return self.writes[-1].value
-
     def drop_subaction(self, subaction: int) -> None:
         self.writes = [w for w in self.writes if w.subaction != subaction]
         if not self.writes and self.kind == WRITE:
@@ -51,49 +49,63 @@ class LockInfo:
             self.kind = READ
 
 
-@dataclasses.dataclass
-class StoredObject:
-    """One object in a group's gstate."""
+class StoredObject(NamedTuple):
+    """Figure 1's object, assembled on demand by :meth:`ObjectStore.get`."""
 
     uid: str
     base: Any
-    lockers: Dict[Any, LockInfo] = dataclasses.field(default_factory=dict)
-    version: int = 0  # bumped on every install; used by the 1SR checker
+    version: int  # bumped on every install; used by the 1SR checker
+    lockers: Dict[Any, LockInfo]
 
-    def value_for(self, aid) -> Any:
-        """Read through: a transaction sees its own tentative writes."""
-        info = self.lockers.get(aid)
-        if info is not None and info.writes:
-            return info.tentative_value()
-        return self.base
+
+UNLOCKED: Dict[Any, LockInfo] = {}  # an unlocked uid's lockers; never written
 
 
 class ObjectStore:
-    """The objects portion of a cohort's gstate."""
+    """The objects portion of a cohort's gstate: one image, the shape of
+    ``NewView.objects``, so a snapshot and a restore are one dict copy each;
+    ``lockers`` (``uid -> {aid: LockInfo}``, kept by the lock manager) holds
+    only the objects that have lockers now."""
 
-    def __init__(self) -> None:
-        self._objects: Dict[str, StoredObject] = {}
+    def __init__(self, image: Optional[Image] = None) -> None:
+        self._image = SizedDict(image or ())
+        self.lockers: Dict[str, Dict[Any, LockInfo]] = {}
 
-    def create(self, uid: str, value: Any) -> StoredObject:
-        if uid in self._objects:
+    def create(self, uid: str, value: Any) -> None:
+        if uid in self._image:
             raise ValueError(f"object {uid!r} already exists")
-        obj = StoredObject(uid=uid, base=value)
-        self._objects[uid] = obj
-        return obj
+        self._image[uid] = (value, 0)
 
-    def ensure(self, uid: str, default: Any = None) -> StoredObject:
-        if uid not in self._objects:
-            self._objects[uid] = StoredObject(uid=uid, base=default)
-        return self._objects[uid]
+    def ensure(self, uid: str, default: Any = None) -> Tuple[Any, int]:
+        """``(base, version)`` of *uid*, created as ``(default, 0)`` if absent."""
+        entry = self._image.get(uid)
+        if entry is None:
+            entry = self._image[uid] = (default, 0)
+        return entry
 
     def get(self, uid: str) -> StoredObject:
-        return self._objects[uid]
+        base, version = self._image[uid]
+        return StoredObject(uid, base, version, self.lockers.get(uid, UNLOCKED))
+
+    def base(self, uid: str) -> Any:
+        return self._image[uid][0]
+
+    def version(self, uid: str) -> int:
+        return self._image[uid][1]
 
     def __contains__(self, uid: str) -> bool:
-        return uid in self._objects
+        return uid in self._image
 
     def uids(self) -> Iterable[str]:
-        return self._objects.keys()
+        return self._image.keys()
+
+    def items(self) -> Iterable[Tuple[str, Tuple[Any, int]]]:
+        return self._image.items()
+
+    def install(self, uid: str, value: Any) -> None:
+        """*value* becomes the base version of *uid*."""
+        entry = self._image.get(uid)
+        self._image[uid] = (value, 1 if entry is None else entry[1] + 1)
 
     def install_calls(self, calls, allowed) -> None:
         """A backup's commit: perform the writes of one transaction's stored
@@ -110,23 +122,21 @@ class ObjectStore:
         # One version bump per object per transaction, matching the
         # primary's install (LockManager.install).
         for uid, value in final_values.items():
-            obj = self.ensure(uid)
-            obj.base = value
-            obj.version += 1
+            self.install(uid, value)
 
     # -- gstate snapshot / restore (for newview records) --------------------
 
-    def snapshot(self) -> Dict[str, Tuple[Any, int]]:
+    def snapshot(self) -> Image:
         """Base versions only: lock state is rematerialized from pending
         completed-call records by the new primary (section 3.3 compromise)."""
-        return {uid: (obj.base, obj.version) for uid, obj in self._objects.items()}
+        return dict(self._image)
 
-    def restore(self, snapshot: Dict[str, Tuple[Any, int]]) -> None:
-        self._objects = {
-            uid: StoredObject(uid=uid, base=base, version=version)
-            for uid, (base, version) in snapshot.items()
-        }
+    def wire_size(self) -> int:
+        """``estimate_size(self.snapshot())``, re-walking only what changed."""
+        return self._image.wire_size()
 
-    def clear_locks(self) -> None:
-        for obj in self._objects.values():
-            obj.lockers.clear()
+    def restore(self, snapshot: Image, size: Optional[int] = None) -> None:
+        """Take *snapshot* (copied: a newview record is shared) and drop all
+        locks; *size* is its wire size when the caller knows it."""
+        self._image = SizedDict(snapshot, size)
+        self.lockers.clear()

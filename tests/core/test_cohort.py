@@ -226,8 +226,7 @@ def test_gstate_snapshot_roundtrip_through_newview():
     rt, group = build()
     rt.run_for(50)
     primary = group.cohort(0)
-    primary.store.get("count").base = 7
-    primary.store.get("count").version = 3
+    primary.store.restore({**primary.store.snapshot(), "count": (7, 3)})
     group.cohort(2).node.crash()  # force a view change
     rt.run_for(800)
     new_primary = group.active_primary()
