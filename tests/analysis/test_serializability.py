@@ -1,7 +1,9 @@
 """Tests for the one-copy serializability checker."""
 
+import itertools
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.analysis.serializability import (
     CommittedTransaction,
@@ -35,23 +37,20 @@ def test_serial_chain_ok():
 def test_wr_edge_built():
     history = [txn("t1", writes={X: 1}), txn("t2", reads={X: 1})]
     graph = SerializabilityChecker(history).graph()
-    assert graph.has_edge("t1", "t2")
-    assert graph.edges["t1", "t2"]["kind"] == "wr"
+    assert graph["t1"]["t2"] == "wr"
 
 
 def test_ww_edge_built():
     history = [txn("t1", writes={X: 1}), txn("t2", writes={X: 2})]
     graph = SerializabilityChecker(history).graph()
-    assert graph.has_edge("t1", "t2")
-    assert graph.edges["t1", "t2"]["kind"] == "ww"
+    assert graph["t1"]["t2"] == "ww"
 
 
 def test_rw_edge_built():
     history = [txn("t1", writes={X: 1}), txn("t2", reads={X: 0})]
     graph = SerializabilityChecker(history).graph()
     # t2 read version 0; t1 installed version 1: t2 precedes t1.
-    assert graph.has_edge("t2", "t1")
-    assert graph.edges["t2", "t1"]["kind"] == "rw"
+    assert graph["t2"]["t1"] == "rw"
 
 
 def test_lost_update_cycle_detected():
@@ -110,3 +109,71 @@ def test_serial_chain_order_independent(order):
     """The checker is insensitive to the order transactions are reported."""
     history = [txn(f"t{i}", reads={X: i - 1}, writes={X: i}) for i in order]
     SerializabilityChecker(history).check()
+
+
+def test_cycle_is_named_with_its_edge_kinds():
+    history = [
+        txn("t1", reads={X: 0}, writes={X: 1}),
+        txn("t2", reads={X: 0}, writes={X: 2}),
+    ]
+    with pytest.raises(SerializabilityViolation, match="t1 -ww-> t2 -rw-> t1"):
+        SerializabilityChecker(history).check()
+
+
+def test_long_serial_chain_needs_no_recursion():
+    """The search keeps its own stack: a 20 000-transaction chain is one
+    path 20 000 deep, far past Python's recursion limit."""
+    history = [
+        txn(f"t{i}", reads={X: i - 1}, writes={X: i}) for i in range(1, 20_001)
+    ]
+    SerializabilityChecker(history).check()
+
+
+def serial_order_exists(history):
+    """The oracle: some order of the transactions, replayed one at a time
+    on one copy, reads every version each read and installs every version
+    each installed."""
+    for order in itertools.permutations(history):
+        current = {}
+        for t in order:
+            if any(current.get(key, 0) != v for key, v in t.reads.items()):
+                break
+            if any(current.get(key, 0) + 1 != v for key, v in t.writes.items()):
+                break
+            current.update(t.writes)
+        else:
+            return True
+    return False
+
+
+@st.composite
+def ledger_histories(draw):
+    """At most 6 transactions on at most 3 keys, as the ledger reports them:
+    each key's installed versions are contiguous from 1 (two writers may
+    claim one version), and a transaction that reads and writes a key read
+    the version just below the one it installed."""
+    n_txns = draw(st.integers(1, 6))
+    keys = [("g", k) for k in "xyz"[: draw(st.integers(1, 3))]]
+    # per transaction and key: 0 untouched, 1 read, 2 write, 3 read and write
+    uses = [[draw(st.integers(0, 3)) for _ in keys] for _ in range(n_txns)]
+    history = [txn(f"t{i}") for i in range(n_txns)]
+    for k, key in enumerate(keys):
+        writers = [i for i in range(n_txns) if uses[i][k] >= 2]
+        drawn = [draw(st.integers(1, len(writers))) for _ in writers]
+        rank = {v: r for r, v in enumerate(sorted(set(drawn)), start=1)}
+        for i, v in zip(writers, drawn):
+            history[i].writes[key] = rank[v]
+            if uses[i][k] == 3:
+                history[i].reads[key] = rank[v] - 1
+        for i in range(n_txns):
+            if uses[i][k] == 1:
+                history[i].reads[key] = draw(st.integers(0, len(rank)))
+    return history
+
+
+@settings(max_examples=400, deadline=None)
+@given(ledger_histories())
+def test_checker_agrees_with_a_serial_order_search(history):
+    assert SerializabilityChecker(history).is_serializable() == serial_order_exists(
+        history
+    )
