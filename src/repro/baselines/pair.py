@@ -19,7 +19,7 @@ viewstamped group.
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Tuple
 
 from repro.net.messages import Message
 from repro.sim.future import Future
@@ -171,12 +171,6 @@ class PairSystem:
 
     def addresses(self) -> Tuple[str, str]:
         return (self.primary.address, self.backup.address)
-
-    def alive_primary(self) -> Optional[PairMember]:
-        for member in self.members():
-            if member.node.up and member.is_primary:
-                return member
-        return None
 
 
 class PairClient(Actor):

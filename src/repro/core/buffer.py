@@ -154,6 +154,9 @@ class CommunicationBuffer:
 
         self.timestamp = 0  # Figure 1's "timestamp: int % the timestamp generator"
         self._records: List[Tuple[int, EventRecord]] = []
+        # Per backup: the ts-1 pair shipped to it instead of the buffer's (a
+        # newview of what it lacks, DESIGN.md D25) and how many bytes that saves.
+        self._first: Dict[int, Tuple[Tuple[int, EventRecord], int]] = {}
         self._base_ts = 0  # ts of the first retained record minus one
         # _sized[i] is the wire size of _records[:i]: any slice a flush ships
         # is sized by one subtraction.
@@ -196,6 +199,7 @@ class CommunicationBuffer:
                 del self.acked[mid], self._sent[mid], self._pushed[mid]
                 self._progress_at.pop(mid, None)
                 self._cut.pop(mid, None)
+                self._first.pop(mid, None)  # re-added, it gets the buffer's own
         self._check_forces()
 
     # -- the three operations ---------------------------------------------
@@ -209,6 +213,12 @@ class CommunicationBuffer:
         self._records.append(pair)
         self._sized.append(self._sized[-1] + estimate_size(pair))
         return Viewstamp(self.viewid, self.timestamp)
+
+    def tailor(self, mid: int, record: EventRecord) -> None:
+        """Ship backup *mid* *record* in place of the ts-1 record, on every
+        send to it that carries ts 1."""
+        pair = (1, record)
+        self._first[mid] = (pair, self._sized[1] - self._sized[0] - estimate_size(pair))
 
     def force_to(self, viewstamp: Optional[Viewstamp]) -> Future:
         """Wait until a sub-majority of backups cover *viewstamp*.
@@ -343,8 +353,13 @@ class CommunicationBuffer:
         start, end = sent - self._base_ts, end_ts - self._base_ts
         self.msgs_sent += 1
         self.records_sent += end - start
-        message = BufferMsg(self.viewid, tuple(self._records[start:end]), self.timestamp)
-        message.records_bytes = _TUPLE_BYTES + self._sized[end] - self._sized[start]
+        records = tuple(self._records[start:end])
+        nbytes = _TUPLE_BYTES + self._sized[end] - self._sized[start]
+        if not sent and mid in self._first:
+            first, saved = self._first[mid]
+            records, nbytes = (first,) + records[1:], nbytes - saved
+        message = BufferMsg(self.viewid, records, self.timestamp)
+        message.records_bytes = nbytes
         self._send(mid, message)
         return end - start
 

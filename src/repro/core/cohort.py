@@ -124,6 +124,9 @@ class Cohort(Actor):
         self.pending: Dict[Aid, Dict[Viewstamp, CompletedCall]] = {}
         self.outcomes: SizedDict = SizedDict()  # aid -> outcome
         self.committing: Dict[Aid, Tuple[Tuple[str, ...], Tuple]] = {}
+        # Since when the image's and the outcome table's written-since sets
+        # run: ``(V, 1)`` of the view last activated or installed (D25).
+        self._written_since: Optional[Viewstamp] = None
 
         # -- roles (imported lazily to avoid cycles) --
         from repro.core.client_role import ClientRole
@@ -763,11 +766,12 @@ class Cohort(Actor):
             self.buffer.flush()
         self._start_flush_loop()
 
-    def activate_as_primary(self, viewid: ViewId, view: View) -> None:
+    def activate_as_primary(self, viewid: ViewId, view: View, reported=()) -> None:
         """Complete ``start_view`` (Figure 5) once cur_viewid is stable.
 
         The caller (view-change controller) has already set cur_view,
         cur_viewid, opened the history entry and persisted the viewid.
+        *reported* is the init-view's ``viewstamps``.
         """
         self._epoch += 1
         self.status = Status.ACTIVE
@@ -781,15 +785,11 @@ class Cohort(Actor):
                 "primary_activated", viewid=str(viewid), members=sorted(view.members)
             )
         self._open_buffer()
-        newview = NewView(
-            view=view,
-            history_entries=self.history.entries(),
-            objects=self.store.snapshot(),
-            pending=self._pending_records(),
-            outcomes=dict(self.outcomes),
-            committing=dict(self.committing),
-        ).with_sizes(self.store.wire_size(), self.outcomes.wire_size())
+        newview, diffs = self._newview(view, reported)
+        self._written_since = Viewstamp(viewid, 1)
         self.add_record(newview)
+        for mid, record in diffs.items():
+            self.buffer.tailor(mid, record)
         self.lockmgr.rematerialize(self.pending)
         self.server_role.on_become_primary()
         self.client_role.on_become_primary()
@@ -803,6 +803,32 @@ class Cohort(Actor):
             "view_started", group=self.mygroupid, viewid=str(viewid), primary=self.mymid
         )
 
+    def _newview(self, view: View, reported) -> Tuple[NewView, Dict[int, NewView]]:
+        """Figure 5's newview record, and the record each backup in
+        *reported* (``(mid, viewstamp)`` pairs) gets instead when this cohort
+        knows its viewstamp and has tracked writes since before it: the same
+        record with that ``base``, its image and outcome table cut to the
+        entries written since ``_written_since`` (DESIGN.md D25)."""
+        # Read before the sizing below starts the written-since sets over.
+        written = self.store.written(), self.outcomes.written()
+        history, pending = self.history.entries(), self._pending_records()
+        committing = dict(self.committing)
+
+        def build(objects, outcomes, base=None) -> NewView:
+            return NewView(view, history, objects, pending, outcomes, committing, base)
+
+        full = build(self.store.snapshot(), dict(self.outcomes))
+        full.with_sizes(self.store.wire_size(), self.outcomes.wire_size())
+        diffs: Dict[int, NewView] = {}
+        since = self._written_since  # None: the tables are not tracked
+        if since is not None:
+            objects = {uid: full.objects[uid] for uid in written[0]}
+            outcomes = {aid: full.outcomes[aid] for aid in written[1]}
+            for mid, viewstamp in reported:
+                if viewstamp >= since and self.history.knows(viewstamp):
+                    diffs[mid] = build(objects, outcomes, viewstamp)
+        return full, diffs
+
     def install_newview(self, viewid: ViewId, records) -> None:
         """Underling: initialize state from the newview record heading
         *records* (Figure 5), then apply their tail and what was held."""
@@ -810,16 +836,8 @@ class Cohort(Actor):
         self._epoch += 1
         self.cur_viewid = viewid
         self.cur_view = record.view
-        self.history = History(record.history_entries)
-        self.history.advance(viewid, 1)  # the newview record itself is ts=1
         self.applied_ts = 1
-        self.store.restore(record.objects, record.objects_bytes)
-        self.lockmgr.reset()
-        self.pending = {}
-        for viewstamp, call_record in record.pending:
-            self.pending.setdefault(call_record.aid, {})[viewstamp] = call_record
-        self.outcomes = SizedDict(record.outcomes, record.outcomes_bytes)
-        self.committing = dict(record.committing)
+        self._install_gstate(viewid, record)
         self.up_to_date = True
         self.status = Status.ACTIVE
         self.buffer = None
@@ -829,6 +847,27 @@ class Cohort(Actor):
         self._apply_buffer_records(records)  # ts 1 is skipped as applied
         self.acknowledge()
         self.metrics.incr(f"views_joined:{self.mygroupid}")
+
+    def _install_gstate(self, viewid: ViewId, record: NewView) -> None:
+        """Take the history and gstate of *record*, the newview of *viewid*.
+        A record with a ``base`` holds only what this cohort lacks: it is
+        written over the state that base names (DESIGN.md D25)."""
+        diff = record.base is not None
+        assert not diff or self.history.latest == record.base, (self.history.latest, record.base)
+        self.history = History(record.history_entries)
+        self.history.advance(viewid, 1)  # the newview record itself is ts=1
+        self.lockmgr.reset()
+        self.pending = {}
+        for viewstamp, call_record in record.pending:
+            self.pending.setdefault(call_record.aid, {})[viewstamp] = call_record
+        self.committing = dict(record.committing)
+        if diff:
+            self.store.patch(record.objects)
+            self.outcomes.patch(record.outcomes)
+        else:
+            self.store.restore(record.objects, record.objects_bytes)
+            self.outcomes = SizedDict(record.outcomes, record.outcomes_bytes)
+        self._written_since = Viewstamp(viewid, 1)
 
     def _pending_records(self) -> Tuple:
         """The surviving completed-call records, in a canonical order."""
@@ -876,6 +915,7 @@ class Cohort(Actor):
         self.pending = {}
         self.outcomes = SizedDict()
         self.committing = {}
+        self._written_since = None
         self.cache = ClientCache()
         self.caller = RemoteCaller(self)
         self._wire_handlers()

@@ -125,6 +125,14 @@ class NewView(EventRecord):
     "This record contains cur_view, history, and gstate."  Our gstate is the
     object snapshot plus the pending completed-call/committing records and
     the transaction-outcome table (section 3.3's compromise representation).
+
+    The record is per receiver (DESIGN.md D25).  With ``base`` None it is
+    the whole gstate: what the buffer holds at ts 1 and ships by default.
+    A backup the init-view names, whose viewstamp the primary knows, at or
+    after ``(V, 1)`` of the view V the primary last activated or installed,
+    is shipped instead a record with ``base`` that viewstamp, whose
+    ``objects`` and ``outcomes`` hold only the entries written since
+    ``(V, 1)``; it writes them over its own image and outcome table.
     """
 
     KIND = "newview"
@@ -134,6 +142,7 @@ class NewView(EventRecord):
     pending: Tuple[Tuple[Viewstamp, EventRecord], ...]
     outcomes: Dict[Aid, str]
     committing: Dict[Aid, Tuple[Tuple[str, ...], Tuple]]
+    base: Optional[Viewstamp] = None
     # Not wire data: the sizes of ``objects`` and ``outcomes``, when the
     # primary's store and outcome table knew them (repro.net.messages).
     objects_bytes = None  # type: Optional[int]

@@ -296,13 +296,17 @@ class AcceptMsg(Message):
 class InitViewMsg(Message):
     """Manager -> chosen primary: "you start view *viewid* with *view*".
 
-    ``lease_bound`` (reads enabled) is the latest expiry of any lease
-    promise reported by the acceptances that formed the view and made to
-    anyone other than the chosen primary; the new primary must not
-    activate (and hence cannot commit writes) before it passes."""
+    ``viewstamps`` are the ``(mid, viewstamp)`` of the other members whose
+    normal acceptance holds the state that viewstamp names: a primary that
+    knows it ships that backup a newview record of only what it lacks
+    (DESIGN.md D25).  ``lease_bound`` (reads enabled) is the latest expiry
+    of any lease promise reported by the acceptances that formed the view
+    and made to anyone other than the chosen primary; the new primary must
+    not activate (and hence cannot commit writes) before it passes."""
 
     viewid: ViewId
     view: View
+    viewstamps: Tuple[Tuple[int, Viewstamp], ...] = ()
     lease_bound: float = 0.0
 
 

@@ -267,8 +267,19 @@ class ViewChangeController:
 
     def build_init_view(self, view: View) -> m.InitViewMsg:
         """ "You start view ``max_viewid`` with *view*" -- also when the
-        chosen primary is this manager itself."""
-        return m.InitViewMsg(viewid=self.cohort.max_viewid, view=view)
+        chosen primary is this manager itself.  It names the viewstamp of
+        every other member whose state is what its viewstamp says: a normal
+        acceptance from a cohort that holds records (not a witness) and was
+        neither the primary of its view nor restored from stable storage
+        since it last joined one (no ``view``); either may hold writes that
+        no record carries (DESIGN.md D25)."""
+        viewstamps = tuple(
+            (a.mid, a.viewstamp)
+            for a in self._responses.values()
+            if a.mid != view.primary
+            and not (a.crashed or a.witness or a.was_primary or a.view is None)
+        )
+        return m.InitViewMsg(viewid=self.cohort.max_viewid, view=view, viewstamps=viewstamps)
 
     def form_view(self, responses: Dict[int, m.AcceptMsg]) -> Optional[View]:
         """Apply the section-4 formation rule; None when it cannot be met."""
@@ -379,7 +390,7 @@ class ViewChangeController:
         cohort = self.cohort
         if cohort.max_viewid != init.viewid or not cohort.node.up:
             return
-        cohort.activate_as_primary(init.viewid, init.view)
+        cohort.activate_as_primary(init.viewid, init.view, init.viewstamps)
 
     def _on_viewid_write_failed(self, viewid: ViewId, error) -> None:
         """A ``cur_viewid`` stable write resolved to a failure (disk fault).
@@ -418,6 +429,11 @@ class ViewChangeController:
             cohort.held.hold(msg.viewid, msg.records)
             return
         if not isinstance(first_record, NewView):
+            return
+        if first_record.base not in (None, cohort.history.latest):
+            # A diff of the state this cohort accepted with, which a crash
+            # since (its stable viewid already this view's) lost; on_recover's
+            # timer starts a view change that ships it the whole gstate.
             return
         self.install_when_durable(
             msg.viewid, lambda: cohort.install_newview(msg.viewid, msg.records)

@@ -134,7 +134,9 @@ class SizedDict(dict):
     next call walks only those keys.  Until the first call (or a *size*
     given by a caller that knows it) nothing is tracked.  Item assignment
     is the only write the bookkeeping sees: nothing may delete an entry
-    or write through ``update``, ``setdefault`` and the like.
+    or write through ``update``, ``setdefault`` and the like.  So the keys
+    assigned since the last sizing (:meth:`written`) are every key whose
+    value may differ from what it was then.
     """
 
     __slots__ = ("_bytes", "_was")
@@ -162,6 +164,17 @@ class SizedDict(dict):
                     size += _SIZERS[type(new)](new) - _SIZERS[type(old)](old)
         self._bytes, self._was = size, {}
         return size
+
+    def written(self) -> Optional[Tuple[Any, ...]]:
+        """The keys assigned since the last sizing; None before the first,
+        when nothing is tracked."""
+        return None if self._bytes is None else tuple(self._was)
+
+    def patch(self, items: Dict[Any, Any]) -> None:
+        """Assign every entry of *items*, then size: the count starts over."""
+        for key, value in items.items():
+            self[key] = value
+        self.wire_size()
 
 
 @dataclasses.dataclass(slots=True)

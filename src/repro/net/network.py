@@ -109,9 +109,6 @@ class Network:
             raise ValueError(f"address {actor.address!r} already registered")
         self._actors[actor.address] = actor
 
-    def actor_at(self, address: str) -> Optional[Actor]:
-        return self._actors.get(address)
-
     def node_of(self, address: str) -> Optional[Node]:
         actor = self._actors.get(address)
         return actor.node if actor is not None else None

@@ -260,11 +260,6 @@ class ShardedGroup:
     def converged(self) -> bool:
         return all(group.converged() for group in self.groups())
 
-    def active_primaries(self) -> Dict[str, object]:
-        return {
-            group.groupid: group.active_primary() for group in self.groups()
-        }
-
     # -- determinism ------------------------------------------------------
 
     def ledger_digests(self) -> Dict[str, str]:

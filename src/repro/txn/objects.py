@@ -135,8 +135,18 @@ class ObjectStore:
         """``estimate_size(self.snapshot())``, re-walking only what changed."""
         return self._image.wire_size()
 
+    def written(self) -> Optional[Tuple[str, ...]]:
+        """The uids written since the last :meth:`wire_size`; None before it."""
+        return self._image.written()
+
     def restore(self, snapshot: Image, size: Optional[int] = None) -> None:
         """Take *snapshot* (copied: a newview record is shared) and drop all
         locks; *size* is its wire size when the caller knows it."""
         self._image = SizedDict(snapshot, size)
+        self.lockers.clear()
+
+    def patch(self, entries: Image) -> None:
+        """Write *entries* (a newview diff) over the image, size it, and drop
+        all locks."""
+        self._image.patch(entries)
         self.lockers.clear()

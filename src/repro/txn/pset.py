@@ -16,7 +16,7 @@ from __future__ import annotations
 import dataclasses
 from typing import FrozenSet, Iterable, Iterator, Optional
 
-from repro.core.viewstamp import Viewstamp, vs_max
+from repro.core.viewstamp import Viewstamp
 from repro.net.messages import estimate_size
 
 
@@ -52,10 +52,6 @@ class PSet:
         """The groups touched by the transaction (Figure 2: "determine who
         the participants are from the pset")."""
         return frozenset(pair.groupid for pair in self._pairs)
-
-    def latest_for(self, groupid: str) -> Optional[Viewstamp]:
-        """``vs_max`` restricted to this pset (see section 3.2)."""
-        return vs_max(self._pairs, groupid)
 
     def copy(self) -> "PSet":
         return PSet(self._pairs)

@@ -65,10 +65,3 @@ def write_program(txn, group, key, value):
 def update_program(txn, group, key, delta=1):
     result = yield txn.call(group, "incr", key, delta)
     return result
-
-
-@transaction_program
-def read_modify_write_program(txn, group, key_read, key_write):
-    value = yield txn.call(group, "get", key_read)
-    result = yield txn.call(group, "put", key_write, value + 1)
-    return result

@@ -127,26 +127,8 @@ class OpenLoopStats:
         return _percentile(self.read_latencies, 0.99)
 
     @property
-    def write_mean_latency(self) -> float:
-        if not self.write_latencies:
-            return math.nan
-        return sum(self.write_latencies) / len(self.write_latencies)
-
-    @property
-    def read_throughput(self) -> float:
-        if self.duration <= 0:
-            return math.nan
-        return self.reads_ok / self.duration
-
-    @property
     def max_observed_staleness(self) -> float:
         return max(self.read_staleness, default=0.0)
-
-    def read_histogram(self, bins: int = 12) -> List[Tuple[float, int]]:
-        return latency_histogram(self.read_latencies, bins)
-
-    def write_histogram(self, bins: int = 12) -> List[Tuple[float, int]]:
-        return latency_histogram(self.write_latencies, bins)
 
 
 def run_open_loop(
@@ -315,10 +297,6 @@ class ClosedLoopStats:
         if not self.latencies:
             return math.nan
         return sum(self.latencies) / len(self.latencies)
-
-    @property
-    def p99_latency(self) -> float:
-        return _percentile(self.latencies, 0.99)
 
     @property
     def duration(self) -> float:
