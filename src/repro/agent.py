@@ -21,7 +21,7 @@ from typing import Any, Dict, Optional, Tuple
 from repro.core import messages as m
 from repro.core.cache import ClientCache
 from repro.core.calls import CallAborted, RemoteCaller, probe_view
-from repro.detect import AdaptiveTimeouts, RttEstimator
+from repro.detect import AdaptiveTimeouts, Retry, RttEstimator
 from repro.sim.future import Future
 from repro.sim.node import Actor, Node
 from repro.txn.ids import Aid, CallId
@@ -124,44 +124,50 @@ class ClientAgent(Actor):
         request_id = self._next_request
         future = Future(label=f"begin:{request_id}")
         self._begin_waiters[request_id] = future
-        self._send_begin(request_id, retries=6)
+        # Fixed on purpose: patience here is an attempt count, and a begin
+        # must outlive a full view change at the coordinator group.
+        self._send_begin(request_id, Retry(lambda: self.config.call_timeout, 6))
         return future
 
-    def _send_begin(self, request_id: int, retries: int) -> None:
+    def _send_begin(self, request_id: int, retry: Retry, resend: bool = False) -> None:
+        """Send a begin; a *resend* (a wait ran out) probes for the current
+        view too, and the one sent as patience runs out is the last."""
         if request_id not in self._begin_waiters:
             return
+        spent = resend and retry.expired(self.sim.now)
         target = self._coordinator_primary()
         if target is not None:
             self.send(
                 target,
                 m.BeginTxnMsg(request_id=request_id, client=self.address),
             )
-        if target is None or retries < 6:
-            # First attempt went unanswered (or we have no target): the
+        if target is None or resend:
+            # The last attempt went unanswered (or we have no target): the
             # primary may have moved; probe for the current view.
             self._probe_coordinator()
-        if retries <= 0:
+        if spent:
             future = self._begin_waiters.pop(request_id, None)
             if future is not None and not future.done:
                 future.set_exception(CallAborted("coordinator-server unreachable"))
             return
-        # Fixed interval on purpose: patience here is retry-count based, and
-        # a begin must outlive a full view change at the coordinator group.
-        self.set_timer(
-            self.config.call_timeout, self._send_begin, request_id, retries - 1
-        )
+        self.set_timer(retry.wait(self.sim.now), self._send_begin, request_id, retry, True)
 
     # -- finish -----------------------------------------------------------------
 
     def _finish(self, txn: AgentTransaction, decision: str) -> Future:
         future = Future(label=f"finish:{txn.aid}")
         self._finish_waiters[txn.aid] = future
-        self._send_finish(txn, decision, retries=8)
+        self._send_finish(txn, decision, Retry(lambda: self.config.call_timeout * 2, 8))
         return future
 
-    def _send_finish(self, txn: AgentTransaction, decision: str, retries: int) -> None:
+    def _send_finish(
+        self, txn: AgentTransaction, decision: str, retry: Retry, resend: bool = False
+    ) -> None:
+        """Send a finish, as :meth:`_send_begin` sends a begin; when
+        patience runs out the outcome is ``"unknown"``."""
         if txn.aid not in self._finish_waiters:
             return
+        spent = resend and retry.expired(self.sim.now)
         target = self._coordinator_primary()
         if target is not None:
             self.send(
@@ -174,16 +180,14 @@ class ClientAgent(Actor):
                     client=self.address,
                 ),
             )
-        if target is None or retries < 8:
+        if target is None or resend:
             self._probe_coordinator()
-        if retries <= 0:
+        if spent:
             future = self._finish_waiters.pop(txn.aid, None)
             if future is not None and not future.done:
                 future.set_result("unknown")
             return
-        self.set_timer(
-            self.config.call_timeout * 2, self._send_finish, txn, decision, retries - 1
-        )
+        self.set_timer(retry.wait(self.sim.now), self._send_finish, txn, decision, retry, True)
 
     def _coordinator_primary(self) -> Optional[str]:
         entry = self.cache.get(self.coordinator_group)

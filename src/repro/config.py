@@ -186,9 +186,13 @@ class ScaleConfig:
       majority) but hold no event buffer -- the primary never replicates
       records to them, shrinking fan-out from n-1 to n-1-witnesses.  The
       group's :class:`repro.core.quorum.Quorums` is built from it and is
-      what every quorum count reads; its constructor rejects a count below
-      0 or above ``n - Quorums.formation`` (a force quorum must fit among
-      the storage replicas) when the group is created.
+      what every quorum count reads; its constructor rejects a count above
+      ``n - Quorums.formation`` (a force quorum must fit among the storage
+      replicas) when the group is created.
+
+    Refused where it is made: a negative ``witnesses``, and a
+    ``gossip_fanout`` or ``ack_fanout`` below 1 (a round or a tree node
+    that reaches nobody).
     """
 
     #: Epidemic heartbeat dissemination (off = the primary's star).
@@ -202,6 +206,13 @@ class ScaleConfig:
     ack_fanout: int = 4
     #: Bufferless voting members per group (0 = every member replicates).
     witnesses: int = 0
+
+    def __post_init__(self) -> None:
+        if self.witnesses < 0:
+            raise ValueError(f"ScaleConfig.witnesses {self.witnesses} < 0")
+        for name in ("gossip_fanout", "ack_fanout"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"ScaleConfig.{name} {getattr(self, name)} < 1")
 
 
 @dataclasses.dataclass

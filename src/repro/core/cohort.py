@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import enum
 import math
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Mapping, Optional, Tuple
 
 from repro.config import ProtocolConfig
 from repro.core import messages as m
@@ -81,6 +81,7 @@ class Cohort(Actor):
         configuration: Tuple[Tuple[int, str], ...],  # (mid, address) pairs
         quorums: Quorums,
         spec,
+        initial_image: Mapping[str, Tuple[Any, int]],  # the group's, shared
         config: ProtocolConfig,
         initial_viewid: ViewId,
         initial_view: View,
@@ -118,8 +119,10 @@ class Cohort(Actor):
         self.held = HeldRecords()  # backup: records that arrived ahead of a gap
 
         # -- gstate --
-        self._initial_image = {uid: (value, 0) for uid, value in spec.initial_objects().items()}
-        self.store = ObjectStore(self._initial_image)
+        # What every cohort starts with and every recovery restores; the
+        # store holds only the entries that differ from it (DESIGN.md D26).
+        self._initial_image = initial_image
+        self.store = ObjectStore(initial_image)
         self.lockmgr = LockManager(self.store)
         self.pending: Dict[Aid, Dict[Viewstamp, CompletedCall]] = {}
         self.outcomes: SizedDict = SizedDict()  # aid -> outcome
@@ -808,7 +811,9 @@ class Cohort(Actor):
         *reported* (``(mid, viewstamp)`` pairs) gets instead when this cohort
         knows its viewstamp and has tracked writes since before it: the same
         record with that ``base``, its image and outcome table cut to the
-        entries written since ``_written_since`` (DESIGN.md D25)."""
+        entries written since ``_written_since`` (DESIGN.md D25).  Either
+        record's image holds only entries that differ from the group's
+        initial objects, which every receiver holds already (D26)."""
         # Read before the sizing below starts the written-since sets over.
         written = self.store.written(), self.outcomes.written()
         history, pending = self.history.entries(), self._pending_records()
@@ -851,7 +856,10 @@ class Cohort(Actor):
     def _install_gstate(self, viewid: ViewId, record: NewView) -> None:
         """Take the history and gstate of *record*, the newview of *viewid*.
         A record with a ``base`` holds only what this cohort lacks: it is
-        written over the state that base names (DESIGN.md D25)."""
+        written over the state that base names (DESIGN.md D25).  A full
+        record's image replaces this cohort's written entries, so what it
+        wrote that the record does not carry reads as the initial objects
+        again (D26)."""
         diff = record.base is not None
         assert not diff or self.history.latest == record.base, (self.history.latest, record.base)
         self.history = History(record.history_entries)
@@ -878,7 +886,8 @@ class Cohort(Actor):
         )
 
     def _gstate_snapshot(self) -> dict:
-        """For the PRIMARY_GSTATE/ALL stable-storage policies (section 4.2)."""
+        """For the PRIMARY_GSTATE/ALL stable-storage policies (section 4.2);
+        its ``objects`` are the entries that differ from the initial ones."""
         return {
             "objects": self.store.snapshot(),
             "outcomes": dict(self.outcomes),
@@ -902,7 +911,9 @@ class Cohort(Actor):
 
     def on_recover(self) -> None:
         """Section 4: initialize up_to_date false, max_viewid from stable
-        storage, then run a view change as manager."""
+        storage, then run a view change as manager.  The gstate restarts
+        from the group's initial objects (a store with no entries of its
+        own), or from the stable gstate written over them."""
         self._epoch += 1
         self.up_to_date = False
         self.cur_viewid = self.stable.read("cur_viewid")

@@ -127,12 +127,15 @@ class NewView(EventRecord):
     the transaction-outcome table (section 3.3's compromise representation).
 
     The record is per receiver (DESIGN.md D25).  With ``base`` None it is
-    the whole gstate: what the buffer holds at ts 1 and ships by default.
-    A backup the init-view names, whose viewstamp the primary knows, at or
-    after ``(V, 1)`` of the view V the primary last activated or installed,
-    is shipped instead a record with ``base`` that viewstamp, whose
-    ``objects`` and ``outcomes`` hold only the entries written since
-    ``(V, 1)``; it writes them over its own image and outcome table.
+    the full record: what the buffer holds at ts 1 and ships by default,
+    whose ``objects`` replace the receiver's own.  A backup the init-view
+    names, whose viewstamp the primary knows, at or after ``(V, 1)`` of the
+    view V the primary last activated or installed, is shipped instead a
+    record with ``base`` that viewstamp, whose ``objects`` and ``outcomes``
+    hold only the entries written since ``(V, 1)``; it writes them over its
+    own image and outcome table.  Either way ``objects`` holds only entries
+    that differ from the group's initial objects, which every cohort holds
+    from the module spec (D26).
     """
 
     KIND = "newview"

@@ -9,6 +9,7 @@ of cohorts per group, on the order of three or five."
 
 from __future__ import annotations
 
+from types import MappingProxyType
 from typing import Dict, List, Optional, Tuple
 
 from repro.config import ProtocolConfig
@@ -46,6 +47,11 @@ class ModuleGroup:
         )
         runtime.location.register(groupid, self.configuration)
 
+        # The group's initial objects, built once and shared read-only by
+        # its cohorts' stores (DESIGN.md D26).
+        initial_image = MappingProxyType(
+            {uid: (value, 0) for uid, value in spec.initial_objects().items()}
+        )
         initial_viewid = ViewId(1, 0)
         initial_view = View(primary=0, backups=tuple(range(1, len(nodes))))
         self.cohorts: Dict[int, Cohort] = {}
@@ -58,6 +64,7 @@ class ModuleGroup:
                 configuration=self.configuration,
                 quorums=self.quorums,
                 spec=spec,
+                initial_image=initial_image,
                 config=self.config,
                 initial_viewid=initial_viewid,
                 initial_view=initial_view,
@@ -119,6 +126,9 @@ class ModuleGroup:
         primary = self.active_primary()
         if primary is None or primary.buffer is None:
             return False
+        # A store holds exactly the entries that differ from the group's
+        # initial objects (DESIGN.md D26), so two stores hold the same image
+        # exactly when they hold the same entries.
         reference = primary.store.snapshot()
         for cohort in self.active_cohorts():
             if cohort.mymid == primary.mymid:
@@ -152,11 +162,10 @@ class ModuleGroup:
                 )
                 continue
             snapshot = cohort.store.snapshot()
-            for uid, entry in reference.items():
-                if snapshot.get(uid) != entry:
-                    problems.append(
-                        f"{cohort.address}: {uid}={snapshot.get(uid)} != {entry}"
-                    )
+            for uid in dict.fromkeys([*reference, *snapshot]):  # either wrote
+                mine, theirs = cohort.store.entry(uid), primary.store.entry(uid)
+                if mine != theirs:
+                    problems.append(f"{cohort.address}: {uid}={mine} != {theirs}")
         return problems
 
     # -- failure injection ------------------------------------------------------

@@ -59,10 +59,11 @@ class Quorums:
 
     def __init__(self, n: int, witnesses: int = 0) -> None:
         formation = majority(n)
-        if not 0 <= witnesses <= n - formation:
+        # The lower bound, 0, needs no n: ScaleConfig refuses a negative count.
+        if witnesses > n - formation:
             raise ValueError(
-                f"witnesses={witnesses} in a {n}-member group: allowed are 0 to "
-                f"{max(0, n - formation)}, so a force quorum fits among storage members"
+                f"witnesses={witnesses} in a {n}-member group: allowed are at most "
+                f"{n - formation}, so a force quorum fits among storage members"
             )
         fields = {
             "n": n,

@@ -17,7 +17,8 @@ discarded while the rest of the transaction's writes survive.
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Dict, Iterable, NamedTuple, Optional, Tuple
+from types import MappingProxyType
+from typing import Any, Dict, Iterable, Mapping, NamedTuple, Optional, Tuple
 
 from repro.net.messages import SizedDict
 
@@ -59,52 +60,70 @@ class StoredObject(NamedTuple):
 
 
 UNLOCKED: Dict[Any, LockInfo] = {}  # an unlocked uid's lockers; never written
+NO_OBJECTS: Mapping[str, Tuple[Any, int]] = MappingProxyType({})
 
 
 class ObjectStore:
-    """The objects portion of a cohort's gstate: one image, the shape of
-    ``NewView.objects``, so a snapshot and a restore are one dict copy each;
-    ``lockers`` (``uid -> {aid: LockInfo}``, kept by the lock manager) holds
-    only the objects that have lockers now."""
+    """The objects portion of a cohort's gstate, relative to the group's
+    initial objects (DESIGN.md D26).
 
-    def __init__(self, image: Optional[Image] = None) -> None:
-        self._image = SizedDict(image or ())
+    *initial* (``uid -> (value, 0)``, shared by the group's cohorts and
+    never written) is what every cohort starts with and every recovery
+    restores; the store keeps one ``SizedDict`` of the entries that differ
+    from it: those an install bumped, ``create`` or ``ensure`` added, or a
+    newview wrote.  That is the shape of ``NewView.objects``, so a snapshot
+    and a restore are one copy of what was written.  Reads fall back to
+    *initial*, so ``get``, ``base``, ``version``, ``uids``, ``items`` and
+    ``in`` answer for the whole image.  ``lockers`` (``uid -> {aid:
+    LockInfo}``, kept by the lock manager) holds only the objects that have
+    lockers now."""
+
+    def __init__(self, initial: Mapping[str, Tuple[Any, int]] = NO_OBJECTS) -> None:
+        self._initial = initial
+        self._image = SizedDict()  # the entries that differ from _initial
         self.lockers: Dict[str, Dict[Any, LockInfo]] = {}
 
+    def entry(self, uid: str) -> Optional[Tuple[Any, int]]:
+        """``(base, version)`` of *uid*; None if there is no such object."""
+        return self._image.get(uid) or self._initial.get(uid)
+
     def create(self, uid: str, value: Any) -> None:
-        if uid in self._image:
+        if uid in self:
             raise ValueError(f"object {uid!r} already exists")
         self._image[uid] = (value, 0)
 
     def ensure(self, uid: str, default: Any = None) -> Tuple[Any, int]:
         """``(base, version)`` of *uid*, created as ``(default, 0)`` if absent."""
-        entry = self._image.get(uid)
+        entry = self.entry(uid)
         if entry is None:
             entry = self._image[uid] = (default, 0)
         return entry
 
     def get(self, uid: str) -> StoredObject:
-        base, version = self._image[uid]
+        base, version = self._image.get(uid) or self._initial[uid]
         return StoredObject(uid, base, version, self.lockers.get(uid, UNLOCKED))
 
     def base(self, uid: str) -> Any:
-        return self._image[uid][0]
+        return (self._image.get(uid) or self._initial[uid])[0]
 
     def version(self, uid: str) -> int:
-        return self._image[uid][1]
+        return (self._image.get(uid) or self._initial[uid])[1]
 
     def __contains__(self, uid: str) -> bool:
-        return uid in self._image
+        return uid in self._image or uid in self._initial
 
     def uids(self) -> Iterable[str]:
-        return self._image.keys()
+        return self._whole().keys()
 
     def items(self) -> Iterable[Tuple[str, Tuple[Any, int]]]:
-        return self._image.items()
+        return self._whole().items()
+
+    def _whole(self) -> Image:
+        return {**self._initial, **self._image}
 
     def install(self, uid: str, value: Any) -> None:
         """*value* becomes the base version of *uid*."""
-        entry = self._image.get(uid)
+        entry = self.entry(uid)
         self._image[uid] = (value, 1 if entry is None else entry[1] + 1)
 
     def install_calls(self, calls, allowed) -> None:
@@ -127,8 +146,9 @@ class ObjectStore:
     # -- gstate snapshot / restore (for newview records) --------------------
 
     def snapshot(self) -> Image:
-        """Base versions only: lock state is rematerialized from pending
-        completed-call records by the new primary (section 3.3 compromise)."""
+        """The entries that differ from the initial objects, base versions
+        only: lock state is rematerialized from pending completed-call
+        records by the new primary (section 3.3 compromise)."""
         return dict(self._image)
 
     def wire_size(self) -> int:
@@ -140,8 +160,10 @@ class ObjectStore:
         return self._image.written()
 
     def restore(self, snapshot: Image, size: Optional[int] = None) -> None:
-        """Take *snapshot* (copied: a newview record is shared) and drop all
-        locks; *size* is its wire size when the caller knows it."""
+        """Take *snapshot* (copied: a newview record is shared) as the entries
+        that differ from the initial objects, dropping any this store wrote
+        that it does not carry, and drop all locks; *size* is its wire size
+        when the caller knows it."""
         self._image = SizedDict(snapshot, size)
         self.lockers.clear()
 

@@ -4,7 +4,7 @@ import dataclasses
 
 import pytest
 
-from repro.config import BatchConfig, ProtocolConfig, TraceConfig
+from repro.config import BatchConfig, ProtocolConfig, ScaleConfig, TraceConfig
 from repro.core import messages as m
 from repro.core.view import View
 from repro.core.viewstamp import ViewId, Viewstamp
@@ -92,6 +92,32 @@ def test_trace_config_rejects_a_ring_that_is_not_a_positive_int(ring_size):
     with pytest.raises(ValueError, match="ring_size"):
         TraceConfig(ring_size=ring_size)
     assert TraceConfig(ring_size=1).ring_size == 1
+
+
+@pytest.mark.parametrize("witnesses", [-1, -5])
+def test_scale_config_rejects_a_negative_witness_count(witnesses):
+    """A negative count used to build a paper-faithful group silently; the
+    config refuses it where it is made, naming the field (the upper bound
+    needs the group's size, so ``Quorums`` keeps that one)."""
+    with pytest.raises(ValueError, match="witnesses"):
+        ScaleConfig(witnesses=witnesses)
+    assert ScaleConfig(witnesses=0).witnesses == 0
+
+
+@pytest.mark.parametrize("fanout", [0, -2])
+def test_scale_config_rejects_a_gossip_fanout_below_one(fanout):
+    """A heartbeat round that targets nobody."""
+    with pytest.raises(ValueError, match="gossip_fanout"):
+        ScaleConfig(gossip=True, gossip_fanout=fanout)
+    assert ScaleConfig(gossip=True, gossip_fanout=1).gossip_fanout == 1
+
+
+@pytest.mark.parametrize("fanout", [0, -2])
+def test_scale_config_rejects_an_ack_fanout_below_one(fanout):
+    """An ack-tree node with no children and no roots under the primary."""
+    with pytest.raises(ValueError, match="ack_fanout"):
+        ScaleConfig(ack_tree=True, ack_fanout=fanout)
+    assert ScaleConfig(ack_tree=True, ack_fanout=1).ack_fanout == 1
 
 
 def test_config_replace_for_ablations():

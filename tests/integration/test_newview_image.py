@@ -10,7 +10,11 @@ survive a view change exactly when their records do).
 A backup that holds the state its acceptance named is shipped, in place of
 that record, a diff of the entries written since the primary's tracking
 start (DESIGN.md D25).  Whatever a receiver is sent, it must install what
-the full record installs: equal, lagging, older, recovered.
+the full record installs: equal, lagging, older, recovered, or a former
+primary holding a write no record carries.  And since a record's image holds
+only the entries that differ from the group's initial objects (D26), "what
+the full record installs" is read as the whole image: the initial objects
+overlaid with the record's, what a receiver got when records carried it all.
 """
 
 import functools
@@ -93,7 +97,11 @@ def test_installing_a_newview_copies_the_record():
     assert len(joined) == 3
     first, second = joined[:2]
     objects, outcomes = dict(record.objects), dict(record.outcomes)
-    assert outcomes and len(objects) == spec.n_keys
+    assert outcomes and objects
+    # The record carries the entries written since the initial objects; the
+    # installed image reads every object of the group (DESIGN.md D26).
+    bases = [second.store.get(spec.key(index)).base for index in range(spec.n_keys)]
+    assert bases == [0, 1, 2, 3] + [0] * (spec.n_keys - 4)
     second_image, second_outcomes = second.store.snapshot(), dict(second.outcomes)
 
     # What a backup's commit does: install a base version, record the outcome.
@@ -143,6 +151,7 @@ def _installs(group):
         def install(viewid, records, cohort=cohort, install=cohort.install_newview):
             entry = {"mid": cohort.mymid, "viewid": viewid, "record": records[0][1]}
             entry.update(before=cohort.history.latest, up_to_date=cohort.up_to_date)
+            entry.update(was_primary=cohort.is_primary, initial=cohort._initial_image)
             log.append(entry)
             install(viewid, records)
 
@@ -159,7 +168,7 @@ def _installs(group):
 def _gstate(cohort):
     pending = {aid: dict(calls) for aid, calls in cohort.pending.items()}
     return (
-        cohort.store.snapshot(),
+        dict(cohort.store.items()),
         dict(cohort.outcomes),
         pending,
         dict(cohort.committing),
@@ -169,12 +178,14 @@ def _gstate(cohort):
     )
 
 
-def _full_install(record):
-    """The gstate a backup holds right after installing *record* in full."""
+def _full_install(record, initial):
+    """The gstate a backup holds right after installing *record* in full,
+    its image the whole one: *initial* overlaid with the record's."""
     pending = {}
     for viewstamp, call in record.pending:
         pending.setdefault(call.aid, {})[viewstamp] = call
-    return (dict(record.objects), dict(record.outcomes), pending, dict(record.committing), {}, True, True)
+    image = {**initial, **record.objects}
+    return (image, dict(record.outcomes), pending, dict(record.committing), {}, True, True)
 
 
 def _view_change(rt, group, manager, primary, joined):
@@ -205,7 +216,9 @@ def _receivers_of_every_kind():
       ``ensure`` of an absent uid, ``(None, 0)``);
     - *lagging*: in P's view but a few records behind;
     - *older*: last in a view before the one P's written-since sets start;
-    - *recovered*: crashed and back, so its acceptance is a crashed one.
+    - *recovered*: crashed and back, so its acceptance is a crashed one;
+    - *former*: P itself, after an ``ensure`` no record carries, cut off
+      while another cohort leads a view, then a backup of that cohort.
 
     The client group's primary, which alone records a commit point's
     outcome, leads two view changes of its own."""
@@ -244,6 +257,25 @@ def _receivers_of_every_kind():
     crashed.node.recover()
     _view_change(rt, kv, first, primary, joined + [crashed])
 
+    # former: P's write with no record must not survive its full install.
+    # (Not a read through the protocol: its completed-call record would
+    # reach the backups, and the next primary's locks ensure the uid too.)
+    others = [cohort for cohort in kv.cohorts.values() if cohort is not primary]
+    for cohort in others:
+        rt.network.fail_link(primary.node.node_id, cohort.node.node_id)
+    primary.store.ensure("absent-too")  # what a lock on an absent uid does
+    viewid = primary.cur_viewid
+    first.view_change.become_manager()
+    leader = primary
+    while leader in (None, primary) or leader.cur_viewid <= viewid:
+        assert rt.sim.now < 5_000.0, "no view led without P"
+        rt.run_for(1.0)
+        leader = kv.active_primary()
+    for cohort in others:
+        rt.network.repair_link(primary.node.node_id, cohort.node.node_id)
+    backups = [cohort for cohort in kv.cohorts.values() if cohort is not leader]
+    _view_change(rt, kv, backups[0], leader, backups)
+
     _view_change(rt, clients, cbackups[1], cprimary, cbackups)
     return logs
 
@@ -264,6 +296,8 @@ def _classified_installs():
                 kind = "equal" if base == latest else "lagging"
             elif not entry["up_to_date"]:
                 kind = "recovered"
+            elif entry["was_primary"]:
+                kind = "former"
             elif since is not None and entry["before"] < since:
                 kind = "older"
             else:
@@ -279,6 +313,7 @@ def _classified_installs():
         ("kv", "lagging"),
         ("kv", "older"),
         ("kv", "recovered"),
+        ("kv", "former"),
         ("clients", "equal"),  # its commit points' outcomes are on no record
     ],
 )
@@ -286,7 +321,7 @@ def test_a_receiver_installs_what_the_full_record_installs(group, kind):
     installs = [i for i in _classified_installs() if (i["group"], i["kind"]) == (group, kind)]
     assert installs
     for install in installs:
-        assert install["state"] == _full_install(install["full"])
+        assert install["state"] == _full_install(install["full"], install["initial"])
 
 
 def test_a_diff_goes_to_whoever_holds_its_base_and_nobody_else():

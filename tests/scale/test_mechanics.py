@@ -88,12 +88,6 @@ def test_witness_mids_are_the_highest_and_never_the_seed_primary():
     assert Quorums(9).witnesses == Quorums(9, 0).witnesses == frozenset()
 
 
-def test_quorums_reject_a_negative_witness_count():
-    for w in (-1, -5):
-        with pytest.raises(ValueError):
-            Quorums(5, w)
-
-
 # -- all-off is absent -------------------------------------------------------
 
 

@@ -131,8 +131,10 @@ def test_an_overwrite_is_resized():
     """The directed form of the property's sharpest case: an entry present
     at the last sizing is overwritten by a value of another size."""
     store = ObjectStore({"a": (0, 0)})
-    assert store.wire_size() == estimate_size({"a": (0, 0)})
+    assert store.get("a")[1:3] == (0, 0)
+    assert store.wire_size() == estimate_size({})  # initial entries are not stored
     store.install("a", "a much longer value")
+    assert store.wire_size() == estimate_size({"a": ("a much longer value", 1)})
     store.install("a", "shorter")
     assert store.wire_size() == estimate_size({"a": ("shorter", 2)})
     outcomes = SizedDict({AIDS[0]: "aborted"}, estimate_size({AIDS[0]: "aborted"}))
@@ -144,11 +146,13 @@ def test_an_overwrite_is_resized():
 def test_snapshot_and_restore_copy():
     """Restoring copies the record's image; snapshotting copies the store's."""
     store = ObjectStore({"a": (0, 0)})
-    image = store.snapshot()
     store.install("a", 1)
-    assert image == {"a": (0, 0)}
-    other = ObjectStore()
+    image = store.snapshot()
+    store.install("a", 2)
+    assert image == {"a": (1, 1)}
+    other = ObjectStore({"a": (0, 0)})
     other.restore(image, estimate_size(image))
-    other.install("a", 2)
-    assert image == {"a": (0, 0)}
+    other.install("a", 3)
+    assert image == {"a": (1, 1)}
+    assert other.get("a")[1:3] == (3, 2)
     assert other.wire_size() == estimate_size(other.snapshot())

@@ -13,7 +13,9 @@ of an activated view installs either the full record or the diff the
 builder cut for it, and the property is that the two cannot be told apart:
 image, outcome table, pending and committing equal the full record's, entry
 for entry, and the sizes the tables hint equal ``estimate_size`` of what
-they hold.
+they hold.  After every step, every cohort's store also holds only entries
+that differ from the initial objects (DESIGN.md D26), and its hints are
+exact even between sizings.
 """
 
 from types import SimpleNamespace
@@ -185,6 +187,28 @@ steps = st.one_of(
 )
 
 
+def _hint(table):
+    """What ``table.wire_size()`` would answer now, got from a copy so the
+    table's written-since set is not started over; None while untracked."""
+    if table.written() is None:
+        return None
+    probe = SizedDict.__new__(SizedDict)
+    dict.update(probe, table)
+    probe._bytes, probe._was = table._bytes, dict(table._was)
+    return probe.wire_size()
+
+
+def _check_stores(group):
+    for cohort in group.cohorts:
+        stored = cohort.store.snapshot()
+        for uid, entry in stored.items():
+            # No stored entry equals its initial entry: an initial object is
+            # stored only once an install has bumped its version.
+            assert uid not in INITIAL or entry[1] > INITIAL[uid][1], (cohort.mymid, uid, entry)
+        assert _hint(cohort.store._image) in (None, estimate_size(stored))
+        assert _hint(cohort.outcomes) in (None, estimate_size(dict(cohort.outcomes)))
+
+
 def _run(trace):
     group = _Group()
     for step in trace:
@@ -199,6 +223,7 @@ def _run(trace):
             group.crash(step[1])
         else:
             group.view_change(step[1], step[2])
+        _check_stores(group)
     return group
 
 
