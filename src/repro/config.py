@@ -112,6 +112,9 @@ class ReadConfig:
     clock is global -- but it does depend on ``lease_duration`` staying
     below the time a partitioned primary keeps serving after its grants
     stop renewing, which is exactly what the grant expiries encode.
+    Refused: a negative ``default_max_staleness`` and ``client_cache``
+    without ``enabled`` (a cache nothing fills); :class:`ProtocolConfig`
+    refuses a ``lease_duration`` outside its timing bounds.
     """
 
     #: Master switch; False reproduces the read-through-the-call-path
@@ -120,15 +123,23 @@ class ReadConfig:
     #: armed-idle`` row of ``python -m repro.gate reads``.
     enabled: bool = False
     #: How far ahead a grant (and therefore a promise) extends.  Must
-    #: comfortably exceed ``im_alive_interval`` so heartbeat-carried
-    #: renewals keep a healthy lease alive, and should stay below
-    #: ``underling_timeout`` so lease waits do not dominate view changes.
+    #: exceed ``im_alive_interval`` so heartbeat-carried renewals keep a
+    #: healthy lease alive, and stay below ``underling_timeout`` so lease
+    #: waits do not dominate view changes.
     lease_duration: float = 30.0
     #: Bound used when a read request does not carry its own.
     default_max_staleness: float = 50.0
     #: Drivers keep a commit-set cache (Wren-style) of read/write results
     #: (window and capacity: :mod:`repro.reads.cache`).
     client_cache: bool = False
+
+    def __post_init__(self) -> None:
+        if self.default_max_staleness < 0:
+            raise ValueError(
+                f"ReadConfig.default_max_staleness {self.default_max_staleness} < 0"
+            )
+        if self.client_cache and not self.enabled:
+            raise ValueError("ReadConfig.client_cache needs enabled=True")
 
 
 @dataclasses.dataclass
@@ -314,6 +325,15 @@ class ProtocolConfig:
             self.batch = BatchConfig()
         if self.reads is None:
             self.reads = ReadConfig()
+        lease = self.reads.lease_duration
+        if self.reads.enabled and not (
+            self.im_alive_interval < lease < self.underling_timeout
+        ):
+            raise ValueError(
+                f"ReadConfig.lease_duration {lease} must exceed im_alive_interval "
+                f"{self.im_alive_interval} and stay below underling_timeout "
+                f"{self.underling_timeout}"
+            )
 
     def suspect_timeout(self) -> float:
         """Silence longer than this marks a cohort unreachable."""

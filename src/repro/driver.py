@@ -149,9 +149,8 @@ class Driver(Actor):
             and geo_cfg.topology is not None
             and self.site is not None
         )
-        reads_cfg = self.config.reads
         self.read_cache = None
-        if reads_cfg is not None and reads_cfg.enabled and reads_cfg.client_cache:
+        if self.config.reads.client_cache:
             from repro.reads.cache import CommitSetCache
 
             self.read_cache = CommitSetCache(clock=lambda: self.sim.now)

@@ -518,24 +518,6 @@ class Nemesis:
         groupid = resolve_shard_groupid(sharded, shard)
         return self.add(CrashPrimaryRule(groupid, every, count, recover_after))
 
-    def partition_shard(
-        self,
-        sharded,
-        shard: int,
-        every: float,
-        duration: float,
-        count: int = 1,
-        primary_side: str = "minority",
-        rng_name: Optional[str] = None,
-    ) -> "Nemesis":
-        """Partition one shard of a sharded group (façade or name) by index."""
-        from repro.shard.facade import resolve_shard_groupid
-
-        groupid = resolve_shard_groupid(sharded, shard)
-        return self.partition_group(
-            groupid, every, duration, count, primary_side, rng_name
-        )
-
     def rolling_restart(
         self,
         node_ids: Sequence[str],

@@ -8,10 +8,8 @@ nearest serving replica.  Everything is gated behind
 ``ProtocolConfig(geo=GeoConfig(topology=...))`` -- ``geo is None`` is
 byte-identical to the flat network.  See docs/GEO.md.
 
-CLI::
-
-    python -m repro.geo check-docs docs/GEO.md   # docs drift gate
-    python -m repro.gate geo                     # E20 determinism gate
+``python -m repro.gate geo`` is the E20 determinism gate, and
+``python -m repro.harness --check`` holds docs/GEO.md to the vocabulary.
 """
 
 from repro.config import GeoConfig

@@ -5,9 +5,11 @@ measured table, a pure function of its seeds.  ``--write`` instead replaces
 the experiment's fenced block under EXPERIMENTS.md's *Measured tables* (the
 file in the current directory; its preamble and verdict summary are edited
 by hand), ``--check`` compares against that block and prints a unified diff
-when it differs.  In every mode the experiment's shape check runs
-(``ExperimentResult.failures``).  Exit status: 0, 1 a block differs or a
-shape check failed, 2 unknown NAME or flag.
+when it differs; with no NAME, ``--check`` then holds every doc of
+``repro.checkdocs.DOCS`` to its vocabulary and names each gap.  In every
+mode the experiment's shape check runs (``ExperimentResult.failures``).
+Exit status: 0, 1 a block differs, a doc has a gap or a shape check failed,
+2 unknown NAME or flag.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import difflib
 import re
 import sys
 
+from repro import checkdocs
 from repro.harness import (
     experiments_ablations as ablations,
     experiments_cohort as cohort,
@@ -114,6 +117,13 @@ def main(argv=None) -> int:
                 f"{DOC} {name}", f"python -m repro.harness {name}", lineterm="",
             )
             failures.append(f"{name}: {DOC} is stale\n" + "\n".join(diff))
+    if args.check and not args.names:
+        for path in checkdocs.DOCS:
+            gaps = checkdocs.gaps(path)
+            if gaps:
+                failures.append(f"{path} is missing {', '.join(gaps)}")
+            else:
+                print(f"{path}: names its whole vocabulary")
     if args.write:
         with open(DOC, "w", encoding="utf-8") as handle:
             handle.write(doc)

@@ -1,4 +1,4 @@
-"""``python -m repro.live``: the liveness vocabulary and its docs gate.
+"""``python -m repro.live``: the liveness vocabulary.
 
 Subcommands::
 
@@ -8,36 +8,15 @@ Subcommands::
     schedules
         The nemesis schedules the gate rows run under (``python -m
         repro.gate liveness`` crosses them with the spec catalog).
-
-    check-docs DOC
-        Fail unless every spec name, schedule name, and StallReport
-        field is mentioned in DOC (the docs-drift gate for
-        docs/LIVENESS.md).
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 
-from repro.checkdocs import check_docs
 from repro.config import ProtocolConfig
-from repro.live.report import StallReport
 from repro.live.schedules import SCHEDULES
-from repro.live.specs import (
-    EventuallyCommits,
-    EventuallySinglePrimary,
-    NoLivelock,
-    ViewChangeConverges,
-    spec_catalog,
-)
-
-SPEC_CLASSES = (
-    EventuallySinglePrimary,
-    EventuallyCommits,
-    ViewChangeConverges,
-    NoLivelock,
-)
+from repro.live.specs import spec_catalog
 
 
 def _specs(_args) -> int:
@@ -58,23 +37,10 @@ def _schedules(_args) -> int:
     return 0
 
 
-def _check_docs(args) -> int:
-    return check_docs(
-        args.doc,
-        {
-            "spec": sorted(cls.name for cls in SPEC_CLASSES),
-            "schedule": sorted(SCHEDULES),
-            "StallReport field": [
-                field.name for field in dataclasses.fields(StallReport)
-            ],
-        },
-    )
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.live",
-        description="Liveness specs, nemesis schedules, and the docs gate.",
+        description="Liveness specs and nemesis schedules.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -83,12 +49,6 @@ def main(argv=None) -> int:
 
     schedules = sub.add_parser("schedules", help="the nemesis schedules")
     schedules.set_defaults(fn=_schedules)
-
-    check = sub.add_parser(
-        "check-docs", help="assert DOC mentions every spec/schedule/field"
-    )
-    check.add_argument("doc")
-    check.set_defaults(fn=_check_docs)
 
     args = parser.parse_args(argv)
     return args.fn(args)

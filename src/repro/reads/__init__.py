@@ -18,8 +18,8 @@ production read-heavy traffic wants, gated by
   ``(key, value, timestamp)`` entries pruned against a stable-timestamp
   watermark, Wren-style.
 
-``python -m repro.reads check-docs docs/READS.md`` is the docs drift
-gate; ``python -m repro.gate reads`` is the E19 determinism gate.
+``python -m repro.gate reads`` is the E19 determinism gate, and
+``python -m repro.harness --check`` holds docs/READS.md to the vocabulary.
 See docs/READS.md for the protocol and its safety argument.
 """
 

@@ -14,11 +14,6 @@ Subcommands::
 
     monitors
         The invariant-monitor catalog: paper sections and subscribed kinds.
-
-    check-docs DOC
-        Fail unless every event kind and monitor name is mentioned in DOC
-        and each monitor's table row names the kinds it subscribes to
-        (the docs-drift gate for docs/TRACING.md).
 """
 
 from __future__ import annotations
@@ -27,8 +22,7 @@ import argparse
 import sys
 from typing import Dict, List
 
-from repro.checkdocs import check_docs
-from repro.trace.events import EVENT_KINDS, TraceEvent, causal_ancestry
+from repro.trace.events import TraceEvent, causal_ancestry
 from repro.trace.export import read_jsonl, write_chrome
 from repro.trace.monitors import MONITORS
 
@@ -96,33 +90,6 @@ def _monitors(_args) -> int:
     return 0
 
 
-def _check_docs(args) -> int:
-    def subscription_rows(text: str) -> list:
-        """Each monitor's table row must name every kind it subscribes to."""
-        gaps = []
-        for name in sorted(MONITORS):
-            row = next(
-                (line for line in text.splitlines() if line.startswith(f"| `{name}`")),
-                "",
-            )
-            gaps += [
-                f"{name} subscribes to {kind}"
-                for kind in MONITORS[name].kinds or ()
-                if f"`{kind}`" not in row
-            ]
-        return gaps
-
-    status = check_docs(
-        args.doc,
-        {"event kind": sorted(EVENT_KINDS), "monitor": sorted(MONITORS)},
-        also=subscription_rows,
-    )
-    if status == 0:
-        for name in sorted(MONITORS):
-            print(f"  {name}: {_kinds(MONITORS[name])}")
-    return status
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.trace",
@@ -151,11 +118,6 @@ def main(argv=None) -> int:
 
     monitors = sub.add_parser("monitors", help="invariant-monitor catalog")
     monitors.set_defaults(fn=_monitors)
-
-    check = sub.add_parser("check-docs",
-                           help="assert DOC mentions every kind/monitor")
-    check.add_argument("doc")
-    check.set_defaults(fn=_check_docs)
 
     args = parser.parse_args(argv)
     try:

@@ -28,7 +28,7 @@ from collections import deque
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 #: Catalog of event kinds the instrumentation can emit.  ``python -m
-#: repro.trace check-docs`` asserts each name is documented in
+#: repro.harness --check`` asserts each name is documented in
 #: docs/TRACING.md, so adding a kind here without documenting it fails CI.
 EVENT_KINDS: Dict[str, str] = {
     # network plane (net/network.py); a send or a delivery is no event: the

@@ -4,7 +4,7 @@ import dataclasses
 
 import pytest
 
-from repro.config import BatchConfig, ProtocolConfig, ScaleConfig, TraceConfig
+from repro.config import BatchConfig, ProtocolConfig, ReadConfig, ScaleConfig, TraceConfig
 from repro.core import messages as m
 from repro.core.view import View
 from repro.core.viewstamp import ViewId, Viewstamp
@@ -118,6 +118,39 @@ def test_scale_config_rejects_an_ack_fanout_below_one(fanout):
     with pytest.raises(ValueError, match="ack_fanout"):
         ScaleConfig(ack_tree=True, ack_fanout=fanout)
     assert ScaleConfig(ack_tree=True, ack_fanout=1).ack_fanout == 1
+
+
+@pytest.mark.parametrize("staleness", [-0.5, -50.0])
+def test_read_config_rejects_a_negative_staleness_bound(staleness):
+    """A bound no backup prefix can meet."""
+    with pytest.raises(ValueError, match="default_max_staleness"):
+        ReadConfig(enabled=True, default_max_staleness=staleness)
+    assert ReadConfig(enabled=True, default_max_staleness=0.0).default_max_staleness == 0.0
+
+
+def test_read_config_rejects_a_client_cache_without_reads():
+    """With reads off no driver builds the cache, so the flag did nothing."""
+    with pytest.raises(ValueError, match="client_cache"):
+        ReadConfig(client_cache=True)
+    assert ReadConfig(enabled=True, client_cache=True).client_cache
+
+
+@pytest.mark.parametrize("lease", [5.0, 10.0], ids=["below", "at"])
+def test_protocol_config_rejects_a_lease_that_heartbeats_cannot_renew(lease):
+    """A lease no longer than ``im_alive_interval`` lapses between renewals."""
+    with pytest.raises(ValueError, match="lease_duration"):
+        ProtocolConfig(reads=ReadConfig(enabled=True, lease_duration=lease))
+    assert ProtocolConfig(reads=ReadConfig(lease_duration=lease)).reads.lease_duration == lease
+
+
+@pytest.mark.parametrize("lease", [80.0, 200.0], ids=["at", "above"])
+def test_protocol_config_rejects_a_lease_that_outlasts_the_underling_timeout(lease):
+    """Lease waits would dominate every view change."""
+    with pytest.raises(ValueError, match="lease_duration"):
+        ProtocolConfig(reads=ReadConfig(enabled=True, lease_duration=lease))
+    assert ProtocolConfig(
+        reads=ReadConfig(enabled=True, lease_duration=30.0), underling_timeout=lease + 1
+    ).reads.enabled
 
 
 def test_config_replace_for_ablations():

@@ -42,13 +42,3 @@ def test_cli_lists_specs_and_schedules(capsys):
     out = capsys.readouterr().out
     assert "eventually_single_primary" in out
     assert "majority_partition" in out
-
-
-def test_cli_check_docs_passes_on_the_shipped_doc():
-    assert live_main(["check-docs", "docs/LIVENESS.md"]) == 0
-
-
-def test_cli_check_docs_fails_on_incomplete_doc(tmp_path, capsys):
-    doc = tmp_path / "LIVENESS.md"
-    doc.write_text("eventually_single_primary only\n")
-    assert live_main(["check-docs", str(doc)]) == 1

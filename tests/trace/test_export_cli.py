@@ -100,13 +100,3 @@ def test_cli_monitors_catalog(capsys):
     for name in ("viewstamp_monotonic", "single_primary",
                  "quorum_intersection", "commit_quorum", "phantom_delivery"):
         assert name in out
-
-
-def test_cli_check_docs(tmp_path, capsys):
-    assert cli_main(["check-docs", "docs/TRACING.md"]) == 0
-    capsys.readouterr()
-    incomplete = tmp_path / "thin.md"
-    incomplete.write_text("only msg_drop is here\n")
-    assert cli_main(["check-docs", str(incomplete)]) == 1
-    assert "missing documentation" in capsys.readouterr().err
-    assert cli_main(["check-docs", str(tmp_path / "absent.md")]) == 2

@@ -120,17 +120,6 @@ def test_real_run_invokes_each_monitor_once_per_subscribed_event():
         assert dict(heard[monitor.name]) == expected, monitor.name
 
 
-def test_cli_prints_each_monitors_kinds(tmp_path, capsys):
+def test_cli_prints_each_monitors_kinds(capsys):
     assert cli_main(["monitors"]) == 0
     assert "kinds: record_added, lease_read" in capsys.readouterr().out
-    assert cli_main(["check-docs", "docs/TRACING.md"]) == 0
-    assert "viewstamp_monotonic: record_added, newview_installed" in (
-        capsys.readouterr().out
-    )
-    # a monitor row that drops one of its kinds is docs drift
-    with open("docs/TRACING.md", encoding="utf-8") as handle:
-        text = handle.read()
-    thin = tmp_path / "thin.md"
-    thin.write_text(text.replace("| `primary_activated` |", "| |"), encoding="utf-8")
-    assert cli_main(["check-docs", str(thin)]) == 1
-    assert "single_primary subscribes to primary_activated" in capsys.readouterr().err
