@@ -156,6 +156,10 @@ class GeoConfig:
     site routes reads to the nearest lease-holding replica (nearest backup
     for ``prefer="backup"`` / ``"nearest"``) instead of choosing uniformly,
     emitting ``geo_route`` trace events.
+
+    Refused where it is made: a ``placement`` name ``resolve_placement``
+    does not accept, and, with a ``topology``, a ``single_dc:DC`` or
+    ``primary_affinity:REGION`` naming a datacenter the topology lacks.
     """
 
     #: Where nodes can live; ``None`` keeps even an instantiated
@@ -165,6 +169,18 @@ class GeoConfig:
     #: ``"primary_affinity:REGION"``) or a PlacementPolicy instance.
     #: Names are recommended: each Runtime resolves a fresh instance.
     placement: Union[str, object] = "spread"
+
+    def __post_init__(self) -> None:
+        # Refused here rather than at the first group creation: a name
+        # outside the grammar, or one naming a datacenter the topology lacks.
+        from repro.geo.placement import resolve_placement  # repro.geo imports config
+
+        try:
+            policy = resolve_placement(self.placement)
+            if self.topology is not None:
+                policy.validate(self.topology)
+        except ValueError as error:
+            raise ValueError(f"GeoConfig.placement {self.placement!r}: {error}") from None
 
 
 @dataclasses.dataclass

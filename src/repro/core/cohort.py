@@ -49,11 +49,10 @@ from repro.core.quorum import Quorums
 from repro.core.view import View
 from repro.core.viewstamp import History, ViewId, Viewstamp
 from repro.detect import AdaptiveTimeouts, FailureDetector, RttEstimator
-from repro.net.messages import SizedDict
 from repro.sim.future import Future, all_done
 from repro.sim.node import Actor, Node
 from repro.storage.stable import StableStoragePolicy, StableStore
-from repro.txn.ids import Aid
+from repro.txn.ids import Aid, OutcomeTable
 from repro.txn.locks import LockManager
 from repro.txn.objects import ObjectStore
 
@@ -125,7 +124,7 @@ class Cohort(Actor):
         self.store = ObjectStore(initial_image)
         self.lockmgr = LockManager(self.store)
         self.pending: Dict[Aid, Dict[Viewstamp, CompletedCall]] = {}
-        self.outcomes: SizedDict = SizedDict()  # aid -> outcome
+        self.outcomes = OutcomeTable()  # aid -> outcome
         self.committing: Dict[Aid, Tuple[Tuple[str, ...], Tuple]] = {}
         # Since when the image's and the outcome table's written-since sets
         # run: ``(V, 1)`` of the view last activated or installed (D25).
@@ -813,7 +812,8 @@ class Cohort(Actor):
         record with that ``base``, its image and outcome table cut to the
         entries written since ``_written_since`` (DESIGN.md D25).  Either
         record's image holds only entries that differ from the group's
-        initial objects, which every receiver holds already (D26)."""
+        initial objects, which every receiver holds already (D26), and its
+        outcome table is runs of ``seq`` (D27)."""
         # Read before the sizing below starts the written-since sets over.
         written = self.store.written(), self.outcomes.written()
         history, pending = self.history.entries(), self._pending_records()
@@ -822,16 +822,16 @@ class Cohort(Actor):
         def build(objects, outcomes, base=None) -> NewView:
             return NewView(view, history, objects, pending, outcomes, committing, base)
 
-        full = build(self.store.snapshot(), dict(self.outcomes))
-        full.with_sizes(self.store.wire_size(), self.outcomes.wire_size())
+        full = build(self.store.snapshot(), self.outcomes.wire())
+        full.with_sizes(self.store.wire_size())
+        self.outcomes.wire_size()  # only to start its written() over
         diffs: Dict[int, NewView] = {}
         since = self._written_since  # None: the tables are not tracked
         if since is not None:
             objects = {uid: full.objects[uid] for uid in written[0]}
-            outcomes = {aid: full.outcomes[aid] for aid in written[1]}
             for mid, viewstamp in reported:
                 if viewstamp >= since and self.history.knows(viewstamp):
-                    diffs[mid] = build(objects, outcomes, viewstamp)
+                    diffs[mid] = build(objects, written[1], viewstamp)
         return full, diffs
 
     def install_newview(self, viewid: ViewId, records) -> None:
@@ -871,10 +871,10 @@ class Cohort(Actor):
         self.committing = dict(record.committing)
         if diff:
             self.store.patch(record.objects)
-            self.outcomes.patch(record.outcomes)
         else:
             self.store.restore(record.objects, record.objects_bytes)
-            self.outcomes = SizedDict(record.outcomes, record.outcomes_bytes)
+            self.outcomes = OutcomeTable()
+        self.outcomes.patch(record.outcomes)
         self._written_since = Viewstamp(viewid, 1)
 
     def _pending_records(self) -> Tuple:
@@ -890,7 +890,7 @@ class Cohort(Actor):
         its ``objects`` are the entries that differ from the initial ones."""
         return {
             "objects": self.store.snapshot(),
-            "outcomes": dict(self.outcomes),
+            "outcomes": self.outcomes.wire(),
             "committing": dict(self.committing),
             "history": self.history.entries(),
             "pending": self._pending_records(),
@@ -924,7 +924,7 @@ class Cohort(Actor):
         self.store = ObjectStore(self._initial_image)
         self.lockmgr = LockManager(self.store)
         self.pending = {}
-        self.outcomes = SizedDict()
+        self.outcomes = OutcomeTable()
         self.committing = {}
         self._written_since = None
         self.cache = ClientCache()
@@ -950,7 +950,7 @@ class Cohort(Actor):
             stable_gstate = self.stable.read("gstate")
         if stable_gstate is not None:
             self.store.restore(stable_gstate["objects"])
-            self.outcomes = SizedDict(stable_gstate["outcomes"])
+            self.outcomes = OutcomeTable(stable_gstate["outcomes"])
             self.committing = dict(stable_gstate["committing"])
             self.history = History(stable_gstate["history"])
             for viewstamp, call_record in stable_gstate.get("pending", ()):

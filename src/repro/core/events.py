@@ -135,7 +135,8 @@ class NewView(EventRecord):
     hold only the entries written since ``(V, 1)``; it writes them over its
     own image and outcome table.  Either way ``objects`` holds only entries
     that differ from the group's initial objects, which every cohort holds
-    from the module spec (D26).
+    from the module spec (D26), and ``outcomes`` is an outcome table's wire
+    form, runs of ``seq`` per coordinator view (D27).
     """
 
     KIND = "newview"
@@ -143,17 +144,15 @@ class NewView(EventRecord):
     history_entries: Tuple[Viewstamp, ...]
     objects: Dict[str, Tuple[Any, int]]
     pending: Tuple[Tuple[Viewstamp, EventRecord], ...]
-    outcomes: Dict[Aid, str]
+    outcomes: Tuple  # OutcomeTable.wire(): O(runs) entries, sized as they are
     committing: Dict[Aid, Tuple[Tuple[str, ...], Tuple]]
     base: Optional[Viewstamp] = None
-    # Not wire data: the sizes of ``objects`` and ``outcomes``, when the
-    # primary's store and outcome table knew them (repro.net.messages).
+    # Not wire data: the size of ``objects``, when the primary's store knew
+    # it (repro.net.messages).
     objects_bytes = None  # type: Optional[int]
-    outcomes_bytes = None  # type: Optional[int]
-    _size_hints = {"objects": "objects_bytes", "outcomes": "outcomes_bytes"}
+    _size_hints = {"objects": "objects_bytes"}
 
-    def with_sizes(self, objects_bytes: int, outcomes_bytes: int) -> "NewView":
-        """Declare the two sizes; before the record is first sized."""
+    def with_sizes(self, objects_bytes: int) -> "NewView":
+        """Declare the image's size; before the record is first sized."""
         object.__setattr__(self, "objects_bytes", objects_bytes)
-        object.__setattr__(self, "outcomes_bytes", outcomes_bytes)
         return self

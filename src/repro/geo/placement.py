@@ -35,6 +35,9 @@ class PlacementPolicy:
         """One site per mid (index = mid), consuming this policy's cursors."""
         raise NotImplementedError
 
+    def validate(self, topology: Topology) -> None:
+        """Raise ValueError if the policy names a datacenter *topology* lacks."""
+
     def _take(
         self, topology: Topology, dc_name: str, cursors: Dict[str, int]
     ) -> str:
@@ -81,11 +84,15 @@ class SingleDc(PlacementPolicy):
         self._group_index = 0
         self._cursors: Dict[str, int] = {}
 
+    def validate(self, topology: Topology) -> None:
+        dcs = topology.dc_names()
+        if self.dc is not None and self.dc not in dcs:
+            raise ValueError(f"unknown datacenter {self.dc!r} (have {list(dcs)})")
+
     def place(self, topology: Topology, groupid: str, n_cohorts: int) -> List[str]:
+        self.validate(topology)
         dcs = topology.dc_names()
         if self.dc is not None:
-            if self.dc not in dcs:
-                raise ValueError(f"unknown datacenter {self.dc!r} (have {list(dcs)})")
             dc = self.dc
         else:
             dc = dcs[self._group_index % len(dcs)]
@@ -109,12 +116,14 @@ class PrimaryAffinity(PlacementPolicy):
         self.region = region
         self._cursors: Dict[str, int] = {}
 
-    def place(self, topology: Topology, groupid: str, n_cohorts: int) -> List[str]:
+    def validate(self, topology: Topology) -> None:
         dcs = topology.dc_names()
         if self.region not in dcs:
-            raise ValueError(
-                f"unknown region {self.region!r} (have {list(dcs)})"
-            )
+            raise ValueError(f"unknown region {self.region!r} (have {list(dcs)})")
+
+    def place(self, topology: Topology, groupid: str, n_cohorts: int) -> List[str]:
+        self.validate(topology)
+        dcs = topology.dc_names()
         majority = n_cohorts // 2 + 1
         others = [dc for dc in dcs if dc != self.region] or [self.region]
         sites = [

@@ -28,8 +28,8 @@ per instance; ``Aid``, 8-40) -- not for ``CallId``, ``PSetPair`` or
 container somebody may still mutate (call ``args`` and ``result``, Isis
 ``piggyback`` dicts, ``PSet``, ``History``).  And ``_size_hints = {field:
 attribute}`` names a non-wire attribute that, when not ``None``, *is* the
-size of that field (``BufferMsg.records_bytes``; ``NewView.objects_bytes``
-and ``outcomes_bytes``, which a :class:`SizedDict` keeps between views).
+size of that field (``BufferMsg.records_bytes``; ``NewView.objects_bytes``,
+which a :class:`SizedDict` keeps between views).
 """
 
 from __future__ import annotations

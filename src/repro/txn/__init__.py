@@ -1,6 +1,6 @@
-"""Transaction substrate: identifiers, psets, locks, versioned objects."""
+"""Transaction substrate: identifiers, outcomes, psets, locks, versioned objects."""
 
-from repro.txn.ids import Aid, CallId
+from repro.txn.ids import Aid, CallId, OutcomeTable
 from repro.txn.locks import LockManager
 from repro.txn.objects import READ, WRITE, ObjectStore, StoredObject
 from repro.txn.pset import PSet, PSetPair
@@ -10,6 +10,7 @@ __all__ = [
     "CallId",
     "LockManager",
     "ObjectStore",
+    "OutcomeTable",
     "PSet",
     "PSetPair",
     "READ",

@@ -217,7 +217,7 @@ def test_crash_resets_volatile_state():
     primary.node.recover()
     assert primary.cur_viewid == ViewId(1, 0)  # from stable storage
     assert primary.pending == {}
-    assert primary.outcomes == {}
+    assert primary.outcomes.wire() == ()
     assert primary.status is Status.VIEW_MANAGER or not primary.up_to_date
 
 

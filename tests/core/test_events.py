@@ -16,7 +16,7 @@ from repro.core.events import (
 )
 from repro.core.view import View
 from repro.core.viewstamp import ViewId, Viewstamp
-from repro.txn.ids import Aid, CallId
+from repro.txn.ids import Aid, CallId, OutcomeTable
 
 AID = Aid("g", ViewId(1, 0), 1)
 
@@ -61,9 +61,9 @@ def test_newview_record_carries_full_state():
         history_entries=(Viewstamp(ViewId(1, 0), 0),),
         objects={"x": (5, 1)},
         pending=(),
-        outcomes={AID: "committed"},
+        outcomes=((AID.groupid, AID.viewid, (AID.seq, AID.seq + 1), ()),),
         committing={},
     )
     assert record.kind == "newview"
     assert record.objects["x"] == (5, 1)
-    assert record.outcomes[AID] == "committed"
+    assert OutcomeTable(record.outcomes)[AID] == "committed"

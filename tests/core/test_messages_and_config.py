@@ -4,10 +4,18 @@ import dataclasses
 
 import pytest
 
-from repro.config import BatchConfig, ProtocolConfig, ReadConfig, ScaleConfig, TraceConfig
+from repro.config import (
+    BatchConfig,
+    GeoConfig,
+    ProtocolConfig,
+    ReadConfig,
+    ScaleConfig,
+    TraceConfig,
+)
 from repro.core import messages as m
 from repro.core.view import View
 from repro.core.viewstamp import ViewId, Viewstamp
+from repro.geo import symmetric_topology
 from repro.net.messages import estimate_size
 from repro.storage.stable import StableStoragePolicy
 from repro.txn.ids import Aid, CallId
@@ -118,6 +126,29 @@ def test_scale_config_rejects_an_ack_fanout_below_one(fanout):
     with pytest.raises(ValueError, match="ack_fanout"):
         ScaleConfig(ack_tree=True, ack_fanout=fanout)
     assert ScaleConfig(ack_tree=True, ack_fanout=1).ack_fanout == 1
+
+
+@pytest.mark.parametrize("placement", ["sprad", "primary_affinity", "spread:dc-a", ""])
+@pytest.mark.parametrize("armed", [False, True], ids=["no-topology", "topology"])
+def test_geo_config_rejects_a_placement_outside_the_grammar(armed, placement):
+    """A misspelt policy, or one missing its region, surfaced only when the
+    first group was placed; the config refuses it where it is made, naming
+    the field."""
+    topology = symmetric_topology(n_dcs=2) if armed else None
+    with pytest.raises(ValueError, match="GeoConfig.placement"):
+        GeoConfig(topology=topology, placement=placement)
+    assert GeoConfig(topology=topology, placement="spread").placement == "spread"
+
+
+@pytest.mark.parametrize("placement", ["single_dc:dc-z", "primary_affinity:dc-z"])
+def test_geo_config_rejects_a_datacenter_its_topology_lacks(placement):
+    """Checked only against a topology: without one, nothing is placed."""
+    topology = symmetric_topology(n_dcs=2)
+    with pytest.raises(ValueError, match="GeoConfig.placement .*dc-z"):
+        GeoConfig(topology=topology, placement=placement)
+    assert GeoConfig(placement=placement).placement == placement
+    named = placement.replace("dc-z", topology.dc_names()[-1])
+    assert GeoConfig(topology=topology, placement=named).placement == named
 
 
 @pytest.mark.parametrize("staleness", [-0.5, -50.0])

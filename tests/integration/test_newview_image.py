@@ -26,6 +26,7 @@ from repro.core.events import NewView
 from repro.core.viewstamp import History
 from repro.harness.common import build_kv_system
 from repro.net.messages import estimate_size
+from repro.txn.ids import OutcomeTable
 from repro.txn.objects import READ, WRITE
 
 from tests.integration.test_send_once import STEADY
@@ -96,20 +97,24 @@ def test_installing_a_newview_copies_the_record():
     rt, driver, spec, primary, record, joined = _new_view_with_an_inherited_write()
     assert len(joined) == 3
     first, second = joined[:2]
-    objects, outcomes = dict(record.objects), dict(record.outcomes)
+    objects, outcomes = dict(record.objects), record.outcomes
     assert outcomes and objects
     # The record carries the entries written since the initial objects; the
     # installed image reads every object of the group (DESIGN.md D26).
     bases = [second.store.get(spec.key(index)).base for index in range(spec.n_keys)]
     assert bases == [0, 1, 2, 3] + [0] * (spec.n_keys - 4)
-    second_image, second_outcomes = second.store.snapshot(), dict(second.outcomes)
+    second_image, second_outcomes = second.store.snapshot(), second.outcomes.wire()
+    assert second_outcomes == outcomes
 
-    # What a backup's commit does: install a base version, record the outcome.
+    # What a backup's commit does: install a base version, record the outcome
+    # (here rewriting one the record holds, which moves it between runs).
     first.store.install(spec.key(5), 55)
-    first.outcomes[next(iter(outcomes))] = "aborted"
+    aid = next(aid for aid, outcome in OutcomeTable(outcomes).items() if outcome == "committed")
+    first.outcomes[aid] = "aborted"
+    assert first.outcomes[aid] == "aborted" and first.outcomes.wire() != outcomes
     assert record.objects == objects and record.outcomes == outcomes
     assert second.store.snapshot() == second_image
-    assert dict(second.outcomes) == second_outcomes
+    assert second.outcomes.wire() == second_outcomes
 
     # And a commit through the protocol at the primary that made the record.
     _commit(rt, driver, "write", "kv", spec.key(6), 66)
@@ -169,12 +174,12 @@ def _gstate(cohort):
     pending = {aid: dict(calls) for aid, calls in cohort.pending.items()}
     return (
         dict(cohort.store.items()),
-        dict(cohort.outcomes),
+        cohort.outcomes.wire(),
         pending,
         dict(cohort.committing),
         _lock_table(cohort),
         cohort.store.wire_size() == estimate_size(cohort.store.snapshot()),
-        cohort.outcomes.wire_size() == estimate_size(dict(cohort.outcomes)),
+        cohort.outcomes.wire_size() == estimate_size(cohort.outcomes.wire()),
     )
 
 
@@ -185,7 +190,7 @@ def _full_install(record, initial):
     for viewstamp, call in record.pending:
         pending.setdefault(call.aid, {})[viewstamp] = call
     image = {**initial, **record.objects}
-    return (image, dict(record.outcomes), pending, dict(record.committing), {}, True, True)
+    return (image, record.outcomes, pending, dict(record.committing), {}, True, True)
 
 
 def _view_change(rt, group, manager, primary, joined):

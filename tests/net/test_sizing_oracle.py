@@ -131,7 +131,7 @@ def test_newview_with_its_dicts():
         history_entries=(Viewstamp(ViewId(1, 0), 9), Viewstamp(vid, 0)),
         objects={"k1": ("v", 3), "k2": (None, 0)},
         pending=((Viewstamp(vid, 3), events.Aborted(aid)),),
-        outcomes={aid: "committed"},
+        outcomes=(("clients", vid, (4, 5), ()), ("kv", ViewId(1, 0), (1, 3, 7, 8), (3, 4))),
         committing={aid: (("kv",), (PSetPair("kv", Viewstamp(vid, 3)),))},
     )
     expected = reference.estimate_size(record)

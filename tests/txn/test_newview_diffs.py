@@ -12,10 +12,10 @@ activates, while the old primary, if it did not join, goes on.  Every joiner
 of an activated view installs either the full record or the diff the
 builder cut for it, and the property is that the two cannot be told apart:
 image, outcome table, pending and committing equal the full record's, entry
-for entry, and the sizes the tables hint equal ``estimate_size`` of what
+for entry, and the sizes the tables report equal ``estimate_size`` of what
 they hold.  After every step, every cohort's store also holds only entries
-that differ from the initial objects (DESIGN.md D26), and its hints are
-exact even between sizings.
+that differ from the initial objects (DESIGN.md D26), and its image's hint
+is exact even between sizings.
 """
 
 from types import SimpleNamespace
@@ -28,7 +28,7 @@ from repro.core.view import View
 from repro.core.view_change import ViewChangeController
 from repro.core.viewstamp import History, ViewId, Viewstamp
 from repro.net.messages import SizedDict, estimate_size
-from repro.txn.ids import Aid
+from repro.txn.ids import Aid, OutcomeTable
 from repro.txn.locks import LockManager
 from repro.txn.objects import ObjectStore
 
@@ -56,7 +56,7 @@ class _Cohort:
     def crash(self):
         self.store = ObjectStore(INITIAL)
         self.lockmgr = LockManager(self.store)
-        self.outcomes = SizedDict()
+        self.outcomes = OutcomeTable()
         self.pending, self.committing = {}, {}
         self._written_since = None
         self.up_to_date = False
@@ -163,7 +163,7 @@ class _Group:
 
 
 def _check_installed(cohort, full):
-    image, outcomes = cohort.store.snapshot(), dict(cohort.outcomes)
+    image, outcomes = cohort.store.snapshot(), cohort.outcomes.wire()
     assert image == full.objects
     assert outcomes == full.outcomes
     assert cohort._pending_records() == full.pending
@@ -206,7 +206,6 @@ def _check_stores(group):
             # stored only once an install has bumped its version.
             assert uid not in INITIAL or entry[1] > INITIAL[uid][1], (cohort.mymid, uid, entry)
         assert _hint(cohort.store._image) in (None, estimate_size(stored))
-        assert _hint(cohort.outcomes) in (None, estimate_size(dict(cohort.outcomes)))
 
 
 def _run(trace):
