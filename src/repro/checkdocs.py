@@ -14,6 +14,8 @@ import re
 from typing import Dict, List, Sequence
 
 from repro.config import GeoConfig, ProtocolConfig, ReadConfig, ScaleConfig
+from repro.faults.controller import PRIMITIVES
+from repro.faults.nemesis import BUILDERS
 from repro.geo.placement import PLACEMENT_POLICIES
 from repro.live import SCHEDULES, StallReport, spec_catalog
 from repro.trace.events import EVENT_KINDS
@@ -35,6 +37,7 @@ DOCS: Dict[str, Dict[str, Sequence[str]]] = {
         "StallReport field": _fields(StallReport),
     },
     TRACING: {"event kind": sorted(EVENT_KINDS), "monitor": sorted(MONITORS)},
+    "docs/FAULTS.md": {"primitive": tuple(PRIMITIVES), "Nemesis builder": BUILDERS},
     "docs/READS.md": {
         "ReadConfig knob": _fields(ReadConfig),
         "event kind": ("lease_grant", "lease_expire", "lease_read", "lease_wait", "stale_read"),

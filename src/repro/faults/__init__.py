@@ -1,54 +1,23 @@
-"""Deterministic fault injection: declarative plans, randomized nemeses.
+"""Deterministic fault injection (the paper's section 1 failure model).
 
-The paper's claims are about behaviour *under failure* (section 4 view
-changes and crash recovery, section 5 availability comparisons), so this
-package makes failure workloads first-class values:
-
-- :class:`~repro.faults.plan.FaultPlan` -- a scripted, replayable
-  schedule of crashes, recoveries, partitions, and link faults;
-- :class:`~repro.faults.nemesis.Nemesis` -- randomized rules (crash the
-  primary every T, Poisson churn, rolling restarts, majority/minority
-  partitions) driven by the seeded simulation RNG;
-- :class:`~repro.faults.controller.FaultController` -- executes both
-  against a :class:`~repro.runtime.Runtime` (``runtime.faults``) and
-  records every injected event into the metrics and the ledger timeline.
-
-See ``docs/FAULTS.md`` for a walkthrough.
+The :class:`FaultController` of a runtime (``runtime.faults``) owns the one
+fault vocabulary, its primitives (:data:`PRIMITIVES`), and records every
+injected event.  A :class:`FaultPlan` is a replayable list of primitive
+calls (:class:`Step`); a :class:`Nemesis` bundles randomized rules (each
+a :class:`FaultRule`, in ``repro.faults.nemesis``) driven by the seeded
+simulation RNG.  See ``docs/FAULTS.md`` for a walkthrough.
 """
 
-from repro.faults.controller import FaultController, InjectedFault
-from repro.faults.nemesis import (
-    AsymmetricPartitionRule,
-    CrashChurnRule,
-    CrashPrimaryRule,
-    DiskFaultRule,
-    FaultRule,
-    GroupPartitionRule,
-    MuteBackupUplinksRule,
-    Nemesis,
-    PartitionStormRule,
-    RegionPartitionRule,
-    RollingRestartRule,
-    SlowNodeRule,
-    WanDegradationRule,
-)
+from repro.faults.controller import PRIMITIVES, FaultController, InjectedFault, Step
+from repro.faults.nemesis import FaultRule, Nemesis
 from repro.faults.plan import FaultPlan
 
 __all__ = [
-    "AsymmetricPartitionRule",
-    "CrashChurnRule",
-    "CrashPrimaryRule",
-    "DiskFaultRule",
+    "PRIMITIVES",
     "FaultController",
     "FaultPlan",
     "FaultRule",
-    "GroupPartitionRule",
     "InjectedFault",
-    "MuteBackupUplinksRule",
     "Nemesis",
-    "PartitionStormRule",
-    "RegionPartitionRule",
-    "RollingRestartRule",
-    "SlowNodeRule",
-    "WanDegradationRule",
+    "Step",
 ]

@@ -1,45 +1,116 @@
-"""The fault controller: executes plans and nemeses against a runtime.
+"""The fault controller: the one fault vocabulary, and its executor.
 
 One :class:`FaultController` belongs to one
-:class:`~repro.runtime.Runtime` (available as ``runtime.faults``).  It is
-the single gate through which faults enter a simulation:
+:class:`~repro.runtime.Runtime` (``runtime.faults``) and is the single gate
+through which faults enter a simulation.  Its **primitives** -- the methods
+marked ``@primitive``, listed in :data:`PRIMITIVES` -- are the whole fault
+vocabulary: called directly, one acts on the runtime at once; as a step of
+a :class:`~repro.faults.plan.FaultPlan` (``plan.at(t).crash("kv-n0")``) it
+is checked when the plan is built, against its signature and its one value
+check; :meth:`execute` runs plans and :class:`~repro.faults.nemesis.Nemesis`
+rules as simulated processes that call those same primitives.
 
-- **imperative primitives** (``crash``, ``recover``, ``partition``,
-  ``heal``, ``fail_link``, ``degrade_link``, ``lossy``, ...) act on the
-  runtime immediately;
-- **declarative execution** (:meth:`execute`) runs
-  :class:`~repro.faults.plan.FaultPlan` scripts and
-  :class:`~repro.faults.nemesis.Nemesis` rules as simulated processes
-  that call those same primitives.
-
-Every injection -- however it was requested -- is appended to
-:attr:`timeline`, counted in the runtime's metrics
-(``faults_injected:<kind>``), and reported to the transaction ledger, so
-experiments can correlate latency spikes and aborts with the exact fault
-that caused them.  Because all randomness comes from named forks of the
-simulator RNG, re-running the same plan against a same-seed runtime
-reproduces the timeline byte for byte (:meth:`timeline_text`).
+Every injection is appended to :attr:`timeline` with the :class:`Step` that
+made it, counted in the runtime's metrics (``faults_injected:<kind>``) and
+reported to the transaction ledger.  All randomness comes from named forks
+of the simulator RNG, so a same-seed rerun reproduces the timeline byte for
+byte (:meth:`timeline_text`), and :meth:`~repro.faults.plan.FaultPlan.replay`
+turns it back into a plan.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Iterable, List, Optional, Union
+import functools
+import inspect
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
-from repro.faults import plan as ops
-from repro.faults.nemesis import Nemesis
-from repro.faults.plan import FaultPlan
 from repro.net.link import LinkModel
 from repro.sim.process import Process, sleep, spawn
 
 
+class Step(NamedTuple):
+    """One call of a primitive, as plain hashable data: ``kwargs`` is
+    ``(keyword, value)`` pairs sorted by keyword, and a collection argument
+    (a partition block) a sorted tuple."""
+
+    at: float
+    name: str
+    args: tuple
+    kwargs: tuple
+
+    @classmethod
+    def of(cls, at: float, name: str, args: tuple, kwargs: dict) -> "Step":
+        """The step calling primitive *name* with *args* / *kwargs* at *at*,
+        refused as the call would be: ``TypeError`` for arguments its
+        signature does not take, ``ValueError`` from its value check."""
+        signature, valid, refusal = PRIMITIVES[name]
+        bound = signature.bind(*args, **kwargs)
+        if valid is not None:
+            bound.apply_defaults()
+            if not valid(**bound.arguments):
+                raise ValueError(refusal.format(**bound.arguments))
+        plain_kwargs = sorted((key, _plain(value)) for key, value in kwargs.items())
+        return cls(at, name, tuple(map(_plain, args)), tuple(plain_kwargs))
+
+
+def _plain(value):
+    if isinstance(value, (set, frozenset, list, tuple)):
+        return tuple(sorted(value))
+    return value
+
+
+#: Every primitive's name -> (its signature without ``self``, its value
+#: check or None, the check's refusal), in definition order.
+PRIMITIVES: Dict[str, Tuple[inspect.Signature, Optional[Callable[..., bool]], str]] = {}
+
+
+def primitive(valid: Optional[Callable[..., bool]] = None, refusal: str = ""):
+    """Make a :class:`FaultController` method a primitive.
+
+    *valid* takes the call's arguments by name, defaults applied; a call
+    it returns False for raises ``ValueError(refusal.format(**arguments))``.
+    The check runs on every call and when a plan step is built.  A call
+    made outside any other primitive's call is the step its events record.
+    """
+
+    def register(method):
+        signature = inspect.signature(method)
+        PRIMITIVES[method.__name__] = (
+            signature.replace(parameters=list(signature.parameters.values())[1:]),
+            valid,
+            refusal,
+        )
+
+        @functools.wraps(method)
+        def call(self, *args, **kwargs):
+            step = Step.of(self.runtime.sim.now, method.__name__, args, kwargs)
+            if self._cause is not None:  # part of another primitive's call
+                return method(self, *args, **kwargs)
+            self._cause = [step]
+            try:
+                return method(self, *args, **kwargs)
+            finally:
+                self._cause = None
+
+        return call
+
+    return register
+
+
 @dataclasses.dataclass(frozen=True)
 class InjectedFault:
-    """One fault that actually happened, at simulated time ``at``."""
+    """One fault that actually happened, at simulated time ``at``.
+
+    ``step`` is the top-level call that made it, on the first event that
+    call made (None on the rest, such as ``crash_primary``'s later recovery
+    or ``flap_link``'s later flaps), so replaying each step re-makes them.
+    """
 
     at: float
     kind: str
     target: str
+    step: Optional[Step]
 
     def render(self) -> str:
         return f"{self.at:.6f} {self.kind} {self.target}".rstrip()
@@ -59,15 +130,32 @@ class FaultController:
         # Directed address pairs overridden by degrade_wan, so restore_wan
         # can undo exactly the cross-DC degradation.
         self._wan_pairs: List[tuple] = []
+        # While a primitive call (or its deferred work) runs: a one-slot
+        # list holding its step until the first event it makes takes it.
+        self._cause: Optional[list] = None
 
     # -- bookkeeping --------------------------------------------------------
 
     def _record(self, kind: str, target: str = "") -> None:
-        event = InjectedFault(at=self.runtime.sim.now, kind=kind, target=target)
+        cause = self._cause
+        event = InjectedFault(self.runtime.sim.now, kind, target, cause[0])
+        cause[0] = None
         self.timeline.append(event)
         self.runtime.metrics.incr(f"faults_injected:{kind}")
         self.runtime.ledger.record_fault(kind, target, event.at)
         self.runtime.sim.trace("fault", fault=kind, target=target)
+
+    def _within(self, cause: list, method, *args) -> None:
+        """Run primitive *method* as part of the call *cause* belongs to."""
+        outer, self._cause = self._cause, cause
+        try:
+            method(*args)
+        finally:
+            self._cause = outer
+
+    def _later(self, delay: float, method, *args) -> None:
+        """Run primitive *method* after *delay*, as part of the current call."""
+        self.runtime.sim.schedule(delay, self._within, self._cause, method, *args)
 
     def node(self, node_id: str):
         try:
@@ -77,6 +165,9 @@ class FaultController:
                 f"fault targets unknown node {node_id!r}; "
                 f"known: {sorted(self.runtime.nodes)}"
             ) from None
+
+    def _addresses(self, node_id: str) -> List[str]:
+        return [actor.address for actor in self.node(node_id).actors]
 
     def count(self, kind: str) -> int:
         return sum(1 for event in self.timeline if event.kind == kind)
@@ -92,6 +183,7 @@ class FaultController:
 
     # -- node faults --------------------------------------------------------
 
+    @primitive()
     def crash(self, node_id: str) -> bool:
         """Fail-stop *node_id* now; False if it was already down."""
         node = self.node(node_id)
@@ -101,6 +193,7 @@ class FaultController:
         self._record("crash", node_id)
         return True
 
+    @primitive()
     def recover(self, node_id: str) -> bool:
         """Bring *node_id* back up now; False if it was already up."""
         node = self.node(node_id)
@@ -110,13 +203,17 @@ class FaultController:
         self._record("recover", node_id)
         return True
 
+    @primitive()
     def recover_later(self, node_id: str, delay: float) -> None:
-        self.runtime.sim.schedule(delay, self.recover, node_id)
+        """Bring *node_id* back up *delay* from now."""
+        self._later(delay, self.recover, node_id)
 
+    @primitive()
     def crash_primary(
         self, groupid: str, recover_after: Optional[float] = None
     ) -> Optional[str]:
-        """Crash *groupid*'s active primary; returns its node id, if any."""
+        """Crash *groupid*'s active primary, resolved now; returns its node
+        id, if any."""
         group = self.runtime.groups[groupid]
         primary = group.active_primary()
         if primary is None:
@@ -127,9 +224,22 @@ class FaultController:
             self.recover_later(node_id, recover_after)
         return node_id
 
+    @primitive()
+    def crash_shard_primary(
+        self, sharded, shard: int, recover_after: Optional[float] = None
+    ) -> Optional[str]:
+        """Crash the primary of shard *shard* (by index) of a sharded group
+        (façade or name): only ``{name}-s{shard}`` changes view."""
+        from repro.shard.facade import resolve_shard_groupid
+
+        return self.crash_primary(resolve_shard_groupid(sharded, shard), recover_after)
+
     # -- network faults ------------------------------------------------------
 
+    @primitive(lambda blocks: bool(blocks), "partition() needs at least one block of node ids")
     def partition(self, *blocks: Iterable[str]) -> None:
+        """Split the nodes into *blocks*; the nodes in no block form one
+        more block together."""
         normalized = [set(block) for block in blocks]
         self.runtime.network.partition(normalized)
         self._record(
@@ -137,18 +247,45 @@ class FaultController:
             " | ".join(",".join(sorted(block)) for block in normalized),
         )
 
+    @primitive()
     def heal(self) -> None:
         self.runtime.network.heal()
         self._record("heal")
 
+    @primitive()
     def fail_link(self, node_a: str, node_b: str) -> None:
         self.runtime.network.fail_link(node_a, node_b)
         self._record("fail_link", f"{node_a}<->{node_b}")
 
+    @primitive()
     def repair_link(self, node_a: str, node_b: str) -> None:
         self.runtime.network.repair_link(node_a, node_b)
         self._record("repair_link", f"{node_a}<->{node_b}")
 
+    @primitive(
+        lambda period, duration, **_: period > 0 and duration > 0,
+        "flap_link() needs period > 0 and duration > 0",
+    )
+    def flap_link(self, node_a: str, node_b: str, period: float, duration: float) -> None:
+        """Alternately sever and repair one link every *period*, for
+        *duration*.  The link always ends repaired, even if *duration* is
+        not a whole number of periods."""
+        cause = self._cause
+
+        def flap():
+            deadline = self.runtime.sim.now + duration
+            while True:
+                self._within(cause, self.fail_link, node_a, node_b)
+                yield sleep(min(period, deadline - self.runtime.sim.now))
+                self._within(cause, self.repair_link, node_a, node_b)
+                remaining = deadline - self.runtime.sim.now
+                if remaining <= 0:
+                    return
+                yield sleep(min(period, remaining))
+
+        self.spawn(flap(), name=f"flap:{node_a}|{node_b}")
+
+    @primitive()
     def degrade_link(
         self, src_address: str, dst_address: str, model: LinkModel
     ) -> None:
@@ -159,17 +296,24 @@ class FaultController:
             f"{src_address}->{dst_address} loss={model.loss_probability}",
         )
 
+    @primitive()
     def restore_link(self, src_address: str, dst_address: str) -> None:
         self.runtime.network.clear_link_override(src_address, dst_address)
         self._record("restore_link", f"{src_address}->{dst_address}")
 
+    @primitive(lambda rate, **_: 0.0 <= rate < 1.0, "lossy() rate must be in [0, 1)")
     def lossy(
         self,
         rate: float,
+        duration: Optional[float] = None,
         jitter: Optional[float] = None,
         duplicate: Optional[float] = None,
     ) -> None:
-        """Degrade the network-wide default link until :meth:`restore_links`."""
+        """Degrade the network-wide default link: *rate* is the per-message
+        loss probability, *jitter* and *duplicate* optionally override the
+        delay jitter and the duplicate probability.  Restored after
+        *duration*, or by :meth:`restore_links` (per-pair overrides laid
+        down by :meth:`degrade_link` are unaffected)."""
         model = dataclasses.replace(
             self._default_link,
             loss_probability=rate,
@@ -182,7 +326,10 @@ class FaultController:
         )
         self.runtime.network.link = model
         self._record("lossy", f"loss={rate}")
+        if duration is not None:
+            self._later(duration, self.restore_links)
 
+    @primitive()
     def restore_links(self) -> None:
         self.runtime.network.link = self._default_link
         self._record("restore_links")
@@ -211,6 +358,7 @@ class FaultController:
             if topology.dc_of(site) == region
         )
 
+    @primitive()
     def partition_region(self, region: str) -> list:
         """Cut one datacenter off from the rest of the world.
 
@@ -226,6 +374,7 @@ class FaultController:
         self._record("region_partition", region)
         return nodes
 
+    @primitive()
     def degrade_wan(self, factor: float = 3.0, loss: float = 0.05) -> int:
         """Degrade every cross-datacenter path (both directions).
 
@@ -236,15 +385,12 @@ class FaultController:
         number of directed address pairs degraded.
         """
         topology = self._require_topology("degrade_wan")
-        network = self.runtime.network
         placed = sorted(self.runtime.node_sites.items())
         degraded = 0
         for src_id, src_site in placed:
             for dst_id, dst_site in placed:
-                if src_id == dst_id:
-                    continue
                 if topology.dc_of(src_site) == topology.dc_of(dst_site):
-                    continue
+                    continue  # intra-DC, the node itself included
                 base = topology.link_between(src_site, dst_site)
                 model = dataclasses.replace(
                     base,
@@ -252,18 +398,15 @@ class FaultController:
                     jitter=base.jitter * factor,
                     loss_probability=min(0.99, max(base.loss_probability, loss)),
                 )
-                for src_actor in self.runtime.nodes[src_id].actors:
-                    for dst_actor in self.runtime.nodes[dst_id].actors:
-                        network.set_link_model(
-                            src_actor.address, dst_actor.address, model
-                        )
-                        self._wan_pairs.append(
-                            (src_actor.address, dst_actor.address)
-                        )
+                for src in self._addresses(src_id):
+                    for dst in self._addresses(dst_id):
+                        self.runtime.network.set_link_model(src, dst, model)
+                        self._wan_pairs.append((src, dst))
                         degraded += 1
         self._record("wan_degradation", f"x{factor:g} loss={loss:g}")
         return degraded
 
+    @primitive()
     def restore_wan(self) -> None:
         """Clear every override laid down by :meth:`degrade_wan`."""
         for src_address, dst_address in self._wan_pairs:
@@ -273,15 +416,21 @@ class FaultController:
 
     # -- asymmetric (gray) network faults ------------------------------------
 
+    @primitive()
     def fail_link_oneway(self, src_node: str, dst_node: str) -> None:
         """Sever only src -> dst traffic; the reverse direction still works."""
         self.runtime.network.fail_link_oneway(src_node, dst_node)
         self._record("fail_link_oneway", f"{src_node}->{dst_node}")
 
+    @primitive()
     def repair_link_oneway(self, src_node: str, dst_node: str) -> None:
         self.runtime.network.repair_link_oneway(src_node, dst_node)
         self._record("repair_link_oneway", f"{src_node}->{dst_node}")
 
+    @primitive(
+        lambda direction, **_: direction in ("outbound", "inbound"),
+        "direction must be outbound/inbound, got {direction!r}",
+    )
     def isolate_oneway(self, node_id: str, direction: str = "outbound") -> None:
         """Asymmetric partition of one node from every other node.
 
@@ -290,47 +439,39 @@ class FaultController:
         it); ``"inbound"`` deafens it (it hears nothing but its own traffic
         still arrives, so *it* calls view changes the rest ignore).
         """
-        if direction not in ("outbound", "inbound"):
-            raise ValueError(f"direction must be outbound/inbound, got {direction!r}")
-        victim = self.node(node_id)
+        self.node(node_id)
         for other_id in self.runtime.nodes:
-            if other_id == victim.node_id:
-                continue
-            if direction == "outbound":
-                self.runtime.network.fail_link_oneway(victim.node_id, other_id)
-            else:
-                self.runtime.network.fail_link_oneway(other_id, victim.node_id)
+            if other_id != node_id:
+                ends = (node_id, other_id) if direction == "outbound" else (other_id, node_id)
+                self.runtime.network.fail_link_oneway(*ends)
         self._record("isolate_oneway", f"{node_id} {direction}")
 
+    @primitive(lambda factor, **_: factor >= 1.0, "slow factor must be >= 1.0, got {factor}")
     def slow_node(self, node_id: str, factor: float = 8.0) -> None:
         """Gray failure: every link to/from *node_id* gets *factor* times the
         default delay and jitter (no loss).  The node keeps participating --
         just slowly enough to stall callers -- until :meth:`restore_node`."""
-        if factor < 1.0:
-            raise ValueError(f"slow factor must be >= 1.0, got {factor}")
-        victim = self.node(node_id)
         model = dataclasses.replace(
             self._default_link,
             base_delay=self._default_link.base_delay * factor,
             jitter=self._default_link.jitter * factor,
         )
-        victim_addrs = [actor.address for actor in victim.actors]
-        other_addrs = [
-            actor.address
-            for node in self.runtime.nodes.values()
-            if node is not victim
-            for actor in node.actors
+        others = [
+            address for other in self.runtime.nodes if other != node_id
+            for address in self._addresses(other)
         ]
-        pairs = []
-        for src in victim_addrs:
-            for dst in other_addrs:
-                pairs.append((src, dst))
-                pairs.append((dst, src))
+        pairs = [
+            pair
+            for src in self._addresses(node_id)
+            for dst in others
+            for pair in ((src, dst), (dst, src))
+        ]
         for src, dst in pairs:
             self.runtime.network.set_link_model(src, dst, model)
         self._slow_pairs[node_id] = pairs
         self._record("slow_node", f"{node_id} x{factor:g}")
 
+    @primitive()
     def restore_node(self, node_id: str) -> None:
         """Undo :meth:`slow_node` for *node_id* (no-op if it was not slow)."""
         pairs = self._slow_pairs.pop(node_id, None)
@@ -348,6 +489,7 @@ class FaultController:
             raise ValueError(f"node {node_id!r} hosts no StableStore")
         return stores
 
+    @primitive()
     def disk_fail(self, node_id: str) -> None:
         """Every subsequent StableStore.write on *node_id* fails with
         :class:`~repro.storage.stable.DiskFault` (nothing persists)."""
@@ -355,12 +497,14 @@ class FaultController:
             store.inject_fail()
         self._record("disk_fail", node_id)
 
+    @primitive()
     def disk_slow(self, node_id: str, factor: float = 8.0) -> None:
         """Stretch *node_id*'s stable-write latency by *factor*."""
         for store in self._stores(node_id):
             store.inject_slow(factor)
         self._record("disk_slow", f"{node_id} x{factor:g}")
 
+    @primitive()
     def disk_torn(self, node_id: str) -> None:
         """Arm a one-shot torn write: the next StableStore.write on
         *node_id* persists, then the node crashes before the write is
@@ -369,6 +513,7 @@ class FaultController:
             store.arm_torn()
         self._record("disk_torn", node_id)
 
+    @primitive()
     def disk_heal(self, node_id: str) -> None:
         for store in self.node(node_id).stable_stores:
             store.heal_faults()
@@ -376,6 +521,7 @@ class FaultController:
 
     # -- global heal -----------------------------------------------------------
 
+    @primitive()
     def heal_all(self) -> None:
         """Restore every injected disruption: partitions, failed links (both
         kinds), per-pair link overrides (including slow_node), the
@@ -401,20 +547,15 @@ class FaultController:
 
     # -- declarative execution ----------------------------------------------
 
-    def execute(
-        self, *sources: Union[FaultPlan, Nemesis]
-    ) -> "FaultController":
-        """Start executing plans/nemeses; faults fire as the clock advances."""
+    def execute(self, *sources) -> "FaultController":
+        """Start plans and nemeses (anything with ``start(controller)``);
+        faults fire as the clock advances."""
         for source in sources:
-            if isinstance(source, FaultPlan):
-                self.spawn(self._run_plan(source), name="fault-plan")
-            elif isinstance(source, Nemesis):
-                for rule in source.rules:
-                    rule.start(self)
-            else:
+            if not callable(getattr(source, "start", None)):
                 raise TypeError(
                     f"execute() takes FaultPlan or Nemesis, got {source!r}"
                 )
+            source.start(self)
         return self
 
     def stop(self) -> None:
@@ -423,56 +564,3 @@ class FaultController:
             if not process.done:
                 process.interrupt()
         self._processes.clear()
-
-    def _run_plan(self, fault_plan: FaultPlan):
-        elapsed = 0.0
-        for at, op in fault_plan.ops():
-            if at > elapsed:
-                yield sleep(at - elapsed)
-                elapsed = at
-            self._apply(op)
-
-    def _apply(self, op) -> None:
-        if isinstance(op, ops.Crash):
-            self.crash(op.node_id)
-        elif isinstance(op, ops.Recover):
-            self.recover(op.node_id)
-        elif isinstance(op, ops.CrashPrimary):
-            self.crash_primary(op.groupid, recover_after=op.recover_after)
-        elif isinstance(op, ops.Partition):
-            self.partition(*op.blocks)
-        elif isinstance(op, ops.Heal):
-            self.heal()
-        elif isinstance(op, ops.FailLink):
-            self.fail_link(op.node_a, op.node_b)
-        elif isinstance(op, ops.RepairLink):
-            self.repair_link(op.node_a, op.node_b)
-        elif isinstance(op, ops.FlapLink):
-            self.spawn(self._run_flap(op), name=f"flap:{op.node_a}|{op.node_b}")
-        elif isinstance(op, ops.Lossy):
-            self.lossy(op.rate, jitter=op.jitter, duplicate=op.duplicate)
-            if op.duration is not None:
-                self.runtime.sim.schedule(op.duration, self.restore_links)
-        elif isinstance(op, ops.DegradeLink):
-            self.degrade_link(op.src_address, op.dst_address, op.model)
-        elif isinstance(op, ops.RestoreLink):
-            self.restore_link(op.src_address, op.dst_address)
-        else:  # pragma: no cover - plans can only hold known ops
-            raise TypeError(f"unknown fault op {op!r}")
-
-    def _run_flap(self, op):
-        deadline = self.runtime.sim.now + op.duration
-        while True:
-            self.fail_link(op.node_a, op.node_b)
-            yield sleep(min(op.period, deadline - self.runtime.sim.now))
-            self.repair_link(op.node_a, op.node_b)
-            remaining = deadline - self.runtime.sim.now
-            if remaining <= 0:
-                return
-            yield sleep(min(op.period, remaining))
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"FaultController(injected={len(self.timeline)}, "
-            f"running={sum(1 for p in self._processes if not p.done)})"
-        )

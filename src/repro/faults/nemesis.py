@@ -2,36 +2,35 @@
 
 Where a :class:`~repro.faults.plan.FaultPlan` scripts faults at fixed
 times against fixed targets, a :class:`Nemesis` carries *rules* that pick
-their victims and timing at run time -- "crash the primary every T",
-Poisson crash/recover churn, rolling restarts, random majority/minority
-partitions.  Every random draw comes from a named fork of the simulator's
-seeded RNG, so a nemesis is exactly as reproducible as a static plan: the
-same seed yields a byte-identical injected-event timeline.
-
-Rules are started by a :class:`~repro.faults.controller.FaultController`
-and inject through its primitives, so everything a nemesis does lands in
-the controller's timeline, the metrics counters, and the ledger.
+their victims and timing at run time and inject through the controller's
+primitives.  Every random draw comes from a named fork of the simulator's
+seeded RNG, so the same seed yields a byte-identical timeline.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import List, Optional, Sequence
+import functools
+from typing import Callable, List, Optional, Sequence
 
 from repro.net.link import LinkModel
 from repro.sim.process import sleep
 
 
 class FaultRule:
-    """One autonomous failure behaviour; subclasses implement ``run``.
-
-    ``start`` is called once by the controller; the default spawns the
-    rule's ``run`` generator as a controller-tracked process.  Rules that
-    need several concurrent processes (e.g. per-node churn) override
-    ``start`` instead.
-    """
+    """One autonomous failure behaviour; subclasses implement ``run``,
+    which ``start`` spawns as a controller-tracked process, or override
+    ``start`` to run several (e.g. per-node churn)."""
 
     label = "rule"
+    #: The kind in the RNG stream name ``{nemesis}/{stream}-{index}`` that
+    #: :meth:`Nemesis.add` gives a rule whose ``rng_name`` is None.
+    stream = ""
+
+    def __post_init__(self) -> None:
+        # A rule over nodes holds their ids as a tuple, whatever it was given.
+        if hasattr(self, "node_ids"):
+            self.node_ids = tuple(self.node_ids)
 
     def start(self, controller) -> None:
         controller.spawn(self.run(controller), name=f"nemesis:{self.label}")
@@ -49,6 +48,15 @@ class CrashPrimaryRule(FaultRule):
     count: int = 1
     recover_after: Optional[float] = None
     label = "crash-primary"
+
+    @classmethod
+    def for_shard(cls, sharded, shard: int, *args, **kwargs) -> "CrashPrimaryRule":
+        """The rule for shard *shard* (by index) of a sharded group (façade
+        or name): only ``{name}-s{shard}`` changes view, so only transactions
+        touching that shard see it.  The other fields are the rule's."""
+        from repro.shard.facade import resolve_shard_groupid
+
+        return cls(resolve_shard_groupid(sharded, shard), *args, **kwargs)
 
     def run(self, controller):
         for _ in range(self.count):
@@ -78,18 +86,11 @@ class RollingRestartRule(FaultRule):
 class CrashChurnRule(FaultRule):
     """Poisson crash/recover churn: each node independently fails with
     exponential MTTF and recovers after exponential MTTR.  ``max_down``
-    caps simultaneous failures (set it to the sub-majority to keep the
-    group formable, or leave uncapped to allow catastrophes).
-
-    ``protect_group`` adds the stronger, protocol-aware guard ``max_down``
-    alone cannot give: with the MINIMAL stable-storage policy a *recovered*
-    node contributes nothing until a view change brings it up to date, so
-    crashing the next node while the last one is still catching up can
-    leave fewer than a majority of up-to-date cohorts -- state the group
-    can never safely re-form from (it stalls forever, by design, rather
-    than lose forced commits).  With ``protect_group`` set, a crash is
-    held off unless the group would keep a majority of up, up-to-date
-    cohorts afterwards.
+    caps simultaneous failures.  ``protect_group`` holds a crash off unless
+    that group would keep a majority of up, up-to-date cohorts: with
+    MINIMAL stable storage a recovered node counts only once a view change
+    brings it up to date, and a group short of such a majority can never
+    safely re-form (docs/FAULTS.md).
     """
 
     node_ids: Sequence[str]
@@ -185,8 +186,9 @@ class GroupPartitionRule(FaultRule):
     duration: float
     count: int = 1
     primary_side: str = "minority"
-    rng_name: str = "group-partition"
+    rng_name: Optional[str] = None
     label = "group-partition"
+    stream = "group-partition"
 
     def run(self, controller):
         rng = controller.runtime.sim.rng.fork(self.rng_name)
@@ -218,18 +220,17 @@ class GroupPartitionRule(FaultRule):
 class LossyBurstsRule(FaultRule):
     """Alternate clean and lossy periods on the network-wide link.
 
-    Models weather on a shared segment: every exponential *mean_healthy*
-    the default link degrades to *loss* (and optionally *duplicate*) for
-    an exponential *mean_lossy*, then is restored.  Combine with a
-    partition storm for the E16 robustness scenario.
+    Every exponential *mean_healthy* the default link degrades to *loss*
+    (and optionally *duplicate*) for an exponential *mean_lossy*.
     """
 
     mean_healthy: float
     mean_lossy: float
     loss: float = 0.25
     duplicate: Optional[float] = None
-    rng_name: str = "lossy-schedule"
+    rng_name: Optional[str] = None
     label = "lossy-bursts"
+    stream = "lossy"
 
     def run(self, controller):
         rng = controller.runtime.sim.rng.fork(self.rng_name)
@@ -244,18 +245,17 @@ class LossyBurstsRule(FaultRule):
 class RegionPartitionRule(FaultRule):
     """Cut a whole datacenter off *count* times, healing in between.
 
-    ``region`` names a datacenter, or ``"random"`` to draw one per
-    episode from the rule's seeded stream.  Requires a geo topology
-    (``ProtocolConfig.geo``); built on ``controller.partition_region``,
-    restored by ``controller.heal()``.
+    ``region`` names a datacenter, or ``"random"`` to draw one per episode
+    from the rule's seeded stream; needs a geo topology.
     """
 
     region: str
     every: float
     duration: float
     count: int = 1
-    rng_name: str = "region-partition"
+    rng_name: Optional[str] = None
     label = "region-partition"
+    stream = "region-partition"
 
     def run(self, controller):
         rng = controller.runtime.sim.rng.fork(self.rng_name)
@@ -278,19 +278,17 @@ class RegionPartitionRule(FaultRule):
 class WanDegradationRule(FaultRule):
     """Alternate healthy and degraded WAN weather on cross-DC paths.
 
-    Every exponential *mean_healthy*, every cross-datacenter pair's
-    delay/jitter scales by *factor* and its loss floor rises to *loss*
-    for an exponential *mean_degraded*; intra-DC traffic never suffers.
-    Built on ``controller.degrade_wan`` / ``restore_wan`` (so
-    ``heal_all()`` also clears it).
+    Every exponential *mean_healthy*, ``controller.degrade_wan(factor,
+    loss)`` for an exponential *mean_degraded*, then ``restore_wan``.
     """
 
     mean_healthy: float
     mean_degraded: float
     factor: float = 3.0
     loss: float = 0.05
-    rng_name: str = "wan-degradation"
+    rng_name: Optional[str] = None
     label = "wan-degradation"
+    stream = "wan-degradation"
 
     def run(self, controller):
         rng = controller.runtime.sim.rng.fork(self.rng_name)
@@ -305,11 +303,10 @@ class WanDegradationRule(FaultRule):
 class MuteBackupUplinksRule(FaultRule):
     """Asymmetric outage: silence one backup's uplinks, then restore.
 
-    Every *every*, the first non-primary cohort's outgoing links to its
-    peers are overridden with *link* (typically near-total loss) for
-    *duration*: its heartbeats and acks vanish while it still hears the
-    primary, so it never secedes -- the section 4.1 scenario where the
-    primary must either unilaterally edit its view or run a full view
+    Every *every*, the first non-primary cohort's links to its peers get
+    *link* (default near-total loss) for *duration*: its heartbeats and
+    acks vanish while it still hears the primary, so it never secedes --
+    section 4.1's case where the primary must edit its view or run a view
     change.
     """
 
@@ -317,12 +314,12 @@ class MuteBackupUplinksRule(FaultRule):
     every: float
     duration: float
     rounds: int = 1
-    link: LinkModel = dataclasses.field(
-        default_factory=lambda: LinkModel(
-            base_delay=1.0, jitter=0.2, loss_probability=0.9999
-        )
-    )
+    link: Optional[LinkModel] = None
     label = "mute-backup-uplinks"
+
+    def __post_init__(self):
+        if self.link is None:
+            self.link = LinkModel(base_delay=1.0, jitter=0.2, loss_probability=0.9999)
 
     def run(self, controller):
         group = controller.runtime.groups[self.groupid]
@@ -365,10 +362,12 @@ class DiskFaultRule(FaultRule):
     mean_faulty: float
     mode: str = "fail"
     slow_factor: float = 8.0
-    rng_name: str = "disk-schedule"
+    rng_name: Optional[str] = None
     label = "disk-faults"
+    stream = "disk"
 
     def __post_init__(self):
+        super().__post_init__()
         if self.mode not in ("fail", "slow", "torn"):
             raise ValueError(f"mode must be fail/slow/torn, got {self.mode!r}")
         if not self.node_ids:
@@ -405,10 +404,12 @@ class AsymmetricPartitionRule(FaultRule):
     node_ids: Sequence[str]
     mean_healthy: float
     mean_partitioned: float
-    rng_name: str = "asymmetric-schedule"
+    rng_name: Optional[str] = None
     label = "asymmetric-partition"
+    stream = "asymmetric"
 
     def __post_init__(self):
+        super().__post_init__()
         if not self.node_ids:
             raise ValueError("node_ids must be non-empty")
 
@@ -444,10 +445,12 @@ class SlowNodeRule(FaultRule):
     mean_slow: float
     link_factor: float = 8.0
     disk_factor: float = 8.0
-    rng_name: str = "slow-schedule"
+    rng_name: Optional[str] = None
     label = "slow-node"
+    stream = "slow"
 
     def __post_init__(self):
+        super().__post_init__()
         if not self.node_ids:
             raise ValueError("node_ids must be non-empty")
         if self.link_factor < 1.0 or self.disk_factor < 1.0:
@@ -468,6 +471,15 @@ class SlowNodeRule(FaultRule):
             controller.disk_heal(victim)
 
 
+def _builder(rule: Callable[..., FaultRule]):
+    """The :class:`Nemesis` method adding ``rule(*args, **kwargs)``."""
+
+    def build(self, *args, **kwargs) -> "Nemesis":
+        return self.add(rule(*args, **kwargs))
+
+    return functools.update_wrapper(build, rule, assigned=("__doc__",), updated=())
+
+
 class Nemesis:
     """A named bundle of randomized failure rules, built fluently::
 
@@ -477,226 +489,40 @@ class Nemesis:
             .partition_storm(node_ids, mean_healthy=600.0, mean_partitioned=400.0)
         )
         rt.faults.execute(nemesis)
+
+    Each builder method takes its rule class's fields.
     """
 
     def __init__(self, name: str = "nemesis"):
         self.name = name
         self.rules: List[FaultRule] = []
 
-    def _stream(self, kind: str) -> str:
-        return f"{self.name}/{kind}-{len(self.rules)}"
-
     def add(self, rule: FaultRule) -> "Nemesis":
+        """Attach *rule*; one left without an ``rng_name`` draws from this
+        nemesis's stream ``{name}/{rule.stream}-{index}``."""
+        if getattr(rule, "rng_name", "") is None:
+            rule.rng_name = f"{self.name}/{rule.stream}-{len(self.rules)}"  # type: ignore[attr-defined]
         self.rules.append(rule)
         return self
 
-    def crash_primary(
-        self,
-        groupid: str,
-        every: float,
-        count: int = 1,
-        recover_after: Optional[float] = None,
-    ) -> "Nemesis":
-        return self.add(CrashPrimaryRule(groupid, every, count, recover_after))
+    def start(self, controller) -> None:
+        for rule in self.rules:
+            rule.start(controller)
 
-    def crash_shard_primary(
-        self,
-        sharded,
-        shard: int,
-        every: float,
-        count: int = 1,
-        recover_after: Optional[float] = None,
-    ) -> "Nemesis":
-        """Crash one shard of a sharded group (façade or name) by index.
+    crash_primary = _builder(CrashPrimaryRule)
+    crash_shard_primary = _builder(CrashPrimaryRule.for_shard)
+    rolling_restart = _builder(RollingRestartRule)
+    crash_churn = _builder(CrashChurnRule)
+    partition_storm = _builder(PartitionStormRule)
+    partition_group = _builder(GroupPartitionRule)
+    lossy_bursts = _builder(LossyBurstsRule)
+    disk_faults = _builder(DiskFaultRule)
+    asymmetric_partition = _builder(AsymmetricPartitionRule)
+    slow_node = _builder(SlowNodeRule)
+    mute_backup_uplinks = _builder(MuteBackupUplinksRule)
+    region_partition = _builder(RegionPartitionRule)
+    wan_degradation = _builder(WanDegradationRule)
 
-        Targets only ``{name}-s{shard}``; the other shards and the router
-        group keep serving, so only transactions touching this shard see
-        the view change.
-        """
-        from repro.shard.facade import resolve_shard_groupid
 
-        groupid = resolve_shard_groupid(sharded, shard)
-        return self.add(CrashPrimaryRule(groupid, every, count, recover_after))
-
-    def rolling_restart(
-        self,
-        node_ids: Sequence[str],
-        every: float,
-        downtime: float,
-        rounds: int = 1,
-    ) -> "Nemesis":
-        return self.add(RollingRestartRule(tuple(node_ids), every, downtime, rounds))
-
-    def crash_churn(
-        self,
-        node_ids: Sequence[str],
-        mttf: float,
-        mttr: float,
-        max_down: Optional[int] = None,
-        rng_name: str = "crash-schedule",
-        protect_group: Optional[str] = None,
-    ) -> "Nemesis":
-        return self.add(
-            CrashChurnRule(
-                tuple(node_ids), mttf, mttr, max_down, rng_name, protect_group
-            )
-        )
-
-    def partition_storm(
-        self,
-        node_ids: Sequence[str],
-        mean_healthy: float,
-        mean_partitioned: float,
-        rng_name: str = "partition-schedule",
-    ) -> "Nemesis":
-        return self.add(
-            PartitionStormRule(
-                tuple(node_ids), mean_healthy, mean_partitioned, rng_name
-            )
-        )
-
-    def partition_group(
-        self,
-        groupid: str,
-        every: float,
-        duration: float,
-        count: int = 1,
-        primary_side: str = "minority",
-        rng_name: Optional[str] = None,
-    ) -> "Nemesis":
-        return self.add(
-            GroupPartitionRule(
-                groupid,
-                every,
-                duration,
-                count,
-                primary_side,
-                rng_name or self._stream("group-partition"),
-            )
-        )
-
-    def lossy_bursts(
-        self,
-        mean_healthy: float,
-        mean_lossy: float,
-        loss: float = 0.25,
-        duplicate: Optional[float] = None,
-        rng_name: Optional[str] = None,
-    ) -> "Nemesis":
-        return self.add(
-            LossyBurstsRule(
-                mean_healthy,
-                mean_lossy,
-                loss,
-                duplicate,
-                rng_name or self._stream("lossy"),
-            )
-        )
-
-    def disk_faults(
-        self,
-        node_ids: Sequence[str],
-        mean_healthy: float,
-        mean_faulty: float,
-        mode: str = "fail",
-        slow_factor: float = 8.0,
-        rng_name: Optional[str] = None,
-    ) -> "Nemesis":
-        return self.add(
-            DiskFaultRule(
-                tuple(node_ids),
-                mean_healthy,
-                mean_faulty,
-                mode,
-                slow_factor,
-                rng_name or self._stream("disk"),
-            )
-        )
-
-    def asymmetric_partition(
-        self,
-        node_ids: Sequence[str],
-        mean_healthy: float,
-        mean_partitioned: float,
-        rng_name: Optional[str] = None,
-    ) -> "Nemesis":
-        return self.add(
-            AsymmetricPartitionRule(
-                tuple(node_ids),
-                mean_healthy,
-                mean_partitioned,
-                rng_name or self._stream("asymmetric"),
-            )
-        )
-
-    def slow_node(
-        self,
-        node_ids: Sequence[str],
-        mean_healthy: float,
-        mean_slow: float,
-        link_factor: float = 8.0,
-        disk_factor: float = 8.0,
-        rng_name: Optional[str] = None,
-    ) -> "Nemesis":
-        return self.add(
-            SlowNodeRule(
-                tuple(node_ids),
-                mean_healthy,
-                mean_slow,
-                link_factor,
-                disk_factor,
-                rng_name or self._stream("slow"),
-            )
-        )
-
-    def mute_backup_uplinks(
-        self,
-        groupid: str,
-        every: float,
-        duration: float,
-        rounds: int = 1,
-        link: Optional[LinkModel] = None,
-    ) -> "Nemesis":
-        rule = MuteBackupUplinksRule(groupid, every, duration, rounds)
-        if link is not None:
-            rule.link = link
-        return self.add(rule)
-
-    def region_partition(
-        self,
-        region: str,
-        every: float,
-        duration: float,
-        count: int = 1,
-        rng_name: Optional[str] = None,
-    ) -> "Nemesis":
-        return self.add(
-            RegionPartitionRule(
-                region,
-                every,
-                duration,
-                count,
-                rng_name or self._stream("region-partition"),
-            )
-        )
-
-    def wan_degradation(
-        self,
-        mean_healthy: float,
-        mean_degraded: float,
-        factor: float = 3.0,
-        loss: float = 0.05,
-        rng_name: Optional[str] = None,
-    ) -> "Nemesis":
-        return self.add(
-            WanDegradationRule(
-                mean_healthy,
-                mean_degraded,
-                factor,
-                loss,
-                rng_name or self._stream("wan-degradation"),
-            )
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Nemesis({self.name!r}, rules={len(self.rules)})"
+#: The name of every builder method of :class:`Nemesis`.
+BUILDERS = tuple(name for name, member in vars(Nemesis).items() if hasattr(member, "__wrapped__"))

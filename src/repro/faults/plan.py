@@ -1,234 +1,97 @@
 """Declarative fault plans: *what* to inject and *when*, as plain data.
 
-A :class:`FaultPlan` is a time-ordered script of fault operations --
-crashes, recoveries, partitions, link failures, loss injection -- with no
-reference to any live runtime.  Plans are built with a fluent cursor API::
+A :class:`FaultPlan` is a time-ordered list of
+steps (:class:`~repro.faults.controller.Step`), each a call of one primitive of
+the fault controller (:data:`~repro.faults.controller.PRIMITIVES`), with no
+reference to any live runtime.  ``plan.at(t)`` is a cursor whose methods
+are the primitives, each checked as the primitive checks its call::
 
     plan = FaultPlan()
     plan.at(300).crash("kv-n0")
-    plan.at(500).recover("kv-n0")
     plan.at(800).partition({"kv-n0"}, {"kv-n1", "kv-n2"})
     plan.at(1400).heal()
-    plan.at(0).flap_link("kv-n1", "kv-n2", period=40.0, duration=600.0)
     plan.at(0).lossy(rate=0.1, duration=1000.0)
 
 Times are relative to the moment the plan is handed to a
-:class:`~repro.faults.controller.FaultController`, so the same plan can be
-replayed against any runtime (and, with the same seed, reproduces a
-byte-identical injected-event timeline).  The paper's failure model
-(section 1: fail-stop crashes, lost/duplicated/reordered messages, link
-failures that partition the network) maps one-to-one onto these ops.
-
-Dynamic targets that depend on protocol state at injection time (``which
-node is the primary?``) are expressed with :meth:`_Cursor.crash_primary`;
-randomized, open-ended failure workloads belong in
-:class:`~repro.faults.nemesis.Nemesis` instead.
+:class:`~repro.faults.controller.FaultController`, so the same plan replays
+against any runtime; :meth:`FaultPlan.replay` builds the plan that re-makes
+a controller's timeline.
 """
 
 from __future__ import annotations
 
-import dataclasses
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, List
 
-from repro.net.link import LinkModel
-
-
-# -- fault operations (plain declarative records) ---------------------------
-
-
-@dataclasses.dataclass(frozen=True)
-class Crash:
-    node_id: str
-
-
-@dataclasses.dataclass(frozen=True)
-class Recover:
-    node_id: str
-
-
-@dataclasses.dataclass(frozen=True)
-class CrashPrimary:
-    """Crash whichever node hosts *groupid*'s active primary at fire time."""
-
-    groupid: str
-    recover_after: Optional[float] = None
-
-
-@dataclasses.dataclass(frozen=True)
-class Partition:
-    blocks: Tuple[Tuple[str, ...], ...]
-
-
-@dataclasses.dataclass(frozen=True)
-class Heal:
-    pass
-
-
-@dataclasses.dataclass(frozen=True)
-class FailLink:
-    node_a: str
-    node_b: str
-
-
-@dataclasses.dataclass(frozen=True)
-class RepairLink:
-    node_a: str
-    node_b: str
-
-
-@dataclasses.dataclass(frozen=True)
-class FlapLink:
-    """Alternately sever and repair one link every *period*, for *duration*.
-
-    The link always ends repaired, even if *duration* is not a whole
-    number of periods.
-    """
-
-    node_a: str
-    node_b: str
-    period: float
-    duration: float
-
-
-@dataclasses.dataclass(frozen=True)
-class Lossy:
-    """Degrade the whole network's default link for *duration* time units.
-
-    ``rate`` is the per-message loss probability; ``duplicate`` optionally
-    overrides the duplicate probability and ``jitter`` the delay jitter.
-    The previous default link model is restored afterwards (per-pair
-    overrides installed via :meth:`FaultController.degrade_link` are
-    unaffected).
-    """
-
-    rate: float
-    duration: Optional[float] = None
-    jitter: Optional[float] = None
-    duplicate: Optional[float] = None
-
-
-@dataclasses.dataclass(frozen=True)
-class DegradeLink:
-    """Install a per-directed-address-pair link model override."""
-
-    src_address: str
-    dst_address: str
-    model: LinkModel
-
-
-@dataclasses.dataclass(frozen=True)
-class RestoreLink:
-    src_address: str
-    dst_address: str
-
-
-FaultOp = object  # any of the dataclasses above
+from repro.faults.controller import PRIMITIVES, InjectedFault, Step
+from repro.sim.process import sleep
 
 
 class _Cursor:
-    """Fluent builder for the ops scheduled at one instant of a plan."""
+    """``plan.at(t)``: every primitive, as a method adding its step at *t*."""
 
     def __init__(self, plan: "FaultPlan", at: float):
         self._plan = plan
         self._at = at
 
-    def _add(self, op: FaultOp) -> "_Cursor":
-        self._plan._add(self._at, op)
-        return self
+    def __getattr__(self, name: str):
+        if name not in PRIMITIVES:
+            raise AttributeError(
+                f"no fault primitive {name!r}; the primitives are {sorted(PRIMITIVES)}"
+            )
 
-    def crash(self, node_id: str) -> "_Cursor":
-        return self._add(Crash(node_id))
+        def add(*args, **kwargs) -> "_Cursor":
+            self._plan.add(Step.of(self._at, name, args, kwargs))
+            return self
 
-    def recover(self, node_id: str) -> "_Cursor":
-        return self._add(Recover(node_id))
-
-    def crash_primary(
-        self, groupid: str, recover_after: Optional[float] = None
-    ) -> "_Cursor":
-        return self._add(CrashPrimary(groupid, recover_after))
-
-    def crash_shard_primary(
-        self, sharded, shard: int, recover_after: Optional[float] = None
-    ) -> "_Cursor":
-        """Crash one shard (by index) of a sharded group (façade or name)."""
-        from repro.shard.facade import resolve_shard_groupid
-
-        return self._add(
-            CrashPrimary(resolve_shard_groupid(sharded, shard), recover_after)
-        )
-
-    def partition(self, *blocks: Iterable[str]) -> "_Cursor":
-        if not blocks:
-            raise ValueError("partition() needs at least one block of node ids")
-        return self._add(
-            Partition(tuple(tuple(sorted(block)) for block in blocks))
-        )
-
-    def heal(self) -> "_Cursor":
-        return self._add(Heal())
-
-    def fail_link(self, node_a: str, node_b: str) -> "_Cursor":
-        return self._add(FailLink(node_a, node_b))
-
-    def repair_link(self, node_a: str, node_b: str) -> "_Cursor":
-        return self._add(RepairLink(node_a, node_b))
-
-    def flap_link(
-        self, node_a: str, node_b: str, period: float, duration: float
-    ) -> "_Cursor":
-        if period <= 0 or duration <= 0:
-            raise ValueError("flap_link() needs period > 0 and duration > 0")
-        return self._add(FlapLink(node_a, node_b, period, duration))
-
-    def lossy(
-        self,
-        rate: float,
-        duration: Optional[float] = None,
-        jitter: Optional[float] = None,
-        duplicate: Optional[float] = None,
-    ) -> "_Cursor":
-        if not 0.0 <= rate < 1.0:
-            raise ValueError("lossy() rate must be in [0, 1)")
-        return self._add(Lossy(rate, duration, jitter, duplicate))
-
-    def degrade_link(
-        self, src_address: str, dst_address: str, model: LinkModel
-    ) -> "_Cursor":
-        return self._add(DegradeLink(src_address, dst_address, model))
-
-    def restore_link(self, src_address: str, dst_address: str) -> "_Cursor":
-        return self._add(RestoreLink(src_address, dst_address))
+        return add
 
 
 class FaultPlan:
     """A deterministic, replayable schedule of fault injections."""
 
     def __init__(self) -> None:
-        self._scheduled: List[Tuple[float, int, FaultOp]] = []
-        self._order = 0
+        self._steps: List[Step] = []
 
-    def _add(self, at: float, op: FaultOp) -> None:
-        if at < 0:
-            raise ValueError(f"fault scheduled in the past: at={at!r}")
-        self._order += 1
-        self._scheduled.append((at, self._order, op))
+    def add(self, step: Step) -> None:
+        if step.at < 0:
+            raise ValueError(f"fault scheduled in the past: at={step.at!r}")
+        self._steps.append(step)
 
     def at(self, time: float) -> _Cursor:
-        """Cursor scheduling ops *time* units after execution starts."""
+        """Cursor scheduling steps *time* units after execution starts."""
         return _Cursor(self, time)
 
-    def ops(self) -> List[Tuple[float, FaultOp]]:
-        """(time, op) pairs in execution order (time, then insertion)."""
-        return [(at, op) for at, _order, op in sorted(self._scheduled)]
+    def steps(self) -> List[Step]:
+        """The steps in execution order (time, then insertion)."""
+        return sorted(self._steps, key=lambda step: step.at)
 
     def __len__(self) -> int:
-        return len(self._scheduled)
+        return len(self._steps)
 
     def __iadd__(self, other: "FaultPlan") -> "FaultPlan":
-        """Merge another plan's ops into this one (times stay as given)."""
-        for at, _order, op in sorted(other._scheduled):
-            self._add(at, op)
+        """Merge another plan's steps into this one (times stay as given)."""
+        for step in other.steps():
+            self.add(step)
         return self
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"FaultPlan(ops={len(self._scheduled)})"
+    @classmethod
+    def replay(cls, timeline: Iterable[InjectedFault], origin: float = 0.0) -> "FaultPlan":
+        """The plan that, injected at simulated time *origin*, makes the
+        calls that made *timeline* (a controller's ``timeline``)."""
+        plan = cls()
+        for event in timeline:
+            if event.step is not None:
+                plan.add(event.step._replace(at=event.step.at - origin))
+        return plan
+
+    def start(self, controller) -> None:
+        """Run the plan on *controller* as one process."""
+        controller.spawn(self._run(controller), name="fault-plan")
+
+    def _run(self, controller):
+        sim = controller.runtime.sim
+        start = sim.now
+        for step in self.steps():
+            if start + step.at > sim.now:
+                yield sleep(start + step.at - sim.now)
+            getattr(controller, step.name)(*step.args, **dict(step.kwargs))

@@ -149,7 +149,9 @@ def build_stall_report(runtime, spec, reason: str) -> StallReport:
 
 def _name_partitioned_quorum(runtime, spec, reason: str, net: dict) -> str:
     """When the spec's group cannot assemble a majority in any partition
-    block, say so explicitly -- the single most common stall cause."""
+    block, say so explicitly -- the single most common stall cause.  The
+    nodes in no named block form one more block together
+    (``Network.partition``)."""
     blocks = net["partition_blocks"]
     groupid = getattr(spec, "groupid", None)
     if blocks is None or groupid is None or groupid not in runtime.groups:
@@ -157,7 +159,8 @@ def _name_partitioned_quorum(runtime, spec, reason: str, net: dict) -> str:
     group = runtime.groups[groupid]
     member_ids = {node.node_id for node in group.nodes()}
     need = group.quorums.formation
-    for block in blocks:
+    named = set().union(*blocks)
+    for block in [*blocks, set(runtime.nodes) - named]:
         if len(member_ids & set(block)) >= need:
             return reason  # a quorum-capable block exists; not the cause
     rendered = " | ".join(",".join(block) for block in blocks)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import dataclasses
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(frozen=True)
 class LinkModel:
     """Stochastic behaviour of every link in a network.
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro import FaultPlan, Runtime
-from repro.faults.plan import Crash, Heal, Partition, Recover
+from repro.faults import PRIMITIVES, Step
 from tests.conftest import build_counter_system
 
 
@@ -15,18 +15,18 @@ def test_plan_orders_ops_by_time_then_insertion():
     plan.at(500).recover("n0")
     plan.at(100).crash("n0")
     plan.at(100).heal()
-    ops = plan.ops()
-    assert [at for at, _op in ops] == [100.0, 100.0, 500.0]
-    assert isinstance(ops[0][1], Crash)
-    assert isinstance(ops[1][1], Heal)
-    assert isinstance(ops[2][1], Recover)
+    assert plan.steps() == [
+        Step(100.0, "crash", ("n0",), ()),
+        Step(100.0, "heal", (), ()),
+        Step(500.0, "recover", ("n0",), ()),
+    ]
 
 
 def test_plan_cursor_chains_at_one_instant():
     plan = FaultPlan()
     plan.at(50).crash("n0").crash("n1").partition({"n0"}, {"n1", "n2"})
     assert len(plan) == 3
-    assert all(at == 50.0 for at, _op in plan.ops())
+    assert all(step.at == 50.0 for step in plan.steps())
 
 
 def test_plan_merge_with_iadd():
@@ -35,14 +35,15 @@ def test_plan_merge_with_iadd():
     second = FaultPlan()
     second.at(5).heal()
     first += second
-    assert [type(op) for _at, op in first.ops()] == [Heal, Crash]
+    assert [step.name for step in first.steps()] == ["heal", "crash"]
 
 
 def test_plan_partition_normalizes_blocks():
     plan = FaultPlan()
     plan.at(0).partition({"b", "a"}, ["d", "c"])
-    (_at, op), = plan.ops()
-    assert op == Partition(blocks=(("a", "b"), ("c", "d")))
+    (step,) = plan.steps()
+    assert step == Step(0, "partition", (("a", "b"), ("c", "d")), ())
+    assert hash(step) == hash(Step(0, "partition", (("a", "b"), ("c", "d")), ()))
 
 
 def test_plan_rejects_bad_input():
@@ -55,6 +56,32 @@ def test_plan_rejects_bad_input():
         plan.at(0).lossy(rate=1.5)
     with pytest.raises(ValueError):
         plan.at(0).flap_link("n0", "n1", period=0.0, duration=10.0)
+
+
+def test_primitives_refuse_what_plans_refuse():
+    """The refusal lives in the primitive: a direct call with no block or a
+    non-positive flap period is refused and injects nothing."""
+    rt = Runtime(seed=1)
+    with pytest.raises(ValueError, match="at least one block"):
+        rt.faults.partition()
+    with pytest.raises(ValueError, match="period > 0"):
+        rt.faults.flap_link("n0", "n1", period=0.0, duration=10.0)
+    with pytest.raises(ValueError, match="period > 0"):
+        rt.faults.flap_link("n0", "n1", period=5.0, duration=-1.0)
+    assert rt.network.partition_blocks() is None
+    assert rt.faults.timeline == []
+
+
+def test_every_primitive_can_be_planned():
+    plan = FaultPlan()
+    for name in PRIMITIVES:
+        getattr(plan.at(0), name)  # the cursor offers it
+    with pytest.raises(AttributeError):
+        plan.at(0).melt("n0")
+    with pytest.raises(TypeError):
+        plan.at(0).crash()  # a node id is required, as in the call
+    plan.at(0).disk_slow("n0", factor=4.0).slow_node("n1").heal_all()
+    assert [step.name for step in plan.steps()] == ["disk_slow", "slow_node", "heal_all"]
 
 
 def test_inject_rejects_non_plan():

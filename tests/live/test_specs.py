@@ -11,6 +11,7 @@ from repro.live import (
     spec_catalog,
 )
 from repro.harness.common import build_kv_system
+from repro.live.report import build_stall_report
 
 
 def _group_node_ids(kv):
@@ -105,6 +106,19 @@ def test_strict_specs_raise_with_a_quorum_naming_report():
     assert report.network["partition_blocks"] == [[n] for n in node_ids]
     rendered = report.render()
     assert "eventually_single_primary" in rendered
+
+
+def test_stall_report_counts_the_nodes_outside_every_named_block():
+    """A one-block minority cut leaves the majority in the implicit block
+    (``Network.partition``): the report must not blame the partition."""
+    rt, kv, _clients, _driver, _spec = build_kv_system(seed=1)
+    rt.run_for(200)
+    lone = _group_node_ids(kv)[0]
+    rt.faults.partition({lone})
+    spec = spec_catalog("kv", rt.config, strict=True)[0]
+    report = build_stall_report(rt, spec, "stalled")
+    assert report.network["partition_blocks"] == [[lone]]
+    assert report.reason == "stalled"
 
 
 def test_collect_mode_accumulates_instead_of_raising():
