@@ -101,6 +101,8 @@ class ClientAgent(Actor):
 
     def _run(self, program, args: Tuple):
         aid = yield self._begin()
+        if aid is None:
+            return ("aborted", None)  # no aid was handed out: nothing ran
         txn = AgentTransaction(self, aid)
         self._active_aids.add(aid)
         try:
@@ -120,6 +122,7 @@ class ClientAgent(Actor):
     # -- begin -----------------------------------------------------------------
 
     def _begin(self) -> Future:
+        """Resolves to the new aid, or None: no coordinator-server answered."""
         self._next_request += 1
         request_id = self._next_request
         future = Future(label=f"begin:{request_id}")
@@ -148,7 +151,7 @@ class ClientAgent(Actor):
         if spent:
             future = self._begin_waiters.pop(request_id, None)
             if future is not None and not future.done:
-                future.set_exception(CallAborted("coordinator-server unreachable"))
+                future.set_result(None)
             return
         self.set_timer(retry.wait(self.sim.now), self._send_begin, request_id, retry, True)
 

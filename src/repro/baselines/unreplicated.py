@@ -8,33 +8,20 @@ forced to stable storage before preparing, and the commit and abort
 records are the same as their stable storage counterparts."
 
 We exploit that correspondence directly: the unreplicated baseline *is* the
-viewstamped system with a single cohort per group and ``force_to_stable``
-on -- every force (before a prepare accept, at the coordinator's commit
-point, before a commit ack) blocks on a stable-storage write instead of on
-backup acknowledgments.  Identical code paths, so latency and message
+viewstamped system with a single cohort per group under
+``StableStoragePolicy.LOG`` -- every force (before a prepare accept, at the
+coordinator's commit point, before a commit ack) blocks on a stable-storage
+write instead of on backup acknowledgments.  Identical code paths, so latency and message
 comparisons (experiments E1, E3, E13) measure exactly the replication
 delta the paper argues about.
 """
 
 from __future__ import annotations
 
-import dataclasses
-
 from repro.app.module import EmptyModule
 from repro.config import ProtocolConfig
 from repro.runtime import Runtime
-
-
-def unreplicated_config(
-    stable_write_latency: float, base: ProtocolConfig | None = None
-) -> ProtocolConfig:
-    """A config for 1-cohort conventional groups."""
-    config = dataclasses.replace(
-        base if base is not None else ProtocolConfig(),
-        force_to_stable=True,
-        stable_write_latency=stable_write_latency,
-    )
-    return config
+from repro.storage.stable import StableStoragePolicy
 
 
 def build_unreplicated_system(
@@ -49,7 +36,9 @@ def build_unreplicated_system(
 
     Returns (runtime, server_group, client_group, driver).
     """
-    config = unreplicated_config(stable_write_latency)
+    config = ProtocolConfig(
+        storage_policy=StableStoragePolicy.LOG, stable_write_latency=stable_write_latency
+    )
     kwargs = {"config": config}
     if link is not None:
         kwargs["link"] = link

@@ -248,7 +248,8 @@ class ProtocolConfig:
 
     Every knob is a flat field (``ProtocolConfig(call_timeout=60)``,
     ``dataclasses.replace(cfg, flush_interval=2.0)``); the opt-in
-    extensions live in the nested sub-configs at the end.
+    extensions live in the nested sub-configs at the end.  A
+    ``storage_policy`` that is not a :class:`StableStoragePolicy` is refused.
     """
 
     # -- communication buffer (section 2, 3) --
@@ -315,15 +316,8 @@ class ProtocolConfig:
 
     # -- stable storage (section 4.2) --
     stable_write_latency: float = 5.0
-    storage_policy: StableStoragePolicy = StableStoragePolicy.MINIMAL
-    force_to_stable: bool = False         # every force also blocks on a
-    #                                       stable-storage write.  With a
-    #                                       1-cohort group this *is* the
-    #                                       conventional unreplicated system
-    #                                       of section 3.7 (event records <->
-    #                                       stable-storage records); with
-    #                                       replicas it is the section 4.2
-    #                                       catastrophe hardening.
+    storage_policy: StableStoragePolicy = StableStoragePolicy.MINIMAL  # LOG
+    #                                       at n=1: the section-3.7 system
 
     # -- nested sub-configs (the opt-in extensions) --
     batch: Optional[BatchConfig] = None
@@ -337,6 +331,9 @@ class ProtocolConfig:
     scale: Optional[ScaleConfig] = None
 
     def __post_init__(self) -> None:
+        if not isinstance(self.storage_policy, StableStoragePolicy):
+            policy = self.storage_policy
+            raise ValueError(f"ProtocolConfig.storage_policy {policy!r} is no StableStoragePolicy")
         if self.batch is None:
             self.batch = BatchConfig()
         if self.reads is None:

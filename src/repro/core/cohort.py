@@ -19,14 +19,17 @@ Role behaviour is delegated: :class:`~repro.core.server_role.ServerRole`
 module owns message dispatch, backup event-record application, query
 answering (section 3.4) and liveness ("I'm alive").
 
-Everything beyond the paper is an extension object
-(:mod:`repro.core.extension`); this module never tests for one.
+Everything beyond the paper, and section 4.2's stable-storage hardening,
+is an extension object (:mod:`repro.core.extension`); this module never
+tests for one.  Two section-4.1 options are still config flags read here:
+``unilateral_edits`` and ``ordered_managers``.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+from dataclasses import replace
 from typing import Any, Dict, Mapping, Optional, Tuple
 
 from repro.config import ProtocolConfig
@@ -49,9 +52,9 @@ from repro.core.quorum import Quorums
 from repro.core.view import View
 from repro.core.viewstamp import History, ViewId, Viewstamp
 from repro.detect import AdaptiveTimeouts, FailureDetector, RttEstimator
-from repro.sim.future import Future, all_done
+from repro.sim.future import Future
 from repro.sim.node import Actor, Node
-from repro.storage.stable import StableStoragePolicy, StableStore
+from repro.storage.stable import StableStore
 from repro.txn.ids import Aid, OutcomeTable
 from repro.txn.locks import LockManager
 from repro.txn.objects import ObjectStore
@@ -108,27 +111,12 @@ class Cohort(Actor):
 
         # -- volatile state --
         self.status = Status.ACTIVE
-        self.up_to_date = True
-        self.cur_viewid = initial_viewid
-        self.cur_view = initial_view
-        self.max_viewid = initial_viewid
-        self.history = History([Viewstamp(initial_viewid, 0)])
         self.buffer: Optional[CommunicationBuffer] = None
-        self.applied_ts = 0  # backup: highest contiguously applied ts
         self.held = HeldRecords()  # backup: records that arrived ahead of a gap
-
-        # -- gstate --
         # What every cohort starts with and every recovery restores; the
         # store holds only the entries that differ from it (DESIGN.md D26).
         self._initial_image = initial_image
-        self.store = ObjectStore(initial_image)
-        self.lockmgr = LockManager(self.store)
-        self.pending: Dict[Aid, Dict[Viewstamp, CompletedCall]] = {}
-        self.outcomes = OutcomeTable()  # aid -> outcome
-        self.committing: Dict[Aid, Tuple[Tuple[str, ...], Tuple]] = {}
-        # Since when the image's and the outcome table's written-since sets
-        # run: ``(V, 1)`` of the view last activated or installed (D25).
-        self._written_since: Optional[Viewstamp] = None
+        self._start_volatile(initial_viewid, initial_view)
 
         # -- roles (imported lazily to avoid cycles) --
         from repro.core.client_role import ClientRole
@@ -136,8 +124,6 @@ class Cohort(Actor):
         from repro.core.server_role import ServerRole
         from repro.core.view_change import ViewChangeController
 
-        self.cache = ClientCache()
-        self.caller = RemoteCaller(self)
         self.server_role = ServerRole(self)
         self.client_role = ClientRole(self)
         self.coordinator_role = CoordinatorServerRole(self)
@@ -181,6 +167,26 @@ class Cohort(Actor):
             self._start_flush_loop()
             self.server_role.on_become_primary()
             self.client_role.on_become_primary()
+
+    def _start_volatile(self, viewid: ViewId, view: Optional[View]) -> None:
+        """Figure 4's volatile state as a process starts it: in *viewid*, up
+        to date only when it knows its *view* (at creation, not after a
+        crash), holding the group's initial objects and nothing else."""
+        self.up_to_date = view is not None
+        self.cur_viewid = self.max_viewid = viewid
+        self.cur_view = view
+        self.history = History([Viewstamp(viewid, 0)])
+        self.applied_ts = 0  # backup: highest contiguously applied ts
+        self.store = ObjectStore(self._initial_image)
+        self.lockmgr = LockManager(self.store)
+        self.pending: Dict[Aid, Dict[Viewstamp, CompletedCall]] = {}
+        self.outcomes = OutcomeTable()  # aid -> outcome
+        self.committing: Dict[Aid, Tuple[Tuple[str, ...], Tuple]] = {}
+        # Since when the image's and the outcome table's written-since sets
+        # run: ``(V, 1)`` of the view last activated or installed (D25).
+        self._written_since: Optional[Viewstamp] = None
+        self.cache = ClientCache()
+        self.caller = RemoteCaller(self)
 
     # ------------------------------------------------------------------
     # identity helpers
@@ -364,25 +370,11 @@ class Cohort(Actor):
         self._record_bookkeeping(viewstamp, record, at_backup=False)
         if self.tracer is not None:
             self._trace_record_added(viewstamp.id, viewstamp.ts, record, "primary")
-        if self.config.storage_policy is not StableStoragePolicy.MINIMAL:
-            # Section 4.2's hardening: "we might supply each cohort with a
-            # universal power supply and have them write information to
-            # nonvolatile storage in the background" -- UPS-backed NVRAM,
-            # modelled as an immediate durable write off the critical path.
-            self.stable.write_immediate("gstate", self._gstate_snapshot())
         return viewstamp
 
     def force_to(self, viewstamp: Optional[Viewstamp]) -> Future:
         assert self.is_active_primary and self.buffer is not None
-        replica_force = self.buffer.force_to(viewstamp)
-        if not self.config.force_to_stable:
-            return replica_force
-        # Conventional-system mode (section 3.7) / catastrophe hardening
-        # (section 4.2): the force also blocks on a stable-storage write.
-        stable_force = self.stable.write("log", self.history.entries())
-        return all_done(
-            replica_force, stable_force, label=f"force+stable:{viewstamp}"
-        )
+        return self.buffer.force_to(viewstamp)
 
     def force_all(self) -> Future:
         """Force the entire buffer (Figure 2's coordinator step 2)."""
@@ -465,8 +457,6 @@ class Cohort(Actor):
                 self._record_bookkeeping(viewstamp, record, at_backup=True)
                 if self.tracer is not None:
                     self._trace_record_added(self.cur_viewid, ts, record, "backup")
-                if self.config.storage_policy is StableStoragePolicy.ALL:
-                    self.stable.write_immediate("gstate", self._gstate_snapshot())
             records = self.held.take(self.cur_viewid, self.applied_ts)
 
     def _trace_record_added(self, viewid, ts: int, record, role: str) -> None:
@@ -816,13 +806,7 @@ class Cohort(Actor):
         outcome table is runs of ``seq`` (D27)."""
         # Read before the sizing below starts the written-since sets over.
         written = self.store.written(), self.outcomes.written()
-        history, pending = self.history.entries(), self._pending_records()
-        committing = dict(self.committing)
-
-        def build(objects, outcomes, base=None) -> NewView:
-            return NewView(view, history, objects, pending, outcomes, committing, base)
-
-        full = build(self.store.snapshot(), self.outcomes.wire())
+        full = self.gstate_record(view)
         full.with_sizes(self.store.wire_size())
         self.outcomes.wire_size()  # only to start its written() over
         diffs: Dict[int, NewView] = {}
@@ -831,18 +815,35 @@ class Cohort(Actor):
             objects = {uid: full.objects[uid] for uid in written[0]}
             for mid, viewstamp in reported:
                 if viewstamp >= since and self.history.knows(viewstamp):
-                    diffs[mid] = build(objects, written[1], viewstamp)
+                    diffs[mid] = replace(full, objects=objects, outcomes=written[1], base=viewstamp)
         return full, diffs
+
+    def gstate_record(self, view: Optional[View]) -> NewView:
+        """This cohort's history and gstate as the full newview record of
+        *view*: what a new primary sends and what a stable-storage policy
+        writes (section 4.2).  Pending records are in a canonical order."""
+        pending = tuple(
+            (viewstamp, record)
+            for aid in sorted(self.pending)
+            for viewstamp, record in sorted(self.pending[aid].items())
+        )
+        return NewView(
+            view, self.history.entries(), self.store.snapshot(), pending,
+            self.outcomes.wire(), dict(self.committing),
+        )
 
     def install_newview(self, viewid: ViewId, records) -> None:
         """Underling: initialize state from the newview record heading
         *records* (Figure 5), then apply their tail and what was held."""
         record: NewView = records[0][1]
+        assert record.base in (None, self.history.latest), (self.history.latest, record.base)
         self._epoch += 1
         self.cur_viewid = viewid
         self.cur_view = record.view
         self.applied_ts = 1
-        self._install_gstate(viewid, record)
+        self.install_gstate(record)
+        self.history.advance(viewid, 1)  # the newview record itself is ts=1
+        self._written_since = Viewstamp(viewid, 1)
         self.up_to_date = True
         self.status = Status.ACTIVE
         self.buffer = None
@@ -853,48 +854,24 @@ class Cohort(Actor):
         self.acknowledge()
         self.metrics.incr(f"views_joined:{self.mygroupid}")
 
-    def _install_gstate(self, viewid: ViewId, record: NewView) -> None:
-        """Take the history and gstate of *record*, the newview of *viewid*.
-        A record with a ``base`` holds only what this cohort lacks: it is
+    def install_gstate(self, record: NewView) -> None:
+        """Take the history and gstate of *record*: a newview, or the image
+        recovery reads from stable storage.  A record with a ``base`` is
         written over the state that base names (DESIGN.md D25).  A full
         record's image replaces this cohort's written entries, so what it
-        wrote that the record does not carry reads as the initial objects
-        again (D26)."""
-        diff = record.base is not None
-        assert not diff or self.history.latest == record.base, (self.history.latest, record.base)
+        wrote that the record lacks reads as the initial objects (D26)."""
         self.history = History(record.history_entries)
-        self.history.advance(viewid, 1)  # the newview record itself is ts=1
         self.lockmgr.reset()
         self.pending = {}
         for viewstamp, call_record in record.pending:
             self.pending.setdefault(call_record.aid, {})[viewstamp] = call_record
         self.committing = dict(record.committing)
-        if diff:
-            self.store.patch(record.objects)
-        else:
+        if record.base is None:
             self.store.restore(record.objects, record.objects_bytes)
             self.outcomes = OutcomeTable()
+        else:
+            self.store.patch(record.objects)
         self.outcomes.patch(record.outcomes)
-        self._written_since = Viewstamp(viewid, 1)
-
-    def _pending_records(self) -> Tuple:
-        """The surviving completed-call records, in a canonical order."""
-        return tuple(
-            (viewstamp, record)
-            for aid in sorted(self.pending)
-            for viewstamp, record in sorted(self.pending[aid].items())
-        )
-
-    def _gstate_snapshot(self) -> dict:
-        """For the PRIMARY_GSTATE/ALL stable-storage policies (section 4.2);
-        its ``objects`` are the entries that differ from the initial ones."""
-        return {
-            "objects": self.store.snapshot(),
-            "outcomes": self.outcomes.wire(),
-            "committing": dict(self.committing),
-            "history": self.history.entries(),
-            "pending": self._pending_records(),
-        }
 
     # ------------------------------------------------------------------
     # crash / recovery (sections 1, 4)
@@ -912,23 +889,10 @@ class Cohort(Actor):
     def on_recover(self) -> None:
         """Section 4: initialize up_to_date false, max_viewid from stable
         storage, then run a view change as manager.  The gstate restarts
-        from the group's initial objects (a store with no entries of its
-        own), or from the stable gstate written over them."""
+        from the group's initial objects, unless a stable-storage policy
+        installs the image it kept (its extension's ``reset``)."""
         self._epoch += 1
-        self.up_to_date = False
-        self.cur_viewid = self.stable.read("cur_viewid")
-        self.cur_view = None
-        self.max_viewid = self.cur_viewid
-        self.history = History([Viewstamp(self.cur_viewid, 0)])
-        self.applied_ts = 0
-        self.store = ObjectStore(self._initial_image)
-        self.lockmgr = LockManager(self.store)
-        self.pending = {}
-        self.outcomes = OutcomeTable()
-        self.committing = {}
-        self._written_since = None
-        self.cache = ClientCache()
-        self.caller = RemoteCaller(self)
+        self._start_volatile(self.stable.read("cur_viewid"), None)
         self._wire_handlers()
         # Call round-trip history died with the process.  Last-heard times
         # within one suspect window still count as liveness evidence, but
@@ -945,17 +909,6 @@ class Cohort(Actor):
         self.server_role.reset()
         self.client_role.reset()
         self.coordinator_role.reset()
-        stable_gstate = None
-        if self.config.storage_policy is not StableStoragePolicy.MINIMAL:
-            stable_gstate = self.stable.read("gstate")
-        if stable_gstate is not None:
-            self.store.restore(stable_gstate["objects"])
-            self.outcomes = OutcomeTable(stable_gstate["outcomes"])
-            self.committing = dict(stable_gstate["committing"])
-            self.history = History(stable_gstate["history"])
-            for viewstamp, call_record in stable_gstate.get("pending", ()):
-                self.pending.setdefault(call_record.aid, {})[viewstamp] = call_record
-            self.up_to_date = True
         self._start_heartbeat()
         self.view_change.reset()
         self.set_timer(

@@ -1,18 +1,21 @@
 """The cohort's extension seam (DESIGN.md, *Extension seam*).
 
 :class:`~repro.core.cohort.Cohort` is the paper's Figure 4 and nothing
-else.  Every mechanism beyond it -- batched transmission, read leases,
-gossip heartbeats, ack trees, witness replicas -- is an :class:`Extension`
-that :func:`build_extensions` creates when, and only when, the cohort's
-config arms it.  A disabled mechanism is *absent*: no object, no field on
-the cohort, no branch; ``cohort.extensions == ()`` by default.
+else.  Every mechanism beyond it (section 4.2's stable storage, batched
+transmission, read leases, gossip heartbeats, ack trees, witness replicas)
+is an :class:`Extension` that :func:`build_extensions` creates when, and
+only when, the cohort's config arms it.  A disabled mechanism is *absent*:
+no object, no field on the cohort, no branch; ``cohort.extensions == ()``
+by default.
 
 An extension reaches the protocol three ways: it adds or wraps **handler
 rows** of the cohort's two type-keyed dispatch tables (:func:`wrap_row`, in
 ``wire``: tables are rebuilt on recovery); it takes over, once, in its
-constructor, the **builders** of the four messages extensions stamp and the
+constructor, the **builders** of the four messages extensions stamp, the
 two **policies** with one owner each -- ``Cohort.acknowledge`` (when a
 backup acks) and ``Cohort.beacon`` (whom a heartbeat round reaches) --
+and section 4.2's **storage points** -- ``add_record`` or
+``_record_bookkeeping`` (an image is written after it) and ``force_to`` --
 with :func:`wrap`; and it hears the cohort's **lifecycle** under the names
 the roles already use.  Extensions are built and wired innermost first: a
 later one's wrapper runs before an earlier one's.
@@ -22,6 +25,8 @@ from __future__ import annotations
 
 from functools import partial
 from typing import Callable, Dict, List, Tuple
+
+from repro.storage.stable import StableStoragePolicy
 
 #: ``type(message)`` -> bound handler (the cohort's two dispatch tables)
 Table = Dict[type, Callable]
@@ -36,7 +41,8 @@ class Extension:
     ``activate_as_primary``), ``on_leave_active`` (start of
     ``leave_active``, before the buffer closes), ``on_install`` (joined a
     formed view as a backup) and ``reset`` (recovery, the roles' name for
-    it: whatever volatile state the crash took is dropped here).
+    it: whatever volatile state the crash took is dropped here, and what
+    stable storage kept is read back).
     """
 
     def __init__(self, cohort) -> None:
@@ -74,18 +80,22 @@ def wrap_row(table: Table, cls: type, around: Callable) -> None:
 def build_extensions(cohort) -> Tuple[Extension, ...]:
     """The extensions *cohort*'s config arms, innermost first.
 
-    The only place in ``repro.core`` that reads the ``batch``, ``reads``
-    and ``scale`` sub-configs (but for ``scale.witnesses``, which
-    :class:`~repro.core.group.ModuleGroup` turns into the group's
-    :class:`~repro.core.quorum.Quorums`); each subsystem is imported only
-    when armed, so a paper-faithful run never loads ``repro.scale`` or
-    ``repro.reads.lease``.
+    The only place in ``repro.core`` that reads ``storage_policy`` and the
+    ``batch``, ``reads`` and ``scale`` sub-configs (but for
+    ``scale.witnesses``, which :class:`~repro.core.group.ModuleGroup` turns
+    into the group's :class:`~repro.core.quorum.Quorums`); each subsystem
+    is imported only when armed, so a paper-faithful run never loads
+    ``repro.storage.policy``, ``repro.scale`` or ``repro.reads.lease``.
     """
     config = cohort.config
     batch, reads, scale = config.batch, config.reads, config.scale
     # BatchConfig.max_batch caps a flush in both transmission modes.
     cohort.buffer_options["max_batch"] = batch.max_batch
     extensions: List[Extension] = []
+    if config.storage_policy is not StableStoragePolicy.MINIMAL:
+        from repro.storage.policy import StablePolicy
+
+        extensions.append(StablePolicy(cohort, config.storage_policy))
     if scale is not None and scale.ack_tree:
         from repro.scale.ack_tree import AckTreeAcks
 

@@ -259,12 +259,15 @@ class Driver(Actor):
         serve it.  *fallback* is an optional ``(coordinator groupid,
         program, args)`` triple run through the full transactional call
         path when the fast path is unavailable (e.g. reads disabled);
-        without it such reads resolve failed.
+        without it such reads resolve failed.  ``timeout`` (> 0) is the
+        wait per attempt, the protocol's call timeout by default.
         """
         if prefer not in ("primary", "backup", "nearest"):
             raise ValueError(
                 f"read() prefer must be primary|backup|nearest, got {prefer!r}"
             )
+        if timeout is not None and timeout <= 0:
+            raise ValueError(f"read() timeout must be > 0, got {timeout!r}")
         self._next_request += 1
         request = _PendingRead(
             request_id=self._next_request,

@@ -17,6 +17,7 @@ from repro.harness.common import (
     run_until,
 )
 from repro.sim.process import sleep
+from repro.storage.stable import StableStoragePolicy
 from repro.workloads.loadgen import run_closed_loop
 
 
@@ -29,7 +30,7 @@ def e01_call_overhead(txns: int = 80) -> ExperimentResult:
     """Per-call cost vs group size, against the conventional system."""
     rows = []
     variants = [
-        ("unreplicated", 1, ProtocolConfig(force_to_stable=True)),
+        ("unreplicated", 1, ProtocolConfig(storage_policy=StableStoragePolicy.LOG)),
         ("vr n=1", 1, None),
         ("vr n=3", 3, None),
         ("vr n=5", 5, None),
@@ -163,7 +164,7 @@ def e03_commit_crossover(txns: int = 60) -> ExperimentResult:
     for stable_latency in (0.5, 1.0, 2.0, 5.0, 10.0, 20.0):
         # Conventional system: every force blocks on a stable write.
         force_u, txn_u = _commit_cost(
-            1, txns, force_to_stable=True, stable_write_latency=stable_latency
+            1, txns, storage_policy=StableStoragePolicy.LOG, stable_write_latency=stable_latency
         )
         # Viewstamped replication: forces go to the backups over the network.
         force_v, txn_v = _commit_cost(3, txns, stable_write_latency=stable_latency)

@@ -49,21 +49,23 @@ class DiskFault(Exception):
 
 
 class StableStoragePolicy(enum.Enum):
-    """How much cohort state is kept on stable storage (section 4.2).
+    """What a cohort keeps on stable storage: section 4.2's spectrum.
 
-    MINIMAL is the paper's design.  PRIMARY_GSTATE is the paper's suggested
-    hardening ("we might use stable storage only at the primary"): at every
-    ``add_record`` the primary also writes a snapshot of its group state and
-    history with ``write_immediate`` -- the UPS-backed background write of
-    section 4.2, off the critical path, so no force waits for it (DESIGN.md
-    D8).  ALL has every backup write the same snapshot as it applies each
-    record (the conventional-system endpoint of the spectrum).  A recovering
-    cohort restores from its snapshot under either.
+    MINIMAL, the paper's design, keeps the four fields above and builds no
+    extension; each other point is one :class:`~repro.storage.policy.StablePolicy`
+    (DESIGN.md D8).  PRIMARY_GSTATE ("stable storage only at the primary")
+    has the primary write its image, the full newview record, after every
+    record it adds; ALL has every cohort do so after every record it adds
+    or applies.  Both write with ``write_immediate`` (UPS-backed NVRAM, off
+    the critical path) and recover by installing the image.  LOG is the
+    conventional system of section 3.7: every force also waits for a
+    stable write of the history.
     """
 
     MINIMAL = "minimal"
     PRIMARY_GSTATE = "primary_gstate"
     ALL = "all"
+    LOG = "log"
 
 
 class StableStore:

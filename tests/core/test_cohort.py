@@ -195,9 +195,12 @@ def test_backup_ignores_gap():
 
 def test_force_to_stable_combines_latencies():
     from repro.config import ProtocolConfig
+    from repro.storage.stable import StableStoragePolicy
 
-    rt = Runtime(seed=0, config=ProtocolConfig(force_to_stable=True,
-                                               stable_write_latency=30.0))
+    config = ProtocolConfig(
+        storage_policy=StableStoragePolicy.LOG, stable_write_latency=30.0
+    )
+    rt = Runtime(seed=0, config=config)
     group = rt.create_group("g", CounterSpec(), n_cohorts=3)
     primary = group.cohort(0)
     vs = primary.add_record(Aborted(aid=aid_for(primary)))

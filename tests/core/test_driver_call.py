@@ -68,3 +68,16 @@ def test_call_rejects_nonpositive_timeout():
     rt, _kv, _clients, driver, _spec = build_kv_system(seed=3, n_cohorts=3)
     with pytest.raises(ValueError):
         driver.call("clients", "write", "kv", "k0", 1, timeout=0)
+
+
+@pytest.mark.parametrize("timeout", [-1.0, 0])
+def test_read_rejects_nonpositive_timeout(timeout):
+    """A negative timeout sent its request and then raised from the kernel,
+    leaving the request registered; zero re-sent at one instant until the
+    retries ran out.  Both are refused before anything is sent."""
+    rt, kv, _clients, driver, spec = build_kv_system(seed=3, n_cohorts=3)
+    sent = rt.network.messages_sent_total
+    with pytest.raises(ValueError, match="timeout"):
+        driver.read("kv", spec.key(0), timeout=timeout)
+    assert driver._reads == {}
+    assert rt.network.messages_sent_total == sent

@@ -26,6 +26,7 @@ from repro.core import messages as m
 from repro.gate import state_run
 from repro.harness.common import build_kv_system
 from repro.live import one_crash
+from repro.storage.stable import StableStoragePolicy
 
 #: mechanism -> (the sub-config and knobs that arm it, its extension, the
 #: rows it adds or wraps)
@@ -119,7 +120,8 @@ def test_a_default_config_run_never_imports_the_extension_subsystems():
         "rt.run_for(400.0)\n"
         "assert kv.active_primary() is not None\n"
         "loaded = [name for name in ('repro.scale', 'repro.reads.lease',\n"
-        "          'repro.reads.serving', 'repro.core.batching')\n"
+        "          'repro.reads.serving', 'repro.core.batching',\n"
+        "          'repro.storage.policy')\n"
         "          if name in sys.modules]\n"
         "assert not loaded, loaded\n"
     )
@@ -152,6 +154,23 @@ def test_every_method_the_seam_offers_is_taken_over_by_some_extension():
         "ViewChangeController.activate",
         "ServerRole._send_query",
     }
+
+
+#: each stable-storage policy but MINIMAL -> the one method it takes over
+STORAGE_POINTS = {
+    StableStoragePolicy.PRIMARY_GSTATE: "Cohort.add_record",
+    StableStoragePolicy.ALL: "Cohort._record_bookkeeping",
+    StableStoragePolicy.LOG: "Cohort.force_to",
+}
+
+
+@pytest.mark.parametrize("policy", list(STORAGE_POINTS), ids=lambda p: p.value)
+def test_each_storage_policy_is_one_extension_taking_over_one_method(policy):
+    group = _group(ProtocolConfig(storage_policy=policy), n_cohorts=3)
+    for cohort in group.cohorts.values():
+        assert [type(e).__name__ for e in cohort.extensions] == ["StablePolicy"]
+        assert _extension_rows(cohort) == set()
+        assert _shadowed_methods(cohort) == {STORAGE_POINTS[policy]}
 
 
 # -- cross-extension pairs -----------------------------------------------------
@@ -191,6 +210,14 @@ def test_every_pair_of_mechanisms_computes_the_paper_faithful_state(
         _state_after_writes_reads_and_a_failover(_config(*pair))
         == paper_faithful_state
     )
+
+
+@pytest.mark.parametrize("policy", list(STORAGE_POINTS), ids=lambda p: p.value)
+def test_every_storage_policy_computes_the_paper_faithful_state(
+    policy, paper_faithful_state
+):
+    config = ProtocolConfig(storage_policy=policy)
+    assert _state_after_writes_reads_and_a_failover(config) == paper_faithful_state
 
 
 # -- found while moving the code (PR 16), fixed by ``Batching.reset`` ---------------

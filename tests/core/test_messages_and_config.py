@@ -76,6 +76,17 @@ def test_config_defaults_sane():
     assert config.extended_formation_rule is False
 
 
+@pytest.mark.parametrize("policy", ["all", "minimal", None, 2])
+def test_config_rejects_a_storage_policy_that_is_not_a_member(policy):
+    """``storage_policy="all"`` was taken, then ran as PRIMARY_GSTATE: the
+    string is not MINIMAL, and not ALL either, so only the primary kept a
+    stable image.  Anything but a member is refused, naming the field."""
+    with pytest.raises(ValueError, match="storage_policy"):
+        ProtocolConfig(storage_policy=policy)
+    for member in StableStoragePolicy:
+        assert ProtocolConfig(storage_policy=member).storage_policy is member
+
+
 @pytest.mark.parametrize(
     "knobs",
     [{"max_batch": 0}, {"max_batch": -3}, {"pipeline_depth": 0}, {"flush_interval": -0.5}],

@@ -165,3 +165,18 @@ def test_duplicate_finish_request_answered_from_outcome():
     )
     rt.run_for(100)
     assert replies and replies[0].outcome == "committed"
+
+
+def test_agent_with_unreachable_coordinator_server_resolves_aborted():
+    """Every coordinator-server cohort is down through the begin's
+    patience: no aid was handed out, so the transaction resolves
+    ``("aborted", None)`` rather than failing its future."""
+    rt, kv, agent, spec = build()
+    coordsvc = rt.groups["coordsvc"]
+    for mid in range(3):
+        coordsvc.crash_cohort(mid)
+    outcome = agent.run_transaction(agent_incr, spec.key(0))
+    rt.run_for(3000)
+    assert outcome.done and outcome.exception() is None
+    assert outcome.result() == ("aborted", None)
+    assert kv.read_object(spec.key(0)) == 0

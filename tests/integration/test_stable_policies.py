@@ -1,7 +1,10 @@
 """Stable-storage policy behaviour (section 4.2 spectrum)."""
 
 
+import pytest
+
 from repro.config import ProtocolConfig
+from repro.core.viewstamp import History, Viewstamp
 from repro.storage.stable import StableStoragePolicy
 
 from tests.conftest import build_counter_system
@@ -81,7 +84,9 @@ def test_force_to_stable_slows_commit():
     fast = build_counter_system(seed=174)
     slow = build_counter_system(
         seed=174,
-        config=ProtocolConfig(force_to_stable=True, stable_write_latency=25.0),
+        config=ProtocolConfig(
+            storage_policy=StableStoragePolicy.LOG, stable_write_latency=25.0
+        ),
     )
     for label, (rt, _c, _cl, driver) in (("fast", fast), ("slow", slow)):
         run_bump(rt, driver, 1, time=800)
@@ -127,3 +132,61 @@ def test_transaction_survives_full_group_crash_under_nvram():
     assert counter.read_object("count") == 3
     assert rt.ledger.commit_count >= 1
     rt.check_invariants(require_convergence=False)
+
+
+def _state(cohort):
+    """What a stable image holds, by name (a dict, so a failure reads)."""
+    record = cohort.gstate_record(None)
+    return {
+        "image": record.objects,
+        "outcomes": record.outcomes,
+        "committing": record.committing,
+        "pending": record.pending,
+        "history": record.history_entries,
+    }
+
+
+@pytest.mark.parametrize("policy", list(StableStoragePolicy), ids=lambda p: p.value)
+def test_each_policy_persists_exactly_what_it_says(policy):
+    """A committed write, then a call whose transaction is still open: the
+    primary and one backup crash and recover at once.  MINIMAL and LOG
+    read nothing back, PRIMARY_GSTATE restores only the primary, ALL
+    restores both exactly as they were; only LOG's forces wait on disk."""
+    from repro import transaction_program
+    from repro.sim.process import sleep
+
+    latency = 25.0
+    config = ProtocolConfig(storage_policy=policy, stable_write_latency=latency)
+    rt, counter, clients, driver = build_counter_system(seed=176, config=config)
+
+    @transaction_program
+    def held_open(txn):
+        yield txn.call("counter", "increment", 3)
+        yield sleep(500.0)
+        return "done"
+
+    clients.register_program("held_open", held_open)
+    assert run_bump(rt, driver, 5)[0] == "committed"
+    driver.call("clients", "held_open", retries=0)
+    rt.run_for(100)
+    primary, backup = counter.cohort(0), counter.cohort(1)
+    assert primary.is_active_primary and backup.pending  # the open call's record
+    before = {cohort: _state(cohort) for cohort in (primary, backup)}
+    for cohort in (primary, backup):
+        cohort.node.crash()
+        cohort.node.recover()
+    restores = {
+        StableStoragePolicy.MINIMAL: (False, False),
+        StableStoragePolicy.LOG: (False, False),
+        StableStoragePolicy.PRIMARY_GSTATE: (True, False),
+        StableStoragePolicy.ALL: (True, True),
+    }[policy]
+    assert (primary.up_to_date, backup.up_to_date) == restores
+    for cohort, restored in zip((primary, backup), restores):
+        fresh = {
+            "image": {}, "outcomes": (), "committing": {}, "pending": (),
+            "history": History([Viewstamp(cohort.cur_viewid, 0)]).entries(),
+        }
+        assert _state(cohort) == (before[cohort] if restored else fresh)
+    forces = rt.metrics.latencies["commit_force_latency"]
+    assert (forces.minimum >= latency) == (policy is StableStoragePolicy.LOG)

@@ -3,7 +3,7 @@
 A model group runs the real init-view builder
 (``ViewChangeController.build_init_view``), primary choice
 (``_choose_primary``), newview builder (``Cohort._newview``) and install
-(``Cohort._install_gstate``) on real stores and outcome tables.  Its primary
+(``Cohort.install_gstate``) on real stores and outcome tables.  Its primary
 writes with records (an install, an outcome) and without (an ``ensure`` of
 an absent uid, a commit point's outcome); its backups apply a prefix of the
 view's records each (lag points); any cohort may crash, losing its gstate,
@@ -43,8 +43,8 @@ class _Cohort:
     """The part of a cohort the builder and the install read and write."""
 
     _newview = Cohort._newview
-    _install_gstate = Cohort._install_gstate
-    _pending_records = Cohort._pending_records
+    gstate_record = Cohort.gstate_record
+    install_gstate = Cohort.install_gstate
 
     def __init__(self, mid):
         self.mymid = mid
@@ -156,7 +156,9 @@ class _Group:
                 continue
             record = diffs.get(cohort.mymid, full)
             self.diff_installs += record is not full
-            cohort._install_gstate(viewid, record)
+            cohort.install_gstate(record)  # as install_newview does
+            cohort.history.advance(viewid, 1)
+            cohort._written_since = Viewstamp(viewid, 1)
             cohort.up_to_date, cohort.led, cohort.applied, cohort.in_view = True, None, 0, True
             _check_installed(cohort, full)
         self.primary, self.viewid, self.records = primary, viewid, []
@@ -166,7 +168,7 @@ def _check_installed(cohort, full):
     image, outcomes = cohort.store.snapshot(), cohort.outcomes.wire()
     assert image == full.objects
     assert outcomes == full.outcomes
-    assert cohort._pending_records() == full.pending
+    assert cohort.gstate_record(None).pending == full.pending
     assert cohort.committing == full.committing
     assert cohort.store.lockers == {}
     # Right after an install nothing is written since its sizing, so these
