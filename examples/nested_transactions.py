@@ -7,14 +7,18 @@ extra work only when the problem arises."
 
 Two identical workloads run against a KV group whose primary is killed
 repeatedly: one with flat (one-level) transactions, one with subactions.
-The flat run loses whole transactions whenever a call catches a dead
-primary; the nested run retries just the failed call as a new subaction
-and almost always commits.
+A call in flight at a crash follows the new primary under the same call
+id, so a plain crash aborts nothing.  Here each crash comes just after the
+primary's replies to the client group were lost while the calls' records
+reached its backups: the new primary refuses those call ids ("to resolve
+this uncertainty, we abort").  The flat run loses whole transactions
+there; the nested run retries just the failed call as a new subaction
+and commits.
 
 Run:  python examples/nested_transactions.py
 """
 
-from repro import EmptyModule, Nemesis, Runtime, transaction_program
+from repro import EmptyModule, Runtime, transaction_program
 from repro.sim.process import sleep
 from repro.workloads.kv import KVStoreSpec
 from repro.workloads.loadgen import run_closed_loop
@@ -38,6 +42,23 @@ def nested_order(txn, group, items):
     return len(items)
 
 
+def lose_replies_then_crash(rt, every=300.0, count=6, mute=20.0, recover_after=140.0):
+    """Every *every*: cut kv's primary's link to the client group's primary
+    for *mute*, then crash kv's primary and restore the link."""
+    for _ in range(count):
+        yield sleep(every - mute)
+        server = rt.groups["kv"].active_primary()
+        client = rt.groups["clients"].active_primary()
+        if server is None or client is None:
+            continue
+        ends = (server.node.node_id, client.node.node_id)
+        rt.faults.fail_link_oneway(*ends)
+        yield sleep(mute)
+        if rt.faults.crash(ends[0]):
+            rt.faults.recover_later(ends[0], recover_after)
+        rt.faults.repair_link_oneway(*ends)
+
+
 def run(program_name: str) -> tuple:
     rt = Runtime(seed=31)
     spec = KVStoreSpec(n_keys=64)
@@ -52,9 +73,7 @@ def run(program_name: str) -> tuple:
         for j in range(50)
     ]
     stats = run_closed_loop(rt, driver, "clients", jobs, concurrency=3)
-    rt.inject(
-        Nemesis().crash_primary(kv.groupid, every=300.0, count=6, recover_after=140.0)
-    )
+    rt.faults.spawn(lose_replies_then_crash(rt), name="lose-replies-then-crash")
     while stats.submitted < len(jobs) and rt.sim.now < 60_000:
         rt.run_for(500)
     rt.quiesce()
@@ -74,7 +93,7 @@ def main():
     print(f"  committed {nested.committed}, aborted {nested.aborted} "
           f"across {changes} view changes ({retries} subaction retries)")
 
-    print("\nsubactions turned most view-change aborts into quiet call retries")
+    print("\nsubactions turned the lost-reply aborts into quiet call retries")
     assert nested.committed >= flat.committed
 
 

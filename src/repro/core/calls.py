@@ -8,13 +8,16 @@ Implements Figure 2's "making a remote call" loop:
 3. reply -> merge psets; no reply after probes -> the transaction must
    abort; view-changed rejection -> update the cache and retry.
 
-Probes re-send the *same* call id to the *same* primary; the server's
+Retransmits re-send the *same* call id to the *same* primary; the server's
 duplicate-suppression table makes that idempotent, so lost replies are
-recovered without double execution.  After a view change, the retry goes to
-the new primary with the same call id -- if the call already ran in the old
-view, the new primary detects the id among its surviving completed-call
-records and fails the call, which aborts the transaction (the paper's
-"to resolve this uncertainty, we abort the transaction").
+recovered without double execution.  A crashed primary sends no
+view-changed rejection, so each retransmit also asks the group's other
+members which view they are in.  After a view change -- learnt from a
+rejection or from a probe reply -- the retry goes to the new primary with
+the same call id: if the call already ran in the old view, the new primary
+detects the id among its surviving completed-call records and fails the
+call, which aborts the transaction (the paper's "to resolve this
+uncertainty, we abort the transaction").
 """
 
 from __future__ import annotations
@@ -50,17 +53,18 @@ class CallAborted(SimulationError):
 _MAX_VIEW_SWITCHES = 5
 
 
-def probe_view(host, groupid: str) -> bool:
-    """Ask every member of *groupid* for its current view, in configuration
-    order (Figure 2's cache refresh); False if the group is unknown.  The
-    host provides ``address``, ``send`` and ``locate`` as for
-    :class:`RemoteCaller`."""
+def probe_view(host, groupid: str, skip: Optional[str] = None) -> bool:
+    """Ask every member of *groupid* but the one at *skip* for its current
+    view, in configuration order (Figure 2's cache refresh); False if the
+    group is unknown.  The host provides ``address``, ``send`` and
+    ``locate`` as for :class:`RemoteCaller`."""
     try:
         members = host.locate(groupid)
     except KeyError:
         return False
     for _mid, address in members:
-        host.send(address, ViewProbeMsg(reply_to=host.address))
+        if address != skip:
+            host.send(address, ViewProbeMsg(reply_to=host.address))
     return bool(members)
 
 
@@ -245,13 +249,8 @@ class RemoteCaller:
         moved = False
         if msg.viewid is not None and msg.view is not None:
             moved = self._update_cache(state.groupid, msg.viewid, msg.view)
-        if state.timer is not None:
-            state.timer.cancel()
-        if state.view_switches_left <= 0:
-            self._fail(state, "too many view changes at " + state.groupid)
+        if not self._switch_view(state):
             return
-        state.view_switches_left -= 1
-        state.retry.restart()  # a fresh target gets the full patience again
         if moved or self.host.cache.get(state.groupid) is not None:
             self._dispatch(state)
         else:
@@ -259,15 +258,30 @@ class RemoteCaller:
             self._probe(state)
 
     def on_probe_reply(self, msg: ViewProbeReplyMsg) -> None:
+        """Every call to the group that the cache has moved past (it was
+        sent in an older view) is re-sent to the new primary with the same
+        call id."""
         if msg.active and msg.viewid is not None and msg.view is not None:
             self._update_cache(msg.groupid, msg.viewid, msg.view)
+        entry = self.host.cache.get(msg.groupid)
+        if entry is None:
+            return
+        groupid, viewid = msg.groupid, entry.viewid
         for state in list(self._outstanding.values()):
-            if state.probing and state.groupid == msg.groupid:
-                entry = self.host.cache.get(state.groupid)
-                if entry is not None:
+            if state.probing:
+                if state.groupid == groupid:
                     if state.timer is not None:
                         state.timer.cancel()
                     self._dispatch(state)
+            # A call sent in the cached view holds that very ViewId, so the
+            # identity test spares the ordered comparison on every reply.
+            elif (
+                state.viewid is not viewid
+                and state.groupid == groupid
+                and state.viewid < viewid
+                and self._switch_view(state)
+            ):
+                self._dispatch(state)
 
     # -- timeouts ------------------------------------------------------------
 
@@ -277,9 +291,12 @@ class RemoteCaller:
             return
         if not state.retry.expired(self.host.sim.now):
             # Probe: re-send the same call id to the same primary; the
-            # server's duplicate table makes this safe.
+            # server's duplicate table makes this safe.  The rest of the
+            # group is asked which view it is in, so that a silent (crashed)
+            # primary's successor is followed rather than waited out.
             self.host.metrics.incr("call_retransmits")
             self._transmit(state)
+            probe_view(self.host, state.groupid, skip=state.target)
         else:
             # "The transaction must abort...  we also attempt to update the
             # cache, so that the next use of the server will not cause an
@@ -299,6 +316,18 @@ class RemoteCaller:
             self._probe(state)
 
     # -- helpers --------------------------------------------------------------
+
+    def _switch_view(self, state: _OutstandingCall) -> bool:
+        """Ready *state* for a newer view of its group: False (the call
+        failed) once its view switches are spent."""
+        if state.timer is not None:
+            state.timer.cancel()
+        if state.view_switches_left <= 0:
+            self._fail(state, "too many view changes at " + state.groupid)
+            return False
+        state.view_switches_left -= 1
+        state.retry.restart()  # a fresh target gets the full patience again
+        return True
 
     def _update_cache(self, groupid: str, viewid: ViewId, view) -> bool:
         primary_address = primary_address_in(self.host.locate(groupid), view)

@@ -3,10 +3,13 @@ edits, and end-to-end comparison including the Tandem-style pair."""
 
 from __future__ import annotations
 
+import dataclasses
+
 from repro import FaultPlan, Nemesis, Runtime
 from repro.app.module import transaction_program
 from repro.config import ProtocolConfig
 from repro.baselines.pair import PairClient, PairSystem
+from repro.faults import FaultRule
 from repro.harness.common import (
     ExperimentResult,
     build_kv_system,
@@ -36,7 +39,39 @@ def _nested_chain(txn, group, keys, pause):
     return len(keys)
 
 
-def _nested_run(program_name: str, seed: int, txns: int = 80, kills: int = 10):
+@dataclasses.dataclass
+class _LoseRepliesThenCrash(FaultRule):
+    """Every *every*, cut the link from kv's primary to the client group's
+    primary for *mute* -- the calls it runs meanwhile complete, their
+    records reach its backups, their replies are lost -- then crash it and
+    restore the link.  A caller that follows the new primary with the same
+    call id finds that record there, and the call fails (DESIGN.md D7)."""
+
+    every: float
+    count: int
+    mute: float
+    recover_after: float
+    label = "lose-replies-then-crash"
+
+    def run(self, controller):
+        groups = controller.runtime.groups
+        for _ in range(self.count):
+            yield sleep(self.every - self.mute)
+            server, client = groups["kv"].active_primary(), groups["clients"].active_primary()
+            if server is None or client is None:
+                continue
+            ends = (server.node.node_id, client.node.node_id)
+            controller.fail_link_oneway(*ends)
+            yield sleep(self.mute)
+            if controller.crash(ends[0]):
+                controller.recover_later(ends[0], self.recover_after)
+            controller.repair_link_oneway(*ends)
+
+
+def _nested_run(
+    program_name: str, seed: int, txns: int = 80, kills: int = 10,
+    lose_replies: bool = False,
+):
     rt, kv, clients, driver, spec = build_kv_system(seed=seed, n_cohorts=3, n_keys=64)
     clients.register_program("flat", paused_chain)
     clients.register_program("nested", _nested_chain)
@@ -49,11 +84,13 @@ def _nested_run(program_name: str, seed: int, txns: int = 80, kills: int = 10):
         )
         for j in range(txns)
     ]
-    stats = run_under_nemesis(
-        rt, driver, jobs,
-        Nemesis().crash_primary("kv", every=300.0, count=kills, recover_after=140.0),
-        concurrency=4,
-    )
+    if lose_replies:
+        nemesis = Nemesis().add(
+            _LoseRepliesThenCrash(every=300.0, count=kills, mute=20.0, recover_after=140.0)
+        )
+    else:
+        nemesis = Nemesis().crash_primary("kv", every=300.0, count=kills, recover_after=140.0)
+    stats = run_under_nemesis(rt, driver, jobs, nemesis, concurrency=4)
     return (
         stats.committed,
         stats.aborted,
@@ -65,8 +102,10 @@ def _nested_run(program_name: str, seed: int, txns: int = 80, kills: int = 10):
 
 def e10_nested() -> ExperimentResult:
     rows = [
-        ("flat (one-level)",) + _nested_run("flat", seed=1010),
-        ("nested (subactions)",) + _nested_run("nested", seed=1010),
+        ("flat, crash",) + _nested_run("flat", seed=1010),
+        ("nested, crash",) + _nested_run("nested", seed=1010),
+        ("flat, reply lost then crash",) + _nested_run("flat", seed=1010, lose_replies=True),
+        ("nested, reply lost then crash",) + _nested_run("nested", seed=1010, lose_replies=True),
     ]
     return ExperimentResult(
         exp_id="E10",
@@ -81,10 +120,14 @@ def e10_nested() -> ExperimentResult:
                  "subaction retries", "view changes"],
         rows=rows,
         notes=(
-            "With subactions, calls that hit a crashed/changed primary are "
-            "retried as fresh subactions and the transaction usually "
-            "commits; without them every such no-reply aborts the whole "
-            "transaction.  Retries only occur when a view actually changed."
+            "A call in flight at a primary crash follows the new primary "
+            "with the same call id and completes there (DESIGN.md D7), so a "
+            "plain crash aborts neither flat nor nested transactions.  When "
+            "the reply was lost but the call's completed-call record reached "
+            "the backups, the new primary fails that id: a flat transaction "
+            "must abort, while a nested one aborts only the subaction and "
+            "calls again as a fresh one.  Retries only occur when a view "
+            "actually changed."
         ),
     )
 

@@ -128,15 +128,16 @@ def e17_sharding(seeds=(1701, 1702)) -> ExperimentResult:
             "transfers).  'aborts@shard0' counts aborted transactions "
             "whose key set touched shard 0 -- the shard whose primary the "
             "viewchange condition crashes at t=180 -- and 'aborts "
-            "elsewhere' those that touched no shard-0 key.  A crashed "
-            "shard invalidates only psets naming it, so no abort "
-            "elsewhere is a viewstamp invalidation: the handful there are "
-            "lock-wait collateral (a lock wait on a contended key "
-            "cancelled, or a transaction queued behind a cross-shard "
-            "transfer that held its locks while waiting out the crashed "
-            "shard).  The lossy "
-            "condition reruns the same seeds on the LOSSY link model "
-            "(retransmissions recover; some cross-shard 2PCs abort)."
+            "elsewhere' those that touched no shard-0 key.  A call in "
+            "flight at the crash follows shard 0's new primary with the "
+            "same call id (DESIGN.md D7), so the viewchange rows abort "
+            "nothing; a crashed shard invalidates only psets naming it "
+            "(tests/shard/test_viewchange_isolation.py constructs that "
+            "loss).  The lossy condition reruns the same seeds on the LOSSY "
+            "link model: retransmissions recover, some cross-shard 2PCs "
+            "abort, and an abort elsewhere is lock-wait collateral (a lock "
+            "wait on a contended key cancelled), not a viewstamp "
+            "invalidation."
         ),
     )
 

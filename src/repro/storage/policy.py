@@ -29,8 +29,11 @@ class StablePolicy(Extension):
         return result
 
     def _force_with_log(self, force_to, viewstamp):
+        """The conventional system's force: the image ``reset`` installs
+        is written, at disk latency, before the force completes."""
         replica_force = force_to(viewstamp)
-        stable_force = self.cohort.stable.write("log", self.cohort.history.entries())
+        cohort = self.cohort
+        stable_force = cohort.stable.write("gstate", cohort.gstate_record(cohort.cur_view))
         return all_done(replica_force, stable_force, label=f"force+stable:{viewstamp}")
 
     def reset(self) -> None:

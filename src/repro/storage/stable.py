@@ -59,7 +59,7 @@ class StableStoragePolicy(enum.Enum):
     or applies.  Both write with ``write_immediate`` (UPS-backed NVRAM, off
     the critical path) and recover by installing the image.  LOG is the
     conventional system of section 3.7: every force also waits for a
-    stable write of the history.
+    stable write of that image, which recovery installs.
     """
 
     MINIMAL = "minimal"

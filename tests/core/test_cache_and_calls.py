@@ -202,3 +202,25 @@ def test_late_reply_ignored():
     assert future.failed
     # A very late reply must not blow up or double-resolve.
     caller.on_reply(ReplyMsg(call_id=call_id, result=1, pset_pairs=(), piggyback=None))
+
+
+def test_unanswered_retransmit_asks_the_group_and_follows_a_later_view():
+    """A retransmit also probes every member but its silent target; a probe
+    reply naming a later view re-sends the call, with the same call id, to
+    that view's primary, with the full patience again."""
+    host = FakeHost()
+    host.cache.update("g", V1, VIEW1, "g/0")
+    caller = RemoteCaller(host)
+    call_id, future = make_call(host, caller)
+    host.sim.run(until=12.0)  # the first wait (call_timeout=10) ran out
+    retransmit_at = len(host.sent) - 3
+    assert [d for d, m_ in host.sent if isinstance(m_, CallMsg)] == ["g/0", "g/0"]
+    assert [d for d, m_ in host.sent[retransmit_at:]] == ["g/0", "g/1", "g/2"]
+    assert all(isinstance(m_, ViewProbeMsg) for _d, m_ in host.sent[retransmit_at + 1:])
+    caller.on_probe_reply(ViewProbeReplyMsg(groupid="g", viewid=V2, view=VIEW2, active=True))
+    destination, message = host.sent[-1]
+    assert (destination, message.call_id, message.viewid) == ("g/1", call_id, V2)
+    host.sim.run(until=25.0)  # a fresh target's first wait has not run out
+    assert not future.done
+    caller.on_reply(ReplyMsg(call_id=call_id, result=7, pset_pairs=(), piggyback=None))
+    assert future.result()[0] == 7

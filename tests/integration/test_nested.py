@@ -82,6 +82,13 @@ def test_orphan_subaction_effects_discarded():
 
 
 def test_flat_transaction_aborts_where_nested_retries():
+    """The first call runs at kv's primary and its completed-call record
+    reaches the backups, but the reply is lost; then the primary crashes.
+    The caller follows the new primary with the same call id, which the
+    new primary finds among its surviving records and fails (DESIGN.md
+    D7).  A flat transaction must abort; a subaction retry under a fresh
+    call id saves the nested one, and every key is incremented once."""
+
     @transaction_program
     def flat_chain(txn, keys, pause=40.0):
         for key in keys:
@@ -89,14 +96,31 @@ def test_flat_transaction_aborts_where_nested_retries():
             yield sleep(pause)
         return len(keys)
 
-    rt, kv, clients, driver, spec = build(seed=54)
-    clients.register_program("flat_chain", flat_chain)
-    f = driver.call("clients", "flat_chain", [spec.key(i) for i in range(4)])
-    rt.run_for(60)
-    kv.crash_primary()
-    rt.run_for(4000)
-    assert f.done
-    assert f.result()[0] == "aborted"
+    def lose_reply_then_crash(program):
+        rt, kv, clients, driver, spec = build(seed=54)
+        clients.register_program(program.__name__, program)
+        keys = [spec.key(i) for i in range(4)]
+        primary, caller = kv.active_primary(), clients.active_primary()
+        rt.faults.fail_link_oneway(primary.node.node_id, caller.node.node_id)
+        f = driver.call("clients", program.__name__, keys, 40.0)
+        rt.run_for(20)  # the new view is active before the caller's retransmit
+        assert all(cohort.pending for cohort in kv.cohorts.values())
+        kv.crash_primary()
+        rt.faults.repair_link_oneway(primary.node.node_id, caller.node.node_id)
+        rt.run_for(4000)
+        assert f.done
+        assert rt.metrics.messages_sent["CallFailedMsg"] == 1  # the D7 refusal
+        return rt, kv, keys, f.result()
+
+    rt, kv, keys, result = lose_reply_then_crash(flat_chain)
+    assert result[0] == "aborted"
+    rt.check_invariants(require_convergence=False)
+
+    rt, kv, keys, result = lose_reply_then_crash(chain)
+    assert result == ("committed", 4)
+    assert rt.metrics.counters["subaction_retries:clients"] == 1
+    rt.quiesce()
+    assert [kv.read_object(key) for key in keys] == [1, 1, 1, 1]
     rt.check_invariants(require_convergence=False)
 
 

@@ -95,6 +95,27 @@ def test_force_to_stable_slows_commit():
     assert slow_lat > fast_lat + 25.0  # at least one blocking disk force
 
 
+def test_log_policy_recovers_the_conventional_system():
+    """Section 3.7's conventional system replays its stable log: a lone
+    cohort under LOG that crashes after a commit recovers as primary with
+    the committed count, and serves the next transaction."""
+    config = ProtocolConfig(storage_policy=StableStoragePolicy.LOG)
+    rt, counter, _clients, driver = build_counter_system(
+        seed=177, n_cohorts=1, config=config
+    )
+    assert run_bump(rt, driver, 5)[0] == "committed"
+    counter.crash_cohort(0)
+    rt.run_for(50)
+    counter.recover_cohort(0)
+    rt.run_for(500)
+    primary = counter.active_primary()
+    assert primary is not None
+    assert primary.store.get("count").base == 5
+    assert run_bump(rt, driver, 2)[0] == "committed"
+    assert counter.read_object("count") == 7
+    rt.check_invariants(require_convergence=False)
+
+
 def test_transaction_survives_full_group_crash_under_nvram():
     """With the ALL policy the completed-call records, history, and gstate
     all persist: a whole-group crash in the middle of an open transaction
@@ -149,9 +170,10 @@ def _state(cohort):
 @pytest.mark.parametrize("policy", list(StableStoragePolicy), ids=lambda p: p.value)
 def test_each_policy_persists_exactly_what_it_says(policy):
     """A committed write, then a call whose transaction is still open: the
-    primary and one backup crash and recover at once.  MINIMAL and LOG
-    read nothing back, PRIMARY_GSTATE restores only the primary, ALL
-    restores both exactly as they were; only LOG's forces wait on disk."""
+    primary and one backup crash and recover at once.  MINIMAL reads
+    nothing back, LOG restores the primary as it was at its last force
+    (the commit), PRIMARY_GSTATE restores only the primary, ALL restores
+    both exactly as they were; only LOG's forces wait on disk."""
     from repro import transaction_program
     from repro.sim.process import sleep
 
@@ -167,17 +189,20 @@ def test_each_policy_persists_exactly_what_it_says(policy):
 
     clients.register_program("held_open", held_open)
     assert run_bump(rt, driver, 5)[0] == "committed"
+    primary, backup = counter.cohort(0), counter.cohort(1)
+    at_commit = _state(primary)
     driver.call("clients", "held_open", retries=0)
     rt.run_for(100)
-    primary, backup = counter.cohort(0), counter.cohort(1)
     assert primary.is_active_primary and backup.pending  # the open call's record
     before = {cohort: _state(cohort) for cohort in (primary, backup)}
+    if policy is StableStoragePolicy.LOG:
+        before[primary] = at_commit  # the call's record was never forced
     for cohort in (primary, backup):
         cohort.node.crash()
         cohort.node.recover()
     restores = {
         StableStoragePolicy.MINIMAL: (False, False),
-        StableStoragePolicy.LOG: (False, False),
+        StableStoragePolicy.LOG: (True, False),
         StableStoragePolicy.PRIMARY_GSTATE: (True, False),
         StableStoragePolicy.ALL: (True, True),
     }[policy]

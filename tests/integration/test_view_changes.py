@@ -208,6 +208,29 @@ def test_prepared_transaction_commits_across_coordinator_failover():
     rt.check_invariants(require_convergence=False)
 
 
+def test_call_in_flight_at_primary_crash_follows_the_new_primary():
+    """A call sent to a primary that crashes gets neither a reply nor a
+    view-changed rejection.  Its retransmit asks the rest of the group
+    which view it is in, and the call follows the new primary under the
+    same call id: the transaction commits, once, within one retransmit
+    wait of the new primary's activation, instead of aborting when the
+    caller's patience runs out."""
+    from tests.conftest import build_counter_system
+
+    rt, counter, _clients, driver = build_counter_system(seed=6)
+    rt.run_for(100)
+    future = driver.call("clients", "bump", 1, retries=0)
+    resolved_at = []
+    future.add_done_callback(lambda _future: resolved_at.append(rt.sim.now))
+    counter.crash_primary()  # before the call reaches it
+    rt.run_for(400)
+    assert future.result() == ("committed", 1)
+    activated_at = rt.ledger.view_changes_for("counter")[-1].completed_at
+    assert 0 < resolved_at[0] - activated_at < rt.config.call_timeout
+    assert counter.read_object("count") == 1
+    assert rt.ledger.commit_count == 1
+
+
 def test_in_flight_transactions_abort_on_client_view_change():
     """'A view change at the coordinator that leads to a new primary will
     cause any of the group's transactions to abort automatically.'"""

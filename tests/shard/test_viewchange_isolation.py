@@ -5,9 +5,32 @@ makes sharding composable: a crashed shard invalidates only the psets
 naming it.  These tests pin that isolation with explicit key sets -- every
 transaction's shard footprint is constructed, not sampled -- so "only
 touching transactions abort" is checked exactly, not statistically.
+
+A call in flight at a primary crash follows the new primary and commits
+(section 5: viewstamps avoid the abort), so the abort each test attributes
+is constructed too: the crashed primary's links to its backups are cut
+first, and the transaction's completed-call record, which the primary
+has replied from, is lost with its view.  The new primary's history lacks
+the pset's viewstamp and refuses the prepare (section 3.3).
 """
 
 from tests.shard.util import await_primary, build_sharded, keys_owned_by, submit
+
+
+def _crash_primary_with_stranded_records(rt, shard, txn_time=20.0):
+    """Run *txn_time* with *shard*'s primary cut off from its backups, so
+    every record it writes stays with it, then crash it and repair the
+    links.  Returns the crashed mid."""
+    primary = shard.active_primary()
+    backups = [cohort for cohort in shard.cohorts.values() if cohort is not primary]
+    for backup in backups:
+        rt.faults.fail_link_oneway(primary.node.node_id, backup.node.node_id)
+    rt.run_for(txn_time)  # the call ran at the primary; the prepare waits on a force
+    assert primary.pending and not any(backup.pending for backup in backups)
+    crashed_mid = shard.crash_primary()
+    for backup in backups:
+        rt.faults.repair_link_oneway(primary.node.node_id, backup.node.node_id)
+    return crashed_mid
 
 
 def test_cross_shard_txn_aborts_then_retries_on_one_shard_view_change():
@@ -17,13 +40,13 @@ def test_cross_shard_txn_aborts_then_retries_on_one_shard_view_change():
     future = driver.call(
         sharded, "transfer", src, dst, 5, retries=0, timeout=6000.0
     )
-    rt.run_for(3.0)  # the transfer's calls/prepares are now in flight
-    crashed_mid = sharded.shard(0).crash_primary()
+    crashed_mid = _crash_primary_with_stranded_records(rt, sharded.shard(0))
     assert crashed_mid is not None
     rt.run_for(4000.0)
     assert future.done
     outcome, _ = future.result()
     assert outcome == "aborted"
+    assert rt.metrics.counters[f"prepares_refused:{sharded.shard_groupid(0)}"] == 1
     # the shard re-forms a view and the retried transfer commits; the
     # aborted attempt left no partial effects, so balances start from 0
     sharded.shard(0).recover_cohort(crashed_mid)
@@ -57,12 +80,12 @@ def test_single_shard_view_change_aborts_only_touching_txns():
         ("write", driver.call(sharded, "write", safe1[2], 9)),
         ("write", driver.call(sharded, "write", safe2[2], 9)),
     ]
-    rt.run_for(3.0)
-    assert sharded.shard(0).crash_primary() is not None
+    assert _crash_primary_with_stranded_records(rt, sharded.shard(0)) is not None
     rt.run_for(4000.0)
     assert touching.done
     outcome, _ = touching.result()
     assert outcome == "aborted"
+    assert rt.metrics.counters[f"prepares_refused:{sharded.shard_groupid(0)}"] == 1
     for program, future in safe:
         assert future.done
         outcome, _ = future.result()
