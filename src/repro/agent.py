@@ -16,7 +16,7 @@ worthwhile."  A :class:`ClientAgent` is a single, crashable process that:
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Tuple
 
 from repro.core import messages as m
 from repro.core.cache import ClientCache
@@ -73,7 +73,7 @@ class ClientAgent(Actor):
         self.coordinator_group = coordinator_group
         self.metrics = runtime.metrics
         self.tracer = runtime.tracer
-        self.cache = ClientCache()
+        self.cache = ClientCache(runtime.location)
         self.rtt = RttEstimator()  # fed by RemoteCaller.on_reply
         self.timeouts = AdaptiveTimeouts(self.config, self.rtt)
         self.caller = RemoteCaller(self)
@@ -87,9 +87,6 @@ class ClientAgent(Actor):
 
     def send(self, destination: str, message) -> None:
         self.runtime.network.send(self.address, destination, message)
-
-    def locate(self, groupid: str):
-        return self.runtime.location.lookup(groupid)
 
     # -- running programs --------------------------------------------------------
 
@@ -138,7 +135,7 @@ class ClientAgent(Actor):
         if request_id not in self._begin_waiters:
             return
         spent = resend and retry.expired(self.sim.now)
-        target = self._coordinator_primary()
+        target = self.cache.primary(self.coordinator_group)
         if target is not None:
             self.send(
                 target,
@@ -171,7 +168,7 @@ class ClientAgent(Actor):
         if txn.aid not in self._finish_waiters:
             return
         spent = resend and retry.expired(self.sim.now)
-        target = self._coordinator_primary()
+        target = self.cache.primary(self.coordinator_group)
         if target is not None:
             self.send(
                 target,
@@ -192,10 +189,6 @@ class ClientAgent(Actor):
             return
         self.set_timer(retry.wait(self.sim.now), self._send_finish, txn, decision, retry, True)
 
-    def _coordinator_primary(self) -> Optional[str]:
-        entry = self.cache.get(self.coordinator_group)
-        return entry.primary_address if entry is not None else None
-
     def _probe_coordinator(self) -> None:
         probe_view(self, self.coordinator_group)
 
@@ -213,13 +206,6 @@ class ClientAgent(Actor):
                 self._probe_coordinator()
         elif isinstance(message, m.ViewProbeReplyMsg):
             self.caller.on_probe_reply(message)
-            if message.groupid and message.active and message.view is not None:
-                primary_address = self.runtime.location.primary_address(
-                    message.groupid, message.view
-                )
-                self.cache.update(
-                    message.groupid, message.viewid, message.view, primary_address
-                )
         elif isinstance(message, m.BeginTxnReplyMsg):
             future = self._begin_waiters.pop(message.request_id, None)
             if future is not None and not future.done:

@@ -35,7 +35,6 @@ from repro.core.messages import (
 )
 from repro.core.viewstamp import ViewId
 from repro.detect import Retry
-from repro.location.service import primary_address_in
 from repro.sim.errors import SimulationError
 from repro.sim.future import Future
 from repro.txn.ids import Aid, CallId
@@ -57,15 +56,14 @@ def probe_view(host, groupid: str, skip: Optional[str] = None) -> bool:
     """Ask every member of *groupid* but the one at *skip* for its current
     view, in configuration order (Figure 2's cache refresh); False if the
     group is unknown.  The host provides ``address``, ``send`` and
-    ``locate`` as for :class:`RemoteCaller`."""
-    try:
-        members = host.locate(groupid)
-    except KeyError:
+    ``cache`` as for :class:`RemoteCaller`."""
+    members = host.cache.location.try_lookup(groupid)
+    if members is None:
         return False
     for _mid, address in members:
         if address != skip:
             host.send(address, ViewProbeMsg(reply_to=host.address))
-    return bool(members)
+    return True
 
 
 @dataclasses.dataclass
@@ -92,11 +90,11 @@ class RemoteCaller:
     """Issues calls on behalf of one host actor (a cohort or client agent).
 
     The host provides: ``address``, ``sim``, ``node``, ``cache``
-    (ClientCache), ``config`` (ProtocolConfig), ``metrics`` (Metrics),
+    (ClientCache, which learns every view a reply carries and names the
+    group's members), ``config`` (ProtocolConfig), ``metrics`` (Metrics),
     ``rtt`` (RttEstimator, fed each call's round trip), ``timeouts``
     (AdaptiveTimeouts over that ``rtt``), ``tracer`` (None when off),
-    ``set_timer(delay, fn, *args)``, ``send(dst, msg)``, and
-    ``locate(groupid) -> [(mid, address), ...]``.
+    ``set_timer(delay, fn, *args)`` and ``send(dst, msg)``.
     """
 
     def __init__(self, host):
@@ -246,9 +244,7 @@ class RemoteCaller:
         state = self._outstanding.get(msg.call_id)
         if state is None:
             return
-        moved = False
-        if msg.viewid is not None and msg.view is not None:
-            moved = self._update_cache(state.groupid, msg.viewid, msg.view)
+        moved = self.host.cache.learn(state.groupid, msg.viewid, msg.view)
         if not self._switch_view(state):
             return
         if moved or self.host.cache.get(state.groupid) is not None:
@@ -261,8 +257,8 @@ class RemoteCaller:
         """Every call to the group that the cache has moved past (it was
         sent in an older view) is re-sent to the new primary with the same
         call id."""
-        if msg.active and msg.viewid is not None and msg.view is not None:
-            self._update_cache(msg.groupid, msg.viewid, msg.view)
+        if msg.active:
+            self.host.cache.learn(msg.groupid, msg.viewid, msg.view)
         entry = self.host.cache.get(msg.groupid)
         if entry is None:
             return
@@ -328,10 +324,6 @@ class RemoteCaller:
         state.view_switches_left -= 1
         state.retry.restart()  # a fresh target gets the full patience again
         return True
-
-    def _update_cache(self, groupid: str, viewid: ViewId, view) -> bool:
-        primary_address = primary_address_in(self.host.locate(groupid), view)
-        return self.host.cache.update(groupid, viewid, view, primary_address)
 
     def _fail(self, state: _OutstandingCall, reason: str) -> None:
         if state.timer is not None:

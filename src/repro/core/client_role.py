@@ -164,7 +164,7 @@ class ClientRole:
         # The client's calls populated no cache entries here; warm them so
         # prepares can be addressed.
         for groupid in sorted(txn.pset.participants()):
-            if cohort.cache.get(groupid) is None:
+            if groupid not in cohort.cache:
                 probe_view(cohort, groupid)
         self._start_prepare(state)
         return future
@@ -313,11 +313,10 @@ class ClientRole:
     def _notify_subaction_abort(
         self, txn: Transaction, groupid: str, subaction: int
     ) -> None:
-        entry = self.cohort.cache.get(groupid)
-        if entry is not None:
+        address = self.cohort.cache.primary(groupid)
+        if address is not None:
             self.cohort.send(
-                entry.primary_address,
-                m.SubactionAbortMsg(aid=txn.aid, subaction=subaction),
+                address, m.SubactionAbortMsg(aid=txn.aid, subaction=subaction)
             )
 
     # ------------------------------------------------------------------
@@ -612,8 +611,7 @@ class ClientRole:
         cohort = self.cohort
         if groupid == cohort.mygroupid:
             return cohort.address
-        entry = cohort.cache.get(groupid)
-        return None if entry is None else entry.primary_address
+        return cohort.cache.primary(groupid)
 
     def deliver(self, destination: str, message) -> None:
         """Send a prepare, commit or abort, or the prepare-ok or commit-ack
@@ -636,13 +634,7 @@ class ClientRole:
         if state is None:
             return
         if msg.viewid is not None and msg.view is not None and msg.groupid:
-            # The groupid arrives in a reply; resolve it through the
-            # tolerant multi-group path (an unknown group yields None and
-            # the retry loop re-probes) instead of a strict lookup.
-            primary_address = self.cohort.runtime.location.primary_address(
-                msg.groupid, msg.view
-            )
-            self.cohort.cache.update(msg.groupid, msg.viewid, msg.view, primary_address)
+            self.cohort.cache.learn(msg.groupid, msg.viewid, msg.view)
             if state.txn.phase == "preparing":
                 self._send_prepares(state, [msg.groupid])
             elif state.txn.phase == "committing" and msg.groupid in state.commit_waiting:

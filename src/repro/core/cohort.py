@@ -185,7 +185,7 @@ class Cohort(Actor):
         # Since when the image's and the outcome table's written-since sets
         # run: ``(V, 1)`` of the view last activated or installed (D25).
         self._written_since: Optional[Viewstamp] = None
-        self.cache = ClientCache()
+        self.cache = ClientCache(self.runtime.location)
         self.caller = RemoteCaller(self)
 
     # ------------------------------------------------------------------

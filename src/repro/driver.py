@@ -131,7 +131,7 @@ class Driver(Actor):
         self.runtime = runtime
         self.config = runtime.config
         self.tracer = runtime.tracer
-        self.cache = ClientCache()
+        self.cache = ClientCache(runtime.location)
         self.rtt = RttEstimator()  # fed by observed end-to-end txn latencies
         self.timeouts = AdaptiveTimeouts(self.config, self.rtt)
         self._rng = runtime.sim.rng.fork(f"driver-backoff/{name}")
@@ -433,13 +433,7 @@ class Driver(Actor):
         request = self._reads.get(message.request_id)
         if request is None:
             return
-        if message.viewid is not None and message.view is not None:
-            self.cache.update(
-                message.groupid,
-                message.viewid,
-                message.view,
-                self.runtime.location.primary_address(message.groupid, message.view),
-            )
+        self.cache.learn(message.groupid, message.viewid, message.view)
         if message.reason == m.READ_PATH_ABSENT or request.retries_left <= 0:
             self._reads.pop(message.request_id, None)
             self._finish_read_via_fallback(request, message.reason)
@@ -463,16 +457,13 @@ class Driver(Actor):
     def send(self, destination: str, message) -> None:
         self.runtime.network.send(self.address, destination, message)
 
-    def locate(self, groupid: str):
-        return self.runtime.location.lookup(groupid)
-
     def _submit(self, request: _PendingRequest) -> None:
-        entry = self.cache.get(request.groupid)
-        if entry is None:
+        address = self.cache.primary(request.groupid)
+        if address is None:
             probe_view(self, request.groupid)
         else:
             self.send(
-                entry.primary_address,
+                address,
                 m.TxnRequestMsg(
                     request_id=request.request_id,
                     program=request.program,
@@ -554,33 +545,24 @@ class Driver(Actor):
                     CallResult(message.outcome, message.result)
                 )
         elif isinstance(message, m.ViewProbeReplyMsg):
-            if message.active and message.viewid is not None:
-                primary_address = self.runtime.location.primary_address(
-                    message.groupid, message.view
-                )
-                if self.cache.update(
-                    message.groupid, message.viewid, message.view, primary_address
-                ):
-                    self._resubmit(message.groupid)
-                    for read in list(self._reads.values()):
-                        if read.groupid == message.groupid:
-                            if read.timer is not None:
-                                read.timer.cancel()
-                            self._send_read(read)
+            if message.active and self.cache.learn(
+                message.groupid, message.viewid, message.view
+            ):
+                self._resubmit(message.groupid)
+                for read in list(self._reads.values()):
+                    if read.groupid == message.groupid:
+                        if read.timer is not None:
+                            read.timer.cancel()
+                        self._send_read(read)
         elif isinstance(message, m.ViewChangedMsg):
             # Our request hit a non-primary.  Use the rejection's view info
             # if it carries any, otherwise probe the group.
-            if message.groupid:
-                if message.viewid is not None and message.view is not None:
-                    primary_address = self.runtime.location.primary_address(
-                        message.groupid, message.view
-                    )
-                    if self.cache.update(
-                        message.groupid, message.viewid, message.view, primary_address
-                    ):
-                        self._resubmit(message.groupid)
-                else:
-                    probe_view(self, message.groupid)
+            if not message.groupid:
+                return
+            if message.viewid is None or message.view is None:
+                probe_view(self, message.groupid)
+            elif self.cache.learn(message.groupid, message.viewid, message.view):
+                self._resubmit(message.groupid)
 
     def on_crash(self) -> None:
         # Losing volatile state must not strand callers: resolve every

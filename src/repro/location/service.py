@@ -121,14 +121,6 @@ class LocationService:
             found[groupid] = configuration
         return found
 
-    def primary_address(self, groupid: str, view) -> Optional[str]:
-        """The registered address of *view*'s primary, or None if the
-        group is unknown or the view names no registered member."""
-        configuration = self.try_lookup(groupid)
-        if configuration is None:
-            return None
-        return primary_address_in(configuration, view)
-
     def groups(self):
         return tuple(self._configurations)
 
@@ -179,8 +171,8 @@ class LocationService:
         """The view's backup nearest to *site* (ties broken by mid).
 
         Returns ``None`` if the group is unknown, the view is absent, or
-        no backup named by the view is registered -- mirroring
-        :meth:`primary_address`'s tolerance of in-progress view changes.
+        no backup named by the view is registered -- the tolerance of
+        in-progress view changes that ``ClientCache.learn`` has too.
         """
         configuration = self.try_lookup(groupid)
         if configuration is None or view is None:

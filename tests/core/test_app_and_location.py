@@ -3,6 +3,9 @@
 import pytest
 
 from repro import EmptyModule, ModuleSpec, Runtime, procedure, transaction_program
+from repro.core.cache import ClientCache
+from repro.core.view import View
+from repro.core.viewstamp import ViewId
 from repro.location.service import GroupNotFound, LocationService
 from repro.net.messages import estimate_size
 
@@ -144,14 +147,18 @@ def test_location_lookup_shapes_agree():
 
 
 def test_location_primary_address_tolerates_unknown():
-    class FakeView:
-        primary = 1
-
+    """A primary's address resolves through the location service; an
+    unknown group or a missing view resolves to nothing, not an error."""
     location = LocationService()
     location.register("g", ((0, "g/0"), (1, "g/1")))
-    assert location.primary_address("g", FakeView()) == "g/1"
-    assert location.primary_address("missing", FakeView()) is None
-    assert location.primary_address("g", None) is None
+    cache = ClientCache(location)
+    view = View(primary=1, backups=(0,))
+    assert cache.learn("g", ViewId(1, 1), view)
+    assert cache.primary("g") == "g/1"
+    assert not cache.learn("missing", ViewId(1, 1), view)
+    assert cache.primary("missing") is None
+    assert not cache.learn("g", ViewId(2, 0), None)
+    assert cache.primary("g") == "g/1"
 
 
 # -- runtime ------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Tests for the client cache and remote-call machinery."""
 
+import pytest
 
+from repro import EmptyModule, Runtime
 from repro.analysis.metrics import Metrics
 from repro.core.cache import ClientCache
 from repro.core.calls import CallAborted, RemoteCaller
@@ -8,6 +10,7 @@ from repro.core.messages import (
     CallFailedMsg,
     CallMsg,
     ReplyMsg,
+    TxnRequestMsg,
     ViewChangedMsg,
     ViewProbeMsg,
     ViewProbeReplyMsg,
@@ -16,8 +19,10 @@ from repro.core.view import View
 from repro.core.viewstamp import ViewId
 from repro.config import ProtocolConfig
 from repro.detect import AdaptiveTimeouts, RttEstimator
+from repro.location import LocationService
 from repro.sim.kernel import Simulator
 from repro.txn.ids import Aid, CallId
+from repro.workloads.kv import KVStoreSpec
 
 V1 = ViewId(1, 0)
 V2 = ViewId(2, 1)
@@ -28,33 +33,60 @@ VIEW2 = View(primary=1, backups=(0, 2))
 # -- cache --------------------------------------------------------------------
 
 
+def location_of_g():
+    location = LocationService()
+    location.register("g", ((0, "g/0"), (1, "g/1"), (2, "g/2")))
+    return location
+
+
 def test_cache_update_and_get():
-    cache = ClientCache()
-    assert cache.get("g") is None
-    assert cache.update("g", V1, VIEW1, "g/0")
+    cache = ClientCache(location_of_g())
+    assert cache.get("g") is None and cache.primary("g") is None
+    assert cache.learn("g", V1, VIEW1)
     entry = cache.get("g")
-    assert entry.viewid == V1
-    assert entry.primary_address == "g/0"
+    assert (entry.viewid, entry.view, entry.primary_address) == (V1, VIEW1, "g/0")
+    assert cache.primary("g") == "g/0"
+    assert "g" in cache
 
 
 def test_cache_only_moves_forward():
-    cache = ClientCache()
-    cache.update("g", V2, VIEW2, "g/1")
-    assert not cache.update("g", V1, VIEW1, "g/0")
+    cache = ClientCache(location_of_g())
+    assert cache.learn("g", V2, VIEW2)
+    assert not cache.learn("g", V1, VIEW1)
     assert cache.get("g").viewid == V2
+    assert cache.learn("g", ViewId(3, 0), VIEW1)
+    assert cache.primary("g") == "g/0"
 
 
-def test_cache_rejects_partial_updates():
-    cache = ClientCache()
-    assert not cache.update("g", None, VIEW1, "g/0")
-    assert not cache.update("g", V1, None, "g/0")
-    assert not cache.update("g", V1, VIEW1, None)
-    assert cache.get("g") is None
+@pytest.mark.parametrize(
+    "groupid, viewid, view, moves",
+    [
+        pytest.param("g", V2, VIEW2, True, id="newer-view"),
+        pytest.param("g", V1, VIEW2, False, id="equal-viewid"),
+        pytest.param("g", ViewId(0, 2), VIEW2, False, id="older-viewid"),
+        pytest.param("g", None, VIEW2, False, id="no-viewid"),
+        pytest.param("g", V2, None, False, id="no-view"),
+        pytest.param("nope", V2, VIEW2, False, id="unknown-group"),
+        pytest.param(
+            "g", V2, View(primary=7, backups=(0, 1)), False, id="unregistered-primary"
+        ),
+    ],
+)
+def test_cache_learn(groupid, viewid, view, moves):
+    """Figure 2's "update the cache, if possible", from a cache holding V1
+    (primary g/0): only a newer viewid whose view names a registered
+    primary of a known group moves it."""
+    cache = ClientCache(location_of_g())
+    cache.learn("g", V1, VIEW1)
+    assert cache.learn(groupid, viewid, view) is moves
+    assert cache.primary("g") == ("g/1" if moves else "g/0")
+    assert cache.get("g").viewid == (V2 if moves else V1)
+    assert "nope" not in cache
 
 
 def test_cache_invalidate():
-    cache = ClientCache()
-    cache.update("g", V1, VIEW1, "g/0")
+    cache = ClientCache(location_of_g())
+    cache.learn("g", V1, VIEW1)
     cache.invalidate("g")
     assert cache.get("g") is None
     assert "g" not in cache
@@ -69,25 +101,19 @@ class FakeHost:
     def __init__(self):
         self.sim = Simulator()
         self.address = "client"
-        self.cache = ClientCache()
+        self.cache = ClientCache(location_of_g())
         self.config = ProtocolConfig(call_timeout=10.0, call_probes=2)
         self.metrics = Metrics()
         self.rtt = RttEstimator()
         self.timeouts = AdaptiveTimeouts(self.config, self.rtt)
         self.tracer = None
         self.sent = []
-        self.members = {"g": ((0, "g/0"), (1, "g/1"), (2, "g/2"))}
 
     def send(self, destination, message):
         self.sent.append((destination, message))
 
     def set_timer(self, delay, fn, *args):
         return self.sim.schedule(delay, fn, *args)
-
-    def locate(self, groupid):
-        if groupid not in self.members:
-            raise KeyError(groupid)
-        return self.members[groupid]
 
 
 def make_call(host, caller, seq=1):
@@ -99,7 +125,7 @@ def make_call(host, caller, seq=1):
 
 def test_call_uses_cache_and_sends():
     host = FakeHost()
-    host.cache.update("g", V1, VIEW1, "g/0")
+    host.cache.learn("g", V1, VIEW1)
     caller = RemoteCaller(host)
     _call_id, _future = make_call(host, caller)
     destination, message = host.sent[0]
@@ -129,7 +155,7 @@ def test_probe_reply_triggers_send():
 
 def test_reply_resolves_future():
     host = FakeHost()
-    host.cache.update("g", V1, VIEW1, "g/0")
+    host.cache.learn("g", V1, VIEW1)
     caller = RemoteCaller(host)
     call_id, future = make_call(host, caller)
     caller.on_reply(ReplyMsg(call_id=call_id, result=42, pset_pairs=(), piggyback=None))
@@ -138,7 +164,7 @@ def test_reply_resolves_future():
 
 def test_timeout_probes_same_primary_then_fails():
     host = FakeHost()
-    host.cache.update("g", V1, VIEW1, "g/0")
+    host.cache.learn("g", V1, VIEW1)
     caller = RemoteCaller(host)
     call_id, future = make_call(host, caller)
     host.sim.run(until=50.0)
@@ -154,7 +180,7 @@ def test_timeout_probes_same_primary_then_fails():
 
 def test_view_changed_rejection_switches_primary():
     host = FakeHost()
-    host.cache.update("g", V1, VIEW1, "g/0")
+    host.cache.learn("g", V1, VIEW1)
     caller = RemoteCaller(host)
     call_id, future = make_call(host, caller)
     caller.on_view_changed(
@@ -167,7 +193,7 @@ def test_view_changed_rejection_switches_primary():
 
 def test_call_failed_propagates():
     host = FakeHost()
-    host.cache.update("g", V1, VIEW1, "g/0")
+    host.cache.learn("g", V1, VIEW1)
     caller = RemoteCaller(host)
     call_id, future = make_call(host, caller)
     caller.on_call_failed(CallFailedMsg(call_id=call_id, reason="kaput"))
@@ -176,7 +202,7 @@ def test_call_failed_propagates():
 
 def test_abandon_all_fails_outstanding():
     host = FakeHost()
-    host.cache.update("g", V1, VIEW1, "g/0")
+    host.cache.learn("g", V1, VIEW1)
     caller = RemoteCaller(host)
     _call_id, f1 = make_call(host, caller, seq=1)
     _call_id2, f2 = make_call(host, caller, seq=2)
@@ -195,7 +221,7 @@ def test_unknown_group_fails_fast():
 
 def test_late_reply_ignored():
     host = FakeHost()
-    host.cache.update("g", V1, VIEW1, "g/0")
+    host.cache.learn("g", V1, VIEW1)
     caller = RemoteCaller(host)
     call_id, future = make_call(host, caller)
     host.sim.run(until=50.0)  # times out and fails
@@ -209,7 +235,7 @@ def test_unanswered_retransmit_asks_the_group_and_follows_a_later_view():
     reply naming a later view re-sends the call, with the same call id, to
     that view's primary, with the full patience again."""
     host = FakeHost()
-    host.cache.update("g", V1, VIEW1, "g/0")
+    host.cache.learn("g", V1, VIEW1)
     caller = RemoteCaller(host)
     call_id, future = make_call(host, caller)
     host.sim.run(until=12.0)  # the first wait (call_timeout=10) ran out
@@ -224,3 +250,34 @@ def test_unanswered_retransmit_asks_the_group_and_follows_a_later_view():
     assert not future.done
     caller.on_reply(ReplyMsg(call_id=call_id, result=7, pset_pairs=(), piggyback=None))
     assert future.result()[0] == 7
+
+
+# -- hosts learn through their cache --------------------------------------------
+
+
+def test_driver_and_agent_follow_a_probe_reply_naming_a_newer_view():
+    """A probe reply for a newer view of a group with a request (driver) or
+    a call (agent) pending moves each host's cache to the new primary, and
+    each re-sends there once: a repeat of the reply moves nothing."""
+    rt = Runtime(seed=5)
+    rt.create_group("kv", KVStoreSpec(n_keys=4), n_cohorts=3)
+    rt.create_group("coordsvc", EmptyModule(), n_cohorts=3)
+    driver = rt.create_driver("driver")
+    agent = rt.create_agent("agent", "coordsvc")
+    addresses = dict(rt.location.lookup("kv"))
+    old = ViewProbeReplyMsg(groupid="kv", viewid=V1, view=VIEW1, active=True)
+    new = ViewProbeReplyMsg(groupid="kv", viewid=V2, view=VIEW2, active=True)
+    sent = {driver: [], agent: []}
+    for host, log in sent.items():
+        host.send = lambda dst, msg, log=log: log.append((dst, msg))
+        host.handle_message(old, addresses[0])
+    driver.call("kv", "incr", "k", 1)
+    aid = Aid("coordsvc", V1, 1)
+    agent.caller.call(aid, "kv", "incr", ("k", 1), CallId(aid, 1))
+    for _ in range(2):
+        for host in sent:
+            host.handle_message(new, addresses[2])
+    for host, kind in ((driver, TxnRequestMsg), (agent, CallMsg)):
+        assert host.cache.primary("kv") == addresses[1]
+        resent = [dst for dst, msg in sent[host] if isinstance(msg, kind)]
+        assert resent == [addresses[0], addresses[1]]

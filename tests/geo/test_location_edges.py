@@ -1,9 +1,11 @@
-"""LocationService edges: stale views, tolerant batch lookups, site
-registration permanence (satellite coverage for geo routing)."""
+"""LocationService edges: tolerant batch lookups, site registration
+permanence, nearest-replica routing under stale views (geo routing)."""
 
 import pytest
 
 from repro.core import View
+from repro.core.cache import ClientCache
+from repro.core.viewstamp import ViewId
 from repro.location import GroupNotFound, LocationService
 from repro.geo.topology import symmetric_topology
 
@@ -16,25 +18,13 @@ def service():
     return svc
 
 
-# -- primary_address during an in-progress view change -----------------------
-
-
-def test_primary_address_with_no_view_yet():
-    """Before a view forms (or mid view change), the driver holds view
-    None; the lookup must degrade to None, not raise."""
-    assert service().primary_address("kv", None) is None
-
-
-def test_primary_address_with_unregistered_primary():
-    """A view naming a mid outside the registered configuration (e.g. a
-    stale cached view raced with reconfiguration) resolves to None."""
-    svc = service()
-    assert svc.primary_address("kv", View(primary=7, backups=(0, 1))) is None
-    assert svc.primary_address("kv", View(primary=1, backups=(0, 2))) == "kv/1"
+# -- primary address of an unknown group -------------------------------------
 
 
 def test_primary_address_for_unknown_group():
-    assert service().primary_address("nope", View(primary=0, backups=(1,))) is None
+    cache = ClientCache(service())
+    assert not cache.learn("nope", ViewId(1, 0), View(primary=0, backups=(1,)))
+    assert cache.primary("nope") is None
 
 
 # -- lookup_many strictness ---------------------------------------------------
