@@ -108,9 +108,9 @@ class ClientAgent(Actor):
                 result = yield from generated
             else:
                 result = generated
-        except CallAborted as error:
+        except CallAborted:
             self._active_aids.discard(aid)
-            outcome = yield self._finish(txn, "abort")
+            yield self._finish(txn, "abort")
             return ("aborted", None)
         self._active_aids.discard(aid)
         outcome = yield self._finish(txn, "commit")
@@ -126,68 +126,52 @@ class ClientAgent(Actor):
         self._begin_waiters[request_id] = future
         # Fixed on purpose: patience here is an attempt count, and a begin
         # must outlive a full view change at the coordinator group.
-        self._send_begin(request_id, Retry(lambda: self.config.call_timeout, 6))
+        message = m.BeginTxnMsg(request_id=request_id, client=self.address)
+        retry = Retry(lambda: self.config.call_timeout, 6)
+        self._send(self._begin_waiters, request_id, message, None, retry)
         return future
-
-    def _send_begin(self, request_id: int, retry: Retry, resend: bool = False) -> None:
-        """Send a begin; a *resend* (a wait ran out) probes for the current
-        view too, and the one sent as patience runs out is the last."""
-        if request_id not in self._begin_waiters:
-            return
-        spent = resend and retry.expired(self.sim.now)
-        target = self.cache.primary(self.coordinator_group)
-        if target is not None:
-            self.send(
-                target,
-                m.BeginTxnMsg(request_id=request_id, client=self.address),
-            )
-        if target is None or resend:
-            # The last attempt went unanswered (or we have no target): the
-            # primary may have moved; probe for the current view.
-            self._probe_coordinator()
-        if spent:
-            future = self._begin_waiters.pop(request_id, None)
-            if future is not None and not future.done:
-                future.set_result(None)
-            return
-        self.set_timer(retry.wait(self.sim.now), self._send_begin, request_id, retry, True)
 
     # -- finish -----------------------------------------------------------------
 
     def _finish(self, txn: AgentTransaction, decision: str) -> Future:
         future = Future(label=f"finish:{txn.aid}")
         self._finish_waiters[txn.aid] = future
-        self._send_finish(txn, decision, Retry(lambda: self.config.call_timeout * 2, 8))
+        message = m.FinishTxnMsg(
+            aid=txn.aid,
+            decision=decision,
+            pset_pairs=tuple(txn.pset.pairs()),
+            aborted_subactions=tuple(sorted(txn.aborted_subactions)),
+            client=self.address,
+        )
+        retry = Retry(lambda: self.config.call_timeout * 2, 8)
+        self._send(self._finish_waiters, txn.aid, message, "unknown", retry)
         return future
 
-    def _send_finish(
-        self, txn: AgentTransaction, decision: str, retry: Retry, resend: bool = False
+    def _send(
+        self, waiters: Dict, key, message, give_up, retry: Retry, resend: bool = False
     ) -> None:
-        """Send a finish, as :meth:`_send_begin` sends a begin; when
-        patience runs out the outcome is ``"unknown"``."""
-        if txn.aid not in self._finish_waiters:
+        """Send *message* to the coordinator group's primary until the reply
+        resolves ``waiters[key]``; a *resend* (a wait ran out) probes for the
+        current view too, and the one sent as patience runs out is the last,
+        resolving the waiter to *give_up*."""
+        if key not in waiters:
             return
         spent = resend and retry.expired(self.sim.now)
         target = self.cache.primary(self.coordinator_group)
         if target is not None:
-            self.send(
-                target,
-                m.FinishTxnMsg(
-                    aid=txn.aid,
-                    decision=decision,
-                    pset_pairs=tuple(txn.pset.pairs()),
-                    aborted_subactions=tuple(sorted(txn.aborted_subactions)),
-                    client=self.address,
-                ),
-            )
+            self.send(target, message)
         if target is None or resend:
+            # The last attempt went unanswered (or we have no target): the
+            # primary may have moved; probe for the current view.
             self._probe_coordinator()
         if spent:
-            future = self._finish_waiters.pop(txn.aid, None)
-            if future is not None and not future.done:
-                future.set_result("unknown")
+            future = waiters.pop(key)
+            if not future.done:
+                future.set_result(give_up)
             return
-        self.set_timer(retry.wait(self.sim.now), self._send_finish, txn, decision, retry, True)
+        self.set_timer(
+            retry.wait(self.sim.now), self._send, waiters, key, message, give_up, retry, True
+        )
 
     def _probe_coordinator(self) -> None:
         probe_view(self, self.coordinator_group)

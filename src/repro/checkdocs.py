@@ -4,7 +4,7 @@
 mention -- config knobs, trace event kinds, wire terms, command lines -- as
 a table of ``category -> names``, read from the code that defines them
 where the code has a table.  A name counts only as a whole identifier:
-``gossip_fanout`` does not document ``gossip``.
+``gossip_relay`` does not document ``gossip``.
 """
 
 from __future__ import annotations

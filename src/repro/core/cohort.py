@@ -32,7 +32,7 @@ import math
 from dataclasses import replace
 from typing import Any, Dict, Mapping, Optional, Tuple
 
-from repro.config import ProtocolConfig
+from repro.config import IM_ALIVE_INTERVAL, ProtocolConfig
 from repro.core import messages as m
 from repro.core.buffer import CommunicationBuffer, HeldRecords
 from repro.core.cache import ClientCache
@@ -145,7 +145,7 @@ class Cohort(Actor):
         # Per peer: when a buffer message or ack last went to it (a beacon
         # to a peer served within half an interval is redundant) and when
         # one last carried sent_at (the estimators keep the beacon's cadence).
-        self._half_interval = 0.5 * config.im_alive_interval
+        self._half_interval = 0.5 * IM_ALIVE_INTERVAL
         self._served: Dict[int, float] = {}
         self._stamped: Dict[int, float] = {}
         self._change_pending_since: Optional[float] = None
@@ -588,13 +588,13 @@ class Cohort(Actor):
 
     def _start_heartbeat(self) -> None:
         jitter = self.runtime.sim.rng.fork(f"hb/{self.address}").uniform(0.0, 1.0)
-        self.set_timer(self.config.im_alive_interval * (0.5 + jitter), self._heartbeat)
+        self.set_timer(IM_ALIVE_INTERVAL * (0.5 + jitter), self._heartbeat)
 
     def _heartbeat(self) -> None:
         self.beacon(self._beacon_targets())
         if self.status is Status.ACTIVE:
             self._liveness_sweep()
-        self.set_timer(self.config.im_alive_interval, self._heartbeat)
+        self.set_timer(IM_ALIVE_INTERVAL, self._heartbeat)
 
     def _beacon_targets(self):
         """Every other cohort -- but a backup that trusts its primary
@@ -705,7 +705,7 @@ class Cohort(Actor):
             ]
             deferred = any(not self._is_suspect(peer) for peer in higher)
             waited = now - self._change_pending_since
-            if deferred and waited < 2.5 * self.config.im_alive_interval:
+            if deferred and waited < 2.5 * IM_ALIVE_INTERVAL:
                 return
         self._change_pending_since = None
         self.view_change.become_manager()
@@ -791,9 +791,10 @@ class Cohort(Actor):
             extension.on_become_primary()
         self.metrics.incr(f"views_started:{self.mygroupid}")
         self.runtime.ledger.record_view_change(self.mygroupid, viewid, self.mymid)
-        self.sim.trace(
-            "view_started", group=self.mygroupid, viewid=str(viewid), primary=self.mymid
-        )
+        if self.tracer is not None:
+            self.tracer.emit(
+                "view_started", group=self.mygroupid, viewid=str(viewid), primary=self.mymid
+            )
 
     def _newview(self, view: View, reported) -> Tuple[NewView, Dict[int, NewView]]:
         """Figure 5's newview record, and the record each backup in
@@ -911,9 +912,7 @@ class Cohort(Actor):
         self.coordinator_role.reset()
         self._start_heartbeat()
         self.view_change.reset()
-        self.set_timer(
-            self.config.im_alive_interval, self.view_change.become_manager
-        )
+        self.set_timer(IM_ALIVE_INTERVAL, self.view_change.become_manager)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

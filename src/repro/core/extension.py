@@ -107,7 +107,7 @@ def build_extensions(cohort) -> Tuple[Extension, ...]:
     if reads.enabled:
         from repro.reads.serving import Leases
 
-        extensions.append(Leases(cohort, reads))
+        extensions.append(Leases(cohort))
     if batch.enabled:
         from repro.core.batching import Batching
 
@@ -115,5 +115,5 @@ def build_extensions(cohort) -> Tuple[Extension, ...]:
     if scale is not None and scale.gossip:
         from repro.scale.gossip import Gossip
 
-        extensions.append(Gossip(cohort, scale, beacon_primary=reads.enabled))
+        extensions.append(Gossip(cohort, beacon_primary=reads.enabled))
     return tuple(extensions)

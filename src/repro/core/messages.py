@@ -181,7 +181,7 @@ class BufferMsg(Message):
     Buffer traffic doubles as the I'm-alive beacon (the receiver's failure
     detector hears it and the sender skips the redundant heartbeat);
     ``sent_at`` is stamped on one message per link per half
-    ``im_alive_interval`` (``Cohort.send_traffic``), which gives the
+    ``IM_ALIVE_INTERVAL`` (``Cohort.send_traffic``), which gives the
     receiver's estimators the samples a beacon would have.
 
     ``records_bytes`` is not wire data (no annotation, so not a field): the
@@ -283,7 +283,7 @@ class AcceptMsg(Message):
     #                                 (grantee mid, expiry) read-lease
     #                                 promises the acceptor may have
     #                                 outstanding; a crashed acceptor
-    #                                 reports (-1, now + lease_duration)
+    #                                 reports (-1, now + LEASE_DURATION)
     #                                 because its promises died with it
     witness: bool = False           # scale enabled: the acceptor is a
     #                                 bufferless witness -- its vote counts

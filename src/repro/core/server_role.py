@@ -27,6 +27,7 @@ import inspect
 from typing import Callable, Dict, Optional, Set, Tuple
 
 from repro.app.context import CallContext, TransactionAborted
+from repro.config import QUERY_INTERVAL
 from repro.core import messages as m
 from repro.core.calls import CallAborted
 from repro.core.events import Aborted, Committed, CompletedCall
@@ -147,7 +148,7 @@ class ServerRole:
     def _arm_janitor(self) -> None:
         cohort = self.cohort
         self._janitor_timer = cohort.set_timer(
-            cohort.config.query_interval, self._janitor_tick, cohort._epoch
+            QUERY_INTERVAL, self._janitor_tick, cohort._epoch
         )
 
     def _janitor_tick(self, epoch: int) -> None:

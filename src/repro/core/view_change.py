@@ -30,6 +30,7 @@ from __future__ import annotations
 import functools
 from typing import Dict, Optional
 
+from repro.config import INVITE_TIMEOUT
 from repro.core import messages as m
 from repro.core.cohort import Status
 from repro.core.events import NewView, ViewEdit
@@ -104,9 +105,7 @@ class ViewChangeController:
                     address,
                     m.InviteMsg(viewid=cohort.max_viewid, manager_mid=cohort.mymid),
                 )
-        self._invite_timer = cohort.set_timer(
-            cohort.config.invite_timeout, self._attempt_formation
-        )
+        self._invite_timer = cohort.set_timer(INVITE_TIMEOUT, self._attempt_formation)
         self._arm_invite_retransmit()
 
     def _arm_invite_retransmit(self) -> None:

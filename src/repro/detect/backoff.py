@@ -14,6 +14,8 @@ from __future__ import annotations
 import dataclasses
 from typing import Callable, Optional
 
+from repro.config import INVITE_TIMEOUT, MIN_TIMEOUT, UNDERLING_TIMEOUT
+
 #: Growth factor of every retry backoff (view-change retries, call
 #: retransmits, driver resubmits), its ceiling as a multiple of the base
 #: delay, and the jitter band (delay scaled by 1 +/- jitter/2).
@@ -24,7 +26,7 @@ JITTER = 0.5
 #: backoff in adaptive mode).
 VIEW_RETRY_DELAY = 25.0
 #: Spread of the underling -> manager timeout in adaptive mode
-#: (``underling_timeout`` x [1, 1 + PROMOTION_JITTER)), desynchronizing
+#: (``UNDERLING_TIMEOUT`` x [1, 1 + PROMOTION_JITTER)), desynchronizing
 #: competing managers.
 PROMOTION_JITTER = 0.5
 
@@ -146,7 +148,7 @@ class ViewChangeWaits:
         self._stretch = rng.fork(f"vc-await/{name}") if adaptive else None
 
     def promotion(self) -> float:
-        delay = self.config.underling_timeout
+        delay = UNDERLING_TIMEOUT
         if self._stretch is not None:  # only ever *extends* "fairly long"
             delay *= 1.0 + PROMOTION_JITTER * self._stretch.random()
         return delay
@@ -154,13 +156,12 @@ class ViewChangeWaits:
     def invite_period(self, detect) -> Optional[float]:
         """Adaptive: re-send invites every couple of the detector's round
         trips, so that a lost invite or accept does not stall the round for
-        the whole ``invite_timeout``; at least one re-send per round."""
-        config = self.config
-        if not config.adaptive_timeouts:
+        the whole ``INVITE_TIMEOUT``; at least one re-send per round."""
+        if not self.config.adaptive_timeouts:
             return None
         rto = detect.group_rto()
         if rto is not None:
-            period = max(config.min_timeout, 2.0 * rto)
+            period = max(MIN_TIMEOUT, 2.0 * rto)
         else:
-            period = config.invite_timeout / 4.0
-        return min(period, config.invite_timeout / 2.0)
+            period = INVITE_TIMEOUT / 4.0
+        return min(period, INVITE_TIMEOUT / 2.0)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from typing import Optional
 
+from repro.config import CALL_PROBES, COMMIT_RETRY_INTERVAL, MIN_TIMEOUT, PREPARE_TIMEOUT
 from repro.detect.backoff import Backoff, Retry
 
 
@@ -78,9 +79,8 @@ class AdaptiveTimeouts:
 
     Each derived timeout is ``multiplier * rto`` plus a slack term for any
     known server-side waiting (a prepare may sit behind a buffer flush,
-    for example), clamped to ``[config.min_timeout, fixed]`` where
-    ``fixed`` is the paper-faithful constant from
-    :class:`~repro.config.ProtocolConfig`.  The clamp means adaptive mode
+    for example), clamped to ``[MIN_TIMEOUT, fixed]`` where ``fixed`` is
+    the paper-faithful wait from :mod:`repro.config`.  The clamp means adaptive mode
     can only detect failures *faster* than the fixed configuration, never
     wait longer; and with ``adaptive_timeouts`` off (or before the first
     RTT sample) every method returns exactly the fixed constant.  It also
@@ -94,27 +94,26 @@ class AdaptiveTimeouts:
     # -- the retry schedules (DESIGN.md D21): the one place the mode is read --
 
     def call_retry(self, rng) -> Retry:
-        """A call's retransmits (Figure 2's probes): ``call_probes`` waits of
+        """A call's retransmits (Figure 2's probes): ``CALL_PROBES`` waits of
         ``call_timeout``; adaptive, backed-off RTT waits on *rng* within the
         same total patience, the last one clamped to it."""
         config = self.config
         if not config.adaptive_timeouts:
-            return Retry(self.call_timeout, config.call_probes)
+            return Retry(self.call_timeout, CALL_PROBES)
         return Retry(
             self.call_timeout,
-            patience=config.call_timeout * max(1, config.call_probes),
+            patience=config.call_timeout * CALL_PROBES,
             backoff=Backoff(config.call_timeout, rng),
             clamp=True,
         )
 
     def prepare_retry(self, rounds: int) -> Retry:
         """A coordinator's prepare rounds: *rounds* waits of
-        ``prepare_timeout``; adaptive, RTT waits within the same total
+        ``PREPARE_TIMEOUT``; adaptive, RTT waits within the same total
         patience (the last one is not clamped)."""
-        config = self.config
-        if not config.adaptive_timeouts:
+        if not self.config.adaptive_timeouts:
             return Retry(self.prepare_timeout, rounds)
-        return Retry(self.prepare_timeout, patience=config.prepare_timeout * max(1, rounds))
+        return Retry(self.prepare_timeout, patience=PREPARE_TIMEOUT * max(1, rounds))
 
     def request_retry(self, retries: int, rng, wait: Optional[float] = None) -> Retry:
         """A driver's re-sends: ``retries + 1`` waits, counted in both modes,
@@ -134,7 +133,7 @@ class AdaptiveTimeouts:
         rto = self.rtt.rto
         if rto is None:
             return fixed
-        return min(fixed, max(self.config.min_timeout, multiplier * rto + slack))
+        return min(fixed, max(MIN_TIMEOUT, multiplier * rto + slack))
 
     def call_timeout(self) -> float:
         """Per-attempt wait for a call reply (retransmits probe sooner)."""
@@ -143,13 +142,9 @@ class AdaptiveTimeouts:
     def prepare_timeout(self) -> float:
         """Coordinator's wait for prepare-ok: the participant may have to
         force, which can sit behind a flush interval."""
-        return self._derive(
-            self.config.prepare_timeout, 4.0, slack=2.0 * self.config.flush_interval
-        )
+        return self._derive(PREPARE_TIMEOUT, 4.0, slack=2.0 * self.config.flush_interval)
 
     def commit_retry_interval(self) -> float:
         """Coordinator's commit re-send period: the participant forces the
         committed record before acknowledging."""
-        return self._derive(
-            self.config.commit_retry_interval, 3.0, slack=self.config.flush_interval
-        )
+        return self._derive(COMMIT_RETRY_INTERVAL, 3.0, slack=self.config.flush_interval)

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Iterable, Optional
 
+from repro.config import IM_ALIVE_INTERVAL
 from repro.detect.rtt import RttEstimator
 
 
@@ -179,7 +180,7 @@ class FailureDetector:
     def expected_interval(self, mid: int) -> float:
         """Learned heartbeat inter-arrival estimate (mean + 2 deviations),
         never below the configured period (loss can only stretch it)."""
-        configured = self.config.im_alive_interval
+        configured = IM_ALIVE_INTERVAL
         state = self.peers.get(mid)
         if state is None or state.mean_interval is None:
             return configured

@@ -100,8 +100,7 @@ class _PendingRead:
     groupid: str
     uid: str
     future: Future
-    retries_left: int
-    timeout: float
+    retry: Retry  # the re-send schedule (repro.detect)
     max_staleness: Optional[float]
     prefer: str  # which serving mode the next attempt targets
     #: (coordinator groupid, program, args) full-path read
@@ -269,13 +268,13 @@ class Driver(Actor):
         if timeout is not None and timeout <= 0:
             raise ValueError(f"read() timeout must be > 0, got {timeout!r}")
         self._next_request += 1
+        wait = timeout if timeout is not None else self.config.call_timeout
         request = _PendingRead(
             request_id=self._next_request,
             groupid=groupid,
             uid=uid,
             future=Future(label=f"read:{uid}:{self._next_request}"),
-            retries_left=retries,
-            timeout=timeout if timeout is not None else self.config.call_timeout,
+            retry=Retry(lambda: wait, retries + 1),
             max_staleness=max_staleness,
             prefer=prefer,
             fallback=fallback,
@@ -348,7 +347,7 @@ class Driver(Actor):
                 ),
             )
         request.timer = self.node.set_timer(
-            request.timeout, self._on_read_timeout, request.request_id
+            request.retry.wait(self.sim.now), self._on_read_timeout, request.request_id
         )
 
     def _trace_geo_route(
@@ -371,11 +370,10 @@ class Driver(Actor):
         request = self._reads.get(request_id)
         if request is None:
             return
-        if request.retries_left <= 0:
+        if request.retry.expired(self.sim.now):
             self._reads.pop(request_id, None)
             self._finish_read_via_fallback(request, "retries exhausted")
             return
-        request.retries_left -= 1
         self.cache.invalidate(request.groupid)
         self._send_read(request)
 
@@ -434,11 +432,10 @@ class Driver(Actor):
         if request is None:
             return
         self.cache.learn(message.groupid, message.viewid, message.view)
-        if message.reason == m.READ_PATH_ABSENT or request.retries_left <= 0:
+        if message.reason == m.READ_PATH_ABSENT or request.retry.expired(self.sim.now):
             self._reads.pop(message.request_id, None)
             self._finish_read_via_fallback(request, message.reason)
             return
-        request.retries_left -= 1
         # Steer the next attempt toward whichever mode can serve: a
         # leaseless primary suggests a backup read, a too-stale backup
         # suggests the primary (or another backup).

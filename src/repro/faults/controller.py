@@ -143,7 +143,8 @@ class FaultController:
         self.timeline.append(event)
         self.runtime.metrics.incr(f"faults_injected:{kind}")
         self.runtime.ledger.record_fault(kind, target, event.at)
-        self.runtime.sim.trace("fault", fault=kind, target=target)
+        if self.runtime.tracer is not None:
+            self.runtime.tracer.emit("fault", fault=kind, target=target)
 
     def _within(self, cause: list, method, *args) -> None:
         """Run primitive *method* as part of the call *cause* belongs to."""

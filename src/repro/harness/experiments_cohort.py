@@ -21,7 +21,7 @@ from __future__ import annotations
 import gc
 from typing import Dict, Optional, Tuple
 
-from repro.config import BatchConfig, ProtocolConfig, ScaleConfig
+from repro.config import IM_ALIVE_INTERVAL, BatchConfig, ProtocolConfig, ScaleConfig
 from repro.harness.common import ExperimentResult, build_kv_system, run_until
 from repro.workloads.loadgen import run_closed_loop
 
@@ -67,7 +67,7 @@ def _e21_cell(seed: int, n: int, scale: Optional[ScaleConfig], txns: int) -> dic
             batch=BatchConfig(enabled=True, max_batch=64, pipeline_depth=4),
         ),
     )
-    interval = kv.config.im_alive_interval
+    interval = IM_ALIVE_INTERVAL
     rt.run_for(20.0 * interval)  # settle into the initial view
 
     # Measurement window: fixed virtual duration, identical write count

@@ -31,7 +31,7 @@ from __future__ import annotations
 from typing import Dict, List, Tuple
 
 from repro import Runtime
-from repro.config import ProtocolConfig
+from repro.config import INVITE_TIMEOUT, UNDERLING_TIMEOUT, ProtocolConfig
 from repro.detect.backoff import VIEW_RETRY_DELAY
 from repro.geo.topology import Topology
 from repro.harness.common import (
@@ -58,8 +58,8 @@ def failover_bound(config: ProtocolConfig, topology: Topology) -> float:
     wan_rtt = 2.0 * (topology.cross_dc.base_delay + topology.cross_dc.jitter)
     return (
         config.suspect_timeout()
-        + config.underling_timeout
-        + config.invite_timeout
+        + UNDERLING_TIMEOUT
+        + INVITE_TIMEOUT
         + 2.0 * VIEW_RETRY_DELAY
         + 10.0 * wan_rtt
     )

@@ -18,7 +18,7 @@ never change what the protocol *computes* is ``python -m repro.gate reads``.
 
 from __future__ import annotations
 
-from repro.config import ReadConfig
+from repro.config import DEFAULT_MAX_STALENESS
 from repro.harness.common import (
     E19_CONDITIONS,
     ExperimentResult,
@@ -90,7 +90,7 @@ def e19_shape(rows) -> list:
     failures = []
     if not leases[5] > 1.5:  # mean-latency speedup vs baseline
         failures.append(f"leased reads did not beat the call path: {leases}")
-    if not backup[8] <= ReadConfig().default_max_staleness:
+    if not backup[8] <= DEFAULT_MAX_STALENESS:
         failures.append(f"backup served a read past the staleness bound: {backup}")
     return failures
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from typing import Iterable, List, Optional
 
+from repro.config import IM_ALIVE_INTERVAL
 from repro.live.report import LivenessViolation, build_stall_report
 from repro.live.specs import LivenessSpec
 
@@ -42,7 +43,7 @@ class LivenessChecker:
         for spec in self.specs:
             spec.bind(runtime)
         if poll_interval is None:
-            poll_interval = runtime.config.im_alive_interval
+            poll_interval = IM_ALIVE_INTERVAL
         if poll_interval <= 0:
             raise ValueError(f"poll_interval must be positive, got {poll_interval}")
         self.poll_interval = poll_interval

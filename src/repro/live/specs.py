@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from typing import List, Optional
 
+from repro.config import INVITE_TIMEOUT, UNDERLING_TIMEOUT
 from repro.detect.backoff import CAP_FACTOR, JITTER, VIEW_RETRY_DELAY
 
 
@@ -246,11 +247,7 @@ def spec_catalog(
     spec on top.  ``strict=True`` charges windows even while faults are
     active (for asserting that unhealable disruption *does* violate).
     """
-    window = within_scale * 4.0 * (
-        config.underling_timeout
-        + config.invite_timeout
-        + VIEW_RETRY_DELAY
-    )
+    window = within_scale * 4.0 * (UNDERLING_TIMEOUT + INVITE_TIMEOUT + VIEW_RETRY_DELAY)
     # A client attempt can legitimately sleep through one fully backed-off
     # retry delay (per-attempt timeout x backoff cap x max jitter) before
     # it re-probes a recovered group, so the throughput window must be

@@ -122,7 +122,8 @@ class Network:
         """
         self._partition = [set(block) for block in blocks]
         self._refresh_faulted()
-        self.sim.trace("partition", blocks=[sorted(b) for b in self._partition])
+        if self.sim.tracer is not None:
+            self.sim.tracer.emit("partition", blocks=[sorted(b) for b in self._partition])
 
     def heal(self) -> None:
         """Repair all partitions and failed links (bidirectional *and*
@@ -133,7 +134,8 @@ class Network:
         self._failed_links.clear()
         self._failed_directed.clear()
         self._refresh_faulted()
-        self.sim.trace("heal")
+        if self.sim.tracer is not None:
+            self.sim.tracer.emit("heal")
 
     def fail_link(self, node_a: str, node_b: str) -> None:
         """Sever the (bidirectional) link between two nodes."""

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Tuple
 
+from repro.config import LEASE_DURATION
 from repro.core.quorum import Quorums
 
 #: Grantee recorded by a crashed acceptor: its real promises (and their
@@ -42,8 +43,7 @@ CRASH_GRANTEE = -1
 class ReadState:
     """Both sides of the lease protocol plus prefix freshness, per cohort."""
 
-    def __init__(self, reads_config, quorums: Quorums, clock):
-        self.cfg = reads_config
+    def __init__(self, quorums: Quorums, clock):
         self.quorums = quorums
         self.clock = clock
         #: primary side: backup mid -> newest grant expiry received
@@ -60,7 +60,7 @@ class ReadState:
 
     def make_promise(self, grantee: int) -> float:
         """Record and return the expiry of a grant to *grantee*."""
-        expiry = self.clock() + self.cfg.lease_duration
+        expiry = self.clock() + LEASE_DURATION
         if self.promises.get(grantee, 0.0) < expiry:
             self.promises[grantee] = expiry
         return expiry
@@ -70,9 +70,9 @@ class ReadState:
 
         Used after recovery (``conservative=True`` semantics are implied):
         volatile promise state is gone, and a promise made any time before
-        the crash expires no later than ``now + lease_duration``.
+        the crash expires no later than ``now + LEASE_DURATION``.
         """
-        self.promises = {CRASH_GRANTEE: self.clock() + self.cfg.lease_duration}
+        self.promises = {CRASH_GRANTEE: self.clock() + LEASE_DURATION}
 
     def outstanding_promises(self) -> Tuple[Tuple[int, float], ...]:
         """Unexpired (grantee, expiry) pairs, pruning the expired ones."""

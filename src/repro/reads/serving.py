@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from typing import Callable
 
+from repro.config import DEFAULT_MAX_STALENESS
 from repro.core import messages as m
 from repro.core.cohort import Status
 from repro.core.extension import Extension, Table, wrap, wrap_row
@@ -22,9 +23,9 @@ from repro.reads.lease import ReadState, formation_lease_bound
 
 
 class Leases(Extension):
-    def __init__(self, cohort, reads_config) -> None:
+    def __init__(self, cohort) -> None:
         super().__init__(cohort)
-        self.state = ReadState(reads_config, cohort.quorums, lambda: cohort.sim.now)
+        self.state = ReadState(cohort.quorums, lambda: cohort.sim.now)
         # A bufferless member (repro.scale) votes and grants like any
         # backup, but holds no object state to serve.
         self._holds_state = cohort.mymid not in cohort.quorums.witnesses
@@ -177,7 +178,7 @@ class Leases(Extension):
             staleness = state.staleness()
             bound = msg.max_staleness
             if bound is None:
-                bound = state.cfg.default_max_staleness
+                bound = DEFAULT_MAX_STALENESS
             if staleness > bound:
                 cohort.refuse_read(msg, "too_stale", staleness=staleness)
                 return

@@ -74,7 +74,6 @@ class Runtime:
             self.tracer.install_monitors(build_monitors(trace.monitors))
             self.sim.tracer = self.tracer
             self.network.tracer = self.tracer
-            self.sim.add_trace_hook(self.tracer.on_sim_trace)
         self.faults = FaultController(self)
         # repro.live attachment point; None = liveness checking disabled
         # (mirrors ``tracer``: nothing pays for the feature until armed).

@@ -1,7 +1,7 @@
 """Gossip heartbeats (``ScaleConfig(gossip=True)``; docs/SCALE.md).
 
 Instead of the primary beaconing every member and each backup its primary
-(DESIGN.md D19), each round reaches a seeded-random ``gossip_fanout``
+(DESIGN.md D19), each round reaches a seeded-random ``GOSSIP_FANOUT``
 sample and carries recent first-hand liveness *evidence* -- ``(mid,
 heard_at)`` pairs -- which receivers fold into their failure detector; the
 epidemic relay replaces the primary's broadcast.
@@ -11,19 +11,21 @@ from __future__ import annotations
 
 from typing import Callable, Tuple
 
+from repro.config import IM_ALIVE_INTERVAL
 from repro.core import messages as m
 from repro.core.cohort import Status
 from repro.core.extension import Extension, Table, wrap, wrap_row
 
-#: Evidence freshness window, in ``im_alive_interval`` units: only peers
+#: Peers each heartbeat round targets.
+GOSSIP_FANOUT = 3
+#: Evidence freshness window, in ``IM_ALIVE_INTERVAL`` units: only peers
 #: heard within this horizon are relayed as evidence.
 EVIDENCE_HORIZON_INTERVALS = 3.0
 
 
 class Gossip(Extension):
-    def __init__(self, cohort, scale, beacon_primary: bool) -> None:
+    def __init__(self, cohort, beacon_primary: bool) -> None:
         super().__init__(cohort)
-        self.scale = scale
         #: a backup's sample always includes its primary (lease grants ride
         #: the beacon: the primary must keep hearing it directly even on
         #: rounds the epidemic fan-out happens to miss it)
@@ -52,7 +54,7 @@ class Gossip(Extension):
         """The (peer, address) fan-out this round beacons."""
         cohort = self.cohort
         peers = [pair for pair in cohort.configuration if pair[0] != cohort.mymid]
-        k = min(self.scale.gossip_fanout, len(peers))
+        k = min(GOSSIP_FANOUT, len(peers))
         if k >= len(peers):
             return peers
         chosen = self._rng.sample(peers, k)
@@ -70,7 +72,7 @@ class Gossip(Extension):
     def _fresh_evidence(self) -> Tuple[Tuple[int, float], ...]:
         """Fresh (mid, heard_at) liveness evidence to relay this round."""
         cohort = self.cohort
-        horizon = EVIDENCE_HORIZON_INTERVALS * cohort.config.im_alive_interval
+        horizon = EVIDENCE_HORIZON_INTERVALS * IM_ALIVE_INTERVAL
         cutoff = cohort.sim.now - horizon
         evidence = []
         for peer, _addr in cohort.configuration:

@@ -156,7 +156,6 @@ class Simulator:
         self._heap_compactions = 0
         self._peak_heap = 0
         self._wall_seconds = 0.0
-        self._trace_hooks: list[Callable[[float, str, dict], None]] = []
         # Attachment point for repro.trace: None keeps every instrumented
         # call site (Node.set_timer, Network.send/_deliver) on its fast
         # path -- one attribute load and an ``is None`` test.  The kernel
@@ -331,17 +330,6 @@ class Simulator:
             return self.now
         finally:
             self._wall_seconds += time.perf_counter() - started
-
-    # -- tracing ----------------------------------------------------------
-
-    def add_trace_hook(self, hook: Callable[[float, str, dict], None]) -> None:
-        """Register a hook invoked by :meth:`trace` with (time, kind, data)."""
-        self._trace_hooks.append(hook)
-
-    def trace(self, kind: str, **data: Any) -> None:
-        """Emit a trace record to all registered hooks (no-op without hooks)."""
-        for hook in self._trace_hooks:
-            hook(self.now, kind, data)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

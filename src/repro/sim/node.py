@@ -157,7 +157,8 @@ class Node:
         self._processes.clear()
         for actor in self.actors:
             actor.on_crash()
-        self.sim.trace("node_crash", node=self.node_id)
+        if self.sim.tracer is not None:
+            self.sim.tracer._emit("node_crash", self.node_id, (), {"node": self.node_id})
 
     def recover(self) -> None:
         """Come back up; actors re-initialize from stable storage."""
@@ -168,7 +169,8 @@ class Node:
         # entries can also accumulate between crashes; start clean.
         self._timers = [t for t in self._timers if t.active]
         self._processes = [p for p in self._processes if not p.done]
-        self.sim.trace("node_recover", node=self.node_id)
+        if self.sim.tracer is not None:
+            self.sim.tracer._emit("node_recover", self.node_id, (), {"node": self.node_id})
         for actor in self.actors:
             actor.on_recover()
 

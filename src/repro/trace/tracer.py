@@ -229,13 +229,6 @@ class Tracer:
         self._context.append((cause,) if cause else ())
         self._frame_starts.append(self._next_eid)
 
-    # -- Simulator.trace adapter ------------------------------------------
-
-    def on_sim_trace(self, at: float, kind: str, data: dict) -> None:
-        """Bridge for the kernel's lightweight ``sim.trace`` hook (crashes,
-        recoveries, partitions, fault-controller actions)."""
-        self._emit(kind, data.get("node"), (), dict(data))
-
     # -- inspection & export ----------------------------------------------
 
     def events(self) -> List[TraceEvent]:

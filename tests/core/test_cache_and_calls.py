@@ -17,7 +17,7 @@ from repro.core.messages import (
 )
 from repro.core.view import View
 from repro.core.viewstamp import ViewId
-from repro.config import ProtocolConfig
+from repro.config import CALL_PROBES, ProtocolConfig
 from repro.detect import AdaptiveTimeouts, RttEstimator
 from repro.location import LocationService
 from repro.sim.kernel import Simulator
@@ -102,7 +102,7 @@ class FakeHost:
         self.sim = Simulator()
         self.address = "client"
         self.cache = ClientCache(location_of_g())
-        self.config = ProtocolConfig(call_timeout=10.0, call_probes=2)
+        self.config = ProtocolConfig(call_timeout=10.0)
         self.metrics = Metrics()
         self.rtt = RttEstimator()
         self.timeouts = AdaptiveTimeouts(self.config, self.rtt)
@@ -169,7 +169,7 @@ def test_timeout_probes_same_primary_then_fails():
     call_id, future = make_call(host, caller)
     host.sim.run(until=50.0)
     call_sends = [d for d, m_ in host.sent if isinstance(m_, CallMsg)]
-    assert call_sends == ["g/0", "g/0"]  # original + one probe (call_probes=2)
+    assert call_sends == ["g/0"] * CALL_PROBES  # the original, then one per expired wait
     assert future.done
     assert isinstance(future.exception(), CallAborted)
     assert "no reply" in future.exception().reason

@@ -2,7 +2,13 @@
 
 import pytest
 
-from repro.config import ProtocolConfig
+from repro.config import (
+    COMMIT_RETRY_INTERVAL,
+    IM_ALIVE_INTERVAL,
+    MIN_TIMEOUT,
+    PREPARE_TIMEOUT,
+    ProtocolConfig,
+)
 from repro.detect import AdaptiveTimeouts, Backoff, FailureDetector, RttEstimator
 from repro.sim.rng import SeededRng
 
@@ -63,8 +69,8 @@ def test_adaptive_timeouts_fixed_before_first_sample():
     config = ProtocolConfig()
     timeouts = AdaptiveTimeouts(config, RttEstimator())
     assert timeouts.call_timeout() == config.call_timeout
-    assert timeouts.prepare_timeout() == config.prepare_timeout
-    assert timeouts.commit_retry_interval() == config.commit_retry_interval
+    assert timeouts.prepare_timeout() == PREPARE_TIMEOUT
+    assert timeouts.commit_retry_interval() == COMMIT_RETRY_INTERVAL
 
 
 def test_adaptive_timeouts_disabled_always_fixed():
@@ -81,7 +87,7 @@ def test_adaptive_timeouts_shrink_with_fast_rtt_but_respect_floor():
     for _ in range(50):
         rtt.observe(0.5)  # tiny RTT: derived timeout would be ~1.5
     timeouts = AdaptiveTimeouts(config, rtt)
-    assert timeouts.call_timeout() == config.min_timeout
+    assert timeouts.call_timeout() == MIN_TIMEOUT
 
 
 def test_adaptive_timeouts_never_exceed_fixed_ceiling():
@@ -90,7 +96,7 @@ def test_adaptive_timeouts_never_exceed_fixed_ceiling():
     rtt.observe(1000.0)  # pathological RTT: derived value clamps to fixed
     timeouts = AdaptiveTimeouts(config, rtt)
     assert timeouts.call_timeout() == config.call_timeout
-    assert timeouts.prepare_timeout() == config.prepare_timeout
+    assert timeouts.prepare_timeout() == PREPARE_TIMEOUT
 
 
 def test_adaptive_timeouts_in_band_value():
@@ -100,7 +106,7 @@ def test_adaptive_timeouts_in_band_value():
         rtt.observe(4.0)
     timeouts = AdaptiveTimeouts(config, rtt)
     # 3 * rto with rto -> ~4: inside (min_timeout, call_timeout).
-    assert config.min_timeout < timeouts.call_timeout() < config.call_timeout
+    assert MIN_TIMEOUT < timeouts.call_timeout() < config.call_timeout
 
 
 # -- Backoff ----------------------------------------------------------------
@@ -193,9 +199,9 @@ def test_adaptive_suspicion_uses_learned_interval():
     detector, clock = _detector(config=config)
     # Steady beats at exactly the configured period.
     for beat in range(1, 11):
-        clock.now = beat * config.im_alive_interval
+        clock.now = beat * IM_ALIVE_INTERVAL
         detector.heard(1)
-    assert detector.expected_interval(1) >= config.im_alive_interval
+    assert detector.expected_interval(1) >= IM_ALIVE_INTERVAL
     # Just under the threshold: not suspect; just past it: suspect.
     threshold = config.suspect_multiplier * detector.expected_interval(1)
     clock.now = detector.last_heard(1) + threshold - 0.001
@@ -205,13 +211,12 @@ def test_adaptive_suspicion_uses_learned_interval():
 
 
 def test_lossy_beats_stretch_expected_interval():
-    config = ProtocolConfig()
-    detector, clock = _detector(config=config)
+    detector, clock = _detector()
     # Every other beat lost: observed inter-arrival is twice the period.
     for beat in range(1, 11):
-        clock.now = beat * 2 * config.im_alive_interval
+        clock.now = beat * 2 * IM_ALIVE_INTERVAL
         detector.heard(1)
-    assert detector.expected_interval(1) >= 2 * config.im_alive_interval
+    assert detector.expected_interval(1) >= 2 * IM_ALIVE_INTERVAL
 
 
 def test_an_outage_is_not_a_cadence():
@@ -220,7 +225,7 @@ def test_an_outage_is_not_a_cadence():
     config = ProtocolConfig()
     detector, clock = _detector(config=config)
     for beat in range(1, 11):
-        clock.now = beat * config.im_alive_interval
+        clock.now = beat * IM_ALIVE_INTERVAL
         detector.heard(1)
     learned = detector.expected_interval(1)
     clock.now += 10 * config.suspect_timeout()
@@ -244,9 +249,9 @@ def test_a_vouch_restarts_the_silence_and_is_no_sample():
     # A beacon after the vouch samples the gap since the vouch, not since
     # the last beacon.
     detector.vouch(1, clock.now)
-    clock.now += config.im_alive_interval
+    clock.now += IM_ALIVE_INTERVAL
     detector.heard(1)
-    assert detector.peers[1].mean_interval == config.im_alive_interval
+    assert detector.peers[1].mean_interval == IM_ALIVE_INTERVAL
 
 
 def test_transitions_fire_once_per_crossing():

@@ -13,12 +13,12 @@ from collections import defaultdict
 
 import pytest
 
+from repro.config import IM_ALIVE_INTERVAL as INTERVAL
 from repro.config import ProtocolConfig, ScaleConfig
 from repro.core import messages as m
 from repro.harness.common import build_kv_system
 from repro.sim.process import sleep, spawn
 
-INTERVAL = ProtocolConfig().im_alive_interval
 #: one-way LAN delay at most: evidence sent at the instant of a crash
 IN_FLIGHT = 1.2
 

@@ -14,7 +14,7 @@ always was.
 import pytest
 
 from repro import EmptyModule, Runtime, transaction_program
-from repro.config import ProtocolConfig
+from repro.config import QUERY_INTERVAL
 from repro.core import messages as m
 from repro.core.events import Committed, Committing, Done
 from repro.harness.common import build_kv_system, run_kv_batch
@@ -25,7 +25,6 @@ from tests.integration.test_inherited_transactions import _await_view
 from tests.integration.test_send_once import STEADY
 
 DELAY = STEADY.base_delay
-QUERY_INTERVAL = ProtocolConfig().query_interval
 SIX_STEPS = [
     "TxnRequestMsg", "CallMsg", "ReplyMsg", "PrepareMsg", "PrepareOkMsg", "TxnOutcomeMsg",
 ]

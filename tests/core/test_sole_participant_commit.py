@@ -17,6 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro import EmptyModule, Runtime, transaction_program
+from repro.config import PREPARE_TIMEOUT
 from repro.core import messages as m
 from repro.core.events import Committed, Committing, CompletedCall, Done
 from repro.sim.process import sleep
@@ -288,7 +289,7 @@ def test_patience_running_out_sends_an_abort_and_decides_nothing():
 
     sends = _tap(rt, lose_every_prepare)
     attempt = driver.call("clients", "write", "kv", key, 5, retries=0)
-    rt.run_for(6 * participant.config.prepare_timeout)  # five rounds of patience
+    rt.run_for(6 * PREPARE_TIMEOUT)  # five rounds of patience
     assert attempt.result()[0] == "unknown"
     ((abort_to, abort),) = [(d, p) for _s, d, p in sends if isinstance(p, m.AbortMsg)]
     assert abort_to == participant.address

@@ -1,7 +1,7 @@
 """Bounded silence: suppressing redundant beacons never silences a watched link.
 
 A cohort skips the ``ImAliveMsg`` to a peer it sent a buffer message or ack
-within the last half ``im_alive_interval`` (``Cohort.send_traffic`` /
+within the last half ``IM_ALIVE_INTERVAL`` (``Cohort.send_traffic`` /
 ``Cohort.beacon``).  Whatever the traffic pattern, each directed link that a
 receiver judges -- primary to backup, backup to primary, and any link to a
 cohort outside the view -- must still carry something that proves life at
@@ -17,11 +17,10 @@ from collections import defaultdict
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.config import ProtocolConfig
+from repro.config import IM_ALIVE_INTERVAL as INTERVAL
 from repro.core import messages as m
 from repro.harness.common import build_kv_system
 
-INTERVAL = ProtocolConfig().im_alive_interval
 LIVENESS_BEARING = (m.ImAliveMsg, m.BufferMsg, m.BufferAckMsg)
 
 

@@ -20,7 +20,7 @@ crashes the primary: detection must stay prompt (bounded failover)
 even though most liveness evidence arrives second-hand.
 """
 
-from repro.config import ProtocolConfig, ScaleConfig
+from repro.config import IM_ALIVE_INTERVAL, ProtocolConfig, ScaleConfig
 from repro.detect import FailureDetector
 
 
@@ -83,7 +83,7 @@ def test_stale_relayed_evidence_is_a_noop():
     detector.heard_relayed(1, 40.0)
     detector.heard_relayed(1, 50.0)
     assert detector.last_heard(1) == 50.0
-    assert detector.expected_interval(1) == ProtocolConfig().im_alive_interval
+    assert detector.expected_interval(1) == IM_ALIVE_INTERVAL
 
 
 def test_relayed_evidence_advances_last_heard_in_origin_time():
@@ -111,7 +111,7 @@ def test_interval_ewma_learns_origin_deltas_not_arrival_spacing():
     would go unsuspected for an eternity.  Origin-time deltas keep the
     expected interval at the true heartbeat period."""
     config = ProtocolConfig()
-    period = config.im_alive_interval
+    period = IM_ALIVE_INTERVAL
     detector, clock = _detector(config=config)
     clock.now = period
     detector.heard(1)
@@ -129,11 +129,10 @@ def test_interval_ewma_learns_origin_deltas_not_arrival_spacing():
 
 def test_relayed_evidence_clears_suspicion():
     transitions = []
-    config = ProtocolConfig()
-    detector, clock = _detector(config=config, transitions=transitions)
+    detector, clock = _detector(transitions=transitions)
     clock.now = 10.0
     detector.heard(1)
-    clock.now = 10.0 + 100.0 * config.im_alive_interval
+    clock.now = 10.0 + 100.0 * IM_ALIVE_INTERVAL
     assert detector.is_suspect(1)
     assert transitions == [(1, True)]
     detector.heard_relayed(1, clock.now - 2.0)
@@ -145,9 +144,8 @@ def test_relayed_then_direct_interval_continuity():
     """A direct beat after a run of relayed evidence measures its interval
     from the relayed last_heard, so the EWMA never sees the huge gap back
     to the previous *direct* beat."""
-    config = ProtocolConfig()
-    period = config.im_alive_interval
-    detector, clock = _detector(config=config)
+    period = IM_ALIVE_INTERVAL
+    detector, clock = _detector()
     clock.now = period
     detector.heard(1)
     for beat in range(2, 10):
@@ -170,14 +168,13 @@ def test_gossip_detection_stays_prompt_on_lossy_network():
     neither corrupt RTT-derived timeouts nor lazify the accrual
     baseline."""
     from repro import LOSSY
-    from repro.config import ProtocolConfig
     from repro.harness.common import build_kv_system
 
     config = ProtocolConfig(scale=ScaleConfig(gossip=True))
     rt, kv, _clients, driver, spec = build_kv_system(
         seed=2188, n_cohorts=9, config=config, link=LOSSY
     )
-    interval = kv.config.im_alive_interval
+    interval = IM_ALIVE_INTERVAL
     rt.run_for(30.0 * interval)
     assert kv.active_primary() is not None
     kv.crash_primary()

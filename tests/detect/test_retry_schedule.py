@@ -4,7 +4,7 @@ within the same total patience, and a restart grants that patience again."""
 
 import pytest
 
-from repro.config import ProtocolConfig
+from repro.config import CALL_PROBES, PREPARE_TIMEOUT, UNDERLING_TIMEOUT, ProtocolConfig
 from repro.detect import AdaptiveTimeouts, Backoff, RttEstimator, ViewChangeWaits
 from repro.detect.backoff import PROMOTION_JITTER, VIEW_RETRY_DELAY
 from repro.sim.rng import SeededRng
@@ -20,8 +20,8 @@ class _NoDraws:
         return self
 
 
-FIXED = ProtocolConfig(adaptive_timeouts=False, call_timeout=10.0, call_probes=3)
-ADAPTIVE = ProtocolConfig(call_timeout=50.0, call_probes=4)
+FIXED = ProtocolConfig(adaptive_timeouts=False, call_timeout=10.0)
+ADAPTIVE = ProtocolConfig(call_timeout=50.0)
 
 
 def _timeouts(config):
@@ -44,8 +44,8 @@ def _run(retry, now=0.0):
 @pytest.mark.parametrize(
     "make, wait, count",
     [
-        (lambda t: t.call_retry(_NoDraws()), 10.0, 3),
-        (lambda t: t.prepare_retry(5), FIXED.prepare_timeout, 5),
+        (lambda t: t.call_retry(_NoDraws()), 10.0, CALL_PROBES),
+        (lambda t: t.prepare_retry(5), PREPARE_TIMEOUT, 5),
         (lambda t: t.request_retry(8, _NoDraws()), 2 * FIXED.call_timeout, 9),
     ],
     ids=["call", "prepare", "request"],
@@ -60,7 +60,7 @@ def test_fixed_view_change_waits_are_the_papers_constants():
     waits = ViewChangeWaits(FIXED, _NoDraws(), "g/0")
     assert [waits.retry.wait(0.0) for _ in range(4)] == [VIEW_RETRY_DELAY] * 4
     assert not waits.retry.expired(1e9)  # a manager never gives up
-    assert waits.promotion() == FIXED.underling_timeout
+    assert waits.promotion() == UNDERLING_TIMEOUT
     assert waits.invite_period(detect=None) is None
     assert waits.retry.restart() is False
 
@@ -77,25 +77,25 @@ def test_adaptive_call_waits_are_backoff_clamped_to_the_same_patience():
     timeouts = _timeouts(ADAPTIVE)
     retry = timeouts.call_retry(SeededRng(7).fork("call-backoff/c"))
     reference = Backoff(ADAPTIVE.call_timeout, SeededRng(7).fork("call-backoff/c"))
-    patience = ADAPTIVE.call_timeout * ADAPTIVE.call_probes
+    patience = ADAPTIVE.call_timeout * CALL_PROBES
     waits = _run(retry, now=3.0)
     expected, now = [], 3.0
     while now < 3.0 + patience - 1e-9:
         expected.append(max(min(reference.next(timeouts.call_timeout()), 3.0 + patience - now), 0.0))
         now += expected[-1]
     assert waits == expected
-    assert len(waits) < ADAPTIVE.call_probes  # the backoff grew past the count
+    assert len(waits) == CALL_PROBES  # the grown last wait is cut at the deadline
     assert sum(waits) == pytest.approx(patience)  # the last wait ends on the deadline
 
 
 def test_adaptive_prepare_waits_are_the_live_wait_unclamped():
-    config = ProtocolConfig(prepare_timeout=60.0, flush_interval=1.0)
+    config = ProtocolConfig(flush_interval=1.0)
     rtt = RttEstimator()
     rtt.observe(4.0)  # rto 12: the derived wait is 4 * 12 + 2 * flush_interval
     timeouts = AdaptiveTimeouts(config, rtt)
     waits = _run(timeouts.prepare_retry(2))
     assert waits == [timeouts.prepare_timeout()] * 3 == [50.0] * 3
-    assert sum(waits) > 2 * config.prepare_timeout  # the last wait overshoots
+    assert sum(waits) > 2 * PREPARE_TIMEOUT  # the last wait overshoots
 
 
 def test_adaptive_request_waits_are_backoff_and_counted():
@@ -113,7 +113,7 @@ def test_adaptive_view_change_waits_draw_from_their_named_streams():
     backoff = Backoff(VIEW_RETRY_DELAY, SeededRng(5).fork("vc-backoff/g/1"))
     assert [waits.retry.wait(0.0) for _ in range(5)] == [backoff.next() for _ in range(5)]
     stretch = SeededRng(5).fork("vc-await/g/1")
-    expected = ADAPTIVE.underling_timeout * (1.0 + PROMOTION_JITTER * stretch.random())
+    expected = UNDERLING_TIMEOUT * (1.0 + PROMOTION_JITTER * stretch.random())
     assert waits.promotion() == expected
     assert waits.retry.restart() is True and waits.retry.restart() is False
 
@@ -127,14 +127,14 @@ def test_a_restart_grants_the_full_patience_again():
     assert not fixed.expired(10.0)
     fixed.wait(10.0)
     fixed.restart()
-    assert _run(fixed, now=20.0) == [10.0] * 3
+    assert _run(fixed, now=20.0) == [10.0] * CALL_PROBES
 
     timeouts = _timeouts(ADAPTIVE)
     adaptive = timeouts.call_retry(SeededRng(3).fork("r"))
     first = adaptive.wait(0.0)
     assert adaptive.restart() is True
     again = _run(adaptive, now=500.0)  # a new deadline from the first wait after it
-    assert sum(again) == pytest.approx(ADAPTIVE.call_timeout * ADAPTIVE.call_probes)
+    assert sum(again) == pytest.approx(ADAPTIVE.call_timeout * CALL_PROBES)
     reference = Backoff(ADAPTIVE.call_timeout, SeededRng(3).fork("r"))
     assert first == reference.next()
     reference.reset()

@@ -13,7 +13,7 @@ the lock stayed for the rest of the run and every retry of the key aborted
 import pytest
 
 from repro import LOSSY
-from repro.config import BatchConfig, ProtocolConfig
+from repro.config import QUERY_INTERVAL, BatchConfig, ProtocolConfig
 from repro.core import messages as m
 from repro.core.events import Committing
 from repro.core.viewstamp import Viewstamp
@@ -22,8 +22,6 @@ from repro.txn.pset import PSetPair
 from repro.workloads.loadgen import run_closed_loop
 
 from tests.integration.test_send_once import STEADY
-
-QUERY_INTERVAL = ProtocolConfig().query_interval
 
 
 def _orphan_a_write(seed=5):

@@ -12,7 +12,7 @@ final history must be serializable.
 import pytest
 
 from repro import FaultPlan
-from repro.config import ProtocolConfig
+from repro.config import INVITE_TIMEOUT, ProtocolConfig
 from repro.core.cohort import Status
 
 from tests.conftest import build_counter_system
@@ -89,7 +89,7 @@ def test_invite_retransmission_fires_under_loss():
     to the one live peer is lost on a one-way link failure, while that peer's
     heartbeats keep arriving -- so it is not suspect, formation waits for it,
     and only the mid-round retransmission can reach it before the 40-unit
-    ``invite_timeout``."""
+    ``INVITE_TIMEOUT``."""
     rt, counter, _clients, driver = build_counter_system(seed=41)
     future = driver.call("clients", "bump", 1)
     rt.run_for(300)
@@ -109,6 +109,6 @@ def test_invite_retransmission_fires_under_loss():
     while not _active_primaries(counter) and rt.sim.now < deadline:
         rt.run_for(1.0)
     assert rt.metrics.counters.get("invite_retransmits:counter", 0) > 0
-    # The resent invite formed the view; nobody sat out the invite_timeout.
-    assert rt.sim.now - became_manager_at < manager.config.invite_timeout
+    # The resent invite formed the view; nobody sat out the invite timeout.
+    assert rt.sim.now - became_manager_at < INVITE_TIMEOUT
     assert rt.metrics.counters.get("view_formations_failed:counter", 0) == 0

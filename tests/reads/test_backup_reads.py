@@ -4,15 +4,15 @@ leased primary, and a backup cut off from the replication stream rejects
 bounded reads while still serving its old prefix under an explicitly
 generous bound."""
 
-from repro.config import ProtocolConfig, ReadConfig
+from repro.config import DEFAULT_MAX_STALENESS, ProtocolConfig, ReadConfig
 from repro.harness.common import build_kv_system
 from repro.workloads.loadgen import run_closed_loop
 
 from tests.reads.test_lease_protocol import commit_write, run_read
 
 
-def reads_config(**kwargs):
-    return ProtocolConfig(reads=ReadConfig(enabled=True, **kwargs))
+def reads_config():
+    return ProtocolConfig(reads=ReadConfig(enabled=True))
 
 
 class _PickMid:
@@ -32,7 +32,7 @@ class _PickMid:
 
 def test_fresh_backup_serves_within_the_default_bound():
     rt, _kv, _clients, driver, spec = build_kv_system(
-        seed=31, config=reads_config(default_max_staleness=20.0)
+        seed=31, config=reads_config()
     )
     rt.run_for(150.0)
     commit_write(rt, driver, spec.key(0), 1)
@@ -40,7 +40,7 @@ def test_fresh_backup_serves_within_the_default_bound():
     assert result.ok
     assert result.mode == "backup"
     assert result.value == 1
-    assert 0.0 <= result.staleness <= 20.0
+    assert 0.0 <= result.staleness <= DEFAULT_MAX_STALENESS
     assert rt.metrics.counters.get("backup_reads:kv", 0) >= 1
 
 
@@ -61,7 +61,7 @@ def test_unsatisfiable_bound_steers_to_the_leased_primary():
 
 def test_lagging_backup_rejects_bounded_reads_but_serves_its_prefix():
     rt, kv, _clients, driver, spec = build_kv_system(
-        seed=33, config=reads_config(default_max_staleness=20.0)
+        seed=33, config=reads_config()
     )
     rt.run_for(150.0)
     commit_write(rt, driver, spec.key(0), 1)
@@ -89,7 +89,9 @@ def test_lagging_backup_rejects_bounded_reads_but_serves_its_prefix():
 
     # bounded read at the lagging backup: too stale, steered to the
     # leased primary, which serves the committed value
-    steered = run_read(rt, driver, "kv", spec.key(0), prefer="backup")
+    steered = run_read(
+        rt, driver, "kv", spec.key(0), prefer="backup", max_staleness=20.0
+    )
     assert steered.ok and steered.mode == "lease" and steered.value == 2
 
     # an explicitly generous bound reads the lagging backup's old
@@ -105,7 +107,9 @@ def test_lagging_backup_rejects_bounded_reads_but_serves_its_prefix():
     # healed, the backup catches up and serves fresh bounded reads again
     rt.faults.heal()
     rt.run_for(80.0)
-    caught_up = run_read(rt, driver, "kv", spec.key(0), prefer="backup")
+    caught_up = run_read(
+        rt, driver, "kv", spec.key(0), prefer="backup", max_staleness=20.0
+    )
     assert caught_up.ok
     assert caught_up.mode == "backup"
     assert caught_up.value == 2

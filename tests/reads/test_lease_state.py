@@ -4,7 +4,7 @@ pruning exactly while unexpired, recovery leaves a conservative residue,
 and the view-formation bound covers every reported promise to anyone but
 the chosen primary."""
 
-from repro.config import ReadConfig
+from repro.config import LEASE_DURATION
 from repro.core.quorum import Quorums
 from repro.reads.lease import CRASH_GRANTEE, ReadState, formation_lease_bound
 
@@ -23,14 +23,9 @@ class _Clock:
         return self.now
 
 
-def make_state(config_size=3, lease_duration=30.0, now=0.0):
+def make_state(config_size=3, now=0.0):
     clock = _Clock(now)
-    state = ReadState(
-        ReadConfig(enabled=True, lease_duration=lease_duration),
-        Quorums(config_size),
-        clock,
-    )
-    return state, clock
+    return ReadState(Quorums(config_size), clock), clock
 
 
 def test_lease_needs_majority_of_unexpired_grants():
@@ -82,7 +77,8 @@ def test_record_grant_keeps_the_newest_expiry():
 
 
 def test_promises_prune_lazily_and_keep_max():
-    state, clock = make_state(lease_duration=30.0)
+    state, clock = make_state()
+    assert LEASE_DURATION == 30.0  # the expiries below are 30 units out
     assert state.make_promise(0) == 30.0
     clock.now = 10.0
     assert state.make_promise(0) == 40.0
@@ -95,7 +91,7 @@ def test_promises_prune_lazily_and_keep_max():
 
 
 def test_promise_residue_covers_lost_volatile_state():
-    state, clock = make_state(lease_duration=30.0)
+    state, clock = make_state()
     state.make_promise(0)
     clock.now = 5.0
     state.promise_residue()

@@ -131,15 +131,6 @@ def test_step_returns_false_when_empty():
     assert sim.step() is False
 
 
-def test_trace_hooks_receive_records():
-    sim = Simulator()
-    records = []
-    sim.add_trace_hook(lambda t, kind, data: records.append((t, kind, data)))
-    sim.schedule(2.0, lambda: sim.trace("hello", value=1))
-    sim.run()
-    assert records == [(2.0, "hello", {"value": 1})]
-
-
 def test_events_processed_counter():
     sim = Simulator()
     for _ in range(5):
