@@ -225,10 +225,11 @@ class ScaleConfig:
       last-heard without polluting the RTT/interval estimators, since a
       relay hop is not an RTT sample).
     - ``ack_tree``: storage backups forward their cumulative buffer acks
-      up a deterministic ``ack_fanout``-ary tree (sorted by module id)
+      up a deterministic ``ACK_FANOUT``-ary tree (sorted by module id)
       instead of straight to the primary; interior nodes coalesce their
       subtree's ``(mid, acked_ts)`` pairs for ``ACK_DELAY`` before
       forwarding, so the primary's ack fan-in is O(fanout), not O(n).
+      Both are constants of :mod:`repro.scale.ack_tree`.
       Composes with :class:`BatchConfig` ack coalescing.
     - ``witnesses``: the highest ``witnesses`` module ids in each group
       vote in view formation (their acceptances count toward the
@@ -239,25 +240,19 @@ class ScaleConfig:
       ``n - Quorums.formation`` (a force quorum must fit among the storage
       replicas) when the group is created.
 
-    Refused where it is made: a negative ``witnesses``, and an
-    ``ack_fanout`` below 1 (a tree node that reaches nobody).
+    Refused where it is made: a negative ``witnesses``.
     """
 
     #: Epidemic heartbeat dissemination (off = the primary's star).
     gossip: bool = False
     #: Aggregate buffer acks up a fan-in tree (off = acks go direct).
     ack_tree: bool = False
-    #: Fan-in of the ack tree (children per interior node, and the number
-    #: of tree roots reporting directly to the primary).
-    ack_fanout: int = 4
     #: Bufferless voting members per group (0 = every member replicates).
     witnesses: int = 0
 
     def __post_init__(self) -> None:
         if self.witnesses < 0:
             raise ValueError(f"ScaleConfig.witnesses {self.witnesses} < 0")
-        if self.ack_fanout < 1:
-            raise ValueError(f"ScaleConfig.ack_fanout {self.ack_fanout} < 1")
 
 
 @dataclasses.dataclass

@@ -19,10 +19,12 @@ Role behaviour is delegated: :class:`~repro.core.server_role.ServerRole`
 module owns message dispatch, backup event-record application, query
 answering (section 3.4) and liveness ("I'm alive").
 
-Everything beyond the paper, and section 4.2's stable-storage hardening,
-is an extension object (:mod:`repro.core.extension`); this module never
-tests for one.  Two section-4.1 options are still config flags read here:
-``unilateral_edits`` and ``ordered_managers``.
+Everything beyond the paper, and section 4.1's unilateral view edits and
+section 4.2's stable-storage hardening, is an extension object
+(:mod:`repro.core.extension`); this module never tests for one, and reads
+no section-4.1 switch.  What a liveness sweep finds calls for nothing, a
+view edit or a view change: that verdict, and section 4.1's ordered
+managers, belong to the view-change controller.
 """
 
 from __future__ import annotations
@@ -148,7 +150,6 @@ class Cohort(Actor):
         self._half_interval = 0.5 * IM_ALIVE_INTERVAL
         self._served: Dict[int, float] = {}
         self._stamped: Dict[int, float] = {}
-        self._change_pending_since: Optional[float] = None
         self._epoch = 0  # bumped on every status transition; guards timers
 
         runtime.network.register(self)
@@ -650,8 +651,7 @@ class Cohort(Actor):
         ):
             # Communication with an excluded cohort resumed (section 4:
             # "...or if it notices that it is communicating with a cohort
-            # that it could not communicate with previously").  The sweep
-            # prefers a unilateral re-add when that is enabled.
+            # that it could not communicate with previously").
             self._liveness_sweep()
 
     def _is_suspect(self, mid: int) -> bool:
@@ -670,45 +670,18 @@ class Cohort(Actor):
         )
 
     def _liveness_sweep(self) -> None:
-        # The primary judges its view; a backup judges its primary (D19).
+        """Who is suspect, and who is live outside the view; the view-change
+        controller decides what that calls for.  The primary judges its
+        view; a backup judges its primary (D19)."""
         view = self.cur_view
         judged = view.members if self.is_primary else (view.primary,)
-        view_suspects = [
-            peer for peer in judged if peer != self.mymid and self._is_suspect(peer)
-        ]
-        outside_live = [
-            peer for peer, _addr in self.configuration
-            if peer not in view and not self._is_suspect(peer)
-        ]
-        if not view_suspects and not outside_live:
-            self._change_pending_since = None
-            return
-        if self.config.unilateral_edits and self.is_primary:
-            if self.view_change.try_unilateral_edit(view_suspects, outside_live):
-                self._change_pending_since = None
-                return
-        self._on_membership_signal()
-
-    def _on_membership_signal(self) -> None:
-        """A view change appears to be needed (the figure's "change" msg)."""
-        if self.status is not Status.ACTIVE:
-            return
-        now = self.sim.now
-        if self._change_pending_since is None:
-            self._change_pending_since = now
-        if self.config.ordered_managers:
-            # Section 4.1: become a manager only if all higher-priority
-            # (lower-mid) cohorts appear inaccessible -- unless the need has
-            # persisted, in which case manage regardless (liveness fallback).
-            higher = [
-                peer for peer, _addr in self.configuration if peer < self.mymid
-            ]
-            deferred = any(not self._is_suspect(peer) for peer in higher)
-            waited = now - self._change_pending_since
-            if deferred and waited < 2.5 * IM_ALIVE_INTERVAL:
-                return
-        self._change_pending_since = None
-        self.view_change.become_manager()
+        self.view_change.on_sweep(
+            [peer for peer in judged if peer != self.mymid and self._is_suspect(peer)],
+            [
+                peer for peer, _addr in self.configuration
+                if peer not in view and not self._is_suspect(peer)
+            ],
+        )
 
     def note_change_needed(self) -> None:
         """Internal failure signal (e.g. an abandoned force)."""
@@ -740,12 +713,11 @@ class Cohort(Actor):
             set_timer=self.set_timer,
             on_force_failure=self.note_change_needed,
             force_timeout=self.config.force_timeout,
-            retain_all=self.config.unilateral_edits,
             flush_interval=self.config.flush_interval,
             clock=self.detect.clock,
             rto=self.detect.rto,
             join_delay=self.config.stable_write_latency,
-            **self.buffer_options,  # send=, max_batch= and what batching arms
+            **self.buffer_options,  # send=, max_batch= and what extensions arm
         )
 
     def _start_flush_loop(self) -> None:

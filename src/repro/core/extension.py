@@ -1,24 +1,26 @@
 """The cohort's extension seam (DESIGN.md, *Extension seam*).
 
 :class:`~repro.core.cohort.Cohort` is the paper's Figure 4 and nothing
-else.  Every mechanism beyond it (section 4.2's stable storage, batched
-transmission, read leases, gossip heartbeats, ack trees, witness replicas)
-is an :class:`Extension` that :func:`build_extensions` creates when, and
-only when, the cohort's config arms it.  A disabled mechanism is *absent*:
-no object, no field on the cohort, no branch; ``cohort.extensions == ()``
-by default.
+else.  Every mechanism beyond it (section 4.1's unilateral view edits,
+section 4.2's stable storage, batched transmission, read leases, gossip
+heartbeats, ack trees, witness replicas) is an :class:`Extension` that
+:func:`build_extensions` creates when, and only when, the cohort's config
+arms it.  A disabled mechanism is *absent*: no object, no field on the
+cohort, no branch; ``cohort.extensions == ()`` by default.
 
 An extension reaches the protocol three ways: it adds or wraps **handler
 rows** of the cohort's two type-keyed dispatch tables (:func:`wrap_row`, in
 ``wire``: tables are rebuilt on recovery); it takes over, once, in its
 constructor, the **builders** of the four messages extensions stamp, the
-two **policies** with one owner each -- ``Cohort.acknowledge`` (when a
-backup acks) and ``Cohort.beacon`` (whom a heartbeat round reaches) --
-and section 4.2's **storage points** -- ``add_record`` or
-``_record_bookkeeping`` (an image is written after it) and ``force_to`` --
-with :func:`wrap`; and it hears the cohort's **lifecycle** under the names
-the roles already use.  Extensions are built and wired innermost first: a
-later one's wrapper runs before an earlier one's.
+three **policies** with one owner each -- ``Cohort.acknowledge`` (when a
+backup acks), ``Cohort.beacon`` (whom a heartbeat round reaches) and
+``ViewChangeController.edit_view`` (whether a liveness sweep's suspicions
+are met by editing the view) -- and section 4.2's **storage points** --
+``add_record`` or ``_record_bookkeeping`` (an image is written after it)
+and ``force_to`` -- with :func:`wrap`; and it hears the cohort's
+**lifecycle** under the names the roles already use.  Extensions are built
+and wired innermost first: a later one's wrapper runs before an earlier
+one's.
 """
 
 from __future__ import annotations
@@ -80,12 +82,13 @@ def wrap_row(table: Table, cls: type, around: Callable) -> None:
 def build_extensions(cohort) -> Tuple[Extension, ...]:
     """The extensions *cohort*'s config arms, innermost first.
 
-    The only place in ``repro.core`` that reads ``storage_policy`` and the
-    ``batch``, ``reads`` and ``scale`` sub-configs (but for
-    ``scale.witnesses``, which :class:`~repro.core.group.ModuleGroup` turns
-    into the group's :class:`~repro.core.quorum.Quorums`); each subsystem
-    is imported only when armed, so a paper-faithful run never loads
-    ``repro.storage.policy``, ``repro.scale`` or ``repro.reads.lease``.
+    The only place in ``repro.core`` that reads ``storage_policy``,
+    ``unilateral_edits`` and the ``batch``, ``reads`` and ``scale``
+    sub-configs (but for ``scale.witnesses``, which
+    :class:`~repro.core.group.ModuleGroup` turns into the group's
+    :class:`~repro.core.quorum.Quorums`); each subsystem is imported only
+    when armed, so a paper-faithful run never loads ``repro.storage.policy``,
+    ``repro.core.view_edits``, ``repro.scale`` or ``repro.reads.lease``.
     """
     config = cohort.config
     batch, reads, scale = config.batch, config.reads, config.scale
@@ -96,10 +99,14 @@ def build_extensions(cohort) -> Tuple[Extension, ...]:
         from repro.storage.policy import StablePolicy
 
         extensions.append(StablePolicy(cohort, config.storage_policy))
+    if config.unilateral_edits:
+        from repro.core.view_edits import UnilateralEdits
+
+        extensions.append(UnilateralEdits(cohort))
     if scale is not None and scale.ack_tree:
         from repro.scale.ack_tree import AckTreeAcks
 
-        extensions.append(AckTreeAcks(cohort, scale))
+        extensions.append(AckTreeAcks(cohort))
     if cohort.quorums.witnesses:
         from repro.scale.witness import Witnesses
 

@@ -276,9 +276,13 @@ class AcceptMsg(Message):
     viewstamp: Optional[Viewstamp]  # normal only
     was_primary: bool               # normal only
     crash_viewid: Optional[ViewId]  # crashed only
-    view: Optional[View] = None     # normal only: the acceptor's cur_view
-    #                                 (consumed by the extended formation
-    #                                 rule; the paper's rule ignores it)
+    view: Optional[View] = None     # normal only: the acceptor's cur_view,
+    #                                 None when stable storage restored
+    #                                 its state since it last joined a
+    #                                 view.  Read by the extended formation
+    #                                 rule, and by build_init_view, which
+    #                                 names no viewstamp for a None (D25);
+    #                                 the paper's rule ignores it
     lease_promises: Tuple[Tuple[int, float], ...] = ()  # reads enabled:
     #                                 (grantee mid, expiry) read-lease
     #                                 promises the acceptor may have

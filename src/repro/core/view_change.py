@@ -30,10 +30,10 @@ from __future__ import annotations
 import functools
 from typing import Dict, Optional
 
-from repro.config import INVITE_TIMEOUT
+from repro.config import IM_ALIVE_INTERVAL, INVITE_TIMEOUT
 from repro.core import messages as m
 from repro.core.cohort import Status
-from repro.core.events import NewView, ViewEdit
+from repro.core.events import NewView
 from repro.core.view import View
 from repro.core.viewstamp import ViewId, Viewstamp
 from repro.detect import ViewChangeWaits
@@ -51,6 +51,9 @@ class ViewChangeController:
         self._retransmit_timer = None
         self._installing = False
         self._formed = False
+        # Since when the sweep has found a view change needed (a deferring
+        # cohort's wait); reset() leaves it, so it outlasts a crash.
+        self._change_pending_since: Optional[float] = None
 
     @functools.cached_property
     def _waits(self) -> ViewChangeWaits:
@@ -462,31 +465,45 @@ class ViewChangeController:
         write.add_done_callback(on_durable)
 
     # ------------------------------------------------------------------
-    # unilateral edits (section 4.1, experiment E12)
+    # the liveness sweep's verdict (Figure 5's "change" message)
     # ------------------------------------------------------------------
 
-    def try_unilateral_edit(self, view_suspects, outside_live) -> bool:
-        """Primary: exclude suspects / re-add live cohorts without a full
-        view change; False when that would lose the majority."""
+    def on_sweep(self, view_suspects, outside_live) -> None:
+        """An active cohort's liveness sweep suspects *view_suspects* among
+        the members it judges and hears *outside_live* outside its view
+        (DESIGN.md D19): nothing to do, a mended view, or a view change."""
+        if not (view_suspects or outside_live) or self.edit_view(
+            view_suspects, outside_live
+        ):
+            self._change_pending_since = None
+            return
+        now = self.cohort.sim.now
+        if self._change_pending_since is None:
+            self._change_pending_since = now
+        waited = now - self._change_pending_since
+        if self.cohort.config.ordered_managers and self._defer(waited):
+            return
+        self._change_pending_since = None
+        self.become_manager()
+
+    def edit_view(self, view_suspects, outside_live) -> bool:
+        """Whether the view was mended without a view change: never in
+        Figure 5 (section 4.1's unilateral edits are the extension
+        :mod:`repro.core.view_edits`)."""
+        return False
+
+    def _defer(self, waited: float) -> bool:
+        """Section 4.1: become a manager only if all higher-priority
+        (lower-mid) cohorts appear inaccessible -- unless the need has
+        persisted for *waited*, in which case manage regardless (liveness
+        fallback)."""
         cohort = self.cohort
-        new_backups = set(cohort.cur_view.backups)
-        for peer in view_suspects:
-            if peer != cohort.cur_view.primary:
-                new_backups.discard(peer)
-        for peer in outside_live:
-            new_backups.add(peer)
-        if len(new_backups) + 1 < cohort.quorums.formation:
-            # Losing the majority: the primary must stop working on
-            # transactions (section 4.1) -- full view change instead.
-            return False
-        if new_backups == set(cohort.cur_view.backups):
-            return True  # only the primary is suspect of itself; nothing to do
-        edited = tuple(sorted(new_backups))
-        cohort.add_record(ViewEdit(backups=edited))
-        cohort.buffer.set_backups(cohort.quorums.storage(edited))
-        cohort.metrics.incr("unilateral_view_edits")
-        cohort.buffer.flush()
-        return True
+        deferred = any(
+            not cohort._is_suspect(peer)
+            for peer, _addr in cohort.configuration
+            if peer < cohort.mymid
+        )
+        return deferred and waited < 2.5 * IM_ALIVE_INTERVAL
 
     # ------------------------------------------------------------------
 

@@ -117,7 +117,6 @@ class _PendingRequest:
     args: Tuple
     future: Future
     retry: Retry  # the re-send schedule (repro.detect)
-    timeout: float
     timer: Any = None
     submitted_at: float = 0.0
 
@@ -215,7 +214,6 @@ class Driver(Actor):
             args=tuple(args),
             future=Future(label=f"submit:{program}:{self._next_request}"),
             retry=retry,
-            timeout=retry.base(),
             submitted_at=self.sim.now,
         )
         self._requests[request.request_id] = request

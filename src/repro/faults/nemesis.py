@@ -397,8 +397,9 @@ class AsymmetricPartitionRule(FaultRule):
     Every exponential *mean_healthy* a random victim is isolated in a
     random single direction (outbound = mute: it hears everyone, nobody
     hears it; inbound = deaf) for an exponential *mean_partitioned*, then
-    the one-way links are repaired.  The two sides of the cut disagree
-    about who is unreachable -- the classic gray-failure trigger.
+    the one-way links are repaired -- to and from every runtime node, as
+    the cut was, clients and drivers included.  The two sides of the cut
+    disagree about who is unreachable -- the classic gray-failure trigger.
     """
 
     node_ids: Sequence[str]
@@ -421,7 +422,7 @@ class AsymmetricPartitionRule(FaultRule):
             direction = rng.choice(("outbound", "inbound"))
             controller.isolate_oneway(victim, direction)
             yield sleep(rng.expovariate(1.0 / self.mean_partitioned))
-            for other in self.node_ids:
+            for other in controller.runtime.nodes:
                 if other == victim:
                     continue
                 if direction == "outbound":

@@ -416,16 +416,17 @@ ARMED = {
 }
 
 
-def _chaos(*extensions: str, schedule: Optional[str] = None):
+def _chaos(*extensions: str, schedule: Optional[str] = None, **flags: bool):
     """The row of the cell under a nemesis with every monitor armed: on the
     plain three-cohort system, or with *extensions* armed together -- 9
     cohorts under ``scale``, 5 across three datacenters with a sited driver
     under ``geo``, a read loop beside the writes under ``reads``.  The soak's
     nemesis unless *schedule* names another: ``region`` on a topology,
-    ``storm`` without."""
+    ``storm`` without.  *flags* are ``ProtocolConfig`` switches, labelled
+    ``+name`` when set and ``-name`` when cleared."""
     geo, scale = "geo" in extensions, "scale" in extensions
     chosen = SCHEDULES[schedule or ("region" if geo else "storm")]
-    config = ProtocolConfig(**dict(ARMED[name] for name in extensions))
+    config = ProtocolConfig(**dict(ARMED[name] for name in extensions), **flags)
     # Two clients, not four: the same writes take twice as long, and it is
     # the schedule's time, not the writes' count, that lets faults fire.
     workload: dict = {"concurrency": 2, "settle": 60.0}
@@ -446,7 +447,11 @@ def _chaos(*extensions: str, schedule: Optional[str] = None):
         return state_run(system, schedule=chosen, **workload)
 
     relation = "violates" if chosen.expect_violation else "state"
-    return "+".join(extensions) or chosen.name, run, relation
+    label = " ".join(
+        ["+".join(extensions) or chosen.name]
+        + [("+" if value else "-") + name for name, value in flags.items()]
+    )
+    return label, run, relation
 
 
 #: The first row of every chaos gate: fault-free and paper-faithful.
@@ -547,6 +552,11 @@ GATES: Dict[str, Gate] = {
     # the liveness matrix: every flat schedule on the plain system, two seeds
     "liveness-seed0": Gate(0, 1500, (PAPER,) + _MATRIX),
     "liveness-seed7": Gate(7, 1500, (PAPER,) + _MATRIX),
+    # the cell where one-way cuts to the driver and clients once stayed
+    # after the nemesis repaired the group's (docs/FAULTS.md): a regression row
+    "liveness-asymmetric-seed1988": Gate(
+        1988, 1000, (PAPER, _chaos(schedule="asymmetric"))
+    ),
     # the chaos soak on the plain system, two seeds
     "trace-seed2026": Gate(2026, 1500, (PAPER, _chaos())),
     "trace-seed1988": Gate(1988, 1500, (PAPER, _chaos())),
@@ -562,6 +572,17 @@ GATES: Dict[str, Gate] = {
         (PAPER,)
         + tuple(_chaos(*pair) for pair in itertools.combinations(ARMED, 2))
         + (_chaos(*ARMED),),
+    ),
+    # section 4.1's two options under the soak: unilateral view edits, and
+    # unordered managers (every cohort may manage at once)
+    "section41": Gate(
+        2026,
+        1000,
+        (
+            PAPER,
+            _chaos(unilateral_edits=True),
+            _chaos(ordered_managers=False),
+        ),
     ),
     # the cell where a committed multi-group write was once lost
     # (docs/FAULTS.md, *What a nemesis can still find*): a regression row

@@ -15,15 +15,17 @@ from repro.core import messages as m
 from repro.core.extension import Extension, Table, wrap, wrap_row
 from repro.scale import AckTree
 
+#: Fan-in of the tree: children per interior node, and the number of tree
+#: roots reporting directly to the primary.
+ACK_FANOUT = 4
 #: Coalescing delay before an interior node forwards its subtree's
 #: aggregated acks upward.
 ACK_DELAY = 0.5
 
 
 class AckTreeAcks(Extension):
-    def __init__(self, cohort, scale) -> None:
+    def __init__(self, cohort) -> None:
         super().__init__(cohort)
-        self.scale = scale
         self._tree: Optional[AckTree] = None  # cached per (viewid, backups)
         self._tree_key = None
         self._children: Dict[int, int] = {}  # subtree mid -> acked_ts
@@ -46,7 +48,7 @@ class AckTreeAcks(Extension):
             self._tree = AckTree(
                 cohort.cur_view.primary,
                 cohort.quorums.storage(cohort.cur_view.backups),
-                self.scale.ack_fanout,
+                ACK_FANOUT,
             )
             self._tree_key = key
         return self._tree

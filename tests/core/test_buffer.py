@@ -274,7 +274,7 @@ def test_set_backups_extends_and_shrinks():
 
 
 def test_removing_the_speedy_target_leaves_nothing_of_it_and_strands_no_force():
-    """``try_unilateral_edit`` drops the backup a pending force was shipped
+    """A unilateral view edit drops the backup a pending force was shipped
     to -- with a flush the window cut short, the worst case -- and sweeps:
     the force resolves on the remaining backup's ack."""
     h = Harness(max_batch=2)

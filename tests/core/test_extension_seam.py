@@ -28,9 +28,10 @@ from repro.harness.common import build_kv_system
 from repro.live import one_crash
 from repro.storage.stable import StableStoragePolicy
 
-#: mechanism -> (the sub-config and knobs that arm it, its extension, the
-#: rows it adds or wraps)
+#: mechanism -> (the sub-config and knobs that arm it -- None: a flag of
+#: ProtocolConfig itself --, its extension, the rows it adds or wraps)
 MECHANISMS = {
+    "unilateral_edits": (None, {"unilateral_edits": True}, "UnilateralEdits", set()),
     "batching": ("batch", {"enabled": True}, "Batching", set()),
     "leases": (
         "reads",
@@ -56,8 +57,10 @@ def _config(*names):
     for name in names:
         section, armed = MECHANISMS[name][:2]
         knobs.setdefault(section, {}).update(armed)
+    flags = knobs.pop(None, {})
     return ProtocolConfig(
-        **{section: _SUB_CONFIGS[section](**armed) for section, armed in knobs.items()}
+        **flags,
+        **{section: _SUB_CONFIGS[section](**armed) for section, armed in knobs.items()},
     )
 
 
@@ -121,7 +124,7 @@ def test_a_default_config_run_never_imports_the_extension_subsystems():
         "assert kv.active_primary() is not None\n"
         "loaded = [name for name in ('repro.scale', 'repro.reads.lease',\n"
         "          'repro.reads.serving', 'repro.core.batching',\n"
-        "          'repro.storage.policy')\n"
+        "          'repro.storage.policy', 'repro.core.view_edits')\n"
         "          if name in sys.modules]\n"
         "assert not loaded, loaded\n"
     )
@@ -140,9 +143,19 @@ def test_each_mechanism_alone_is_exactly_its_extension_and_its_rows(name):
         assert _extension_rows(cohort) == rows
 
 
+def test_unilateral_edits_take_over_one_policy_and_keep_the_whole_buffer():
+    """Section 4.1's edits are the controller's ``edit_view`` and the
+    buffer's ``retain_all``; the cohort itself gains nothing."""
+    group = _group(_config("unilateral_edits"), n_cohorts=3)
+    for cohort in group.cohorts.values():
+        assert _shadowed_methods(cohort) == {"ViewChangeController.edit_view"}
+        assert cohort.buffer_options["retain_all"] is True
+    assert group.active_primary().buffer._retain_all
+
+
 def test_every_method_the_seam_offers_is_taken_over_by_some_extension():
     """No seam without a user: each builder, policy and role method an
-    extension may ``wrap`` is wrapped by at least one of the five."""
+    extension may ``wrap`` is wrapped by at least one of the six."""
     witness = _group(_config(*MECHANISMS)).cohort(4)
     assert _shadowed_methods(witness) == {
         "Cohort.acknowledge",
@@ -152,6 +165,7 @@ def test_every_method_the_seam_offers_is_taken_over_by_some_extension():
         "ViewChangeController.build_acceptance",
         "ViewChangeController.build_init_view",
         "ViewChangeController.activate",
+        "ViewChangeController.edit_view",
         "ServerRole._send_query",
     }
 

@@ -130,14 +130,6 @@ def test_scale_config_rejects_a_negative_witness_count(witnesses):
     assert ScaleConfig(witnesses=0).witnesses == 0
 
 
-@pytest.mark.parametrize("fanout", [0, -2])
-def test_scale_config_rejects_an_ack_fanout_below_one(fanout):
-    """An ack-tree node with no children and no roots under the primary."""
-    with pytest.raises(ValueError, match="ack_fanout"):
-        ScaleConfig(ack_tree=True, ack_fanout=fanout)
-    assert ScaleConfig(ack_tree=True, ack_fanout=1).ack_fanout == 1
-
-
 @pytest.mark.parametrize("placement", ["sprad", "primary_affinity", "spread:dc-a", ""])
 @pytest.mark.parametrize("armed", [False, True], ids=["no-topology", "topology"])
 def test_geo_config_rejects_a_placement_outside_the_grammar(armed, placement):

@@ -118,10 +118,10 @@ def test_driver_submit_timeout_overrides_default(counter_system):
     rt, _counter, _clients, driver = counter_system
     driver.call("clients", "bump", 1, timeout=77.0)
     (request,) = driver._requests.values()
-    assert request.timeout == 77.0
+    assert request.retry.base() == 77.0
     driver.call("clients", "bump", 1)
-    default = [r for r in driver._requests.values() if r.timeout != 77.0]
-    assert default and default[0].timeout == rt.config.call_timeout * 2
+    default = [r for r in driver._requests.values() if r.retry.base() != 77.0]
+    assert default and default[0].retry.base() == rt.config.call_timeout * 2
 
 
 def test_create_group_requires_at_least_one_cohort():

@@ -14,6 +14,7 @@ from repro import EmptyModule, Nemesis, Runtime
 from repro.config import ProtocolConfig, ScaleConfig
 from repro.core.cohort import Status
 from repro.harness.common import build_kv_system
+from repro.scale import ack_tree
 from repro.workloads.kv import KVStoreSpec
 
 
@@ -139,16 +140,17 @@ def test_negative_witness_count_rejected_at_group_construction(witnesses):
 
 # -- ack tree under load ----------------------------------------------------
 
-def test_ack_tree_commits_and_converges_like_direct_acks():
+def test_ack_tree_commits_and_converges_like_direct_acks(monkeypatch):
     """Tree-aggregated acks may delay and re-route, never change state:
     the same seed with and without the tree agrees on the final
     replicated state digest."""
     from repro.perf.report import state_digest
 
+    monkeypatch.setattr(ack_tree, "ACK_FANOUT", 2)
     digests = {}
     for label, scale in (
         ("direct", None),
-        ("tree", ScaleConfig(ack_tree=True, ack_fanout=2)),
+        ("tree", ScaleConfig(ack_tree=True)),
     ):
         rt, kv, driver, spec = _scaled_kv(35, 9, scale)
         rt.run_for(200.0)
@@ -159,13 +161,12 @@ def test_ack_tree_commits_and_converges_like_direct_acks():
     assert digests["direct"] == digests["tree"]
 
 
-def test_ack_tree_survives_interior_node_crash():
+def test_ack_tree_survives_interior_node_crash(monkeypatch):
     """Acks from a crashed interior node's subtree still reach the
     primary: the go-direct fallback (tree recomputed per view, crashed
     members excluded after reform) must not wedge forces."""
-    rt, kv, driver, spec = _scaled_kv(
-        36, 9, ScaleConfig(ack_tree=True, ack_fanout=2)
-    )
+    monkeypatch.setattr(ack_tree, "ACK_FANOUT", 2)
+    rt, kv, driver, spec = _scaled_kv(36, 9, ScaleConfig(ack_tree=True))
     rt.run_for(200.0)
     _commit_writes(rt, driver, spec, 4)
     # The first storage backup in sorted order is an ack-tree root with
