@@ -18,7 +18,7 @@ from repro.faults.controller import PRIMITIVES
 from repro.faults.nemesis import BUILDERS
 from repro.geo.placement import PLACEMENT_POLICIES
 from repro.live import SCHEDULES, StallReport, spec_catalog
-from repro.trace.events import EVENT_KINDS
+from repro.trace.events import EVENT_FIELDS, EVENT_KINDS
 from repro.trace.monitors import MONITORS
 
 TRACING = "docs/TRACING.md"
@@ -91,6 +91,38 @@ def _subscription_rows(text: str) -> List[str]:
     return missing
 
 
+def _entry(text: str, kind: str) -> str:
+    """*kind*'s bullet in the catalog: its ``- `kind` `` line and the
+    indented lines that continue it, joined into one line."""
+    lines = text.splitlines()
+    for index, line in enumerate(lines):
+        if line.startswith(f"- `{kind}` "):
+            entry = [line]
+            for more in lines[index + 1:]:
+                if not more.startswith("  "):
+                    break
+                entry.append(more.strip())
+            return " ".join(entry)
+    return ""
+
+
+def _field_entries(text: str) -> List[str]:
+    """Each kind's entry lists exactly its ``EVENT_FIELDS`` after ``data:``
+    (``data: none`` for a kind with none)."""
+    missing = []
+    for kind, fields in EVENT_FIELDS.items():
+        listed = re.search(r"data: (none|`\w+`(?:, `\w+`)*)", _entry(text, kind))
+        if listed is None:
+            missing.append(f"{kind} lists no data fields")
+            continue
+        named = re.findall(r"`(\w+)`", listed.group(1))
+        missing += [f"{kind} field {field!r}" for field in fields if field not in named]
+        missing += [
+            f"{kind} names undeclared field {name!r}" for name in named if name not in fields
+        ]
+    return missing
+
+
 def gaps(doc: str) -> List[str]:
     """What *doc* (a key of :data:`DOCS`, read from the current directory)
     fails to document, one entry per missing name; a doc that cannot be
@@ -107,5 +139,5 @@ def gaps(doc: str) -> List[str]:
         if not mentions(text, name)
     ]
     if doc == TRACING:
-        missing += _subscription_rows(text)
+        missing += _subscription_rows(text) + _field_entries(text)
     return missing

@@ -57,9 +57,7 @@ class Batching(Extension):
         coalesced, self._acks_pending = self._acks_pending, 0
         if cohort._epoch == epoch and cohort.is_backup_in(viewid):
             if cohort.tracer is not None:
-                cohort.emit(
-                    "ack_coalesce", coalesced=coalesced, acked_ts=cohort.applied_ts
-                )
+                cohort.emit("ack_coalesce", coalesced, cohort.applied_ts)
             cohort.ack_now()
 
     def _query_one(self, _fan_out: Callable, aid) -> None:

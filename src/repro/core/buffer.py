@@ -110,7 +110,7 @@ class CommunicationBuffer:
         write.  Without them time stands still: every sweep retransmits and
         no force deadline comes due.
     trace:
-        Optional ``trace(kind, **data)`` hook for batch_flush events.
+        Optional ``trace(kind, *values)`` hook for batch_flush events.
     """
 
     def __init__(
@@ -330,7 +330,7 @@ class CommunicationBuffer:
         if sizes:
             self.flush_ticks += 1
             if self._trace is not None:
-                self._trace("batch_flush", msgs=len(sizes), records=sum(sizes), ts=self.timestamp)
+                self._trace("batch_flush", len(sizes), sum(sizes), self.timestamp)
         self._resume()  # one flush ships at most max_batch per backup
 
     def _next_batch(self, mid: int, upto: int) -> Tuple[int, int]:

@@ -133,14 +133,11 @@ class RemoteCaller:
         )
         self._outstanding[call_id] = state
         if self._tracer is not None:
-            self._tracer.emit(
+            self._tracer.emit_row(
                 "call_start",
-                node=self.host.node.node_id,
-                caller=self.host.address,
-                aid=str(aid),
-                call_id=str(call_id),
-                group=groupid,
-                proc=proc,
+                self.host.node.node_id,
+                (),
+                (self.host.address, aid, call_id, groupid, proc),
             )
         self._dispatch(state)
         return future
@@ -212,12 +209,11 @@ class RemoteCaller:
         metrics.observe(f"call_latency:{state.groupid}", latency)
         self.host.rtt.observe(latency)
         if self._tracer is not None:
-            self._tracer.emit(
+            self._tracer.emit_row(
                 "call_reply",
-                node=self.host.node.node_id,
-                caller=self.host.address,
-                call_id=str(msg.call_id),
-                latency=latency,
+                self.host.node.node_id,
+                (),
+                (self.host.address, msg.call_id, latency),
             )
         state.future.set_result((msg.result, msg.pset_pairs, msg.piggyback))
 
@@ -228,12 +224,11 @@ class RemoteCaller:
         if state.timer is not None:
             state.timer.cancel()
         if self._tracer is not None:
-            self._tracer.emit(
+            self._tracer.emit_row(
                 "call_failed",
-                node=self.host.node.node_id,
-                caller=self.host.address,
-                call_id=str(msg.call_id),
-                reason=msg.reason,
+                self.host.node.node_id,
+                (),
+                (self.host.address, msg.call_id, msg.reason),
             )
         state.future.set_exception(CallAborted(msg.reason))
 
@@ -329,12 +324,11 @@ class RemoteCaller:
         if state.timer is not None:
             state.timer.cancel()
         if self._tracer is not None:
-            self._tracer.emit(
+            self._tracer.emit_row(
                 "call_failed",
-                node=self.host.node.node_id,
-                caller=self.host.address,
-                call_id=str(state.call_id),
-                reason=reason,
+                self.host.node.node_id,
+                (),
+                (self.host.address, state.call_id, reason),
             )
         if not state.future.done:
             state.future.set_exception(CallAborted(reason))

@@ -228,12 +228,8 @@ class ClientRole:
         self._created.add(aid)
         cohort.metrics.incr(f"txns_started:{cohort.mygroupid}")
         if cohort.tracer is not None:
-            cohort.tracer.emit(
-                "txn_begin",
-                node=cohort.node.node_id,
-                group=cohort.mygroupid,
-                aid=str(aid),
-                program=program,
+            cohort.tracer.emit_row(
+                "txn_begin", cohort.node.node_id, (), (cohort.mygroupid, aid, program)
             )
         process = cohort.spawn(self._drive(state, program_fn, args), name=f"txn:{aid}")
 
@@ -336,12 +332,11 @@ class ClientRole:
         txn.phase = "preparing"
         participants = txn.pset.participants()
         if cohort.tracer is not None:
-            cohort.tracer.emit(
+            cohort.tracer.emit_row(
                 "txn_prepare",
-                node=cohort.node.node_id,
-                group=cohort.mygroupid,
-                aid=str(txn.aid),
-                participants=sorted(participants),
+                cohort.node.node_id,
+                (),
+                (cohort.mygroupid, txn.aid, sorted(participants)),
             )
         if not participants:
             # No calls were made; nothing to commit anywhere.
@@ -381,12 +376,11 @@ class ClientRole:
             # Per-participant phase-one visibility for sharded /
             # multi-group transactions: one event per prepare actually
             # sent (retransmissions emit again).
-            cohort.tracer.emit(
+            cohort.tracer.emit_row(
                 "shard_prepare",
-                node=cohort.node.node_id,
-                group=cohort.mygroupid,
-                aid=str(message.aid),
-                participant=groupid,
+                cohort.node.node_id,
+                (),
+                (cohort.mygroupid, message.aid, groupid),
             )
         self.deliver(address, message)
 
@@ -476,13 +470,16 @@ class ClientRole:
             # A sole participant traced its own decision.
             cohort.server_role.trace_commit_point(txn.aid, forced_ts, plist)
         if cohort.tracer is not None and len(txn.pset.participants()) > 1:
-            cohort.tracer.emit(
+            cohort.tracer.emit_row(
                 "shard_commit",
-                node=cohort.node.node_id,
-                group=cohort.mygroupid,
-                aid=str(txn.aid),
-                participants=sorted(txn.pset.participants()),
-                plist=sorted(plist),
+                cohort.node.node_id,
+                (),
+                (
+                    cohort.mygroupid,
+                    txn.aid,
+                    sorted(txn.pset.participants()),
+                    sorted(plist),
+                ),
             )
         cohort.outcomes[txn.aid] = "committed"
         cohort.runtime.ledger.record_commit(txn.aid)
@@ -587,12 +584,8 @@ class ClientRole:
         cohort.runtime.ledger.record_abort(txn.aid, reason)
         cohort.metrics.incr(f"txns_aborted:{cohort.mygroupid}")
         if cohort.tracer is not None:
-            cohort.tracer.emit(
-                "txn_abort",
-                node=cohort.node.node_id,
-                group=cohort.mygroupid,
-                aid=str(txn.aid),
-                reason=reason,
+            cohort.tracer.emit_row(
+                "txn_abort", cohort.node.node_id, (), (cohort.mygroupid, txn.aid, reason)
             )
         if not state.future.done:
             state.future.set_result(("aborted", None))

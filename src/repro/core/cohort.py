@@ -96,8 +96,6 @@ class Cohort(Actor):
         self.config = config
         self.metrics = runtime.metrics
         self.tracer = runtime.tracer
-        self._labelled_viewid: Optional[ViewId] = None  # _trace_record_added
-        self._viewid_label = ""
         self.spec = spec
 
         # -- stable state (written at creation, survives crashes) --
@@ -159,9 +157,7 @@ class Cohort(Actor):
                 # The constructor never goes through activate_as_primary,
                 # so the initial view's activation is emitted here.
                 self.emit(
-                    "primary_activated",
-                    viewid=str(self.cur_viewid),
-                    members=sorted(self.cur_view.members),
+                    "primary_activated", self.cur_viewid, sorted(self.cur_view.members)
                 )
         self._start_heartbeat()
         if self.is_primary:
@@ -234,18 +230,15 @@ class Cohort(Actor):
         """(mid, address) pairs for a group -- via the location service."""
         return self.runtime.location.lookup(groupid)
 
-    def emit(self, kind: str, **data) -> None:
+    def emit(self, kind: str, *values) -> None:
         """Trace one event of this cohort; a no-op when tracing is off.
 
-        Field order (group, mid, then *data* as given) is part of the JSONL
-        export.  ``record_added`` keeps its own fast path below."""
+        Its row is (group, mid, *values*): *values* are the kind's remaining
+        ``EVENT_FIELDS``, in order and unrendered."""
         tracer = self.tracer
         if tracer is not None:
-            tracer._emit(
-                kind,
-                self.node.node_id,
-                (),
-                {"group": self.mygroupid, "mid": self.mymid, **data},
+            tracer.emit_row(
+                kind, self.node.node_id, (), (self.mygroupid, self.mymid, *values)
             )
 
     # ------------------------------------------------------------------
@@ -461,23 +454,12 @@ class Cohort(Actor):
             records = self.held.take(self.cur_viewid, self.applied_ts)
 
     def _trace_record_added(self, viewid, ts: int, record, role: str) -> None:
-        """Armed path only, once per record per cohort.  The view's label is
-        rendered once per view: a cohort (and its buffer) holds one
-        ``ViewId`` object for the life of a view, so identity is the test."""
-        if viewid is not self._labelled_viewid:
-            self._labelled_viewid, self._viewid_label = viewid, str(viewid)
-        self.tracer._emit(
+        """Armed path only, once per record per cohort."""
+        self.tracer.emit_row(
             "record_added",
             self.node.node_id,
             (),
-            {
-                "group": self.mygroupid,
-                "mid": self.mymid,
-                "viewid": self._viewid_label,
-                "ts": ts,
-                "rtype": type(record).__name__,
-                "role": role,
-            },
+            (self.mygroupid, self.mymid, viewid, ts, type(record).__name__, role),
         )
 
     def ack_now(self) -> None:
@@ -745,9 +727,7 @@ class Cohort(Actor):
             # Emitted before the newview record is added so the
             # single-primary monitor sees the activation even if the
             # history rejects the record (the very bug it exists to catch).
-            self.emit(
-                "primary_activated", viewid=str(viewid), members=sorted(view.members)
-            )
+            self.emit("primary_activated", viewid, sorted(view.members))
         self._open_buffer()
         newview, diffs = self._newview(view, reported)
         self._written_since = Viewstamp(viewid, 1)
@@ -764,8 +744,8 @@ class Cohort(Actor):
         self.metrics.incr(f"views_started:{self.mygroupid}")
         self.runtime.ledger.record_view_change(self.mygroupid, viewid, self.mymid)
         if self.tracer is not None:
-            self.tracer.emit(
-                "view_started", group=self.mygroupid, viewid=str(viewid), primary=self.mymid
+            self.tracer.emit_row(
+                "view_started", None, (), (self.mygroupid, viewid, self.mymid)
             )
 
     def _newview(self, view: View, reported) -> Tuple[NewView, Dict[int, NewView]]:
@@ -822,7 +802,7 @@ class Cohort(Actor):
         self.buffer = None
         for extension in self.extensions:
             extension.on_install()
-        self.emit("newview_installed", viewid=str(viewid))
+        self.emit("newview_installed", viewid)
         self._apply_buffer_records(records)  # ts 1 is skipped as applied
         self.acknowledge()
         self.metrics.incr(f"views_joined:{self.mygroupid}")

@@ -313,7 +313,7 @@ class ServerRole:
             # Ablation: the virtual-partitions rule -- a transaction that
             # was active across a view change cannot prepare (section 5).
             self._local_abort(aid)
-            self._trace_prepare(aid, "refused", reason="active across a view change")
+            self._trace_refusal(aid, "active across a view change")
             cohort.send(
                 msg.coordinator,
                 m.PrepareRefusedMsg(
@@ -327,7 +327,7 @@ class ServerRole:
         if not compatible(msg.pset_pairs, cohort.mygroupid, cohort.history):
             # Some call of this transaction was lost in a view change.
             self._local_abort(aid)
-            self._trace_prepare(aid, "refused", reason="pset incompatible with history")
+            self._trace_refusal(aid, "pset incompatible with history")
             cohort.send(
                 msg.coordinator,
                 m.PrepareRefusedMsg(
@@ -366,7 +366,7 @@ class ServerRole:
         cohort = self.cohort
         aid = msg.aid
         if cohort.outcomes[aid] == "aborted":
-            self._trace_prepare(aid, "refused", reason="already aborted")
+            self._trace_refusal(aid, "already aborted")
             cohort.send(
                 msg.coordinator,
                 m.PrepareRefusedMsg(
@@ -394,7 +394,7 @@ class ServerRole:
             record = Committed(aid=aid, pset_pairs=tuple(msg.pset_pairs))
             cohort.add_record(record)
         elif sole:
-            self._trace_prepare(aid, "accepted", committed=True)
+            self._trace_accept(aid, True)
             ts = self._perform_commit(aid, msg.pset_pairs).ts
             self._when_durable(aid, self._decide, aid, msg.coordinator, ts, cohort.sim.now)
             return
@@ -402,7 +402,7 @@ class ServerRole:
             self.prepared[aid] = _PreparedState(
                 coordinator=msg.coordinator, pset_pairs=tuple(msg.pset_pairs)
             )
-        self._trace_prepare(aid, "accepted", committed=committed)
+        self._trace_accept(aid, committed)
         if committed and sole:
             self.trace_commit_point(aid, None)
         self._answer_coordinator(
@@ -425,16 +425,19 @@ class ServerRole:
         force's resolution, so ``acked`` is the quorum ``commit_quorum`` audits."""
         cohort = self.cohort
         if cohort.tracer is not None:
-            cohort.tracer.emit(
+            cohort.tracer.emit_row(
                 "commit_point",
-                node=cohort.node.node_id,
-                group=cohort.mygroupid,
-                aid=str(aid),
-                viewid=str(cohort.cur_viewid),
-                force_ts=force_ts,
-                plist=sorted(plist),
-                acked={str(k): v for k, v in cohort.buffer.acked.items()},
-                config_size=cohort.config_size,
+                cohort.node.node_id,
+                (),
+                (
+                    cohort.mygroupid,
+                    aid,
+                    cohort.cur_viewid,
+                    force_ts,
+                    sorted(plist),
+                    dict(cohort.buffer.acked),
+                    cohort.config_size,
+                ),
             )
 
     def _answer_coordinator(self, destination: str, message) -> None:
@@ -465,16 +468,28 @@ class ServerRole:
                 cohort.lockmgr.discard_subaction(aid, record.call_id.subaction)
                 del calls[viewstamp]
 
-    def _trace_prepare(self, aid: Aid, decision: str, **detail) -> None:
+    def _trace_accept(self, aid: Aid, committed: bool) -> None:
+        cohort = self.cohort
+        if cohort.tracer is not None:
+            cohort.tracer.emit_row(
+                "prepare_decision",
+                cohort.node.node_id,
+                (),
+                (cohort.mygroupid, aid, "accepted", committed),
+            )
+
+    def _trace_refusal(self, aid: Aid, reason: str) -> None:
+        """Rare, so in the keyword form: a refusal has ``reason`` where an
+        accept has ``committed`` (``EVENT_FIELDS``)."""
         cohort = self.cohort
         if cohort.tracer is not None:
             cohort.tracer.emit(
                 "prepare_decision",
                 node=cohort.node.node_id,
                 group=cohort.mygroupid,
-                aid=str(aid),
-                decision=decision,
-                **detail,
+                aid=aid,
+                decision="refused",
+                reason=reason,
             )
 
     def _local_abort(self, aid: Aid) -> None:
@@ -484,11 +499,8 @@ class ServerRole:
         self.prepared.pop(aid, None)
         self._unprepared_queries.pop(aid, None)
         if cohort.tracer is not None:
-            cohort.tracer.emit(
-                "abort_applied",
-                node=cohort.node.node_id,
-                group=cohort.mygroupid,
-                aid=str(aid),
+            cohort.tracer.emit_row(
+                "abort_applied", cohort.node.node_id, (), (cohort.mygroupid, aid)
             )
 
     # ------------------------------------------------------------------
@@ -523,12 +535,11 @@ class ServerRole:
         self.prepared.pop(aid, None)
         self._unprepared_queries.pop(aid, None)
         if cohort.tracer is not None:
-            cohort.tracer.emit(
+            cohort.tracer.emit_row(
                 "commit_applied",
-                node=cohort.node.node_id,
-                group=cohort.mygroupid,
-                aid=str(aid),
-                ts=viewstamp.ts,
+                cohort.node.node_id,
+                (),
+                (cohort.mygroupid, aid, viewstamp.ts),
             )
         force = self._commit_forces[aid] = cohort.force_to(viewstamp)
         epoch = cohort._epoch
@@ -607,7 +618,12 @@ class ServerRole:
         if aid not in self.prepared and aid not in self._unprepared_queries:
             return
         if msg.outcome == "committed":
-            self._perform_commit(aid, msg.pset_pairs)
+            # The reply's pset is empty once Done has cleared the committing
+            # record; a prepared participant has the one its prepare carried.
+            prepared = self.prepared.get(aid)
+            self._perform_commit(
+                aid, prepared.pset_pairs if prepared is not None else msg.pset_pairs
+            )
         elif msg.outcome == "aborted":
             self._local_abort(aid)
             cohort.metrics.incr(f"aborts_via_query:{cohort.mygroupid}")

@@ -181,7 +181,7 @@ class ViewChangeController:
         self._cancel_timers()
         self._installing = False
         cohort.status = Status.UNDERLING
-        cohort.emit("invite_accepted", viewid=str(viewid), manager=manager_mid)
+        cohort.emit("invite_accepted", viewid, manager_mid)
         cohort.send_mid(manager_mid, self.build_acceptance())
         self._arm_await_timer()
 
@@ -244,10 +244,10 @@ class ViewChangeController:
         if cohort.tracer is not None:
             cohort.emit(
                 "view_formed",
-                viewid=str(cohort.max_viewid),
-                primary=view.primary,
-                members=sorted(view.members),
-                config_size=cohort.config_size,
+                cohort.max_viewid,
+                view.primary,
+                sorted(view.members),
+                cohort.config_size,
             )
         if self._waits.retry.restart():
             cohort.metrics.incr(f"backoff_resets:{cohort.mygroupid}")
@@ -404,9 +404,7 @@ class ViewChangeController:
         """
         cohort = self.cohort
         cohort.metrics.incr(f"stable_write_failures:{cohort.mygroupid}")
-        cohort.emit(
-            "stable_write_failed", viewid=str(viewid), key="cur_viewid", error=str(error)
-        )
+        cohort.emit("stable_write_failed", viewid, "cur_viewid", error)
         if cohort.status is Status.VIEW_MANAGER:
             self._formed = False
             self._retry_formation()

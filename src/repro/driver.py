@@ -218,13 +218,11 @@ class Driver(Actor):
         )
         self._requests[request.request_id] = request
         if self.tracer is not None:
-            self.tracer.emit(
+            self.tracer.emit_row(
                 "txn_submit",
-                node=self.node.node_id,
-                driver=self.address,
-                request_id=request.request_id,
-                group=groupid,
-                program=program,
+                self.node.node_id,
+                (),
+                (self.address, request.request_id, groupid, program),
             )
         self._submit(request)
         return request.future
@@ -352,16 +350,19 @@ class Driver(Actor):
         self, request: _PendingRead, target: str, role: str
     ) -> None:
         if self.tracer is not None:
-            self.tracer.emit(
+            self.tracer.emit_row(
                 "geo_route",
-                node=self.node.node_id,
-                driver=self.address,
-                site=self.site,
-                group=request.groupid,
-                target=target,
-                target_site=self.runtime.location.site_of(target),
-                role=role,
-                prefer=request.prefer,
+                self.node.node_id,
+                (),
+                (
+                    self.address,
+                    self.site,
+                    request.groupid,
+                    target,
+                    self.runtime.location.site_of(target),
+                    role,
+                    request.prefer,
+                ),
             )
 
     def _on_read_timeout(self, request_id: int) -> None:
@@ -500,13 +501,11 @@ class Driver(Actor):
         if not request.future.done:
             request.future.set_result(CallResult("unknown", None))
         if self.tracer is not None:
-            self.tracer.emit(
+            self.tracer.emit_row(
                 "txn_outcome",
-                node=self.node.node_id,
-                driver=self.address,
-                request_id=request.request_id,
-                outcome="unknown",
-                reason=reason,
+                self.node.node_id,
+                (),
+                (self.address, request.request_id, "unknown", reason),
             )
 
     # -- message handling ---------------------------------------------------------
@@ -529,12 +528,11 @@ class Driver(Actor):
                 self.runtime.metrics.observe("driver_txn_latency", latency)
                 self.rtt.observe(latency)
                 if self.tracer is not None:
-                    self.tracer.emit(
+                    self.tracer.emit_row(
                         "txn_outcome",
-                        node=self.node.node_id,
-                        driver=self.address,
-                        request_id=message.request_id,
-                        outcome=message.outcome,
+                        self.node.node_id,
+                        (),
+                        (self.address, message.request_id, message.outcome),
                     )
                 request.future.set_result(
                     CallResult(message.outcome, message.result)

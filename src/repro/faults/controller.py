@@ -144,7 +144,7 @@ class FaultController:
         self.runtime.metrics.incr(f"faults_injected:{kind}")
         self.runtime.ledger.record_fault(kind, target, event.at)
         if self.runtime.tracer is not None:
-            self.runtime.tracer.emit("fault", fault=kind, target=target)
+            self.runtime.tracer.emit_row("fault", None, (), (kind, target))
 
     def _within(self, cause: list, method, *args) -> None:
         """Run primitive *method* as part of the call *cause* belongs to."""

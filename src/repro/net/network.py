@@ -123,7 +123,9 @@ class Network:
         self._partition = [set(block) for block in blocks]
         self._refresh_faulted()
         if self.sim.tracer is not None:
-            self.sim.tracer.emit("partition", blocks=[sorted(b) for b in self._partition])
+            self.sim.tracer.emit_row(
+                "partition", None, (), ([sorted(b) for b in self._partition],)
+            )
 
     def heal(self) -> None:
         """Repair all partitions and failed links (bidirectional *and*
@@ -135,7 +137,7 @@ class Network:
         self._failed_directed.clear()
         self._refresh_faulted()
         if self.sim.tracer is not None:
-            self.sim.tracer.emit("heal")
+            self.sim.tracer.emit_row("heal", None, (), ())
 
     def fail_link(self, node_a: str, node_b: str) -> None:
         """Sever the (bidirectional) link between two nodes."""

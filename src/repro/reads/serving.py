@@ -56,9 +56,7 @@ class Leases(Extension):
     def on_leave_active(self) -> None:
         """Primary-side lease validity ended by stepping down."""
         if self.state.was_valid:
-            self.cohort.emit(
-                "lease_expire", viewid=str(self.cohort.cur_viewid), reason="left_active"
-            )
+            self.cohort.emit("lease_expire", self.cohort.cur_viewid, "left_active")
         self.state.reset_grants()
 
     def reset(self) -> None:
@@ -105,9 +103,7 @@ class Leases(Extension):
         if not state.was_valid and state.lease_valid(cohort.cur_view):
             state.was_valid = True
             cohort.emit(
-                "lease_grant",
-                viewid=str(cohort.cur_viewid),
-                until=state.lease_until(cohort.cur_view),
+                "lease_grant", cohort.cur_viewid, state.lease_until(cohort.cur_view)
             )
 
     def _on_buffer_ack(self, handler: Callable, message: m.BufferAckMsg) -> None:
@@ -163,16 +159,14 @@ class Leases(Extension):
             if not state.lease_valid(cohort.cur_view):
                 if state.was_valid:
                     state.was_valid = False
-                    cohort.emit(
-                        "lease_expire", viewid=str(cohort.cur_viewid), reason="expired"
-                    )
+                    cohort.emit("lease_expire", cohort.cur_viewid, "expired")
                 cohort.refuse_read(msg, "no_lease")
                 return
             # Linearizable local read: the lease guarantees no other
             # primary can have committed a newer value (docs/READS.md).
             mode, staleness = "lease", 0.0
             ts = cohort.buffer.timestamp if cohort.buffer is not None else 0
-            cohort.emit("lease_read", viewid=str(cohort.cur_viewid), uid=msg.uid)
+            cohort.emit("lease_read", cohort.cur_viewid, msg.uid)
             cohort.metrics.incr(f"lease_reads:{cohort.mygroupid}")
         else:
             staleness = state.staleness()
@@ -183,12 +177,7 @@ class Leases(Extension):
                 cohort.refuse_read(msg, "too_stale", staleness=staleness)
                 return
             mode, ts = "backup", cohort.applied_ts
-            cohort.emit(
-                "stale_read",
-                viewid=str(cohort.cur_viewid),
-                uid=msg.uid,
-                staleness=staleness,
-            )
+            cohort.emit("stale_read", cohort.cur_viewid, msg.uid, staleness)
             cohort.metrics.incr(f"backup_reads:{cohort.mygroupid}")
         cohort.send(
             msg.reply_to,
@@ -229,6 +218,6 @@ class Leases(Extension):
             return
         # Grants are valid strictly before their expiry, so waiting until
         # exactly the bound suffices.
-        cohort.emit("lease_wait", viewid=str(init.viewid), until=init.lease_bound)
+        cohort.emit("lease_wait", init.viewid, init.lease_bound)
         cohort.metrics.incr(f"lease_waits:{cohort.mygroupid}")
         cohort.set_timer(init.lease_bound - now, activate, init)

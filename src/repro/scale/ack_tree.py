@@ -92,7 +92,5 @@ class AckTreeAcks(Extension):
         cohort = self.cohort
         self._forward_armed = False
         if cohort._epoch == epoch and cohort.is_backup_in(viewid):
-            cohort.emit(
-                "ack_tree", children=len(self._children), acked_ts=cohort.applied_ts
-            )
+            cohort.emit("ack_tree", len(self._children), cohort.applied_ts)
             cohort.ack_now()

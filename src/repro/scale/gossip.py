@@ -45,8 +45,8 @@ class Gossip(Extension):
         if self._evidence and cohort.tracer is not None:
             cohort.emit(
                 "gossip_relay",
-                targets=sorted(peer for peer, _addr in pairs),
-                evidence=len(self._evidence),
+                sorted(peer for peer, _addr in pairs),
+                len(self._evidence),
             )
         beacon(pairs)
 

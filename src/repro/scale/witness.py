@@ -117,7 +117,7 @@ class Witnesses(Extension):
         cohort.applied_ts = 0
         for extension in cohort.extensions:
             extension.on_install()
-        cohort.emit("newview_installed", viewid=str(msg.viewid), witness=True)
+        cohort.emit("newview_installed", msg.viewid, True)
         cohort.metrics.incr(f"views_joined:{cohort.mygroupid}")
         self._confirm()
 
@@ -135,7 +135,7 @@ class Witnesses(Extension):
         # formed view, but it carries no viewstamp or crash evidence: the
         # formation conditions must be met by storage members alone.
         cohort = self.cohort
-        cohort.emit("witness_vote", viewid=str(cohort.max_viewid))
+        cohort.emit("witness_vote", cohort.max_viewid)
         acceptance = build()
         acceptance.witness = True
         acceptance.crashed = False

@@ -201,14 +201,17 @@ class ShardedGroup:
             routed = (self.router_groupid, program, tuple(args))
         tracer = self.runtime.tracer
         if tracer is not None:
-            tracer.emit(
+            tracer.emit_row(
                 "shard_route",
-                node=origin.node.node_id if origin is not None else None,
-                facade=self.name,
-                map_version=self.map.version,
-                program=program,
-                group=routed[0],
-                shards=self.touched_shards(program, args),
+                origin.node.node_id if origin is not None else None,
+                (),
+                (
+                    self.name,
+                    self.map.version,
+                    program,
+                    routed[0],
+                    self.touched_shards(program, args),
+                ),
             )
         return routed
 

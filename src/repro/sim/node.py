@@ -106,9 +106,7 @@ class Node:
             def guarded() -> None:
                 if self.up and self.incarnation == incarnation:
                     tracer.push(
-                        tracer._emit(
-                            "timer_fire", self.node_id, parents, {"delay": delay}
-                        )
+                        tracer.emit_row("timer_fire", self.node_id, parents, (delay,))
                     )
                     try:
                         callback(*args)
@@ -158,7 +156,7 @@ class Node:
         for actor in self.actors:
             actor.on_crash()
         if self.sim.tracer is not None:
-            self.sim.tracer._emit("node_crash", self.node_id, (), {"node": self.node_id})
+            self.sim.tracer.emit_row("node_crash", self.node_id, (), (self.node_id,))
 
     def recover(self) -> None:
         """Come back up; actors re-initialize from stable storage."""
@@ -170,7 +168,7 @@ class Node:
         self._timers = [t for t in self._timers if t.active]
         self._processes = [p for p in self._processes if not p.done]
         if self.sim.tracer is not None:
-            self.sim.tracer._emit("node_recover", self.node_id, (), {"node": self.node_id})
+            self.sim.tracer.emit_row("node_recover", self.node_id, (), (self.node_id,))
         for actor in self.actors:
             actor.on_recover()
 

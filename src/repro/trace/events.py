@@ -15,9 +15,13 @@ Events carry:
   cross-node edge, one hop -- the enclosing timer fire, the timer arming
   context for a fire, a lost message's cause for its drop).
 
-Serialization is strictly deterministic: sorted keys, compact separators,
-and a ``str()`` fallback for protocol objects (viewstamps, aids) whose
-``__str__`` is already stable.
+An event's ``data`` is kept as a *row*: one tuple of raw values in the
+order :data:`EVENT_FIELDS` names for its kind, rendered only when read
+(:attr:`TraceEvent.data`, the exporters).  Serialization is strictly
+deterministic: sorted keys, compact separators, and a ``str()`` fallback for
+protocol objects (viewids, aids, call ids) whose ``__str__`` is already
+stable -- so a row holding a ``ViewId`` exports the same line as a dict
+holding ``str(viewid)``.
 """
 
 from __future__ import annotations
@@ -88,6 +92,61 @@ EVENT_KINDS: Dict[str, str] = {
 }
 
 
+#: Each kind's data fields, in the order its emit sites pass their values
+#: (``Tracer.emit_row``).  A row may stop short of its kind's last fields,
+#: which are then absent from ``data``: ``txn_outcome``'s ``reason`` (only
+#: with ``outcome="unknown"``), ``newview_installed``'s ``witness``, and
+#: ``prepare_decision``'s ``committed`` (accepted) -- a refusal, rare, keeps
+#: the keyword form (``Tracer.emit``) with ``reason`` instead.  docs/TRACING.md
+#: lists these fields under each kind, and ``python -m repro.harness --check``
+#: holds the two to each other.
+EVENT_FIELDS: Dict[str, Tuple[str, ...]] = {
+    "msg_drop": ("msg_id", "src", "dst", "type", "reason"),
+    "timer_fire": ("delay",),
+    "node_crash": ("node",),
+    "node_recover": ("node",),
+    "partition": ("blocks",),
+    "heal": (),
+    "fault": ("fault", "target"),
+    "record_added": ("group", "mid", "viewid", "ts", "rtype", "role"),
+    "batch_flush": ("group", "mid", "msgs", "records", "ts"),
+    "ack_coalesce": ("group", "mid", "coalesced", "acked_ts"),
+    "primary_activated": ("group", "mid", "viewid", "members"),
+    "newview_installed": ("group", "mid", "viewid", "witness"),
+    "view_manager": ("group", "mid"),
+    "invite_accepted": ("group", "mid", "viewid", "manager"),
+    "view_formed": ("group", "mid", "viewid", "primary", "members", "config_size"),
+    "view_started": ("group", "viewid", "primary"),
+    "stable_write_failed": ("group", "mid", "viewid", "key", "error"),
+    "call_start": ("caller", "aid", "call_id", "group", "proc"),
+    "call_reply": ("caller", "call_id", "latency"),
+    "call_failed": ("caller", "call_id", "reason"),
+    "txn_submit": ("driver", "request_id", "group", "program"),
+    "txn_outcome": ("driver", "request_id", "outcome", "reason"),
+    "txn_begin": ("group", "aid", "program"),
+    "txn_prepare": ("group", "aid", "participants"),
+    "commit_point": (
+        "group", "aid", "viewid", "force_ts", "plist", "acked", "config_size"
+    ),
+    "txn_abort": ("group", "aid", "reason"),
+    "prepare_decision": ("group", "aid", "decision", "committed", "reason"),
+    "commit_applied": ("group", "aid", "ts"),
+    "abort_applied": ("group", "aid"),
+    "shard_route": ("facade", "map_version", "program", "group", "shards"),
+    "shard_prepare": ("group", "aid", "participant"),
+    "shard_commit": ("group", "aid", "participants", "plist"),
+    "lease_grant": ("group", "mid", "viewid", "until"),
+    "lease_expire": ("group", "mid", "viewid", "reason"),
+    "lease_read": ("group", "mid", "viewid", "uid"),
+    "lease_wait": ("group", "mid", "viewid", "until"),
+    "stale_read": ("group", "mid", "viewid", "uid", "staleness"),
+    "geo_route": ("driver", "site", "group", "target", "target_site", "role", "prefer"),
+    "gossip_relay": ("group", "mid", "targets", "evidence"),
+    "ack_tree": ("group", "mid", "children", "acked_ts"),
+    "witness_vote": ("group", "mid", "viewid"),
+}
+
+
 def _plain(value: Any) -> Any:
     """JSON-safe, deterministic projection of an event-data value."""
     if value is None or isinstance(value, (bool, int, float, str)):
@@ -107,15 +166,35 @@ class TraceEvent:
     """One structured event in the causal record of a run.
 
     Built on the armed hot path, so it is a plain slots class (seven
-    stores to construct, not frozen); treat instances as immutable."""
+    stores to construct, not frozen); treat instances as immutable.
+    ``payload`` is the event's row as recorded -- a tuple of raw values in
+    ``EVENT_FIELDS[kind]`` order -- or a dict, for an event recorded by the
+    keyword :meth:`Tracer.emit` or read back from an export."""
 
     eid: int
     at: float
     lamport: int
     node: Optional[str]
     kind: str
-    data: Dict[str, Any]
+    payload: Any
     parents: Tuple[int, ...]
+
+    @property
+    def data(self) -> Dict[str, Any]:
+        """The payload as ``field -> value``, built on each read."""
+        payload = self.payload
+        if payload.__class__ is dict:
+            return payload
+        return dict(zip(EVENT_FIELDS[self.kind], payload))
+
+    @property
+    def row(self) -> tuple:
+        """The payload as values in ``EVENT_FIELDS[kind]`` order (``None``
+        for a field a dict payload lacks): what a monitor reads."""
+        payload = self.payload
+        if payload.__class__ is dict:
+            return tuple(payload.get(name) for name in EVENT_FIELDS.get(self.kind, ()))
+        return payload
 
     def to_json_dict(self) -> dict:
         return {
@@ -141,7 +220,7 @@ class TraceEvent:
             lamport=doc["lamport"],
             node=doc.get("node"),
             kind=doc["kind"],
-            data=doc.get("data", {}),
+            payload=doc.get("data", {}),
             parents=tuple(doc.get("parents", ())),
         )
 

@@ -41,6 +41,7 @@ from functools import lru_cache
 from typing import Callable, Dict, FrozenSet, Optional, Tuple
 
 from repro.core.quorum import Quorums
+from repro.core.viewstamp import ViewId
 from repro.trace.events import TraceEvent
 
 #: Quorums of a config_size in event data (witnesses move neither size read)
@@ -72,7 +73,9 @@ class InvariantMonitor:
 
     The tracer calls ``on_event(event, tracer)`` only for events whose kind
     is in ``kinds``, exactly once each; a subclass that leaves ``kinds``
-    as ``None`` sees every event.  A subclass that defines ``on_unsent``
+    as ``None`` sees every event.  ``event.row`` is the event's values in
+    ``EVENT_FIELDS`` order, raw (a ``ViewId``, not its label); ``event.data``
+    builds a dict of them on each read.  A subclass that defines ``on_unsent``
     is also called, as ``on_unsent(envelope, tracer)``, at every delivery
     whose envelope no send marked, before the handler runs."""
 
@@ -105,23 +108,25 @@ class ViewstampMonotonicMonitor(InvariantMonitor):
     kinds = ("record_added", "newview_installed")
 
     def __init__(self):
-        self._last_ts: Dict[Tuple[str, str, int], int] = {}
+        self._last_ts: Dict[Tuple[str, ViewId, int], int] = {}
 
     def on_event(self, event, tracer) -> None:
-        data = event.data
-        key = (data["group"], data["viewid"], data["mid"])
+        # record_added: group, mid, viewid, ts, ...; newview_installed:
+        # group, mid, viewid, ...
+        row = event.row
+        group, mid, viewid = row[0], row[1], row[2]
+        key = (group, viewid, mid)
         if event.kind == "newview_installed":
             self._last_ts[key] = 1  # the newview record itself is ts=1
             return
-        ts = data["ts"]
+        ts = row[3]
         last = self._last_ts.get(key)
         if last is not None and ts <= last:
             self.fail(
                 tracer,
                 event,
-                f"timestamp regression in {data['group']} view "
-                f"{data['viewid']} at cohort {data['mid']}: "
-                f"{last} -> {ts}",
+                f"timestamp regression in {group} view {viewid} at cohort "
+                f"{mid}: {last} -> {ts}",
             )
         self._last_ts[key] = ts
 
@@ -136,18 +141,16 @@ class SinglePrimaryMonitor(InvariantMonitor):
     kinds = ("primary_activated",)
 
     def __init__(self):
-        self._primary: Dict[Tuple[str, str], int] = {}
+        self._primary: Dict[Tuple[str, ViewId], int] = {}
 
     def on_event(self, event, tracer) -> None:
-        data = event.data
-        key = (data["group"], data["viewid"])
-        mid = data["mid"]
-        holder = self._primary.setdefault(key, mid)
+        group, mid, viewid, _members = event.row
+        holder = self._primary.setdefault((group, viewid), mid)
         if holder != mid:
             self.fail(
                 tracer,
                 event,
-                f"two primaries in {data['group']} view {data['viewid']}: "
+                f"two primaries in {group} view {viewid}: "
                 f"cohort {holder} already activated, now cohort {mid}",
             )
 
@@ -162,32 +165,29 @@ class QuorumIntersectionMonitor(InvariantMonitor):
     kinds = ("view_formed",)
 
     def __init__(self):
-        self._previous: Dict[str, Tuple[str, FrozenSet[int]]] = {}
+        self._previous: Dict[str, Tuple[ViewId, FrozenSet[int]]] = {}
 
     def on_event(self, event, tracer) -> None:
-        data = event.data
-        group = data["group"]
-        members = frozenset(data["members"])
-        config_size = data["config_size"]
+        group, _mid, viewid, _primary, members, config_size = event.row
+        members = frozenset(members)
         formation = _quorums(config_size).formation
         if len(members) < formation:
             self.fail(
                 tracer,
                 event,
-                f"view {data['viewid']} of {group} formed with "
-                f"{len(members)} members; majority of {config_size} is "
-                f"{formation}",
+                f"view {viewid} of {group} formed with {len(members)} "
+                f"members; majority of {config_size} is {formation}",
             )
         previous = self._previous.get(group)
         if previous is not None and not (members & previous[1]):
             self.fail(
                 tracer,
                 event,
-                f"view {data['viewid']} of {group} (members "
-                f"{sorted(members)}) does not intersect previously formed "
-                f"view {previous[0]} (members {sorted(previous[1])})",
+                f"view {viewid} of {group} (members {sorted(members)}) does "
+                f"not intersect previously formed view {previous[0]} "
+                f"(members {sorted(previous[1])})",
             )
-        self._previous[group] = (data["viewid"], members)
+        self._previous[group] = (viewid, members)
 
 
 class CommitQuorumMonitor(InvariantMonitor):
@@ -202,29 +202,25 @@ class CommitQuorumMonitor(InvariantMonitor):
     kinds = ("commit_point",)
 
     def on_event(self, event, tracer) -> None:
-        data = event.data
-        force_ts = data["force_ts"]
+        _group, aid, _viewid, force_ts, plist, acked, config_size = event.row
         if force_ts is None:
             # No committing record: sound only when phase two has nobody to
             # tell, because every participant committed itself at prepare.
-            if data["plist"]:
+            if plist:
                 self.fail(
                     tracer,
                     event,
-                    f"commit of {data['aid']} without a forced committing "
-                    f"record, with {data['plist']} still to be told",
+                    f"commit of {aid} without a forced committing record, "
+                    f"with {plist} still to be told",
                 )
             return
-        config_size = data["config_size"]
-        satisfied = sum(
-            1 for acked_ts in data["acked"].values() if acked_ts >= force_ts
-        )
+        satisfied = sum(1 for acked_ts in acked.values() if acked_ts >= force_ts)
         needed = _quorums(config_size).force
         if satisfied < needed:
             self.fail(
                 tracer,
                 event,
-                f"commit of {data['aid']} at force_ts={force_ts} with only "
+                f"commit of {aid} at force_ts={force_ts} with only "
                 f"{satisfied} backup ack(s); sub-majority of {config_size} "
                 f"is {needed}",
             )
@@ -270,41 +266,27 @@ class StaleLeaseMonitor(InvariantMonitor):
     kinds = ("record_added", "lease_read")
 
     def __init__(self):
-        # group -> (viewid tuple, viewid str) of the newest view in which
-        # a primary committed a write
-        self._commit_view: Dict[str, Tuple[Tuple[int, int], str]] = {}
-
-    @staticmethod
-    def _parse_viewid(viewid: str) -> Tuple[int, int]:
-        # "v{cnt}.{mid}" -- parse for ordering (cnt first, mid breaks ties)
-        cnt, _, mid = viewid[1:].partition(".")
-        return (int(cnt), int(mid))
+        # group -> the newest view in which a primary committed a write
+        self._commit_view: Dict[str, ViewId] = {}
 
     def on_event(self, event, tracer) -> None:
-        data = event.data
-        if event.kind == "record_added":
-            if data.get("rtype") == "Committed" and data.get("role") == "primary":
-                group, viewid = data["group"], data["viewid"]
-                current = self._commit_view.get(group)
-                # same label as the newest committing view: nothing to parse
-                if current is None or viewid != current[1]:
-                    parsed = self._parse_viewid(viewid)
-                    if current is None or parsed > current[0]:
-                        self._commit_view[group] = (parsed, viewid)
-            return
-        group = data["group"]
+        # record_added: group, mid, viewid, ts, rtype, role; lease_read:
+        # group, mid, viewid, uid.  A ViewId orders itself (cnt, then mid).
+        row = event.row
+        group, viewid = row[0], row[2]
         newest = self._commit_view.get(group)
-        if newest is None:
+        if event.kind == "record_added":
+            if row[4] == "Committed" and row[5] == "primary":
+                if newest is None or viewid > newest:
+                    self._commit_view[group] = viewid
             return
-        served = self._parse_viewid(data["viewid"])
-        if served < newest[0]:
+        if newest is not None and viewid < newest:
             self.fail(
                 tracer,
                 event,
-                f"leased read in {group} served under view {data['viewid']} "
-                f"after a primary of view {newest[1]} committed a write: a "
-                f"stale lease is serving reads concurrent with committed "
-                f"writes",
+                f"leased read in {group} served under view {viewid} after a "
+                f"primary of view {newest} committed a write: a stale lease "
+                f"is serving reads concurrent with committed writes",
             )
 
 

@@ -34,7 +34,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.trace.events import EVENT_KINDS, TraceEvent, causal_ancestry
 
-#: Ring cells per event: ``at, lamport, node, kind, data, parents`` (the
+#: Ring cells per event: ``at, lamport, node, kind, payload, parents`` (the
 #: eid is the slot's position, so it is not stored).
 _CELLS = 6
 _LAMPORT = 1
@@ -47,10 +47,13 @@ class Tracer:
     event *eid* owns the ``_CELLS`` cells from ``eid % ring_size * _CELLS``:
     recording an event is one slice store that evicts the oldest, and
     lookup, eviction counts and the Lamport parent check are arithmetic.
-    No object is allocated per event beyond the caller's ``data`` dict, so
-    the collector never has a ring's worth of events to walk; a
-    :class:`TraceEvent` is built when someone asks for one (a subscribed
-    monitor, :meth:`get`, :meth:`events`).
+    An event's payload is the emit site's *row*: one tuple of raw values in
+    the order ``EVENT_FIELDS`` names for its kind (protocol ids by
+    reference; they are frozen, and the export renders them with ``str()``).
+    No other object is allocated per event, and nothing is rendered until
+    someone reads the event: a :class:`TraceEvent` is built for a
+    subscribed monitor, :meth:`get`, :meth:`events` and the exporters, and
+    its ``data`` dict only when that is read.
     """
 
     def __init__(self, sim, config):
@@ -126,18 +129,20 @@ class Tracer:
         parents: Tuple[int, ...] = (),
         **data: Any,
     ) -> int:
-        return self._emit(kind, node, parents, data)
+        """Record an event whose payload is the dict *data*, any keys: for
+        tests and tools.  The instrumented sites call :meth:`emit_row`."""
+        return self.emit_row(kind, node, parents, data)
 
-    def _emit(
+    def emit_row(
         self,
         kind: str,
         node: Optional[str],
         parents: Tuple[int, ...],
-        data: Dict[str, Any],
+        row: Any,
     ) -> int:
-        """:meth:`emit` without the keyword packing, for the instrumented
-        hot paths (``record_added``, ``timer_fire``, drops).  The tracer
-        keeps *data* and *parents*; the caller must not reuse them."""
+        """Record an event of a cataloged *kind* whose *row* is its values
+        in ``EVENT_FIELDS[kind]`` order, unrendered.  The tracer keeps *row*
+        and *parents*; the caller must not reuse a container in them."""
         eid = self._next_eid = self._next_eid + 1
         context = self._context
         if context:
@@ -163,10 +168,10 @@ class Tracer:
         clocks[clock_key] = lamport
         at = self.sim.now
         start = eid % size * _CELLS
-        cells[start:start + _CELLS] = (at, lamport, node, kind, data, parents)
+        cells[start:start + _CELLS] = (at, lamport, node, kind, row, parents)
         handlers = self._dispatch.get(kind, self._catch_all)
         if handlers:
-            event = TraceEvent(eid, at, lamport, node, kind, data, parents)
+            event = TraceEvent(eid, at, lamport, node, kind, row, parents)
             for on_event in handlers:
                 on_event(event, self)
         return eid
@@ -204,17 +209,17 @@ class Tracer:
 
     def on_drop(self, envelope, reason: str, node: Optional[str]) -> int:
         cause = envelope.send_eid
-        return self._emit(
+        return self.emit_row(
             "msg_drop",
             node,
             (cause,) if cause else (),
-            {
-                "msg_id": envelope.msg_id,
-                "src": envelope.source,
-                "dst": envelope.destination,
-                "type": envelope.payload.msg_type,
-                "reason": reason,
-            },
+            (
+                envelope.msg_id,
+                envelope.source,
+                envelope.destination,
+                envelope.payload.msg_type,
+                reason,
+            ),
         )
 
     def on_deliver(self, envelope) -> None:

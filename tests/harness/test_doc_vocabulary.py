@@ -81,3 +81,15 @@ def test_check_fails_when_a_doc_loses_any_one_name(doc, scratch, monkeypatch, ca
             err = capsys.readouterr().err
             assert f"harness: FAIL -- {doc} is missing " in err
             assert f"{category} {name!r}" in err
+
+
+def test_a_kind_entry_must_list_exactly_its_declared_fields(scratch):
+    text = (REPO_ROOT / TRACING).read_text()
+    entry = "(data: `caller`, `call_id`, `latency`)"
+    assert entry in text
+    scratch(TRACING, text.replace(entry, "(data: `caller`, `call_id`)"))
+    assert gaps(TRACING) == ["call_reply field 'latency'"]
+    scratch(TRACING, text.replace(entry, "(data: `caller`, `call_id`, `latency`, `hops`)"))
+    assert gaps(TRACING) == ["call_reply names undeclared field 'hops'"]
+    scratch(TRACING, text.replace(entry, "(latency)"))
+    assert gaps(TRACING) == ["call_reply lists no data fields"]

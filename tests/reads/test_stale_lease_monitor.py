@@ -1,10 +1,12 @@
 """The stale_lease monitor trips when a leased read is served under a
 view older than one whose primary has already committed a write, and
-stays quiet on every legitimate interleaving."""
+stays quiet on every legitimate interleaving.  The monitor is handed
+``ViewId`` objects, as the instrumented sites record them."""
 
 import pytest
 
 from repro.config import TraceConfig
+from repro.core.viewstamp import ViewId
 from repro.sim.kernel import Simulator
 from repro.trace import InvariantViolation, Tracer, build_monitors
 
@@ -27,35 +29,35 @@ def lease_read(tracer, viewid, group="kv", mid=0):
 
 def test_trips_on_read_under_superseded_view():
     tracer = make_tracer()
-    lease_read(tracer, "v1.0")
-    commit(tracer, "v2.1")
+    lease_read(tracer, ViewId(1, 0))
+    commit(tracer, ViewId(2, 1))
     with pytest.raises(InvariantViolation) as caught:
-        lease_read(tracer, "v1.0")
+        lease_read(tracer, ViewId(1, 0))
     assert caught.value.monitor == "stale_lease"
     assert "stale lease" in str(caught.value)
 
 
 def test_viewid_ordering_is_numeric_not_lexicographic():
     tracer = make_tracer()
-    commit(tracer, "v10.2")
+    commit(tracer, ViewId(10, 2))
     with pytest.raises(InvariantViolation):
-        lease_read(tracer, "v9.1")  # "v9.1" > "v10.2" as strings
+        lease_read(tracer, ViewId(9, 1))  # its label "v9.1" sorts after "v10.2"
 
 
 def test_quiet_on_reads_in_the_committing_view_or_newer():
     tracer = make_tracer()
-    lease_read(tracer, "v1.0")  # before any commit: fine
-    commit(tracer, "v2.1")
-    lease_read(tracer, "v2.1")
-    lease_read(tracer, "v3.0")
-    commit(tracer, "v1.0", ts=9)  # a late, older commit must not regress
-    lease_read(tracer, "v2.1")
+    lease_read(tracer, ViewId(1, 0))  # before any commit: fine
+    commit(tracer, ViewId(2, 1))
+    lease_read(tracer, ViewId(2, 1))
+    lease_read(tracer, ViewId(3, 0))
+    commit(tracer, ViewId(1, 0), ts=9)  # a late, older commit must not regress
+    lease_read(tracer, ViewId(2, 1))
 
 
 def test_quiet_on_backup_and_other_group_commits():
     tracer = make_tracer()
     # backup record_added and other groups' commits advance nothing here
     tracer.emit("record_added", node="n1", group="kv", mid=1,
-                viewid="v5.0", ts=3, rtype="Committed", role="backup")
-    commit(tracer, "v5.0", group="other")
-    lease_read(tracer, "v1.0")
+                viewid=ViewId(5, 0), ts=3, rtype="Committed", role="backup")
+    commit(tracer, ViewId(5, 0), group="other")
+    lease_read(tracer, ViewId(1, 0))

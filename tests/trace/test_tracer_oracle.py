@@ -6,7 +6,10 @@ and context pushes and pops must leave both with the same events (as
 exported JSON lines), the same answer to ``get`` for every eid ever issued,
 the same causal slices, the same counters and the same Lamport stamps -- at
 ring sizes small enough that every operation runs into the eviction
-boundary.  The network hooks are not compared: a send and a delivery record
+boundary.  An emit is either the keyword form, with any keys, or a row of a
+cataloged kind's values (``Tracer.emit_row``), which the reference is fed as
+the dict the instrumented sites used to build: ids rendered with ``str()``,
+an ``acked`` map's keys too.  The network hooks are not compared: a send and a delivery record
 no event (DESIGN.md D22), and ``tests/net/test_send_eid.py`` pins them.
 
 Two goldens pin the JSONL export of two real runs to the byte.  A golden
@@ -22,8 +25,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.config import TraceConfig
+from repro.core.viewstamp import ViewId
 from repro.harness.common import build_kv_system, run_kv_batch
 from repro.trace import InvariantMonitor, Tracer
+from repro.trace.events import EVENT_FIELDS
+from repro.txn.ids import Aid, CallId
 
 from tests.trace import _reference_tracer as reference
 
@@ -64,6 +70,12 @@ class _Pair:
             kind, node, parents, data = args
             issued = self.old.emit(kind, node=node, parents=parents, **data)
             assert self.new.emit(kind, node=node, parents=parents, **data) == issued
+        elif name == "row":
+            kind, node, parents, row = args
+            data = {field: _rendered(value) for field, value in zip(EVENT_FIELDS[kind], row)}
+            # positional: node_crash's field is named ``node``
+            issued = self.old._emit(kind, node, parents, data)
+            assert self.new.emit_row(kind, node, parents, row) == issued
         elif name == "push":
             self.old.push(args[0])
             self.new.push(args[0])
@@ -89,6 +101,15 @@ class _Pair:
         assert self.spies[1].seen == self.spies[0].seen
 
 
+def _rendered(value):
+    """*value* as an instrumented site passed it before rows."""
+    if isinstance(value, dict):
+        return {str(key): item for key, item in value.items()}
+    if isinstance(value, (ViewId, Aid, CallId)):
+        return str(value)
+    return value
+
+
 def _line(event):
     return None if event is None else event.to_json_line()
 
@@ -106,11 +127,34 @@ kinds = st.sampled_from(["fault", "record_added", "msg_drop", "timer_fire"])
 eids = st.integers(-2, 40)
 values = st.one_of(st.integers(-5, 5), st.text(max_size=3), st.booleans(), st.none())
 data = st.dictionaries(st.sampled_from(["a", "b", "reason", "ts"]), values, max_size=3)
+viewids = st.builds(ViewId, st.integers(0, 12), st.integers(0, 4))
+aids = st.builds(Aid, st.sampled_from(["kv", "clients"]), viewids, st.integers(0, 9))
+row_values = st.one_of(
+    values,
+    viewids,
+    aids,
+    st.builds(CallId, aids, st.integers(0, 3), st.integers(0, 2)),
+    st.lists(st.integers(0, 4), max_size=3),
+    st.dictionaries(st.integers(0, 4), st.integers(0, 9), max_size=3),
+)
+# a cataloged kind and a prefix of its fields' worth of values
+rows = st.sampled_from(sorted(EVENT_FIELDS)).flatmap(
+    lambda kind: st.tuples(
+        st.just(kind),
+        st.lists(row_values, max_size=len(EVENT_FIELDS[kind])).map(tuple),
+    )
+)
 
 ops = st.one_of(
     st.tuples(st.just("tick"), st.floats(0.0, 2.0)),
     st.tuples(
         st.just("emit"), kinds, nodes, st.lists(eids, max_size=3).map(tuple), data
+    ),
+    st.builds(
+        lambda kind_row, node, parents: ("row", kind_row[0], node, parents, kind_row[1]),
+        rows,
+        nodes,
+        st.lists(eids, max_size=3).map(tuple),
     ),
     st.tuples(st.just("push"), eids),
     st.tuples(st.just("pop")),
@@ -134,6 +178,10 @@ def test_long_run_wraps_the_ring_many_times(ring_size):
         pair.apply(("emit", "timer_fire", f"n{index % 3}", (index,), {"delay": 1.0}))
         pair.apply(("push", pair.new.events_emitted))
         pair.apply(("emit", "record_added", f"n{index % 3}", (), {"ts": index}))
+        viewid = ViewId(index // 5, index % 3)
+        pair.apply(
+            ("row", "record_added", f"n{index % 3}", (), ("kv", 0, viewid, index, "Committed", "primary"))
+        )
         pair.apply(("emit", "msg_drop", f"a/{index % 2}", (index - 1,), {"ts": index}))
         pair.apply(("pop",))
         if index % 4 == 0:
