@@ -20,7 +20,7 @@ from typing import Any, Dict, Tuple
 
 from repro.core import messages as m
 from repro.core.cache import ClientCache
-from repro.core.calls import CallAborted, RemoteCaller, probe_view
+from repro.core.calls import CallAborted, RemoteCaller, Send, Sender
 from repro.detect import AdaptiveTimeouts, Retry, RttEstimator
 from repro.sim.future import Future
 from repro.sim.node import Actor, Node
@@ -63,6 +63,27 @@ class AgentTransaction:
         raise CallAborted(reason)
 
 
+class _Exchange(Send):
+    """A begin or finish to the coordinator group's primary, re-sent until
+    its reply resolves ``waiters[key]``; *verdict* resolves it once
+    patience runs out."""
+
+    def __init__(self, agent: "ClientAgent", waiters: Dict, key, message, verdict, retry):
+        super().__init__((agent.coordinator_group,), retry)
+        self.agent = agent
+        self.waiters = waiters
+        self.key = key
+        self.message = message
+        self.verdict = verdict
+        self.future = Future(label=f"exchange:{key}")
+
+    def transmit(self, groupid: str, address: str, _viewid) -> None:
+        self.agent.send(address, self.message)
+
+    def give_up(self, reason: str) -> None:
+        self.agent.settle(self.waiters, self.key, self.verdict)
+
+
 class ClientAgent(Actor):
     """An unreplicated client running transactions via a coordinator-server."""
 
@@ -76,14 +97,15 @@ class ClientAgent(Actor):
         self.cache = ClientCache(runtime.location)
         self.rtt = RttEstimator()  # fed by RemoteCaller.on_reply
         self.timeouts = AdaptiveTimeouts(self.config, self.rtt)
+        self.sender = Sender(self)
         self.caller = RemoteCaller(self)
         self._next_request = 0
-        self._begin_waiters: Dict[int, Future] = {}
-        self._finish_waiters: Dict[Aid, Future] = {}
+        self._begin_waiters: Dict[int, _Exchange] = {}
+        self._finish_waiters: Dict[Aid, _Exchange] = {}
         self._active_aids: set[Aid] = set()
         runtime.network.register(self)
 
-    # -- host interface for RemoteCaller -----------------------------------
+    # -- host interface for Sender and RemoteCaller -------------------------
 
     def send(self, destination: str, message) -> None:
         self.runtime.network.send(self.address, destination, message)
@@ -122,20 +144,15 @@ class ClientAgent(Actor):
         """Resolves to the new aid, or None: no coordinator-server answered."""
         self._next_request += 1
         request_id = self._next_request
-        future = Future(label=f"begin:{request_id}")
-        self._begin_waiters[request_id] = future
         # Fixed on purpose: patience here is an attempt count, and a begin
         # must outlive a full view change at the coordinator group.
         message = m.BeginTxnMsg(request_id=request_id, client=self.address)
         retry = Retry(lambda: self.config.call_timeout, 6)
-        self._send(self._begin_waiters, request_id, message, None, retry)
-        return future
+        return self._exchange(self._begin_waiters, request_id, message, None, retry)
 
     # -- finish -----------------------------------------------------------------
 
     def _finish(self, txn: AgentTransaction, decision: str) -> Future:
-        future = Future(label=f"finish:{txn.aid}")
-        self._finish_waiters[txn.aid] = future
         message = m.FinishTxnMsg(
             aid=txn.aid,
             decision=decision,
@@ -144,37 +161,20 @@ class ClientAgent(Actor):
             client=self.address,
         )
         retry = Retry(lambda: self.config.call_timeout * 2, 8)
-        self._send(self._finish_waiters, txn.aid, message, "unknown", retry)
-        return future
+        return self._exchange(self._finish_waiters, txn.aid, message, "unknown", retry)
 
-    def _send(
-        self, waiters: Dict, key, message, give_up, retry: Retry, resend: bool = False
-    ) -> None:
-        """Send *message* to the coordinator group's primary until the reply
-        resolves ``waiters[key]``; a *resend* (a wait ran out) probes for the
-        current view too, and the one sent as patience runs out is the last,
-        resolving the waiter to *give_up*."""
-        if key not in waiters:
-            return
-        spent = resend and retry.expired(self.sim.now)
-        target = self.cache.primary(self.coordinator_group)
-        if target is not None:
-            self.send(target, message)
-        if target is None or resend:
-            # The last attempt went unanswered (or we have no target): the
-            # primary may have moved; probe for the current view.
-            self._probe_coordinator()
-        if spent:
-            future = waiters.pop(key)
-            if not future.done:
-                future.set_result(give_up)
-            return
-        self.set_timer(
-            retry.wait(self.sim.now), self._send, waiters, key, message, give_up, retry, True
-        )
+    def _exchange(self, waiters: Dict, key, message, verdict, retry: Retry) -> Future:
+        exchange = waiters[key] = _Exchange(self, waiters, key, message, verdict, retry)
+        self.sender.start(exchange)
+        return exchange.future
 
-    def _probe_coordinator(self) -> None:
-        probe_view(self, self.coordinator_group)
+    def settle(self, waiters: Dict, key, value) -> None:
+        """Resolve ``waiters[key]`` (if still waiting) to *value*."""
+        exchange = waiters.pop(key, None)
+        if exchange is not None:
+            self.sender.stop(exchange)
+            if not exchange.future.done:
+                exchange.future.set_result(value)
 
     # -- message handling -----------------------------------------------------------
 
@@ -185,19 +185,12 @@ class ClientAgent(Actor):
             self.caller.on_call_failed(message)
         elif isinstance(message, m.ViewChangedMsg):
             self.caller.on_view_changed(message)
-            if message.groupid == self.coordinator_group:
-                self.cache.invalidate(self.coordinator_group)
-                self._probe_coordinator()
         elif isinstance(message, m.ViewProbeReplyMsg):
-            self.caller.on_probe_reply(message)
+            self.sender.on_probe_reply(message)
         elif isinstance(message, m.BeginTxnReplyMsg):
-            future = self._begin_waiters.pop(message.request_id, None)
-            if future is not None and not future.done:
-                future.set_result(message.aid)
+            self.settle(self._begin_waiters, message.request_id, message.aid)
         elif isinstance(message, m.FinishTxnReplyMsg):
-            future = self._finish_waiters.pop(message.aid, None)
-            if future is not None and not future.done:
-                future.set_result(message.outcome)
+            self.settle(self._finish_waiters, message.aid, message.outcome)
         elif isinstance(message, m.ClientProbeMsg):
             self.send(
                 source,
@@ -207,7 +200,9 @@ class ClientAgent(Actor):
             )
 
     def on_crash(self) -> None:
-        self._begin_waiters.clear()
-        self._finish_waiters.clear()
+        for waiters in (self._begin_waiters, self._finish_waiters):
+            for exchange in waiters.values():
+                self.sender.stop(exchange)
+            waiters.clear()
         self._active_aids.clear()
         self.caller.abandon_all("client crashed")

@@ -115,6 +115,11 @@ class AdaptiveTimeouts:
             return Retry(self.prepare_timeout, rounds)
         return Retry(self.prepare_timeout, patience=PREPARE_TIMEOUT * max(1, rounds))
 
+    def commit_retry(self) -> Retry:
+        """A coordinator's commit re-sends: every ``commit_retry_interval``,
+        with no end of patience (phase two never gives up)."""
+        return Retry(self.commit_retry_interval)
+
     def request_retry(self, retries: int, rng, wait: Optional[float] = None) -> Retry:
         """A driver's re-sends: ``retries + 1`` waits, counted in both modes,
         of *wait* verbatim or else of thrice an end-to-end transaction time

@@ -5,10 +5,15 @@ import pytest
 from repro import EmptyModule, Runtime
 from repro.analysis.metrics import Metrics
 from repro.core.cache import ClientCache
-from repro.core.calls import CallAborted, RemoteCaller
+from repro.core.calls import CallAborted, RemoteCaller, Sender
+from repro.agent import AgentTransaction
 from repro.core.messages import (
+    BeginTxnMsg,
     CallFailedMsg,
     CallMsg,
+    CommitMsg,
+    FinishTxnMsg,
+    PrepareMsg,
     ReplyMsg,
     TxnRequestMsg,
     ViewChangedMsg,
@@ -107,6 +112,7 @@ class FakeHost:
         self.rtt = RttEstimator()
         self.timeouts = AdaptiveTimeouts(self.config, self.rtt)
         self.tracer = None
+        self.sender = Sender(self)
         self.sent = []
 
     def send(self, destination, message):
@@ -146,7 +152,7 @@ def test_probe_reply_triggers_send():
     host = FakeHost()
     caller = RemoteCaller(host)
     _call_id, future = make_call(host, caller)
-    caller.on_probe_reply(
+    caller.sender.on_probe_reply(
         ViewProbeReplyMsg(groupid="g", viewid=V1, view=VIEW1, active=True)
     )
     calls = [(d, m_) for d, m_ in host.sent if isinstance(m_, CallMsg)]
@@ -243,7 +249,7 @@ def test_unanswered_retransmit_asks_the_group_and_follows_a_later_view():
     assert [d for d, m_ in host.sent if isinstance(m_, CallMsg)] == ["g/0", "g/0"]
     assert [d for d, m_ in host.sent[retransmit_at:]] == ["g/0", "g/1", "g/2"]
     assert all(isinstance(m_, ViewProbeMsg) for _d, m_ in host.sent[retransmit_at + 1:])
-    caller.on_probe_reply(ViewProbeReplyMsg(groupid="g", viewid=V2, view=VIEW2, active=True))
+    caller.sender.on_probe_reply(ViewProbeReplyMsg(groupid="g", viewid=V2, view=VIEW2, active=True))
     destination, message = host.sent[-1]
     assert (destination, message.call_id, message.viewid) == ("g/1", call_id, V2)
     host.sim.run(until=25.0)  # a fresh target's first wait has not run out
@@ -281,3 +287,104 @@ def test_driver_and_agent_follow_a_probe_reply_naming_a_newer_view():
         assert host.cache.primary("kv") == addresses[1]
         resent = [dst for dst, msg in sent[host] if isinstance(msg, kind)]
         assert resent == [addresses[0], addresses[1]]
+    # The agent's begin and finish go to the coordinator group's primary the
+    # same way.
+    coordsvc = dict(rt.location.lookup("coordsvc"))
+    agent.handle_message(
+        ViewProbeReplyMsg(groupid="coordsvc", viewid=V1, view=VIEW1, active=True), coordsvc[0]
+    )
+    agent._begin()
+    agent._finish(AgentTransaction(agent, aid), "commit")
+    for _ in range(2):
+        agent.handle_message(
+            ViewProbeReplyMsg(groupid="coordsvc", viewid=V2, view=VIEW2, active=True),
+            coordsvc[2],
+        )
+    for kind in (BeginTxnMsg, FinishTxnMsg):
+        resent = [dst for dst, msg in sent[agent] if isinstance(msg, kind)]
+        assert resent == [coordsvc[0], coordsvc[1]]
+
+
+# -- every send follows the group and asks it when the primary is silent -----------
+
+
+def _two_counter_system():
+    """Counter groups ``a`` and ``b`` and a client group whose ``both``
+    program bumps each: a transaction with two participants, so a prepare
+    and then a commit go to each; every send is logged, and a message the
+    ``drop`` set names is lost."""
+    from tests.conftest import CounterSpec
+
+    rt = Runtime(seed=3)
+    a = rt.create_group("a", CounterSpec(), n_cohorts=3)
+    rt.create_group("b", CounterSpec(), n_cohorts=3)
+    clients = rt.create_group("clients", EmptyModule(), n_cohorts=3)
+
+    def both(txn):
+        yield txn.call("a", "increment", 1)
+        yield txn.call("b", "increment", 1)
+        return "ok"
+
+    clients.register_program("both", both)
+    driver = rt.create_driver("driver")
+    sent, drop = [], set()
+    deliver = rt.network.send
+
+    def send(source, destination, payload):
+        sent.append((rt.sim.now, source, destination, payload))
+        if type(payload) not in drop:
+            deliver(source, destination, payload)
+
+    rt.network.send = send
+    assert _run_until(rt, driver.call("clients", "both")) == ("committed", "ok")
+    return rt, a, clients, driver, sent, drop
+
+
+def _run_until(rt, future, deadline=3_000.0):
+    while not future.done and rt.sim.now < deadline:
+        rt.run_for(0.5)
+    return future.result() if future.done else None
+
+
+@pytest.mark.parametrize("kind", [PrepareMsg, CommitMsg])
+def test_prepare_and_commit_follow_a_probe_reply_naming_a_newer_view(kind):
+    """A prepare or commit lost on its way to participant ``a``'s primary
+    goes to the primary of the newer view a probe reply names at once, not
+    at the coordinator's next retry tick."""
+    rt, a, clients, driver, sent, drop = _two_counter_system()
+    drop.add(kind)
+    coordinator = clients.active_primary()
+    old = coordinator.cache.get("a")
+    start = len(sent)
+    driver.call("clients", "both")
+    while not any(
+        isinstance(m_, kind) and dst == old.primary_address for _t, _s, dst, m_ in sent[start:]
+    ):
+        rt.run_for(0.25)
+    newer = View(primary=(old.view.primary + 1) % 3, backups=(old.view.primary,))
+    target = dict(rt.location.lookup("a"))[newer.primary]
+    assert target != old.primary_address
+    before = len(sent)
+    coordinator.handle_message(
+        ViewProbeReplyMsg(groupid="a", viewid=old.viewid.next_for(newer.primary),
+                          view=newer, active=True),
+        target,
+    )
+    resent = [(t, dst) for t, src, dst, m_ in sent[before:] if isinstance(m_, kind)]
+    assert resent == [(rt.sim.now, target)]
+
+
+def test_driver_resends_to_its_cached_primary_when_a_wait_runs_out():
+    """A request whose wait runs out goes again to the cached primary, and
+    the rest of the client group is asked for its view in the same step."""
+    rt, _a, clients, driver, sent, drop = _two_counter_system()
+    drop.add(TxnRequestMsg)
+    primary = driver.cache.primary("clients")
+    started, first = rt.sim.now, len(sent)
+    driver.call("clients", "both", timeout=40.0)
+    rt.run_for(41.0)
+    mine = [(t, dst, type(m_)) for t, src, dst, m_ in sent[first:] if src == driver.address]
+    members = [address for _mid, address in rt.location.lookup("clients")]
+    assert mine == [(started, primary, TxnRequestMsg)] + [
+        (started + 40.0, primary, TxnRequestMsg)
+    ] + [(started + 40.0, address, ViewProbeMsg) for address in members if address != primary]
