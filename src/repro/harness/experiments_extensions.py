@@ -122,7 +122,10 @@ def e10_nested() -> ExperimentResult:
         notes=(
             "A call in flight at a primary crash follows the new primary "
             "with the same call id and completes there (DESIGN.md D7), so a "
-            "plain crash aborts neither flat nor nested transactions.  When "
+            "plain crash aborts a transaction, flat or nested, only when a "
+            "call it had finished left no record at the backups: the new "
+            "primary refuses its prepare (pset incompatible with history).  "
+            "When "
             "the reply was lost but the call's completed-call record reached "
             "the backups, the new primary fails that id: a flat transaction "
             "must abort, while a nested one aborts only the subaction and "

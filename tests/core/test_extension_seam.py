@@ -72,6 +72,7 @@ def _group(config, n_cohorts=5):
 def _paper_parts(cohort):
     return (
         cohort,
+        cohort.sender,
         cohort.caller,
         cohort.view_change,
         cohort.server_role,

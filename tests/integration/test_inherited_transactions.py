@@ -16,6 +16,7 @@ from repro import LOSSY
 from repro.config import QUERY_INTERVAL, BatchConfig, ProtocolConfig
 from repro.core import messages as m
 from repro.core.events import Committing
+from repro.core.view import View
 from repro.core.viewstamp import Viewstamp
 from repro.harness.common import build_kv_system
 from repro.txn.pset import PSetPair
@@ -184,7 +185,12 @@ def test_a_resumed_commit_chasing_a_new_participant_primary_keeps_its_pset():
     coordinator.client_role._resume_commit(aid, ("kv",), pset)
     rt.run_for(100.0)  # a view probe, then the commit and its retries
     sent = len(commits)
-    view = participant.cur_viewid, participant.cur_view
+    # A rejection naming a newer view: the commit follows it at once.
+    successor = (participant.mymid + 1) % 3
+    view = (
+        participant.cur_viewid.next_for(successor),
+        View(primary=successor, backups=tuple(mid for mid in range(3) if mid != successor)),
+    )
     coordinator.client_role.on_view_changed(m.ViewChangedMsg(None, *view, aid, "kv"))
     assert sent and len(commits) == sent + 1
     assert {commit.pset_pairs for commit in commits} == {pset}

@@ -35,14 +35,25 @@ def test_subactions_commit_normally():
 
 
 def test_subaction_retry_across_view_change():
-    """A call that hits the crash window is retried as a new subaction
-    and the transaction still commits exactly once."""
+    """A call that hits the crash window and cannot reach the group for
+    longer than its patience (the caller's links to it are cut for 150
+    units; a call follows a view change it can see) is retried as a new
+    subaction, and the transaction still commits exactly once."""
+    from repro.net.link import LinkModel
+
     rt, kv, clients, driver, spec = build(seed=52)
     clients.register_program("chain", chain)
     f = driver.call("clients", "chain",
                       [spec.key(i) for i in range(4)], 40.0)
     rt.run_for(60)
+    caller = clients.active_primary()
+    dead = LinkModel(base_delay=1.0, jitter=0.0, loss_probability=0.999999)
     kv.crash_primary()
+    for cohort in kv.cohorts.values():
+        rt.network.set_link_model(caller.address, cohort.address, dead)
+    rt.run_for(150)
+    for cohort in kv.cohorts.values():
+        rt.network.set_link_model(caller.address, cohort.address, rt.network.link)
     rt.sim.schedule(200.0, kv.cohort(0).node.recover)
     rt.run_for(5000)
     rt.quiesce()

@@ -117,3 +117,24 @@ def test_disabled_traceconfig_leaves_runtime_untraced():
     rt = Runtime(seed=1, trace=TC(enabled=False))
     assert rt.tracer is None
     assert rt.network.tracer is None
+
+
+def test_view_started_sits_on_the_new_primarys_node():
+    """Every event of an activation is the new primary's, ``view_started``
+    too: on its node's lane and its node's Lamport clock."""
+    from repro import EmptyModule, Runtime
+
+    rt = Runtime(seed=2, trace=TraceConfig(monitors="all"))
+    group = rt.create_group("g", EmptyModule(), n_cohorts=3)
+    rt.run_for(50)
+    group.crash_primary()
+    rt.run_for(400)
+    primary = group.active_primary()
+    (started,) = [event for event in rt.tracer.events() if event.kind == "view_started"]
+    assert started.node == primary.node.node_id
+    earlier = [
+        event.lamport
+        for event in rt.tracer.events()
+        if event.node == started.node and event.eid < started.eid
+    ]
+    assert started.lamport > max(earlier)
