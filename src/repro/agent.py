@@ -41,7 +41,7 @@ class AgentTransaction:
     def call(self, groupid: str, proc: str, *args: Any) -> Future:
         self._call_seq += 1
         call_id = CallId(aid=self.aid, seq=self._call_seq, subaction=self._call_seq)
-        done = Future(label=f"agentcall:{call_id}")
+        done = Future(label=("agentcall:", call_id))
         attempt = self._agent.caller.call(
             self.aid, groupid, proc, tuple(args), call_id
         )
@@ -75,7 +75,7 @@ class _Exchange(Send):
         self.key = key
         self.message = message
         self.verdict = verdict
-        self.future = Future(label=f"exchange:{key}")
+        self.future = Future(label=("exchange:", key))
 
     def transmit(self, groupid: str, address: str, _viewid) -> None:
         self.agent.send(address, self.message)

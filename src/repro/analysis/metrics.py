@@ -8,20 +8,24 @@ so any component can record into it.
 from __future__ import annotations
 
 import math
+from array import array
 from collections import defaultdict
 from typing import Dict, Iterable, Optional
 
 
 class LatencyStat:
-    """Streaming summary of a latency series (count/mean/min/max/percentiles).
+    """Summary of a latency series (count/mean/min/max/percentiles).
 
-    Keeps raw samples; simulations here are small enough (tens of thousands
-    of transactions) that exact percentiles are affordable and more useful
-    than sketches.
+    Keeps every raw sample, in the order recorded, as a C double in one
+    ``array('d')`` (8 bytes each, against 32 for a list slot and its float
+    object): exact percentiles over tens of thousands of transactions are
+    affordable and more useful than sketches.  ``samples`` slices and
+    iterates as a list of floats does, but compares equal only to another
+    array: compare ``list(stat.samples)``.
     """
 
     def __init__(self) -> None:
-        self.samples: list[float] = []
+        self.samples = array("d")
 
     def record(self, value: float) -> None:
         self.samples.append(value)

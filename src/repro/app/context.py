@@ -71,7 +71,7 @@ class CallContext:
 
     def update(self, uid: str, fn) -> Future:
         """Read-modify-write convenience: ``write(uid, fn(read(uid)))``."""
-        done = Future(label=f"update:{uid}")
+        done = Future(label=("update:", uid))
 
         def after_read(read_future: Future) -> None:
             error = read_future.exception()
@@ -89,7 +89,7 @@ class CallContext:
         return done
 
     def _with_lock(self, uid: str, kind: str, action, *args) -> Future:
-        done = Future(label=f"{kind}:{uid}:{self.call_id}")
+        done = Future(label=(kind, ":", uid, ":", self.call_id))
         lockmgr = self._cohort.lockmgr
         lock_future = lockmgr.acquire(uid, self.aid, kind, subaction=self.subaction)
         if lock_future.done and lock_future.exception() is None:
@@ -165,7 +165,7 @@ class CallContext:
             seq=self.call_id.seq * 1000 + self._nested_seq,
             subaction=self.subaction,
         )
-        done = Future(label=f"nested:{nested_id}")
+        done = Future(label=("nested:", nested_id))
         inner = self._cohort.caller.call(self.aid, groupid, proc, tuple(args), nested_id)
 
         def on_done(inner_future: Future) -> None:

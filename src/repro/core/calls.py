@@ -311,7 +311,7 @@ class _Call(Send):
         self.call_id = call_id
         self.piggyback = piggyback
         self.aborted_subactions = aborted_subactions
-        self.future = Future(label=f"call:{call_id}")
+        self.future = Future(label=("call:", call_id))
         self.started_at = host.sim.now
 
     def transmit(self, groupid: str, address: str, viewid: Optional[ViewId]) -> None:
@@ -352,6 +352,7 @@ class RemoteCaller:
         # Named fork: adding consumers elsewhere never perturbs this stream.
         self._rng = host.sim.rng.fork(f"call-backoff/{host.address}")
         self._tracer = host.tracer
+        self._latency_keys: Dict[str, str] = {}  # groupid -> its metric name
 
     # -- API ----------------------------------------------------------------
 
@@ -396,7 +397,10 @@ class RemoteCaller:
         latency = self.host.sim.now - call.started_at
         metrics = self.host.metrics
         metrics.observe("call_latency", latency)
-        metrics.observe(f"call_latency:{call.groupid}", latency)
+        key = self._latency_keys.get(call.groupid)
+        if key is None:
+            key = self._latency_keys[call.groupid] = f"call_latency:{call.groupid}"
+        metrics.observe(key, latency)
         self.host.rtt.observe(latency)
         if self._tracer is not None:
             self._tracer.emit_row(

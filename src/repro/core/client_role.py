@@ -121,6 +121,7 @@ class ClientRole:
         self._call_seq = 0
         self._request_replies: Dict[Tuple[str, int], m.TxnOutcomeMsg] = {}
         self._requests_in_progress: Set[Tuple[str, int]] = set()
+        self._started_key = f"txns_started:{cohort.mygroupid}"
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -243,16 +244,16 @@ class ClientRole:
         self._seq += 1
         aid = Aid(cohort.mygroupid, cohort.cur_viewid, self._seq)
         txn = Transaction(self, aid, use_subactions)
-        future = Future(label=f"txn:{aid}")
+        future = Future(label=("txn:", aid))
         state = _RunningTxn(txn=txn, future=future)
         self._txns[aid] = state
         self._created.add(aid)
-        cohort.metrics.incr(f"txns_started:{cohort.mygroupid}")
+        cohort.metrics.incr(self._started_key)
         if cohort.tracer is not None:
             cohort.tracer.emit_row(
                 "txn_begin", cohort.node.node_id, (), (cohort.mygroupid, aid, program)
             )
-        process = cohort.spawn(self._drive(state, program_fn, args), name=f"txn:{aid}")
+        process = cohort.spawn(self._drive(state, program_fn, args), name=("txn:", aid))
 
         def on_process_done(proc_future: Future) -> None:
             error = proc_future.exception()
@@ -285,7 +286,7 @@ class ClientRole:
         self, txn: Transaction, groupid: str, proc: str, args: Tuple, retries_left: int
     ) -> Future:
         cohort = self.cohort
-        done = Future(label=f"txncall:{txn.aid}:{proc}")
+        done = Future(label=("txncall:", txn.aid, ":", proc))
         self._call_seq += 1
         call_id = txn.next_attempt_id(self._call_seq)
         attempt = cohort.caller.call(

@@ -146,6 +146,7 @@ class Cohort(Actor):
         # to a peer served within half an interval is redundant) and when
         # one last carried sent_at (the estimators keep the beacon's cadence).
         self._half_interval = 0.5 * IM_ALIVE_INTERVAL
+        self._suppressed_key = f"heartbeats_suppressed:{groupid}"
         self._served: Dict[int, float] = {}
         self._stamped: Dict[int, float] = {}
         self._epoch = 0  # bumped on every status transition; guards timers
@@ -615,7 +616,7 @@ class Cohort(Actor):
             else:
                 self.send(address, self.build_im_alive(peer))
         if suppressed:
-            self.metrics.incr(f"heartbeats_suppressed:{self.mygroupid}", suppressed)
+            self.metrics.incr(self._suppressed_key, suppressed)
 
     def build_im_alive(self, peer: int) -> m.ImAliveMsg:
         return m.ImAliveMsg(

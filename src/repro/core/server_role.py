@@ -208,7 +208,7 @@ class ServerRole:
                 m.SubactionAbortMsg(aid=msg.aid, subaction=subaction)
             )
         self.in_progress.add(msg.call_id)
-        process = cohort.spawn(self._run_call(msg), name=f"call:{msg.call_id}")
+        process = cohort.spawn(self._run_call(msg), name=("call:", msg.call_id))
         self._call_procs.append(process)
         if len(self._call_procs) > 32:
             self._call_procs = [p for p in self._call_procs if not p.done]

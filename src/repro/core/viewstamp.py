@@ -26,26 +26,43 @@ from typing import Iterable, Optional, Tuple
 
 
 def hashed_once(cls):
-    """Keep a frozen dataclass's hash on the instance (the ``_wire_size``
-    idiom): identifiers key the per-message tables, and the generated
-    ``__hash__`` builds a tuple of the fields, hashing nested ids anew, on
-    every lookup.  The value is the generated one; it is left out of a
-    pickle, because a ``str`` field hashes differently in another process."""
+    """Keep a frozen dataclass's hash in its ``_hash`` slot.
+
+    Identifiers key the per-message tables, and the generated ``__hash__``
+    builds a tuple of the fields, hashing nested ids anew, on every lookup.
+    The value is the generated one.  The class declares its ``__slots__`` by
+    hand, ``_hash`` among them (and ``_wire_size``, where
+    :mod:`repro.net.messages` interns the size): a history keeps thousands
+    of ids, and an instance ``__dict__`` for one cached int costs five
+    times the object.  A copy or a pickle carries the fields alone, so the
+    kept hash stays behind: a ``str`` field hashes differently in another
+    process.
+    """
+    if any("__dict__" in vars(klass) for klass in cls.__mro__) or (
+        "_hash" not in cls.__slots__
+    ):
+        raise TypeError(f"{cls.__name__} must declare __slots__ with '_hash'")
     generated = cls.__hash__
+    names = tuple(field.name for field in dataclasses.fields(cls))
 
     def __hash__(self) -> int:
-        value = self._hash
-        if value is None:
+        try:
+            return self._hash
+        except AttributeError:
             value = generated(self)
             object.__setattr__(self, "_hash", value)
-        return value
+            return value
 
-    def __getstate__(self) -> dict:
-        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
+    def __getstate__(self) -> tuple:
+        return tuple([getattr(self, name) for name in names])
 
-    cls._hash = None
+    def __setstate__(self, state: tuple) -> None:
+        for name, value in zip(names, state):
+            object.__setattr__(self, name, value)
+
     cls.__hash__ = __hash__
     cls.__getstate__ = __getstate__
+    cls.__setstate__ = __setstate__
     return cls
 
 
@@ -54,9 +71,11 @@ def hashed_once(cls):
 class ViewId:
     """``viewid = <cnt: int, mid: int>`` -- totally ordered, globally unique."""
 
+    # ``_wire_size``: interned by repro.net.messages (frozen, scalars only)
+    __slots__ = ("cnt", "mid", "_hash", "_wire_size")
+
     cnt: int
     mid: int
-    _wire_size = None  # interned by repro.net.messages (frozen, scalars only)
 
     def __eq__(self, other: object) -> bool:
         # One instance per view travels in every message of that view, so
@@ -84,6 +103,8 @@ class Viewstamp:
     cross-view order the view-change algorithm needs when picking the
     cohort "returning the largest viewstamp" (section 4).
     """
+
+    __slots__ = ("id", "ts", "_hash")
 
     id: ViewId
     ts: int

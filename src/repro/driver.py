@@ -119,7 +119,7 @@ class _PendingRequest(Send):
         super().__init__((groupid,), retry)
         self.driver = driver
         self.request_id = request_id
-        self.future = Future(label=f"submit:{program}:{request_id}")
+        self.future = Future(label=("submit:", program, ":", request_id))
         self.submitted_at = driver.sim.now
         self.message = m.TxnRequestMsg(
             request_id=request_id, program=program, args=args, reply_to=driver.address
@@ -274,7 +274,7 @@ class Driver(Actor):
             request_id=self._next_request,
             groupid=groupid,
             uid=uid,
-            future=Future(label=f"read:{uid}:{self._next_request}"),
+            future=Future(label=("read:", uid, ":", self._next_request)),
             retry=Retry(lambda: wait, retries + 1),
             max_staleness=max_staleness,
             prefer=prefer,

@@ -19,7 +19,8 @@ is classified once, on first sight, by one precedence rule:
 3. Anything else is ``value.byte_size()`` if it has one, else 16.
 
 Two declarations let a class skip the walk.  A frozen dataclass with
-``_wire_size = None`` has its size computed once and kept on the instance
+``_wire_size = None`` (or a ``_wire_size`` slot, never a field, so never
+sized itself) has its size computed once and kept on the instance
 (8 bytes each): that is for event records, immutable once buffered yet
 re-sent by every unbatched flush, and for the scalar-only identifiers that
 one instance carries into many messages (``ViewId``, thousands of sizings
@@ -84,8 +85,13 @@ def _compile_dataclass_sizer(cls: Any) -> Callable[[Any], int]:
     if hasattr(cls, "_wire_size"):
         if not cls.__dataclass_params__.frozen:
             raise TypeError(f"{cls.__name__} interns its size but is not frozen")
+        # An unset slot raises; an unset instance attribute reads the
+        # class's None.
         body = (
-            " n = v._wire_size\n"
+            " try:\n"
+            "  n = v._wire_size\n"
+            " except AttributeError:\n"
+            "  n = None\n"
             " if n is None:\n"
             f"  n = {total}\n"
             "  store(v, '_wire_size', n)\n"

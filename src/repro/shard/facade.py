@@ -288,7 +288,7 @@ def shard_ledger_digest(runtime, groupid: str) -> str:
     """
     ledger = runtime.ledger
     effects = sorted(
-        (str(aid), sorted(reads.items()), sorted(writes.items()))
+        (str(aid), list(reads), list(writes))
         for (aid, gid), (reads, writes) in ledger.effects.items()
         if gid == groupid
     )

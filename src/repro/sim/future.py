@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Optional, Tuple, Union
 
 from repro.sim.errors import CancelledError, SimulationError
 
@@ -10,6 +10,15 @@ _PENDING = "pending"
 _RESOLVED = "resolved"
 _FAILED = "failed"
 _CANCELLED = "cancelled"
+
+#: A label as given: a ``str``, or a tuple of parts whose ``str()`` s,
+#: joined, are the label.  A site that makes a future per transaction or
+#: call passes the ids themselves, and nothing is formatted unless read.
+Label = Union[str, Tuple[Any, ...]]
+
+
+def label_text(label: Label) -> str:
+    return label if label.__class__ is str else "".join(map(str, label))
 
 
 class Future:
@@ -20,13 +29,17 @@ class Future:
     that ``yield`` a future are resumed through this mechanism.
     """
 
-    __slots__ = ("_state", "_value", "_callbacks", "label")
+    __slots__ = ("_state", "_value", "_callbacks", "_label")
 
-    def __init__(self, label: str = ""):
+    def __init__(self, label: Label = ""):
         self._state = _PENDING
         self._value: Any = None
         self._callbacks: list[Callable[["Future"], None]] = []
-        self.label = label
+        self._label = label
+
+    @property
+    def label(self) -> str:
+        return label_text(self._label)
 
     # -- inspection ---------------------------------------------------------
 
@@ -100,7 +113,7 @@ class Future:
         return f"Future({self.label!r}, {self._state})"
 
 
-def all_done(*futures: Future, label: str = "") -> Future:
+def all_done(*futures: Future, label: Label = "") -> Future:
     """A future that resolves (to None) once every one of *futures* has,
     and fails with the first failure among them."""
     combined = Future(label=label)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Generator
 
+from repro.sim.future import Label
 from repro.sim.kernel import Simulator, Timer
 from repro.sim.process import Process, spawn
 
@@ -55,7 +56,7 @@ class Actor:
     def set_timer(self, delay: float, callback: Callable, *args: Any) -> Timer:
         return self.node.set_timer(delay, callback, *args)
 
-    def spawn(self, generator: Generator, name: str = "") -> Process:
+    def spawn(self, generator: Generator, name: Label = "") -> Process:
         return self.node.spawn(generator, name=name)
 
 
@@ -126,7 +127,7 @@ class Node:
         if self.up and self.incarnation == incarnation:
             callback(*args)
 
-    def spawn(self, generator: Generator, name: str = "") -> Process:
+    def spawn(self, generator: Generator, name: Label = "") -> Process:
         """Run a process that is interrupted if the node crashes."""
         process = spawn(self.sim, generator, name=name or f"proc@{self.node_id}")
         self._processes.append(process)

@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import Any, Generator, Iterable
 
 from repro.sim.errors import CancelledError, SimulationError
-from repro.sim.future import Future
+from repro.sim.future import Future, Label, label_text
 from repro.sim.kernel import Simulator
 
 
@@ -86,16 +86,20 @@ def _forget_resume_frames(error: BaseException) -> None:
 class Process(Future):
     """A running generator coroutine.  Created via ``spawn``."""
 
-    __slots__ = ("sim", "_generator", "_waiting_on", "name")
+    __slots__ = ("sim", "_generator", "_waiting_on", "_name")
 
-    def __init__(self, sim: Simulator, generator: Generator, name: str = ""):
+    def __init__(self, sim: Simulator, generator: Generator, name: Label = ""):
         super().__init__(label=name or "process")
         self.sim = sim
-        self.name = name
+        self._name = name
         self._generator = generator
         self._waiting_on: Any = None
         # Start on the next tick so spawn() returns before the body runs.
         sim.post(0.0, self._advance, None)
+
+    @property
+    def name(self) -> str:
+        return label_text(self._name)
 
     # -- control ------------------------------------------------------------
 
@@ -215,6 +219,6 @@ class Process(Future):
         return f"Process({self.name!r}, done={self.done})"
 
 
-def spawn(sim: Simulator, generator: Generator, name: str = "") -> Process:
+def spawn(sim: Simulator, generator: Generator, name: Label = "") -> Process:
     """Start *generator* as a process on *sim*; returns its Process/Future."""
     return Process(sim, generator, name=name)

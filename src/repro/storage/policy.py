@@ -34,7 +34,7 @@ class StablePolicy(Extension):
         replica_force = force_to(viewstamp)
         cohort = self.cohort
         stable_force = cohort.stable.write("gstate", cohort.gstate_record(cohort.cur_view))
-        return all_done(replica_force, stable_force, label=f"force+stable:{viewstamp}")
+        return all_done(replica_force, stable_force, label=("force+stable:", viewstamp))
 
     def reset(self) -> None:
         image = self.cohort.stable.read("gstate")

@@ -130,7 +130,7 @@ class StableStore:
         callers must check :meth:`Future.exception` before treating the
         value as durable.
         """
-        future = Future(label=f"stable-write:{key}")
+        future = Future(label=("stable-write:", key))
         snapshot = copy.deepcopy(value)
         latency = self.write_latency * self.slow_factor
 

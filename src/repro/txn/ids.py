@@ -26,10 +26,12 @@ from repro.net.messages import estimate_size
 class Aid:
     """A transaction identifier: coordinator group + view of birth + seq."""
 
+    # ``_wire_size``: interned by repro.net.messages (frozen, scalars only)
+    __slots__ = ("groupid", "viewid", "seq", "_hash", "_wire_size")
+
     groupid: str
     viewid: ViewId
     seq: int
-    _wire_size = None  # interned by repro.net.messages (frozen, scalars only)
 
     def __str__(self) -> str:
         return f"{self.groupid}#{self.viewid}#{self.seq}"
@@ -46,9 +48,17 @@ class CallId:
     attempt.
     """
 
+    __slots__ = ("aid", "seq", "subaction", "_hash")
+
     aid: Aid
     seq: int
-    subaction: int = 0
+    subaction: int
+
+    def __init__(self, aid: Aid, seq: int, subaction: int = 0) -> None:
+        # By hand: a slotted field cannot keep its default in the class.
+        object.__setattr__(self, "aid", aid)
+        object.__setattr__(self, "seq", seq)
+        object.__setattr__(self, "subaction", subaction)
 
     def __str__(self) -> str:
         return f"{self.aid}/c{self.seq}.{self.subaction}"

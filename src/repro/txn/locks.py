@@ -60,7 +60,7 @@ class LockManager:
         """
         if kind not in (READ, WRITE):
             raise ValueError(f"unknown lock kind {kind!r}")
-        future = Future(label=f"lock:{uid}:{aid}:{kind}")
+        future = Future(label=("lock:", uid, ":", aid, ":", kind))
         holders = self._lockers.get(uid)
         if holders is None:  # a locked uid is in the store already
             self.store.ensure(uid)

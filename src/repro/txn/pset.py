@@ -16,13 +16,16 @@ from __future__ import annotations
 import dataclasses
 from typing import FrozenSet, Iterable, Iterator, Optional
 
-from repro.core.viewstamp import Viewstamp
+from repro.core.viewstamp import Viewstamp, hashed_once
 from repro.net.messages import estimate_size
 
 
+@hashed_once
 @dataclasses.dataclass(frozen=True, order=True)
 class PSetPair:
     """One ``<groupid: int, vs: viewstamp>`` entry."""
+
+    __slots__ = ("groupid", "vs", "_hash")
 
     groupid: str
     vs: Viewstamp

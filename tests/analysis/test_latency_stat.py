@@ -53,4 +53,4 @@ def test_nearest_rank_on_known_series():
 def test_percentile_does_not_disturb_insertion_order():
     stat = make([3.0, 1.0, 2.0])
     assert stat.percentile(50) == 2.0
-    assert stat.samples == [3.0, 1.0, 2.0]  # sorted on a copy
+    assert list(stat.samples) == [3.0, 1.0, 2.0]  # sorted on a copy

@@ -51,10 +51,10 @@ def estimate_size(value: Any) -> int:
         return total
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
         if getattr(value, "_size_cacheable", False):
-            # Frozen but slot-less dataclasses (event records) carry a
-            # __dict__; the interned size lives there, outside the declared
-            # fields, so it never feeds back into the estimate itself.
-            cached = value.__dict__.get("_wire_size")
+            # The interned size lives outside the declared fields (in a
+            # slot or the instance __dict__), so it never feeds back into
+            # the estimate itself.
+            cached = getattr(value, "_wire_size", None)
             if cached is not None:
                 return cached
             total = 0
