@@ -52,6 +52,19 @@ def test_ledger_merges_multi_group_effects():
     assert ("g2", "y") in merged.reads
 
 
+def test_ledger_streams_committed_pieces_each_naming_its_group():
+    ledger = TransactionLedger()
+    ledger.record_effects("t1", "g1", reads={"y": 0, "x": 0}, writes={"x": 1})
+    ledger.record_effects("t2", "g1", reads={}, writes={"z": 1})
+    ledger.record_effects("t1", "g2", reads={}, writes={"y": 1})
+    ledger.record_commit("t1")
+    pieces = list(ledger.committed_pieces())  # read after all are made
+    assert [(aid, list(reads), list(writes)) for aid, reads, writes in pieces] == [
+        ("t1", [(("g1", "x"), 0), (("g1", "y"), 0)], [(("g1", "x"), 1)]),
+        ("t1", [], [(("g2", "y"), 1)]),
+    ]
+
+
 def test_ledger_excludes_uncommitted_effects():
     ledger = TransactionLedger()
     ledger.record_effects("t1", "g", reads={}, writes={"x": 1})
