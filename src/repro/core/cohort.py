@@ -391,9 +391,11 @@ class Cohort(Actor):
                 self._backup_install(record)
                 self.server_role.on_backup_commit(record)
             self.pending.pop(record.aid, None)
+            self.server_role.executed.pop(record.aid, None)
         elif isinstance(record, Aborted):
             self.outcomes[record.aid] = "aborted"
             self.pending.pop(record.aid, None)
+            self.server_role.executed.pop(record.aid, None)
             self.committing.pop(record.aid, None)
         elif isinstance(record, Done):
             self.committing.pop(record.aid, None)

@@ -50,7 +50,10 @@ class ServerRole:
 
     def __init__(self, cohort):
         self.cohort = cohort
-        self.executed: Dict[CallId, m.ReplyMsg] = {}
+        # Figure 3's reply cache, per aid until its outcome is booked
+        # (Cohort._record_bookkeeping drops it): after that a duplicate call
+        # is answered from the outcome table instead.
+        self.executed: Dict[Aid, Dict[CallId, m.ReplyMsg]] = {}
         self.in_progress: Set[CallId] = set()
         self.known_stale_calls: Set[CallId] = set()  # ran before a view change
         self.prepared: Dict[Aid, _PreparedState] = {}
@@ -178,9 +181,9 @@ class ServerRole:
                 ),
             )
             return
-        cached = self.executed.get(msg.call_id)
-        if cached is not None:
-            cohort.send(msg.reply_to, cached)  # lost-reply probe: re-send
+        replies = self.executed.get(msg.aid)
+        if replies is not None and msg.call_id in replies:
+            cohort.send(msg.reply_to, replies[msg.call_id])  # lost-reply probe: re-send
             return
         if msg.call_id in self.in_progress:
             return  # reply will go out when the first delivery finishes
@@ -262,15 +265,8 @@ class ServerRole:
         reply = m.ReplyMsg(
             call_id=msg.call_id, result=result, pset_pairs=pairs, piggyback=None
         )
-        self.executed[msg.call_id] = reply
-        if len(self.executed) > 4096:
-            # Bound the duplicate-suppression reply cache: evict the oldest
-            # quarter (dicts preserve insertion order).  A probe for an
-            # evicted ancient call would fail the call, which aborts its
-            # transaction -- safe, and in practice probes come seconds, not
-            # thousands of calls, after the original.
-            for old_id in list(self.executed)[:1024]:
-                del self.executed[old_id]
+        if msg.aid not in cohort.outcomes:  # decided while the call ran: no re-ask
+            self.executed.setdefault(msg.aid, {})[msg.call_id] = reply
         cohort.send(msg.reply_to, reply)
         cohort.metrics.incr(f"calls_completed:{cohort.mygroupid}")
 

@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import argparse
 import gc
-import hashlib
 import itertools
 import os
 import sys
@@ -69,6 +68,7 @@ from repro.live import SCHEDULES, LivenessViolation, Schedule, spec_catalog
 from repro.net.link import LAN, LinkModel
 from repro.perf.report import ledger_digest, state_digest
 from repro.shard.workload import run_sharded_workload
+from repro.sim.rng import sha256
 from repro.trace.export import write_jsonl
 from repro.workloads.loadgen import ClosedLoopStats, run_closed_loop, run_open_loop
 
@@ -99,7 +99,7 @@ def measure(rt, metrics: dict, complete: bool) -> Run:
         metrics,
         complete,
         ledger_digest(rt),
-        hashlib.sha256(outcome.encode()).hexdigest(),
+        sha256(outcome.encode()).hexdigest(),
         state,
     )
 
@@ -141,7 +141,7 @@ def _with_artifacts(rt, schedule: Schedule, failure: AssertionError) -> Assertio
     base = os.path.join(
         "artifacts",
         f"{schedule.name}-seed{rt.sim.rng.seed}-"
-        f"{hashlib.sha256(text.encode()).hexdigest()[:8]}",
+        f"{sha256(text.encode()).hexdigest()[:8]}",
     )
     written = [f"{base}.txt"]
     with open(written[0], "w", encoding="utf-8") as handle:

@@ -8,9 +8,10 @@ schedule): :mod:`repro.gate` holds configurations to one or the other, and
 
 from __future__ import annotations
 
-import hashlib
 from operator import itemgetter
 from typing import Callable, Iterable, List
+
+from repro.sim.rng import sha256
 
 
 def _feed_list(digest, items: Iterable) -> None:
@@ -46,7 +47,7 @@ def ledger_digest(runtime) -> str:
     but the sorted keys is built.
     """
     ledger = runtime.ledger
-    digest = hashlib.sha256()
+    digest = sha256()
     for outcomes in (ledger.committed, ledger.aborted):
         _feed_list(
             digest,
@@ -90,7 +91,7 @@ def state_digest(runtime) -> str:
     the ``repr`` of its sorted ``(uid, repr(base))`` list, fed a line and
     an item at a time.
     """
-    digest = hashlib.sha256()
+    digest = sha256()
     for line, groupid in enumerate(sorted(runtime.groups)):
         if line:
             digest.update(b"\n")

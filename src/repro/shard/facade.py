@@ -26,11 +26,11 @@ measurement meaningful on a simulator with no per-node CPU model.
 
 from __future__ import annotations
 
-import hashlib
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.app.module import EmptyModule, procedure, transaction_program
 from repro.shard.map import ShardMap
+from repro.sim.rng import sha256
 from repro.workloads.kv import (
     KVStoreSpec,
     read_program,
@@ -298,4 +298,4 @@ def shard_ledger_digest(runtime, groupid: str) -> str:
         if ev.groupid == groupid
     ]
     parts = [groupid, repr(effects), repr(views)]
-    return hashlib.sha256("\n".join(parts).encode()).hexdigest()
+    return sha256("\n".join(parts).encode()).hexdigest()

@@ -5,12 +5,26 @@ inter-arrival times, failure schedules, ...) draws from its own named
 sub-stream so that adding a new consumer of randomness never perturbs the
 draws seen by existing consumers.  This is what makes regression tests on
 end-to-end simulations stable.
+
+The module is also the one owner of ``sha256``, which every digest in the
+package imports from here.  It is CPython's built-in SHA-2 (the way
+``random`` takes its sha512), because ``hashlib`` maps OpenSSL's libcrypto,
+~3 MB of resident memory a run never uses; the same function, so every
+stream and digest is the same.  ``hashlib`` is only the fallback for a build
+without the built-in modules (``tests/core/test_api_hygiene.py``).
 """
 
 from __future__ import annotations
 
-import hashlib
 import random
+
+try:
+    from _sha2 import sha256  # 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # 3.11
+    except ImportError:  # pragma: no cover - a build without the modules
+        from hashlib import sha256
 
 
 class SeededRng:
@@ -23,7 +37,7 @@ class SeededRng:
     def __init__(self, seed: int | str, _name: str = "root") -> None:
         self.seed = seed
         self.name = _name
-        digest = hashlib.sha256(f"{seed}/{_name}".encode()).digest()
+        digest = sha256(f"{seed}/{_name}".encode()).digest()
         self._random = random.Random(int.from_bytes(digest[:8], "big"))
         #: The stream's own C ``random()``: the per-message draws pay no wrapper.
         self.random = self._random.random

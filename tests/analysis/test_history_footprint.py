@@ -16,15 +16,18 @@ import tracemalloc
 import pytest
 
 import repro.core.client_role as client_role
+import repro.core.server_role as server_role
 from repro.harness.common import build_kv_system, run_kv_batch
 from repro.perf import report
 from repro.txn.ids import Aid, CallId
 
-#: Bytes a quiet run retains per committed transaction: 1073 measured.  With
-#: an instance ``__dict__`` for the kept hash of each ``Aid`` and
-#: ``CallId``, 1324; at the parent (dicts of effects, a list of floats per
-#: latency series), 1454.
-RETAINED_BYTES_PER_TXN = 1150
+#: Bytes a quiet run retains per committed transaction: 669 measured, now
+#: that no reply outlives its transaction's outcome (1073 while the server
+#: primaries cached up to 4 096 replies; DESIGN.md D31).  With an instance
+#: ``__dict__`` for the kept hash of each ``Aid`` and ``CallId``, 812; with
+#: every reply cached, 1297; before ids were slotted and the ledger compact
+#: (dicts of effects, a list of floats per latency series), 1454.
+RETAINED_BYTES_PER_TXN = 720
 
 #: The transient peak of ``check_serializability``, ``ledger_digest`` and
 #: ``state_digest``, per committed transaction of the 300-transaction run:
@@ -139,6 +142,26 @@ def _with_a_dict_per_id(cls):
 def test_an_instance_dict_per_id_breaks_the_retained_bound(monkeypatch):
     monkeypatch.setattr(client_role, "Aid", _with_a_dict_per_id(Aid))
     monkeypatch.setattr(client_role, "CallId", _with_a_dict_per_id(CallId))
+    retained, _peak = _per_txn()
+    assert retained > RETAINED_BYTES_PER_TXN, retained
+
+
+class _KeepEvery(dict):
+    """A reply cache whose ``pop`` forgets nothing: every reply stays, as
+    in the capped cache before replies were dropped at their outcome."""
+
+    def pop(self, key, default=None):
+        return self.get(key, default)
+
+
+def test_caching_every_reply_breaks_the_retained_bound(monkeypatch):
+    init = server_role.ServerRole.__init__
+
+    def keep_every_reply(self, cohort):
+        init(self, cohort)
+        self.executed = _KeepEvery()
+
+    monkeypatch.setattr(server_role.ServerRole, "__init__", keep_every_reply)
     retained, _peak = _per_txn()
     assert retained > RETAINED_BYTES_PER_TXN, retained
 

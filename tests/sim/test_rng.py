@@ -1,8 +1,13 @@
 """Tests for seeded random streams."""
 
-from hypothesis import given, strategies as st
+import hashlib
+import random
 
-from repro.sim.rng import SeededRng
+from hypothesis import example, given, settings, strategies as st
+
+from repro.sim.rng import SeededRng, sha256
+
+NAMES = st.text(max_size=12)
 
 
 def test_same_seed_same_stream():
@@ -80,3 +85,62 @@ def test_shuffle_is_permutation():
     shuffled = list(items)
     rng.shuffle(shuffled)
     assert sorted(shuffled) == items
+
+
+# -- the stream derivation and the owned sha256 --------------------------------
+
+
+def _reference_stream(seed, a, b):
+    """What ``SeededRng(seed).fork(a).fork(b)`` is defined to draw, derived
+    with ``hashlib``: the first 8 bytes of the sha256 of its path, big-endian."""
+    path = "/".join((str(seed), "root", a, b))
+    digest = hashlib.sha256(path.encode()).digest()
+    return random.Random(int.from_bytes(digest[:8], "big"))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.integers(), NAMES), NAMES, NAMES)
+@example(4242, "net", "delay")
+@example("ключ", "сеть", "задержка")
+@example(-1, "", "\u20ac\U0001f600")
+def test_a_forked_stream_is_its_paths_sha256(seed, a, b):
+    ours = SeededRng(seed).fork(a).fork(b)
+    reference = _reference_stream(seed, a, b)
+    assert [ours.random() for _ in range(4)] == [reference.random() for _ in range(4)]
+    assert ours.randint(0, 10**9) == reference.randint(0, 10**9)
+
+
+def _chunks(data, cuts):
+    """*data* cut at the (sorted, deduplicated) offsets *cuts*."""
+    edges = [0, *sorted({cut % (len(data) + 1) for cut in cuts}), len(data)]
+    return [data[lo:hi] for lo, hi in zip(edges, edges[1:])]
+
+
+# Empty input, both sides of the 55/56-byte padding edge, one block, and
+# several blocks with a ragged tail.
+BOUNDARY_SIZES = [0, 1, 55, 56, 57, 63, 64, 65, 119, 120, 128, 200, 1000]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(
+        st.sampled_from(BOUNDARY_SIZES).flatmap(
+            lambda n: st.binary(min_size=n, max_size=n)
+        ),
+        st.binary(max_size=700),
+    ),
+    st.lists(st.integers(min_value=0), max_size=6),
+)
+def test_the_owned_sha256_is_hashlibs(data, cuts):
+    assert sha256(data).hexdigest() == hashlib.sha256(data).hexdigest()
+    assert sha256(data).digest() == hashlib.sha256(data).digest()
+    fed = sha256()
+    for chunk in _chunks(data, cuts):
+        fed.update(chunk)
+    assert fed.hexdigest() == hashlib.sha256(data).hexdigest()
+
+
+def test_the_owned_sha256_pads_every_boundary():
+    for size in BOUNDARY_SIZES:
+        data = bytes(range(256)) * 4
+        assert sha256(data[:size]).digest() == hashlib.sha256(data[:size]).digest(), size
