@@ -5,13 +5,20 @@ mention -- config knobs, trace event kinds, wire terms, command lines -- as
 a table of ``category -> names``, read from the code that defines them
 where the code has a table.  A name counts only as a whole identifier:
 ``gossip_relay`` does not document ``gossip``.
+
+:func:`dangling` holds the prose docs of :data:`REFERENCE_DOCS` to the code
+the other way: a backticked ``Class.attr`` that names a ``repro`` class
+must name something that class (or a ``repro`` base of it) defines.
 """
 
 from __future__ import annotations
 
+import ast
 import dataclasses
+import glob
+import pathlib
 import re
-from typing import Dict, List, Sequence
+from typing import Dict, List, Sequence, Set
 
 from repro.config import GeoConfig, ProtocolConfig, ReadConfig, ScaleConfig
 from repro.faults.controller import PRIMITIVES
@@ -141,3 +148,66 @@ def gaps(doc: str) -> List[str]:
     if doc == TRACING:
         missing += _subscription_rows(text) + _field_entries(text)
     return missing
+
+
+#: the prose docs whose backticked ``Class.attr`` references must resolve
+REFERENCE_DOCS = ("DESIGN.md", "README.md", "docs/*.md")
+_REFERENCE = re.compile(r"`([A-Z][A-Za-z0-9_]*)\.([A-Za-z_][A-Za-z0-9_]*)")
+
+
+def _classes() -> Dict[str, Set[str]]:
+    """Each class defined under ``src/repro`` -> the attributes it defines:
+    its body's methods, nested classes and (annotated) assignments, every
+    ``self.attr`` it assigns, and, resolved by name, those of its ``repro``
+    bases.  Two classes of one name share one set."""
+    own: Dict[str, Set[str]] = {}
+    bases: Dict[str, Set[str]] = {}
+    for path in sorted(pathlib.Path(__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            attrs = own.setdefault(node.name, set())
+            bases.setdefault(node.name, set()).update(
+                ast.unparse(base).rpartition(".")[2] for base in node.bases
+            )
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    attrs.add(item.name)
+                elif isinstance(item, (ast.Assign, ast.AnnAssign)):
+                    targets = item.targets if isinstance(item, ast.Assign) else [item.target]
+                    attrs.update(
+                        name.id for target in targets for name in ast.walk(target)
+                        if isinstance(name, ast.Name)
+                    )
+            attrs.update(
+                sub.attr for sub in ast.walk(node)
+                if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Store)
+                and isinstance(sub.value, ast.Name) and sub.value.id == "self"
+            )
+
+    def closure(name: str, seen: Set[str]) -> Set[str]:
+        seen.add(name)
+        attrs = set(own[name])
+        for base in bases[name]:
+            if base in own and base not in seen:
+                attrs |= closure(base, seen)
+        return attrs
+
+    return {name: closure(name, set()) for name in own}
+
+
+def dangling() -> List[str]:
+    """Each backticked ``Class.attr`` in :data:`REFERENCE_DOCS` (read from
+    the current directory) whose class is a ``repro`` class that defines
+    no ``attr``, as ``doc:line Class.attr``."""
+    classes = _classes()
+    found = []
+    for pattern in REFERENCE_DOCS:
+        for doc in sorted(glob.glob(pattern)):
+            with open(doc, "r", encoding="utf-8") as handle:
+                lines = handle.read().splitlines()
+            for lineno, line in enumerate(lines, 1):
+                for cls, attr in _REFERENCE.findall(line):
+                    if cls in classes and attr not in classes[cls]:
+                        found.append(f"{doc}:{lineno} {cls}.{attr}")
+    return found

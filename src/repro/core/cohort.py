@@ -14,10 +14,11 @@ A cohort carries exactly the paper's state:
     buffer        the communication buffer (primary role only)
 
 Role behaviour is delegated: :class:`~repro.core.server_role.ServerRole`
-(Figure 3), :class:`~repro.core.client_role.ClientRole` (Figure 2), and
-:class:`~repro.core.view_change.ViewChangeController` (Figure 5).  This
-module owns message dispatch, backup event-record application, query
-answering (section 3.4) and liveness ("I'm alive").
+(Figure 3), :class:`~repro.core.client_role.ClientRole` (Figure 2),
+:class:`~repro.core.view_change.ViewChangeController` (Figure 5), and
+section 4's "I'm alive" messages to :class:`~repro.detect.liveness.Liveness`.
+This module owns message dispatch, backup event-record application and
+query answering (section 3.4).
 
 Everything beyond the paper, and section 4.1's unilateral view edits and
 section 4.2's stable-storage hardening, is an extension object
@@ -30,7 +31,6 @@ managers, belong to the view-change controller.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import replace
 from typing import Any, Dict, Mapping, Optional, Tuple
 
@@ -53,16 +53,13 @@ from repro.core.extension import build_extensions
 from repro.core.quorum import Quorums
 from repro.core.view import View
 from repro.core.viewstamp import History, ViewId, Viewstamp
-from repro.detect import AdaptiveTimeouts, FailureDetector, RttEstimator
+from repro.detect import AdaptiveTimeouts, RttEstimator
 from repro.sim.future import Future
 from repro.sim.node import Actor, Node
 from repro.storage.stable import StableStore
 from repro.txn.ids import Aid, OutcomeTable
 from repro.txn.locks import LockManager
 from repro.txn.objects import ObjectStore
-
-
-_NEVER = -math.inf  # when a peer nothing was sent to was last served
 
 
 class Status(enum.Enum):
@@ -118,37 +115,25 @@ class Cohort(Actor):
         self._initial_image = initial_image
         self._start_volatile(initial_viewid, initial_view)
 
-        # -- roles (imported lazily to avoid cycles) --
+        # -- roles and liveness (imported lazily to avoid cycles) --
         from repro.core.client_role import ClientRole
         from repro.core.coordinator_server import CoordinatorServerRole
         from repro.core.server_role import ServerRole
         from repro.core.view_change import ViewChangeController
+        from repro.detect.liveness import Liveness
 
         self.server_role = ServerRole(self)
         self.client_role = ClientRole(self)
         self.coordinator_role = CoordinatorServerRole(self)
         self.view_change = ViewChangeController(self)
+        self.liveness = Liveness(self)  # before the extensions that wrap it
         # -- extensions: what the config arms beyond the paper; () by default --
-        self.buffer_options: Dict[str, Any] = {"send": self.send_traffic}
+        self.buffer_options: Dict[str, Any] = {"send": self.liveness.send_traffic}
         self.extensions = build_extensions(self)
         self._wire_handlers()
 
-        # -- liveness --
-        self.detect = FailureDetector(
-            config,
-            peers=[peer for peer, _addr in configuration if peer != mid],
-            clock=lambda: self.sim.now,
-            on_transition=self._on_suspicion_transition,
-        )
-        self.rtt = RttEstimator()
+        self.rtt = RttEstimator()  # fed by call round trips (RemoteCaller)
         self.timeouts = AdaptiveTimeouts(config, self.rtt)
-        # Per peer: when a buffer message or ack last went to it (a beacon
-        # to a peer served within half an interval is redundant) and when
-        # one last carried sent_at (the estimators keep the beacon's cadence).
-        self._half_interval = 0.5 * IM_ALIVE_INTERVAL
-        self._suppressed_key = f"heartbeats_suppressed:{groupid}"
-        self._served: Dict[int, float] = {}
-        self._stamped: Dict[int, float] = {}
         self._epoch = 0  # bumped on every status transition; guards timers
 
         runtime.network.register(self)
@@ -160,7 +145,7 @@ class Cohort(Actor):
                 self.emit(
                     "primary_activated", self.cur_viewid, sorted(self.cur_view.members)
                 )
-        self._start_heartbeat()
+        self.liveness.start()
         if self.is_primary:
             self._start_flush_loop()
             self.server_role.on_become_primary()
@@ -220,14 +205,6 @@ class Cohort(Actor):
     def send_mid(self, mid: int, message) -> None:
         self.send(self.peer_address(mid), message)
 
-    def send_traffic(self, mid: int, message) -> None:
-        """Send a buffer message or ack: the evidence of life an "I'm alive"
-        is (section 4), so the next beacon round may skip *mid*."""
-        now = self._served[mid] = self.sim.now
-        if now - self._stamped.get(mid, _NEVER) >= self._half_interval:
-            message.sent_at = self._stamped[mid] = now
-        self.send(self._addresses[mid], message)
-
     def locate(self, groupid: str):
         """(mid, address) pairs for a group -- via the location service."""
         return self.runtime.location.lookup(groupid)
@@ -263,7 +240,7 @@ class Cohort(Actor):
         self._any_status = {
             m.QueryMsg: self._handle_query,
             m.ViewProbeMsg: self._handle_view_probe,
-            m.ImAliveMsg: self._handle_im_alive,
+            m.ImAliveMsg: self.liveness.on_im_alive,
             m.InviteMsg: view_change.on_invite,
             m.AcceptMsg: view_change.on_accept,
             m.InitViewMsg: view_change.on_init_view,
@@ -319,13 +296,7 @@ class Cohort(Actor):
         self.client_role.on_view_changed(message)
 
     def _handle_buffer_ack(self, message: m.BufferAckMsg) -> None:
-        # An ack is the evidence of life a beacon is; only a stamped one (or
-        # one that ends a suspicion) is a sample for the estimators.
-        peer = self.detect.peers.get(message.mid)
-        if peer is None or peer.suspected or message.sent_at is not None:
-            self.detect.heard(message.mid, message.sent_at)
-        else:
-            peer.last_heard = self.sim.now
+        self.liveness.heard_traffic(message.mid, message.sent_at)
         if self.is_active_primary and self.buffer is not None:
             self.buffer.on_ack(message)
 
@@ -430,11 +401,7 @@ class Cohort(Actor):
             return
         if msg.viewid != self.cur_viewid or self.is_primary:
             return  # stale primary's traffic, or ours echoed back
-        peer = self.detect.peers[self.cur_view.primary]  # alive, as on an ack
-        if peer.suspected or msg.sent_at is not None:
-            self.detect.heard(self.cur_view.primary, msg.sent_at)
-        else:
-            peer.last_heard = self.sim.now
+        self.liveness.heard_traffic(self.cur_view.primary, msg.sent_at)
         self._apply_buffer_records(msg.records)
         self.acknowledge()
 
@@ -468,7 +435,7 @@ class Cohort(Actor):
 
     def ack_now(self) -> None:
         destination, ack = self.build_buffer_ack()
-        self.send_traffic(destination, ack)
+        self.liveness.send_traffic(destination, ack)
 
     #: *when* a backup acknowledges applied records: every BufferMsg
     #: individually, at once (the paper's implicit scheme)
@@ -570,113 +537,13 @@ class Cohort(Actor):
         )
 
     # ------------------------------------------------------------------
-    # liveness: "I'm alive" (section 4)
+    # status transitions (used by the view-change controller)
     # ------------------------------------------------------------------
-
-    def _start_heartbeat(self) -> None:
-        jitter = self.runtime.sim.rng.fork(f"hb/{self.address}").uniform(0.0, 1.0)
-        self.set_timer(IM_ALIVE_INTERVAL * (0.5 + jitter), self._heartbeat)
-
-    def _heartbeat(self) -> None:
-        self.beacon(self._beacon_targets())
-        if self.status is Status.ACTIVE:
-            self._liveness_sweep()
-        self.set_timer(IM_ALIVE_INTERVAL, self._heartbeat)
-
-    def _beacon_targets(self):
-        """Every other cohort -- but a backup that trusts its primary
-        beacons only the primary and whoever is outside the view, and its
-        fellow backups are alive on the primary's word (DESIGN.md D19)."""
-        view = self.cur_view
-        if (
-            self.status is not Status.ACTIVE
-            or self.is_primary
-            or self._is_suspect(view.primary)
-        ):
-            return self.configuration
-        now, members = self.sim.now, view.members
-        targets = []
-        for pair in self.configuration:
-            peer = pair[0]
-            if peer == view.primary or peer not in members:
-                targets.append(pair)
-            elif peer != self.mymid:
-                self.detect.vouch(peer, now)
-        return targets
-
-    def beacon(self, pairs) -> None:
-        """One round of "I'm alive": to each other cohort of *pairs* that
-        buffer traffic did not reach within the last half interval."""
-        served = self._served
-        silent_since = self.sim.now - self._half_interval
-        suppressed = 0
-        for peer, address in pairs:
-            if peer == self.mymid:
-                continue
-            if served.get(peer, _NEVER) > silent_since:
-                suppressed += 1
-            else:
-                self.send(address, self.build_im_alive(peer))
-        if suppressed:
-            self.metrics.incr(self._suppressed_key, suppressed)
-
-    def build_im_alive(self, peer: int) -> m.ImAliveMsg:
-        return m.ImAliveMsg(
-            mid=self.mymid, viewid=self.cur_viewid, sent_at=self.sim.now
-        )
-
-    def _handle_im_alive(self, msg: m.ImAliveMsg) -> None:
-        # A query, not a judgement: hearing a long-silent peer is no
-        # suspicion of it.
-        previously_silent = self.detect.silent(msg.mid)
-        self.detect.heard(msg.mid, sent_at=msg.sent_at)
-        if (
-            self.status is Status.ACTIVE
-            and previously_silent
-            and msg.mid not in self.cur_view
-        ):
-            # Communication with an excluded cohort resumed (section 4:
-            # "...or if it notices that it is communicating with a cohort
-            # that it could not communicate with previously").
-            self._liveness_sweep()
-
-    def _is_suspect(self, mid: int) -> bool:
-        return self.detect.is_suspect(mid)
-
-    def _on_suspicion_transition(self, mid: int, suspected: bool) -> None:
-        """The failure detector changed its mind about a peer."""
-        if suspected:
-            self.metrics.incr(f"detector_suspicions:{self.mygroupid}")
-        self.runtime.ledger.record_detector_event(
-            kind="suspect" if suspected else "trust",
-            groupid=self.mygroupid,
-            observer=self.mymid,
-            target=mid,
-            at=self.sim.now,
-        )
-
-    def _liveness_sweep(self) -> None:
-        """Who is suspect, and who is live outside the view; the view-change
-        controller decides what that calls for.  The primary judges its
-        view; a backup judges its primary (D19)."""
-        view = self.cur_view
-        judged = view.members if self.is_primary else (view.primary,)
-        self.view_change.on_sweep(
-            [peer for peer in judged if peer != self.mymid and self._is_suspect(peer)],
-            [
-                peer for peer, _addr in self.configuration
-                if peer not in view and not self._is_suspect(peer)
-            ],
-        )
 
     def note_change_needed(self) -> None:
         """Internal failure signal (e.g. an abandoned force)."""
         if self.status is Status.ACTIVE:
             self.view_change.become_manager()
-
-    # ------------------------------------------------------------------
-    # status transitions (used by the view-change controller)
-    # ------------------------------------------------------------------
 
     def leave_active(self) -> None:
         """Stop transaction processing; abandon the buffer and calls."""
@@ -700,8 +567,8 @@ class Cohort(Actor):
             on_force_failure=self.note_change_needed,
             force_timeout=self.config.force_timeout,
             flush_interval=self.config.flush_interval,
-            clock=self.detect.clock,
-            rto=self.detect.rto,
+            clock=self.liveness.detect.clock,
+            rto=self.liveness.detect.rto,
             join_delay=self.config.stable_write_latency,
             **self.buffer_options,  # send=, max_batch= and what extensions arm
         )
@@ -851,22 +718,13 @@ class Cohort(Actor):
         self._epoch += 1
         self._start_volatile(self.stable.read("cur_viewid"), None)
         self._wire_handlers()
-        # Call round-trip history died with the process.  Last-heard times
-        # within one suspect window still count as liveness evidence, but
-        # anything older is aged out: after a long downtime a pre-crash
-        # heartbeat (and the loss-stretched cadence learned from it) must
-        # not make this cohort treat a dead peer as live.
-        cutoff = self.sim.now - self.config.suspect_timeout()
-        self.detect.age_out(cutoff)
-        self._served.clear()
-        self._stamped.clear()
-        self.rtt.reset()
+        self.rtt.reset()  # call round-trip history died with the process
         for extension in self.extensions:
             extension.reset()
         self.server_role.reset()
         self.client_role.reset()
         self.coordinator_role.reset()
-        self._start_heartbeat()
+        self.liveness.start()  # ages out what the downtime made stale
         self.view_change.reset()
         self.set_timer(IM_ALIVE_INTERVAL, self.view_change.become_manager)
 

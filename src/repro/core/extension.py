@@ -13,9 +13,10 @@ rows** of the cohort's two type-keyed dispatch tables (:func:`wrap_row`, in
 ``wire``: tables are rebuilt on recovery); it takes over, once, in its
 constructor, the **builders** of the four messages extensions stamp, the
 three **policies** with one owner each -- ``Cohort.acknowledge`` (when a
-backup acks), ``Cohort.beacon`` (whom a heartbeat round reaches) and
-``ViewChangeController.edit_view`` (whether a liveness sweep's suspicions
-are met by editing the view) -- and section 4.2's **storage points** --
+backup acks), ``Liveness.beacon`` (whom a heartbeat round reaches;
+:mod:`repro.detect.liveness`) and ``ViewChangeController.edit_view``
+(whether a liveness sweep's suspicions are met by editing the view) -- and
+section 4.2's **storage points** --
 ``add_record`` or ``_record_bookkeeping`` (an image is written after it)
 and ``force_to`` -- with :func:`wrap`; and it hears the cohort's
 **lifecycle** under the names the roles already use.  Extensions are built

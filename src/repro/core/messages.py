@@ -181,7 +181,7 @@ class BufferMsg(Message):
     Buffer traffic doubles as the I'm-alive beacon (the receiver's failure
     detector hears it and the sender skips the redundant heartbeat);
     ``sent_at`` is stamped on one message per link per half
-    ``IM_ALIVE_INTERVAL`` (``Cohort.send_traffic``), which gives the
+    ``IM_ALIVE_INTERVAL`` (``Liveness.send_traffic``), which gives the
     receiver's estimators the samples a beacon would have.
 
     ``records_bytes`` is not wire data (no annotation, so not a field): the

@@ -243,6 +243,12 @@ class ServerRole:
         self.in_progress.discard(msg.call_id)
         if not cohort.is_active_primary:
             return
+        outcome = cohort.outcomes.get(msg.aid)
+        if outcome is not None:
+            # Decided while the call ran: answer as on_call does.  A record
+            # would re-open the transaction and hold the call's locks.
+            self._fail_call(msg, f"transaction already {outcome}")
+            return
         record = CompletedCall(
             aid=msg.aid, call_id=msg.call_id, effects=ctx.effects()
         )
@@ -265,7 +271,7 @@ class ServerRole:
         reply = m.ReplyMsg(
             call_id=msg.call_id, result=result, pset_pairs=pairs, piggyback=None
         )
-        if msg.aid not in cohort.outcomes:  # decided while the call ran: no re-ask
+        if msg.aid not in cohort.outcomes:  # decided during the force: no re-ask
             self.executed.setdefault(msg.aid, {})[msg.call_id] = reply
         cohort.send(msg.reply_to, reply)
         cohort.metrics.incr(f"calls_completed:{cohort.mygroupid}")

@@ -11,7 +11,8 @@ Roles:
   buffer (it is a backup of the formed view), a higher invitation, or a
   timeout that promotes it to manager.
 
-View formation rule (section 4; the sizes are the group's
+View formation rule (section 4; :func:`form_view`, a function of the
+acceptances alone; the sizes are the group's
 :class:`~repro.core.quorum.Quorums`): a majority of cohorts accepted, and
 
 1. a majority accepted *normally* (``Quorums.normals``), or
@@ -27,13 +28,13 @@ crashed ones, which the newview record will re-initialize -- join the view.
 
 from __future__ import annotations
 
-import functools
 from typing import Dict, Optional
 
 from repro.config import IM_ALIVE_INTERVAL, INVITE_TIMEOUT
 from repro.core import messages as m
 from repro.core.cohort import Status
 from repro.core.events import NewView
+from repro.core.quorum import Quorums
 from repro.core.view import View
 from repro.core.viewstamp import ViewId, Viewstamp
 from repro.detect import ViewChangeWaits
@@ -54,13 +55,7 @@ class ViewChangeController:
         # Since when the sweep has found a view change needed (a deferring
         # cohort's wait); reset() leaves it, so it outlasts a crash.
         self._change_pending_since: Optional[float] = None
-
-    @functools.cached_property
-    def _waits(self) -> ViewChangeWaits:
-        """Made on first use: form_view() is also exercised standalone with
-        fake cohorts that have no simulator attached."""
-        cohort = self.cohort
-        return ViewChangeWaits(cohort.config, cohort.runtime.sim.rng, cohort.address)
+        self._waits = ViewChangeWaits(cohort.config, cohort.runtime.sim.rng, cohort.address)
 
     def reset(self) -> None:
         """Drop controller state after a crash (timers died with the node)."""
@@ -112,7 +107,7 @@ class ViewChangeController:
         self._arm_invite_retransmit()
 
     def _arm_invite_retransmit(self) -> None:
-        period = self._waits.invite_period(self.cohort.detect)
+        period = self._waits.invite_period(self.cohort.liveness.detect)
         if period is not None:
             self._retransmit_timer = self.cohort.set_timer(period, self._retransmit_invites)
 
@@ -125,7 +120,7 @@ class ViewChangeController:
         for peer, address in cohort.configuration:
             if peer == cohort.mymid or peer in self._responses:
                 continue
-            if cohort._is_suspect(peer):
+            if cohort.liveness.suspects(peer):
                 continue  # looks dead; formation will not wait for it either
             cohort.send(
                 address,
@@ -214,7 +209,7 @@ class ViewChangeController:
         expected = {
             mid
             for mid, _addr in cohort.configuration
-            if mid == cohort.mymid or not cohort._is_suspect(mid)
+            if mid == cohort.mymid or not cohort.liveness.suspects(mid)
         }
         if set(self._responses) >= expected:
             self._attempt_formation()
@@ -236,7 +231,9 @@ class ViewChangeController:
             # and mints two viewids back to back.
             self._retry_timer.cancel()
             self._retry_timer = None
-        view = self.form_view(self._responses)
+        view = form_view(
+            self._responses, cohort.quorums, cohort.config.extended_formation_rule
+        )
         if view is None:
             self._retry_formation()
             return
@@ -282,72 +279,6 @@ class ViewChangeController:
             and not (a.crashed or a.witness or a.was_primary or a.view is None)
         )
         return m.InitViewMsg(viewid=self.cohort.max_viewid, view=view, viewstamps=viewstamps)
-
-    def form_view(self, responses: Dict[int, m.AcceptMsg]) -> Optional[View]:
-        """Apply the section-4 formation rule; None when it cannot be met."""
-        cohort = self.cohort
-        quorums = cohort.quorums
-        accepted = list(responses.values())
-        if len(accepted) < quorums.formation:
-            return None
-        # An acceptor that holds no state (AcceptMsg.witness) votes and
-        # joins the view, but carries no evidence.
-        normals = [a for a in accepted if not a.crashed and not a.witness]
-        crashed = [a for a in accepted if a.crashed and not a.witness]
-        if not normals:
-            return None
-        normal_vs: Viewstamp = max(a.viewstamp for a in normals)
-        normal_viewid = normal_vs.id
-        if len(normals) < quorums.normals:  # condition 1 fails
-            if not crashed:
-                return None
-            crash_viewid = max(a.crash_viewid for a in crashed)
-            cond2 = crash_viewid < normal_viewid
-            cond3 = crash_viewid == normal_viewid and any(
-                a.was_primary and a.viewstamp.id == normal_viewid for a in normals
-            )
-            cond4 = (
-                crash_viewid == normal_viewid
-                and cohort.config.extended_formation_rule
-                and self._backups_cover_forces(normals, normal_viewid)
-            )
-            if not (cond2 or cond3 or cond4):
-                return None
-        primary = self._choose_primary(normals, normal_vs)
-        backups = tuple(sorted(a.mid for a in accepted if a.mid != primary))
-        if len(quorums.storage(backups)) < quorums.force:
-            return None  # a view that cannot force is no view (D18)
-        return View(primary=primary, backups=backups)
-
-    def _backups_cover_forces(self, normals, normal_viewid) -> bool:
-        """Extended formation condition (beyond the paper; DESIGN.md D11).
-
-        Every force in view V required acknowledgments from a sub-majority
-        ``s`` of V's ``b`` storage backups, and buffer delivery is a
-        cumulative prefix of the primary's log.  Therefore if at least
-        ``b - s + 1`` backups of V accepted normally, the set intersects
-        every possible force quorum (``Quorums.covers_forces``), and its
-        max-viewstamp member's prefix contains every forced event -- it can
-        safely seed the new view even though V's primary (which the paper's
-        condition 3 insists on) is gone.
-        """
-        members = [a for a in normals if a.viewstamp.id == normal_viewid]
-        if not members:
-            return False
-        old_view = next((a.view for a in members if a.view is not None), None)
-        mids = {a.mid for a in members}
-        if old_view is None or old_view.primary in mids:
-            return False  # no membership info / condition 3 territory
-        return self.cohort.quorums.covers_forces(old_view.backups, mids)
-
-    @staticmethod
-    def _choose_primary(normals, normal_vs: Viewstamp) -> int:
-        """Largest viewstamp wins; the old primary of that view if possible."""
-        for acceptance in normals:
-            if acceptance.was_primary and acceptance.viewstamp.id == normal_vs.id:
-                return acceptance.mid
-        candidates = [a.mid for a in normals if a.viewstamp == normal_vs]
-        return min(candidates)
 
     # ------------------------------------------------------------------
     # starting the view (new primary path)
@@ -497,7 +428,7 @@ class ViewChangeController:
         fallback)."""
         cohort = self.cohort
         deferred = any(
-            not cohort._is_suspect(peer)
+            not cohort.liveness.suspects(peer)
             for peer, _addr in cohort.configuration
             if peer < cohort.mymid
         )
@@ -518,3 +449,78 @@ class ViewChangeController:
         self._await_timer = None
         self._retry_timer = None
         self._retransmit_timer = None
+
+
+# ----------------------------------------------------------------------
+# the formation rule: a pure function of the acceptances
+# ----------------------------------------------------------------------
+
+
+def form_view(
+    responses: Dict[int, m.AcceptMsg], quorums: Quorums, extended: bool
+) -> Optional[View]:
+    """Apply the section-4 formation rule to *responses* (mid -> acceptance)
+    in a group of *quorums*, with D11's condition 4 when *extended*; None
+    when it cannot be met."""
+    accepted = list(responses.values())
+    if len(accepted) < quorums.formation:
+        return None
+    # An acceptor that holds no state (AcceptMsg.witness) votes and
+    # joins the view, but carries no evidence.
+    normals = [a for a in accepted if not a.crashed and not a.witness]
+    crashed = [a for a in accepted if a.crashed and not a.witness]
+    if not normals:
+        return None
+    normal_vs: Viewstamp = max(a.viewstamp for a in normals)
+    normal_viewid = normal_vs.id
+    if len(normals) < quorums.normals:  # condition 1 fails
+        if not crashed:
+            return None
+        crash_viewid = max(a.crash_viewid for a in crashed)
+        cond2 = crash_viewid < normal_viewid
+        cond3 = crash_viewid == normal_viewid and any(
+            a.was_primary and a.viewstamp.id == normal_viewid for a in normals
+        )
+        cond4 = (
+            crash_viewid == normal_viewid
+            and extended
+            and _backups_cover_forces(normals, normal_viewid, quorums)
+        )
+        if not (cond2 or cond3 or cond4):
+            return None
+    primary = _choose_primary(normals, normal_vs)
+    backups = tuple(sorted(a.mid for a in accepted if a.mid != primary))
+    if len(quorums.storage(backups)) < quorums.force:
+        return None  # a view that cannot force is no view (D18)
+    return View(primary=primary, backups=backups)
+
+
+def _backups_cover_forces(normals, normal_viewid: ViewId, quorums: Quorums) -> bool:
+    """Extended formation condition (beyond the paper; DESIGN.md D11).
+
+    Every force in view V required acknowledgments from a sub-majority
+    ``s`` of V's ``b`` storage backups, and buffer delivery is a
+    cumulative prefix of the primary's log.  Therefore if at least
+    ``b - s + 1`` backups of V accepted normally, the set intersects
+    every possible force quorum (``Quorums.covers_forces``), and its
+    max-viewstamp member's prefix contains every forced event -- it can
+    safely seed the new view even though V's primary (which the paper's
+    condition 3 insists on) is gone.
+    """
+    members = [a for a in normals if a.viewstamp.id == normal_viewid]
+    if not members:
+        return False
+    old_view = next((a.view for a in members if a.view is not None), None)
+    mids = {a.mid for a in members}
+    if old_view is None or old_view.primary in mids:
+        return False  # no membership info / condition 3 territory
+    return quorums.covers_forces(old_view.backups, mids)
+
+
+def _choose_primary(normals, normal_vs: Viewstamp) -> int:
+    """Largest viewstamp wins; the old primary of that view if possible."""
+    for acceptance in normals:
+        if acceptance.was_primary and acceptance.viewstamp.id == normal_vs.id:
+            return acceptance.mid
+    candidates = [a.mid for a in normals if a.viewstamp == normal_vs]
+    return min(candidates)

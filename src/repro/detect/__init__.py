@@ -21,7 +21,11 @@ estimates:
   ``suspect_timeout``;
 - :class:`Retry` / :class:`ViewChangeWaits` -- the schedule every retry
   path holds, drawing from a seeded-jitter :class:`Backoff` in adaptive
-  mode so that competing retriers desynchronize instead of livelocking.
+  mode so that competing retriers desynchronize instead of livelocking;
+- :class:`~repro.detect.liveness.Liveness` -- a cohort's "I'm alive"
+  protocol (section 4), the one owner of what counts as evidence of life.
+  It hosts a :class:`~repro.core.cohort.Cohort`, so it is imported from its
+  module, which imports ``repro.core``; the package itself does not.
 
 Everything is driven by the simulator's seeded RNG and the simulated
 clock, so runs stay byte-for-byte reproducible for a given seed.  Setting

@@ -26,9 +26,10 @@ from repro.detect.rtt import RttEstimator
 
 
 class PeerState:
-    """What one cohort knows about one peer.  The host may store
-    ``last_heard`` itself for evidence that carries no timing sample, while
-    the peer is not ``suspected`` (anything else goes through ``heard``).
+    """What one cohort knows about one peer, written only in
+    :mod:`repro.detect`: :meth:`FailureDetector.heard` on an arrival, and
+    :meth:`~repro.detect.liveness.Liveness.heard_traffic` moves
+    ``last_heard`` alone for traffic that carries no timing sample.
     ``vouched_at`` is the primary's word (:meth:`FailureDetector.vouch`)."""
 
     __slots__ = (
@@ -73,10 +74,6 @@ class FailureDetector:
         self.clock = clock
         self.on_transition = on_transition
         self.peers: Dict[int, PeerState] = {mid: PeerState() for mid in peers}
-
-    def reset(self) -> None:
-        """Forget all history (host crashed; volatile state is gone)."""
-        self.peers = {mid: PeerState() for mid in self.peers}
 
     def age_out(self, cutoff: float) -> list:
         """Forget peers whose evidence predates *cutoff*; returns their mids.
@@ -165,11 +162,6 @@ class FailureDetector:
         state.suspected = False
         if self.on_transition is not None:
             self.on_transition(mid, False)
-
-    def observe_rtt(self, mid: int, sample: float) -> None:
-        state = self.peers.get(mid)
-        if state is not None:
-            state.rtt.observe(sample)
 
     # -- querying -----------------------------------------------------------
 

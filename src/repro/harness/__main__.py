@@ -6,10 +6,12 @@ the experiment's fenced block under EXPERIMENTS.md's *Measured tables* (the
 file in the current directory; its preamble and verdict summary are edited
 by hand), ``--check`` compares against that block and prints a unified diff
 when it differs; with no NAME, ``--check`` then holds every doc of
-``repro.checkdocs.DOCS`` to its vocabulary and names each gap.  In every
+``repro.checkdocs.DOCS`` to its vocabulary and names each gap, and names
+each backticked ``Class.attr`` of the prose docs that no ``repro`` class
+defines (``checkdocs.dangling``).  In every
 mode the experiment's shape check runs (``ExperimentResult.failures``).
-Exit status: 0, 1 a block differs, a doc has a gap or a shape check failed,
-2 unknown NAME or flag.
+Exit status: 0, 1 a block differs, a doc has a gap or names code that is
+gone, or a shape check failed, 2 unknown NAME or flag.
 """
 
 from __future__ import annotations
@@ -124,6 +126,11 @@ def main(argv=None) -> int:
                 failures.append(f"{path} is missing {', '.join(gaps)}")
             else:
                 print(f"{path}: names its whole vocabulary")
+        dangling = checkdocs.dangling()
+        if dangling:
+            failures.append(f"docs name code that is gone: {', '.join(dangling)}")
+        else:
+            print("docs: every Class.attr they name is defined")
     if args.write:
         with open(DOC, "w", encoding="utf-8") as handle:
             handle.write(doc)

@@ -30,7 +30,7 @@ class Leases(Extension):
         # backup, but holds no object state to serve.
         self._holds_state = cohort.mymid not in cohort.quorums.witnesses
         wrap(cohort, "build_buffer_ack", self._grant_on_ack)
-        wrap(cohort, "build_im_alive", self._grant_on_beacon)
+        wrap(cohort.liveness, "build_im_alive", self._grant_on_beacon)
         controller = cohort.view_change
         wrap(controller, "build_acceptance", self._report_promises)
         wrap(controller, "build_init_view", self._bound_activation)

@@ -61,7 +61,7 @@ class AckTreeAcks(Extension):
         if self._children_viewid == cohort.cur_viewid:
             pairs.update(self._children)  # never holds our own mid
         parent = self._tree_for_view().parent(cohort.mymid)
-        if parent != primary and cohort._is_suspect(parent):
+        if parent != primary and cohort.liveness.suspects(parent):
             # A dead interior node must not orphan its subtree: bypass it.
             parent = primary
         ack.agg = tuple(sorted(pairs.items()))

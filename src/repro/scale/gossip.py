@@ -32,8 +32,8 @@ class Gossip(Extension):
         self.beacon_primary = beacon_primary
         self._rng = cohort.runtime.sim.rng.fork(f"gossip/{cohort.address}")
         self._evidence: Tuple[Tuple[int, float], ...] = ()  # this round's
-        wrap(cohort, "beacon", self._beacon_sample)
-        wrap(cohort, "build_im_alive", self._carry_evidence)
+        wrap(cohort.liveness, "beacon", self._beacon_sample)
+        wrap(cohort.liveness, "build_im_alive", self._carry_evidence)
 
     def wire(self, any_status: Table, primary_only: Table) -> None:
         wrap_row(any_status, m.ImAliveMsg, self._fold_evidence)
@@ -78,7 +78,7 @@ class Gossip(Extension):
         for peer, _addr in cohort.configuration:
             if peer == cohort.mymid:
                 continue
-            heard = cohort.detect.last_heard(peer)
+            heard = cohort.liveness.detect.last_heard(peer)
             if heard > 0.0 and heard >= cutoff:
                 evidence.append((peer, heard))
         return tuple(evidence)
@@ -95,5 +95,5 @@ class Gossip(Extension):
         for peer, heard_at in msg.evidence:
             if peer == cohort.mymid or peer == msg.mid:
                 continue
-            cohort.detect.heard_relayed(peer, heard_at)
+            cohort.liveness.detect.heard_relayed(peer, heard_at)
         handler(msg)

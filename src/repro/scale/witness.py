@@ -26,7 +26,7 @@ class Witnesses(Extension):
         self.is_witness = cohort.mymid in cohort.quorums.witnesses
         #: primary: witnesses that have not yet confirmed the view install
         self._install_pending: Set[int] = set()
-        wrap(cohort, "beacon", self._beacon_then_resend)
+        wrap(cohort.liveness, "beacon", self._beacon_then_resend)
         if self.is_witness:
             wrap(cohort.view_change, "build_acceptance", self._vote_without_evidence)
 

@@ -89,11 +89,12 @@ def test_recovery_rewires_the_wrapped_rows_once():
     cohort = group.cohort(1)
 
     def layers(handler):
-        """Wrappers between a row and the cohort's own method."""
+        """Wrappers between a row and the paper's method (the cohort's, or
+        its liveness owner's for ``ImAliveMsg``)."""
         depth = 0
         while isinstance(handler, functools.partial):
             handler, depth = handler.args[0], depth + 1
-        assert handler.__self__ is cohort
+        assert handler.__self__ in (cohort, cohort.liveness)
         return depth
 
     wrapped = (m.BufferAckMsg, m.ImAliveMsg, m.BufferMsg)

@@ -78,12 +78,14 @@ def _paper_parts(cohort):
         cohort.server_role,
         cohort.client_role,
         cohort.coordinator_role,
+        cohort.liveness,
     )
 
 
 def _extension_rows(cohort):
-    """Message types whose handler is not a method of the cohort, its roles
-    or its controller: the rows an extension added or wrapped."""
+    """Message types whose handler is not a method of the cohort, its roles,
+    its controller or its liveness owner: the rows an extension added or
+    wrapped."""
     paper = _paper_parts(cohort)
     return {
         cls
@@ -110,7 +112,7 @@ def test_default_config_builds_the_paper_cohort_and_nothing_else():
         assert _extension_rows(cohort) == set()
         assert _shadowed_methods(cohort) == set()
         assert m.WitnessInstallMsg not in cohort._any_status
-        assert cohort.buffer_options == {"send": cohort.send_traffic, "max_batch": 64}
+        assert cohort.buffer_options == {"send": cohort.liveness.send_traffic, "max_batch": 64}
 
 
 def test_a_default_config_run_never_imports_the_extension_subsystems():
@@ -160,9 +162,9 @@ def test_every_method_the_seam_offers_is_taken_over_by_some_extension():
     witness = _group(_config(*MECHANISMS)).cohort(4)
     assert _shadowed_methods(witness) == {
         "Cohort.acknowledge",
-        "Cohort.beacon",
+        "Liveness.beacon",
         "Cohort.build_buffer_ack",
-        "Cohort.build_im_alive",
+        "Liveness.build_im_alive",
         "ViewChangeController.build_acceptance",
         "ViewChangeController.build_init_view",
         "ViewChangeController.activate",

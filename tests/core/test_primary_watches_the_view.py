@@ -181,7 +181,7 @@ def test_vouching_feeds_no_rtt_sample_and_leaves_the_cadence_configured():
         for fellow in primary.cur_view.backups:
             if fellow == backup.mymid:
                 continue
-            detect = backup.detect
+            detect = backup.liveness.detect
             assert detect.rto(fellow) is None
             assert detect.peers[fellow].mean_interval is None
             assert detect.expected_interval(fellow) == INTERVAL

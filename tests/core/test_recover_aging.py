@@ -17,7 +17,7 @@ def test_long_downtime_ages_out_last_heard_and_detector_state():
     rt.run_for(400)
     victim = counter.cohort(1)
     peers = [mid for mid, _addr in victim.configuration if mid != victim.mymid]
-    assert any(victim.detect.last_heard(mid) > 0.0 for mid in peers)
+    assert any(victim.liveness.detect.last_heard(mid) > 0.0 for mid in peers)
 
     counter.crash_cohort(1)
     # Down for many suspect windows: every pre-crash beat goes stale.
@@ -25,7 +25,7 @@ def test_long_downtime_ages_out_last_heard_and_detector_state():
     counter.recover_cohort(1)
 
     for mid in peers:
-        assert victim.detect.last_heard(mid) == 0.0
+        assert victim.liveness.detect.last_heard(mid) == 0.0
 
 
 def test_short_downtime_keeps_recent_evidence():
@@ -34,7 +34,7 @@ def test_short_downtime_keeps_recent_evidence():
     rt.run_for(400)
     victim = counter.cohort(1)
     peers = [mid for mid, _addr in victim.configuration if mid != victim.mymid]
-    before = {mid: victim.detect.last_heard(mid) for mid in peers}
+    before = {mid: victim.liveness.detect.last_heard(mid) for mid in peers}
     assert any(before[mid] > 0.0 for mid in peers)
 
     counter.crash_cohort(1)
@@ -44,7 +44,7 @@ def test_short_downtime_keeps_recent_evidence():
 
     kept = [mid for mid in peers if before[mid] > 0.0]
     for mid in kept:
-        assert victim.detect.last_heard(mid) == before[mid]
+        assert victim.liveness.detect.last_heard(mid) == before[mid]
 
 
 def test_recovered_cohort_suspects_a_dead_peer_promptly():
@@ -63,4 +63,4 @@ def test_recovered_cohort_suspects_a_dead_peer_promptly():
     counter.recover_cohort(1)
     # Immediately after recovery the dead peer's pre-crash beats are gone,
     # so nothing claims it was heard from recently.
-    assert victim.detect.last_heard(dead.mymid) == 0.0
+    assert victim.liveness.detect.last_heard(dead.mymid) == 0.0

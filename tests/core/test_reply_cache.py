@@ -7,11 +7,18 @@ no longer waiting for the call, ignores the answer.  A quiet run holds no
 reply, and a call whose transaction was decided while it ran caches none.
 """
 
-from repro import EmptyModule, Runtime, transaction_program
+from repro import EmptyModule, Runtime, procedure, transaction_program
 from repro.core import messages as m
+from repro.core.events import Aborted
 from repro.harness.common import build_kv_system, run_kv_batch
 
-from tests.core.test_read_only_commit import _quiet_kv, _resolve, _settled, _tap
+from tests.core.test_read_only_commit import (
+    _quiet_kv,
+    _records_shipped,
+    _resolve,
+    _settled,
+    _tap,
+)
 from tests.integration.test_nested_calls import FrontSpec, StoreSpec
 from tests.integration.test_send_once import STEADY
 
@@ -149,18 +156,31 @@ def test_a_quiet_run_caches_no_reply():
 # -- (d) decided while the call ran: nothing cached ------------------------------
 
 
+class _CountingFront(FrontSpec):
+    @procedure
+    def incr_then_count(self, ctx, key):
+        """A nested call, then a lock of this group's own."""
+        value = yield ctx.call("store", "incr", key, 1)
+        count = yield ctx.read_for_update("requests")
+        yield ctx.write("requests", count + 1)
+        return value
+
+
 @transaction_program
 def _twice_at_front(txn):
     yield txn.call("front", "cached_incr", "k0", 1)
-    yield txn.call("front", "fanout", ["k1"])
+    yield txn.call("front", "incr_then_count", "k1")
 
 
 def test_a_call_decided_while_it_ran_caches_no_reply():
     """The transaction's second call at ``front`` waits on a nested call
-    when the coordinator's abort arrives; the call still finishes and
-    replies, but its reply is not kept."""
+    when the coordinator's abort arrives.  The call still finishes and takes
+    a lock, but it
+    answers as a call of a decided transaction does: no reply is kept, no
+    record re-opens the transaction, its locks are released at once, and
+    the abort is shipped once."""
     rt = Runtime(seed=7, link=STEADY)
-    front = rt.create_group("front", FrontSpec(), n_cohorts=3)
+    front = rt.create_group("front", _CountingFront(), n_cohorts=3)
     rt.create_group("store", StoreSpec(), n_cohorts=3)
     clients = rt.create_group("clients", EmptyModule(), n_cohorts=3)
     clients.register_program("twice_at_front", _twice_at_front)
@@ -177,7 +197,7 @@ def test_a_call_decided_while_it_ran_caches_no_reply():
         ):
             nested.append(payload)
         if len(nested) == 2 and not injected:
-            # The fanout call's nested call is on the wire: abort the
+            # The second call's nested call is on the wire: abort the
             # transaction at front, as its coordinator would.
             abort = m.AbortMsg(aid=nested[1].aid)
             injected.append(abort)
@@ -192,12 +212,27 @@ def test_a_call_decided_while_it_ran_caches_no_reply():
     assert injected, "the nested call never left front"
     (abort,) = injected
     assert primary.outcomes.get(abort.aid) == "aborted"
-    fanout = [p for p in _calls_to(sends, primary.address) if p.proc == "fanout"]
-    assert fanout
-    replies = [
-        a for call in fanout for a in _answers(sends, primary.address, call.call_id)
-    ]
-    assert any(isinstance(a, m.ReplyMsg) for a in replies)   # it finished and replied
-    assert abort.aid not in primary.server_role.executed     # ... but kept nothing
+    second = [p for p in _calls_to(sends, primary.address) if p.proc == "incr_then_count"]
+    assert second
+
+    def answers():
+        return [
+            a for call in second for a in _answers(sends, primary.address, call.call_id)
+        ]
+
+    while not answers():
+        rt.run_for(0.25)
+    # It finished and answered as on_call answers a decided transaction...
+    (answer,) = answers()
+    assert isinstance(answer, m.CallFailedMsg)
+    assert answer.reason == "transaction already aborted"
+    assert abort.aid not in primary.server_role.executed     # ... kept nothing,
+    assert abort.aid not in primary.pending                  # re-opened nothing
+    assert not any(abort.aid in lockers for lockers in primary.store.lockers.values())
     assert future.result()[0] == "aborted"
     _settled(rt)
+    aborts = [
+        record for record in _records_shipped(sends, front)
+        if isinstance(record, Aborted) and record.aid == abort.aid
+    ]
+    assert len(aborts) == 1  # the abort, shipped once: no janitor re-abort

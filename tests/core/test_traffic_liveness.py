@@ -1,8 +1,8 @@
 """Bounded silence: suppressing redundant beacons never silences a watched link.
 
 A cohort skips the ``ImAliveMsg`` to a peer it sent a buffer message or ack
-within the last half ``IM_ALIVE_INTERVAL`` (``Cohort.send_traffic`` /
-``Cohort.beacon``).  Whatever the traffic pattern, each directed link that a
+within the last half ``IM_ALIVE_INTERVAL`` (``Liveness.send_traffic`` /
+``Liveness.beacon``).  Whatever the traffic pattern, each directed link that a
 receiver judges -- primary to backup, backup to primary, and any link to a
 cohort outside the view -- must still carry something that proves life at
 least every 1.5 intervals: the receiver's suspicion threshold
@@ -66,7 +66,7 @@ def test_no_link_is_silent_for_longer_than_one_and_a_half_intervals(seed, gaps):
     view = kv.active_primary().cur_view
     for link in [(a, b) for a in kv.cohorts for b in kv.cohorts if a != b]:
         if view.primary in link or not all(mid in view for mid in link):
-            # The first round is 0.5-1.5 intervals after start (_start_heartbeat).
+            # The first round is 0.5-1.5 intervals after start (Liveness.start).
             silence = _longest_silence(sends[link], 0.0, rt.sim.now)
             assert silence <= 1.5 * INTERVAL + 1e-9, (link, silence, sends[link])
         else:
@@ -81,10 +81,10 @@ def test_the_first_beacon_round_after_recovery_reaches_every_peer():
     driver.call("clients", "write", "kv", spec.key(0), 1)
     while backup.applied_ts == applied:
         rt.run_for(0.05)
-    assert backup._served  # it has just acked: a beacon now would be skipped
+    assert backup.liveness._served  # it has just acked: a beacon now would be skipped
     kv.crash_cohort(1)
     kv.recover_cohort(1)
-    assert backup._served == {} and backup._stamped == {}
+    assert backup.liveness._served == {} and backup.liveness._stamped == {}
     sends = _record_liveness_sends(rt, kv)
     rt.run_for(1.5 * INTERVAL)
     for peer in (0, 2):

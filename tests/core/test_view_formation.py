@@ -1,6 +1,6 @@
 """Tests for the view formation rule and primary selection (section 4).
 
-These exercise ``ViewChangeController.form_view`` directly with synthetic
+These call ``repro.core.view_change.form_view`` directly with synthetic
 acceptance sets, including the paper's three-cohort A/B/C example.
 """
 
@@ -11,26 +11,12 @@ import pytest
 from repro.core.messages import AcceptMsg
 from repro.core.quorum import Quorums, majority, sub_majority
 from repro.core.view import View
+from repro.core.view_change import form_view
 from repro.core.viewstamp import ViewId, Viewstamp
 
 V1 = ViewId(1, 0)
 V2 = ViewId(2, 1)
 V3 = ViewId(3, 2)
-
-
-from repro.config import ProtocolConfig
-
-
-class _FakeCohort:
-    def __init__(self, config_size=3, extended=False, witnesses=0):
-        self.quorums = Quorums(config_size, witnesses)  # as ModuleGroup builds it
-        self.config = ProtocolConfig(extended_formation_rule=extended)
-
-
-def controller(config_size=3, extended=False, witnesses=0):
-    from repro.core.view_change import ViewChangeController
-
-    return ViewChangeController(_FakeCohort(config_size, extended, witnesses))
 
 
 def normal(mid, viewid, ts, was_primary=False, view=None):
@@ -70,8 +56,9 @@ def witness_vote(mid):
 
 
 def form(responses, config_size=3, extended=False, witnesses=0):
-    return controller(config_size, extended, witnesses).form_view(
-        {r.mid: r for r in responses}
+    # The group's Quorums, as ModuleGroup builds it.
+    return form_view(
+        {r.mid: r for r in responses}, Quorums(config_size, witnesses), extended
     )
 
 

@@ -58,9 +58,9 @@ def test_an_unstamped_ack_is_heard_and_is_no_sample_for_the_estimators():
     for _ in range(60):
         rt.run_for(1.7)
         deliver()
-    assert primary.detect.last_heard(1) == rt.sim.now
-    assert primary.detect.rto(1) is None
-    assert primary.detect.peers[1].mean_interval is None
+    assert primary.liveness.detect.last_heard(1) == rt.sim.now
+    assert primary.liveness.detect.rto(1) is None
+    assert primary.liveness.detect.peers[1].mean_interval is None
     assert _first_suspicion(rt, primary.mymid, 1) is None  # 102 units on
 
 
@@ -71,9 +71,9 @@ def test_a_stamped_ack_is_a_beacon_to_the_estimators():
     rt.run_for(4.0)
     ack.sent_at = rt.sim.now - 1.0  # one-way 1.0: an RTT sample of 2.0
     deliver()
-    assert primary.detect.rto(1) == pytest.approx(2.0 + 4 * 1.0)
-    assert primary.detect.peers[1].mean_interval == pytest.approx(4.0)
-    assert primary.detect.expected_interval(1) == INTERVAL
+    assert primary.liveness.detect.rto(1) == pytest.approx(2.0 + 4 * 1.0)
+    assert primary.liveness.detect.peers[1].mean_interval == pytest.approx(4.0)
+    assert primary.liveness.detect.expected_interval(1) == INTERVAL
 
 
 def test_an_ack_from_a_suspected_peer_ends_the_suspicion():
@@ -90,7 +90,7 @@ def test_an_ack_from_a_suspected_peer_ends_the_suspicion():
     assert events() == ["suspect"]
     deliver()
     assert events() == ["suspect", "trust"]
-    assert primary.detect.last_heard(1) == rt.sim.now
+    assert primary.liveness.detect.last_heard(1) == rt.sim.now
 
 
 # -- the group's half -----------------------------------------------------------
@@ -137,7 +137,7 @@ def test_a_backup_heard_only_through_its_acks_is_never_suspected():
     rt.run_for(60 * INTERVAL)
     assert _first_suspicion(rt, primary.mymid, 1) is None
     assert rt.ledger.view_changes == []
-    assert rt.sim.now - primary.detect.last_heard(1) < 0.5 * INTERVAL
+    assert rt.sim.now - primary.liveness.detect.last_heard(1) < 0.5 * INTERVAL
     assert rt.metrics.counters["heartbeats_suppressed:kv"] > 0
 
 
@@ -179,7 +179,7 @@ def test_a_recovered_cohort_that_hears_a_live_peer_records_no_suspicion_of_it():
     rt.run_for(20 * INTERVAL)
     recovered = kv.cohort(2)
     assert recovered.cur_viewid == kv.active_primary().cur_viewid
-    assert all(recovered.detect.last_heard(peer) > recovered_at for peer in (0, 1))
+    assert all(recovered.liveness.detect.last_heard(peer) > recovered_at for peer in (0, 1))
     assert _detector_events(rt, 2, recovered_at) == []
 
 
@@ -190,7 +190,7 @@ def test_an_excluded_cohorts_beacon_still_triggers_the_re_add_sweep():
     rt.run_for(20 * INTERVAL)
     primary = kv.active_primary()
     assert primary.mymid == 0 and 2 not in primary.cur_view
-    assert primary._is_suspect(2)  # suspected since the crash
+    assert primary.liveness.suspects(2)  # suspected since the crash
     beacon = m.ImAliveMsg(mid=2, viewid=primary.cur_viewid, sent_at=rt.sim.now)
     primary.handle_message(beacon, kv.cohort(2).address)
     assert primary.status.value == "view_manager"  # at once, not next round
@@ -210,5 +210,5 @@ def test_traffic_arrivals_do_not_widen_the_accrual_baseline():
                 else [primary.mymid]
             )
             for peer in peers:  # the links that carry buffer traffic
-                assert cohort.detect.expected_interval(peer) == INTERVAL
-                assert cohort.detect.rto(peer) is not None
+                assert cohort.liveness.detect.expected_interval(peer) == INTERVAL
+                assert cohort.liveness.detect.rto(peer) is not None

@@ -1,12 +1,13 @@
-"""Every doc of ``repro.checkdocs.DOCS`` names its vocabulary, and
-``python -m repro.harness --check`` names each gap."""
+"""Every doc of ``repro.checkdocs.DOCS`` names its vocabulary, every
+backticked ``Class.attr`` of the prose docs names code that exists, and
+``python -m repro.harness --check`` names each gap and each dangling name."""
 
 import pathlib
 import re
 
 import pytest
 
-from repro.checkdocs import DOCS, TRACING, gaps
+from repro.checkdocs import DOCS, TRACING, dangling, gaps
 from repro.harness import __main__ as harness
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
@@ -93,3 +94,42 @@ def test_a_kind_entry_must_list_exactly_its_declared_fields(scratch):
     assert gaps(TRACING) == ["call_reply names undeclared field 'hops'"]
     scratch(TRACING, text.replace(entry, "(latency)"))
     assert gaps(TRACING) == ["call_reply lists no data fields"]
+
+
+def test_the_prose_docs_name_no_code_that_is_gone(monkeypatch):
+    monkeypatch.chdir(REPO_ROOT)
+    assert dangling() == []
+
+
+#: one line each: what resolves, and how
+RESOLVING = (
+    "`Liveness.beacon` (a method), `Status.ACTIVE` (a class-body assignment),",
+    "`Cohort.liveness` (a `self.attr` assignment), `Cohort.set_timer` (a repro base's),",
+    "`PeerState.last_heard` (assigned in `__init__`), `OrderedDict.popitem` (not a repro class)",
+)
+
+
+def test_a_planted_dangling_name_is_reported(scratch):
+    scratch("DESIGN.md", "\n".join(RESOLVING) + "\n")
+    scratch("README.md", "`Cohort.beacon`\n")
+    scratch("docs/NEW.md", "intro\nsee `Cohort.send_traffic` and `RemoteCaller._switch_view()`\n")
+    assert dangling() == [
+        "README.md:1 Cohort.beacon",
+        "docs/NEW.md:2 Cohort.send_traffic",
+        "docs/NEW.md:2 RemoteCaller._switch_view",
+    ]
+
+
+def test_check_fails_on_a_dangling_name(scratch, monkeypatch, capsys):
+    for each in DOCS:
+        scratch(each)
+    scratch(harness.DOC, "")
+    monkeypatch.setattr(harness, "ALL_EXPERIMENTS", {})
+    assert harness.main(["--check"]) == 0
+    assert "docs: every Class.attr they name is defined" in capsys.readouterr().out
+    scratch("DESIGN.md", "The sweep is `Cohort._liveness_sweep`.\n")
+    assert harness.main(["--check"]) == 1
+    assert (
+        "harness: FAIL -- docs name code that is gone: DESIGN.md:1 Cohort._liveness_sweep"
+        in capsys.readouterr().err
+    )

@@ -127,7 +127,7 @@ def test_one_dropped_message_is_recovered_by_the_sweep_without_a_view_change():
     force = _force_one_record(primary, 1)     # the one copy sent: dropped
     rt.network.repair_link_oneway(primary.node.node_id, first.node.node_id)
     sent_at = rt.sim.now
-    patience = max(config.flush_interval, primary.detect.rto(first.mymid))
+    patience = max(config.flush_interval, primary.liveness.detect.rto(first.mymid))
     while not force.done and rt.sim.now < sent_at + 100.0:
         rt.run_for(0.25)
     # The next sweep ships `second`, whose ack is the sub-majority.
@@ -182,7 +182,7 @@ def test_the_speedy_target_crashes_with_a_force_pending_and_the_sweep_resolves_i
     while not force.done and rt.sim.now < sent_at + 100.0:
         rt.run_for(0.25)
     # The next sweep, at the latest a go-back-N's wait away, and one round trip.
-    rto = primary.detect.rto(second.mymid)
+    rto = primary.liveness.detect.rto(second.mymid)
     assert rt.sim.now - sent_at <= config.flush_interval + rto + 2.0 + 0.25
     assert force.exception() is None and second.applied_ts == buffer.timestamp
     assert rt.ledger.view_changes == [] and primary.buffer is buffer
@@ -234,7 +234,7 @@ def test_a_lost_newview_is_resent_by_the_sweep_after_the_longer_wait():
     rt.quiesce()
     new_primary = kv.active_primary()
     ((_key, (sent_at, resent_at)),) = sends.items()
-    patience = max(config.flush_interval, new_primary.detect.rto(second.mymid))
+    patience = max(config.flush_interval, new_primary.liveness.detect.rto(second.mymid))
     wait = patience + config.stable_write_latency
     assert wait <= resent_at - sent_at <= wait + config.flush_interval
     assert second.applied_ts == new_primary.buffer.timestamp

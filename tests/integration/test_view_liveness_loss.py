@@ -104,7 +104,7 @@ def test_invite_retransmission_fires_under_loss():
     became_manager_at = rt.sim.now
     rt.network.fail_link_oneway(manager.node.node_id, peer.node.node_id)
     rt.run_for(2.0)  # ... and is dropped on arrival
-    assert peer.status is Status.ACTIVE and not manager._is_suspect(peer.mymid)
+    assert peer.status is Status.ACTIVE and not manager.liveness.suspects(peer.mymid)
     rt.network.repair_link_oneway(manager.node.node_id, peer.node.node_id)
     while not _active_primaries(counter) and rt.sim.now < deadline:
         rt.run_for(1.0)

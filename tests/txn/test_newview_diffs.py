@@ -25,7 +25,7 @@ from hypothesis import example, given, settings, strategies as st
 from repro.core import messages as m
 from repro.core.cohort import Cohort
 from repro.core.view import View
-from repro.core.view_change import ViewChangeController
+from repro.core.view_change import ViewChangeController, _choose_primary
 from repro.core.viewstamp import History, ViewId, Viewstamp
 from repro.net.messages import SizedDict, estimate_size
 from repro.txn.ids import Aid, OutcomeTable
@@ -132,7 +132,7 @@ class _Group:
         normals = [a for a in responses.values() if not a.crashed]
         if not normals:
             return
-        mid = ViewChangeController._choose_primary(normals, max(a.viewstamp for a in normals))
+        mid = _choose_primary(normals, max(a.viewstamp for a in normals))
         primary = self.cohorts[mid]
         view = View(primary=mid, backups=tuple(c.mymid for c in joiners if c is not primary))
         init = ViewChangeController.build_init_view(
